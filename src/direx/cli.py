@@ -159,12 +159,19 @@ def cmd_rate(args) -> int:
         ("N", report.params.N),
         ("certified min-entropy bound", report.bound),
     ]
+    provenance = {}
+    if consts.certified_gap is not None:
+        provenance = {"game_vG_provenance": consts.provenance,
+                      "game_qG_certified_gap": consts.certified_gap}
+        rows[2:2] = [("trust bound provenance", consts.provenance),
+                     ("optimal score certified gap", consts.certified_gap)]
     width = max(len(r[0]) for r in rows)
     for k, val in rows:
         print(f"{k:<{width}}  {val}")
     writer = RecordWriter(_out_path(args, "rate"), args.format)
     rec = base_record(args, "rate")
     rec.update(report.to_record())
+    rec.update(provenance)
     writer.append(rec)
     writer.flush()
     if not args.output and not os.environ.get("DIREX_OUTPUT_DIR"):
@@ -193,7 +200,9 @@ def cmd_simulate(args) -> int:
                             game=game, w_G=consts.wG)
     bound = None
     if args.device == "noisy":
-        eta_prime = args.noise / 2.0
+        # uniform noise moves the win probability from w_G to
+        # (1 - p) w_G + p / 2, a deviation of p (w_G - 1/2)
+        eta_prime = args.noise * (consts.wG - 0.5)
         if eta_prime < args.eta:
             bound = float(np.exp(-((args.eta - eta_prime) ** 2)
                                  * args.q * args.N / 3.0))

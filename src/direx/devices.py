@@ -232,10 +232,6 @@ class DeviceState:
             self.psi = self.behavior.state.copy()
 
 
-def component_count(behavior) -> int:
-    return behavior.n
-
-
 def ghz_honest_device() -> HonestBehavior:
     """Three components sharing (|000> + |111>)/sqrt(2), measuring the x
     observable on input 0 and the y observable on input 1; wins the GHZ

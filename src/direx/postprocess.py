@@ -100,26 +100,38 @@ class LedgerEntry:
 @dataclass
 class ErrorLedger:
     """Additive error bookkeeping across composition stages, in exact
-    dyadic rationals."""
+    dyadic rationals.
+
+    The totals are accumulated as entries are added, independently of the
+    entry list that check_totals re-sums.
+    """
 
     entries: list = field(default_factory=list)
+    total_soundness: Fraction = field(init=False)
+    total_completeness: Fraction = field(init=False)
+
+    def __post_init__(self):
+        self.total_soundness = sum((e.soundness for e in self.entries), Fraction(0))
+        self.total_completeness = sum((e.completeness for e in self.entries),
+                                      Fraction(0))
 
     def add(self, entry: LedgerEntry):
         self.entries.append(entry)
-
-    @property
-    def total_soundness(self) -> Fraction:
-        return sum((e.soundness for e in self.entries), Fraction(0))
-
-    @property
-    def total_completeness(self) -> Fraction:
-        return sum((e.completeness for e in self.entries), Fraction(0))
+        self.total_soundness += entry.soundness
+        self.total_completeness += entry.completeness
 
     def check_totals(self) -> bool:
-        return (self.total_soundness == sum((e.soundness for e in self.entries),
-                                            Fraction(0))
-                and self.total_completeness == sum(
-                    (e.completeness for e in self.entries), Fraction(0)))
+        """The recorded totals equal the sums of the recorded entries.
+
+        Both sides are read back from to_record(), so an entry changed after
+        it was added, or a value that does not survive serialization
+        exactly, fails the check.
+        """
+        rec = self.to_record()
+        return all(
+            sum((Fraction(e[key]) for e in rec["entries"]), Fraction(0))
+            == Fraction(rec[f"total_{key}"])
+            for key in ("soundness", "completeness"))
 
     def check_wiring(self) -> bool:
         """No stage may be seeded by its own device's previous output."""
@@ -144,29 +156,36 @@ class ErrorLedger:
         }
 
 
-class ChainedBitSource(BitStream):
+class ChainedBitSource:
     """Seed source that serves queued bits first (the previous stage's
-    output), then tops up from a fallback stream, counting the shortfall."""
+    output), then tops up from a fallback stream, counting the shortfall.
+
+    It offers the part of the BitStream interface the protocols draw on:
+    take, take_bit and consumed.
+    """
 
     def __init__(self, bits, fallback: BitStream):
-        self._queue = list(int(b) for b in bits)
+        self._queue = [int(b) for b in bits]
         self._fallback = fallback
-        self.consumed = 0
         self.from_queue = 0
         self.topped_up = 0
-        self.limit = None
+
+    @property
+    def consumed(self) -> int:
+        return self.from_queue + self.topped_up
+
+    def take_bit(self) -> int:
+        if self.from_queue < len(self._queue):
+            self.from_queue += 1
+            return self._queue[self.from_queue - 1]
+        self.topped_up += 1
+        return self._fallback.take_bit()
 
     def take(self, k: int) -> int:
+        """Draw k bits and return them as an integer (big-endian)."""
         out = 0
         for _ in range(k):
-            if self._queue:
-                bit = self._queue.pop(0)
-                self.from_queue += 1
-            else:
-                bit = self._fallback.take_bit()
-                self.topped_up += 1
-            out = (out << 1) | bit
-        self.consumed += k
+            out = (out << 1) | self.take_bit()
         return out
 
 

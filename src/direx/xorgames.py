@@ -8,13 +8,19 @@ analysis below works on the torus representation of qubit strategies: the
 optimal quantum score is the maximum modulus of the game's score polynomial
 over unit-length phases, and self-testing is read off the structure of the
 maxima of the cosine form of that polynomial.
+
+The optimal score is certified: a Lipschitz branch-and-bound over the torus
+proves an upper bound within a stated gap of the returned value.  The trust
+coefficient is a sampled estimate, not a proof.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -89,6 +95,19 @@ class XorGame:
     @property
     def input_matrix(self) -> np.ndarray:
         return np.array(self.inputs, dtype=float)
+
+    @cached_property
+    def _score_arrays(self):
+        """(probability * sign, input matrix), built once per game.
+
+        The arrays are read-only because every caller of this game shares
+        them.
+        """
+        coeff = self.probs * self.signs
+        inp = self.input_matrix
+        coeff.flags.writeable = False
+        inp.flags.writeable = False
+        return coeff, inp
 
     def sign_of(self, bits) -> int:
         for b, _, eta in self.entries:
@@ -184,8 +203,8 @@ def eval_pg(game: XorGame, zetas) -> complex:
 
 def _pg_batch(game: XorGame, z: np.ndarray) -> np.ndarray:
     """Score polynomial on a batch of phase tuples, shape (..., n)."""
-    coeff = game.probs * game.signs
-    inp = game.input_matrix.astype(bool)  # (m, n)
+    coeff, inp = game._score_arrays
+    inp = inp.astype(bool)  # (m, n)
     acc = np.ones(z.shape[:-1] + (len(coeff),), dtype=np.complex128)
     for k in range(game.n):
         acc = acc * np.where(inp[:, k], z[..., k: k + 1], 1.0)
@@ -201,64 +220,145 @@ def eval_zg(game: XorGame, thetas) -> float:
 
 
 def _zg_batch(game: XorGame, th: np.ndarray) -> np.ndarray:
-    coeff = game.probs * game.signs
-    inp = game.input_matrix
+    coeff, inp = game._score_arrays
     angles = th[..., :1] + th[..., 1:] @ inp.T
     return np.cos(angles) @ coeff
-
-
-def _abs_pg_on_angles(game: XorGame, th: np.ndarray) -> np.ndarray:
-    """|score polynomial| on a batch of angle tuples, shape (..., n)."""
-    coeff = game.probs * game.signs
-    inp = game.input_matrix
-    return np.abs(np.exp(1j * (th @ inp.T)) @ coeff)
 
 
 # ---------------------------------------------------------------------------
 # Torus maximization
 
-GRID_STEP = np.pi / 200
-GRID_STEP_4P = np.pi / 25  # denser grids are not tractable for 4 players
-_CHUNK = 1 << 21
+SCORE_CERT_TOL = 1e-9     # certificate target: max|p_G| <= value + this
+_FP_SLACK = 1e-12         # floating-point error allowance on a cell bound
+_GRID_DIVS_LOW = 50       # grid step pi/50 on tori of dimension <= 3 ...
+_GRID_DIVS_4 = 16         # ... and pi/16 in dimension 4 (~5.6e5 cells)
+_REFINE_STARTS = 8        # grid cells refined by Newton
+_MAX_CELLS = 1 << 20      # branch-and-bound gives up beyond this many cells
+_CHUNK = 1 << 16
 
 
-def _grid_axes(game: XorGame):
-    step = GRID_STEP if game.n <= 3 else GRID_STEP_4P
-    # conjugating every phase conjugates the polynomial, so the first angle
-    # only needs the upper half circle
-    first = np.arange(0.0, np.pi + step / 2, step)
-    rest = np.arange(0.0, 2 * np.pi, step)
-    return [first] + [rest] * (game.n - 1)
+def _reduced_exponents(inp: np.ndarray):
+    """Exponent vectors and angle basis of |p_G| on the torus it lives on.
+
+    |p_G(theta)| sees theta only through the products theta . (x_i - x_0).
+    When those differences do not span R^n, |p_G| is constant along the
+    directions they miss, and no cell bound can close along them.  Integer
+    column operations, a unimodular change of torus coordinates, move such
+    directions into trailing coordinates, which are dropped.  Returns
+    (expo, basis) with |p_G(basis @ phi)| = |sum_i c_i exp(i phi . expo_i)|,
+    and every value of |p_G| is attained at some basis @ phi.  Games whose
+    differences span R^n keep their own coordinates.
+    """
+    n = inp.shape[1]
+    a = (inp - inp[0]).astype(np.int64)
+    if np.linalg.matrix_rank(a) == n:
+        return inp, np.eye(n)
+    u = np.eye(n, dtype=np.int64)
+    rank = 0
+    for row in range(len(a)):
+        # Euclid on the columns rank.. of this row leaves one nonzero entry
+        while rank < n:
+            nz = rank + np.flatnonzero(a[row, rank:])
+            if len(nz) == 0:
+                break
+            j = nz[np.argmin(np.abs(a[row, nz]))]
+            a[:, [rank, j]] = a[:, [j, rank]]
+            u[:, [rank, j]] = u[:, [j, rank]]
+            if len(nz) == 1:
+                rank += 1
+                break
+            q = a[row, rank + 1:] // a[row, rank]
+            a[:, rank + 1:] -= np.outer(a[:, rank], q)
+            u[:, rank + 1:] -= np.outer(u[:, rank], q)
+    keep = max(rank, 1)
+    return a[:, :keep].astype(float), u[:, :keep].astype(float)
 
 
-def _grid_argmax(game: XorGame):
-    axes = _grid_axes(game)
-    sizes = [len(a) for a in axes]
-    total = int(np.prod(sizes))
-    best_val, best_idx = -np.inf, 0
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        flat = np.arange(start, stop)
-        coords = np.empty((stop - start, game.n))
-        rem = flat
-        for k in range(game.n - 1, -1, -1):
-            rem, this = np.divmod(rem, sizes[k])
-            coords[:, k] = axes[k][this]
-        vals = _abs_pg_on_angles(game, coords)
-        j = int(np.argmax(vals))
-        if vals[j] > best_val:
-            best_val, best_idx = float(vals[j]), start + j
-    coords = []
-    rem = best_idx
-    for k in range(game.n - 1, -1, -1):
-        rem, this = divmod(rem, sizes[k])
-        coords.append(axes[k][this])
-    return best_val, np.array(coords[::-1])
+def _cell_bounds(coeff: np.ndarray, expo: np.ndarray, centres: np.ndarray,
+                 r: float):
+    """|p| at each cell centre, and an upper bound on |p| over the cell.
+
+    p(phi) = sum_i c_i exp(i phi . e_i); a cell is the cube of half-width r
+    (infinity norm) around its centre.  With a_k = sum_i c_i e_ik
+    exp(i phi . e_i), Taylor's theorem bounds |p| on the cell by
+    |p + i sum_k delta_k a_k| plus the second-order remainder
+    r^2 / 2 * sum_i |c_i| |e_i|_1^2, and the first term by
+    sqrt(|p|^2 + 2r sum_k |Re(conj(p) i a_k)| + (r sum_k |a_k|)^2).
+    """
+    curvature = 0.5 * (np.abs(coeff) @ np.sum(np.abs(expo), axis=1) ** 2)
+    weighted = coeff[:, None] * expo
+    absp = np.empty(len(centres))
+    bound = np.empty(len(centres))
+    for s in range(0, len(centres), _CHUNK):
+        e = np.exp(1j * (centres[s: s + _CHUNK] @ expo.T))
+        p = e @ coeff
+        a = e @ weighted
+        lin = np.sum(np.abs((np.conj(p)[:, None] * 1j * a).real), axis=1)
+        sq = np.abs(p) ** 2 + 2 * r * lin + (r * np.sum(np.abs(a), axis=1)) ** 2
+        absp[s: s + _CHUNK] = np.abs(p)
+        bound[s: s + _CHUNK] = np.sqrt(sq) + r * r * curvature + _FP_SLACK
+    return absp, bound
+
+
+def _coarse_grid(game: XorGame):
+    """Cells of the coarse grid on the reduced torus, with their values.
+
+    Conjugating every phase conjugates the polynomial, so the first angle
+    only needs the upper half circle.  Returns (expo, basis, centres, r,
+    absp, bound) as produced by _reduced_exponents and _cell_bounds.
+    """
+    coeff, inp = game._score_arrays
+    expo, basis = _reduced_exponents(inp)
+    dim = expo.shape[1]
+    divs = _GRID_DIVS_LOW if dim <= 3 else _GRID_DIVS_4
+    step = np.pi / divs
+    axes = [np.arange(divs + 1) * step] + [np.arange(2 * divs) * step] * (dim - 1)
+    centres = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    r = step / 2
+    absp, bound = _cell_bounds(coeff, expo, centres, r)
+    return expo, basis, centres, r, absp, bound
+
+
+def _branch_and_bound(coeff, expo, centres, r, bound, value) -> float:
+    """Certified upper bound on max |p| over the cells, minus ``value``.
+
+    Lipschitz branch-and-bound: cells whose bound is at most
+    value + SCORE_CERT_TOL are dropped, the rest are split into 2**dim
+    children.  The result is the largest bound of any dropped cell, or of
+    the cells still open once splitting them would exceed _MAX_CELLS.
+    """
+    dim = centres.shape[1]
+    offsets = np.array(list(itertools.product((-0.5, 0.5), repeat=dim)))
+    target = value + SCORE_CERT_TOL
+    top = -np.inf
+    while True:
+        open_ = bound > target
+        top = max(top, float(np.max(bound[~open_], initial=-np.inf)))
+        centres, bound = centres[open_], bound[open_]
+        if len(centres) == 0:
+            return top - value
+        if len(centres) << dim > _MAX_CELLS:
+            return max(top, float(np.max(bound))) - value
+        centres = (centres[:, None, :] + r * offsets).reshape(-1, dim)
+        r /= 2
+        _, bound = _cell_bounds(coeff, expo, centres, r)
+
+
+def score_certificate(game: XorGame, value: float) -> float:
+    """Certified gap of a claimed optimal score.
+
+    Returns an upper bound on max |p_G| over the torus minus ``value``,
+    proven by branch-and-bound over the coarse grid's cells.  A value within
+    SCORE_CERT_TOL of the optimum gets a gap of at most SCORE_CERT_TOL; a
+    value below the optimum gets a gap at least the shortfall.
+    """
+    expo, _, centres, r, _, bound = _coarse_grid(game)
+    return _branch_and_bound(game._score_arrays[0], expo, centres, r, bound,
+                             value)
 
 
 def _zg_grad_hess(game: XorGame, theta: np.ndarray):
-    coeff = game.probs * game.signs
-    inp = game.input_matrix
+    coeff, inp = game._score_arrays
     vecs = np.hstack([np.ones((len(coeff), 1)), inp])  # (m, n+1)
     a = vecs @ theta
     grad = -(coeff * np.sin(a)) @ vecs
@@ -307,21 +407,30 @@ def optimal_score(game: XorGame):
     """Optimal quantum score and a maximizing angle tuple.
 
     Coarse grid over the phase torus, then Newton refinement of the cosine
-    form (the extra leading angle is seeded with the phase of the polynomial
-    at the grid maximum).  Results are memoized per game.
+    form from the best few grid cells (the extra leading angle is seeded
+    with the phase of the polynomial at the cell centre).  The best refined
+    value is certified by branch-and-bound over the grid cells: its gap,
+    an upper bound on max |p_G| minus the value, is memoized with it and
+    reported by analyze_game.  Results are memoized per game.
     """
     key = game.entries
-    if key in _SCORE_MEMO:
-        val, th = _SCORE_MEMO[key]
-        return val, th.copy()
-    gval, gang = _grid_argmax(game)
-    p = _pg_batch(game, np.exp(1j * gang)[None, :])[0]
-    theta0 = np.concatenate([[-np.angle(p)], gang])
-    val, th = refine_zg_max(game, theta0)
-    if val < gval - 1e-12:
-        val, th = gval, theta0
-    _SCORE_MEMO[key] = (float(val), th.copy())
-    return float(val), th
+    if key not in _SCORE_MEMO:
+        coeff = game._score_arrays[0]
+        expo, basis, centres, r, absp, bound = _coarse_grid(game)
+        val, th = -np.inf, None
+        # the best cells, in the order a stable sort by -|p| gives them
+        cut = np.partition(absp, -_REFINE_STARTS)[-_REFINE_STARTS]
+        best = np.flatnonzero(absp >= cut)
+        for cell in best[np.argsort(-absp[best], kind="stable")][:_REFINE_STARTS]:
+            ang = basis @ centres[cell]
+            p = _pg_batch(game, np.exp(1j * ang)[None, :])[0]
+            cval, cth = refine_zg_max(game, np.concatenate([[-np.angle(p)], ang]))
+            if cval > val:
+                val, th = cval, cth
+        gap = _branch_and_bound(coeff, expo, centres, r, bound, val)
+        _SCORE_MEMO[key] = (float(val), th, gap)
+    val, th, _ = _SCORE_MEMO[key]
+    return val, th.copy()
 
 
 def classical_optimum(game: XorGame) -> float:
@@ -383,6 +492,9 @@ class GameConstants:
     classification: str
     vG_lower: float
     provenance: str = ""
+    # certified upper bound on max|p_G| minus qG; None when qG is stored
+    # rather than computed by optimal_score
+    certified_gap: float | None = None
 
     def __post_init__(self):
         if abs(self.wG - (1 + self.qG) / 2) > 1e-9 or abs(self.fG - (1 - self.wG)) > 1e-9:
@@ -478,20 +590,26 @@ def scoring_operator(game: XorGame, zetas) -> HermitianOperator:
     return HermitianOperator(m)
 
 
+@lru_cache(maxsize=None)
+def _conjugation_signs(n: int) -> np.ndarray:
+    """Row b is -1 on the bits set in b (first player most significant)."""
+    signs = np.array([[-1.0 if (b >> (n - 1 - j)) & 1 else 1.0 for j in range(n)]
+                      for b in range(2**n)])
+    signs.flags.writeable = False
+    return signs
+
+
 def reverse_diagonal_entries(game: XorGame, th: np.ndarray) -> np.ndarray:
     """Scoring-operator entries for a batch of angle tuples.
 
     Returns shape (..., 2**n): entry b is the polynomial evaluated with the
     phases conjugated on the bits set in b.
     """
-    d = 2**game.n
-    out = np.empty(th.shape[:-1] + (d,), dtype=np.complex128)
-    for b in range(d):
-        signs = np.array([-1.0 if (b >> (game.n - 1 - j)) & 1 else 1.0
-                          for j in range(game.n)])
-        coeff = game.probs * game.signs
-        inp = game.input_matrix
-        out[..., b] = np.exp(1j * ((th * signs) @ inp.T)) @ coeff
+    coeff, inp = game._score_arrays
+    signs = _conjugation_signs(game.n)
+    out = np.empty(th.shape[:-1] + (len(signs),), dtype=np.complex128)
+    for b in range(len(signs)):
+        out[..., b] = np.exp(1j * ((th * signs[b]) @ inp.T)) @ coeff
     return out
 
 
@@ -582,6 +700,27 @@ def ghz_analytic_entry_checks(th: np.ndarray, c: float) -> int:
     return bad
 
 
+@lru_cache(maxsize=1)
+def _trust_samples(game: XorGame, samples: SamplingSpec):
+    """The sampled angle tuples of trust_coefficient_check, their
+    scoring-operator entries, and the random ascent starts after the first.
+
+    None of these depend on the coefficient or the anticommuter, so the
+    checks of one trust_coefficient_search share them.
+    """
+    rng = np.random.default_rng(samples.seed)
+    axes = np.linspace(0, np.pi, samples.grid_points)
+    grid = np.stack(np.meshgrid(*[axes] * game.n, indexing="ij"), axis=-1)
+    grid = grid.reshape(-1, game.n)
+    rand = rng.uniform(0, np.pi, size=(samples.random_samples, game.n))
+    th_all = np.vstack([grid, rand])
+    starts = rng.uniform(0, np.pi, size=(max(samples.multistarts - 1, 0), game.n))
+    entries = reverse_diagonal_entries(game, th_all)
+    for a in (th_all, entries, starts):
+        a.flags.writeable = False
+    return th_all, entries, starts
+
+
 def trust_coefficient_check(game: XorGame, c: float, anticommuter: HermitianOperator,
                             samples: SamplingSpec | None = None,
                             qG: float | None = None) -> TrustCheckResult:
@@ -603,9 +742,10 @@ def trust_coefficient_check(game: XorGame, c: float, anticommuter: HermitianOper
     rev = _is_reverse_diagonal(anti)
     anti_diag = np.array([anti[b, d - 1 - b] for b in range(d)]) if rev else None
 
-    def norms(th):
+    def norms(th, entries=None):
         if rev:
-            entries = reverse_diagonal_entries(game, th)
+            if entries is None:
+                entries = reverse_diagonal_entries(game, th)
             return np.max(np.abs(entries - c * anti_diag), axis=-1)
         out = np.empty(th.shape[:-1])
         it = np.ndindex(th.shape[:-1])
@@ -614,26 +754,20 @@ def trust_coefficient_check(game: XorGame, c: float, anticommuter: HermitianOper
             out[idx] = np.linalg.norm(np.linalg.eigvalsh(m - c * anti), ord=np.inf)
         return out
 
-    rng = np.random.default_rng(samples.seed)
-    axes = np.linspace(0, np.pi, samples.grid_points)
-    grid = np.stack(np.meshgrid(*[axes] * game.n, indexing="ij"), axis=-1)
-    grid = grid.reshape(-1, game.n)
-    rand = rng.uniform(0, np.pi, size=(samples.random_samples, game.n))
-    th_all = np.vstack([grid, rand])
-    vals = norms(th_all)
+    th_all, entries, more_starts = _trust_samples(game, samples)
+    vals = norms(th_all, entries)
     best = int(np.argmax(vals))
     best_val, best_th = float(vals[best]), th_all[best]
 
     # local ascent sharpens the sampled maximum
     step0 = np.pi / max(samples.grid_points, 8)
-    starts = [best_th] + list(rng.uniform(0, np.pi, size=(max(samples.multistarts - 1, 0), game.n)))
-    for s in starts:
+    moves = np.vstack([np.eye(game.n), -np.eye(game.n)])
+    for s in [best_th, *more_starts]:
         th = np.array(s, dtype=float)
         step = step0
         val = float(norms(th[None, :])[0])
         for _ in range(200):
-            trials = np.clip(th + step * np.vstack([np.eye(game.n), -np.eye(game.n)]),
-                             0.0, np.pi)
+            trials = np.clip(th + step * moves, 0.0, np.pi)
             tvals = norms(trials)
             j = int(np.argmax(tvals))
             if tvals[j] > val + 1e-14:
@@ -743,8 +877,13 @@ def trust_coefficient_search(game: XorGame, samples: SamplingSpec | None = None,
 
 def analyze_game(game: XorGame, vg_lower: float | None = None,
                  provenance: str = "") -> GameConstants:
-    """Compute the constants bundle; the trust bound may be supplied or searched."""
+    """Compute the constants bundle; the trust bound may be supplied or searched.
+
+    The score comes with the certified gap of optimal_score; the searched
+    trust bound is sampled, not proven.
+    """
     qG, maximizer = optimal_score(game)
+    certified_gap = _SCORE_MEMO[game.entries][2]
     classification = classify_selftest(game)
     if vg_lower is None:
         vg_lower = trust_coefficient_search(game, classification=classification)
@@ -753,7 +892,7 @@ def analyze_game(game: XorGame, vg_lower: float | None = None,
     return GameConstants(
         qG=qG, wG=wG, fG=1 - wG, maximizer=tuple(maximizer),
         classification=classification, vG_lower=float(vg_lower),
-        provenance=provenance,
+        provenance=provenance, certified_gap=certified_gap,
     )
 
 

@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from direx.cli import (
@@ -47,6 +48,30 @@ class TestRate:
         b_line = [ln for ln in out.splitlines() if "certified min-entropy" in ln][0]
         assert float(b_line.split()[-1]) == pytest.approx(
             1000 * float(t_line.split()[-1]))
+
+
+    def test_game_file_reports_score_certificate(self, tmp_path, capsys):
+        from direx.xorgames import game_to_record, ghz_game
+
+        game = tmp_path / "game.json"
+        game.write_text(json.dumps(game_to_record(ghz_game().relabel((1, 1, 0)))))
+        out = tmp_path / "rate.jsonl"
+        assert run_cli("--output", str(out), "rate", "--game", str(game),
+                       "--eta", "0.01", "--N", "1000000") == EXIT_OK
+        text = capsys.readouterr().out
+        assert "trust bound provenance" in text
+        assert "optimal score certified gap" in text
+        rec = read_records(out)[0]
+        assert rec["game_vG_provenance"] == "sampled bisection search"
+        assert 0 < rec["game_qG_certified_gap"] <= 1e-9
+
+    def test_named_game_record_has_no_certificate(self, tmp_path):
+        out = tmp_path / "rate.jsonl"
+        assert run_cli("--output", str(out), "rate", "--game", "chsh",
+                       "--eta", "0.005", "--N", "1000000") == EXIT_OK
+        rec = read_records(out)[0]
+        assert "game_qG_certified_gap" not in rec
+        assert "game_vG_provenance" not in rec
 
 
 class TestRecordsAndDeterminism:
@@ -101,6 +126,18 @@ class TestSimulate:
                        "--N", "500", "--q", "0.1", "--eta", "0.01",
                        "--trials", "5") == EXIT_OK
         assert "abort rate 0.0000" in capsys.readouterr().out
+
+    def test_noisy_completeness_bound_uses_win_probability(self, tmp_path):
+        # uniform noise p moves the CHSH win probability by p (w_G - 1/2)
+        out = tmp_path / "sim.jsonl"
+        assert run_cli("--output", str(out), "simulate", "--game", "chsh",
+                       "--device", "noisy", "--noise", "0.04", "--N", "2000",
+                       "--q", "0.25", "--eta", "0.05", "--trials", "2") == EXIT_OK
+        summary = read_records(out)[-1]
+        w = (1 + np.sqrt(2) / 2) / 2
+        eta_prime = 0.04 * (w - 0.5)
+        assert summary["completeness_bound"] == pytest.approx(
+            np.exp(-((0.05 - eta_prime) ** 2) * 0.25 * 2000 / 3.0), rel=1e-12)
 
     def test_strict_abort_exit_code(self, tmp_path):
         # a device that always fails aborts every trial

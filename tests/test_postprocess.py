@@ -102,6 +102,15 @@ class TestLedger:
         assert led.check_totals()
         assert led.check_wiring()
 
+    def test_tampered_entry_fails_totals(self):
+        led = ErrorLedger()
+        led.add(LedgerEntry(0, 0, Fraction(1, 8), Fraction(1, 16), False, -1))
+        led.add(LedgerEntry(1, 1, Fraction(1, 4), Fraction(1, 32), False, 0))
+        assert led.check_totals()
+        led.entries[1] = LedgerEntry(1, 1, Fraction(1, 8), Fraction(1, 32),
+                                     False, 0)
+        assert not led.check_totals()
+
     def test_wiring_violation_detected(self):
         led = ErrorLedger()
         led.add(LedgerEntry(0, 0, Fraction(1, 2), Fraction(1, 2), False, -1))
@@ -123,6 +132,11 @@ class TestChainedBitSource:
         assert src.from_queue == 3
         assert src.topped_up == 5
         assert src.consumed == 8
+
+    def test_topup_matches_fallback_stream(self):
+        src = ChainedBitSource([0, 1], substream(MASTER, "chain"))
+        bits = [src.take_bit() for _ in range(40)]
+        assert bits == [0, 1] + substream(MASTER, "chain").take_bits(38)
 
 
 class TestCrossFeed:

@@ -1,7 +1,11 @@
+import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from direx.errors import InvalidOperatorError
 from direx.matrixcore import HermitianOperator
@@ -25,10 +29,12 @@ from direx.xorgames import (
     optimal_score,
     positively_align,
     reverse_diagonal_anticommuter,
+    score_certificate,
     scoring_operator,
     trust_coefficient_check,
     trust_coefficient_search,
 )
+from direx.xorgames import _cell_bounds
 
 GHZ = ghz_game()
 CHSH = chsh_game()
@@ -130,6 +136,88 @@ class TestOptimalScore:
     def test_maximizer_attains_score(self):
         q, th = optimal_score(CHSH)
         assert eval_zg(CHSH, th) == pytest.approx(q, abs=1e-8)
+
+
+def mermin4_game():
+    """Four-player Mermin game: even-weight inputs, sign (-1)^(weight/2)."""
+    support = [("".join(map(str, bits)), "0.125", (-1) ** (sum(bits) // 2))
+               for bits in itertools.product((0, 1), repeat=4)
+               if sum(bits) % 2 == 0]
+    return XorGame.from_support(4, support)
+
+
+@st.composite
+def small_games(draw):
+    """2- and 3-player games on a random support with small integer weights."""
+    n = draw(st.integers(2, 3))
+    cube = list(itertools.product((0, 1), repeat=n))
+    support = draw(st.lists(st.sampled_from(cube), min_size=1,
+                            max_size=len(cube), unique=True))
+    weights = draw(st.lists(st.integers(1, 4), min_size=len(support),
+                            max_size=len(support)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(support),
+                          max_size=len(support)))
+    total = sum(weights)
+    return XorGame(n, tuple((bits, Fraction(w, total), eta)
+                            for bits, w, eta in zip(support, weights, signs)))
+
+
+def abs_pg_oracle(game, th):
+    """|p_G| at a batch of angle tuples, straight from the game entries."""
+    coeff = np.array([float(p) * eta for _, p, eta in game.entries])
+    inp = np.array([bits for bits, _, _ in game.entries], dtype=float)
+    return np.abs(np.exp(1j * (th @ inp.T)) @ coeff)
+
+
+class TestScoreCertificate:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(small_games(), st.integers(0, 2**32 - 1))
+    def test_certified_score_on_random_games(self, game, seed):
+        q, th = optimal_score(game)
+        gap = score_certificate(game, q)
+        assert gap <= 1e-9
+        rng = np.random.default_rng(seed)
+        phases = rng.uniform(0, 2 * np.pi, size=(1000, game.n))
+        assert np.all(q >= abs_pg_oracle(game, phases) - 1e-12)
+        # the certificate bounds every sample, and the value is attained
+        axis = np.linspace(0, 2 * np.pi, 120 if game.n == 2 else 48,
+                           endpoint=False)
+        dense = np.stack(np.meshgrid(*[axis] * game.n, indexing="ij"),
+                         axis=-1).reshape(-1, game.n)
+        assert abs_pg_oracle(game, dense).max() <= q + gap
+        assert q <= abs_pg_oracle(game, th[None, 1:])[0] + 1e-12
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(small_games(), st.floats(1e-3, 0.5), st.integers(0, 2**32 - 1))
+    def test_cell_bound_covers_its_cell(self, game, r, seed):
+        coeff = np.array([float(p) * eta for _, p, eta in game.entries])
+        inp = np.array([bits for bits, _, _ in game.entries], dtype=float)
+        rng = np.random.default_rng(seed)
+        centres = rng.uniform(0, 2 * np.pi, size=(50, game.n))
+        _, bound = _cell_bounds(coeff, inp, centres, r)
+        corners = np.array(list(itertools.product((-r, r), repeat=game.n)))
+        inside = np.concatenate(
+            [np.broadcast_to(corners, (50,) + corners.shape),
+             rng.uniform(-r, r, size=(50, 200, game.n))], axis=1)
+        points = centres[:, None, :] + inside
+        assert np.all(abs_pg_oracle(game, points) <= bound[:, None])
+
+    def test_lowered_value_fails_certificate(self):
+        q, _ = optimal_score(GHZ)
+        assert score_certificate(GHZ, q - 1e-3) >= 1e-3
+
+    def test_four_player_certificate(self):
+        game = mermin4_game()
+        q, _ = optimal_score(game)
+        assert q == pytest.approx(1.0, abs=1e-9)
+        assert 0 < score_certificate(game, q) <= 1e-9
+
+    def test_flat_directions_certified(self):
+        # |p_G| depends only on the sum of the three angles here
+        game = XorGame.from_support(3, [("000", "0.5", 1), ("111", "0.5", -1)])
+        q, _ = optimal_score(game)
+        assert q == pytest.approx(1.0, abs=1e-12)
+        assert score_certificate(game, q) <= 1e-9
 
 
 class TestClassicalOptimum:
@@ -327,6 +415,7 @@ class TestConstantsBundles:
     def test_ghz_constants(self):
         c = ghz_constants()
         assert c.qG == 1.0 and c.wG == 1.0 and c.fG == 0.0
+        assert c.certified_gap is None
         assert c.vG_lower == pytest.approx(0.14)
 
     def test_chsh_constants(self):
@@ -337,4 +426,12 @@ class TestConstantsBundles:
     def test_analyze_game_chsh(self):
         consts = analyze_game(CHSH, vg_lower=0.10, provenance="frozen")
         assert consts.classification == "strong-self-test"
+        assert 0 < consts.certified_gap <= 1e-9
         assert consts.wG == pytest.approx((1 + np.sqrt(2) / 2) / 2)
+
+    def test_analyze_game_certifies_score(self):
+        relabeled = game_from_record(game_to_record(GHZ.relabel((1, 1, 0))))
+        for game in (relabeled, mermin4_game()):
+            consts = analyze_game(game, vg_lower=0.10, provenance="frozen")
+            assert consts.qG == pytest.approx(1.0, abs=1e-9)
+            assert 0 < consts.certified_gap <= 1e-9
