@@ -22,16 +22,10 @@ import time
 import numpy as np
 
 from . import __version__
-from .devices import (
-    NoisyHonestBehavior,
-    behavior_from_record,
-    chsh_honest_device,
-    ghz_honest_device,
-    random_partially_trusted,
-)
+from .devices import behavior_from_record, random_partially_trusted
 from .entropy import measurement_split, schatten_ineq_check, uncertainty_check
 from .errors import DirexError, InfeasibleError
-from .postprocess import CrossFeedStage, cross_feed, expansion_schedule
+from .postprocess import CrossFeedStage, cross_feed
 from .protocols import (
     ProtocolConfig,
     exact_small_run,
@@ -180,22 +174,27 @@ def cmd_rate(args) -> int:
 
 
 def _behavior_from_args(args):
+    """The device a command plays against.  Built-in devices exist only for
+    the named games; call this before the game analysis so a missing
+    device is reported before that work is done."""
     if args.device_config:
         with open(args.device_config) as f:
             return behavior_from_record(json.load(f))
-    if args.device == "honest":
-        return ghz_honest_device() if args.game == "ghz" else chsh_honest_device()
-    if args.device == "noisy":
-        base = ghz_honest_device() if args.game == "ghz" else chsh_honest_device()
-        return NoisyHonestBehavior(base=base, p=args.noise)
-    raise ValueError(f"unknown device {args.device!r}")
+    variant = "honest" if args.device == "honest" else "noisy_honest"
+    try:
+        return behavior_from_record({"variant": variant, "device": args.game,
+                                     "p": args.noise})
+    except KeyError:
+        raise ValueError(
+            f"no built-in {args.device} device plays game {args.game!r}; "
+            f"describe one with --device-config") from None
 
 
 def cmd_simulate(args) -> int:
     master = parse_master_seed(args.seed)
     game = load_game(args.game)
-    consts = _resolve_constants(args.game)
     behavior = _behavior_from_args(args)
+    consts = _resolve_constants(args.game)
     config = ProtocolConfig(mode="R", N=args.N, q=args.q, eta=args.eta,
                             game=game, w_G=consts.wG)
     bound = None
@@ -261,13 +260,13 @@ def cmd_trust(args) -> int:
 def cmd_qkd(args) -> int:
     master = parse_master_seed(args.seed)
     game = load_game(args.game)
+    behavior = _behavior_from_args(args)
     consts = _resolve_constants(args.game)
     code = hamming_code(args.N)
     lam = code.supported_lambda() - 1e-9
     cfg = KdConfig(game=game, constants=consts, N=args.N, q=args.q,
                    eta=args.eta, lam=lam, lam_prime=min(lam + 1e-5, 0.49999),
                    code=code, kappa=args.kappa, epsilon_exp=args.epsilon_exp)
-    behavior = _behavior_from_args(args)
     outcome = run_rkd(cfg, behavior, substream(master, "kd-seed", 0),
                       numpy_rng(master, "kd-device", 0),
                       shared_randomness=substream(master, "kd-shared", 0))
@@ -296,13 +295,8 @@ def cmd_qkd(args) -> int:
 def cmd_expand(args) -> int:
     master = parse_master_seed(args.seed)
     game = load_game(args.game)
-    consts = _resolve_constants(args.game)
     behavior = _behavior_from_args(args)
-    plan = expansion_schedule(args.seed_bits, args.omega, args.desk_cap)
-    print("schedule (uncapped targets alongside desk caps):")
-    for i, st in enumerate(plan.stages):
-        print(f"  stage {i}: seed 2^{st['seed_bits_log2']:.2f} bits, "
-              f"N {st['N']} (uncapped {st['N_uncapped']}), q {st['q']:.3g}")
+    consts = _resolve_constants(args.game)
     stages = [CrossFeedStage(N=n, q=args.q, eta=args.eta, kappa=args.kappa,
                              epsilon_exp=args.epsilon_exp, m_out=m)
               for n, m in zip(args.stage_rounds, args.stage_bits)]
@@ -490,9 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--device", default="honest", choices=("honest", "noisy"))
     e.add_argument("--device-config", default=None)
     e.add_argument("--noise", type=float, default=0.0)
-    e.add_argument("--seed-bits", type=int, default=16)
-    e.add_argument("--omega", type=float, default=0.25)
-    e.add_argument("--desk-cap", type=int, default=100_000)
     e.add_argument("--stage-rounds", type=int, nargs="+",
                    default=[10000, 11000, 25000])
     e.add_argument("--stage-bits", type=int, nargs="+",

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .matrixcore import psd_sqrt
 from .xorgames import XorGame
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -186,8 +187,8 @@ class PartiallyTrustedBehavior:
                 (self.v, 0.5 * (np.eye(d) + t1), 0.5 * (np.eye(d) - t1), "trusted"))
         w = 1.0 - self.v - self.h
         if w > 1e-15:
-            sp = _op_sqrt(0.5 * (np.eye(d) + self.dishonest))
-            sm = _op_sqrt(0.5 * (np.eye(d) - self.dishonest))
+            sp = psd_sqrt(0.5 * (np.eye(d) + self.dishonest))
+            sm = psd_sqrt(0.5 * (np.eye(d) - self.dishonest))
             branches.append((w, sp, sm, "dishonest"))
         if self.h > 0:
             s = np.sqrt(0.5) * np.eye(d)
@@ -195,9 +196,24 @@ class PartiallyTrustedBehavior:
         return branches
 
 
-def _op_sqrt(m: np.ndarray) -> np.ndarray:
-    w, u = np.linalg.eigh(0.5 * (m + m.conj().T))
-    return (u * np.sqrt(np.where(w > 0, w, 0.0))) @ u.conj().T
+@dataclass(frozen=True)
+class ResponseTable:
+    """Adversarial response program given as a lookup table.
+
+    entries maps (round, input bits) to output bits, with round None for
+    keys that hold in every round.  A per-round key takes precedence over
+    an any-round key; inputs with neither get all-zero outputs.  Unlike a
+    closure, a table can be sent to worker processes.
+    """
+
+    n: int
+    entries: dict
+
+    def __call__(self, transcript, input_bits):
+        hit = self.entries.get((len(transcript), input_bits))
+        if hit is None:
+            hit = self.entries.get((None, input_bits), tuple([0] * self.n))
+        return hit
 
 
 @dataclass(frozen=True)
@@ -250,6 +266,10 @@ def chsh_honest_device() -> HonestBehavior:
     bob1 = (PAULI_Z - PAULI_X) / np.sqrt(2.0)
     return HonestBehavior(n=2, state=psi,
                           observables=((PAULI_Z, PAULI_X), (bob0, bob1)))
+
+
+# honest devices by the name of the game they play optimally
+HONEST_DEVICES = {"ghz": ghz_honest_device, "chsh": chsh_honest_device}
 
 
 def respond(state: DeviceState, input_bits, rng: np.random.Generator):
@@ -405,11 +425,9 @@ def behavior_from_record(rec: dict):
     variant = rec["variant"]
     if variant == "honest":
         name = rec.get("device", "ghz")
-        if name == "ghz":
-            return ghz_honest_device()
-        if name == "chsh":
-            return chsh_honest_device()
-        raise KeyError(f"unknown honest device {name!r}")
+        if name not in HONEST_DEVICES:
+            raise KeyError(f"unknown honest device {name!r}")
+        return HONEST_DEVICES[name]()
     if variant == "noisy_honest":
         base = behavior_from_record({"variant": "honest",
                                      "device": rec.get("device", "ghz")})
@@ -428,14 +446,7 @@ def behavior_from_record(rec: dict):
                 key = (None, tuple(int(b) for b in k.split(",")))
             table[key] = tuple(v)
         n = int(rec["n"])
-
-        def program(transcript, input_bits):
-            hit = table.get((len(transcript), input_bits))
-            if hit is None:
-                hit = table.get((None, input_bits), tuple([0] * n))
-            return hit
-
-        return AdversarialBehavior(n=n, program=program)
+        return AdversarialBehavior(n=n, program=ResponseTable(n, table))
     if variant == "partially_trusted":
         rng = np.random.default_rng(int(rec.get("instance_seed", 0)))
         return random_partially_trusted(rng, float(rec["v"]), float(rec["h"]),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SupportViolationError
-from .matrixcore import HermitianOperator, PsdOperator, pseudo_power
+from .matrixcore import HermitianOperator, PsdOperator, pseudo_power, psd_sqrt
 from .rates import uncertainty_exponent
 
 SUPPORT_CUTOFF = 1e-10
@@ -198,7 +198,7 @@ def smooth_from_renyi(rho: CqState, sigma, alpha: float, epsilon: float):
         diff = rb - st
         w, u = np.linalg.eigh(0.5 * (diff + diff.conj().T))
         delta = (u * np.where(w > 0, w, 0.0)) @ u.conj().T
-        g = _matrix_sqrt(st) @ pseudo_power(st + delta, -0.5, cutoff=1e-14)
+        g = psd_sqrt(st) @ pseudo_power(st + delta, -0.5, cutoff=1e-14)
         nb = g @ rb @ g.conj().T
         nb = 0.5 * (nb + nb.conj().T)
         # numerical floor: clip eigenvalues a hair below zero back up
@@ -207,11 +207,6 @@ def smooth_from_renyi(rho: CqState, sigma, alpha: float, epsilon: float):
         new_blocks.append(nb)
     smoothed = CqState.from_arrays(rho.labels, new_blocks)
     return smoothed, float(bound)
-
-
-def _matrix_sqrt(m: np.ndarray) -> np.ndarray:
-    w, u = np.linalg.eigh(0.5 * (m + m.conj().T))
-    return (u * np.sqrt(np.where(w > 0, w, 0.0))) @ u.conj().T
 
 
 @dataclass(frozen=True)

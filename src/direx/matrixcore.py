@@ -150,6 +150,13 @@ def pseudo_power(entries: np.ndarray, p: float, cutoff: float = 1e-10) -> np.nda
     return (u * wp) @ u.conj().T
 
 
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
+    """Square root of the Hermitian part of a matrix, with negative
+    eigenvalues clamped to zero.  Returns a raw ndarray."""
+    w, u = np.linalg.eigh(0.5 * (m + m.conj().T))
+    return (u * np.sqrt(np.where(w > 0, w, 0.0))) @ u.conj().T
+
+
 def schatten_norm(a, p: float) -> float:
     """Schatten p-norm, ``(sum of singular values**p)**(1/p)``.
 

@@ -1,10 +1,16 @@
 """Executable protocol state machines and their exact desk-scale validator.
 
-The round structure: a biased bit g decides between a game round (the full
-input distribution is sampled and the device plays, scored P or F) and a
-generation round (the all-zero input is fed and the first component's
-output is recorded as H or T).  The run aborts when game failures exceed
-the configured threshold.
+The round structure: a biased bit g decides between a game round (an input
+is drawn from the protocol's input table and the device plays, scored P or
+F) and a generation round (the all-zero input is fed and the first
+component's output is recorded as H or T).  The run aborts when game
+failures exceed the configured threshold.
+
+One round engine plays every protocol.  Protocol R passes its game's input
+table; the single-part protocol A' passes a one-input table (input 1 with
+certainty, won on output 0), so the g bit itself is the device input; key
+distribution (qkd.run_rkd) plays the game table and derives both parties'
+bits from the recorded rounds.
 
 Seed bits are consumed through an exact arithmetic decoder, so a biased bit
 costs close to its Shannon entropy; g-bits and game-input bits are drawn
@@ -35,6 +41,12 @@ SYMBOLS = ("H", "T", "P", "F")
 SYMBOL_BITS = {"H": (0, 0), "T": (0, 1), "P": (1, 0), "F": (1, 1)}
 
 
+def _as_fraction(x) -> Fraction:
+    """Exact rational value of a probability; floats and strings go through
+    their decimal form, so 0.05 becomes 1/20."""
+    return x if isinstance(x, Fraction) else Fraction(str(x))
+
+
 class CategoricalSampler:
     """Exact sampler over a rational distribution via arithmetic decoding.
 
@@ -47,7 +59,7 @@ class CategoricalSampler:
     """
 
     def __init__(self, weights, stream: BitStream, block: int = 4096):
-        fracs = [w if isinstance(w, Fraction) else Fraction(str(w)) for w in weights]
+        fracs = [_as_fraction(w) for w in weights]
         if any(w < 0 for w in fracs) or sum(fracs) != 1:
             raise ValueError("weights must be nonnegative rationals summing to 1")
         den = 1
@@ -113,7 +125,7 @@ def biased_bit_sampler(q, stream: BitStream, N: int, block: int = 4096):
     N times the binary entropy of q for large N; q = 1/2 costs exactly one
     bit per output bit.
     """
-    qf = q if isinstance(q, Fraction) else Fraction(str(q))
+    qf = _as_fraction(q)
     if not 0 < qf < 1:
         raise ValueError(f"bias must lie in (0, 1), got {q}")
     sampler = CategoricalSampler([1 - qf, qf], stream, block=block)
@@ -145,9 +157,8 @@ class ProtocolConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.N < 0:
             raise ValueError("round count must be nonnegative")
-        qf = self.q if isinstance(self.q, Fraction) else Fraction(str(self.q))
-        object.__setattr__(self, "q", qf)
-        if not 0 < qf < 1:
+        object.__setattr__(self, "q", _as_fraction(self.q))
+        if not 0 < self.q < 1:
             raise ValueError("test probability must lie in (0, 1)")
         if self.mode == "R":
             if self.game is None or self.w_G is None:
@@ -245,34 +256,35 @@ def make_responder(behavior):
     return _FastResponder(behavior)
 
 
-def run_protocol_r(config: ProtocolConfig, behavior, seed_stream: BitStream,
-                   device_rng: np.random.Generator,
-                   record_rounds: bool = True):
-    """Execute the game protocol against a device.
+# the single-part protocol as a one-input game: input 1 with certainty, won
+# on output 0 (sign +1)
+_SINGLE_PART_TABLE = (((1,), Fraction(1), 1),)
 
-    Generation rounds feed the all-zero input and read component 1 (H on
-    output 0, T on 1); game rounds sample the game's input distribution and
-    score P or F.  Aborts when failures exceed (1 - w + eta) q N.
+
+def _play_rounds(N: int, q, table, responder, seed_stream: BitStream,
+                 device_rng: np.random.Generator,
+                 record_rounds: bool = True) -> Transcript:
+    """Play N rounds of the round protocol and return their transcript.
+
+    table holds (input bits, probability, sign) triples in XorGame.entries
+    form; a game round is won when the output parity is (1 - sign) / 2.
+    responder(input_bits, device_rng) returns the device's output bits.
+    record_rounds=False keeps only g and the symbol of each round.
     """
-    if config.mode != "R":
-        raise ValueError("config is not for the game protocol")
-    game = config.game
-    if behavior.n != game.n:
-        raise ValueError(
-            f"device has {behavior.n} components, game needs {game.n}")
-    g_sampler = CategoricalSampler([1 - config.q, config.q], seed_stream)
-    input_sampler = CategoricalSampler([p for _, p, _ in game.entries], seed_stream)
-    win_parity = {bits: game.win_parity(bits) for bits, _, _ in game.entries}
-    zero_input = tuple([0] * game.n)
-    responder = make_responder(behavior)
+    q = _as_fraction(q)
+    g_sampler = CategoricalSampler([1 - q, q], seed_stream)
+    input_sampler = CategoricalSampler([p for _, p, _ in table], seed_stream)
+    inputs = [bits for bits, _, _ in table]
+    win_parity = {bits: (1 - sign) // 2 for bits, _, sign in table}
+    zero_input = tuple([0] * len(inputs[0]))
     tr = Transcript()
-    for _ in range(config.N):
+    for _ in range(N):
         before = seed_stream.consumed
         g = g_sampler.sample()
         tr.g_bits_used += seed_stream.consumed - before
         if g == 1:
             before = seed_stream.consumed
-            inp = game.entries[input_sampler.sample()][0]
+            inp = inputs[input_sampler.sample()]
             tr.input_bits_used += seed_stream.consumed - before
             outs = responder(inp, device_rng)
             parity = 0
@@ -289,9 +301,33 @@ def run_protocol_r(config: ProtocolConfig, behavior, seed_stream: BitStream,
             tr.rounds.append((g, inp, outs, symbol))
         else:
             tr.rounds.append((g, None, None, symbol))
-    success = tr.failures <= config.abort_threshold
-    return RunOutcome(success=success, transcript=tr,
-                      threshold=config.abort_threshold)
+    return tr
+
+
+def _outcome(config: ProtocolConfig, tr: Transcript) -> RunOutcome:
+    threshold = config.abort_threshold
+    return RunOutcome(success=tr.failures <= threshold, transcript=tr,
+                      threshold=threshold)
+
+
+def run_protocol_r(config: ProtocolConfig, behavior, seed_stream: BitStream,
+                   device_rng: np.random.Generator,
+                   record_rounds: bool = True):
+    """Execute the game protocol against a device.
+
+    Generation rounds feed the all-zero input and read component 1 (H on
+    output 0, T on 1); game rounds sample the game's input distribution and
+    score P or F.  Aborts when failures exceed (1 - w + eta) q N.
+    """
+    if config.mode != "R":
+        raise ValueError("config is not for the game protocol")
+    game = config.game
+    if behavior.n != game.n:
+        raise ValueError(
+            f"device has {behavior.n} components, game needs {game.n}")
+    tr = _play_rounds(config.N, config.q, game.entries, make_responder(behavior),
+                      seed_stream, device_rng, record_rounds)
+    return _outcome(config, tr)
 
 
 def run_protocol_a_prime(config: ProtocolConfig, behavior, seed_stream: BitStream,
@@ -299,36 +335,28 @@ def run_protocol_a_prime(config: ProtocolConfig, behavior, seed_stream: BitStrea
     """Execute the single-part protocol: the g bit itself is the device input.
 
     P/F are recorded on g = 1 (output 0 passes), H/T on g = 0; aborts when
-    failures exceed (h/2 + eta) q N.
+    failures exceed (h/2 + eta) q N.  The device answers through
+    devices.respond for every behavior, so its draws do not depend on the
+    variant's sampling shortcut.
     """
     if config.mode not in ("A", "Aprime"):
         raise ValueError("config is not for the trusted-device protocol")
     if behavior.n != 1:
         raise ValueError("trusted-device protocol drives a single-part device")
-    g_sampler = CategoricalSampler([1 - config.q, config.q], seed_stream)
     state = DeviceState(behavior)
-    tr = Transcript()
-    for _ in range(config.N):
-        before = seed_stream.consumed
-        g = g_sampler.sample()
-        tr.g_bits_used += seed_stream.consumed - before
-        out = respond(state, (g,), device_rng)[0]
-        if g == 1:
-            symbol = "P" if out == 0 else "F"
-            if symbol == "F":
-                tr.failures += 1
-        else:
-            symbol = "H" if out == 0 else "T"
-        tr.rounds.append((g, (g,), (out,), symbol))
-    success = tr.failures <= config.abort_threshold
-    return RunOutcome(success=success, transcript=tr,
-                      threshold=config.abort_threshold)
+    tr = _play_rounds(config.N, config.q, _SINGLE_PART_TABLE,
+                      lambda bits, rng: respond(state, bits, rng),
+                      seed_stream, device_rng)
+    return _outcome(config, tr)
 
 
 def run_protocol(config: ProtocolConfig, behavior, seed_stream, device_rng,
-                 **kw):
+                 record_rounds: bool = True):
+    """Run the protocol config.mode names.  record_rounds=False applies to
+    the game protocol; A' transcripts always keep their inputs and outputs."""
     if config.mode == "R":
-        return run_protocol_r(config, behavior, seed_stream, device_rng, **kw)
+        return run_protocol_r(config, behavior, seed_stream, device_rng,
+                              record_rounds)
     return run_protocol_a_prime(config, behavior, seed_stream, device_rng)
 
 
@@ -431,8 +459,7 @@ def _run_trial(args) -> TrialSummary:
     config, behavior, master, trial = args
     stream = substream(master, "protocol-seed", trial)
     rng = numpy_rng(master, "device", trial)
-    out = run_protocol(config, behavior, stream, rng, record_rounds=False) \
-        if config.mode == "R" else run_protocol(config, behavior, stream, rng)
+    out = run_protocol(config, behavior, stream, rng, record_rounds=False)
     tr = out.transcript
     games = sum(1 for r in tr.rounds if r[0] == 1)
     return TrialSummary(trial=trial, success=out.success, failures=tr.failures,

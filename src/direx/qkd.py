@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .protocols import CategoricalSampler, Transcript, make_responder
-from .rates import RateReport, certified_bound
+from .protocols import Transcript, _play_rounds, make_responder
+from .rates import RateReport, certified_bound, refine_grid_min
 from .recon import EirResult, LinearCode, eir_run
 from .recon import syndrome as code_syndrome
 from .seeding import BitStream
@@ -90,66 +90,38 @@ def run_rkd(config: KdConfig, behavior, seed_stream: BitStream,
             shared_randomness: BitStream | None = None) -> KdOutcome:
     """Execute the key distribution protocol against an n-component device.
 
-    The first component's outputs belong to the first party; the win-
-    completing bit derived from the remaining components' outputs belongs
-    to the second.  Game rounds are scored publicly.  After the abort test,
-    the second party's generation bits are corrected through the one-way
-    reconciliation protocol with failure budget exp(-qN).
+    The round engine of protocols plays the game protocol's rounds; both
+    parties' bits are then read off the recorded rounds.  The first
+    component's outputs belong to the first party; the win-completing bit
+    derived from the remaining components' outputs belongs to the second.
+    Game rounds are scored publicly and give both parties the same bit (0
+    on a pass).  After the abort test, the second party's generation bits
+    are corrected through the one-way reconciliation protocol with failure
+    budget exp(-qN).
     """
     game = config.game
     if behavior.n != game.n:
         raise ValueError(f"device has {behavior.n} components, game needs {game.n}")
     if behavior.n < 2:
         raise ValueError("key distribution needs at least two components")
-    g_sampler = CategoricalSampler([1 - _frac(config.q), _frac(config.q)],
-                                   seed_stream)
-    input_sampler = CategoricalSampler([p for _, p, _ in game.entries], seed_stream)
-    win_parity = {bits: game.win_parity(bits) for bits, _, _ in game.entries}
+    tr = _play_rounds(config.N, config.q, game.entries, make_responder(behavior),
+                      seed_stream, device_rng)
     zero = tuple([0] * game.n)
-    zero_parity = win_parity.get(zero, 0)
-    responder = make_responder(behavior)
-    tr = Transcript()
+    zero_parity = game.win_parity(zero) if zero in game.inputs else 0
     alice_bits = np.zeros(config.N, dtype=np.uint8)
     bob_bits = np.zeros(config.N, dtype=np.uint8)
-    gen_mask = np.zeros(config.N, dtype=bool)
-    wins = 0
-    for i in range(config.N):
-        before = seed_stream.consumed
-        g = g_sampler.sample()
-        tr.g_bits_used += seed_stream.consumed - before
+    for i, (g, _, outs, symbol) in enumerate(tr.rounds):
         if g == 1:
-            before = seed_stream.consumed
-            inp = game.entries[input_sampler.sample()][0]
-            tr.input_bits_used += seed_stream.consumed - before
-            outs = responder(inp, device_rng)
-            parity = 0
-            for b in outs:
-                parity ^= b
-            won = parity == win_parity[inp]
-            symbol = "P" if won else "F"
-            if not won:
-                tr.failures += 1
-            else:
-                wins += 1
-            public_bit = 0 if won else 1
-            alice_bits[i] = public_bit
-            bob_bits[i] = public_bit
+            alice_bits[i] = bob_bits[i] = symbol == "F"
         else:
-            inp = zero
-            outs = responder(inp, device_rng)
-            a = outs[0]
             rest = 0
             for b in outs[1:]:
                 rest ^= b
-            bbit = zero_parity ^ rest
-            alice_bits[i] = a
-            bob_bits[i] = bbit
-            gen_mask[i] = True
-            if a == bbit:
-                wins += 1
-            symbol = "H" if a == 0 else "T"
-        tr.rounds.append((g, inp, outs, symbol))
-    disagreements = int(np.sum(alice_bits[gen_mask] != bob_bits[gen_mask]))
+            alice_bits[i] = outs[0]
+            bob_bits[i] = zero_parity ^ rest
+    # game rounds never disagree, so every disagreement is a generation round
+    disagreements = int(np.count_nonzero(alice_bits != bob_bits))
+    wins = config.N - tr.failures - disagreements
     # everything the eavesdropper saw on the public channel, verbatim
     public = {
         "game_round_outputs": [
@@ -195,12 +167,6 @@ def run_rkd(config: KdConfig, behavior, seed_stream: BitStream,
         disagreements=disagreements, wins=wins,
         seed_bits_used=tr.seed_bits_used, eir=eir, report=report,
         transcript=tr, public_transcript=public)
-
-
-def _frac(q):
-    from fractions import Fraction
-
-    return q if isinstance(q, Fraction) else Fraction(str(q))
 
 
 def _key_symbols(tr: Transcript, bits: np.ndarray) -> str:
@@ -253,31 +219,10 @@ def eta_bar(lam_prime: float, constants: GameConstants, f=None,
     # margin is narrow
     thetas = np.concatenate([np.geomspace(1e-16, grid_step, 200),
                              np.arange(grid_step, 1.0, grid_step)])
-    vals = w * thetas * ((w - (0.5 + lam_prime)) / w - np.asarray(f(thetas)))
-    i = int(np.argmax(vals))
-    lo = thetas[max(i - 1, 0)]
-    hi = thetas[min(i + 1, len(thetas) - 1)]
-    golden = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-
-    def g(th):
-        return -w * th * ((w - (0.5 + lam_prime)) / w - float(f(th)))
-
-    c = b - golden * (b - a)
-    d = a + golden * (b - a)
-    fc, fd = g(c), g(d)
-    for _ in range(60):
-        if b - a < 1e-12:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - golden * (b - a)
-            fc = g(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + golden * (b - a)
-            fd = g(d)
-    return float(max(vals[i], -fc, -fd))
+    margin = (w - (0.5 + lam_prime)) / w
+    vals = w * thetas * (margin - np.asarray(f(thetas)))
+    return -refine_grid_min(lambda th: -w * th * (margin - float(f(th))),
+                            thetas, -vals)
 
 
 def refined_azuma_bound(epsilon: float, w: float, N: int) -> float:

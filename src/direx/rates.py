@@ -147,26 +147,20 @@ def lambda_rate(params: RateParams, t: float) -> float:
                                 params.r, t))
 
 
-def worst_case_rate(v, h, q, kappa, r,
-                    grid_step: float = DELTA_GRID_STEP) -> float:
-    """Minimum of the one-round rate over the failure parameter.
+def refine_grid_min(f, grid, vals) -> float:
+    """Minimum of f from its values on a sorted grid.
 
-    Dense grid then golden-section refinement around the grid minimum; no
-    unimodality is assumed, the grid is simply fine enough at these scales.
+    Golden-section search refines the grid minimum over its two neighbouring
+    cells; no unimodality is assumed, the grid is taken to be fine enough
+    that the true minimum lies in those cells.
     """
-    ts = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
-    vals = one_round_rate(v, h, q, kappa, r, ts)
     i = int(np.argmin(vals))
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, len(ts) - 1)]
-
-    def f(t):
-        return float(one_round_rate(v, h, q, kappa, r, t))
-
-    a, b = lo, hi
+    a = grid[max(i - 1, 0)]
+    b = grid[min(i + 1, len(grid) - 1)]
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
+    # a bracket below 1 closes to 1e-12 within 58 golden steps
     for _ in range(80):
         if b - a < 1e-12:
             break
@@ -178,7 +172,17 @@ def worst_case_rate(v, h, q, kappa, r,
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
             fd = f(d)
-    return min(float(vals[i]), fc, fd)
+    return float(min(vals[i], fc, fd))
+
+
+def worst_case_rate(v, h, q, kappa, r,
+                    grid_step: float = DELTA_GRID_STEP) -> float:
+    """Minimum of the one-round rate over the failure parameter, by a dense
+    grid refined with :func:`refine_grid_min`."""
+    ts = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
+    return refine_grid_min(
+        lambda t: float(one_round_rate(v, h, q, kappa, r, t)),
+        ts, one_round_rate(v, h, q, kappa, r, ts))
 
 
 def delta_rate(params: RateParams) -> float:

@@ -151,6 +151,43 @@ class TestSimulate:
                        "--eta", "0.01", "--trials", "2")
         assert code == EXIT_ABORT
 
+    def test_game_file_needs_device_config(self, tmp_path, monkeypatch, capsys):
+        # no built-in device plays a game given as a file; the command must
+        # say so before the cold game analysis starts
+        from direx import cli
+        from direx.xorgames import game_to_record, ghz_game
+
+        game = tmp_path / "game.json"
+        game.write_text(json.dumps(game_to_record(ghz_game().relabel((1, 1, 0)))))
+
+        def no_analysis(name):
+            raise AssertionError("game analysis started")
+        monkeypatch.setattr(cli, "_resolve_constants", no_analysis)
+        for argv in (("simulate", "--N", "100", "--q", "0.1", "--eta", "0.01"),
+                     ("qkd", "--N", "100", "--q", "0.1"),
+                     ("expand",)):
+            assert run_cli(*argv, "--game", str(game),
+                           "--device", "honest") == EXIT_USAGE
+            assert "--device-config" in capsys.readouterr().err
+
+    def test_adversary_config_with_workers(self, tmp_path):
+        # the table adversary must reach worker processes intact
+        cfg = tmp_path / "dev.json"
+        cfg.write_text(json.dumps({
+            "variant": "adversarial", "n": 3,
+            "table": {"0,0,0": [1, 1, 0], "0,1,1": [0, 1, 1],
+                      "2@1,0,1": [1, 1, 1], "1,1,0": [0, 0, 1]}}))
+        records = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.jsonl"
+            assert run_cli("--output", str(out), "--workers", workers,
+                           "simulate", "--game", "ghz", "--device-config",
+                           str(cfg), "--N", "200", "--q", "0.3",
+                           "--eta", "0.4", "--trials", "4") == EXIT_OK
+            records.append([strip_volatile(r) for r in read_records(out)])
+        assert records[0] == records[1]
+        assert {r["failures"] for r in records[0][:-1]} != {0}
+
 
 class TestVerify:
     def test_all_suites_clean(self):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -375,3 +377,118 @@ class TestAzumaTails:
             freq = tail / trials
             sigma = np.sqrt(max(freq * (1 - freq), 1e-4) / trials)
             assert freq <= bound + 3 * sigma
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(repr(part).encode())
+        h.update(b"\x00")
+    return h.hexdigest()
+
+
+def _transcript_digest(tr, *extra) -> str:
+    return _digest(*extra, tr.failures, tr.g_bits_used, tr.input_bits_used,
+                   tr.rounds)
+
+
+def _outcome_digest(out) -> str:
+    return _transcript_digest(out.transcript, out.success, out.threshold)
+
+
+class TestRoundEngineDigests:
+    """Transcripts, keys and ledgers pinned as sha256 digests.
+
+    The digests were taken from the separate round loops that protocol R,
+    protocol A' and key distribution had before they shared one engine;
+    same seeds must keep giving bit-identical results.
+    """
+
+    ADVERSARY = {"variant": "adversarial", "n": 3, "table": {
+        "0,0,0": [1, 1, 0], "1,1,0": [0, 1, 1], "0,1,1": [1, 0, 0],
+        "3@1,0,1": [1, 1, 1], "0@0,0,0": [0, 0, 1], "7@0,0,0": [1, 1, 1]}}
+
+    def _plus(self, v, h):
+        plus = np.array([1.0, 1.0]) / np.sqrt(2)
+        return PartiallyTrustedBehavior(
+            v=v, h=h, trusted_pair=(PAULI_X, PAULI_Y),
+            dishonest=np.zeros((2, 2)), state=plus, env_dim=1)
+
+    def _r(self, behavior, label, record_rounds=True):
+        cfg = ghz_config(1500, Fraction(1, 10), 0.2)
+        return run_protocol_r(cfg, behavior, substream(MASTER, f"{label}-seed"),
+                              numpy_rng(MASTER, f"{label}-dev"),
+                              record_rounds=record_rounds)
+
+    def _a_prime(self, behavior, label, v, h):
+        cfg = ProtocolConfig(mode="Aprime", N=1500, q=Fraction(1, 4),
+                             eta=0.45 if v else 0.2, v=v, h=h)
+        return run_protocol_a_prime(cfg, behavior,
+                                    substream(MASTER, f"{label}-seed"),
+                                    numpy_rng(MASTER, f"{label}-dev"))
+
+    def test_protocol_r_noisy_ghz(self):
+        noisy = NoisyHonestBehavior(base=ghz_honest_device(), p=0.2)
+        assert _outcome_digest(self._r(noisy, "eng-r")) == (
+            "66775af93e61201ed5ae4728508e0530dc5a398b23c7afdc1f2ca69d15f30fd2")
+        assert _outcome_digest(self._r(noisy, "eng-r", record_rounds=False)) == (
+            "6d572c0f53c2616d614ebb434221c9ecd330e12d4f024d9aec2171060a1d6dec")
+
+    def test_protocol_r_adversarial_table(self):
+        from direx.devices import behavior_from_record
+
+        adv = behavior_from_record(self.ADVERSARY)
+        assert _outcome_digest(self._r(adv, "eng-adv")) == (
+            "259658389afec9efe7fa8e558386b9567efcfde1dd7adf310847d537dcca0002")
+
+    def test_protocol_a_prime_devices(self):
+        from direx.devices import PAULI_Z, HonestBehavior
+
+        one_part = HonestBehavior(n=1, state=np.array([np.cos(0.3), np.sin(0.3)]),
+                                  observables=((PAULI_Z, PAULI_X),))
+        digests = [
+            _outcome_digest(self._a_prime(self._plus(1.0, 0.0), "eng-a1", 1.0, 0.0)),
+            _outcome_digest(self._a_prime(self._plus(0.0, 1.0), "eng-a2", 0.0, 1.0)),
+            _outcome_digest(self._a_prime(one_part, "eng-a3", 1.0, 0.0)),
+        ]
+        assert digests == [
+            "76cff1604c15df74837f9d07a535bdc0bd865714076ecba0f61f70b7e96dd2c7",
+            "e7dae0b386d951e05a644cf4135f19c6f1454e6e2ffa3704826997e04c89eed1",
+            "43aef1d06ec18ab47d8c89b8749d1e457b4b66216162198dea82f539eeade6e1",
+        ]
+
+    def test_key_distribution(self):
+        from direx.qkd import KdConfig, run_rkd
+        from direx.recon import hamming_code
+        from direx.xorgames import ghz_constants
+
+        code = hamming_code(2000)
+        lam = code.supported_lambda() - 1e-9
+        cfg = KdConfig(game=GAME, constants=ghz_constants(), N=2000, q=0.1,
+                       eta=0.05, lam=lam, lam_prime=min(lam + 1e-5, 0.49999),
+                       code=code, kappa=2.64, epsilon_exp=2.0)
+        out = run_rkd(cfg, NoisyHonestBehavior(base=ghz_honest_device(), p=0.001),
+                      substream(MASTER, "kd-seed", 1), numpy_rng(MASTER, "kd-dev", 1),
+                      shared_randomness=substream(MASTER, "kd-share", 1))
+        # a successful run with one disagreement and one failed game round
+        assert (out.success, out.disagreements, out.transcript.failures) == (True, 1, 1)
+        assert _digest(out.alice_key, out.bob_key, out.public_transcript,
+                       out.seed_bits_used, out.wins, out.disagreements,
+                       out.leaked_bits) == (
+            "981e0b45953aad070c3ef76ce0df0abbf80832b18110e27f23e56ccde4fa8e77")
+        assert _transcript_digest(out.transcript) == (
+            "234f57503a14e6ff68f4488c837fefbfb12f6835ca54484e630a2e6cbe65e4b4")
+
+    def test_cross_feed_criterion_11(self):
+        from direx.postprocess import CrossFeedStage, cross_feed
+        from direx.xorgames import ghz_constants
+
+        stages = [CrossFeedStage(N=n, q=0.5, eta=0.002, kappa=2.6,
+                                 epsilon_exp=20, m_out=m)
+                  for n, m in ((10_000, 64), (11_000, 256), (25_000, 4096))]
+        dev = ghz_honest_device()
+        res = cross_feed(GAME, ghz_constants(), dev, dev, stages,
+                         parse_master_seed("d1" * 32))
+        assert _digest(np.packbits(res.final_bits).tobytes().hex(),
+                       res.ledger.to_record()) == (
+            "91e797451eaf6523a159e686abfd13194486905615b6c29d65ebe822ae2589f5")
