@@ -22,7 +22,11 @@ import time
 import numpy as np
 
 from . import __version__
-from .devices import behavior_from_record, random_partially_trusted
+from .devices import (
+    HONEST_DEVICES,
+    behavior_from_record,
+    random_partially_trusted,
+)
 from .entropy import measurement_split, schatten_ineq_check, uncertainty_check
 from .errors import DirexError, InfeasibleError
 from .postprocess import CrossFeedStage, cross_feed
@@ -123,7 +127,7 @@ def _resolve_constants(name_or_path: str):
 
 def cmd_rate(args) -> int:
     consts = _resolve_constants(args.game)
-    epsilon = 2.0**args.epsilon_exp
+    epsilon = 2.0**-args.epsilon_exp
     cutoff = 0.11 * consts.vG_lower
     if limit_exponent(args.eta / consts.vG_lower) <= 0:
         print(f"infeasible: error tolerance {args.eta} at or above the "
@@ -180,14 +184,13 @@ def _behavior_from_args(args):
     if args.device_config:
         with open(args.device_config) as f:
             return behavior_from_record(json.load(f))
-    variant = "honest" if args.device == "honest" else "noisy_honest"
-    try:
-        return behavior_from_record({"variant": variant, "device": args.game,
-                                     "p": args.noise})
-    except KeyError:
+    if args.game not in HONEST_DEVICES:
         raise ValueError(
             f"no built-in {args.device} device plays game {args.game!r}; "
-            f"describe one with --device-config") from None
+            f"describe one with --device-config")
+    variant = "honest" if args.device == "honest" else "noisy_honest"
+    return behavior_from_record({"variant": variant, "device": args.game,
+                                 "p": args.noise})
 
 
 def cmd_simulate(args) -> int:
@@ -263,10 +266,15 @@ def cmd_qkd(args) -> int:
     behavior = _behavior_from_args(args)
     consts = _resolve_constants(args.game)
     code = hamming_code(args.N)
-    lam = code.supported_lambda() - 1e-9
+    # lam is the code's own parameter, kept below w_G - 1/2 (a code that
+    # cannot back the lower lam makes the run abort at reconciliation);
+    # lam' lies strictly between lam and w_G - 1/2
+    cap = consts.wG - 0.5
+    lam = min(code.supported_lambda(), cap) - 1e-9
     cfg = KdConfig(game=game, constants=consts, N=args.N, q=args.q,
-                   eta=args.eta, lam=lam, lam_prime=min(lam + 1e-5, 0.49999),
-                   code=code, kappa=args.kappa, epsilon_exp=args.epsilon_exp)
+                   eta=args.eta, lam=lam,
+                   lam_prime=min(lam + 1e-5, (lam + cap) / 2), code=code,
+                   kappa=args.kappa, epsilon_exp=args.epsilon_exp)
     outcome = run_rkd(cfg, behavior, substream(master, "kd-seed", 0),
                       numpy_rng(master, "kd-device", 0),
                       shared_randomness=substream(master, "kd-shared", 0))
@@ -424,6 +432,12 @@ def cmd_verify(args) -> int:
     return EXIT_OK if violations == 0 else EXIT_VIOLATION
 
 
+def _add_epsilon_exp(parser, default: float):
+    """The one --epsilon-exp option: smoothing parameter epsilon = 2**-x."""
+    parser.add_argument("--epsilon-exp", type=float, default=default,
+                        help="smoothing parameter epsilon = 2**-value")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="direx",
@@ -443,8 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--N", type=int, default=10**6)
     r.add_argument("--q", type=float, default=None)
     r.add_argument("--kappa", type=float, default=None)
-    r.add_argument("--epsilon-exp", type=float, default=-20.0,
-                   help="epsilon = 2**value")
+    _add_epsilon_exp(r, 20.0)
     r.set_defaults(func=cmd_rate)
 
     s = sub.add_parser("simulate", help="Monte Carlo protocol runs")
@@ -476,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--q", type=float, required=True)
     k.add_argument("--eta", type=float, default=0.001)
     k.add_argument("--kappa", type=float, default=2.64)
-    k.add_argument("--epsilon-exp", type=float, default=2.0)
+    _add_epsilon_exp(k, 2.0)
     k.set_defaults(func=cmd_qkd)
 
     e = sub.add_parser("expand", help="cross-feeding composition")
@@ -491,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--q", type=float, default=0.5)
     e.add_argument("--eta", type=float, default=0.002)
     e.add_argument("--kappa", type=float, default=2.6)
-    e.add_argument("--epsilon-exp", type=float, default=20.0)
+    _add_epsilon_exp(e, 20.0)
     e.add_argument("--emit", choices=("none", "hex"), default="none")
     e.set_defaults(func=cmd_expand)
 

@@ -14,6 +14,7 @@ immutable and shareable; a DeviceState is owned by a single protocol run.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -220,8 +221,8 @@ class ResponseTable:
 class AdversarialBehavior:
     """Deterministic response program over classical transcripts.
 
-    program(transcript, input_bits) -> output bits, where transcript is the
-    tuple of (input_bits, output_bits) pairs from earlier rounds.
+    program(transcript, input_bits) -> output bits, where transcript is a
+    sequence of (input_bits, output_bits) pairs from earlier rounds.
     """
 
     n: int
@@ -234,6 +235,22 @@ class AdversarialBehavior:
         return out
 
 
+class _TranscriptView(Sequence):
+    """Read-only view of a growing transcript list; an adversary reads its
+    memory through it without a per-round copy."""
+
+    __slots__ = ("_items",)
+
+    def __init__(self, items: list):
+        self._items = items
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, i):
+        return tuple(self._items[i]) if isinstance(i, slice) else self._items[i]
+
+
 @dataclass
 class DeviceState:
     """Per-run mutable device context: transcript memory and, for the
@@ -242,8 +259,10 @@ class DeviceState:
     behavior: object
     transcript: list = field(default_factory=list)
     psi: np.ndarray | None = None
+    view: _TranscriptView = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.view = _TranscriptView(self.transcript)
         if isinstance(self.behavior, PartiallyTrustedBehavior) and self.psi is None:
             self.psi = self.behavior.state.copy()
 
@@ -283,10 +302,11 @@ def respond(state: DeviceState, input_bits, rng: np.random.Generator):
     if isinstance(behavior, PartiallyTrustedBehavior):
         out = (partially_trusted_respond(state, input_bits[0], rng),)
     elif isinstance(behavior, AdversarialBehavior):
-        bits = tuple(behavior.program(tuple(state.transcript), input_bits))
-        out = tuple(int(b) for b in bits)
+        out = tuple(int(b) for b in behavior.program(state.view, input_bits))
+        if len(out) != behavior.n or not set(out) <= {0, 1}:
+            raise ValueError(f"adversary answered {out}, not {behavior.n} bits")
     else:
-        probs = behavior.output_distribution(input_bits, tuple(state.transcript))
+        probs = behavior.output_distribution(input_bits, state.view)
         idx = int(rng.choice(len(probs), p=probs))
         out = tuple((idx >> (behavior.n - 1 - j)) & 1 for j in range(behavior.n))
     state.transcript.append((input_bits, out))
@@ -421,34 +441,51 @@ def protocol_round_input_dist(game: XorGame, q: float):
 
 
 def behavior_from_record(rec: dict):
-    """Instantiate a behavior from a config record ({"variant": ..., ...})."""
-    variant = rec["variant"]
+    """Instantiate a behavior from a config record ({"variant": ..., ...}).
+
+    A malformed record raises ValueError naming the variant or the field.
+    """
+    if not isinstance(rec, dict):
+        raise ValueError("a device record must be a JSON object")
+    variant = rec.get("variant")
+
+    def need(name):
+        if name not in rec:
+            raise ValueError(
+                f"device variant {variant!r} needs the field {name!r}")
+        return rec[name]
+
     if variant == "honest":
         name = rec.get("device", "ghz")
         if name not in HONEST_DEVICES:
-            raise KeyError(f"unknown honest device {name!r}")
+            raise ValueError(f"unknown honest device {name!r}")
         return HONEST_DEVICES[name]()
     if variant == "noisy_honest":
         base = behavior_from_record({"variant": "honest",
                                      "device": rec.get("device", "ghz")})
-        return NoisyHonestBehavior(base=base, p=float(rec["p"]),
+        return NoisyHonestBehavior(base=base, p=float(need("p")),
                                    mode=rec.get("mode", "uniform"),
                                    fixed_outputs=tuple(rec.get("fixed_outputs", ())))
     if variant == "adversarial":
         # keys are "i1,i2,..." (any round) or "round@i1,i2,..." (that round
         # of the transcript only); per-round entries take precedence
+        entries = need("table")
+        if not isinstance(entries, dict):
+            raise ValueError("the adversarial table must map inputs to outputs")
         table = {}
-        for k, v in rec["table"].items():
+        for k, v in entries.items():
             if "@" in k:
                 rnd, bits = k.split("@", 1)
                 key = (int(rnd), tuple(int(b) for b in bits.split(",")))
             else:
                 key = (None, tuple(int(b) for b in k.split(",")))
+            if not isinstance(v, list):
+                raise ValueError(f"adversarial table entry {k!r} must list output bits")
             table[key] = tuple(v)
-        n = int(rec["n"])
+        n = int(need("n"))
         return AdversarialBehavior(n=n, program=ResponseTable(n, table))
     if variant == "partially_trusted":
         rng = np.random.default_rng(int(rec.get("instance_seed", 0)))
-        return random_partially_trusted(rng, float(rec["v"]), float(rec["h"]),
+        return random_partially_trusted(rng, float(need("v")), float(need("h")),
                                         env_dim=int(rec.get("env_dim", 2)))
-    raise KeyError(f"unknown behavior variant {variant!r}")
+    raise ValueError(f"unknown behavior variant {variant!r}")

@@ -271,7 +271,7 @@ def cross_feed(game: XorGame, constants: GameConstants, device_a, device_b,
         if not outcome.success:
             raise CrossFeedAbort(i, f"stage {i} aborted "
                                     f"({outcome.transcript.failures} failures)")
-        source = symbols_to_bits(outcome.transcript.symbols)
+        source = symbols_to_bits(outcome.transcript.codes)
         ext_stream = substream(master, "extractor-seed", i)
         seed = ext_stream.take_bits(spec.seed_len)
         out_bits = toeplitz_extract(source, seed, stage.m_out)

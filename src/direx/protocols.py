@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from itertools import accumulate
+from math import lcm
 
 import numpy as np
 
@@ -38,7 +39,6 @@ from .seeding import BitStream, numpy_rng, substream
 from .xorgames import XorGame
 
 SYMBOLS = ("H", "T", "P", "F")
-SYMBOL_BITS = {"H": (0, 0), "T": (0, 1), "P": (1, 0), "F": (1, 1)}
 
 
 def _as_fraction(x) -> Fraction:
@@ -53,69 +53,58 @@ class CategoricalSampler:
     The uniform bit stream is read as the binary expansion of a real in
     [0, 1); symbols are emitted as soon as the known window of that real
     fits inside one slice of the current interval, so consumption tracks
-    the entropy rate.  All interval arithmetic is integer-exact; the
-    decoder state is reset every ``block`` symbols to keep the integers
-    bounded, wasting at most a few bits per block.
+    the entropy rate (Han-Hoshi interval algorithm).  The state is kept
+    relative to the interval's low end as three integers: the window's
+    offset L and width W, and the interval's width U.  All arithmetic is
+    integer-exact; the state is reset every ``block`` symbols to keep the
+    integers bounded, wasting at most a few bits per block.
     """
 
     def __init__(self, weights, stream: BitStream, block: int = 4096):
         fracs = [_as_fraction(w) for w in weights]
         if any(w < 0 for w in fracs) or sum(fracs) != 1:
             raise ValueError("weights must be nonnegative rationals summing to 1")
-        den = 1
-        for w in fracs:
-            den = den * w.denominator // gcd(den, w.denominator)
-        self._weights = [int(w * den) for w in fracs]
-        self._den = int(den)
-        self._cum = np.cumsum([0] + self._weights).tolist()
-        self._stream = stream
+        self._den = den = lcm(*(w.denominator for w in fracs))
+        cum = [0, *accumulate(int(w * den) for w in fracs)]
+        # the positive-weight slices as (symbol, low end, high end) in
+        # units of 1/den
+        self._slices = [(k, cum[k], cum[k + 1]) for k in range(len(fracs))
+                        if cum[k] < cum[k + 1]]
+        self._take_bit = stream.take_bit
         self._block = block
-        self._start_consumed = stream.consumed
+        self._consumed = 0
         self._reset()
 
     def _reset(self):
-        self._lo, self._hi = 0, 1
-        self._wlo, self._whi = 0, 1
+        self._L, self._W, self._U = 0, 1, 1
         self._emitted_in_block = 0
 
     @property
     def consumed(self) -> int:
         """Bits this sampler has drawn from its stream so far."""
-        return self._stream.consumed - self._start_consumed
-
-    def _consume_bit(self):
-        bit = self._stream.take_bit()
-        self._lo *= 2
-        self._hi *= 2
-        mid = self._wlo + self._whi
-        if bit == 0:
-            self._wlo, self._whi = 2 * self._wlo, mid
-        else:
-            self._wlo, self._whi = mid, 2 * self._whi
+        return self._consumed
 
     def sample(self) -> int:
         """Emit the next symbol index, drawing bits only as needed."""
         if self._emitted_in_block >= self._block:
             self._reset()
+        # refine the scale by den: the interval's slices are then
+        # [U * low, U * high) in whole units
         den = self._den
-        self._lo *= den
-        self._hi *= den
-        self._wlo *= den
-        self._whi *= den
+        L, W, U = self._L * den, self._W * den, self._U
         while True:
-            # interval width stays divisible by den, so slice bounds
-            # lo + (width/den) * cum[k] are exact integers
-            unit = (self._hi - self._lo) // den
-            for k in range(len(self._weights)):
-                if self._weights[k] == 0:
-                    continue
-                a = self._lo + unit * self._cum[k]
-                b = self._lo + unit * self._cum[k + 1]
-                if a <= self._wlo and self._whi <= b:
-                    self._lo, self._hi = a, b
-                    self._emitted_in_block += 1
-                    return k
-            self._consume_bit()
+            for k, low, high in self._slices:
+                top = U * high
+                if L < top:
+                    break
+            if L + W <= top:
+                self._L, self._W, self._U = L - U * low, W, U * (high - low)
+                self._emitted_in_block += 1
+                return k
+            # the window straddles a slice boundary: read one more bit
+            L = 2 * L + (W if self._take_bit() else 0)
+            U *= 2
+            self._consumed += 1
 
 
 def biased_bit_sampler(q, stream: BitStream, N: int, block: int = 4096):
@@ -182,11 +171,24 @@ class ProtocolConfig:
         return (self.h / 2.0 + self.eta) * q * self.N
 
 
+def _symbol_string(codes) -> str:
+    return np.frombuffer(b"HTPF", dtype=np.uint8)[codes].tobytes().decode()
+
+
 @dataclass
 class Transcript:
-    """Per-round (g, input, outputs, symbol) records plus seed accounting."""
+    """The round tape of one run and its seed accounting.  Numpy columns,
+    one entry per round: g, the symbol code (H, T, P, F = 0..3: twice g
+    plus the first output or the loss, which is also the 2-bit encoding)
+    and, when recorded, the input (a position in inputs) and the packed
+    outputs (first component in the highest bit).  rounds rebuilds the
+    (g, input, outputs, symbol) tuples, or (g, None, None, symbol), on read."""
 
-    rounds: list = field(default_factory=list)
+    g: np.ndarray
+    codes: np.ndarray
+    inputs: tuple = ()
+    input_index: np.ndarray | None = None
+    outputs: np.ndarray | None = None
     failures: int = 0
     g_bits_used: int = 0
     input_bits_used: int = 0
@@ -197,19 +199,26 @@ class Transcript:
 
     @property
     def symbols(self) -> str:
-        return "".join(r[3] for r in self.rounds)
+        return _symbol_string(self.codes)
+
+    @property
+    def rounds(self) -> list:
+        g = self.g.tolist()
+        if self.outputs is None:
+            return [(gi, None, None, s) for gi, s in zip(g, self.symbols)]
+        n = len(self.inputs[0])
+        outs = [tuple((o >> (n - 1 - j)) & 1 for j in range(n))
+                for o in self.outputs.tolist()]
+        ins = [self.inputs[k] for k in self.input_index.tolist()]
+        return list(zip(g, ins, outs, self.symbols))
 
     def counts(self) -> dict:
-        c = {s: 0 for s in SYMBOLS}
-        for r in self.rounds:
-            c[r[3]] += 1
-        return c
+        return dict(zip(SYMBOLS, np.bincount(self.codes, minlength=4).tolist()))
 
     def check_symbol_consistency(self) -> bool:
-        c = self.counts()
-        games = sum(1 for r in self.rounds if r[0] == 1)
-        gens = len(self.rounds) - games
-        return c["P"] + c["F"] == games and c["H"] + c["T"] == gens
+        h, t, p, f = np.bincount(self.codes, minlength=4).tolist()
+        games = int(np.count_nonzero(self.g))
+        return p + f == games and h + t == len(self.g) - games
 
 
 @dataclass(frozen=True)
@@ -223,37 +232,47 @@ class RunOutcome:
         return not self.success
 
 
-def symbols_to_bits(symbols: str) -> np.ndarray:
-    """Fixed 2-bit encoding of the round alphabet (H=00, T=01, P=10, F=11)."""
-    out = np.empty(2 * len(symbols), dtype=np.uint8)
-    for i, s in enumerate(symbols):
-        out[2 * i], out[2 * i + 1] = SYMBOL_BITS[s]
-    return out
+def symbols_to_bits(symbols) -> np.ndarray:
+    """Fixed 2-bit encoding of the round alphabet (H=00, T=01, P=10, F=11),
+    from a symbol string or a column of symbol codes."""
+    if isinstance(symbols, str):
+        symbols = ["HTPF".index(s) for s in symbols]
+    codes = np.asarray(symbols, dtype=np.uint8)
+    return np.stack((codes >> 1, codes & 1), axis=1).ravel()
 
 
-class _FastResponder:
-    """Cumulative-distribution sampling for history-independent behaviors."""
+def _at_once(behavior):
+    """Answers a run of a history-independent behavior in one pass: one
+    uniform draw per round, located in the cumulative output distribution
+    of the round's input with the float arithmetic of a per-round draw."""
+    def answer(inputs, input_index, rng):
+        u = rng.random(len(input_index))
+        out = np.zeros(len(input_index), dtype=np.int64)
+        for k, bits in enumerate(inputs):
+            rounds = input_index == k
+            cum = np.cumsum(behavior.output_distribution(bits))
+            out[rounds] = np.minimum(
+                np.searchsorted(cum, u[rounds] * cum[-1], side="right"),
+                len(cum) - 1)
+        return out
+    return answer
 
-    def __init__(self, behavior):
-        self.behavior = behavior
-        self.n = behavior.n
-        self._cums = {}
 
-    def __call__(self, input_bits, rng):
-        cum = self._cums.get(input_bits)
-        if cum is None:
-            cum = np.cumsum(self.behavior.output_distribution(input_bits))
-            self._cums[input_bits] = cum
-        idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        idx = min(idx, len(cum) - 1)
-        return tuple((idx >> (self.n - 1 - j)) & 1 for j in range(self.n))
+def _per_round(state: DeviceState):
+    """Answers a run of a stateful device round by round, in round order,
+    through devices.respond."""
+    def answer(inputs, input_index, rng):
+        return np.array([int("".join(map(str, respond(state, inputs[k], rng))), 2)
+                         for k in input_index.tolist()], dtype=np.int64)
+    return answer
 
 
 def make_responder(behavior):
+    """The device's answers to a run: responder(inputs, input_index, rng)
+    returns every round's packed outputs in one call."""
     if isinstance(behavior, (PartiallyTrustedBehavior, AdversarialBehavior)):
-        state = DeviceState(behavior)
-        return lambda bits, rng: respond(state, bits, rng)
-    return _FastResponder(behavior)
+        return _per_round(DeviceState(behavior))
+    return _at_once(behavior)
 
 
 # the single-part protocol as a one-input game: input 1 with certainty, won
@@ -264,44 +283,46 @@ _SINGLE_PART_TABLE = (((1,), Fraction(1), 1),)
 def _play_rounds(N: int, q, table, responder, seed_stream: BitStream,
                  device_rng: np.random.Generator,
                  record_rounds: bool = True) -> Transcript:
-    """Play N rounds of the round protocol and return their transcript.
+    """Play N rounds of the round protocol and return their tape.
 
     table holds (input bits, probability, sign) triples in XorGame.entries
-    form; a game round is won when the output parity is (1 - sign) / 2.
-    responder(input_bits, device_rng) returns the device's output bits.
-    record_rounds=False keeps only g and the symbol of each round.
+    form; a game round is won when the output parity is (1 - sign) / 2,
+    and a generation round feeds the all-zero input.  Two passes: the one
+    per-round loop decodes each round's g bit and, on a game round, its
+    input from the seed stream; then one responder call (make_responder)
+    answers every round and the rounds are scored on whole columns.  The
+    device never draws from the seed stream, so this gives the transcript
+    of a round-by-round loop.  record_rounds=False keeps only g and codes.
     """
     q = _as_fraction(q)
-    g_sampler = CategoricalSampler([1 - q, q], seed_stream)
-    input_sampler = CategoricalSampler([p for _, p, _ in table], seed_stream)
+    draw_g = CategoricalSampler([1 - q, q], seed_stream)
+    draw_input = CategoricalSampler([p for _, p, _ in table], seed_stream)
+    sample_g, sample_input = draw_g.sample, draw_input.sample
+    games, picks = [], []
+    for i in range(N):
+        if sample_g():
+            games.append(i)
+            picks.append(sample_input())
     inputs = [bits for bits, _, _ in table]
-    win_parity = {bits: (1 - sign) // 2 for bits, _, sign in table}
-    zero_input = tuple([0] * len(inputs[0]))
-    tr = Transcript()
-    for _ in range(N):
-        before = seed_stream.consumed
-        g = g_sampler.sample()
-        tr.g_bits_used += seed_stream.consumed - before
-        if g == 1:
-            before = seed_stream.consumed
-            inp = inputs[input_sampler.sample()]
-            tr.input_bits_used += seed_stream.consumed - before
-            outs = responder(inp, device_rng)
-            parity = 0
-            for b in outs:
-                parity ^= b
-            symbol = "P" if parity == win_parity[inp] else "F"
-            if symbol == "F":
-                tr.failures += 1
-        else:
-            inp = zero_input
-            outs = responder(inp, device_rng)
-            symbol = "H" if outs[0] == 0 else "T"
-        if record_rounds:
-            tr.rounds.append((g, inp, outs, symbol))
-        else:
-            tr.rounds.append((g, None, None, symbol))
-    return tr
+    zero = tuple([0] * len(inputs[0]))
+    if zero not in inputs:
+        inputs.append(zero)  # fed on generation rounds only, never scored
+    win_parity = np.array([(1 - sign) // 2 for _, _, sign in table] + [0])
+    g = np.zeros(N, dtype=np.uint8)
+    g[games] = 1
+    input_index = np.full(N, inputs.index(zero), dtype=np.int64)
+    input_index[games] = picks
+    outputs = responder(tuple(inputs), input_index, device_rng)
+    lost = (np.bitwise_count(outputs) & 1) != win_parity[input_index]
+    first = outputs >> (len(zero) - 1)
+    codes = (2 * g + np.where(g == 1, lost, first)).astype(np.uint8)
+    if not record_rounds:
+        input_index = outputs = None
+    return Transcript(g=g, codes=codes, inputs=tuple(inputs),
+                      input_index=input_index, outputs=outputs,
+                      failures=int(np.count_nonzero(codes == 3)),
+                      g_bits_used=draw_g.consumed,
+                      input_bits_used=draw_input.consumed)
 
 
 def _outcome(config: ProtocolConfig, tr: Transcript) -> RunOutcome:
@@ -343,10 +364,8 @@ def run_protocol_a_prime(config: ProtocolConfig, behavior, seed_stream: BitStrea
         raise ValueError("config is not for the trusted-device protocol")
     if behavior.n != 1:
         raise ValueError("trusted-device protocol drives a single-part device")
-    state = DeviceState(behavior)
     tr = _play_rounds(config.N, config.q, _SINGLE_PART_TABLE,
-                      lambda bits, rng: respond(state, bits, rng),
-                      seed_stream, device_rng)
+                      _per_round(DeviceState(behavior)), seed_stream, device_rng)
     return _outcome(config, tr)
 
 
@@ -461,9 +480,9 @@ def _run_trial(args) -> TrialSummary:
     rng = numpy_rng(master, "device", trial)
     out = run_protocol(config, behavior, stream, rng, record_rounds=False)
     tr = out.transcript
-    games = sum(1 for r in tr.rounds if r[0] == 1)
     return TrialSummary(trial=trial, success=out.success, failures=tr.failures,
-                        games=games, seed_bits=tr.seed_bits_used)
+                        games=int(np.count_nonzero(tr.g)),
+                        seed_bits=tr.seed_bits_used)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ minus the reconciliation leakage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .protocols import Transcript, _play_rounds, make_responder
+from .protocols import Transcript, _play_rounds, _symbol_string, make_responder
 from .rates import RateReport, certified_bound, refine_grid_min
 from .recon import EirResult, LinearCode, eir_run
 from .recon import syndrome as code_syndrome
@@ -108,75 +109,54 @@ def run_rkd(config: KdConfig, behavior, seed_stream: BitStream,
                       seed_stream, device_rng)
     zero = tuple([0] * game.n)
     zero_parity = game.win_parity(zero) if zero in game.inputs else 0
-    alice_bits = np.zeros(config.N, dtype=np.uint8)
-    bob_bits = np.zeros(config.N, dtype=np.uint8)
-    for i, (g, _, outs, symbol) in enumerate(tr.rounds):
-        if g == 1:
-            alice_bits[i] = bob_bits[i] = symbol == "F"
-        else:
-            rest = 0
-            for b in outs[1:]:
-                rest ^= b
-            alice_bits[i] = outs[0]
-            bob_bits[i] = zero_parity ^ rest
+    # a game round's bit is its public score (1 on a loss) for both parties;
+    # on a generation round the first party takes the first output and the
+    # second the bit that completes a win with the other outputs
+    alice_bits = tr.codes & 1
+    rest = np.bitwise_count(tr.outputs & ((1 << (game.n - 1)) - 1)) & 1
+    bob_bits = np.where(tr.g == 1, alice_bits, zero_parity ^ rest).astype(np.uint8)
     # game rounds never disagree, so every disagreement is a generation round
     disagreements = int(np.count_nonzero(alice_bits != bob_bits))
-    wins = config.N - tr.failures - disagreements
     # everything the eavesdropper saw on the public channel, verbatim
-    public = {
-        "game_round_outputs": [
-            (i, "".join(map(str, outs)))
-            for i, (g, _, outs, _) in enumerate(tr.rounds) if g == 1],
-    }
+    games = np.flatnonzero(tr.g)
+    public = {"game_round_outputs": [
+        (i, format(o, f"0{game.n}b"))
+        for i, o in zip(games.tolist(), tr.outputs[games].tolist())]}
+    outcome = partial(KdOutcome, disagreements=disagreements,
+                      wins=config.N - tr.failures - disagreements,
+                      seed_bits_used=tr.seed_bits_used, transcript=tr,
+                      public_transcript=public)
+    aborted = partial(outcome, success=False, alice_key="", bob_key="",
+                      certified_bits=0.0, report=None)
     if tr.failures > config.abort_threshold:
-        return KdOutcome(
-            success=False, abort_reason="failure threshold",
-            alice_key="", bob_key="", leaked_bits=0, certified_bits=0.0,
-            disagreements=disagreements, wins=wins,
-            seed_bits_used=tr.seed_bits_used, eir=None, report=None,
-            transcript=tr, public_transcript=public)
-    eir = eir_run(alice_bits, bob_bits, config.code, config.lam,
+        return aborted(abort_reason="failure threshold", leaked_bits=0, eir=None)
+    code = config.code
+    if code.regime == "unique" and code.promise_radius(config.lam) > code.unique_radius:
+        # a code that cannot correct the promised (1/2 - lam) N disagreements
+        # is never run, so the protocol aborts before anything leaks
+        return aborted(abort_reason="reconciliation", leaked_bits=0, eir=None)
+    eir = eir_run(alice_bits, bob_bits, code, config.lam,
                   config.eir_epsilon, shared=shared_randomness)
-    public["syndrome"] = "".join(map(str, code_syndrome(config.code, alice_bits)))
+    public["syndrome"] = "".join(map(str, code_syndrome(code, alice_bits)))
     if eir.hash_value >= 0:
         public["hash_value"] = eir.hash_value
     if eir.aborted:
-        return KdOutcome(
-            success=False, abort_reason="reconciliation",
-            alice_key="", bob_key="", leaked_bits=eir.leaked_bits,
-            certified_bits=0.0, disagreements=disagreements, wins=wins,
-            seed_bits_used=tr.seed_bits_used, eir=eir, report=None,
-            transcript=tr, public_transcript=public)
-    bob_corrected = eir.estimate
-    alice_key = _key_symbols(tr, alice_bits)
-    bob_key = _key_symbols(tr, bob_corrected)
+        return aborted(abort_reason="reconciliation",
+                       leaked_bits=eir.leaked_bits, eir=eir)
     # the expansion bound needs the tolerance inside the certification
     # domain; the protocol itself runs for any eta in (0, 1/2)
+    report, certified = None, 0.0
     if 0 < config.eta < config.constants.vG_lower / 2:
         report = certified_bound(config.constants, config.N, config.q,
                                  config.eta, config.kappa,
                                  2.0 ** (-config.epsilon_exp))
         certified = max(report.bound - eir.leaked_bits, 0.0)
-    else:
-        report = None
-        certified = 0.0
-    return KdOutcome(
-        success=True, abort_reason="",
-        alice_key=alice_key, bob_key=bob_key,
-        leaked_bits=eir.leaked_bits, certified_bits=float(certified),
-        disagreements=disagreements, wins=wins,
-        seed_bits_used=tr.seed_bits_used, eir=eir, report=report,
-        transcript=tr, public_transcript=public)
 
-
-def _key_symbols(tr: Transcript, bits: np.ndarray) -> str:
-    out = []
-    for i, (g, _, _, symbol) in enumerate(tr.rounds):
-        if g == 1:
-            out.append(symbol)
-        else:
-            out.append("H" if bits[i] == 0 else "T")
-    return "".join(out)
+    def key(bits):  # game rounds keep their public symbol
+        return _symbol_string(np.where(tr.g == 1, tr.codes, bits))
+    return outcome(success=True, abort_reason="", alice_key=key(alice_bits),
+                   bob_key=key(eir.estimate), leaked_bits=eir.leaked_bits,
+                   certified_bits=float(certified), eir=eir, report=report)
 
 
 def key_rate_report(outcome: KdOutcome, report: RateReport | None = None) -> dict:

@@ -219,6 +219,11 @@ class LinearCode:
         1/2 - radius/length."""
         return 0.5 - self.unique_radius / self.length
 
+    def promise_radius(self, lam: float) -> int:
+        """Errors a disagreement parameter lam promises to correct:
+        (1/2 - lam) * length, rounded down."""
+        return int(np.floor((0.5 - lam) * self.length + 1e-9))
+
 
 def syndrome(code: LinearCode, word) -> np.ndarray:
     w = np.asarray(word, dtype=np.uint8)
@@ -610,7 +615,7 @@ def eir_run(x_bits, y_bits, code: LinearCode, lam: float, epsilon: float,
         raise ValueError("inputs must both match the code length")
     if not 0 < lam < 0.5:
         raise ValueError("disagreement parameter must lie in (0, 1/2)")
-    radius = int(np.floor((0.5 - lam) * code.length + 1e-9))
+    radius = code.promise_radius(lam)
     actual = int(np.sum(x ^ y))
     sx = syndrome(code, x)
     s = (sx + syndrome(code, y)) % 2

@@ -41,7 +41,7 @@ class TestRate:
 
     def test_sqrt2_epsilon_bound_is_linear_term(self, capsys):
         assert run_cli("rate", "--game", "ghz", "--eta", "0.01",
-                       "--epsilon-exp", "0.5", "--q", "0.1", "--kappa", "1.0",
+                       "--epsilon-exp", "-0.5", "--q", "0.1", "--kappa", "1.0",
                        "--N", "1000") == EXIT_OK
         out = capsys.readouterr().out
         t_line = [ln for ln in out.splitlines() if ln.startswith("T ")][0]
@@ -49,6 +49,17 @@ class TestRate:
         assert float(b_line.split()[-1]) == pytest.approx(
             1000 * float(t_line.split()[-1]))
 
+
+    def test_epsilon_exp_default_is_two_to_minus_twenty(self, tmp_path):
+        # --epsilon-exp x means epsilon = 2**-x in every subcommand
+        paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+        for p, extra in zip(paths, ((), ("--epsilon-exp", "20"))):
+            assert run_cli("--output", str(p), "rate", "--game", "ghz",
+                           "--eta", "0.01", "--q", "0.1", "--kappa", "1.0",
+                           "--N", "1000000", *extra) == EXIT_OK
+        recs = [strip_volatile(read_records(p)[0]) for p in paths]
+        assert recs[0] == recs[1]
+        assert recs[0]["epsilon"] == 2.0**-20
 
     def test_game_file_reports_score_certificate(self, tmp_path, capsys):
         from direx.xorgames import game_to_record, ghz_game
@@ -189,6 +200,23 @@ class TestSimulate:
         assert {r["failures"] for r in records[0][:-1]} != {0}
 
 
+    @pytest.mark.parametrize("record, named", [
+        ({"variant": "sneaky"}, "sneaky"),
+        ({"variant": "adversarial", "n": 3}, "table"),
+        ({"variant": "adversarial", "n": 3, "table": {"0,0,0": 1}}, "0,0,0"),
+        ({"variant": "adversarial", "n": 3, "table": {"0,0,0": [1, 1]}},
+         "not 3 bits"),
+    ])
+    def test_bad_device_config_exits_with_message(self, tmp_path, capsys,
+                                                  record, named):
+        cfg = tmp_path / "dev.json"
+        cfg.write_text(json.dumps(record))
+        assert run_cli("simulate", "--device-config", str(cfg), "--N", "10",
+                       "--q", "0.1", "--eta", "0.05") == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+
+
 class TestVerify:
     def test_all_suites_clean(self):
         assert run_cli("verify", "--suite", "all", "--instances", "10") == EXIT_OK
@@ -218,6 +246,16 @@ class TestQkdCommand:
         assert run_cli("qkd", "--game", "ghz", "--N", "1000",
                        "--q", "0.05") == EXIT_OK
         assert "keys match: True" in capsys.readouterr().out
+
+    def test_chsh_runs_to_an_outcome(self, tmp_path, capsys):
+        # lam must sit below w_G - 1/2 ~ 0.354; the Hamming code backs only
+        # one error, so the honest CHSH run aborts at reconciliation
+        out = tmp_path / "qkd.jsonl"
+        assert run_cli("--output", str(out), "qkd", "--game", "chsh",
+                       "--N", "500", "--q", "0.1", "--eta", "0.05") == EXIT_OK
+        assert "aborted at: reconciliation" in capsys.readouterr().out
+        rec = read_records(out)[0]
+        assert rec["success"] is False and rec["leaked_bits"] == 0
 
 
 class TestReconCommand:

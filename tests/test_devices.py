@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,45 @@ class TestAdversarial:
         assert respond(state, (0, 0), rng) == (0, 0)
         assert respond(state, (0, 0), rng) == (1, 0)
 
+    def test_program_reads_a_view_of_its_transcript(self):
+        seen = []
+        dev = AdversarialBehavior(
+            n=1, program=lambda tr, inp: (seen.append(tr) or (len(tr) % 2,)))
+        state = DeviceState(dev)
+        for _ in range(3):
+            respond(state, (0,), numpy_rng(MASTER, "adv3"))
+        view = seen[0]
+        assert seen == [view] * 3  # one view, never a copy
+        assert list(view) == state.transcript and view[-1] == ((0,), (0,))
+        assert view[:2] == (((0,), (0,)), ((0,), (1,)))
+        with pytest.raises(AttributeError):
+            view.append(((1,), (1,)))
+
+    def test_adversarial_run_cost_is_linear(self):
+        # the adversary reads its memory in place, so a round costs the same
+        # early and late in a run
+        from fractions import Fraction
+
+        from direx.protocols import ProtocolConfig, run_protocol_r
+        from direx.seeding import substream
+
+        adv = behavior_from_record({"variant": "adversarial", "n": 3, "table": {
+            "0,0,0": [1, 1, 0], "1,1,0": [0, 1, 1], "0,1,1": [1, 0, 0]}})
+
+        def per_round(n_rounds):
+            cfg = ProtocolConfig(mode="R", N=n_rounds, q=Fraction(1, 2),
+                                 eta=0.4, game=ghz_game(), w_G=1.0)
+            best = float("inf")
+            for rep in range(5):
+                t0 = time.perf_counter()
+                run_protocol_r(cfg, adv, substream(MASTER, "lin", rep),
+                               numpy_rng(MASTER, "lin", rep),
+                               record_rounds=False)
+                best = min(best, time.perf_counter() - t0)
+            return best / n_rounds
+
+        assert per_round(20_000) <= 2.0 * per_round(5_000)
+
 
 class TestPartiallyTrusted:
     def test_fully_trusted_plus_state_deterministic_heads(self):
@@ -275,5 +316,5 @@ class TestBehaviorRecords:
         assert dev.v == 0.5 and dev.h == 0.2
 
     def test_unknown_variant(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="nope"):
             behavior_from_record({"variant": "nope"})

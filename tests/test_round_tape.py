@@ -1,0 +1,201 @@
+"""Property tests of the round tape against per-round reference versions.
+
+The reference sampler is the four-integer interval decoder (absolute
+interval and window bounds) the tape's sampler replaced; the reference
+responder draws one uniform per round.  Both must agree exactly with the
+tape: same symbols, same bits consumed, same device outputs.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from direx.devices import (
+    NoisyHonestBehavior,
+    chsh_honest_device,
+    ghz_honest_device,
+)
+from direx.protocols import (
+    CategoricalSampler,
+    ProtocolConfig,
+    make_responder,
+    run_protocol_r,
+    symbols_to_bits,
+)
+from direx.seeding import numpy_rng, parse_master_seed, substream
+from direx.xorgames import chsh_game, ghz_game
+
+MASTER = parse_master_seed("7a" * 32)
+
+
+class ReferenceSampler:
+    """Interval decoder over absolute bounds lo < hi of the interval and
+    wlo < whi of the known window of the seed real."""
+
+    def __init__(self, weights, stream, block=4096):
+        fracs = [Fraction(w) for w in weights]
+        den = 1
+        for w in fracs:
+            den = den * w.denominator // gcd(den, w.denominator)
+        self._weights = [int(w * den) for w in fracs]
+        self._den = den
+        self._cum = np.cumsum([0] + self._weights).tolist()
+        self._stream = stream
+        self._block = block
+        self._reset()
+
+    def _reset(self):
+        self._lo, self._hi = 0, 1
+        self._wlo, self._whi = 0, 1
+        self._emitted_in_block = 0
+
+    def _consume_bit(self):
+        bit = self._stream.take_bit()
+        self._lo *= 2
+        self._hi *= 2
+        mid = self._wlo + self._whi
+        if bit == 0:
+            self._wlo, self._whi = 2 * self._wlo, mid
+        else:
+            self._wlo, self._whi = mid, 2 * self._whi
+
+    def sample(self) -> int:
+        if self._emitted_in_block >= self._block:
+            self._reset()
+        den = self._den
+        self._lo *= den
+        self._hi *= den
+        self._wlo *= den
+        self._whi *= den
+        while True:
+            unit = (self._hi - self._lo) // den
+            for k in range(len(self._weights)):
+                if self._weights[k] == 0:
+                    continue
+                a = self._lo + unit * self._cum[k]
+                b = self._lo + unit * self._cum[k + 1]
+                if a <= self._wlo and self._whi <= b:
+                    self._lo, self._hi = a, b
+                    self._emitted_in_block += 1
+                    return k
+            self._consume_bit()
+
+
+def _draw_all(make, first, second, draws, label):
+    """Alternate two samplers on one stream, as the round engine does with
+    its g and input samplers; return the symbols and each one's bits."""
+    stream = substream(MASTER, label)
+    samplers = [make(first, stream), make(second, stream)]
+    used = [0, 0]
+    out = []
+    for i in range(draws):
+        before = stream.consumed
+        out.append(samplers[i % 2].sample())
+        used[i % 2] += stream.consumed - before
+    return out, used, samplers
+
+
+# small rational distributions, zero weights included
+distributions = st.lists(st.integers(0, 12), min_size=1, max_size=5).filter(
+    any).map(lambda ws: [Fraction(w, sum(ws)) for w in ws])
+
+
+class TestSamplerAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(first=distributions, second=distributions,
+           block=st.integers(1, 80), draws=st.integers(0, 400),
+           label=st.integers(0, 10**6))
+    def test_same_symbols_and_bits(self, first, second, block, draws, label):
+        ref, ref_used, _ = _draw_all(
+            lambda w, s: ReferenceSampler(w, s, block), first, second, draws,
+            f"ref/{label}")
+        new, new_used, samplers = _draw_all(
+            lambda w, s: CategoricalSampler(w, s, block), first, second, draws,
+            f"ref/{label}")
+        assert new == ref
+        assert new_used == ref_used
+        assert [s.consumed for s in samplers] == ref_used
+
+    def test_skewed_and_zero_weights(self):
+        for weights in ([Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)],
+                        [Fraction(1, 256), Fraction(255, 256)],
+                        [0, Fraction(1, 4), 0, Fraction(3, 4)]):
+            runs = []
+            for make in (ReferenceSampler, CategoricalSampler):
+                stream = substream(MASTER, f"skew/{weights}")
+                sampler = make(weights, stream, block=50)
+                runs.append(([sampler.sample() for _ in range(3000)],
+                             stream.consumed))
+            assert runs[0] == runs[1]
+
+
+def _scalar_responses(behavior, inputs, input_index, rng):
+    """One uniform per round, placed in the round's cumulative distribution."""
+    out = []
+    for k in input_index:
+        cum = np.cumsum(behavior.output_distribution(inputs[k]))
+        idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+        out.append(min(idx, len(cum) - 1))
+    return out
+
+
+DEVICES = {
+    "ghz": (ghz_game(), ghz_honest_device()),
+    "ghz-noisy": (ghz_game(), NoisyHonestBehavior(base=ghz_honest_device(),
+                                                  p=0.3)),
+    "ghz-fixed": (ghz_game(), NoisyHonestBehavior(
+        base=ghz_honest_device(), p=0.5, mode="fixed",
+        fixed_outputs=(7, 6, 5, 4, 3, 2, 1, 0))),
+    "chsh-noisy": (chsh_game(), NoisyHonestBehavior(base=chsh_honest_device(),
+                                                    p=0.1)),
+}
+
+
+class TestBatchResponder:
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(DEVICES)), data=st.data(),
+           label=st.integers(0, 10**6))
+    def test_equals_one_draw_per_round(self, name, data, label):
+        game, behavior = DEVICES[name]
+        inputs = tuple(game.inputs)
+        input_index = np.array(data.draw(st.lists(
+            st.integers(0, len(inputs) - 1), max_size=300)), dtype=np.int64)
+        batch = make_responder(behavior)(inputs, input_index,
+                                         numpy_rng(MASTER, "resp", label))
+        scalar = _scalar_responses(behavior, inputs, input_index.tolist(),
+                                   numpy_rng(MASTER, "resp", label))
+        assert batch.tolist() == scalar
+
+
+OLD_ENCODING = {"H": (0, 0), "T": (0, 1), "P": (1, 0), "F": (1, 1)}
+
+
+def _per_character(symbols: str) -> list:
+    return [b for s in symbols for b in OLD_ENCODING[s]]
+
+
+class TestSymbolBits:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 3), max_size=200))
+    def test_codes_and_string_match_per_character(self, codes):
+        symbols = "".join("HTPF"[c] for c in codes)
+        expected = _per_character(symbols)
+        assert symbols_to_bits(np.array(codes, dtype=np.uint8)).tolist() == expected
+        assert symbols_to_bits(symbols).tolist() == expected
+
+    def test_tape_columns(self):
+        game, behavior = DEVICES["ghz-noisy"]
+        cfg = ProtocolConfig(mode="R", N=3000, q=Fraction(1, 3), eta=0.2,
+                             game=game, w_G=1.0)
+        for record_rounds in (True, False):
+            tr = run_protocol_r(cfg, behavior, substream(MASTER, "tape"),
+                                numpy_rng(MASTER, "tape"),
+                                record_rounds=record_rounds).transcript
+            assert (symbols_to_bits(tr.codes).tolist()
+                    == _per_character(tr.symbols)
+                    == _per_character("".join(r[3] for r in tr.rounds)))
+            assert tr.check_symbol_consistency()
+            assert tr.failures == tr.counts()["F"] > 0
