@@ -279,10 +279,13 @@ def cmd_qkd(args) -> int:
                       numpy_rng(master, "kd-device", 0),
                       shared_randomness=substream(master, "kd-shared", 0))
     if outcome.success:
-        rep = key_rate_report(outcome)
+        if outcome.report is None:
+            certified = "no certified bound (eta outside (0, v_G/2))"
+        else:
+            bits = key_rate_report(outcome)["certified_bits"]
+            certified = f"certified {bits:.0f} bits"
         print(f"success; keys match: {outcome.keys_match}  "
-              f"leaked {outcome.leaked_bits} bits  "
-              f"certified {rep['certified_bits']:.0f} bits")
+              f"leaked {outcome.leaked_bits} bits  {certified}")
     else:
         print(f"aborted at: {outcome.abort_reason}")
     writer = RecordWriter(_out_path(args, "qkd"), args.format)

@@ -455,17 +455,31 @@ def behavior_from_record(rec: dict):
                 f"device variant {variant!r} needs the field {name!r}")
         return rec[name]
 
+    def typed(kind, name, default=None):
+        value = need(name) if default is None else rec.get(name, default)
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"device variant {variant!r}: the field {name!r} must be "
+                f"{'an integer' if kind is int else 'a number'}, "
+                f"not {value!r}") from None
+
     if variant == "honest":
         name = rec.get("device", "ghz")
-        if name not in HONEST_DEVICES:
+        if not isinstance(name, str) or name not in HONEST_DEVICES:
             raise ValueError(f"unknown honest device {name!r}")
         return HONEST_DEVICES[name]()
     if variant == "noisy_honest":
         base = behavior_from_record({"variant": "honest",
                                      "device": rec.get("device", "ghz")})
-        return NoisyHonestBehavior(base=base, p=float(need("p")),
+        fixed = rec.get("fixed_outputs", [])
+        if not isinstance(fixed, list):
+            raise ValueError(f"device variant {variant!r}: the field "
+                             "'fixed_outputs' must be a list")
+        return NoisyHonestBehavior(base=base, p=typed(float, "p"),
                                    mode=rec.get("mode", "uniform"),
-                                   fixed_outputs=tuple(rec.get("fixed_outputs", ())))
+                                   fixed_outputs=tuple(fixed))
     if variant == "adversarial":
         # keys are "i1,i2,..." (any round) or "round@i1,i2,..." (that round
         # of the transcript only); per-round entries take precedence
@@ -482,10 +496,10 @@ def behavior_from_record(rec: dict):
             if not isinstance(v, list):
                 raise ValueError(f"adversarial table entry {k!r} must list output bits")
             table[key] = tuple(v)
-        n = int(need("n"))
+        n = typed(int, "n")
         return AdversarialBehavior(n=n, program=ResponseTable(n, table))
     if variant == "partially_trusted":
-        rng = np.random.default_rng(int(rec.get("instance_seed", 0)))
-        return random_partially_trusted(rng, float(need("v")), float(need("h")),
-                                        env_dim=int(rec.get("env_dim", 2)))
+        rng = np.random.default_rng(typed(int, "instance_seed", 0))
+        return random_partially_trusted(rng, typed(float, "v"), typed(float, "h"),
+                                        env_dim=typed(int, "env_dim", 2))
     raise ValueError(f"unknown behavior variant {variant!r}")

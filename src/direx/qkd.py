@@ -165,6 +165,9 @@ def key_rate_report(outcome: KdOutcome, report: RateReport | None = None) -> dic
     if not outcome.success:
         raise ValueError("key rate is only defined for successful runs")
     report = report or outcome.report
+    if report is None:
+        raise ValueError("key rate needs a rate report, and a run whose "
+                         "tolerance lies outside (0, v_G/2) has none")
     certified = max(report.bound - outcome.leaked_bits, 0.0)
     return {
         "expansion_bound": report.bound,

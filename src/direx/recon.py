@@ -248,39 +248,42 @@ def verify_min_distance(code: LinearCode) -> int:
     return best
 
 
-_SYNDROME_TABLES: dict = {}
+def _packed_syndrome(s: np.ndarray) -> int:
+    """A syndrome (or a column of a check matrix) packed into one int, so
+    the syndrome of a set of positions is the XOR of their columns'."""
+    return int.from_bytes(np.packbits(s).tobytes(), "big")
 
 
-def _syndrome_key(s: np.ndarray) -> bytes:
-    return np.packbits(s).tobytes()
+_COSET_TABLES: dict = {}
 
 
-def _code_key(code: LinearCode) -> tuple:
-    return (code.check_matrix.tobytes(), code.check_matrix.shape,
-            code.min_distance, code.interleave)
+def _coset_table(h: np.ndarray, radius: int, unique: bool) -> dict:
+    """Packed syndrome -> error position tuples of weight <= radius, in
+    order of weight, then lexicographically.
 
-
-def _unique_table(code: LinearCode) -> dict:
-    """Coset-leader table for weights up to the unique radius (one block)."""
-    key = _code_key(code)
-    tab = _SYNDROME_TABLES.get(key)
+    unique=True promises one pattern per syndrome and raises ValueError on
+    a collision, which means the code's distance is smaller than declared.
+    """
+    key = (h.tobytes(), h.shape, radius, unique)
+    tab = _COSET_TABLES.get(key)
     if tab is not None:
         return tab
-    n = code.block_length
-    h = code.check_matrix[: code.n_checks // code.interleave, :n] \
-        if code.interleave > 1 else code.check_matrix
-    radius = code.unique_radius
+    packed = np.ascontiguousarray(np.packbits(h, axis=0).T)
+    raw, width = packed.tobytes(), packed.shape[1]
+    cols = [int.from_bytes(raw[j * width:(j + 1) * width], "big")
+            for j in range(h.shape[1])]
     tab = {}
     for w in range(radius + 1):
-        for positions in itertools.combinations(range(n), w):
-            e = np.zeros(n, dtype=np.uint8)
-            e[list(positions)] = 1
-            s = _syndrome_key((h @ e) % 2)
-            if s in tab:
+        for positions in itertools.combinations(range(h.shape[1]), w):
+            acc = 0
+            for p in positions:
+                acc ^= cols[p]
+            hits = tab.setdefault(acc, [])
+            if unique and hits:
                 raise ValueError(
                     "syndrome collision within the radius; distance too small")
-            tab[s] = e
-    _SYNDROME_TABLES[key] = tab
+            hits.append(positions)
+    _COSET_TABLES[key] = tab
     return tab
 
 
@@ -295,42 +298,16 @@ def unique_decode(code: LinearCode, synd) -> np.ndarray:
     s = np.asarray(synd, dtype=np.uint8) % 2
     if s.shape != (code.n_checks,):
         raise ValueError("syndrome length mismatch")
-    tab = _unique_table(code)
-    per = code.n_checks // code.interleave
-    blocks = []
+    n, per = code.block_length, code.n_checks // code.interleave
+    tab = _coset_table(code.check_matrix[:per, :n], code.unique_radius, True)
+    e = np.zeros(code.length, dtype=np.uint8)
     for b in range(code.interleave):
-        part = _syndrome_key(s[b * per:(b + 1) * per])
-        hit = tab.get(part)
-        if hit is None:
+        hits = tab.get(_packed_syndrome(s[b * per:(b + 1) * per]))
+        if hits is None:
             raise DecodeFailureError(
                 f"no error of weight <= {code.unique_radius} in block {b}")
-        blocks.append(hit)
-    return np.concatenate(blocks)
-
-
-_COSET_TABLES: dict = {}
-
-
-def _coset_table(code: LinearCode, radius: int) -> dict:
-    key = (_code_key(code), radius)
-    tab = _COSET_TABLES.get(key)
-    if tab is not None:
-        return tab
-    if code.length > EXHAUSTIVE_LENGTH_CAP:
-        raise ValueError("exhaustive list decoding capped at length 24")
-    tab = {}
-    n = code.length
-    h = code.check_matrix
-    cols = [np.packbits(h[:, j]).tobytes() for j in range(n)]
-    col_ints = [int.from_bytes(c, "big") for c in cols]
-    for w in range(radius + 1):
-        for positions in itertools.combinations(range(n), w):
-            acc = 0
-            for p in positions:
-                acc ^= col_ints[p]
-            tab.setdefault(acc, []).append(positions)
-    _COSET_TABLES[key] = tab
-    return tab
+        e[[b * n + p for p in hits[0]]] = 1
+    return e
 
 
 def list_decode(code: LinearCode, synd, radius: int) -> list:
@@ -340,10 +317,11 @@ def list_decode(code: LinearCode, synd, radius: int) -> list:
     """
     if code.regime != "list":
         raise ValueError("code is not in the list regime")
+    if code.length > EXHAUSTIVE_LENGTH_CAP:
+        raise ValueError("exhaustive list decoding capped at length 24")
     s = np.asarray(synd, dtype=np.uint8) % 2
-    tab = _coset_table(code, radius)
-    acc = int.from_bytes(np.packbits(s).tobytes(), "big")
-    hits = tab.get(acc, [])
+    hits = _coset_table(code.check_matrix, radius, False).get(
+        _packed_syndrome(s), [])
     if len(hits) > code.list_cap:
         raise ListOverflowError(
             f"list size {len(hits)} exceeds the cap {code.list_cap}")
@@ -370,10 +348,7 @@ def hamming_code(length: int) -> LinearCode:
     if length < 3:
         raise ValueError("need length at least 3")
     m = max(int(np.ceil(np.log2(length + 1))), 2)
-    h = np.zeros((m, length), dtype=np.uint8)
-    for j in range(length):
-        for i in range(m):
-            h[i, j] = ((j + 1) >> i) & 1
+    h = (np.arange(1, length + 1) >> np.arange(m)[:, None]) & 1
     return LinearCode(name=f"hamming-{length}", check_matrix=h, min_distance=3)
 
 

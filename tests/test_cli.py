@@ -206,6 +206,13 @@ class TestSimulate:
         ({"variant": "adversarial", "n": 3, "table": {"0,0,0": 1}}, "0,0,0"),
         ({"variant": "adversarial", "n": 3, "table": {"0,0,0": [1, 1]}},
          "not 3 bits"),
+        ({"variant": "partially_trusted", "v": [1], "h": 0}, "'v'"),
+        ({"variant": "adversarial", "n": [3], "table": {"0,0,0": [1, 1, 0]}},
+         "'n'"),
+        ({"variant": "noisy_honest", "p": "x"}, "'p'"),
+        ({"variant": "noisy_honest", "p": 0.1, "fixed_outputs": 5},
+         "'fixed_outputs'"),
+        ({"variant": "honest", "device": [1]}, "[1]"),
     ])
     def test_bad_device_config_exits_with_message(self, tmp_path, capsys,
                                                   record, named):
@@ -256,6 +263,18 @@ class TestQkdCommand:
         assert "aborted at: reconciliation" in capsys.readouterr().out
         rec = read_records(out)[0]
         assert rec["success"] is False and rec["leaked_bits"] == 0
+
+    def test_eta_outside_certification_domain(self, tmp_path, capsys):
+        # eta >= v_G/2: the keys still agree, but there is no bound to report
+        out = tmp_path / "qkd.jsonl"
+        assert run_cli("--output", str(out), "qkd", "--game", "ghz",
+                       "--N", "2000", "--q", "0.1", "--eta", "0.1") == EXIT_OK
+        printed = capsys.readouterr().out
+        assert "success; keys match: True" in printed
+        assert "leaked 11 bits" in printed
+        assert "no certified bound (eta outside (0, v_G/2))" in printed
+        rec = read_records(out)[0]
+        assert rec["success"] is True and rec["certified_bits"] == 0.0
 
 
 class TestReconCommand:

@@ -255,3 +255,11 @@ class TestKeyRateReport:
         assert rep["certified_bits"] == pytest.approx(
             out.report.bound - cfg.code.n_checks)
         assert rep["seed_bits_used"] == out.transcript.seed_bits_used
+
+    def test_no_report_outside_certification_domain(self):
+        # eta >= v_G/2: the protocol succeeds, but no expansion bound exists
+        cfg = kd_config(2000, 0.1, eta=0.1)
+        out = run(cfg, ghz_honest_device(), "nobound")
+        assert out.success and out.report is None and out.certified_bits == 0
+        with pytest.raises(ValueError, match="rate report"):
+            key_rate_report(out)

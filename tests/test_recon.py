@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from direx.errors import DecodeFailureError, ListOverflowError
 from direx.recon import (
@@ -14,6 +18,7 @@ from direx.recon import (
     hamming_code,
     hash_bits_required,
     hash_draw_eval,
+    LinearCode,
     interleaved,
     list_decode,
     random_linear_code,
@@ -167,6 +172,98 @@ class TestListDecode:
             list_decode(tight, syndrome(tight, e), 8)
 
 
+def dense_patterns(n, radius):
+    """Every error vector of weight <= radius, built densely."""
+    for w in range(radius + 1):
+        for positions in itertools.combinations(range(n), w):
+            e = np.zeros(n, np.uint8)
+            e[list(positions)] = 1
+            yield e
+
+
+class TestTablesAgainstDenseReference:
+    @pytest.mark.parametrize("code", [
+        hamming_code(7), hamming_code(21), bch_15_5(),
+        interleaved(hamming_code(7), 3)], ids=lambda c: c.name)
+    def test_unique_leaders(self, code):
+        # one block's leaders from h @ e; every syndrome of the block
+        # either decodes to its leader or has none within the radius
+        n, per = code.block_length, code.n_checks // code.interleave
+        h = code.check_matrix[:per, :n]
+        leaders = {}
+        for e in dense_patterns(n, code.unique_radius):
+            key = tuple((h @ e) % 2)
+            assert key not in leaders
+            leaders[key] = e
+        for bits in itertools.product((0, 1), repeat=per):
+            for b in range(code.interleave):
+                s = np.zeros(code.n_checks, np.uint8)
+                s[b * per:(b + 1) * per] = bits
+                if bits not in leaders:
+                    with pytest.raises(DecodeFailureError):
+                        unique_decode(code, s)
+                    continue
+                want = np.zeros(code.length, np.uint8)
+                want[b * n:(b + 1) * n] = leaders[bits]
+                assert np.array_equal(unique_decode(code, s), want)
+
+    def test_list_tables_match_enumeration(self):
+        code = random_linear_code(12, 7, np.random.default_rng(15),
+                                  list_cap=2**12)
+        for radius in (0, 2, 4):
+            cosets = {}
+            for e in dense_patterns(12, radius):
+                cosets.setdefault(tuple(syndrome(code, e)), []).append(e)
+            for bits in itertools.product((0, 1), repeat=7):
+                got = list_decode(code, np.array(bits, np.uint8), radius)
+                want = cosets.get(bits, [])
+                assert len(got) == len(want)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_collision_within_radius_raises(self):
+        h = hamming_code(7).check_matrix.copy()
+        h[:, 2] = h[:, 1]  # two equal columns: the distance is really 2
+        code = LinearCode(name="bad", check_matrix=h, min_distance=3)
+        with pytest.raises(ValueError, match="collision"):
+            unique_decode(code, np.zeros(3, np.uint8))
+
+
+UNIQUE_CODES = [hamming_code(n) for n in (3, 7, 16, 100, 1000)] + [
+    bch_15_5(), interleaved(hamming_code(7), 3), interleaved(bch_15_5(), 2)]
+
+
+class TestDecodingRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(code=st.sampled_from(UNIQUE_CODES), data=st.data())
+    def test_unique_recovers_planted_error(self, code, data):
+        weight = data.draw(st.integers(0, code.unique_radius))
+        positions = data.draw(st.lists(st.integers(0, code.length - 1),
+                                       min_size=weight, max_size=weight,
+                                       unique=True))
+        e = np.zeros(code.length, np.uint8)
+        e[positions] = 1
+        assert np.array_equal(unique_decode(code, syndrome(code, e)), e)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), length=st.integers(6, 14),
+           data=st.data())
+    def test_list_contains_planted_error(self, seed, length, data):
+        checks = data.draw(st.integers(2, length - 1))
+        radius = data.draw(st.integers(0, 4))
+        code = random_linear_code(length, checks, np.random.default_rng(seed),
+                                  list_cap=2**length)
+        positions = data.draw(st.lists(st.integers(0, length - 1),
+                                       max_size=radius, unique=True))
+        e = np.zeros(length, np.uint8)
+        e[positions] = 1
+        s = syndrome(code, e)
+        cands = list_decode(code, s, radius)
+        assert any(np.array_equal(c, e) for c in cands)
+        for c in cands:
+            assert np.array_equal(syndrome(code, c), s)
+            assert c.sum() <= radius
+
+
 class TestHashFamilies:
     def test_equal_inputs_equal_hashes(self):
         fam = AffineHashFamily(n_bits=8, k=4)
@@ -296,8 +393,6 @@ class TestEir:
     def test_unique_regime_exhaustive_promise_sweep(self):
         # correctness depends only on the error pattern by linearity, so
         # sweep every pattern inside the promise radius
-        import itertools
-
         code = bch_15_5()
         x = np.zeros(15, np.uint8)
         for w in range(4):
