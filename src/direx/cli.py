@@ -29,16 +29,24 @@ from .devices import (
 )
 from .entropy import measurement_split, schatten_ineq_check, uncertainty_check
 from .errors import DirexError, InfeasibleError
-from .postprocess import CrossFeedStage, cross_feed
+from .postprocess import CrossFeedAbort, CrossFeedStage, cross_feed
 from .protocols import (
     ProtocolConfig,
-    exact_small_run,
+    completeness_error_bound,
     conditional_environment_states,
+    exact_small_run,
     monte_carlo,
 )
 from .qkd import KdConfig, key_rate_report, run_rkd
-from .rates import certified_bound, limit_exponent, maximize_bound, small_pi
-from .recon import bch_15_5, eir_run, hamming_code, interleaved, random_linear_code
+from .rates import certified_bound, limit_exponent, maximize_bound
+from .recon import (
+    EXHAUSTIVE_LENGTH_CAP,
+    bch_15_5,
+    eir_run,
+    hamming_code,
+    interleaved,
+    random_linear_code,
+)
 from .seeding import numpy_rng, parse_master_seed, substream
 from .xorgames import (
     SamplingSpec,
@@ -147,7 +155,7 @@ def cmd_rate(args) -> int:
     rows = [
         ("game", args.game),
         ("trust coefficient lower bound", v),
-        ("limit rate pi(eta/v)", small_pi(args.eta / v)),
+        ("limit rate pi(eta/v)", limit_exponent(args.eta / v)),
         ("positive-rate cutoff 0.11*v", 0.11 * v),
         ("T (per-round rate)", report.T_value),
         ("E (penalty coefficient)", report.E_value),
@@ -206,8 +214,8 @@ def cmd_simulate(args) -> int:
         # (1 - p) w_G + p / 2, a deviation of p (w_G - 1/2)
         eta_prime = args.noise * (consts.wG - 0.5)
         if eta_prime < args.eta:
-            bound = float(np.exp(-((args.eta - eta_prime) ** 2)
-                                 * args.q * args.N / 3.0))
+            bound = completeness_error_bound(args.eta, eta_prime, args.q,
+                                             args.N)
     stats = monte_carlo(config, behavior, args.trials, master,
                         completeness_bound=bound, workers=args.workers)
     print(f"trials {stats.trials}  aborts {stats.aborts}  "
@@ -304,6 +312,10 @@ def cmd_qkd(args) -> int:
 
 
 def cmd_expand(args) -> int:
+    if len(args.stage_rounds) != len(args.stage_bits):
+        raise ValueError(
+            f"--stage-rounds and --stage-bits must give one value per stage "
+            f"(got {len(args.stage_rounds)} and {len(args.stage_bits)})")
     master = parse_master_seed(args.seed)
     game = load_game(args.game)
     behavior = _behavior_from_args(args)
@@ -313,9 +325,9 @@ def cmd_expand(args) -> int:
               for n, m in zip(args.stage_rounds, args.stage_bits)]
     try:
         res = cross_feed(game, consts, behavior, behavior, stages, master)
-    except DirexError as e:
-        print(f"composition failed: {e}", file=sys.stderr)
-        return EXIT_ABORT
+    except CrossFeedAbort as e:
+        print(f"aborted at stage {e.stage}: {e.failures} failures")
+        return EXIT_ABORT if args.strict else EXIT_OK
     led = res.ledger.to_record()
     print(f"final output: {len(res.final_bits)} bits; "
           f"ledger soundness {led['total_soundness']}")
@@ -337,13 +349,36 @@ def cmd_expand(args) -> int:
     return EXIT_OK
 
 
+def _check_recon_args(args):
+    """Reject the inputs the reconciliation codes cannot take, naming the
+    flag."""
+    if args.regime == "unique":
+        if args.N < 15 or args.N % 15:
+            raise ValueError(
+                f"--N must be a positive multiple of 15 in the unique regime "
+                f"(the BCH block length), got {args.N}")
+    else:
+        if not 1 <= args.N <= EXHAUSTIVE_LENGTH_CAP:
+            raise ValueError(
+                f"--N must lie in [1, {EXHAUSTIVE_LENGTH_CAP}] in the list "
+                f"regime (exhaustive list decoding), got {args.N}")
+        if not 0 < args.lam < 0.5:
+            raise ValueError(f"--lam must lie in (0, 1/2), got {args.lam}")
+    if not 0 <= args.error_fraction <= 1:
+        raise ValueError(
+            f"--error-fraction must lie in [0, 1], got {args.error_fraction}")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+
+
 def cmd_recon(args) -> int:
+    _check_recon_args(args)
     master = parse_master_seed(args.seed)
     rng = numpy_rng(master, "recon-instance")
     if args.regime == "unique":
         base = bch_15_5()
         code = base if args.N == 15 else interleaved(base, args.N // 15)
-        lam = 0.5 - base.unique_radius / base.length
+        lam = code.supported_lambda()
     else:
         code = random_linear_code(args.N, max(args.N - 6, 1), rng, list_cap=64)
         lam = args.lam

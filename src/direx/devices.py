@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrixcore import psd_sqrt
+from .matrixcore import pseudo_power
 from .xorgames import XorGame
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -188,8 +188,8 @@ class PartiallyTrustedBehavior:
                 (self.v, 0.5 * (np.eye(d) + t1), 0.5 * (np.eye(d) - t1), "trusted"))
         w = 1.0 - self.v - self.h
         if w > 1e-15:
-            sp = psd_sqrt(0.5 * (np.eye(d) + self.dishonest))
-            sm = psd_sqrt(0.5 * (np.eye(d) - self.dishonest))
+            sp = pseudo_power(0.5 * (np.eye(d) + self.dishonest), 0.5, cutoff=0.0)
+            sm = pseudo_power(0.5 * (np.eye(d) - self.dishonest), 0.5, cutoff=0.0)
             branches.append((w, sp, sm, "dishonest"))
         if self.h > 0:
             s = np.sqrt(0.5) * np.eye(d)

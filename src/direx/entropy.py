@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SupportViolationError
-from .matrixcore import HermitianOperator, PsdOperator, pseudo_power, psd_sqrt
+from .matrixcore import PsdOperator, as_matrix, pseudo_power
 from .rates import uncertainty_exponent
 
 SUPPORT_CUTOFF = 1e-10
@@ -89,15 +89,10 @@ def _block_pairs(rho, sigma):
                 raise ValueError("label mismatch between the two states")
             sb = sigma.block_arrays()
         else:
-            s = sigma.entries if isinstance(sigma, (PsdOperator, HermitianOperator)) \
-                else np.asarray(sigma, dtype=np.complex128)
-            sb = [s] * len(rb)
+            sb = [as_matrix(sigma, np.complex128)] * len(rb)
         return list(zip(rb, sb)), rho.trace()
-    r = rho.entries if isinstance(rho, (PsdOperator, HermitianOperator)) \
-        else np.asarray(rho, dtype=np.complex128)
-    s = sigma.entries if isinstance(sigma, (PsdOperator, HermitianOperator)) \
-        else np.asarray(sigma, dtype=np.complex128)
-    return [(r, s)], float(r.trace().real)
+    r = as_matrix(rho, np.complex128)
+    return [(r, as_matrix(sigma, np.complex128))], float(r.trace().real)
 
 
 def _check_support(pairs, cutoff=SUPPORT_CUTOFF):
@@ -120,12 +115,6 @@ def _psd_trace_power(m: np.ndarray, p: float) -> float:
     w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
     w = np.where(w > 0.0, w, 0.0)
     return float(np.sum(w**p))
-
-
-def trace_power(rho, p: float) -> float:
-    """Tr(rho**p) for a PSD operator, negative eigenvalues clamped to zero."""
-    r = rho.entries if isinstance(rho, (PsdOperator, HermitianOperator)) else np.asarray(rho)
-    return _psd_trace_power(r, p)
 
 
 def renyi_divergence(rho, sigma, alpha: float) -> float:
@@ -169,9 +158,7 @@ def trace_distance(rho, other) -> float:
         return float(sum(
             np.abs(np.linalg.eigvalsh(a - b)).sum()
             for a, b in zip(rho.block_arrays(), other.block_arrays())))
-    a = rho.entries if isinstance(rho, (PsdOperator, HermitianOperator)) else np.asarray(rho)
-    b = other.entries if isinstance(other, (PsdOperator, HermitianOperator)) else np.asarray(other)
-    return float(np.abs(np.linalg.eigvalsh(a - b)).sum())
+    return float(np.abs(np.linalg.eigvalsh(as_matrix(rho) - as_matrix(other))).sum())
 
 
 def smooth_from_renyi(rho: CqState, sigma, alpha: float, epsilon: float):
@@ -195,16 +182,11 @@ def smooth_from_renyi(rho: CqState, sigma, alpha: float, epsilon: float):
     new_blocks = []
     for rb, sb in pairs:
         st = scale * sb
-        diff = rb - st
-        w, u = np.linalg.eigh(0.5 * (diff + diff.conj().T))
-        delta = (u * np.where(w > 0, w, 0.0)) @ u.conj().T
-        g = psd_sqrt(st) @ pseudo_power(st + delta, -0.5, cutoff=1e-14)
-        nb = g @ rb @ g.conj().T
-        nb = 0.5 * (nb + nb.conj().T)
+        delta = pseudo_power(rb - st, 1.0, cutoff=0.0)
+        g = (pseudo_power(st, 0.5, cutoff=0.0)
+             @ pseudo_power(st + delta, -0.5, cutoff=1e-14))
         # numerical floor: clip eigenvalues a hair below zero back up
-        wn, un = np.linalg.eigh(nb)
-        nb = (un * np.where(wn > 0, wn, 0.0)) @ un.conj().T
-        new_blocks.append(nb)
+        new_blocks.append(pseudo_power(g @ rb @ g.conj().T, 1.0, cutoff=0.0))
     smoothed = CqState.from_arrays(rho.labels, new_blocks)
     return smoothed, float(bound)
 
@@ -323,8 +305,7 @@ def conditional_renyi(rho: CqState, alpha: float, sigma=None,
 
 
 def _normalize(sigma):
-    s = sigma.entries if isinstance(sigma, (PsdOperator, HermitianOperator)) \
-        else np.asarray(sigma, dtype=np.complex128)
+    s = as_matrix(sigma, np.complex128)
     return s / s.trace().real
 
 

@@ -57,18 +57,17 @@ class HermitianOperator:
 
 
 @dataclass(frozen=True)
-class PsdOperator:
-    """A positive semidefinite operator, stored with its Hermitian base.
+class PsdOperator(HermitianOperator):
+    """A positive semidefinite Hermitian operator.
 
     Eigenvalues in [-1e-10, 0) are treated as numerical noise and clamped
     to zero by :func:`matrix_power`; anything more negative is rejected at
     construction.
     """
 
-    base: HermitianOperator
-
     def __post_init__(self):
-        lo = min_eigenvalue(self.base)
+        super().__post_init__()
+        lo = min_eigenvalue(self)
         if lo < PSD_EIG_FLOOR:
             raise InvalidOperatorError(
                 f"matrix is not PSD (smallest eigenvalue {lo:.3e})"
@@ -76,18 +75,18 @@ class PsdOperator:
 
     @classmethod
     def from_array(cls, entries) -> "PsdOperator":
-        return cls(HermitianOperator(entries))
+        return cls(entries)
 
-    @property
-    def entries(self) -> np.ndarray:
-        return self.base.entries
 
-    @property
-    def dim(self) -> int:
-        return self.base.dim
+def as_matrix(a, dtype=None) -> np.ndarray:
+    """The entries of an operator, or ``a`` as an array of ``dtype``.
 
-    def trace(self) -> float:
-        return self.base.trace()
+    Operator entries come back as stored (complex128); ``dtype=None`` keeps
+    a real array real, and with it numpy's real eigensolver path.
+    """
+    if isinstance(a, HermitianOperator):
+        return a.entries
+    return np.asarray(a, dtype=dtype)
 
 
 def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
@@ -112,8 +111,6 @@ def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def min_eigenvalue(a) -> float:
-    if isinstance(a, PsdOperator):
-        a = a.base
     if not isinstance(a, HermitianOperator):
         a = HermitianOperator(a)
     return float(np.linalg.eigvalsh(a.entries)[0])
@@ -129,32 +126,26 @@ def matrix_power(a: PsdOperator, p: float) -> PsdOperator:
         a = PsdOperator.from_array(a)
     if not p > 0:
         raise ValueError(f"power must be positive, got {p}")
-    w, u = eig_hermitian(a.base)
-    w = np.where(w < 0.0, 0.0, w)
-    wp = np.where(w > 0.0, w**p, 0.0)
-    out = (u * wp) @ u.conj().T
-    return PsdOperator(HermitianOperator(out))
+    out = pseudo_power(a.entries, p, cutoff=0.0)
+    # the rebuild is Hermitian only up to rounding, which can exceed the
+    # absolute tolerance HermitianOperator checks for large eigenvalues
+    return PsdOperator(0.5 * (out + out.conj().T))
 
 
 def pseudo_power(entries: np.ndarray, p: float, cutoff: float = 1e-10) -> np.ndarray:
-    """Power of a PSD matrix restricted to its support.
+    """Power of the Hermitian part of a matrix, restricted to its support.
 
-    Eigenvalues at or below ``cutoff`` are treated as zero, which makes
-    negative powers act as pseudo-inverse powers.  Returns a raw ndarray
-    since callers compose the result immediately.
+    The one eigendecomposition rebuild of the package.  Eigenvalues at or
+    below ``cutoff`` map to zero, which makes negative powers act as
+    pseudo-inverse powers; with ``cutoff=0`` and ``p=1`` it is the positive
+    part.  Returns a raw ndarray since callers compose the result
+    immediately.
     """
     a = 0.5 * (np.asarray(entries, dtype=np.complex128) + np.asarray(entries).conj().T)
     w, u = np.linalg.eigh(a)
     wp = np.where(w > cutoff, w, 1.0) ** p
     wp = np.where(w > cutoff, wp, 0.0)
     return (u * wp) @ u.conj().T
-
-
-def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Square root of the Hermitian part of a matrix, with negative
-    eigenvalues clamped to zero.  Returns a raw ndarray."""
-    w, u = np.linalg.eigh(0.5 * (m + m.conj().T))
-    return (u * np.sqrt(np.where(w > 0, w, 0.0))) @ u.conj().T
 
 
 def schatten_norm(a, p: float) -> float:
@@ -175,15 +166,12 @@ def schatten_norm(a, p: float) -> float:
 
 def loewner_leq(a, b, tol: float = 1e-9) -> bool:
     """True when ``a <= b`` in the Loewner (PSD) order, within tolerance."""
-    a = a.entries if isinstance(a, (HermitianOperator, PsdOperator)) else np.asarray(a)
-    b = b.entries if isinstance(b, (HermitianOperator, PsdOperator)) else np.asarray(b)
-    return min_eigenvalue(HermitianOperator(b - a)) >= -tol
+    return min_eigenvalue(HermitianOperator(as_matrix(b) - as_matrix(a))) >= -tol
 
 
 def to_pairs(a) -> list:
     """Serialize a complex matrix as nested [re, im] pairs."""
-    a = a.entries if isinstance(a, (HermitianOperator, PsdOperator)) else np.asarray(a)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+    return [[[float(z.real), float(z.imag)] for z in row] for row in as_matrix(a)]
 
 
 def from_pairs(pairs) -> np.ndarray:

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InfeasibleError
+from .errors import DirexError, InfeasibleError
 from .protocols import ProtocolConfig, run_protocol_r, symbols_to_bits
 from .rates import RateReport, certified_bound, tune_parameters
 from .seeding import BitStream, numpy_rng, substream
@@ -217,10 +217,13 @@ class StageResult:
     extractor_seed_bits: int
 
 
-class CrossFeedAbort(RuntimeError):
-    def __init__(self, stage: int, msg: str):
-        super().__init__(msg)
+class CrossFeedAbort(DirexError, RuntimeError):
+    """A stage's protocol run aborted, which ends the composition."""
+
+    def __init__(self, stage: int, failures: int):
+        super().__init__(f"stage {stage} aborted ({failures} failures)")
         self.stage = stage
+        self.failures = failures
 
 
 @dataclass(frozen=True)
@@ -269,8 +272,7 @@ def cross_feed(game: XorGame, constants: GameConstants, device_a, device_b,
                                  numpy_rng(master, "stage-device", i),
                                  record_rounds=False)
         if not outcome.success:
-            raise CrossFeedAbort(i, f"stage {i} aborted "
-                                    f"({outcome.transcript.failures} failures)")
+            raise CrossFeedAbort(i, outcome.transcript.failures)
         source = symbols_to_bits(outcome.transcript.codes)
         ext_stream = substream(master, "extractor-seed", i)
         seed = ext_stream.take_bits(spec.seed_len)

@@ -36,15 +36,9 @@ from .devices import (
 from .entropy import BlockOperator, renyi_divergence
 from .rates import worst_case_rate
 from .seeding import BitStream, numpy_rng, substream
-from .xorgames import XorGame
+from .xorgames import XorGame, as_fraction
 
 SYMBOLS = ("H", "T", "P", "F")
-
-
-def _as_fraction(x) -> Fraction:
-    """Exact rational value of a probability; floats and strings go through
-    their decimal form, so 0.05 becomes 1/20."""
-    return x if isinstance(x, Fraction) else Fraction(str(x))
 
 
 class CategoricalSampler:
@@ -61,7 +55,7 @@ class CategoricalSampler:
     """
 
     def __init__(self, weights, stream: BitStream, block: int = 4096):
-        fracs = [_as_fraction(w) for w in weights]
+        fracs = [as_fraction(w) for w in weights]
         if any(w < 0 for w in fracs) or sum(fracs) != 1:
             raise ValueError("weights must be nonnegative rationals summing to 1")
         self._den = den = lcm(*(w.denominator for w in fracs))
@@ -114,7 +108,7 @@ def biased_bit_sampler(q, stream: BitStream, N: int, block: int = 4096):
     N times the binary entropy of q for large N; q = 1/2 costs exactly one
     bit per output bit.
     """
-    qf = _as_fraction(q)
+    qf = as_fraction(q)
     if not 0 < qf < 1:
         raise ValueError(f"bias must lie in (0, 1), got {q}")
     sampler = CategoricalSampler([1 - qf, qf], stream, block=block)
@@ -146,7 +140,7 @@ class ProtocolConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.N < 0:
             raise ValueError("round count must be nonnegative")
-        object.__setattr__(self, "q", _as_fraction(self.q))
+        object.__setattr__(self, "q", as_fraction(self.q))
         if not 0 < self.q < 1:
             raise ValueError("test probability must lie in (0, 1)")
         if self.mode == "R":
@@ -294,7 +288,7 @@ def _play_rounds(N: int, q, table, responder, seed_stream: BitStream,
     device never draws from the seed stream, so this gives the transcript
     of a round-by-round loop.  record_rounds=False keeps only g and codes.
     """
-    q = _as_fraction(q)
+    q = as_fraction(q)
     draw_g = CategoricalSampler([1 - q, q], seed_stream)
     draw_input = CategoricalSampler([p for _, p, _ in table], seed_stream)
     sample_g, sample_input = draw_g.sample, draw_input.sample
@@ -433,6 +427,15 @@ def completeness_error_bound(eta: float, eta_prime: float, q: float, N: int) -> 
     return float(np.exp(-((eta - eta_prime) ** 2) * q * N / 3.0))
 
 
+def exceeds_bound(events: int, trials: int, bound: float) -> bool:
+    """True when the frequency events/trials exceeds bound by more than
+    three binomial standard errors, taken at the smoothed frequency
+    (events + 1/2)/(trials + 1) so that zero events still carry an error."""
+    p_smooth = (events + 0.5) / (trials + 1)
+    sigma = np.sqrt(p_smooth * (1 - p_smooth) / trials)
+    return bool(events / trials > bound + 3 * sigma)
+
+
 def monte_carlo(config: ProtocolConfig, behavior, trials: int, master: bytes,
                 completeness_bound: float | None = None,
                 workers: int = 1) -> MonteCarloStats:
@@ -461,15 +464,12 @@ def monte_carlo(config: ProtocolConfig, behavior, trials: int, master: bytes,
     hist: dict = {}
     for r in records:
         hist[r.failures] = hist.get(r.failures, 0) + 1
-    exceeded = False
-    if completeness_bound is not None:
-        p_smooth = (aborts + 0.5) / (trials + 1)
-        sigma = np.sqrt(p_smooth * (1 - p_smooth) / trials)
-        exceeded = rate > completeness_bound + 3 * sigma
+    exceeded = (completeness_bound is not None
+                and exceeds_bound(aborts, trials, completeness_bound))
     return MonteCarloStats(
         trials=trials, aborts=aborts, abort_rate=rate,
         wilson_low=lo, wilson_high=hi, failure_histogram=hist,
-        completeness_bound=completeness_bound, bound_exceeded=bool(exceeded),
+        completeness_bound=completeness_bound, bound_exceeded=exceeded,
         records=tuple(records),
     )
 

@@ -15,7 +15,8 @@ from functools import partial
 
 import numpy as np
 
-from .protocols import Transcript, _play_rounds, _symbol_string, make_responder
+from .protocols import (Transcript, _play_rounds, _symbol_string, exceeds_bound,
+                        make_responder)
 from .rates import RateReport, certified_bound, refine_grid_min
 from .recon import EirResult, LinearCode, eir_run
 from .recon import syndrome as code_syndrome
@@ -240,11 +241,9 @@ def agreement_bound_check(bad_events: int, trials: int, eta: float,
     """Compare an empirical bad-event frequency against the agreement tail
     bound, flagging an excess beyond three binomial standard errors."""
     bound = agreement_failure_bound(eta, eta_bar_val, lam, lam_prime, q, N)
-    freq = bad_events / trials
-    p_smooth = (bad_events + 0.5) / (trials + 1)
-    sigma = float(np.sqrt(p_smooth * (1 - p_smooth) / trials))
-    return AgreementCheck(bad_events=bad_events, trials=trials, frequency=freq,
-                          bound=bound, exceeded=bool(freq > bound + 3 * sigma))
+    return AgreementCheck(bad_events=bad_events, trials=trials,
+                          frequency=bad_events / trials, bound=bound,
+                          exceeded=exceeds_bound(bad_events, trials, bound))
 
 
 def bad_event(outcome: KdOutcome, lam: float, N: int) -> bool:

@@ -45,11 +45,6 @@ def uncertainty_exponent(eps, delta):
     return out if out.ndim else float(out)
 
 
-def big_pi(eps: float, delta: float) -> float:
-    """Scalar alias of :func:`uncertainty_exponent`."""
-    return float(uncertainty_exponent(eps, delta))
-
-
 def binary_entropy(y):
     """Shannon entropy of (y, 1-y) in bits, with h(0) = h(1) = 0."""
     y = np.asarray(y, dtype=float)
@@ -64,11 +59,6 @@ def binary_entropy(y):
 def limit_exponent(y):
     """Small-test-probability limit of the exponent: 1 - 2 h(y)."""
     return 1.0 - 2.0 * binary_entropy(y)
-
-
-def small_pi(y: float) -> float:
-    """Scalar alias of :func:`limit_exponent`."""
-    return float(limit_exponent(y))
 
 
 def limit_exponent_slope(y: float) -> float:
@@ -142,11 +132,6 @@ def one_round_rate(v, h, q, kappa, r, t):
     return out if out.ndim else float(out)
 
 
-def lambda_rate(params: RateParams, t: float) -> float:
-    return float(one_round_rate(params.v, params.h, params.q, params.kappa,
-                                params.r, t))
-
-
 def refine_grid_min(f, grid, vals) -> float:
     """Minimum of f from its values on a sorted grid.
 
@@ -185,10 +170,6 @@ def worst_case_rate(v, h, q, kappa, r,
         ts, one_round_rate(v, h, q, kappa, r, ts))
 
 
-def delta_rate(params: RateParams) -> float:
-    return worst_case_rate(params.v, params.h, params.q, params.kappa, params.r)
-
-
 def optimal_multiplier(v: float, eta: float, q: float, kappa: float) -> float:
     """The balancing multiplier: min of v over the negated limit slope and
     the domain cap 1/(q kappa)."""
@@ -205,6 +186,9 @@ def rate_T_E(v: float, h: float, eta: float, q: float, kappa: float):
     """
     if not 0 < eta < v / 2:
         raise ValueError("error tolerance must lie in (0, v/2)")
+    if not (0 < q < 1 and kappa > 0):
+        raise ValueError("test probability must lie in (0, 1) and the "
+                         "failure penalty must be positive")
     r = optimal_multiplier(v, eta, q, kappa)
     delta = worst_case_rate(v, h, q, kappa, r)
     t_val = -(h / 2.0 + eta) / r + delta

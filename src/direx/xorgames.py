@@ -33,6 +33,12 @@ HESSIAN_EIG_THRESHOLD = 1e-6
 CLASSIFICATIONS = ("not-self-test", "self-test", "strong-self-test", "inconclusive")
 
 
+def as_fraction(x) -> Fraction:
+    """Exact rational value of a probability; floats and strings go through
+    their decimal form, so 0.05 becomes 1/20."""
+    return x if isinstance(x, Fraction) else Fraction(str(x))
+
+
 @dataclass(frozen=True)
 class XorGame:
     """An n-player binary XOR game.
@@ -75,9 +81,7 @@ class XorGame:
         entries = []
         for inp, p, eta in support:
             bits = tuple(int(b) for b in inp)
-            if not isinstance(p, Fraction):
-                p = Fraction(str(p))
-            entries.append((bits, p, int(eta)))
+            entries.append((bits, as_fraction(p), int(eta)))
         return cls(n, tuple(entries))
 
     @property

@@ -19,7 +19,7 @@ from direx.protocols import (
     monte_carlo,
 )
 from direx.qkd import KdConfig, key_rate_report, run_rkd
-from direx.rates import feasible, limit_exponent_slope, rate_T_E, small_pi
+from direx.rates import feasible, limit_exponent, limit_exponent_slope, rate_T_E
 from direx.recon import (
     AffineHashFamily,
     bch_15_5,
@@ -93,7 +93,7 @@ class TestCriterion4:
         lo, hi = 1e-9, 0.5
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if small_pi(mid) > 0:
+            if limit_exponent(mid) > 0:
                 lo = mid
             else:
                 hi = mid
@@ -156,7 +156,7 @@ class TestCriterion7:
         for v, h, eta in grid:
             assert eta < 0.11 * v
             t_val, e_val = rate_T_E(v, h, eta, 1e-4, 1e-4)
-            worst_t = max(worst_t, abs(t_val - small_pi(eta / v)))
+            worst_t = max(worst_t, abs(t_val - limit_exponent(eta / v)))
             worst_e = max(worst_e,
                           abs(e_val + 2 * limit_exponent_slope(eta / v) / v))
         ok = worst_t <= 0.01 and worst_e <= 0.05

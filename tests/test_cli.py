@@ -282,3 +282,55 @@ class TestReconCommand:
         assert run_cli("recon", "--regime", "unique", "--N", "15",
                        "--error-fraction", "0.15", "--trials", "50") == EXIT_OK
         assert "50/50 recovered" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, named", [
+        (("--regime", "unique", "--N", "20"), "--N"),
+        (("--N", "0"), "--N"),
+        (("--regime", "list", "--N", "30"), "--N"),
+        (("--regime", "list", "--N", "0"), "--N"),
+        (("--regime", "list", "--N", "12", "--lam", "0.5"), "--lam"),
+        (("--error-fraction", "2"), "--error-fraction"),
+        (("--error-fraction", "-0.5"), "--error-fraction"),
+        (("--trials", "0"), "--trials"),
+    ])
+    def test_bad_input_names_the_flag(self, capsys, argv, named):
+        assert run_cli("recon", "--trials", "3", *argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+
+    def test_interleaved_length_runs(self, capsys):
+        # the promise must fit the interleaved code's own radius
+        assert run_cli("recon", "--regime", "unique", "--N", "45",
+                       "--error-fraction", "0.05", "--trials", "20") == EXIT_OK
+        assert "20/20 recovered (code bch-15-5-x3" in capsys.readouterr().out
+
+
+class TestExpandCommand:
+    def test_stage_abort_is_reported(self, tmp_path, capsys):
+        argv = ("expand", "--device", "noisy", "--noise", "0.5",
+                "--stage-rounds", "10000", "11000", "--stage-bits", "64", "256")
+        assert run_cli(*argv) == EXIT_OK
+        assert "aborted at stage 0: 1237 failures" in capsys.readouterr().out
+        assert run_cli("--strict", *argv) == EXIT_ABORT
+
+    @pytest.mark.parametrize("flag", ["--q", "--kappa"])
+    def test_zero_rate_parameter_is_a_usage_error(self, capsys, flag):
+        assert run_cli("expand", flag, "0", "--stage-rounds", "1000",
+                       "--stage-bits", "1") == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_infeasible_plan_is_a_usage_error(self, capsys):
+        assert run_cli("expand", "--stage-rounds", "100",
+                       "--stage-bits", "64") == EXIT_USAGE
+        assert "exceeds the hashing budget" in capsys.readouterr().err
+
+    def test_stage_lists_must_align(self, monkeypatch, capsys):
+        from direx import cli
+
+        def no_analysis(name):
+            raise AssertionError("game analysis started")
+        monkeypatch.setattr(cli, "_resolve_constants", no_analysis)
+        assert run_cli("expand", "--stage-rounds", "10000", "11000",
+                       "--stage-bits", "64") == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--stage-rounds" in err and "--stage-bits" in err

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from direx.entropy import (
     BlockOperator,
@@ -114,6 +116,54 @@ class TestDataProcessing:
             before = renyi_divergence(rho, sigma, alpha)
             after = renyi_divergence(pinch(rho), pinch(sigma), alpha)
             assert after <= before + 1e-9
+
+
+@st.composite
+def psd_pairs(draw):
+    """(rho, sigma, dims): a density operator of dimension 2-6, possibly
+    rank deficient, and a full-rank reference, each in its own random
+    eigenbasis; dims splits the dimension into pinching blocks."""
+    d = draw(st.integers(2, 6))
+    split = draw(st.integers(1, d - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def rotated(eigs):
+        z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        u, _ = np.linalg.qr(z)
+        return (u * np.asarray(eigs)) @ u.conj().T
+
+    r = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                      min_size=d, max_size=d).filter(lambda w: sum(w) > 1e-3))
+    s = draw(st.lists(st.floats(1e-3, 1.0), min_size=d, max_size=d))
+    return rotated(np.array(r) / sum(r)), rotated(s), [split, d - split]
+
+
+class TestEntropyLaws:
+    """Divergence laws on random PSD pairs, at the 1e-9 slack of the
+    seeded sweeps above."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=psd_pairs(), alphas=st.lists(st.floats(1.01, 2.0), min_size=2,
+                                             max_size=2, unique=True))
+    def test_monotone_in_alpha(self, pair, alphas):
+        rho, sigma, _ = pair
+        lo, hi = sorted(alphas)
+        assert (renyi_divergence(rho, sigma, lo)
+                <= renyi_divergence(rho, sigma, hi) + 1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=psd_pairs(), alpha=st.floats(1.01, 2.0))
+    def test_pinching_never_increases(self, pair, alpha):
+        rho, sigma, dims = pair
+        pinch = pinching_channel(dims)
+        assert (renyi_divergence(pinch(rho), pinch(sigma), alpha)
+                <= renyi_divergence(rho, sigma, alpha) + 1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=psd_pairs())
+    def test_collision_divergence_below_dmax(self, pair):
+        rho, sigma, _ = pair
+        assert renyi_divergence(rho, sigma, 2.0) <= dmax(rho, sigma) + 1e-9
 
 
 class TestSmoothing:

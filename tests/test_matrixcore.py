@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from direx.errors import InvalidOperatorError
 from direx.matrixcore import (
     HermitianOperator,
     PsdOperator,
+    as_matrix,
     eig_hermitian,
     from_pairs,
     loewner_leq,
     matrix_power,
     min_eigenvalue,
+    pseudo_power,
     schatten_norm,
     to_pairs,
 )
@@ -104,6 +108,89 @@ class TestMatrixPower:
     def test_zero_eigenvalue_maps_to_zero(self):
         out = matrix_power(PsdOperator.from_array(np.diag([1.0, 0.0])), 0.3)
         assert np.allclose(out.entries, np.diag([1.0, 0.0]))
+
+    def test_large_power_of_rotated_matrix(self):
+        # rebuilding 30**3 in a rotated eigenbasis leaves an anti-Hermitian
+        # residue of ~1e-12, above HermitianOperator's absolute tolerance
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            u, _ = np.linalg.qr(z)
+            a = (u * np.array([30.0, 1.0])) @ u.conj().T
+            out = matrix_power(PsdOperator.from_array(a), 3)
+            expect = (u * np.array([27000.0, 1.0])) @ u.conj().T
+            assert np.max(np.abs(out.entries - expect)) <= 1e-9
+
+
+def reference_psd_sqrt(m):
+    """Square root of the Hermitian part, negative eigenvalues clamped."""
+    w, u = np.linalg.eigh(0.5 * (m + m.conj().T))
+    return (u * np.sqrt(np.where(w > 0, w, 0.0))) @ u.conj().T
+
+
+def reference_positive_part(m):
+    """Positive part of the Hermitian part of a matrix."""
+    w, u = np.linalg.eigh(0.5 * (m + m.conj().T))
+    return (u * np.where(w > 0, w, 0.0)) @ u.conj().T
+
+
+def reference_matrix_power(a, p):
+    """The eigenbasis power that wraps its rebuild without symmetrizing."""
+    w, u = np.linalg.eigh(a.entries)
+    w = np.where(w < 0.0, 0.0, w)
+    wp = np.where(w > 0.0, w**p, 0.0)
+    return PsdOperator((u * wp) @ u.conj().T)
+
+
+@st.composite
+def hermitian_matrices(draw, min_eig=-5.0):
+    """Hermitian complex matrices of dimension 1-8 in a random eigenbasis,
+    with exact zero and repeated eigenvalues among the draws, plus an
+    optional anti-Hermitian residue of rounding size."""
+    d = draw(st.integers(1, 8))
+    eig = st.one_of(st.just(0.0), st.floats(min_eig, 50.0))
+    w = np.array(draw(st.lists(eig, min_size=d, max_size=d)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    m = (u * w) @ u.conj().T
+    if draw(st.booleans()):
+        r = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        m = m + 1e-13 * (r - r.conj().T)
+    return m
+
+
+class TestSpectralKernel:
+    """Every eigenbasis rebuild goes through pseudo_power; it must reproduce
+    the dedicated rebuilds it replaced bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=hermitian_matrices())
+    def test_square_root_and_positive_part(self, m):
+        assert np.array_equal(pseudo_power(m, 0.5, cutoff=0.0),
+                              reference_psd_sqrt(m))
+        assert np.array_equal(pseudo_power(m, 1.0, cutoff=0.0),
+                              reference_positive_part(m))
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=hermitian_matrices(min_eig=0.0), p=st.floats(0.1, 3.0))
+    def test_matrix_power(self, m, p):
+        a = PsdOperator.from_array(0.5 * (m + m.conj().T))
+        try:
+            expect = reference_matrix_power(a, p)
+        except InvalidOperatorError:
+            return
+        assert np.array_equal(matrix_power(a, p).entries, expect.entries)
+
+    def test_psd_operator_is_hermitian_operator(self):
+        p = PsdOperator.from_array(np.diag([2.0, 1.0]))
+        assert isinstance(p, HermitianOperator)
+        assert p.dim == 2 and p.trace() == 3.0
+        assert as_matrix(p) is p.entries
+        assert min_eigenvalue(p) == 1.0
+
+    def test_as_matrix_keeps_real_arrays_real(self):
+        assert as_matrix(np.eye(2)).dtype == np.float64
+        assert as_matrix(np.eye(2), np.complex128).dtype == np.complex128
 
 
 class TestSchattenNorm:

@@ -6,20 +6,18 @@ from direx.rates import (
     RateParams,
     RateReport,
     TUNE_GRID,
-    big_pi,
     binary_entropy,
     certified_bound,
-    delta_rate,
     feasible,
-    lambda_rate,
+    limit_exponent,
     limit_exponent_slope,
     maximize_bound,
     one_round_rate,
     optimal_multiplier,
     rate_T_E,
-    small_pi,
     smallest_positive_root_of_limit_exponent,
     tune_parameters,
+    uncertainty_exponent,
     worst_case_rate,
 )
 from direx.xorgames import ghz_constants
@@ -45,42 +43,43 @@ def lambda_oracle(v, h, q, kappa, r, t):
 class TestExponent:
     def test_zero_delta_is_one(self):
         for eps in (0.01, 0.3, 1.0):
-            assert big_pi(eps, 0.0) == 1.0
-            assert big_pi(eps, 1.0) == 1.0  # symmetric extension
+            assert uncertainty_exponent(eps, 0.0) == 1.0
+            assert uncertainty_exponent(eps, 1.0) == 1.0  # symmetric extension
 
     def test_limit_comparison(self):
-        assert abs(big_pi(1e-4, 0.2) - small_pi(0.2)) < 0.01
+        assert abs(uncertainty_exponent(1e-4, 0.2) - limit_exponent(0.2)) < 0.01
 
     def test_hand_evaluation_half_half(self):
         # 1 - 4*log2(2*sqrt(1/2)) = 1 - 4*(1/2) = -1
-        assert big_pi(0.5, 0.5) == pytest.approx(-1.0)
+        assert uncertainty_exponent(0.5, 0.5) == pytest.approx(-1.0)
 
     def test_matches_oracle_on_grid(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             eps = float(rng.uniform(0.01, 1.0))
             d = float(rng.uniform(0.0, 1.0))
-            assert big_pi(eps, d) == pytest.approx(pi_oracle(eps, d), abs=1e-9)
+            assert uncertainty_exponent(eps, d) == pytest.approx(
+                pi_oracle(eps, d), abs=1e-9)
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             eps = float(rng.uniform(0.01, 1.0))
             d = float(rng.uniform(0.0, 1.0))
-            assert big_pi(eps, d) == big_pi(eps, 1.0 - d)
+            assert uncertainty_exponent(eps, d) == uncertainty_exponent(eps, 1.0 - d)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            big_pi(0.0, 0.5)
+            uncertainty_exponent(0.0, 0.5)
         with pytest.raises(ValueError):
-            big_pi(0.5, 1.5)
+            uncertainty_exponent(0.5, 1.5)
 
 
 class TestLimitExponent:
     def test_endpoints(self):
-        assert small_pi(0.0) == 1.0
-        assert small_pi(1.0) == 1.0
-        assert small_pi(0.5) == pytest.approx(-1.0)
+        assert limit_exponent(0.0) == 1.0
+        assert limit_exponent(1.0) == 1.0
+        assert limit_exponent(0.5) == pytest.approx(-1.0)
 
     def test_root_location(self):
         root = smallest_positive_root_of_limit_exponent()
@@ -106,7 +105,7 @@ class TestLimitExponent:
 
     def test_slope_formula_matches_finite_difference(self):
         for y in (0.05, 0.11, 0.3, 0.45):
-            fd = (small_pi(y + 1e-7) - small_pi(y - 1e-7)) / 2e-7
+            fd = (limit_exponent(y + 1e-7) - limit_exponent(y - 1e-7)) / 2e-7
             assert limit_exponent_slope(y) == pytest.approx(fd, rel=1e-5)
 
 
@@ -114,7 +113,7 @@ class TestOneRoundRate:
     def test_limit_towards_small_parameters(self):
         for t0 in (0.05, 0.1, 0.4):
             lam = one_round_rate(0.14, 0.0, 1e-4, 1e-4, 0.5, t0)
-            target = small_pi(t0) + (0.0 / 2 + 0.14 * t0) / 0.5
+            target = limit_exponent(t0) + (0.0 / 2 + 0.14 * t0) / 0.5
             assert abs(lam - target) < 0.01
 
     def test_frozen_point_against_oracle(self):
@@ -142,7 +141,7 @@ class TestOneRoundRate:
 
     def test_params_wrapper(self):
         p = RateParams(v=0.14, h=0.0, eta=0.01, q=0.01, kappa=0.1, r=1.0)
-        assert lambda_rate(p, 0.1) == pytest.approx(
+        assert one_round_rate(p.v, p.h, p.q, p.kappa, p.r, 0.1) == pytest.approx(
             one_round_rate(0.14, 0.0, 0.01, 0.1, 1.0, 0.1))
 
 
@@ -171,7 +170,8 @@ class TestWorstCaseRate:
 
     def test_params_wrapper(self):
         p = RateParams(v=0.5, h=0.1, eta=0.1, q=0.05, kappa=0.5, r=1.0)
-        assert delta_rate(p) == pytest.approx(worst_case_rate(0.5, 0.1, 0.05, 0.5, 1.0))
+        assert worst_case_rate(p.v, p.h, p.q, p.kappa, p.r) == pytest.approx(
+            worst_case_rate(0.5, 0.1, 0.05, 0.5, 1.0))
 
 
 class TestRateCoefficients:
@@ -183,7 +183,7 @@ class TestRateCoefficients:
         for v, h, eta in self.GRID:
             assert eta < 0.11 * v
             t_val, e_val = rate_T_E(v, h, eta, 1e-4, 1e-4)
-            assert abs(t_val - small_pi(eta / v)) <= 0.01
+            assert abs(t_val - limit_exponent(eta / v)) <= 0.01
             assert abs(e_val - (-2 * limit_exponent_slope(eta / v) / v)) <= 0.05
 
     def test_positive_at_small_parameters(self):
@@ -193,6 +193,12 @@ class TestRateCoefficients:
     def test_eta_domain(self):
         with pytest.raises(ValueError):
             rate_T_E(0.14, 0.0, 0.08, 1e-3, 1e-3)
+
+    def test_q_and_kappa_domain(self):
+        # both enter a divisor; zero must be a ValueError, not a crash
+        for q, kappa in ((0.0, 1e-3), (1e-3, 0.0)):
+            with pytest.raises(ValueError):
+                rate_T_E(0.14, 0.0, 0.01, q, kappa)
 
     def test_finite_under_perturbation(self):
         rng = np.random.default_rng(4)
@@ -251,7 +257,7 @@ class TestTuneParameters:
     def test_ghz_feasible_with_tenth_slack(self):
         ghz = ghz_constants()
         res = tune_parameters(ghz, 0.01, 0.1)
-        assert res.rate == pytest.approx(small_pi(0.01 / 0.14) - 0.1)
+        assert res.rate == pytest.approx(limit_exponent(0.01 / 0.14) - 0.1)
         assert res.K == pytest.approx(np.sqrt(2))
         assert res.b == pytest.approx(0.1 * res.kappa0 / (2 * res.E_cap))
         assert res.q0 in TUNE_GRID and res.kappa0 in TUNE_GRID
@@ -259,7 +265,7 @@ class TestTuneParameters:
     def test_corner_region_really_qualifies(self):
         ghz = ghz_constants()
         res = tune_parameters(ghz, 0.01, 0.1)
-        target = small_pi(0.01 / 0.14)
+        target = limit_exponent(0.01 / 0.14)
         for q in TUNE_GRID:
             for kappa in TUNE_GRID:
                 if q <= res.q0 and kappa <= res.kappa0:
