@@ -202,6 +202,10 @@ def _behavior_from_args(args):
 
 
 def cmd_simulate(args) -> int:
+    if args.N < 0:
+        raise ValueError(f"--N must be nonnegative, got {args.N}")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     master = parse_master_seed(args.seed)
     game = load_game(args.game)
     behavior = _behavior_from_args(args)
@@ -269,6 +273,9 @@ def cmd_trust(args) -> int:
 
 
 def cmd_qkd(args) -> int:
+    if args.N < 3:
+        raise ValueError(
+            f"--N must be at least 3 (the shortest Hamming code), got {args.N}")
     master = parse_master_seed(args.seed)
     game = load_game(args.game)
     behavior = _behavior_from_args(args)

@@ -60,15 +60,18 @@ class HermitianOperator:
 class PsdOperator(HermitianOperator):
     """A positive semidefinite Hermitian operator.
 
-    Eigenvalues in [-1e-10, 0) are treated as numerical noise and clamped
-    to zero by :func:`matrix_power`; anything more negative is rejected at
-    construction.
+    Eigenvalues in [-1e-10 * max(1, ||A||), 0) are treated as numerical
+    noise and clamped to zero by :func:`matrix_power`; anything more
+    negative is rejected at construction.  The floor scales with the
+    spectral norm because an eigensolver's rounding does: a zero eigenvalue
+    next to an eigenvalue of 1e9 comes back as about -1e-7.
     """
 
     def __post_init__(self):
         super().__post_init__()
-        lo = min_eigenvalue(self)
-        if lo < PSD_EIG_FLOOR:
+        w = np.linalg.eigvalsh(self.entries)
+        lo = float(w[0])
+        if lo < PSD_EIG_FLOOR * max(1.0, -lo, float(w[-1])):
             raise InvalidOperatorError(
                 f"matrix is not PSD (smallest eigenvalue {lo:.3e})"
             )
@@ -120,7 +123,8 @@ def matrix_power(a: PsdOperator, p: float) -> PsdOperator:
     """Raise a PSD operator to a positive real power in its eigenbasis.
 
     Zero eigenvalues map to zero for every ``p > 0`` (the convention
-    ``0**p = 0``); eigenvalues in [-1e-10, 0) are clamped to zero first.
+    ``0**p = 0``); the small negative eigenvalues PsdOperator tolerates
+    are clamped to zero first.
     """
     if not isinstance(a, PsdOperator):
         a = PsdOperator.from_array(a)

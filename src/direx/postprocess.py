@@ -161,11 +161,13 @@ class ChainedBitSource:
     output), then tops up from a fallback stream, counting the shortfall.
 
     It offers the part of the BitStream interface the protocols draw on:
-    take, take_bit and consumed.
+    take, take_bit, peek, advance and consumed.
     """
 
     def __init__(self, bits, fallback: BitStream):
-        self._queue = [int(b) for b in bits]
+        # the queue as a string of '0'/'1' characters: a k-bit read is one
+        # slice and one int() parse
+        self._queue = (np.asarray(bits, dtype=np.uint8) + ord("0")).tobytes().decode()
         self._fallback = fallback
         self.from_queue = 0
         self.topped_up = 0
@@ -174,19 +176,34 @@ class ChainedBitSource:
     def consumed(self) -> int:
         return self.from_queue + self.topped_up
 
-    def take_bit(self) -> int:
-        if self.from_queue < len(self._queue):
-            self.from_queue += 1
-            return self._queue[self.from_queue - 1]
-        self.topped_up += 1
-        return self._fallback.take_bit()
+    def peek(self, k: int) -> int:
+        """The next k bits as an integer, without drawing them."""
+        at = self.from_queue
+        head = self._queue[at:at + k]
+        short = k - len(head)
+        out = int(head, 2) if head else 0
+        if short:
+            out = (out << short) | self._fallback.peek(short)
+        return out
+
+    def advance(self, k: int):
+        """Draw k bits: from the queue while it lasts, then the fallback."""
+        short = k - (len(self._queue) - self.from_queue)
+        if short > 0:
+            self._fallback.advance(short)
+            self.from_queue = len(self._queue)
+            self.topped_up += short
+        else:
+            self.from_queue += k
 
     def take(self, k: int) -> int:
         """Draw k bits and return them as an integer (big-endian)."""
-        out = 0
-        for _ in range(k):
-            out = (out << 1) | self.take_bit()
+        out = self.peek(k)
+        self.advance(k)
         return out
+
+    def take_bit(self) -> int:
+        return self.take(1)
 
 
 @dataclass(frozen=True)

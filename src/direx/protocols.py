@@ -34,11 +34,25 @@ from .devices import (
     respond,
 )
 from .entropy import BlockOperator, renyi_divergence
+from .errors import SeedExhaustedError
 from .rates import worst_case_rate
 from .seeding import BitStream, numpy_rng, substream
 from .xorgames import XorGame, as_fraction
 
 SYMBOLS = ("H", "T", "P", "F")
+
+
+# the binary decoder's float shadow (see CategoricalSampler)
+_WORD = 64                     # seed bits peeked per decision
+_TWO_WORD = float(1 << _WORD)
+_MAX_READ = 48                 # longer reads take the exact step
+_POW2 = [float(1 << r) for r in range(_WORD + 1)]
+_MAX_PENDING = 96              # emissions between commits
+_FRESH_ERR = 2.0 ** -50        # error of t per unit of |t| + 1 when rebuilt
+_STEP_ERR = 2.0 ** -45         # error of t per emission per unit of den·g;
+                               # >= (2 * _MAX_PENDING + 3) * 2^-53
+_GROW = 1 + 2.0 ** -40         # covers the rounding of g's rescaling
+_COMMIT_ERR = 2.0 ** -16       # commit once the error of t exceeds this
 
 
 class CategoricalSampler:
@@ -49,56 +63,217 @@ class CategoricalSampler:
     fits inside one slice of the current interval, so consumption tracks
     the entropy rate (Han-Hoshi interval algorithm).  The state is kept
     relative to the interval's low end as three integers: the window's
-    offset L and width W, and the interval's width U.  All arithmetic is
-    integer-exact; the state is reset every ``block`` symbols to keep the
-    integers bounded, wasting at most a few bits per block.
+    offset L and width W, and the interval's width U.  The state is reset
+    every ``block`` symbols to keep the integers bounded, wasting at most a
+    few bits per block.
+
+    Three paths give the symbols and bit counts of the plain integer loop
+    (``_exact_symbols``); the table alone picks one:
+
+    (a) Uniform 2^k tables (every positive slice one unit wide, den = 2^k)
+        return the positive slice that ``stream.take(k)`` names.  From a
+        state c·(0, 1, 1) the window spans more than one slice until k bits
+        are read; after exactly k bits it is one slice, and emitting it
+        gives a state c'·(0, 1, 1) again.  Block resets give (0, 1, 1), so
+        every symbol is one k-bit take.
+    (b) Two-slice tables [0, a) and [a, den) decide on floats: the cut's
+        position in the window, t = (a·U - L·den) / (W·den), and
+        g = U / (W·den).  The loop emits slice 0 when t >= 1 and slice 1
+        when t <= 0, reading nothing.  Otherwise it reads until the bits
+        leave t's binary expansion: r = (common prefix of the next seed
+        bits and t) + 1 bits, then emits the slice on the side of the last
+        bit.  A read of bits B maps t <- 2^r·t - B, g <- 2^r·g, exactly in
+        floats; emitting slice 0 maps g <- g·a/den, t <- t - (den - a)·g,
+        and slice 1 maps g <- g·(den - a)/den, t <- t + a·g.
+        eps bounds the float error of t and is kept as e = eps / g.  A
+        rebuild from the integers is correctly rounded, so it starts at
+        eps = 2^-50·(|t| + 1).  A read scales g and eps by 2^r and leaves e
+        as it is.  An emission rescales e by den/width (times 1 + 2^-40)
+        and adds den·2^-45: t/g is a - y for a window start y in [0, den),
+        so that term covers the rounding of t and of the step, whose g has
+        a relative error of at most (2n + 1)·2^-53 after n emissions.  A
+        decision is taken only when [t - eps, t + eps] avoids every dyadic
+        point of level r.  An uncertain decision or r > 48 takes one step
+        of the integer loop instead.
+        Pending steps, n emissions and R reads, commit to the integers in
+        closed form:
+            L <- L·den^n·2^R + W·den^n·B - U·2^R·Z
+            W <- W·den^n,  U <- U·2^R·P
+        where B holds the R bits read, P is the product of the emitted
+        slices' widths and Z <- Z·den + low·P per emission.  Commits happen
+        before an integer step, after 96 emissions, or once eps exceeds
+        2^-16; each rebuilds t and g.
+    (c) Every other table, and every table on a capped stream (``limit``,
+        so that exhaustion fails bit by bit), runs the integer loop.
     """
 
     def __init__(self, weights, stream: BitStream, block: int = 4096):
         fracs = [as_fraction(w) for w in weights]
         if any(w < 0 for w in fracs) or sum(fracs) != 1:
             raise ValueError("weights must be nonnegative rationals summing to 1")
-        self._den = den = lcm(*(w.denominator for w in fracs))
+        den = lcm(*(w.denominator for w in fracs))
         cum = [0, *accumulate(int(w * den) for w in fracs)]
         # the positive-weight slices as (symbol, low end, high end) in
         # units of 1/den
-        self._slices = [(k, cum[k], cum[k + 1]) for k in range(len(fracs))
-                        if cum[k] < cum[k + 1]]
-        self._take_bit = stream.take_bit
-        self._block = block
-        self._consumed = 0
-        self._reset()
-
-    def _reset(self):
-        self._L, self._W, self._U = 0, 1, 1
-        self._emitted_in_block = 0
+        slices = [(k, cum[k], cum[k + 1]) for k in range(len(fracs))
+                  if cum[k] < cum[k + 1]]
+        # bits drawn so far, shared with the decoding generator
+        self._count = count = [0]
+        block = max(block, 1)
+        capped = getattr(stream, "limit", None) is not None
+        if not capped and den == len(slices) and den & (den - 1) == 0:
+            symbols = _uniform_symbols(count, stream, den.bit_length() - 1,
+                                       [k for k, _, _ in slices])
+        elif not capped and len(slices) == 2:
+            symbols = _binary_symbols(count, stream, den, slices, block)
+        else:
+            symbols = _exact_blocks(count, stream, den, slices, block)
+        self._next = symbols.__next__
 
     @property
     def consumed(self) -> int:
         """Bits this sampler has drawn from its stream so far."""
-        return self._consumed
+        return self._count[0]
 
     def sample(self) -> int:
         """Emit the next symbol index, drawing bits only as needed."""
-        if self._emitted_in_block >= self._block:
-            self._reset()
+        try:
+            return self._next()
+        except StopIteration:
+            # the decoding generator ended when its stream ran out
+            raise SeedExhaustedError("sampler's seed stream is exhausted",
+                                     bits_needed=1) from None
+
+
+def _exact_symbols(count, stream, den, slices, n, L=0, W=1, U=1):
+    """The integer interval decoder: yield n symbols from state (L, W, U),
+    then return the state."""
+    take = stream.take
+    for _ in range(n):
         # refine the scale by den: the interval's slices are then
         # [U * low, U * high) in whole units
-        den = self._den
-        L, W, U = self._L * den, self._W * den, self._U
+        L, W = L * den, W * den
         while True:
-            for k, low, high in self._slices:
+            for k, low, high in slices:
                 top = U * high
                 if L < top:
                     break
             if L + W <= top:
-                self._L, self._W, self._U = L - U * low, W, U * (high - low)
-                self._emitted_in_block += 1
-                return k
+                break
             # the window straddles a slice boundary: read one more bit
-            L = 2 * L + (W if self._take_bit() else 0)
+            L = 2 * L + (W if take(1) else 0)
             U *= 2
-            self._consumed += 1
+            count[0] += 1
+        L, U = L - U * low, U * (high - low)
+        yield k
+    return L, W, U
+
+
+def _exact_blocks(count, stream, den, slices, block):
+    while True:
+        yield from _exact_symbols(count, stream, den, slices, block)
+
+
+def _uniform_symbols(count, stream, k, symbols):
+    take = stream.take
+    while True:
+        v = take(k)
+        count[0] += k
+        yield symbols[v]
+
+
+def _commit(L, W, U, den, a, n, R, B, ones):
+    """The integer state after n pending emissions and R pending reads of
+    bits B; ones lists the (1-based) emissions of slice [a, den)."""
+    if not n:
+        return L, W, U
+    # P: product of the emitted widths; Z <- Z·den + low·P per emission,
+    # with the runs of slice-0 emissions (low 0, width a) taken as powers
+    Z, P, last = 0, 1, 0
+    for j in ones:
+        P *= a ** (j - 1 - last)
+        Z = Z * den ** (j - last) + a * P
+        P *= den - a
+        last = j
+    P *= a ** (n - last)
+    Z *= den ** (n - last)
+    dn = den ** n
+    return (L * dn << R) + W * dn * B - (U * Z << R), W * dn, U * P << R
+
+
+def _shadow(L, W, U, den, a):
+    """The float shadow (t, g) of an integer state and the error bound of
+    t in units of g."""
+    Wd = W * den
+    t = (a * U - L * den) / Wd
+    g = U / Wd
+    return t, g, ((t if t > 0 else -t) + 1) * _FRESH_ERR / g
+
+
+def _binary_symbols(count, stream, den, slices, block):
+    (sym0, _, a), (sym1, _, _) = slices
+    b = den - a
+    scale0, scale1 = a / den, b / den
+    # an emission maps the error bound e (in units of g) to e·grow + add
+    grow0, grow1 = den / a * _GROW, den / b * _GROW
+    add = den * _STEP_ERR
+    peek, advance = stream.peek, stream.advance
+    while True:
+        L, W, U = 0, 1, 1
+        t, g, e = _shadow(L, W, U, den, a)
+        n = R = B = 0
+        ones = []
+        one = ones.append
+        for _ in range(block):
+            eps = e * g
+            if eps > _COMMIT_ERR or n >= _MAX_PENDING:
+                L, W, U = _commit(L, W, U, den, a, n, R, B, ones)
+                n = R = B = 0
+                ones.clear()
+                t, g, e = _shadow(L, W, U, den, a)
+                eps = e * g
+            lo = t - eps
+            if lo >= 1:
+                s = 0
+            elif t + eps <= 0:
+                s = 1
+            else:
+                # r = (common prefix of the next seed bits and t) + 1, or
+                # more than _MAX_READ when that prefix is too long to use
+                word = peek(_WORD)
+                r = _WORD + 1 - ((word ^ int(t * _TWO_WORD)) | 1).bit_length()
+                bits = word >> (_WORD - r)
+                edge = bits ^ 1  # t's own first r bits
+                scale = _POW2[r]
+                if (r > _MAX_READ or not edge < lo * scale
+                        or not (t + eps) * scale < edge + 1):
+                    # uncertain: commit, take the exact step, rebuild
+                    L, W, U = yield from _exact_symbols(
+                        count, stream, den, slices, 1,
+                        *_commit(L, W, U, den, a, n, R, B, ones))
+                    n = R = B = 0
+                    ones.clear()
+                    t, g, e = _shadow(L, W, U, den, a)
+                    continue
+                advance(r)
+                count[0] += r
+                B = (B << r) | bits
+                R += r
+                t = t * scale - bits
+                g *= scale
+                s = bits & 1
+            n += 1
+            if s:
+                g *= scale1
+                t += a * g
+                e = e * grow1 + add
+                one(n)
+                yield sym1
+            else:
+                g *= scale0
+                t -= b * g
+                e = e * grow0 + add
+                yield sym0
 
 
 def biased_bit_sampler(q, stream: BitStream, N: int, block: int = 4096):

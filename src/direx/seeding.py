@@ -42,6 +42,8 @@ class BitStream:
     def __init__(self, master: bytes, label: str, limit: int | None = None):
         self._prefix = master + label.encode("utf-8")
         self._counter = 0
+        # the unread bits are the low _buffered bits of _buffer; the bits
+        # above them are already drawn and are masked off on refill
         self._buffer = 0
         self._buffered = 0
         self.consumed = 0
@@ -52,25 +54,43 @@ class BitStream:
             self._prefix + self._counter.to_bytes(8, "big")
         ).digest()
         self._counter += 1
-        self._buffer = (self._buffer << 256) | int.from_bytes(block, "big")
+        self._buffer = (((self._buffer & ((1 << self._buffered) - 1)) << 256)
+                        | int.from_bytes(block, "big"))
         self._buffered += 256
+
+    def _refuse(self, k: int):
+        if k < 0:
+            raise ValueError("cannot draw a negative number of bits")
+        raise SeedExhaustedError(
+            f"seed stream exhausted after {self.consumed} bits",
+            bits_needed=self.consumed + k - self.limit,
+        )
 
     def take(self, k: int) -> int:
         """Draw k bits and return them as an integer (big-endian)."""
-        if k < 0:
-            raise ValueError("cannot draw a negative number of bits")
-        if self.limit is not None and self.consumed + k > self.limit:
-            raise SeedExhaustedError(
-                f"seed stream exhausted after {self.consumed} bits",
-                bits_needed=self.consumed + k - self.limit,
-            )
+        if k < 0 or (self.limit is not None and self.consumed + k > self.limit):
+            self._refuse(k)
         while self._buffered < k:
             self._refill()
         self._buffered -= k
-        out = self._buffer >> self._buffered
-        self._buffer &= (1 << self._buffered) - 1
         self.consumed += k
-        return out
+        return (self._buffer >> self._buffered) & ((1 << k) - 1)
+
+    def peek(self, k: int) -> int:
+        """The next k bits as an integer, without drawing them.  The cap
+        does not apply: peeked bits count only once advance draws them."""
+        while self._buffered < k:
+            self._refill()
+        return (self._buffer >> (self._buffered - k)) & ((1 << k) - 1)
+
+    def advance(self, k: int):
+        """Draw k bits without returning them (after a peek of at least k)."""
+        if k < 0 or (self.limit is not None and self.consumed + k > self.limit):
+            self._refuse(k)
+        while self._buffered < k:
+            self._refill()
+        self._buffered -= k
+        self.consumed += k
 
     def take_bit(self) -> int:
         return self.take(1)

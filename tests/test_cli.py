@@ -238,6 +238,23 @@ class TestVerify:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("argv, named", [
+        (("simulate", "--N", "100", "--q", "0.1", "--eta", "0.05",
+          "--trials", "0"), "--trials"),
+        (("simulate", "--N", "-5", "--q", "0.1", "--eta", "0.05"), "--N"),
+        (("qkd", "--N", "0", "--q", "0.1"), "--N"),
+        (("qkd", "--N", "2", "--q", "0.1"), "--N"),
+    ])
+    def test_bad_input_names_the_flag(self, monkeypatch, capsys, argv, named):
+        from direx import cli
+
+        def no_analysis(name):
+            raise AssertionError("game analysis started")
+        monkeypatch.setattr(cli, "_resolve_constants", no_analysis)
+        assert run_cli(*argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+
     def test_unknown_command(self):
         assert run_cli("frobnicate") == EXIT_USAGE
 

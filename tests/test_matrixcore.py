@@ -121,6 +121,23 @@ class TestMatrixPower:
             expect = (u * np.array([27000.0, 1.0])) @ u.conj().T
             assert np.max(np.abs(out.entries - expect)) <= 1e-9
 
+    def test_zero_eigenvalue_next_to_large_one(self):
+        # the rebuilt cube's zero eigenvalue comes back near -1e-7, which an
+        # absolute floor of -1e-10 rejected for about half of these bases
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            u, _ = np.linalg.qr(z)
+            a = (u * np.array([1000.0, 1.0, 0.0])) @ u.conj().T
+            out = matrix_power(PsdOperator.from_array(a), 3)
+            expect = (u * np.array([1e9, 1.0, 0.0])) @ u.conj().T
+            assert np.max(np.abs(out.entries - expect)) <= 1e-9 * 1e9
+
+    def test_psd_floor_scales_with_norm(self):
+        assert PsdOperator.from_array(np.diag([1e9, -5e-8])).dim == 2
+        with pytest.raises(InvalidOperatorError):
+            PsdOperator.from_array(np.diag([1e9, -1.0]))
+
 
 def reference_psd_sqrt(m):
     """Square root of the Hermitian part, negative eigenvalues clamped."""

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from direx.devices import ghz_honest_device
 from direx.errors import InfeasibleError
@@ -78,6 +80,36 @@ class TestToeplitz:
         assert total_sd / masks.shape[0] <= 2.0**-2
 
 
+def _bits(data, n):
+    return np.array(data.draw(st.lists(st.integers(0, 1), min_size=n,
+                                       max_size=n)), dtype=np.uint8)
+
+
+class TestToeplitzProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 120), m=st.integers(1, 40), data=st.data())
+    def test_linear_in_source_and_seed(self, n, m, data):
+        x, y = _bits(data, n), _bits(data, n)
+        s, r = _bits(data, n + m - 1), _bits(data, n + m - 1)
+        assert np.array_equal(
+            toeplitz_extract(x ^ y, s, m),
+            toeplitz_extract(x, s, m) ^ toeplitz_extract(y, s, m))
+        assert np.array_equal(
+            toeplitz_extract(x, s ^ r, m),
+            toeplitz_extract(x, s, m) ^ toeplitz_extract(x, r, m))
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 60), m=st.integers(1, 30),
+           seed_len=st.integers(0, 100), data=st.data())
+    def test_seed_length_contract(self, n, m, seed_len, data):
+        x, seed = _bits(data, n), _bits(data, seed_len)
+        if seed_len == n + m - 1:
+            assert toeplitz_extract(x, seed, m).shape == (m,)
+        else:
+            with pytest.raises(ValueError):
+                toeplitz_extract(x, seed, m)
+
+
 class TestExtractorSpec:
     def test_budget_enforced(self):
         with pytest.raises(InfeasibleError):
@@ -110,6 +142,21 @@ class TestLedger:
         led.entries[1] = LedgerEntry(1, 1, Fraction(1, 8), Fraction(1, 32),
                                      False, 0)
         assert not led.check_totals()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40),
+                              st.booleans()), max_size=12))
+    def test_totals_add_up(self, entries):
+        led = ErrorLedger()
+        for i, (ks, kc, vacuous) in enumerate(entries):
+            led.add(LedgerEntry(stage=i, device_id=i % 2,
+                                soundness=Fraction(1, 2 ** ks),
+                                completeness=Fraction(3, 2 ** (kc + 2)),
+                                vacuous=vacuous, seed_from_stage=i - 1))
+        assert led.total_soundness == sum(e.soundness for e in led.entries)
+        assert led.total_completeness == sum(e.completeness
+                                             for e in led.entries)
+        assert led.check_totals()
 
     def test_wiring_violation_detected(self):
         led = ErrorLedger()
@@ -172,6 +219,30 @@ class TestCrossFeed:
                          MASTER)
         led = res.ledger
         assert led.total_soundness == led.entries[0].soundness + led.entries[1].soundness
+
+    @settings(max_examples=6, deadline=None)
+    @given(stages=st.lists(st.tuples(st.sampled_from([10_000, 12_000]),
+                                     st.integers(10, 20), st.integers(1, 32),
+                                     st.integers(3, 10)),
+                           min_size=1, max_size=2),
+           label=st.integers(0, 10**6))
+    def test_ledger_totals_are_entry_sums(self, stages, label):
+        dev = ghz_honest_device()
+        res = cross_feed(
+            ghz_game(), ghz_constants(), dev, dev,
+            [CrossFeedStage(N=n, q=0.5, eta=0.002, kappa=2.6, epsilon_exp=e,
+                            m_out=m, ext_error_exp=x) for n, e, m, x in stages],
+            parse_master_seed(f"{label:x}"))
+        led = res.ledger
+        assert len(led.entries) == len(stages)
+        assert led.total_soundness == sum(e.soundness for e in led.entries)
+        assert led.total_completeness == sum(e.completeness
+                                             for e in led.entries)
+        assert led.check_totals() and led.check_wiring()
+        for prev, stage in zip(res.stages, res.stages[1:]):
+            assert (stage.seed_from_previous + stage.seed_topped_up
+                    == stage.seed_bits_used)
+            assert stage.seed_from_previous <= len(prev.output_bits)
 
     def test_output_capped_by_bound(self):
         dev = ghz_honest_device()

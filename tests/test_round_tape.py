@@ -10,14 +10,18 @@ from fractions import Fraction
 from math import gcd
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from direx import protocols
 from direx.devices import (
     NoisyHonestBehavior,
     chsh_honest_device,
     ghz_honest_device,
 )
+from direx.errors import SeedExhaustedError
+from direx.postprocess import ChainedBitSource
 from direx.protocols import (
     CategoricalSampler,
     ProtocolConfig,
@@ -84,10 +88,11 @@ class ReferenceSampler:
             self._consume_bit()
 
 
-def _draw_all(make, first, second, draws, label):
+def _draw_all(make, first, second, draws, label, stream=None):
     """Alternate two samplers on one stream, as the round engine does with
     its g and input samplers; return the symbols and each one's bits."""
-    stream = substream(MASTER, label)
+    if stream is None:
+        stream = substream(MASTER, label)
     samplers = [make(first, stream), make(second, stream)]
     used = [0, 0]
     out = []
@@ -101,6 +106,38 @@ def _draw_all(make, first, second, draws, label):
 # small rational distributions, zero weights included
 distributions = st.lists(st.integers(0, 12), min_size=1, max_size=5).filter(
     any).map(lambda ws: [Fraction(w, sum(ws)) for w in ws])
+
+
+def _two_slices(p, q, zero_at):
+    """The table [p, q] / (p + q), with a zero weight inserted at zero_at
+    when that is 0, 1 or 2."""
+    weights = [Fraction(p, p + q), Fraction(q, p + q)]
+    if zero_at < 3:
+        weights.insert(zero_at, Fraction(0))
+    return weights
+
+
+# two-slice tables, the float-shadow path
+binary_tables = st.builds(_two_slices, st.integers(1, 10**6),
+                          st.integers(1, 10**6), st.integers(0, 3))
+TABLES = {
+    "uniform": [Fraction(1, 4)] * 4,
+    "quarter": [Fraction(3, 4), Fraction(1, 4)],
+    "twentieth": [Fraction(19, 20), Fraction(1, 20)],
+    "thirds": [Fraction(1, 3)] * 3,
+}
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of protocols.<name> while the test runs."""
+    calls = [0]
+    original = getattr(protocols, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+    monkeypatch.setattr(protocols, name, counted)
+    return calls
 
 
 class TestSamplerAgainstReference:
@@ -119,6 +156,74 @@ class TestSamplerAgainstReference:
         assert new_used == ref_used
         assert [s.consumed for s in samplers] == ref_used
 
+    @settings(max_examples=20, deadline=None)
+    @given(first=binary_tables, second=st.one_of(binary_tables, distributions),
+           draws=st.integers(1000, 5000), label=st.integers(0, 10**6))
+    def test_full_blocks(self, first, second, draws, label):
+        ref = _draw_all(lambda w, s: ReferenceSampler(w, s, 4096), first,
+                        second, draws, f"long/{label}")[:2]
+        new = _draw_all(lambda w, s: CategoricalSampler(w, s, 4096), first,
+                        second, draws, f"long/{label}")[:2]
+        assert new == ref
+
+    def test_commit_and_exact_step_both_run(self, monkeypatch):
+        # t starts at the dyadic point 3/4, so the first decision of each
+        # block is uncertain and takes the exact step
+        commits = _count_calls(monkeypatch, "_commit")
+        exact = _count_calls(monkeypatch, "_exact_symbols")
+        weights = [Fraction(1, 4), Fraction(3, 4)]
+        for block in (37, 4096):
+            runs = []
+            for make in (ReferenceSampler, CategoricalSampler):
+                stream = substream(MASTER, f"paths/{block}")
+                sampler = make(weights, stream, block=block)
+                runs.append(([sampler.sample() for _ in range(5000)],
+                             stream.consumed))
+            assert runs[0] == runs[1]
+        assert commits[0] > 100 and exact[0] > 100
+
+    def test_zero_weights_on_the_binary_path(self, monkeypatch):
+        binary = _count_calls(monkeypatch, "_binary_symbols")
+        weights = [0, Fraction(3, 7), Fraction(4, 7)]
+        runs = []
+        for make in (ReferenceSampler, CategoricalSampler):
+            stream = substream(MASTER, "gap")
+            sampler = make(weights, stream, block=100)
+            runs.append(([sampler.sample() for _ in range(3000)],
+                         stream.consumed))
+        assert runs[0] == runs[1]
+        assert set(runs[1][0]) == {1, 2} and binary[0] == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(TABLES)), limit=st.integers(0, 400),
+           block=st.sampled_from([7, 4096]))
+    def test_capped_stream_fails_like_the_reference(self, name, limit, block):
+        seen = []
+        for make in (ReferenceSampler, CategoricalSampler):
+            stream = substream(MASTER, f"cap/{name}", limit=limit)
+            sampler = make(TABLES[name], stream, block=block)
+            out = []
+            with pytest.raises(SeedExhaustedError) as err:
+                while True:
+                    out.append(sampler.sample())
+            seen.append((out, stream.consumed, err.value.bits_needed))
+        assert seen[0] == seen[1]
+        with pytest.raises(SeedExhaustedError):
+            sampler.sample()  # a spent sampler stays spent
+
+    @settings(max_examples=30, deadline=None)
+    @given(queue=st.lists(st.integers(0, 1), max_size=600),
+           draws=st.integers(0, 2000), label=st.integers(0, 10**6))
+    def test_chained_source(self, queue, draws, label):
+        runs = []
+        for make in (ReferenceSampler, CategoricalSampler):
+            source = ChainedBitSource(queue, substream(MASTER, f"chain/{label}"))
+            out, used, _ = _draw_all(
+                make, [Fraction(3, 4), Fraction(1, 4)], TABLES["uniform"],
+                draws, None, stream=source)
+            runs.append((out, used, source.from_queue, source.topped_up))
+        assert runs[0] == runs[1]
+
     def test_skewed_and_zero_weights(self):
         for weights in ([Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)],
                         [Fraction(1, 256), Fraction(255, 256)],
@@ -130,6 +235,39 @@ class TestSamplerAgainstReference:
                 runs.append(([sampler.sample() for _ in range(3000)],
                              stream.consumed))
             assert runs[0] == runs[1]
+
+
+class TestStreamReads:
+    @settings(max_examples=60, deadline=None)
+    @given(queue=st.one_of(st.none(), st.lists(st.integers(0, 1), max_size=300)),
+           reads=st.lists(st.tuples(st.integers(0, 300), st.integers(0, 300)),
+                          max_size=30),
+           label=st.integers(0, 10**6))
+    def test_peek_and_advance_match_take(self, queue, reads, label):
+        """take(k), and peek(k) followed by advance(j) for j <= k, walk the
+        same bit sequence as one long read of a fresh stream."""
+        stream = substream(MASTER, f"reads/{label}")
+        expect = substream(MASTER, f"reads/{label}").take_bits(
+            sum(max(k, j) for k, j in reads) + 1)
+        if queue is not None:
+            expect = queue + expect
+            stream = ChainedBitSource(queue, stream)
+        at = 0
+        for k, j in reads:
+            bits = expect[at:at + k]
+            want = int("".join(map(str, bits)), 2) if bits else 0
+            if j > k:
+                assert stream.take(k) == want
+                at += k
+            else:
+                assert stream.peek(k) == want
+                assert stream.consumed == at
+                stream.advance(j)
+                at += j
+            assert stream.consumed == at
+        if queue is not None:
+            assert stream.from_queue == min(at, len(queue))
+            assert stream.topped_up == at - stream.from_queue
 
 
 def _scalar_responses(behavior, inputs, input_index, rng):
