@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -220,8 +221,13 @@ def cmd_simulate(args) -> int:
         if eta_prime < args.eta:
             bound = completeness_error_bound(args.eta, eta_prime, args.q,
                                              args.N)
-    stats = monte_carlo(config, behavior, args.trials, master,
-                        completeness_bound=bound, workers=args.workers)
+    try:
+        stats = monte_carlo(config, behavior, args.trials, master,
+                            completeness_bound=bound, workers=args.workers)
+    except BrokenProcessPool as e:
+        raise DirexError(
+            f"a worker process of --workers {args.workers} ended abruptly "
+            f"({e}); rerun with fewer --workers") from e
     print(f"trials {stats.trials}  aborts {stats.aborts}  "
           f"abort rate {stats.abort_rate:.4f}  "
           f"wilson [{stats.wilson_low:.4f}, {stats.wilson_high:.4f}]")
@@ -247,6 +253,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_trust(args) -> int:
+    if not (np.isfinite(args.c) and args.c >= 0):
+        raise ValueError(f"--c must be finite and nonnegative, got {args.c}")
+    for flag, value in (("--grid", args.grid), ("--samples", args.samples),
+                        ("--multistarts", args.multistarts)):
+        if value < 0:
+            raise ValueError(f"{flag} must be nonnegative, got {value}")
+    if args.grid == 0 and args.samples == 0:
+        raise ValueError("--grid 0 with --samples 0 leaves no sample points")
     game = load_game(args.game)
     consts = _resolve_constants(args.game)
     anti = ghz_anticommuter() if game.n == 3 else None
@@ -266,7 +280,12 @@ def cmd_trust(args) -> int:
     rec.update({"game": args.game, "c": args.c, "passed": res.passed,
                 "max_violation": res.max_violation,
                 "samples": res.samples_used,
-                "witness": [[z.real, z.imag] for z in res.witness]})
+                "witness": [[z.real, z.imag] for z in res.witness],
+                "analytic_failures": (res.analytic_failures
+                                      if res.analytic_failures >= 0 else None),
+                "sampling": {"grid": args.grid, "samples": args.samples,
+                             "multistarts": args.multistarts,
+                             "check_seed": args.check_seed}})
     writer.append(rec)
     writer.flush()
     return EXIT_OK if res.passed else EXIT_VIOLATION
@@ -579,6 +598,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
+        if args.workers < 1:
+            raise ValueError(f"--workers must be at least 1, got {args.workers}")
         return args.func(args)
     except (DirexError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -20,6 +20,7 @@ randomness comes from a distinct labeled stream.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -624,6 +625,9 @@ def monte_carlo(config: ProtocolConfig, behavior, trials: int, master: bytes,
     if trials < 1:
         raise ValueError("need at least one trial")
     indices = range(trials)
+    # the fork-based pool starts all its processes up front, so never ask
+    # for more than there are trials or CPUs
+    workers = min(workers, trials, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -14,6 +14,11 @@ from direx.cli import (
 )
 
 
+def exit_in_worker(task):
+    """Stands in for a trial in a worker process and kills that process."""
+    os._exit(1)
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -200,6 +205,52 @@ class TestSimulate:
         assert {r["failures"] for r in records[0][:-1]} != {0}
 
 
+    @pytest.mark.parametrize("workers, trials, cpus, size", [
+        (5000, 2, 64, 2), (5000, 10, 3, 3), (4, 10, None, None)])
+    def test_worker_pool_is_capped(self, tmp_path, monkeypatch, workers,
+                                   trials, cpus, size):
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            """Records its size and runs the trials in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        records = []
+        for w in (workers, 1):
+            out = tmp_path / f"w{w}.jsonl"
+            assert run_cli("--output", str(out), "--workers", str(w),
+                           "simulate", "--N", "100", "--q", "0.1", "--eta",
+                           "0.05", "--trials", str(trials)) == EXIT_OK
+            records.append([strip_volatile(r) for r in read_records(out)])
+        assert sizes == ([] if size is None else [size])
+        assert records[0] == records[1]
+
+    def test_dead_worker_names_the_flag(self, monkeypatch, capsys):
+        from direx import protocols
+
+        monkeypatch.setattr(protocols, "_run_trial", exit_in_worker)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert run_cli("--workers", "2", "simulate", "--N", "10", "--q", "0.1",
+                       "--eta", "0.05", "--trials", "2") == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--workers" in err
+
     @pytest.mark.parametrize("record, named", [
         ({"variant": "sneaky"}, "sneaky"),
         ({"variant": "adversarial", "n": 3}, "table"),
@@ -232,6 +283,19 @@ class TestVerify:
         assert run_cli("trust", "--game", "ghz", "--c", "0.14", "--grid", "12",
                        "--samples", "500", "--multistarts", "2") == EXIT_OK
 
+    def test_trust_record_states_what_it_checked(self, tmp_path):
+        for game, flags, analytic in (("ghz", ("--c", "0.14"), 0),
+                                      ("chsh", ("--c", "0.0"), None)):
+            out = tmp_path / f"{game}.jsonl"
+            assert run_cli("--output", str(out), "trust", "--game", game,
+                           *flags, "--grid", "12", "--samples", "500",
+                           "--multistarts", "2", "--check-seed", "5") == EXIT_OK
+            rec = read_records(out)[0]
+            assert rec["analytic_failures"] == analytic
+            assert rec["sampling"] == {"grid": 12, "samples": 500,
+                                       "multistarts": 2, "check_seed": 5}
+            assert rec["samples"] == 12 ** (3 if game == "ghz" else 2) + 500
+
     def test_trust_fail_exit_code(self):
         assert run_cli("trust", "--game", "ghz", "--c", "0.5", "--grid", "8",
                        "--samples", "200", "--multistarts", "1") == EXIT_VIOLATION
@@ -244,7 +308,16 @@ class TestUsage:
         (("simulate", "--N", "-5", "--q", "0.1", "--eta", "0.05"), "--N"),
         (("qkd", "--N", "0", "--q", "0.1"), "--N"),
         (("qkd", "--N", "2", "--q", "0.1"), "--N"),
+        (("trust", "--c", "nan"), "--c"),
+        (("trust", "--c", "inf"), "--c"),
+        (("trust", "--c", "0.1", "--grid", "0", "--samples", "0"), "--grid"),
+        (("trust", "--c", "0.1", "--grid", "-3"), "--grid"),
+        (("trust", "--c", "0.1", "--samples", "-5"), "--samples"),
+        (("trust", "--c", "0.1", "--multistarts", "-1"), "--multistarts"),
+        (("--workers", "0", "simulate", "--N", "100", "--q", "0.1",
+          "--eta", "0.05"), "--workers"),
     ])
+    @pytest.mark.filterwarnings("error")
     def test_bad_input_names_the_flag(self, monkeypatch, capsys, argv, named):
         from direx import cli
 

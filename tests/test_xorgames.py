@@ -11,6 +11,7 @@ from direx.errors import InvalidOperatorError
 from direx.matrixcore import HermitianOperator
 from direx.xorgames import (
     SamplingSpec,
+    TrustCheckResult,
     XorGame,
     analyze_game,
     anticommuter_family,
@@ -22,6 +23,7 @@ from direx.xorgames import (
     eval_zg,
     game_from_record,
     game_to_record,
+    ghz_analytic_entry_checks,
     ghz_constants,
     ghz_game,
     ghz_anticommuter,
@@ -29,12 +31,17 @@ from direx.xorgames import (
     optimal_score,
     positively_align,
     reverse_diagonal_anticommuter,
+    reverse_diagonal_entries,
     score_certificate,
     scoring_operator,
     trust_coefficient_check,
     trust_coefficient_search,
 )
-from direx.xorgames import _cell_bounds
+from direx.xorgames import (
+    _cell_bounds,
+    _conjugation_signs,
+    _validate_anticommuter,
+)
 
 GHZ = ghz_game()
 CHSH = chsh_game()
@@ -336,6 +343,15 @@ class TestAbsPgBound:
         assert vals.max() <= 2 * np.sqrt(2) + 1e-9
 
 
+def dense_ghz_anticommuter():
+    """A valid anticommuter that is not reverse-diagonal: the GHZ pattern
+    conjugated by a unitary on the trailing qubits."""
+    rng = np.random.default_rng(21)
+    w, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    u = np.kron(np.eye(2), w)
+    return HermitianOperator(u @ ghz_anticommuter().entries @ u.conj().T)
+
+
 class TestTrustCoefficient:
     def test_ghz_paper_pattern_passes(self):
         res = trust_coefficient_check(
@@ -362,6 +378,21 @@ class TestTrustCoefficient:
         assert res.max_violation > 0
         zetas = np.array(res.witness)
         assert np.allclose(np.abs(zetas), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), -0.1])
+    def test_coefficient_must_be_finite_and_nonnegative(self, c):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            trust_coefficient_check(GHZ, c, ghz_anticommuter(), qG=1.0)
+
+    @pytest.mark.parametrize("fields, named", [
+        ({"grid_points": -3}, "grid_points"),
+        ({"random_samples": -5}, "random_samples"),
+        ({"multistarts": -1}, "multistarts"),
+        ({"grid_points": 0, "random_samples": 0}, "no sample points"),
+    ])
+    def test_sampling_spec_rejects_bad_sizes(self, fields, named):
+        with pytest.raises(ValueError, match=named):
+            SamplingSpec(**fields)
 
     def test_invalid_anticommuter_named_rejection(self):
         bad = reverse_diagonal_anticommuter(3, [1, 1, 1, 1])
@@ -399,16 +430,162 @@ class TestTrustCoefficient:
     def test_dense_anticommuter_path(self):
         # conjugating by a unitary on the trailing qubits keeps validity but
         # breaks the reverse-diagonal shape, exercising the eigenvalue path
-        rng = np.random.default_rng(21)
-        w, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        u = np.kron(np.eye(2), w)
-        dense = HermitianOperator(u @ ghz_anticommuter().entries @ u.conj().T)
+        dense = dense_ghz_anticommuter()
         assert np.max(np.abs(dense.entries[np.fliplr(np.eye(8, dtype=bool))])) < 1.0
         res = trust_coefficient_check(
             GHZ, 0.0, dense, qG=1.0,
             samples=SamplingSpec(grid_points=6, random_samples=100, multistarts=1),
         )
         assert res.passed  # zero coefficient reduces to the score bound
+
+
+def reference_entries(game, th):
+    """The per-entry loop reverse_diagonal_entries ran before its batched
+    kernel."""
+    coeff = np.array([float(p) * eta for _, p, eta in game.entries])
+    inp = np.array([bits for bits, _, _ in game.entries], dtype=float)
+    signs = _conjugation_signs(game.n)
+    out = np.empty(th.shape[:-1] + (len(signs),), dtype=np.complex128)
+    for b in range(len(signs)):
+        out[..., b] = np.exp(1j * ((th * signs[b]) @ inp.T)) @ coeff
+    return out
+
+
+def reference_trust_check(game, c, anticommuter, samples, qG):
+    """trust_coefficient_check with the sequential ascent: each start climbs
+    alone, one norm evaluation per step."""
+    _validate_anticommuter(game.n, anticommuter)
+    d = 2**game.n
+    anti = anticommuter.entries
+    rev = bool(np.max(np.abs(anti[~np.fliplr(np.eye(d, dtype=bool))])) < 1e-14)
+    anti_diag = np.array([anti[b, d - 1 - b] for b in range(d)])
+
+    def norms(th):
+        if rev:
+            return np.max(np.abs(reference_entries(game, th) - c * anti_diag),
+                          axis=-1)
+        return np.array([
+            np.linalg.norm(np.linalg.eigvalsh(
+                scoring_operator(game, np.exp(1j * t)).entries - c * anti),
+                ord=np.inf)
+            for t in th])
+
+    rng = np.random.default_rng(samples.seed)
+    axes = np.linspace(0, np.pi, samples.grid_points)
+    grid = np.stack(np.meshgrid(*[axes] * game.n, indexing="ij"),
+                    axis=-1).reshape(-1, game.n)
+    rand = rng.uniform(0, np.pi, size=(samples.random_samples, game.n))
+    th_all = np.vstack([grid, rand])
+    more_starts = rng.uniform(0, np.pi,
+                              size=(max(samples.multistarts - 1, 0), game.n))
+    vals = norms(th_all)
+    best = int(np.argmax(vals))
+    best_val, best_th = float(vals[best]), th_all[best]
+    step0 = np.pi / max(samples.grid_points, 8)
+    moves = np.vstack([np.eye(game.n), -np.eye(game.n)])
+    for s in [best_th, *more_starts]:
+        th = np.array(s, dtype=float)
+        step = step0
+        val = float(norms(th[None, :])[0])
+        for _ in range(200):
+            trials = np.clip(th + step * moves, 0.0, np.pi)
+            tvals = norms(trials)
+            j = int(np.argmax(tvals))
+            if tvals[j] > val + 1e-14:
+                th, val = trials[j], float(tvals[j])
+            else:
+                step *= 0.5
+                if step < 1e-10:
+                    break
+        if val > best_val:
+            best_val, best_th = val, th
+    violation = best_val - (qG - c)
+    analytic = -1
+    if (game.entries == GHZ.entries and abs(c - 0.14) < 1e-12 and rev
+            and np.allclose(anti_diag.real, [1, 1, -1, -1, -1, -1, 1, 1])):
+        analytic = ghz_analytic_entry_checks(th_all, c)
+    return TrustCheckResult(
+        passed=bool(violation <= 1e-9), max_violation=float(violation),
+        witness=tuple(np.exp(1j * best_th)), samples_used=len(th_all),
+        analytic_failures=analytic)
+
+
+TRUST_GAMES = (GHZ, CHSH, GHZ.relabel((1, 1, 0)), CHSH.relabel((1, 0)),
+               mermin4_game())
+
+
+@st.composite
+def trust_cases(draw):
+    """A game, one of its anticommuter family members, a coefficient in
+    [0, q_G] and a sampling spec; four-player grids stay at most 8 wide."""
+    game = draw(st.sampled_from(TRUST_GAMES))
+    family = list(anticommuter_family(
+        game.n, phases=(1.0, -1.0, np.exp(0.25j * np.pi))))
+    anti = draw(st.sampled_from(family))
+    qG, _ = optimal_score(game)
+    c = draw(st.one_of(st.sampled_from((0.0, 0.14)), st.floats(0.0, qG)))
+    spec = SamplingSpec(
+        grid_points=draw(st.integers(1, 20 if game.n <= 3 else 8)),
+        random_samples=draw(st.integers(0, 500)),
+        multistarts=draw(st.integers(0, 8)),
+        seed=draw(st.integers(0, 2**32 - 1)))
+    return game, anti, c, spec, qG
+
+
+class TestLockstepAscent:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(trust_cases())
+    def test_matches_sequential_ascent(self, case):
+        game, anti, c, spec, qG = case
+        new = trust_coefficient_check(game, c, anti, spec, qG=qG)
+        ref = reference_trust_check(game, c, anti, spec, qG)
+        assert new.passed == ref.passed
+        assert new.max_violation == ref.max_violation
+        assert new.witness == ref.witness
+        assert new.samples_used == ref.samples_used
+        assert new.analytic_failures == ref.analytic_failures
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(st.floats(0.0, 1.0), st.integers(1, 5), st.integers(0, 60),
+           st.integers(0, 3), st.integers(0, 2**32 - 1))
+    def test_dense_anticommuter_matches_sequential_ascent(
+            self, c, grid, rand, starts, seed):
+        spec = SamplingSpec(grid_points=grid, random_samples=rand,
+                            multistarts=starts, seed=seed)
+        anti = dense_ghz_anticommuter()
+        assert (trust_coefficient_check(GHZ, c, anti, spec, qG=1.0)
+                == reference_trust_check(GHZ, c, anti, spec, 1.0))
+
+    def test_ghz_paper_pattern_matches_sequential_ascent(self):
+        spec = SamplingSpec(grid_points=24, random_samples=2000, multistarts=4)
+        assert (trust_coefficient_check(GHZ, 0.14, ghz_anticommuter(), spec, qG=1.0)
+                == reference_trust_check(GHZ, 0.14, ghz_anticommuter(), spec, 1.0))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from(TRUST_GAMES), st.integers(2, 40),
+           st.integers(0, 2**32 - 1))
+    def test_batch_rows_independent_of_batch(self, game, rows, seed):
+        rng = np.random.default_rng(seed)
+        th = rng.uniform(0, np.pi, size=(rows, game.n))
+        whole = reverse_diagonal_entries(game, th)
+        assert np.array_equal(whole, reference_entries(game, th))
+        cut = int(rng.integers(2, rows + 1))
+        lo = int(rng.integers(0, rows - cut + 1))
+        assert np.array_equal(reverse_diagonal_entries(game, th[lo:lo + cut]),
+                              whole[lo:lo + cut])
+        for row in th[:3]:
+            assert np.array_equal(reverse_diagonal_entries(game, row[None, :]),
+                                  reference_entries(game, row[None, :]))
+
+    def test_sample_grid_matches_loop(self):
+        axes = np.linspace(0, np.pi, 24)
+        grid = np.stack(np.meshgrid(*[axes] * 3, indexing="ij"),
+                        axis=-1).reshape(-1, 3)
+        th = np.vstack([grid, np.random.default_rng(0).uniform(
+            0, np.pi, size=(2000, 3))])
+        assert len(th) == 15_824
+        assert np.array_equal(reverse_diagonal_entries(GHZ, th),
+                              reference_entries(GHZ, th))
 
 
 class TestConstantsBundles:
