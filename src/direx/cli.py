@@ -52,8 +52,10 @@ from .seeding import numpy_rng, parse_master_seed, substream
 from .xorgames import (
     SamplingSpec,
     ghz_anticommuter,
+    ghz_game,
     load_game,
     named_constants,
+    trust_anticommuters,
     trust_coefficient_check,
 )
 
@@ -134,11 +136,32 @@ def _resolve_constants(name_or_path: str):
         return analyze_game(load_game(name_or_path))
 
 
+def _check_rate_args(args):
+    """Name the flag for rate inputs no game can accept, before the game
+    analysis starts.  The trust bound v is at most 1, so the tolerance must
+    lie below 1/2."""
+    if not 0 < args.eta < 0.5:
+        raise ValueError(f"--eta must lie in (0, 1/2), got {args.eta}")
+    if args.N < 0:
+        raise ValueError(f"--N must be nonnegative, got {args.N}")
+    if args.q is not None and not 0 < args.q < 1:
+        raise ValueError(f"--q must lie in (0, 1), got {args.q}")
+    if args.kappa is not None and not 0 < args.kappa < np.inf:
+        raise ValueError(
+            f"--kappa must be positive and finite, got {args.kappa}")
+    if not args.epsilon_exp >= -0.5:
+        raise ValueError(
+            f"--epsilon-exp must be at least -0.5 (epsilon at most sqrt 2), "
+            f"got {args.epsilon_exp}")
+
+
 def cmd_rate(args) -> int:
+    _check_rate_args(args)
     consts = _resolve_constants(args.game)
     epsilon = 2.0**-args.epsilon_exp
     cutoff = 0.11 * consts.vG_lower
-    if limit_exponent(args.eta / consts.vG_lower) <= 0:
+    y = args.eta / consts.vG_lower
+    if y > 0.5 or limit_exponent(y) <= 0:
         print(f"infeasible: error tolerance {args.eta} at or above the "
               f"positive-rate cutoff 0.11 * v = {cutoff:.4f} "
               f"(limit rate is nonpositive)", file=sys.stderr)
@@ -148,7 +171,11 @@ def cmd_rate(args) -> int:
             report = certified_bound(consts, args.N, args.q, args.eta,
                                      args.kappa, epsilon)
         else:
-            report = maximize_bound(consts, args.N, args.eta, epsilon)
+            # a flag given alone pins its axis; the search runs over the other
+            report = maximize_bound(
+                consts, args.N, args.eta, epsilon,
+                q_grid=None if args.q is None else [args.q],
+                kappa_grid=None if args.kappa is None else [args.kappa])
     except (ValueError, InfeasibleError) as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -263,14 +290,25 @@ def cmd_trust(args) -> int:
         raise ValueError("--grid 0 with --samples 0 leaves no sample points")
     game = load_game(args.game)
     consts = _resolve_constants(args.game)
-    anti = ghz_anticommuter() if game.n == 3 else None
-    if anti is None:
-        from .xorgames import anticommuter_family
-
-        anti = next(iter(anticommuter_family(game.n)))
+    # the GHZ game keeps its sign pattern, on which the closed-form entry
+    # checks run; other games try the members trust_coefficient_search
+    # tries, until one passes
+    is_ghz = game.entries == ghz_game().entries
+    members = [ghz_anticommuter()] if is_ghz else trust_anticommuters(game)
+    if not members:
+        raise DirexError(f"no valid anticommuter for a {game.n}-player game")
     spec = SamplingSpec(grid_points=args.grid, random_samples=args.samples,
                         multistarts=args.multistarts, seed=args.check_seed)
-    res = trust_coefficient_check(game, args.c, anti, spec, qG=consts.qG)
+    results = []
+    for anti in members:
+        results.append(trust_coefficient_check(game, args.c, anti, spec,
+                                               qG=consts.qG))
+        if results[-1].passed:
+            break
+    member = min(range(len(results)),
+                 key=lambda i: (not results[i].passed,
+                                results[i].max_violation))
+    res = results[member]
     print(f"coefficient {args.c}: {'pass' if res.passed else 'FAIL'}  "
           f"max violation {res.max_violation:.3e}  samples {res.samples_used}")
     if res.analytic_failures >= 0:
@@ -286,6 +324,15 @@ def cmd_trust(args) -> int:
                 "sampling": {"grid": args.grid, "samples": args.samples,
                              "multistarts": args.multistarts,
                              "check_seed": args.check_seed}})
+    if not is_ghz:
+        entries = members[member].entries
+        size = len(entries)
+        print(f"anticommuter: member {member} of {len(members)}")
+        rec["anticommuter"] = {
+            "member": member, "members": len(members),
+            "top_row_phases": [[z.real, z.imag] for z in
+                               (entries[b, size - 1 - b]
+                                for b in range(size // 2))]}
     writer.append(rec)
     writer.flush()
     return EXIT_OK if res.passed else EXIT_VIOLATION

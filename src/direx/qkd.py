@@ -205,7 +205,7 @@ def eta_bar(lam_prime: float, constants: GameConstants, f=None,
                              np.arange(grid_step, 1.0, grid_step)])
     margin = (w - (0.5 + lam_prime)) / w
     vals = w * thetas * (margin - np.asarray(f(thetas)))
-    return -refine_grid_min(lambda th: -w * th * (margin - float(f(th))),
+    return -refine_grid_min(lambda th: -w * th * (margin - np.asarray(f(th))),
                             thetas, -vals)
 
 

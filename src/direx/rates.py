@@ -4,6 +4,23 @@ The chain goes: an uncertainty exponent for one round, its worst case over
 the unknown failure parameter, the per-round entropy rate after subtracting
 the failure allowance, and finally the accumulated min-entropy bound over N
 rounds with the smoothing penalty.  All logarithms are base 2.
+
+The searches run in lanes.  A lane is one (v, h, q, kappa, r) parameter
+set; :func:`worst_case_rate` and :func:`rate_T_E` take arrays of lanes, and
+:func:`maximize_bound` and :func:`tune_parameters` evaluate their whole
+(q, kappa) grid in one call.  The public functions validate once and then
+call the unvalidated kernels (:func:`_lane`, :func:`_rate`).  Each lane's
+grid is filled on its own contiguous array, and :func:`golden_section_lanes`
+then refines every lane's grid minimum in lockstep.
+
+Every lane equals the one-lane search bit for bit.  Elementwise
+arithmetic is correctly rounded whatever the array's length or strides, and
+numpy's log, log1p and expm1 give the same value for a point whether it
+comes alone or inside an array.  ``np.power`` on an array can round
+differently from scalar ``**``, so each lane's powers are taken on scalars.
+The golden-section bracket arithmetic runs on Python floats, which round as
+float64 does.  The tests check the lanes against the sequential search by
+``==``.
 """
 
 from __future__ import annotations
@@ -20,6 +37,34 @@ SQRT2 = float(np.sqrt(2.0))
 
 DELTA_GRID_STEP = 1e-4
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# golden-section steps per kernel call: 2**4 - 1 = 15 points a lane
+_GOLDEN_DEPTH = 4
+
+
+def _exponent_coefficients(eps):
+    """The two factors of the exponent that depend on eps alone: a - 1 =
+    -2e/(1+2e) and (1+2e)/e."""
+    return -2.0 * eps / (1.0 + 2.0 * eps), (1.0 + 2.0 * eps) / eps
+
+
+def _delta_terms(delta) -> tuple:
+    """The parts of the exponent that depend on delta alone, so a grid
+    shared by many eps computes them once."""
+    d = np.minimum(delta, 1.0 - delta)
+    positive = d > 0
+    return (d, positive, np.log(np.where(positive, d, 1.0)), np.log1p(-d),
+            1.0 - d)
+
+
+def _exponent(am1, scale, delta_terms):
+    """The exponent from its eps factors and its delta terms, without
+    validation."""
+    d, positive, logd, log1p_neg_d, one_minus_d = delta_terms
+    # (1-d)^a - 1 + d^a, written as ((1-d)^a - (1-d)) + (d^a - d) so the
+    # leading-order terms never cancel
+    sum_m1 = one_minus_d * np.expm1(am1 * log1p_neg_d) \
+        + np.where(positive, d * np.expm1(am1 * logd), 0.0)
+    return 1.0 - scale * (np.log1p(sum_m1) / LN2)
 
 
 def uncertainty_exponent(eps, delta):
@@ -34,14 +79,7 @@ def uncertainty_exponent(eps, delta):
         raise ValueError("first argument must lie in (0, 1]")
     if np.any(delta < 0) or np.any(delta > 1):
         raise ValueError("second argument must lie in [0, 1]")
-    d = np.minimum(delta, 1.0 - delta)
-    # (1-d)^a - 1 + d^a, written as ((1-d)^a - (1-d)) + (d^a - d) so the
-    # leading-order terms never cancel; a - 1 = -2e/(1+2e)
-    am1 = -2.0 * eps / (1.0 + 2.0 * eps)
-    logd = np.log(np.where(d > 0, d, 1.0))
-    sum_m1 = (1.0 - d) * np.expm1(am1 * np.log1p(-d)) \
-        + np.where(d > 0, d * np.expm1(am1 * logd), 0.0)
-    out = 1.0 - ((1.0 + 2.0 * eps) / eps) * (np.log1p(sum_m1) / LN2)
+    out = _exponent(*_exponent_coefficients(eps), _delta_terms(delta))
     return out if out.ndim else float(out)
 
 
@@ -116,6 +154,35 @@ class RateParams:
         return self.r * self.q * self.kappa
 
 
+def _check_gamma(gamma):
+    gamma = np.asarray(gamma)
+    if not np.all((0 < gamma) & (gamma <= 1)):
+        raise ValueError("r q kappa must lie in (0, 1]")
+
+
+def _lane(v, h, q, kappa, r) -> tuple:
+    """The factors of the one-round rate that depend on one (v, h, q, kappa,
+    r) lane alone, from scalar arithmetic in the order of the closed form.
+
+    Scalar ``**`` and ``np.power`` on an array can round differently, so
+    the powers stay per lane."""
+    gamma = r * q * kappa
+    return (*_exponent_coefficients(gamma), gamma, 1.0 - q,
+            q * np.expm1(-kappa * LN2), (h / 2.0) ** (1.0 + gamma),
+            v ** (1.0 + gamma))
+
+
+def _rate(am1, scale, gamma, pass_weight, test_weight, honest0, honest1, t,
+          t_terms):
+    """The one-round rate at t from the factors of :func:`_lane` and
+    ``_delta_terms(t)``, without validation.  The factors are scalars or
+    arrays matching t."""
+    pi_val = _exponent(am1, scale, t_terms)
+    bracket_m1 = pass_weight * np.expm1(-gamma * pi_val * LN2) \
+        + test_weight * (honest0 + honest1 * t)
+    return -(np.log1p(bracket_m1) / LN2) / gamma
+
+
 def one_round_rate(v, h, q, kappa, r, t):
     """Per-round divergence-decay exponent at known failure parameter t.
 
@@ -123,13 +190,114 @@ def one_round_rate(v, h, q, kappa, r, t):
     precision.  Vectorized over t.
     """
     t = np.asarray(t, dtype=float)
-    gamma = r * q * kappa
-    pi_val = uncertainty_exponent(gamma, t)
-    honest = (h / 2.0) ** (1.0 + gamma) + v ** (1.0 + gamma) * t
-    bracket_m1 = (1.0 - q) * np.expm1(-gamma * pi_val * LN2) \
-        + q * np.expm1(-kappa * LN2) * honest
-    out = -(np.log1p(bracket_m1) / LN2) / gamma
+    if np.any(t < 0) or np.any(t > 1):
+        raise ValueError("failure parameter must lie in [0, 1]")
+    lane = _lane(v, h, q, kappa, r)
+    _check_gamma(lane[2])
+    out = _rate(*lane, t, _delta_terms(t))
     return out if out.ndim else float(out)
+
+
+def _golden_points(a, b, c, d, left: bool, depth: int) -> list:
+    """Every point the next `depth` golden-section steps can evaluate.
+
+    The first step's branch is known; each later step may go either way.
+    Level j contributes 2**(j-1) points, node n of a level having children
+    2n (left) and 2n+1 (right), so the result has 2**depth - 1 points.  The
+    bracket arithmetic is that of :func:`golden_section_lanes`, so each
+    point equals the one the step computes."""
+    g = float(_GOLDEN)
+    if left:
+        b, d = d, c
+        c = b - g * (b - a)
+        points = [c]
+    else:
+        a, c = c, d
+        d = a + g * (b - a)
+        points = [d]
+    level = [(a, b, c, d)]
+    for j in range(1, depth):
+        nxt = []
+        for a, b, c, d in level:
+            left_c = d - g * (d - a)
+            right_d = c + g * (b - c)
+            points += (left_c, right_d)
+            if j < depth - 1:
+                nxt += ((a, d, left_c, c), (c, b, d, right_d))
+        level = nxt
+    return points
+
+
+def golden_section_lanes(f, a, b, floor) -> np.ndarray:
+    """Golden-section minimization of many brackets [a, b] in lockstep.
+
+    Each lane follows the one-bracket recursion exactly: c = b - g(b - a)
+    and d = a + g(b - a) with g the inverse golden ratio, a step to the
+    left when f(c) < f(d) and to the right otherwise, a stop once
+    b - a < 1e-12 and at most 80 steps; the lane's result is
+    min(floor, f(c), f(d)) in that order, a later value winning only when
+    strictly smaller.  Lanes never mix, so a lane's result does not depend
+    on the others.
+
+    f(points, lane) returns the values at a flat array of points, lane[k]
+    naming the lane of points[k].  Each call covers the next _GOLDEN_DEPTH
+    steps of every running lane: the points those steps can reach depend
+    only on the bracket (see :func:`_golden_points`), so they are evaluated
+    together and each step then looks its value up.  The bracket
+    arithmetic runs on Python floats, which round as float64 arrays do.
+    """
+    g, depth = float(_GOLDEN), _GOLDEN_DEPTH
+    floor = np.asarray(floor, dtype=float)
+    n = len(floor)
+    ab = np.column_stack((a, b)).tolist()
+    cd = [[b - g * (b - a), a + g * (b - a)] for a, b in ab]
+    fcd = f(np.ravel(cd), np.repeat(np.arange(n), 2)).tolist()
+    # per lane: a, b, c, d, f(c), f(d), steps taken
+    lanes = [[a, b, c, d, fc, fd, 0]
+             for (a, b), (c, d), (fc, fd) in zip(ab, cd, zip(fcd[::2], fcd[1::2]))]
+    out = floor.copy()
+    live = range(n)
+    per_lane = 2 ** depth - 1
+    while True:
+        running, live = live, []
+        for i in running:
+            a, b, c, d, fc, fd, steps = lanes[i]
+            # a bracket below 1 closes to 1e-12 within 58 golden steps
+            if steps == 80 or b - a < 1e-12:
+                out[i] = min(out[i], fc, fd)
+            else:
+                live.append(i)
+        if not live:
+            return out
+        points = []
+        for i in live:
+            a, b, c, d, fc, fd, _ = lanes[i]
+            points += _golden_points(a, b, c, d, fc < fd, depth)
+        vals = f(np.array(points), np.repeat(live, per_lane)).tolist()
+        for k, i in enumerate(live):
+            lane = lanes[i]
+            a, b, c, d, fc, fd, steps = lane
+            node = 0
+            for j in range(depth):
+                if steps == 80 or b - a < 1e-12:
+                    break
+                if j:
+                    node = 2 * node + (0 if fc < fd else 1)
+                val = vals[k * per_lane + 2 ** j - 1 + node]
+                if fc < fd:
+                    b, d, fd = d, c, fc
+                    c, fc = b - g * (b - a), val
+                else:
+                    a, c, fc = c, d, fd
+                    d, fd = a + g * (b - a), val
+                steps += 1
+            lane[:] = a, b, c, d, fc, fd, steps
+
+
+def _grid_bracket(grid, vals) -> tuple:
+    """The grid minimum and the two cells around it."""
+    i = int(np.argmin(vals))
+    return grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)], vals[i]
 
 
 def refine_grid_min(f, grid, vals) -> float:
@@ -137,62 +305,74 @@ def refine_grid_min(f, grid, vals) -> float:
 
     Golden-section search refines the grid minimum over its two neighbouring
     cells; no unimodality is assumed, the grid is taken to be fine enough
-    that the true minimum lies in those cells.
+    that the true minimum lies in those cells.  This is the one-lane case
+    of :func:`golden_section_lanes`: f must take an array of points, and it
+    is called with the up to 2**_GOLDEN_DEPTH - 1 points that the next
+    _GOLDEN_DEPTH steps can reach.
+    The result equals the sequential search that evaluates one point per
+    step as long as f gives a point the same value alone or in an array.
     """
-    i = int(np.argmin(vals))
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, len(grid) - 1)]
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    # a bracket below 1 closes to 1e-12 within 58 golden steps
-    for _ in range(80):
-        if b - a < 1e-12:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return float(min(vals[i], fc, fd))
+    a, b, floor = _grid_bracket(grid, vals)
+    return float(golden_section_lanes(lambda t, _: f(t), [a], [b], [floor])[0])
 
 
-def worst_case_rate(v, h, q, kappa, r,
-                    grid_step: float = DELTA_GRID_STEP) -> float:
+def worst_case_rate(v, h, q, kappa, r, grid_step: float = DELTA_GRID_STEP):
     """Minimum of the one-round rate over the failure parameter, by a dense
-    grid refined with :func:`refine_grid_min`."""
+    grid refined by golden-section search.
+
+    Vectorized: the arguments broadcast to lanes, and the result has their
+    shape (a float for scalar arguments).  Each lane's grid is filled on
+    its own contiguous array, then :func:`golden_section_lanes` refines all
+    lanes at once; every lane equals its one-lane search bit for bit (see
+    the module docstring).
+    """
+    args = np.broadcast_arrays(*(np.asarray(x, dtype=float)
+                                 for x in (v, h, q, kappa, r)))
+    lanes = [_lane(*p) for p in zip(*(x.ravel().tolist() for x in args))]
+    _check_gamma(np.array([lane[2] for lane in lanes]))
     ts = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
-    return refine_grid_min(
-        lambda t: float(one_round_rate(v, h, q, kappa, r, t)),
-        ts, one_round_rate(v, h, q, kappa, r, ts))
+    ts_terms = _delta_terms(ts)
+    a, b, floor = zip(*(_grid_bracket(ts, _rate(*lane, ts, ts_terms))
+                        for lane in lanes))
+    factors = [np.array(x) for x in zip(*lanes)]
+    out = golden_section_lanes(
+        lambda t, lane: _rate(*(x[lane] for x in factors), t, _delta_terms(t)),
+        a, b, floor)
+    return out.reshape(args[0].shape) if args[0].ndim else float(out[0])
 
 
-def optimal_multiplier(v: float, eta: float, q: float, kappa: float) -> float:
+def optimal_multiplier(v: float, eta: float, q, kappa):
     """The balancing multiplier: min of v over the negated limit slope and
-    the domain cap 1/(q kappa)."""
+    the domain cap 1/(q kappa).  Vectorized over q and kappa."""
     slope = limit_exponent_slope(eta / v)
-    return min(v / (-slope), 1.0 / (q * kappa))
+    balance, cap = v / (-slope), 1.0 / (q * kappa)
+    if np.ndim(cap):
+        # min(balance, cap) lane by lane: cap only when strictly smaller
+        return np.where(cap < balance, cap, balance)
+    return min(balance, cap)
 
 
-def rate_T_E(v: float, h: float, eta: float, q: float, kappa: float):
+def rate_T_E(v: float, h: float, eta: float, q, kappa):
     """Per-round rate coefficient and smoothing-penalty coefficient.
 
     The rate subtracts the failure allowance (h/2 + eta)/r from the worst
     case one-round exponent at the balancing multiplier; the penalty
-    coefficient is 2/r.
+    coefficient is 2/r.  Vectorized over q and kappa: array arguments give
+    arrays, every (q, kappa) lane equal to its scalar call.
     """
     if not 0 < eta < v / 2:
         raise ValueError("error tolerance must lie in (0, v/2)")
-    if not (0 < q < 1 and kappa > 0):
+    q = np.asarray(q, dtype=float)
+    kappa = np.asarray(kappa, dtype=float)
+    if not (np.all((0 < q) & (q < 1)) and np.all(kappa > 0)):
         raise ValueError("test probability must lie in (0, 1) and the "
                          "failure penalty must be positive")
     r = optimal_multiplier(v, eta, q, kappa)
     delta = worst_case_rate(v, h, q, kappa, r)
     t_val = -(h / 2.0 + eta) / r + delta
     e_val = 2.0 / r
+    if np.ndim(t_val):
+        return t_val, e_val
     return float(t_val), float(e_val)
 
 
@@ -207,9 +387,9 @@ class RateReport:
     game: GameConstants
 
     def __post_init__(self):
-        penalty = (np.log2(SQRT2 / self.params.epsilon)
-                   / (self.params.q * self.params.kappa)) * self.E_value
-        expected = self.params.N * self.T_value - penalty
+        p = self.params
+        expected = p.N * self.T_value - _penalty(p.q, p.kappa, p.epsilon,
+                                                 self.E_value)
         if not np.isclose(self.bound, expected, rtol=1e-9, atol=1e-6):
             raise ValueError("bound inconsistent with its parameters")
 
@@ -231,6 +411,32 @@ class RateReport:
         }
 
 
+def _rate_inputs(game: GameConstants, eta: float) -> tuple:
+    """The game's (v, h) for the rate functions, once the game and the
+    error tolerance are checked."""
+    if game.classification != "strong-self-test" or game.vG_lower <= 0:
+        raise ValueError("bound requires a strong self-test with positive trust bound")
+    if not 0 < eta < game.vG_lower / 2:
+        raise ValueError(
+            f"error tolerance must lie in (0, {game.vG_lower / 2}), got {eta}")
+    return game.vG_lower, 2.0 * game.fG
+
+
+def _penalty(q, kappa, epsilon, e_val):
+    return (np.log2(SQRT2 / epsilon) / (q * kappa)) * e_val
+
+
+def _report(game: GameConstants, N: int, q: float, eta: float, kappa: float,
+            epsilon: float, t_val: float, e_val: float) -> RateReport:
+    v, h = game.vG_lower, 2.0 * game.fG
+    bound = N * t_val - _penalty(q, kappa, epsilon, e_val)
+    params = RateParams(v=v, h=h, eta=eta, q=q, kappa=kappa,
+                        r=optimal_multiplier(v, eta, q, kappa), N=N,
+                        epsilon=epsilon)
+    return RateReport(T_value=t_val, E_value=e_val, bound=float(bound),
+                      params=params, game=game)
+
+
 def certified_bound(game: GameConstants, N: int, q: float, eta: float,
                     kappa: float, epsilon: float) -> RateReport:
     """Accumulated smooth min-entropy bound: N*T - (log(sqrt(2)/eps)/(q kappa))*E.
@@ -238,34 +444,34 @@ def certified_bound(game: GameConstants, N: int, q: float, eta: float,
     The game enters through its trust coefficient lower bound and twice its
     least failing probability.
     """
-    if game.classification != "strong-self-test" or game.vG_lower <= 0:
-        raise ValueError("bound requires a strong self-test with positive trust bound")
-    if not 0 < eta < game.vG_lower / 2:
-        raise ValueError(
-            f"error tolerance must lie in (0, {game.vG_lower / 2}), got {eta}")
-    v, h = game.vG_lower, 2.0 * game.fG
+    v, h = _rate_inputs(game, eta)
     t_val, e_val = rate_T_E(v, h, eta, q, kappa)
-    r = optimal_multiplier(v, eta, q, kappa)
-    penalty = (np.log2(SQRT2 / epsilon) / (q * kappa)) * e_val
-    bound = N * t_val - penalty
-    params = RateParams(v=v, h=h, eta=eta, q=q, kappa=kappa, r=r, N=N,
-                        epsilon=epsilon)
-    return RateReport(T_value=t_val, E_value=e_val, bound=float(bound),
-                      params=params, game=game)
+    return _report(game, N, q, eta, kappa, epsilon, t_val, e_val)
 
 
 def maximize_bound(game: GameConstants, N: int, eta: float, epsilon: float,
                    q_grid=None, kappa_grid=None) -> RateReport:
-    """Grid search for (q, kappa) maximizing the certified bound."""
+    """Grid search for (q, kappa) maximizing the certified bound.
+
+    One :func:`rate_T_E` call evaluates every (q, kappa) pair, and the
+    report is built for the winner only: the first strict maximum with q
+    outer and kappa inner, as :func:`certified_bound` pair by pair would
+    find it.
+    """
     q_grid = q_grid if q_grid is not None else np.geomspace(1e-4, 0.5, 18)
     kappa_grid = kappa_grid if kappa_grid is not None else np.geomspace(1e-3, 30.0, 18)
-    best = None
-    for q in q_grid:
-        for kappa in kappa_grid:
-            rep = certified_bound(game, N, float(q), eta, float(kappa), epsilon)
-            if best is None or rep.bound > best.bound:
-                best = rep
-    return best
+    pairs = [(float(q), float(kappa)) for q in q_grid for kappa in kappa_grid]
+    v, h = _rate_inputs(game, eta)
+    qs, kappas = (np.array(x) for x in zip(*pairs))
+    t_vals, e_vals = rate_T_E(v, h, eta, qs, kappas)
+    bounds = (float(N) * t_vals - _penalty(qs, kappas, epsilon, e_vals)).tolist()
+    best = 0
+    for i, bound in enumerate(bounds):
+        if bound > bounds[best]:
+            best = i
+    q, kappa = pairs[best]
+    return _report(game, N, q, eta, kappa, epsilon, float(t_vals[best]),
+                   float(e_vals[best]))
 
 
 TUNE_GRID = tuple(sorted(
@@ -302,11 +508,9 @@ def tune_parameters(game: GameConstants, eta: float, delta: float,
             f"limit rate {target:.4f} does not exceed the slack {delta}")
     grid = TUNE_GRID
     n = len(grid)
-    t_table = np.empty((n, n))
-    e_table = np.empty((n, n))
-    for i, q in enumerate(grid):
-        for j, kappa in enumerate(grid):
-            t_table[i, j], e_table[i, j] = rate_T_E(v, h, eta, q, kappa)
+    # row i is q = grid[i], column j is kappa = grid[j]
+    t_table, e_table = (x.reshape(n, n) for x in rate_T_E(
+        v, h, eta, np.repeat(grid, n), np.tile(grid, n)))
     best = None
     for i in range(n):
         for j in range(n):

@@ -886,6 +886,32 @@ def anticommuter_family(n: int, phases=(1.0, -1.0)):
         yield reverse_diagonal_anticommuter(n, top)
 
 
+def trust_anticommuters(game: XorGame) -> list:
+    """The valid reverse-diagonal anticommuters a trust claim is checked
+    against, in a fixed order.
+
+    These are the anticommuter_family members over the phases +-1, plus the
+    corner phase of the score polynomial at its maximizer and its negative
+    when that phase is not real; members that fail the anticommutation
+    requirement are left out.
+    """
+    _, maximizer = optimal_score(game)
+    corner = _pg_batch(game, np.exp(1j * np.asarray(maximizer[1:]))[None, :])[0]
+    phases = [1.0 + 0j, -1.0 + 0j]
+    if abs(corner) > 1e-12:
+        phase = corner / abs(corner)
+        if min(abs(phase - 1), abs(phase + 1)) > 1e-9:
+            phases.extend([phase, -phase])
+    members = []
+    for anti in anticommuter_family(game.n, phases=phases):
+        try:
+            _validate_anticommuter(game.n, anti)
+        except InvalidOperatorError:
+            continue
+        members.append(anti)
+    return members
+
+
 def trust_coefficient_search(game: XorGame, samples: SamplingSpec | None = None,
                              resolution: float = 1e-3,
                              classification: str | None = None) -> float:
@@ -900,19 +926,9 @@ def trust_coefficient_search(game: XorGame, samples: SamplingSpec | None = None,
         raise ValueError(
             f"trust-coefficient search requires a strong self-test, got {classification}")
     samples = samples or SamplingSpec(grid_points=24, random_samples=2000, multistarts=4)
-    qG, maximizer = optimal_score(game)
-    corner = _pg_batch(game, np.exp(1j * np.asarray(maximizer[1:]))[None, :])[0]
-    phases = [1.0 + 0j, -1.0 + 0j]
-    if abs(corner) > 1e-12:
-        phase = corner / abs(corner)
-        if min(abs(phase - 1), abs(phase + 1)) > 1e-9:
-            phases.extend([phase, -phase])
+    qG, _ = optimal_score(game)
     best = 0.0
-    for anti in anticommuter_family(game.n, phases=phases):
-        try:
-            _validate_anticommuter(game.n, anti)
-        except InvalidOperatorError:
-            continue
+    for anti in trust_anticommuters(game):
         lo, hi = 0.0, qG
         if not trust_coefficient_check(game, 0.0, anti, samples, qG=qG).passed:
             continue

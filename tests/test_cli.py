@@ -81,6 +81,27 @@ class TestRate:
         assert rec["game_vG_provenance"] == "sampled bisection search"
         assert 0 < rec["game_qG_certified_gap"] <= 1e-9
 
+    @pytest.mark.parametrize("flag, value, searched", [
+        ("--q", 0.1, "kappa"), ("--kappa", 2.0, "q")])
+    def test_one_flag_pins_its_axis(self, tmp_path, flag, value, searched):
+        from direx.rates import certified_bound
+        from direx.xorgames import ghz_constants
+
+        out = tmp_path / "rate.jsonl"
+        assert run_cli("--output", str(out), "rate", "--game", "ghz",
+                       "--eta", "0.01", "--N", "1000000", flag, str(value)) == EXIT_OK
+        rec = read_records(out)[0]
+        assert rec[flag[2:]] == value
+        # the other axis is searched over its default grid
+        grid = (np.geomspace(1e-3, 30.0, 18) if searched == "kappa"
+                else np.geomspace(1e-4, 0.5, 18))
+        assert rec[searched] in grid.tolist()
+        pair = {flag[2:]: value}
+        best = max(certified_bound(
+            ghz_constants(), 10**6, eta=0.01, epsilon=2.0**-20,
+            **{**pair, searched: float(x)}).bound for x in grid)
+        assert rec["bound"] == best
+
     def test_named_game_record_has_no_certificate(self, tmp_path):
         out = tmp_path / "rate.jsonl"
         assert run_cli("--output", str(out), "rate", "--game", "chsh",
@@ -296,6 +317,39 @@ class TestVerify:
                                        "multistarts": 2, "check_seed": 5}
             assert rec["samples"] == 12 ** (3 if game == "ghz" else 2) + 500
 
+    def test_trust_tries_every_anticommuter(self, tmp_path):
+        # the first sign pattern fails CHSH at c = 0.1; the corner-phase
+        # member that trust_coefficient_search also tries passes
+        out = tmp_path / "chsh.jsonl"
+        assert run_cli("--output", str(out), "trust", "--game", "chsh",
+                       "--c", "0.1", "--grid", "12", "--samples", "500",
+                       "--multistarts", "2") == EXIT_OK
+        rec = read_records(out)[0]
+        assert rec["passed"] and rec["max_violation"] <= 0
+        assert rec["anticommuter"]["member"] == 2
+        assert rec["anticommuter"]["members"] == 4
+        phases = np.array(rec["anticommuter"]["top_row_phases"])
+        assert np.allclose(np.hypot(phases[:, 0], phases[:, 1]), 1.0)
+        ghz = tmp_path / "ghz.jsonl"
+        assert run_cli("--output", str(ghz), "trust", "--game", "ghz",
+                       "--c", "0.14", "--grid", "12", "--samples", "500",
+                       "--multistarts", "2") == EXIT_OK
+        assert "anticommuter" not in read_records(ghz)[0]
+
+    def test_trust_relabeled_three_player_game(self, tmp_path):
+        # GHZ's own sign pattern fails GHZ relabeled by (1, 1, 0) at
+        # c = 0.14 (violation 0.28); a later family member passes
+        from direx.xorgames import game_to_record, ghz_game
+
+        game = tmp_path / "game.json"
+        game.write_text(json.dumps(game_to_record(ghz_game().relabel((1, 1, 0)))))
+        out = tmp_path / "trust.jsonl"
+        assert run_cli("--output", str(out), "trust", "--game", str(game),
+                       "--c", "0.14", "--grid", "12", "--samples", "500",
+                       "--multistarts", "2") == EXIT_OK
+        rec = read_records(out)[0]
+        assert rec["passed"] and rec["anticommuter"]["member"] == 1
+
     def test_trust_fail_exit_code(self):
         assert run_cli("trust", "--game", "ghz", "--c", "0.5", "--grid", "8",
                        "--samples", "200", "--multistarts", "1") == EXIT_VIOLATION
@@ -316,6 +370,11 @@ class TestUsage:
         (("trust", "--c", "0.1", "--multistarts", "-1"), "--multistarts"),
         (("--workers", "0", "simulate", "--N", "100", "--q", "0.1",
           "--eta", "0.05"), "--workers"),
+        (("rate", "--eta", "-0.01"), "--eta"),
+        (("rate", "--eta", "0.01", "--N", "-5"), "--N"),
+        (("rate", "--eta", "0.01", "--q", "1.5"), "--q"),
+        (("rate", "--eta", "0.01", "--kappa", "0"), "--kappa"),
+        (("rate", "--eta", "0.01", "--epsilon-exp", "-1"), "--epsilon-exp"),
     ])
     @pytest.mark.filterwarnings("error")
     def test_bad_input_names_the_flag(self, monkeypatch, capsys, argv, named):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,17 @@ class TestEtaBar:
     def test_domain(self):
         with pytest.raises(ValueError):
             eta_bar(0.6, GHZ)
+
+    def test_digest_pinned(self):
+        # pinned before eta_bar's golden-section search moved into
+        # rates.golden_section_lanes; the values must not move
+        vals = [eta_bar(0.3, GHZ, f=lambda th: 0.0 * np.asarray(th)),
+                eta_bar(0.3, GHZ, f=lambda th: np.sqrt(th)),
+                eta_bar(0.499999, GHZ), eta_bar(0.49999, GHZ),
+                eta_bar(0.1, GHZ)]
+        digest = hashlib.sha256("\n".join(map(repr, vals)).encode())
+        assert digest.hexdigest() == (
+            "59068a1cf008fa6cd95395bfb249328482cd0bed6e7ba4378f53be53ac115539")
 
 
 class TestAgreementBound:

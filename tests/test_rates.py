@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from direx.errors import InfeasibleError
 from direx.rates import (
@@ -9,18 +13,20 @@ from direx.rates import (
     binary_entropy,
     certified_bound,
     feasible,
+    golden_section_lanes,
     limit_exponent,
     limit_exponent_slope,
     maximize_bound,
     one_round_rate,
     optimal_multiplier,
     rate_T_E,
+    refine_grid_min,
     smallest_positive_root_of_limit_exponent,
     tune_parameters,
     uncertainty_exponent,
     worst_case_rate,
 )
-from direx.xorgames import ghz_constants
+from direx.xorgames import chsh_constants, ghz_constants
 
 
 def pi_oracle(eps, delta):
@@ -295,3 +301,238 @@ class TestTuneParameters:
         res = tune_parameters(ghz, 0.01, 0.1)
         eps = res.soundness_error(1e-3, 10**6)
         assert eps == pytest.approx(np.sqrt(2) * 2.0 ** (-res.b * 1e-3 * 10**6))
+
+
+# ---------------------------------------------------------------------------
+# The sequential one-lane search that the lockstep search replaced, kept
+# verbatim as a reference: scalar golden-section steps, each evaluating the
+# validated one-round rate at one point.
+
+_REF_LN2 = float(np.log(2.0))
+_REF_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def reference_exponent(eps, delta):
+    eps = np.asarray(eps, dtype=float)
+    delta = np.asarray(delta, dtype=float)
+    if np.any(eps <= 0) or np.any(eps > 1):
+        raise ValueError("first argument must lie in (0, 1]")
+    if np.any(delta < 0) or np.any(delta > 1):
+        raise ValueError("second argument must lie in [0, 1]")
+    d = np.minimum(delta, 1.0 - delta)
+    am1 = -2.0 * eps / (1.0 + 2.0 * eps)
+    logd = np.log(np.where(d > 0, d, 1.0))
+    sum_m1 = (1.0 - d) * np.expm1(am1 * np.log1p(-d)) \
+        + np.where(d > 0, d * np.expm1(am1 * logd), 0.0)
+    out = 1.0 - ((1.0 + 2.0 * eps) / eps) * (np.log1p(sum_m1) / _REF_LN2)
+    return out if out.ndim else float(out)
+
+
+def reference_one_round_rate(v, h, q, kappa, r, t):
+    t = np.asarray(t, dtype=float)
+    gamma = r * q * kappa
+    pi_val = reference_exponent(gamma, t)
+    honest = (h / 2.0) ** (1.0 + gamma) + v ** (1.0 + gamma) * t
+    bracket_m1 = (1.0 - q) * np.expm1(-gamma * pi_val * _REF_LN2) \
+        + q * np.expm1(-kappa * _REF_LN2) * honest
+    out = -(np.log1p(bracket_m1) / _REF_LN2) / gamma
+    return out if out.ndim else float(out)
+
+
+def reference_refine(f, grid, vals):
+    i = int(np.argmin(vals))
+    a = grid[max(i - 1, 0)]
+    b = grid[min(i + 1, len(grid) - 1)]
+    c = b - _REF_GOLDEN * (b - a)
+    d = a + _REF_GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(80):
+        if b - a < 1e-12:
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _REF_GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _REF_GOLDEN * (b - a)
+            fd = f(d)
+    return float(min(vals[i], fc, fd))
+
+
+def reference_worst_case_rate(v, h, q, kappa, r, grid_step=1e-4):
+    ts = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
+    return reference_refine(
+        lambda t: float(reference_one_round_rate(v, h, q, kappa, r, t)),
+        ts, reference_one_round_rate(v, h, q, kappa, r, ts))
+
+
+def reference_rate_T_E(v, h, eta, q, kappa):
+    slope = 2.0 * np.log2((eta / v) / (1.0 - eta / v))
+    r = min(v / (-slope), 1.0 / (q * kappa))
+    delta = reference_worst_case_rate(v, h, q, kappa, r)
+    return float(-(h / 2.0 + eta) / r + delta), float(2.0 / r)
+
+
+def _gamma_cases():
+    # gamma = r q kappa: anywhere in (0, 1], tiny, just below 1, or with r
+    # at its cap 1/(q kappa), where the product can round above 1
+    return st.one_of(st.floats(1e-9, 1.0), st.sampled_from(
+        [1e-7, 1.2e-7, 1.0 - 1e-12, 1.0, "cap"]))
+
+
+@st.composite
+def rate_lanes(draw):
+    v = draw(st.floats(1e-3, 1.0))
+    h = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0 - v)))
+    # q near 1 with a large penalty puts the grid minimum at t = 0
+    q = draw(st.one_of(st.floats(1e-6, 0.999), st.just(0.999)))
+    kappa = draw(st.one_of(st.floats(1e-4, 40.0), st.just(40.0)))
+    gamma = draw(_gamma_cases())
+    r = 1.0 / (q * kappa) if gamma == "cap" else gamma / (q * kappa)
+    return v, h, q, kappa, r
+
+
+# r at its cap where r q kappa rounds to 1 + 2**-52: both searches reject it
+_CAP_Q, _CAP_KAPPA = 0.8452237508974123, 33.66656829455317
+_ABOVE_CAP = (0.5, 0.1, _CAP_Q, _CAP_KAPPA, 1.0 / (_CAP_Q * _CAP_KAPPA))
+
+
+def _reference_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+class TestLockstepSearch:
+    """Every lane of the lockstep search equals the sequential search by ==."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(lanes=st.lists(rate_lanes(), min_size=1, max_size=6))
+    @example(lanes=[_ABOVE_CAP])
+    @example(lanes=[(0.14, 0.0, 0.01, 0.1, 1.0), _ABOVE_CAP])
+    def test_worst_case_rate_lanes_equal_sequential_search(self, lanes):
+        expect = [_reference_or_error(reference_worst_case_rate, *lane)
+                  for lane in lanes]
+        cols = [np.array(x) for x in zip(*lanes)]
+        if ValueError in expect:
+            with pytest.raises(ValueError):
+                worst_case_rate(*cols)
+            return
+        got = worst_case_rate(*cols)
+        assert got.shape == (len(lanes),)
+        assert got.tolist() == expect
+        # the one-lane call takes the same path
+        assert worst_case_rate(*lanes[0]) == expect[0]
+
+    def test_grid_minimum_at_t_zero(self):
+        lane = (1.0, 0.0, 0.999, 40.0, 0.5 / (0.999 * 40.0))
+        ts = np.arange(0.0, 1.0 + 0.5e-4, 1e-4)
+        assert int(np.argmin(one_round_rate(*lane, ts))) == 0
+        assert worst_case_rate(*lane) == reference_worst_case_rate(*lane)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(v=st.floats(0.05, 1.0), h_frac=st.floats(0.0, 1.0),
+           eta_frac=st.floats(0.01, 0.99),
+           qs=st.lists(st.floats(1e-6, 0.99), min_size=1, max_size=4),
+           kappas=st.lists(st.floats(1e-4, 30.0), min_size=1, max_size=4))
+    def test_rate_T_E_grid_equals_pairwise_calls(self, v, h_frac, eta_frac,
+                                                 qs, kappas):
+        h, eta = h_frac * (1.0 - v), eta_frac * v / 2
+        q_lanes = np.repeat(qs, len(kappas))
+        k_lanes = np.tile(kappas, len(qs))
+        expect = [_reference_or_error(reference_rate_T_E, v, h, eta, q, k)
+                  for q, k in zip(q_lanes.tolist(), k_lanes.tolist())]
+        if ValueError in expect:
+            with pytest.raises(ValueError):
+                rate_T_E(v, h, eta, q_lanes, k_lanes)
+            return
+        t_vals, e_vals = rate_T_E(v, h, eta, q_lanes, k_lanes)
+        assert list(zip(t_vals.tolist(), e_vals.tolist())) == expect
+        assert rate_T_E(v, h, eta, qs[0], kappas[0]) == expect[0]
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(centre=st.floats(-0.2, 1.2), scale=st.floats(0.5, 50.0),
+           quantum=st.sampled_from([0.0, 1e-3, 2.0**-6]),
+           n=st.integers(2, 400))
+    def test_refine_matches_sequential_search(self, centre, scale, quantum, n):
+        # quantized values tie often, so the branch on ties is exercised;
+        # centres outside [0, 1] put the minimum at either end of the grid
+        def f(t):
+            val = scale * (np.asarray(t) - centre) ** 2
+            return np.floor(val / quantum) * quantum if quantum else val
+        grid = np.linspace(0.0, 1.0, n)
+        assert refine_grid_min(f, grid, f(grid)) == \
+            reference_refine(lambda t: float(f(t)), grid, f(grid))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(lanes=st.lists(st.tuples(st.floats(0.0, 0.9), st.floats(1e-13, 0.1),
+                                    st.floats(-1.0, 2.0)),
+                          min_size=1, max_size=8),
+           depth=st.integers(1, 6))
+    def test_lanes_independent_of_depth_and_neighbours(self, lanes, depth):
+        from direx import rates
+
+        a, width, centre = (np.array(x) for x in zip(*lanes))
+        b = a + width
+
+        def f(t, lane):
+            return np.floor(40.0 * (t - centre[lane]) ** 2 * 64) / 64
+
+        floor = np.full(len(lanes), np.inf)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rates, "_GOLDEN_DEPTH", depth)
+            got = golden_section_lanes(f, a, b, floor).tolist()
+        for k in range(len(lanes)):
+            alone = golden_section_lanes(
+                lambda t, _: f(t, np.full(np.shape(t), k)),
+                a[k:k + 1], b[k:k + 1], floor[k:k + 1])
+            assert got[k] == alone[0]
+
+
+def _digest(values) -> str:
+    return hashlib.sha256("\n".join(map(repr, values)).encode()).hexdigest()
+
+
+class TestPinnedSearches:
+    """Digests of the searches' outputs, pinned before the lockstep search
+    replaced the sequential one; they must not move."""
+
+    def test_maximize_bound_digest(self):
+        vals = []
+        for consts in (ghz_constants(), chsh_constants()):
+            for eta in (0.01, 0.005, 0.002, 0.001):
+                rep = maximize_bound(consts, 10**6, eta, 2.0**-20)
+                vals += [rep.T_value, rep.E_value, rep.bound, rep.params.q,
+                         rep.params.kappa, rep.params.r]
+        assert _digest(vals) == (
+            "dceb72951034939d587268ab6a8d838a3a9debebba7cc025328e64a43522b593")
+
+    def test_tune_parameters_digest(self):
+        vals = []
+        for consts, eta, delta in ((ghz_constants(), 0.01, 0.1),
+                                   (ghz_constants(), 0.005, 0.05),
+                                   (chsh_constants(), 0.005, 0.02)):
+            res = tune_parameters(consts, eta, delta)
+            vals += [res.q0, res.kappa0, res.b, res.K, res.rate, res.E_cap]
+        assert _digest(vals) == (
+            "9b9a313213ee06ab45b615299b800c518d3af7994f43f26515f15504e6aa70c2")
+
+    def test_winner_report_equals_certified_bound(self):
+        ghz = ghz_constants()
+        best = maximize_bound(ghz, 10**6, 0.01, 2.0**-20)
+        again = certified_bound(ghz, 10**6, best.params.q, 0.01,
+                                best.params.kappa, 2.0**-20)
+        assert best.to_record() == again.to_record()
+
+    def test_pinned_axis_searches_the_other(self):
+        ghz = ghz_constants()
+        full = maximize_bound(ghz, 10**6, 0.01, 2.0**-20)
+        kappas = np.geomspace(1e-3, 30.0, 18)
+        pinned = maximize_bound(ghz, 10**6, 0.01, 2.0**-20, q_grid=[0.1])
+        assert pinned.params.q == 0.1
+        assert pinned.bound == max(
+            certified_bound(ghz, 10**6, 0.1, 0.01, float(k), 2.0**-20).bound
+            for k in kappas)
+        assert pinned.bound <= full.bound
