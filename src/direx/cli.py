@@ -479,6 +479,8 @@ def cmd_recon(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.instances < 1:
+        raise ValueError(f"--instances must be at least 1, got {args.instances}")
     master = parse_master_seed(args.seed)
     rng = numpy_rng(master, f"verify-{args.suite}")
     violations = 0

@@ -5,15 +5,27 @@ States are either plain PSD operators or classical-quantum (CQ) states,
 stored block-diagonally: one subnormalized block per classical label.
 Support containment is enforced with an eigenvalue cutoff of 1e-10, and
 powers of the reference operator are taken on its support only.
+
+Blockwise quantities work on block stacks: the blocks of a state, in label
+order, as one ``(B, d, d)`` array, and a single reference operator as one
+``(d, d)`` matrix that broadcasts across the blocks.  Each operator family
+costs one batched ``eigh``/``eigvalsh``/``svd`` and one batched matmul
+chain.  The results equal those of a block-by-block loop bit for bit:
+stacked LAPACK and BLAS calls run once per matrix, so each block gets the
+bits a lone call gives; powers are taken element by element; each block's
+eigenvalue powers are summed along the block's own row, as a lone call
+sums them; and the block totals are then added one at a time in label
+order with Python floats (``_label_order_sum``), since ``np.sum`` over
+eight or more blocks would add them pairwise, in another order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SupportViolationError
+from .errors import InvalidOperatorError, SupportViolationError
 from .matrixcore import PsdOperator, as_matrix, pseudo_power
 from .rates import uncertainty_exponent
 
@@ -63,58 +75,89 @@ class BlockOperator:
     """A labeled block-diagonal PSD operator without the state-trace cap.
 
     Used for reference operators whose total weight exceeds 1 (for example
-    failure-weighted bounding operators).
+    failure-weighted bounding operators).  The blocks are held as one
+    read-only complex ``(B, d, d)`` stack in label order.
     """
 
     labels: tuple
-    blocks: tuple  # of ndarray
+    blocks: np.ndarray = field(repr=False)  # (B, d, d) complex128
 
-    def block_arrays(self) -> list:
-        return [np.asarray(b, dtype=np.complex128) for b in self.blocks]
+    def __post_init__(self):
+        labels = tuple(self.labels)
+        if len(self.blocks) == 0:
+            raise ValueError("need at least one block")
+        if len(labels) != len(self.blocks):
+            raise ValueError("labels and blocks must align")
+        try:
+            stack = np.array(self.blocks, dtype=np.complex128)
+        except ValueError:
+            stack = None  # ragged
+        if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            raise ValueError("blocks must be square matrices of one shape")
+        stack.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "blocks", stack)
 
     def trace(self) -> float:
-        return float(sum(np.asarray(b).trace().real for b in self.blocks))
+        return _label_order_sum(np.trace(self.blocks, axis1=1, axis2=2).real)
 
 
-def _block_pairs(rho, sigma):
-    """Align rho and sigma into lists of (rho_block, sigma_block) arrays.
+def _label_order_sum(values) -> float:
+    """Add per-block values one at a time, in label order."""
+    total = 0.0
+    for v in values.tolist():
+        total += v
+    return total
 
-    sigma may be a CqState/BlockOperator with matching labels, or a single
-    operator broadcast across blocks (the identity-on-labels convention).
+
+def _block_stacks(rho, sigma):
+    """rho and sigma as block stacks: (rho_stack, sigma_stack, Tr rho).
+
+    rho_stack is (B, d, d) in label order; a plain operator is one block.
+    sigma may be a CqState/BlockOperator with matching labels, giving a
+    (B, d, d) stack, or a single operator (the identity-on-labels
+    convention), kept as one (d, d) matrix that broadcasts across blocks.
     """
+    def stack(state):
+        if isinstance(state, BlockOperator):
+            return state.blocks
+        return np.stack(state.block_arrays())
+
     if isinstance(rho, (CqState, BlockOperator)):
-        rb = rho.block_arrays()
         if isinstance(sigma, (CqState, BlockOperator)):
             if sigma.labels != rho.labels:
                 raise ValueError("label mismatch between the two states")
-            sb = sigma.block_arrays()
+            sigma_stack = stack(sigma)
         else:
-            sb = [as_matrix(sigma, np.complex128)] * len(rb)
-        return list(zip(rb, sb)), rho.trace()
+            sigma_stack = as_matrix(sigma, np.complex128)
+        return stack(rho), sigma_stack, rho.trace()
     r = as_matrix(rho, np.complex128)
-    return [(r, as_matrix(sigma, np.complex128))], float(r.trace().real)
+    return r[None], as_matrix(sigma, np.complex128), float(r.trace().real)
 
 
-def _check_support(pairs, cutoff=SUPPORT_CUTOFF):
+def _check_support(rho_stack, sigma_stack, cutoff=SUPPORT_CUTOFF):
     """Raise unless every rho block is supported inside its sigma block."""
-    worst = 0.0
-    for rb, sb in pairs:
-        w, u = np.linalg.eigh(0.5 * (sb + sb.conj().T))
-        null = u[:, w <= cutoff]
-        if null.shape[1] == 0:
-            continue
-        overlap = float(np.max(np.abs(np.einsum("ij,jk,ki->i",
-                                                null.conj().T, rb, null).real)))
-        worst = max(worst, overlap)
+    w, u = np.linalg.eigh(0.5 * (sigma_stack + sigma_stack.conj().swapaxes(-1, -2)))
+    null = w <= cutoff
+    if not null.any():
+        return
+    # <u_i| rho |u_i> for every eigenvector u_i of every sigma block.
+    # einsum's summation order follows the operands' layout; with u^H
+    # contiguous it sums each overlap as the per-block code did
+    uh = np.ascontiguousarray(u.conj().swapaxes(-1, -2))
+    overlap = np.abs(np.einsum("...ij,...jk,...ki->...i", uh, rho_stack, u).real)
+    worst = float(np.max(overlap, where=np.broadcast_to(null, overlap.shape),
+                         initial=0.0))
     if worst > cutoff:
         raise SupportViolationError(
             f"support violation: null-eigenvector overlap {worst:.3e}", worst)
 
 
-def _psd_trace_power(m: np.ndarray, p: float) -> float:
-    w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+def _psd_trace_powers(m: np.ndarray, p: float) -> np.ndarray:
+    """Tr(M_+^p) for each matrix of a stack (..., d, d), as an array."""
+    w = np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))
     w = np.where(w > 0.0, w, 0.0)
-    return float(np.sum(w**p))
+    return np.sum(w**p, axis=-1)
 
 
 def renyi_divergence(rho, sigma, alpha: float) -> float:
@@ -125,28 +168,21 @@ def renyi_divergence(rho, sigma, alpha: float) -> float:
     """
     if not 1 < alpha <= 2:
         raise ValueError(f"order must lie in (1, 2], got {alpha}")
-    pairs, tr = _block_pairs(rho, sigma)
+    rs, ss, tr = _block_stacks(rho, sigma)
     if tr <= 0:
         raise ValueError("state must have positive trace")
-    _check_support(pairs)
-    expo = (1.0 - alpha) / (2.0 * alpha)
-    total = 0.0
-    for rb, sb in pairs:
-        spow = pseudo_power(sb, expo, cutoff=SUPPORT_CUTOFF)
-        inner = spow @ rb @ spow
-        total += _psd_trace_power(inner, alpha)
+    _check_support(rs, ss)
+    spow = pseudo_power(ss, (1.0 - alpha) / (2.0 * alpha), cutoff=SUPPORT_CUTOFF)
+    total = _label_order_sum(_psd_trace_powers(spow @ rs @ spow, alpha))
     return float((np.log2(total) - np.log2(tr)) / (alpha - 1.0))
 
 
 def dmax(rho, sigma) -> float:
     """Max-divergence: log of the smallest c with rho <= c * sigma."""
-    pairs, _ = _block_pairs(rho, sigma)
-    _check_support(pairs)
-    worst = 0.0
-    for rb, sb in pairs:
-        sinv = pseudo_power(sb, -0.5, cutoff=SUPPORT_CUTOFF)
-        w = np.linalg.eigvalsh(sinv @ rb @ sinv)
-        worst = max(worst, float(w[-1]))
+    rs, ss, _ = _block_stacks(rho, sigma)
+    _check_support(rs, ss)
+    sinv = pseudo_power(ss, -0.5, cutoff=SUPPORT_CUTOFF)
+    worst = max(0.0, float(np.linalg.eigvalsh(sinv @ rs @ sinv)[:, -1].max()))
     if worst <= 0:
         return -np.inf
     return float(np.log2(worst))
@@ -177,18 +213,14 @@ def smooth_from_renyi(rho: CqState, sigma, alpha: float, epsilon: float):
         raise ValueError(f"smoothing parameter must lie in (0, sqrt(2)], got {epsilon}")
     base = renyi_divergence(rho, sigma, alpha)
     bound = base + (2.0 * np.log2(1.0 / epsilon) + 1.0) / (alpha - 1.0)
-    pairs, _ = _block_pairs(rho, sigma)
-    scale = 2.0**bound
-    new_blocks = []
-    for rb, sb in pairs:
-        st = scale * sb
-        delta = pseudo_power(rb - st, 1.0, cutoff=0.0)
-        g = (pseudo_power(st, 0.5, cutoff=0.0)
-             @ pseudo_power(st + delta, -0.5, cutoff=1e-14))
-        # numerical floor: clip eigenvalues a hair below zero back up
-        new_blocks.append(pseudo_power(g @ rb @ g.conj().T, 1.0, cutoff=0.0))
-    smoothed = CqState.from_arrays(rho.labels, new_blocks)
-    return smoothed, float(bound)
+    rs, ss, _ = _block_stacks(rho, sigma)
+    st = 2.0**bound * ss
+    delta = pseudo_power(rs - st, 1.0, cutoff=0.0)
+    g = (pseudo_power(st, 0.5, cutoff=0.0)
+         @ pseudo_power(st + delta, -0.5, cutoff=1e-14))
+    # numerical floor: clip eigenvalues a hair below zero back up
+    smoothed = pseudo_power(g @ rs @ g.conj().swapaxes(-1, -2), 1.0, cutoff=0.0)
+    return CqState.from_arrays(rho.labels, smoothed), float(bound)
 
 
 @dataclass(frozen=True)
@@ -245,12 +277,13 @@ def uncertainty_check(inst: MeasurementInstance, epsilon: float,
     """
     if not 0 < epsilon <= 1:
         raise ValueError(f"exponent must lie in (0, 1], got {epsilon}")
-    denom = _psd_trace_power(inst.rho, 1.0 + epsilon)
+    denom, one, plus, minus = _psd_trace_powers(
+        np.stack((inst.rho, inst.rho1, inst.rho_plus, inst.rho_minus)),
+        1.0 + epsilon).tolist()
     if denom <= 0:
         raise ValueError("state must have positive trace")
-    delta = _psd_trace_power(inst.rho1, 1.0 + epsilon) / denom
-    lhs = (_psd_trace_power(inst.rho_plus, 1.0 + epsilon)
-           + _psd_trace_power(inst.rho_minus, 1.0 + epsilon)) / denom
+    delta = one / denom
+    lhs = (plus + minus) / denom
     rhs = 2.0 ** (-epsilon * float(uncertainty_exponent(epsilon, min(max(delta, 0.0), 1.0))))
     return UncertaintyCheck(delta=float(delta), lhs_ratio=float(lhs), rhs=float(rhs),
                             holds=bool(lhs <= rhs + slack))
@@ -274,12 +307,14 @@ def schatten_ineq_check(X, Y, p: float, slack: float = 1e-9) -> SchattenCheck:
         raise ValueError(f"shape mismatch: {X.shape} vs {Y.shape}")
     if not p >= 2:
         raise ValueError(f"requires p >= 2, got {p}")
+    if X.ndim != 2:
+        raise InvalidOperatorError(f"expected a matrix, got shape {X.shape}")
     pprime = 1.0 / (1.0 - 1.0 / p)
-    lhs = (schatten_norm((X + Y) / np.sqrt(2.0), p) ** p
-           + schatten_norm((X - Y) / np.sqrt(2.0), p) ** p)
-    rhs = 2.0 ** (1.0 - p / 2.0) * (
-        schatten_norm(X, p) ** pprime + schatten_norm(Y, p) ** pprime
-    ) ** (p / pprime)
+    plus, minus, nx, ny = schatten_norm(
+        np.stack(((X + Y) / np.sqrt(2.0), (X - Y) / np.sqrt(2.0), X, Y)),
+        p).tolist()
+    lhs = plus**p + minus**p
+    rhs = 2.0 ** (1.0 - p / 2.0) * (nx**pprime + ny**pprime) ** (p / pprime)
     return SchattenCheck(lhs=float(lhs), rhs=float(rhs),
                          holds=bool(lhs <= rhs + slack))
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from math import lcm
 
 import numpy as np
@@ -690,6 +690,15 @@ def exact_small_run(N: int, behavior: PartiallyTrustedBehavior, q: float,
     decomposition, then compares its order-(1+gamma) divergence against the
     weighted reference operator (failures weighted by 2^(1/(q r)) per
     round) with the bound -N times the worst-case one-round rate.
+
+    The branch tree grows as one (4^n, D, D) stack: a round maps branch
+    hist to the four children hist*4 + 2g + o, so stack order is the sorted
+    order of the (g, o) label strings.  Every Kraus product of a round is
+    one broadcast matmul chain over the stack, and one einsum traces out
+    the device.  The results equal a branch-by-branch loop bit for bit
+    (see the entropy module): children and reference weights are combined
+    in the loop's order, and the environment state is accumulated block by
+    block in label order.
     """
     if not 1 <= N <= 4:
         raise ValueError("exact execution supports 1 to 4 rounds")
@@ -701,57 +710,70 @@ def exact_small_run(N: int, behavior: PartiallyTrustedBehavior, q: float,
     if not 0 < gamma <= 1:
         raise ValueError("need 0 < r q kappa <= 1")
     psi = behavior.state
-    rho0 = np.outer(psi, psi.conj())
-    env_eye = np.eye(de)
+    dim = dq * de
 
-    kraus = {g: [(w, np.kron(k0, env_eye), np.kron(k1, env_eye))
-                 for w, k0, k1, _ in behavior.kraus_for(g)]
-             for g in (0, 1)}
+    # per input g: (weight, index of K_out0) for each Kraus branch, with
+    # K_out1 at the next index; all operators lifted to the joint space
+    ops, branches = [], {}
+    for g in (0, 1):
+        branches[g] = []
+        for w, k0, k1, _ in behavior.kraus_for(g):
+            branches[g].append((w, len(ops)))
+            ops += [k0, k1]
+    ops = _lift(ops, de)[:, None]
+    ops_h = ops.conj().swapaxes(-1, -2)
     g_weight = {0: 1.0 - q, 1: q}
 
-    branches = {(): rho0}
+    stack = np.outer(psi, psi.conj())[None]
     for _ in range(N):
-        nxt = {}
-        for hist, rho in branches.items():
-            for g in (0, 1):
-                outs = {0: np.zeros_like(rho), 1: np.zeros_like(rho)}
-                for w, k0, k1 in kraus[g]:
-                    outs[0] += w * (k0 @ rho @ k0.conj().T)
-                    outs[1] += w * (k1 @ rho @ k1.conj().T)
-                for o in (0, 1):
-                    nxt[hist + ((g, o),)] = g_weight[g] * outs[o]
-        branches = nxt
+        prods = ops @ stack @ ops_h
+        children = np.empty((len(stack), 4, dim, dim), dtype=np.complex128)
+        for g in (0, 1):
+            for o in (0, 1):
+                out = np.zeros_like(stack)
+                for w, k in branches[g]:
+                    out += w * prods[k + o]
+                children[:, 2 * g + o] = g_weight[g] * out
+        stack = children.reshape(-1, dim, dim)
 
-    labels = tuple(sorted(branches))
-    gamma_blocks = []
+    labels = tuple(product(((0, 0), (0, 1), (1, 0), (1, 1)), repeat=N))
+    gamma_stack = _trace_out_device(stack, dq, de)
     env_state = np.zeros((de, de), dtype=np.complex128)
-    for lab in labels:
-        block = _trace_out_device(branches[lab], dq, de)
-        gamma_blocks.append(block)
+    for block in gamma_stack:
         env_state += block
-    sigma_blocks = []
-    for lab in labels:
-        fails = sum(g * o for g, o in lab)
-        games = sum(g for g, o in lab)
-        weight = (1.0 - q) ** (N - games) * q**games * 2.0 ** (fails / (q * r))
-        sigma_blocks.append(weight * env_state)
+    # a label's reference weight depends on its game and failure counts
+    # only; each is one scalar expression, since numpy's array power can
+    # round differently
+    counts = [(sum(g for g, _ in lab), sum(g * o for g, o in lab))
+              for lab in labels]
+    weight = {(games, fails): ((1.0 - q) ** (N - games) * q**games
+                               * 2.0 ** (fails / (q * r)))
+              for games, fails in set(counts)}
+    sigma_stack = np.array([weight[c] for c in counts])[:, None, None] * env_state
 
-    lhs = renyi_divergence(
-        BlockOperator(labels, tuple(gamma_blocks)),
-        BlockOperator(labels, tuple(sigma_blocks)),
-        1.0 + gamma,
-    )
+    lhs = renyi_divergence(BlockOperator(labels, gamma_stack),
+                           BlockOperator(labels, sigma_stack), 1.0 + gamma)
     rhs = -N * worst_case_rate(behavior.v, behavior.h, q, kappa, r)
     return ExactRunResult(
         lhs=float(lhs), rhs=float(rhs), holds=bool(lhs <= rhs + slack),
-        gamma=gamma, labels=labels, gamma_blocks=tuple(gamma_blocks),
-        sigma_blocks=tuple(sigma_blocks), env_state=env_state,
+        gamma=gamma, labels=labels, gamma_blocks=tuple(gamma_stack),
+        sigma_blocks=tuple(sigma_stack), env_state=env_state,
     )
 
 
+def _lift(ops, de: int) -> np.ndarray:
+    """Device operators K as one stack of K (x) I_env: the products
+    np.kron forms, without a call per operator."""
+    ks = np.stack(ops).astype(np.complex128, copy=False)
+    m, dq = ks.shape[:2]
+    return (ks[:, :, None, :, None] * np.eye(de)[:, None, :]).reshape(
+        m, dq * de, dq * de)
+
+
 def _trace_out_device(rho: np.ndarray, dq: int, de: int) -> np.ndarray:
-    r = rho.reshape(dq, de, dq, de)
-    return np.einsum("iaib->ab", r)
+    """Partial trace over the device factor of a stack (..., dq*de, dq*de)."""
+    r = rho.reshape(*rho.shape[:-2], dq, de, dq, de)
+    return np.einsum("...iaib->...ab", r)
 
 
 def conditional_environment_states(behavior: PartiallyTrustedBehavior) -> dict:
@@ -759,29 +781,25 @@ def conditional_environment_states(behavior: PartiallyTrustedBehavior) -> dict:
 
     Keys "H","T" (input 0), "P","F" (input 1, actual mixture), and "0","1"
     (input 1 with the trusted measurement only), all as subnormalized
-    operators on the environment.
+    operators on the environment.  Every operator is applied in one
+    stacked product.
     """
     dq, de = behavior.device_dim, behavior.env_dim
     psi = behavior.state
     rho = np.outer(psi, psi.conj())
-    env_eye = np.eye(de)
-
-    def apply(k):
-        kk = np.kron(k, env_eye)
-        return _trace_out_device(kk @ rho @ kk.conj().T, dq, de)
-
+    eye = np.eye(dq)
     t0, t1 = behavior.trusted_pair
-    out = {
-        "H": apply(0.5 * (np.eye(dq) + t0)),
-        "T": apply(0.5 * (np.eye(dq) - t0)),
-        "0": apply(0.5 * (np.eye(dq) + t1)),
-        "1": apply(0.5 * (np.eye(dq) - t1)),
-    }
+    ops = [0.5 * (eye + t0), 0.5 * (eye - t0), 0.5 * (eye + t1), 0.5 * (eye - t1)]
+    kraus = behavior.kraus_for(1)
+    for _, k0, k1, _ in kraus:
+        ops += [k0, k1]
+    kk = _lift(ops, de)
+    states = _trace_out_device(kk @ rho @ kk.conj().swapaxes(-1, -2), dq, de)
+    out = dict(zip("HT01", states))
     p = np.zeros((de, de), dtype=np.complex128)
     f = np.zeros((de, de), dtype=np.complex128)
-    for w, k0, k1, _ in behavior.kraus_for(1):
-        kk0, kk1 = np.kron(k0, env_eye), np.kron(k1, env_eye)
-        p += w * _trace_out_device(kk0 @ rho @ kk0.conj().T, dq, de)
-        f += w * _trace_out_device(kk1 @ rho @ kk1.conj().T, dq, de)
+    for j, (w, _, _, _) in enumerate(kraus):
+        p += w * states[4 + 2 * j]
+        f += w * states[5 + 2 * j]
     out["P"], out["F"] = p, f
     return out

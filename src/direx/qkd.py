@@ -11,7 +11,7 @@ minus the reconciliation leakage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -64,6 +64,14 @@ class KdConfig:
     @property
     def abort_threshold(self) -> float:
         return (1.0 - self.constants.wG + self.eta) * self.q * self.N
+
+    @cached_property
+    def rate_report(self) -> RateReport:
+        """The expansion bound of a successful run.  It depends on the
+        config alone, so every run under one config shares one report,
+        computed on first use."""
+        return certified_bound(self.constants, self.N, self.q, self.eta,
+                               self.kappa, 2.0 ** (-self.epsilon_exp))
 
 
 @dataclass(frozen=True)
@@ -148,9 +156,7 @@ def run_rkd(config: KdConfig, behavior, seed_stream: BitStream,
     # domain; the protocol itself runs for any eta in (0, 1/2)
     report, certified = None, 0.0
     if 0 < config.eta < config.constants.vG_lower / 2:
-        report = certified_bound(config.constants, config.N, config.q,
-                                 config.eta, config.kappa,
-                                 2.0 ** (-config.epsilon_exp))
+        report = config.rate_report
         certified = max(report.bound - eir.leaked_bits, 0.0)
 
     def key(bits):  # game rounds keep their public symbol

@@ -375,6 +375,8 @@ class TestUsage:
         (("rate", "--eta", "0.01", "--q", "1.5"), "--q"),
         (("rate", "--eta", "0.01", "--kappa", "0"), "--kappa"),
         (("rate", "--eta", "0.01", "--epsilon-exp", "-1"), "--epsilon-exp"),
+        (("verify", "--instances", "0"), "--instances"),
+        (("verify", "--suite", "multishot", "--instances", "-3"), "--instances"),
     ])
     @pytest.mark.filterwarnings("error")
     def test_bad_input_names_the_flag(self, monkeypatch, capsys, argv, named):

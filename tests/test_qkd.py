@@ -276,3 +276,22 @@ class TestKeyRateReport:
         assert out.success and out.report is None and out.certified_bits == 0
         with pytest.raises(ValueError, match="rate report"):
             key_rate_report(out)
+
+    def test_one_report_per_config(self, monkeypatch):
+        # the bound depends on the config alone: sessions share one report,
+        # looked up through qkd.certified_bound on the first success
+        from direx import qkd
+        from direx.rates import certified_bound
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return certified_bound(*args)
+        monkeypatch.setattr(qkd, "certified_bound", counted)
+        cfg = kd_config(3000, 0.05)
+        outs = [run(cfg, ghz_honest_device(), "shared", trial=t) for t in range(3)]
+        assert all(o.success for o in outs) and len(calls) == 1
+        assert all(o.report is outs[0].report for o in outs)
+        assert outs[0].report == certified_bound(GHZ, 3000, 0.05, 0.001, 2.64, 0.25)
+        assert kd_config(3000, 0.05).rate_report == outs[0].report
