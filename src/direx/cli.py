@@ -389,6 +389,11 @@ def cmd_expand(args) -> int:
         raise ValueError(
             f"--stage-rounds and --stage-bits must give one value per stage "
             f"(got {len(args.stage_rounds)} and {len(args.stage_bits)})")
+    for flag, values in (("--stage-rounds", args.stage_rounds),
+                         ("--stage-bits", args.stage_bits)):
+        if min(values) < 1:
+            raise ValueError(
+                f"{flag} values must be at least 1, got {min(values)}")
     master = parse_master_seed(args.seed)
     game = load_game(args.game)
     behavior = _behavior_from_args(args)

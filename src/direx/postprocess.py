@@ -37,6 +37,10 @@ class ExtractorSpec:
     ext_error_exp: float  # log2(1/ext_error)
 
     def __post_init__(self):
+        if self.source_len < 1 or self.output_len < 1:
+            raise ValueError(
+                f"extraction needs a nonempty source and output, got source "
+                f"length {self.source_len} and output length {self.output_len}")
         if self.output_len > self.claimed_min_entropy - 2 * self.ext_error_exp:
             raise InfeasibleError(
                 f"output length {self.output_len} exceeds the hashing budget "
@@ -51,31 +55,66 @@ class ExtractorSpec:
         return Fraction(1, 2 ** int(np.ceil(self.ext_error_exp)))
 
 
-def _bits_to_int_lsb(bits: np.ndarray) -> int:
-    padded = np.zeros(-(-bits.size // 8) * 8, dtype=np.uint8)
-    padded[: bits.size] = bits
-    return int.from_bytes(np.packbits(padded, bitorder="little").tobytes(), "little")
+# rows of one residue class are multiplied in blocks of at most this many
+# 64-bit words (1 MB), so the temporaries stay bounded whatever n and m are
+_BLOCK_WORDS = 1 << 17
+
+
+def _pack_words(bits: np.ndarray, start: int, words: int) -> np.ndarray:
+    """bits[start : start + 64 * words], 64 to a uint64 word.  The order of
+    the bits inside a word is the same for every array packed here, and only
+    AND, XOR and popcount are applied to the words, so it never matters."""
+    return np.packbits(bits[start:start + 64 * words]).view(np.uint64)
 
 
 def toeplitz_extract(source, seed, m: int) -> np.ndarray:
     """Multiply the source by the Toeplitz matrix packed in the seed.
 
-    Row i, column j of the matrix is seed[i - j + N - 1], so the product is
-    a slice of the GF(2) convolution of seed and source, computed here as a
-    carryless product of big integers (exact and fast at desk sizes).
+    Row i, column j of the matrix is seed[i - j + N - 1], so output bit i is
+    the GF(2) inner product of seed[i : i + N] with the reversed source.
+    Both sides are packed into 64-bit words: the reversed source once, and
+    the seed once from each offset r < 64, so that every row i = r (mod 64)
+    is a window of consecutive words of the seed packed from offset r.  A
+    row's bit is the parity of the popcount of the XOR over its window of
+    the word-wise AND with the source.  This is exact integer arithmetic at
+    a cost of N*m/64 word operations; rows (and, for very long sources,
+    words) are taken in blocks of at most _BLOCK_WORDS words, so the
+    temporaries stay near 1 MB whatever N and m are.
     """
     src = np.asarray(source, dtype=np.uint8) % 2
     sd = np.asarray(seed, dtype=np.uint8) % 2
     n = src.size
+    if m < 1 or n < 1:
+        raise ValueError(f"need a nonempty source and m >= 1, got N = {n}, "
+                         f"m = {m}")
     if sd.size != n + m - 1:
         raise ValueError(f"seed must have {n + m - 1} bits, got {sd.size}")
-    seed_int = _bits_to_int_lsb(sd)
-    prod = 0
-    for j in np.nonzero(src)[0]:
-        prod ^= seed_int << int(j)
-    window = (prod >> (n - 1)) & ((1 << m) - 1)
-    raw = np.frombuffer(window.to_bytes(-(-m // 8), "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:m].astype(np.uint8)
+    width = -(-n // 64)
+    # zero padding: every word read below lies inside the padded arrays,
+    # and the source's padding bits mask the seed bits beyond each row
+    src_pad = np.zeros(64 * width, dtype=np.uint8)
+    src_pad[:n] = src[::-1]
+    seed_pad = np.zeros(n + m + 63, dtype=np.uint8)
+    seed_pad[:sd.size] = sd
+    src_words = _pack_words(src_pad, 0, width)
+    cols = min(width, _BLOCK_WORDS)
+    rows_per_block = max(1, _BLOCK_WORDS // cols)
+    out = np.empty(m, dtype=np.uint8)
+    for r in range(min(m, 64)):
+        rows = -(-(m - r) // 64)
+        seed_words = _pack_words(seed_pad, r, rows - 1 + width)
+        # row q of this class reads seed_words[q : q + width]
+        windows = np.lib.stride_tricks.as_strided(
+            seed_words, (rows, width), (8, 8), writeable=False)
+        acc = np.zeros(rows, dtype=np.uint64)
+        for c0 in range(0, width, cols):
+            sw = src_words[c0:c0 + cols]
+            for r0 in range(0, rows, rows_per_block):
+                block = windows[r0:r0 + rows_per_block, c0:c0 + cols]
+                acc[r0:r0 + rows_per_block] ^= np.bitwise_xor.reduce(
+                    block & sw, axis=1)
+        out[r::64] = np.bitwise_count(acc) & 1
+    return out
 
 
 def dyadic_upper(log2_value: float, cap_at_one: bool = True) -> Fraction:

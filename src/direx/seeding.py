@@ -96,8 +96,10 @@ class BitStream:
         return self.take(1)
 
     def take_bits(self, k: int) -> list[int]:
-        v = self.take(k)
-        return [(v >> (k - 1 - i)) & 1 for i in range(k)]
+        """Draw k bits and return them as a list of 0/1 ints in draw order."""
+        raw = self.take(k).to_bytes(-(-k // 8), "big")
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+        return bits[bits.size - k:].tolist()
 
 
 def substream(master: bytes, label: str, index: int | None = None,

@@ -485,3 +485,21 @@ class TestExpandCommand:
                        "--stage-bits", "64") == EXIT_USAGE
         err = capsys.readouterr().err
         assert "--stage-rounds" in err and "--stage-bits" in err
+
+    @pytest.mark.parametrize("flag, rounds, bits", [
+        ("--stage-bits", ["10000"], ["-3"]),
+        ("--stage-bits", ["10000", "11000"], ["64", "0"]),
+        ("--stage-rounds", ["0"], ["64"]),
+        ("--stage-rounds", ["10000", "-1"], ["64", "256"]),
+    ])
+    def test_empty_stage_names_the_flag(self, monkeypatch, capsys, flag,
+                                        rounds, bits):
+        from direx import cli
+
+        def no_analysis(name):
+            raise AssertionError("game analysis started")
+        monkeypatch.setattr(cli, "_resolve_constants", no_analysis)
+        assert run_cli("expand", "--stage-rounds", *rounds,
+                       "--stage-bits", *bits) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from direx import postprocess
 from direx.devices import ghz_honest_device
 from direx.errors import InfeasibleError
 from direx.postprocess import (
@@ -23,6 +25,28 @@ from direx.seeding import parse_master_seed, substream
 from direx.xorgames import ghz_constants, ghz_game
 
 MASTER = parse_master_seed("f0" * 32)
+
+
+def _bits_to_int_lsb(bits: np.ndarray) -> int:
+    padded = np.zeros(-(-bits.size // 8) * 8, dtype=np.uint8)
+    padded[: bits.size] = bits
+    return int.from_bytes(np.packbits(padded, bitorder="little").tobytes(), "little")
+
+
+def reference_toeplitz(source, seed, m: int) -> np.ndarray:
+    """The Toeplitz product as a carryless product of big integers: one
+    XOR-shift of the seed per set source bit, then the middle m bits."""
+    src = np.asarray(source, dtype=np.uint8) % 2
+    sd = np.asarray(seed, dtype=np.uint8) % 2
+    n = src.size
+    assert sd.size == n + m - 1
+    seed_int = _bits_to_int_lsb(sd)
+    prod = 0
+    for j in np.nonzero(src)[0]:
+        prod ^= seed_int << int(j)
+    window = (prod >> (n - 1)) & ((1 << m) - 1)
+    raw = np.frombuffer(window.to_bytes(-(-m // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little")[:m].astype(np.uint8)
 
 
 class TestToeplitz:
@@ -85,6 +109,82 @@ def _bits(data, n):
                                        max_size=n)), dtype=np.uint8)
 
 
+def _packed_bits(data, n):
+    raw = data.draw(st.binary(min_size=-(-n // 8), max_size=-(-n // 8)))
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:n]
+
+
+def _random_case(n, m, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.integers(0, 2, n).astype(np.uint8),
+            rng.integers(0, 2, n + m - 1).astype(np.uint8))
+
+
+class TestToeplitzAgainstReference:
+    """The word-packed product equals the big-integer reference bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 300), m=st.integers(1, 200), data=st.data())
+    def test_random_sizes(self, n, m, data):
+        x, s = _packed_bits(data, n), _packed_bits(data, n + m - 1)
+        assert np.array_equal(toeplitz_extract(x, s, m),
+                              reference_toeplitz(x, s, m))
+
+    def test_single_bit(self):
+        for x, s in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            out = toeplitz_extract([x], [s], 1)
+            assert out.dtype == np.uint8
+            assert out.tolist() == [x & s]
+            assert np.array_equal(out, reference_toeplitz([x], [s], 1))
+
+    def test_all_zero_source(self):
+        _, s = _random_case(300, 200, seed=4)
+        out = toeplitz_extract(np.zeros(300, np.uint8), s, 200)
+        assert np.array_equal(out, np.zeros(200, np.uint8))
+        assert np.array_equal(
+            out, reference_toeplitz(np.zeros(300, np.uint8), s, 200))
+
+    @pytest.mark.parametrize("n", [63, 64, 65])
+    @pytest.mark.parametrize("m", [63, 64, 65])
+    def test_word_boundaries(self, n, m):
+        x, s = _random_case(n, m, seed=n * 100 + m)
+        assert np.array_equal(toeplitz_extract(x, s, m),
+                              reference_toeplitz(x, s, m))
+
+    def test_benchmark_size(self):
+        x, s = _random_case(50_000, 4096, seed=5)
+        assert np.array_equal(toeplitz_extract(x, s, 4096),
+                              reference_toeplitz(x, s, 4096))
+
+    @pytest.mark.parametrize("block_words", [1, 2, 3, 7])
+    def test_small_blocks(self, monkeypatch, block_words):
+        """Blocks smaller than one row split the words of a row as well as
+        the rows of a residue class."""
+        monkeypatch.setattr(postprocess, "_BLOCK_WORDS", block_words)
+        for n, m in ((1, 1), (65, 130), (300, 200), (700, 70)):
+            x, s = _random_case(n, m, seed=n + m)
+            assert np.array_equal(toeplitz_extract(x, s, m),
+                                  reference_toeplitz(x, s, m))
+
+    def test_bounded_temporaries(self):
+        # one residue class alone would need about 7.8 MB of AND words
+        # here without row blocking; the whole call stays under 3 MB
+        x, s = _random_case(200_000, 20_000, seed=6)
+        tracemalloc.start()
+        try:
+            toeplitz_extract(x, s, 20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
+
+    @pytest.mark.parametrize("n, m", [(0, 4), (10, 0), (10, -3)])
+    def test_empty_extraction_rejected(self, n, m):
+        with pytest.raises(ValueError):
+            toeplitz_extract(np.zeros(n, np.uint8),
+                             np.zeros(max(n + m - 1, 0), np.uint8), m)
+
+
 class TestToeplitzProperties:
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(1, 120), m=st.integers(1, 40), data=st.data())
@@ -119,6 +219,14 @@ class TestExtractorSpec:
                              claimed_min_entropy=100.0, ext_error_exp=10.0)
         assert spec.seed_len == 169
         assert spec.ext_error == Fraction(1, 1024)
+
+    @pytest.mark.parametrize("source_len, output_len",
+                             [(100, 0), (100, -3), (0, 10), (-5, 10)])
+    def test_empty_extraction_rejected(self, source_len, output_len):
+        with pytest.raises(ValueError, match="nonempty") as err:
+            ExtractorSpec(source_len=source_len, output_len=output_len,
+                          claimed_min_entropy=100.0, ext_error_exp=10.0)
+        assert not isinstance(err.value, InfeasibleError)
 
 
 class TestLedger:

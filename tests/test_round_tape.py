@@ -270,6 +270,75 @@ class TestStreamReads:
             assert stream.topped_up == at - stream.from_queue
 
 
+def _reference_take_bits(stream, k):
+    """take_bits as one shift of the k-bit integer per bit."""
+    v = stream.take(k)
+    return [(v >> (k - 1 - i)) & 1 for i in range(k)]
+
+
+def _misalign(stream, reads):
+    for op, k in reads:
+        getattr(stream, op)(k)
+
+
+_READS = st.lists(st.tuples(st.sampled_from(["take", "advance"]),
+                            st.integers(0, 40).map(lambda k: 2 * k + 1)),
+                  max_size=6)
+
+
+class TestTakeBits:
+    @pytest.mark.parametrize("k", list(range(17)) + [255, 256, 257, 1000])
+    def test_every_residue_mod_8(self, k):
+        for offset in (0, 1, 3, 7):
+            stream, ref = (substream(MASTER, "bits") for _ in range(2))
+            stream.take(offset)
+            ref.take(offset)
+            bits = stream.take_bits(k)
+            assert bits == _reference_take_bits(ref, k)
+            assert all(type(b) is int for b in bits)
+            assert stream.consumed == ref.consumed == offset + k
+            assert stream.take(9) == ref.take(9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(reads=_READS, ks=st.lists(st.integers(0, 700), min_size=1,
+                                     max_size=4),
+           label=st.integers(0, 10**6))
+    def test_matches_per_bit_shift(self, reads, ks, label):
+        stream, ref = (substream(MASTER, f"bits/{label}") for _ in range(2))
+        _misalign(stream, reads)
+        _misalign(ref, reads)
+        for k in ks:
+            assert stream.take_bits(k) == _reference_take_bits(ref, k)
+            assert stream.consumed == ref.consumed
+
+    @settings(max_examples=60, deadline=None)
+    @given(reads=_READS, limit=st.integers(0, 300), k=st.integers(0, 400),
+           label=st.integers(0, 10**6))
+    def test_capped_stream(self, reads, limit, k, label):
+        """Over-reading raises with the same bits_needed as take, draws
+        nothing, and leaves the stream where it was."""
+        stream, ref = (substream(MASTER, f"cap/{label}") for _ in range(2))
+        ok = sum(n for _, n in reads) <= limit
+        if ok:
+            _misalign(stream, reads)
+            _misalign(ref, reads)
+        stream.limit = ref.limit = limit
+        before = stream.consumed
+        if before + k > limit:
+            with pytest.raises(SeedExhaustedError) as got:
+                stream.take_bits(k)
+            with pytest.raises(SeedExhaustedError) as want:
+                ref.take(k)
+            assert got.value.bits_needed == want.value.bits_needed
+            assert got.value.bits_needed == before + k - limit
+            assert stream.consumed == before
+            rest = limit - before
+            assert stream.take_bits(rest) == _reference_take_bits(ref, rest)
+        else:
+            assert stream.take_bits(k) == _reference_take_bits(ref, k)
+        assert stream.consumed == ref.consumed
+
+
 def _scalar_responses(behavior, inputs, input_index, rng):
     """One uniform per round, placed in the round's cumulative distribution."""
     out = []
