@@ -136,27 +136,34 @@ def _resolve_constants(name_or_path: str):
         return analyze_game(load_game(name_or_path))
 
 
-def _check_rate_args(args):
-    """Name the flag for rate inputs no game can accept, before the game
-    analysis starts.  The trust bound v is at most 1, so the tolerance must
-    lie below 1/2."""
-    if not 0 < args.eta < 0.5:
-        raise ValueError(f"--eta must lie in (0, 1/2), got {args.eta}")
-    if args.N < 0:
-        raise ValueError(f"--N must be nonnegative, got {args.N}")
-    if args.q is not None and not 0 < args.q < 1:
-        raise ValueError(f"--q must lie in (0, 1), got {args.q}")
-    if args.kappa is not None and not 0 < args.kappa < np.inf:
+def _check_protocol_flags(args):
+    """Name the flag for protocol parameters no game can accept, before any
+    game analysis starts.  rate, simulate, qkd and expand share these flags
+    with one meaning each; a flag a subcommand lacks or leaves unset is
+    skipped.  The trust bound v is at most 1, so the tolerance must lie
+    below 1/2."""
+    eta = getattr(args, "eta", None)
+    if eta is not None and not 0 < eta < 0.5:
+        raise ValueError(f"--eta must lie in (0, 1/2), got {eta}")
+    q = getattr(args, "q", None)
+    if q is not None and not 0 < q < 1:
+        raise ValueError(f"--q must lie in (0, 1), got {q}")
+    kappa = getattr(args, "kappa", None)
+    if kappa is not None and not 0 < kappa < np.inf:
+        raise ValueError(f"--kappa must be positive and finite, got {kappa}")
+    noise = getattr(args, "noise", None)
+    if noise is not None and not 0 <= noise <= 1:
+        raise ValueError(f"--noise must lie in [0, 1], got {noise}")
+    x = getattr(args, "epsilon_exp", None)
+    if x is not None and not (x >= -0.5 and 2.0**-x > 0):
         raise ValueError(
-            f"--kappa must be positive and finite, got {args.kappa}")
-    if not args.epsilon_exp >= -0.5:
-        raise ValueError(
-            f"--epsilon-exp must be at least -0.5 (epsilon at most sqrt 2), "
-            f"got {args.epsilon_exp}")
+            f"--epsilon-exp must be at least -0.5 (epsilon at most sqrt 2) "
+            f"and leave epsilon = 2**-value above zero, got {x}")
 
 
 def cmd_rate(args) -> int:
-    _check_rate_args(args)
+    if args.N < 0:
+        raise ValueError(f"--N must be nonnegative, got {args.N}")
     consts = _resolve_constants(args.game)
     epsilon = 2.0**-args.epsilon_exp
     cutoff = 0.11 * consts.vG_lower
@@ -654,6 +661,7 @@ def main(argv=None) -> int:
     try:
         if args.workers < 1:
             raise ValueError(f"--workers must be at least 1, got {args.workers}")
+        _check_protocol_flags(args)
         return args.func(args)
     except (DirexError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

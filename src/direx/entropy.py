@@ -65,10 +65,6 @@ class CqState:
     def block_arrays(self) -> list:
         return [b.entries for b in self.blocks]
 
-    def marginal(self) -> np.ndarray:
-        """Sum of the blocks (the quantum side's reduced operator)."""
-        return np.sum(self.block_arrays(), axis=0)
-
 
 @dataclass(frozen=True)
 class BlockOperator:
@@ -317,31 +313,6 @@ def schatten_ineq_check(X, Y, p: float, slack: float = 1e-9) -> SchattenCheck:
     rhs = 2.0 ** (1.0 - p / 2.0) * (nx**pprime + ny**pprime) ** (p / pprime)
     return SchattenCheck(lhs=float(lhs), rhs=float(rhs),
                          holds=bool(lhs <= rhs + slack))
-
-
-def conditional_renyi(rho: CqState, alpha: float, sigma=None,
-                      grid: int = 33) -> float:
-    """Conditional Renyi entropy of the classical label given the quantum side.
-
-    With sigma supplied this is the sigma-parameterized quantity
-    -D_alpha(rho || I_labels x sigma); otherwise a coarse maximization over
-    mixtures of the reduced state and the maximally mixed operator.
-    """
-    if sigma is not None:
-        return -renyi_divergence(rho, _normalize(sigma), alpha)
-    d = rho.block_dim
-    reduced = rho.marginal()
-    reduced = reduced / reduced.trace().real
-    best = -np.inf
-    for w in np.linspace(0.0, 1.0, grid):
-        cand = (1.0 - w) * reduced + w * np.eye(d) / d
-        best = max(best, -renyi_divergence(rho, cand, alpha))
-    return float(best)
-
-
-def _normalize(sigma):
-    s = as_matrix(sigma, np.complex128)
-    return s / s.trace().real
 
 
 def pinching_channel(dims) -> "callable":

@@ -1,10 +1,9 @@
 """Dense complex linear algebra kernel for small operators (dimension <= 64).
 
 Everything here is a thin, validated layer over numpy's eigensolvers:
-Hermitian eigendecomposition, fractional operator powers, Schatten norms,
-and Loewner-order tests.  Operators are immutable after construction and
-all functions are pure, so values can be shared freely across concurrent
-trials.
+Hermitian and PSD operators, fractional operator powers and Schatten
+norms.  Operators are immutable after construction and all functions are
+pure, so values can be shared freely across concurrent trials.
 """
 
 from __future__ import annotations
@@ -92,33 +91,6 @@ def as_matrix(a, dtype=None) -> np.ndarray:
     return np.asarray(a, dtype=dtype)
 
 
-def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian operator.
-
-    Parameters
-    ----------
-    a : HermitianOperator or array_like
-
-    Returns
-    -------
-    eigenvalues : ndarray
-        Real eigenvalues in ascending order.
-    eigenbasis : ndarray
-        Unitary matrix whose columns are the corresponding eigenvectors,
-        so ``a = U @ diag(w) @ U.conj().T``.
-    """
-    if not isinstance(a, HermitianOperator):
-        a = HermitianOperator(a)
-    w, u = np.linalg.eigh(a.entries)
-    return w, u
-
-
-def min_eigenvalue(a) -> float:
-    if not isinstance(a, HermitianOperator):
-        a = HermitianOperator(a)
-    return float(np.linalg.eigvalsh(a.entries)[0])
-
-
 def matrix_power(a: PsdOperator, p: float) -> PsdOperator:
     """Raise a PSD operator to a positive real power in its eigenbasis.
 
@@ -182,21 +154,3 @@ def schatten_norm(a, p: float):
         totals = np.sum(s**p, axis=-1).reshape(-1)
         norms = np.array([t ** (1.0 / p) for t in totals]).reshape(s.shape[:-1])
     return float(norms) if a.ndim == 2 else norms
-
-
-def loewner_leq(a, b, tol: float = 1e-9) -> bool:
-    """True when ``a <= b`` in the Loewner (PSD) order, within tolerance."""
-    return min_eigenvalue(HermitianOperator(as_matrix(b) - as_matrix(a))) >= -tol
-
-
-def to_pairs(a) -> list:
-    """Serialize a complex matrix as nested [re, im] pairs."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in as_matrix(a)]
-
-
-def from_pairs(pairs) -> np.ndarray:
-    """Inverse of :func:`to_pairs`."""
-    arr = np.asarray(pairs, dtype=float)
-    if arr.ndim != 3 or arr.shape[-1] != 2:
-        raise InvalidOperatorError("expected nested [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]

@@ -215,13 +215,6 @@ def eta_bar(lam_prime: float, constants: GameConstants, f=None,
                             thetas, -vals)
 
 
-def refined_azuma_bound(epsilon: float, w: float, N: int) -> float:
-    """Variance-weighted martingale tail: exp(-eps^2 w N / 3) for eps <= 1."""
-    if not 0 < epsilon <= 1:
-        raise ValueError("deviation must lie in (0, 1]")
-    return float(np.exp(-epsilon**2 * w * N / 3.0))
-
-
 def agreement_failure_bound(eta: float, eta_bar_val: float, lam: float,
                             lam_prime: float, q: float, N: int) -> float:
     """Probability bound for (no abort) AND (win count below (1/2 + lam) N):

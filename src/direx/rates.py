@@ -106,18 +106,6 @@ def limit_exponent_slope(y: float) -> float:
     return 2.0 * np.log2(y / (1.0 - y))
 
 
-def smallest_positive_root_of_limit_exponent(tol: float = 1e-12) -> float:
-    """Bisection for the positive-rate threshold of the limit exponent."""
-    lo, hi = 1e-15, 0.5
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if limit_exponent(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 @dataclass(frozen=True)
 class RateParams:
     """Validated parameter bundle for the rate functions."""

@@ -2,17 +2,16 @@
 
 One-way syndrome transmission over a binary linear code; unique decoding
 when the promised error fraction is below a quarter, list decoding plus
-almost-pairwise-independent hash disambiguation above it.  Codes are
-structured (Hamming, the 3-error BCH of length 15, repetition,
-interleavings) with known distance, or random with exhaustively verified
-distance for lengths up to 24.
+pairwise-independent hash disambiguation above it.  Codes are structured
+(Hamming, the 3-error BCH of length 15, interleavings) with known
+distance, or random with exhaustively verified distance for lengths up to
+24.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import comb
 
 import numpy as np
 
@@ -146,16 +145,6 @@ class GF2m:
 
     def mul(self, a: int, b: int) -> int:
         return _poly_mod(_poly_mul_mod2(a, b), self.modulus)
-
-    def pow(self, a: int, e: int) -> int:
-        out = 1
-        a = _poly_mod(a, self.modulus)
-        while e:
-            if e & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +322,6 @@ def list_decode(code: LinearCode, synd, radius: int) -> list:
     return out
 
 
-def expected_list_size(code: LinearCode, radius: int) -> float:
-    """Average coset list size at the radius: ball volume / 2^checks."""
-    vol = sum(comb(code.length, w) for w in range(radius + 1))
-    return vol / 2.0**code.n_checks
-
-
 # constructors -------------------------------------------------------------
 
 
@@ -366,14 +349,6 @@ def bch_15_5() -> LinearCode:
     if verify_min_distance(code) != 7:
         raise RuntimeError("distance check failed for the length-15 code")
     return code
-
-
-def repetition_code(length: int) -> LinearCode:
-    h = np.zeros((length - 1, length), dtype=np.uint8)
-    for i in range(length - 1):
-        h[i, 0] = h[i, i + 1] = 1
-    return LinearCode(name=f"repetition-{length}", check_matrix=h,
-                      min_distance=length)
 
 
 def interleaved(base: LinearCode, copies: int) -> LinearCode:
@@ -406,34 +381,6 @@ def random_linear_code(length: int, checks: int, rng: np.random.Generator,
         d = verify_min_distance(code)
         object.__setattr__(code, "min_distance", d)
     return code
-
-
-def code_to_record(code: LinearCode) -> dict:
-    return {
-        "name": code.name,
-        "rows": ["".join(map(str, row)) for row in code.check_matrix],
-        "min_distance": code.min_distance,
-        "regime": code.regime,
-        "list_cap": code.list_cap,
-        "interleave": code.interleave,
-    }
-
-
-def code_from_record(rec: dict) -> LinearCode:
-    h = np.array([[int(c) for c in row] for row in rec["rows"]], dtype=np.uint8)
-    return LinearCode(name=rec["name"], check_matrix=h,
-                      min_distance=int(rec["min_distance"]),
-                      regime=rec.get("regime", "unique"),
-                      list_cap=int(rec.get("list_cap", 0)),
-                      interleave=int(rec.get("interleave", 1)))
-
-
-def load_code(path: str) -> LinearCode:
-    """Load a code from a JSON file of dense bit rows (see code_to_record)."""
-    import json
-
-    with open(path) as f:
-        return code_from_record(json.load(f))
 
 
 # ---------------------------------------------------------------------------
@@ -474,55 +421,6 @@ class AffineHashFamily:
         return out
 
 
-@dataclass(frozen=True)
-class SmallBiasHashFamily:
-    """Almost pairwise independent family from a powering small-bias
-    generator: output bit j of h(x) is the inner product of the coefficient
-    vectors of r^(index(x, j)) and s in GF(2^m).
-
-    Any parity over positions up to 2^n * k is biased by at most
-    (max index)/2^m, so with m = n + log k + k + log(1/eps) + 1 the joint
-    distribution of any hash-value pair is within eps of uniform.
-    """
-
-    n_bits: int
-    k: int
-    eps: float
-
-    def __post_init__(self):
-        m = (self.n_bits + int(np.ceil(np.log2(max(self.k, 2))))
-             + self.k + int(np.ceil(np.log2(1.0 / self.eps))) + 1)
-        object.__setattr__(self, "_m", m)
-
-    @property
-    def field_bits(self) -> int:
-        return self._m
-
-    @property
-    def seed_bits(self) -> int:
-        return 2 * self._m
-
-    @property
-    def bias(self) -> float:
-        return self.eps
-
-    def evaluate(self, seed: int, x_bits) -> int:
-        gf = _gf_cache(self._m)
-        mask = (1 << self._m) - 1
-        r = seed & mask
-        s = (seed >> self._m) & mask
-        x = _bits_to_int(x_bits)
-        out = 0
-        base_index = x * self.k + 1
-        rpow = gf.pow(r, base_index)
-        for j in range(self.k):
-            bit = (rpow & s).bit_count() & 1
-            out = (out << 1) | bit
-            if j + 1 < self.k:
-                rpow = gf.mul(rpow, r)
-        return out
-
-
 _GF_FIELDS: dict = {}
 
 
@@ -545,15 +443,6 @@ def hash_bits_required(list_cap: int, eps: float) -> int:
     """Output length that pins the disambiguation failure under eps:
     ceil(log2(2 L / eps))."""
     return int(np.ceil(np.log2(2.0 * list_cap / eps)))
-
-
-def hash_draw_eval(family, seed_bits, x_bits) -> tuple:
-    """Evaluate a family member on an input; seed given as a bit list."""
-    if len(seed_bits) != family.seed_bits:
-        raise ValueError(
-            f"family needs {family.seed_bits} seed bits, got {len(seed_bits)}")
-    val = family.evaluate(_bits_to_int(seed_bits), x_bits)
-    return tuple((val >> (family.k - 1 - i)) & 1 for i in range(family.k))
 
 
 # ---------------------------------------------------------------------------

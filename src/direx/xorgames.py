@@ -555,27 +555,6 @@ def classify_selftest(game: XorGame, seeds=(0, 1, 2)) -> str:
     return "strong-self-test"
 
 
-def positively_align(game: XorGame):
-    """Relabel signs so a maximum lands strictly inside (0, pi)^n.
-
-    Scans flip vectors in lexicographic order and returns the first
-    (game', b) whose cosine score has a maximum with every trailing angle
-    in the open interval (0, pi).
-    """
-    qG, _ = optimal_score(game)
-    for mask in range(2**game.n):
-        flips = tuple((mask >> (game.n - 1 - j)) & 1 for j in range(game.n))
-        try:
-            cand = game.relabel(flips)
-        except ValueError:
-            continue
-        for m in enumerate_maxima(cand, qG, seed=0):
-            body = np.mod(m[1:] + np.pi, 2 * np.pi) - np.pi
-            if np.all(body > 1e-6) and np.all(body < np.pi - 1e-6):
-                return cand, flips
-    raise ValueError("no flip vector aligns the game")
-
-
 # ---------------------------------------------------------------------------
 # Scoring operators and the trust coefficient
 

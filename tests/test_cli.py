@@ -389,6 +389,34 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err
 
+    @pytest.mark.parametrize("command, flag, value", [
+        (command, flag, value)
+        for command, flags in (
+            ("rate", ("--q", "--eta", "--kappa", "--epsilon-exp")),
+            ("simulate", ("--q", "--eta", "--noise")),
+            ("qkd", ("--q", "--eta", "--kappa", "--noise", "--epsilon-exp")),
+            ("expand", ("--q", "--eta", "--kappa", "--noise", "--epsilon-exp")))
+        for flag in flags
+        for value in {"--q": ("1.5", "nan"), "--eta": ("0.9", "nan"),
+                      "--kappa": ("-1", "inf"), "--noise": ("2", "nan"),
+                      "--epsilon-exp": ("-3", "inf")}[flag]
+    ])
+    def test_protocol_flag_is_named(self, monkeypatch, capsys, command, flag,
+                                    value):
+        # rate, simulate, qkd and expand share one check of these flags
+        from direx import cli
+
+        def no_analysis(name):
+            raise AssertionError("game analysis started")
+        monkeypatch.setattr(cli, "_resolve_constants", no_analysis)
+        required = {"rate": ("--eta", "0.01"),
+                    "simulate": ("--N", "100", "--q", "0.1", "--eta", "0.05"),
+                    "qkd": ("--N", "15", "--q", "0.1"),
+                    "expand": ()}[command]
+        assert run_cli(command, *required, flag, value) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} ")
+
     def test_unknown_command(self):
         assert run_cli("frobnicate") == EXIT_USAGE
 

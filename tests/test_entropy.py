@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from direx.entropy import (
     BlockOperator,
     CqState,
-    conditional_renyi,
     dmax,
     measurement_split,
     pinching_channel,
@@ -312,25 +311,6 @@ class TestSchattenInequality:
     def test_p_domain(self):
         with pytest.raises(ValueError):
             schatten_ineq_check(np.eye(2), np.eye(2), 1.5)
-
-
-class TestConditionalRenyi:
-    def test_uniform_classical_bit(self):
-        # rho = uniform bit on labels, trivial quantum side
-        rho = CqState.from_arrays((0, 1), [np.array([[0.5]]), np.array([[0.5]])])
-        val = conditional_renyi(rho, 1.5, sigma=np.array([[1.0]]))
-        assert val == pytest.approx(1.0)
-
-    def test_optimizer_at_least_supplied(self):
-        rng = np.random.default_rng(19)
-        weights = rng.dirichlet(np.ones(3))
-        rho = CqState.from_arrays(
-            (0, 1, 2), [w * rand_density(rng, 4) for w in weights])
-        reduced = rho.marginal()
-        reduced = reduced / reduced.trace().real
-        supplied = conditional_renyi(rho, 1.5, sigma=reduced)
-        optimized = conditional_renyi(rho, 1.5)
-        assert optimized >= supplied - 1e-9
 
 
 class TestBlockOperator:

@@ -8,20 +8,10 @@ from direx.matrixcore import (
     HermitianOperator,
     PsdOperator,
     as_matrix,
-    eig_hermitian,
-    from_pairs,
-    loewner_leq,
     matrix_power,
-    min_eigenvalue,
     pseudo_power,
     schatten_norm,
-    to_pairs,
 )
-
-
-def random_hermitian(rng, d):
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return 0.5 * (a + a.conj().T)
 
 
 def random_psd(rng, d, trace=None):
@@ -60,27 +50,6 @@ class TestConstruction:
         h = HermitianOperator(np.eye(2))
         with pytest.raises(ValueError):
             h.entries[0, 0] = 5.0
-
-
-class TestEig:
-    def test_identity_eigenvalues(self):
-        w, _ = eig_hermitian(np.eye(2))
-        assert np.allclose(w, [1.0, 1.0])
-
-    def test_pauli_x_eigenvalues(self):
-        w, _ = eig_hermitian([[0, 1], [1, 0]])
-        assert np.allclose(w, [-1.0, 1.0])
-
-    def test_reconstruction_residual_random(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            a = random_hermitian(rng, 8)
-            w, u = eig_hermitian(a)
-            resid = a - (u * w) @ u.conj().T
-            norm = schatten_norm(a, np.inf)
-            assert schatten_norm(resid, np.inf) <= 1e-10 * max(norm, 1.0)
-            assert np.all(np.diff(w) >= 0)
-            assert np.allclose(u @ u.conj().T, np.eye(8), atol=1e-12)
 
 
 class TestMatrixPower:
@@ -203,7 +172,7 @@ class TestSpectralKernel:
         assert isinstance(p, HermitianOperator)
         assert p.dim == 2 and p.trace() == 3.0
         assert as_matrix(p) is p.entries
-        assert min_eigenvalue(p) == 1.0
+        assert np.linalg.eigvalsh(p.entries)[0] == 1.0
 
     def test_as_matrix_keeps_real_arrays_real(self):
         assert as_matrix(np.eye(2)).dtype == np.float64
@@ -255,7 +224,7 @@ class TestLoewnerProperties:
                 continue
             wg = matrix_power(PsdOperator.from_array(w), gamma)
             diff = wg.entries - zg.entries
-            assert min_eigenvalue(HermitianOperator(diff)) >= -1e-9
+            assert np.linalg.eigvalsh(diff)[0] >= -1e-9
 
     def test_trace_power_superadditive(self):
         rng = np.random.default_rng(19)
@@ -272,19 +241,3 @@ class TestLoewnerProperties:
             )
             rhs = matrix_power(PsdOperator.from_array(w), p).trace()
             assert lhs <= rhs + 1e-9
-
-    def test_loewner_leq(self):
-        assert loewner_leq(np.diag([1.0, 1.0]), np.diag([2.0, 1.0]))
-        assert not loewner_leq(np.diag([2.0, 1.0]), np.diag([1.0, 1.0]))
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        rng = np.random.default_rng(23)
-        a = random_hermitian(rng, 4)
-        back = from_pairs(to_pairs(HermitianOperator(a)))
-        assert np.allclose(back, a)
-
-    def test_rejects_malformed(self):
-        with pytest.raises(InvalidOperatorError):
-            from_pairs([[1.0, 2.0]])

@@ -12,7 +12,6 @@ from direx.qkd import (
     bad_event,
     eta_bar,
     key_rate_report,
-    refined_azuma_bound,
     run_rkd,
 )
 from direx.recon import bch_15_5, hamming_code, interleaved
@@ -196,9 +195,6 @@ class TestAgreementBound:
                                     cfg.lam_prime, 0.2, 600)
         assert not chk.exceeded
 
-    def test_refined_azuma_value(self):
-        assert refined_azuma_bound(0.1, 0.05, 1000) == pytest.approx(
-            np.exp(-0.01 * 0.05 * 1000 / 3))
 
 
 class TestAzumaTailsEmpirical:

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from direx.rates import (
     optimal_multiplier,
     rate_T_E,
     refine_grid_min,
-    smallest_positive_root_of_limit_exponent,
     tune_parameters,
     uncertainty_exponent,
     worst_case_rate,
@@ -88,17 +88,20 @@ class TestLimitExponent:
         assert limit_exponent(0.5) == pytest.approx(-1.0)
 
     def test_root_location(self):
-        root = smallest_positive_root_of_limit_exponent()
-        assert 0.109 <= root <= 0.111
-        # independent bisection oracle on 1 - 2h
+        # independent bisection oracle on 1 - 2h, with h written out here
+        def one_minus_2h(y):
+            return 1 + 2 * (y * math.log2(y) + (1 - y) * math.log2(1 - y))
+
         lo, hi = 1e-9, 0.5
         for _ in range(200):
             mid = (lo + hi) / 2
-            if 1 - 2 * binary_entropy(mid) > 0:
+            if one_minus_2h(mid) > 0:
                 lo = mid
             else:
                 hi = mid
-        assert root == pytest.approx((lo + hi) / 2, abs=1e-9)
+        root = (lo + hi) / 2
+        assert 0.109 <= root <= 0.111
+        assert limit_exponent(root - 1e-9) > 0 > limit_exponent(root + 1e-9)
 
     def test_convex_and_decreasing(self):
         ys = np.arange(1e-3, 1.0, 1e-3)

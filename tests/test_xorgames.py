@@ -29,7 +29,6 @@ from direx.xorgames import (
     ghz_anticommuter,
     load_game,
     optimal_score,
-    positively_align,
     reverse_diagonal_anticommuter,
     reverse_diagonal_entries,
     score_certificate,
@@ -265,11 +264,6 @@ class TestClassification:
     def test_all_plus_not_self_test(self):
         assert classify_selftest(all_plus_game()) == "not-self-test"
 
-    def test_positive_alignment_chsh(self):
-        aligned, flips = positively_align(CHSH)
-        assert len(flips) == 2
-        q, _ = optimal_score(aligned)
-        assert q == pytest.approx(np.sqrt(2) / 2, abs=1e-6)
 
 
 class TestScoringOperator:
