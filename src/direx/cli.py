@@ -454,6 +454,11 @@ def _check_recon_args(args):
             f"--error-fraction must lie in [0, 1], got {args.error_fraction}")
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    # the hash length ceil(log2(2L/eps)) overflows a float above ~1017
+    if not 0 <= args.eps_exp <= 1000:
+        raise ValueError(
+            f"--eps-exp must lie in [0, 1000] (failure budget 2**-value), "
+            f"got {args.eps_exp}")
 
 
 def cmd_recon(args) -> int:

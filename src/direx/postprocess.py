@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DirexError, InfeasibleError
 from .protocols import ProtocolConfig, run_protocol_r, symbols_to_bits
 from .rates import RateReport, certified_bound, tune_parameters
-from .seeding import BitStream, numpy_rng, substream
+from .seeding import numpy_rng, substream
 from .xorgames import GameConstants, XorGame
 
 
@@ -195,56 +195,6 @@ class ErrorLedger:
         }
 
 
-class ChainedBitSource:
-    """Seed source that serves queued bits first (the previous stage's
-    output), then tops up from a fallback stream, counting the shortfall.
-
-    It offers the part of the BitStream interface the protocols draw on:
-    take, take_bit, peek, advance and consumed.
-    """
-
-    def __init__(self, bits, fallback: BitStream):
-        # the queue as a string of '0'/'1' characters: a k-bit read is one
-        # slice and one int() parse
-        self._queue = (np.asarray(bits, dtype=np.uint8) + ord("0")).tobytes().decode()
-        self._fallback = fallback
-        self.from_queue = 0
-        self.topped_up = 0
-
-    @property
-    def consumed(self) -> int:
-        return self.from_queue + self.topped_up
-
-    def peek(self, k: int) -> int:
-        """The next k bits as an integer, without drawing them."""
-        at = self.from_queue
-        head = self._queue[at:at + k]
-        short = k - len(head)
-        out = int(head, 2) if head else 0
-        if short:
-            out = (out << short) | self._fallback.peek(short)
-        return out
-
-    def advance(self, k: int):
-        """Draw k bits: from the queue while it lasts, then the fallback."""
-        short = k - (len(self._queue) - self.from_queue)
-        if short > 0:
-            self._fallback.advance(short)
-            self.from_queue = len(self._queue)
-            self.topped_up += short
-        else:
-            self.from_queue += k
-
-    def take(self, k: int) -> int:
-        """Draw k bits and return them as an integer (big-endian)."""
-        out = self.peek(k)
-        self.advance(k)
-        return out
-
-    def take_bit(self) -> int:
-        return self.take(1)
-
-
 @dataclass(frozen=True)
 class CrossFeedStage:
     """One composition stage: protocol size, rate parameters, and the
@@ -320,8 +270,7 @@ def cross_feed(game: XorGame, constants: GameConstants, device_a, device_b,
         spec = ExtractorSpec(
             source_len=2 * stage.N, output_len=stage.m_out,
             claimed_min_entropy=report.bound, ext_error_exp=stage.ext_error_exp)
-        seed_source = ChainedBitSource(prev_bits,
-                                       substream(master, "stage-topup", i))
+        seed_source = substream(master, "stage-topup", i, queued=prev_bits)
         config = ProtocolConfig(mode="R", N=stage.N, q=stage.q, eta=stage.eta,
                                 game=game, w_G=constants.wG)
         outcome = run_protocol_r(config, behavior, seed_source,
@@ -342,12 +291,14 @@ def cross_feed(game: XorGame, constants: GameConstants, device_a, device_b,
                                soundness=min(soundness, Fraction(1)),
                                completeness=completeness, vacuous=vacuous,
                                seed_from_stage=i - 1))
+        used = seed_source.consumed
+        from_previous = min(used, len(prev_bits))
         results.append(StageResult(
             stage=i, device_id=device_id, success=True, output_bits=out_bits,
             report=report, extractor=spec,
-            seed_bits_used=seed_source.consumed,
-            seed_from_previous=seed_source.from_queue,
-            seed_topped_up=seed_source.topped_up,
+            seed_bits_used=used,
+            seed_from_previous=from_previous,
+            seed_topped_up=used - from_previous,
             extractor_seed_bits=spec.seed_len,
         ))
         prev_bits = out_bits

@@ -121,7 +121,7 @@ class CategoricalSampler:
         # bits drawn so far, shared with the decoding generator
         self._count = count = [0]
         block = max(block, 1)
-        capped = getattr(stream, "limit", None) is not None
+        capped = stream.limit is not None
         if not capped and den == len(slices) and den & (den - 1) == 0:
             symbols = _uniform_symbols(count, stream, den.bit_length() - 1,
                                        [k for k, _, _ in slices])

@@ -37,26 +37,35 @@ class BitStream:
     limit : int or None
         Optional cap on the number of bits that may be drawn.  Protocol
         harnesses set this to model a finite seed supply.
+    queued : sequence of 0/1
+        Bits served, in order, before the label's own bits (a cross-feed
+        stage's seed is the previous stage's output).  They count towards
+        ``consumed`` and ``limit`` like any other bit.
     """
 
-    def __init__(self, master: bytes, label: str, limit: int | None = None):
+    def __init__(self, master: bytes, label: str, limit: int | None = None,
+                 queued=()):
         self._prefix = master + label.encode("utf-8")
         self._counter = 0
         # the unread bits are the low _buffered bits of _buffer; the bits
         # above them are already drawn and are masked off on refill
-        self._buffer = 0
-        self._buffered = 0
+        queued = np.asarray(queued, dtype=np.uint8)
+        self._buffered = queued.size
+        self._buffer = (int.from_bytes(np.packbits(queued).tobytes(), "big")
+                        >> (-queued.size % 8))
         self.consumed = 0
         self.limit = limit
 
-    def _refill(self):
-        block = hashlib.sha256(
-            self._prefix + self._counter.to_bytes(8, "big")
-        ).digest()
-        self._counter += 1
-        self._buffer = (((self._buffer & ((1 << self._buffered) - 1)) << 256)
-                        | int.from_bytes(block, "big"))
-        self._buffered += 256
+    def _refill(self, k: int):
+        """Append the hash blocks a k-bit read still needs, in one shift."""
+        blocks = -(-(k - self._buffered) // 256)
+        prefix, at = self._prefix, self._counter
+        fresh = b"".join([hashlib.sha256(prefix + c.to_bytes(8, "big")).digest()
+                          for c in range(at, at + blocks)])
+        self._counter = at + blocks
+        self._buffer = (((self._buffer & ((1 << self._buffered) - 1))
+                         << (256 * blocks)) | int.from_bytes(fresh, "big"))
+        self._buffered += 256 * blocks
 
     def _refuse(self, k: int):
         if k < 0:
@@ -70,8 +79,8 @@ class BitStream:
         """Draw k bits and return them as an integer (big-endian)."""
         if k < 0 or (self.limit is not None and self.consumed + k > self.limit):
             self._refuse(k)
-        while self._buffered < k:
-            self._refill()
+        if self._buffered < k:
+            self._refill(k)
         self._buffered -= k
         self.consumed += k
         return (self._buffer >> self._buffered) & ((1 << k) - 1)
@@ -79,34 +88,31 @@ class BitStream:
     def peek(self, k: int) -> int:
         """The next k bits as an integer, without drawing them.  The cap
         does not apply: peeked bits count only once advance draws them."""
-        while self._buffered < k:
-            self._refill()
+        if self._buffered < k:
+            self._refill(k)
         return (self._buffer >> (self._buffered - k)) & ((1 << k) - 1)
 
     def advance(self, k: int):
         """Draw k bits without returning them (after a peek of at least k)."""
         if k < 0 or (self.limit is not None and self.consumed + k > self.limit):
             self._refuse(k)
-        while self._buffered < k:
-            self._refill()
+        if self._buffered < k:
+            self._refill(k)
         self._buffered -= k
         self.consumed += k
 
-    def take_bit(self) -> int:
-        return self.take(1)
-
-    def take_bits(self, k: int) -> list[int]:
-        """Draw k bits and return them as a list of 0/1 ints in draw order."""
+    def take_bits(self, k: int) -> np.ndarray:
+        """Draw k bits and return them as a uint8 array of 0/1 in draw order."""
         raw = self.take(k).to_bytes(-(-k // 8), "big")
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
-        return bits[bits.size - k:].tolist()
+        return bits[bits.size - k:]
 
 
 def substream(master: bytes, label: str, index: int | None = None,
-              limit: int | None = None) -> BitStream:
+              limit: int | None = None, queued=()) -> BitStream:
     """Derive a labeled (and optionally indexed) bit stream."""
     full = label if index is None else f"{label}/{index}"
-    return BitStream(master, full, limit=limit)
+    return BitStream(master, full, limit=limit, queued=queued)
 
 
 def numpy_rng(master: bytes, label: str, index: int | None = None) -> np.random.Generator:

@@ -654,17 +654,16 @@ def _validate_anticommuter(n: int, anti: HermitianOperator):
     if a.shape != (d, d):
         raise InvalidOperatorError(
             f"anticommuter has dimension {a.shape[0]}, expected {d}")
+    if np.max(np.abs(a[~np.fliplr(np.eye(d, dtype=bool))])) >= 1e-14:
+        raise InvalidOperatorError(
+            "anticommuter must be reverse-diagonal (the trust check takes "
+            "the norm as the largest entry modulus)")
     if np.max(np.abs(a @ a - np.eye(d))) > 1e-9:
         raise InvalidOperatorError("anticommuter fails: square is not the identity")
     x1 = generation_observable(n)
     if np.max(np.abs(a @ x1 + x1 @ a)) > 1e-9:
         raise InvalidOperatorError(
             "anticommuter fails: does not anticommute with the generation observable")
-
-
-def _is_reverse_diagonal(a: np.ndarray) -> bool:
-    mask = np.fliplr(np.eye(a.shape[0], dtype=bool))
-    return bool(np.max(np.abs(a[~mask])) < 1e-14)
 
 
 @dataclass(frozen=True)
@@ -740,9 +739,10 @@ def trust_coefficient_check(game: XorGame, c: float, anticommuter: HermitianOper
 
     The claim is tested on a dense grid of upper-half-circle angle tuples,
     a batch of random tuples, and local maximizations of the norm from the
-    best sample and random starts.  The result is sampled, not proven.  For
-    reverse-diagonal anticommuters the operator norm is the maximum entry
-    modulus, so the whole sweep is vectorized.
+    best sample and random starts.  The result is sampled, not proven.  The
+    anticommuter must be reverse-diagonal, like the scoring operator, so the
+    operator norm is the maximum entry modulus and the whole sweep is
+    vectorized.
 
     The local ascent runs every start in lockstep: each pass evaluates the
     2n axis neighbours of all active starts in one batch, moves each start
@@ -762,20 +762,12 @@ def trust_coefficient_check(game: XorGame, c: float, anticommuter: HermitianOper
         qG, _ = optimal_score(game)
     d = 2**game.n
     anti = anticommuter.entries
-    rev = _is_reverse_diagonal(anti)
-    anti_diag = np.array([anti[b, d - 1 - b] for b in range(d)]) if rev else None
+    anti_diag = np.array([anti[b, d - 1 - b] for b in range(d)])
 
     def norms(th, entries=None):
-        if rev:
-            if entries is None:
-                entries = reverse_diagonal_entries(game, th)
-            return np.max(np.abs(entries - c * anti_diag), axis=-1)
-        out = np.empty(th.shape[:-1])
-        it = np.ndindex(th.shape[:-1])
-        for idx in it:
-            m = scoring_operator(game, np.exp(1j * th[idx])).entries
-            out[idx] = np.linalg.norm(np.linalg.eigvalsh(m - c * anti), ord=np.inf)
-        return out
+        if entries is None:
+            entries = reverse_diagonal_entries(game, th)
+        return np.max(np.abs(entries - c * anti_diag), axis=-1)
 
     th_all, entries, more_starts = _trust_samples(game, samples)
     vals = norms(th_all, entries)
@@ -811,8 +803,7 @@ def trust_coefficient_check(game: XorGame, c: float, anticommuter: HermitianOper
 
     violation = best_val - (qG - c)
     analytic = -1
-    if (game.entries == ghz_game().entries and abs(c - 0.14) < 1e-12 and rev
-            and anti_diag is not None
+    if (game.entries == ghz_game().entries and abs(c - 0.14) < 1e-12
             and np.allclose(anti_diag.real, [1, 1, -1, -1, -1, -1, 1, 1])):
         analytic = ghz_analytic_entry_checks(th_all, c)
     return TrustCheckResult(

@@ -1,15 +1,11 @@
-_ACCEPTANCE_RESULTS = []
-
-
-def record_criterion(number: int, description: str, passed: bool, detail: str = ""):
-    _ACCEPTANCE_RESULTS.append((number, description, passed, detail))
+from criterion_report import RESULTS
 
 
 def pytest_terminal_summary(terminalreporter):
-    if not _ACCEPTANCE_RESULTS:
+    if not RESULTS:
         return
     terminalreporter.section("acceptance criteria")
-    for number, description, passed, detail in sorted(_ACCEPTANCE_RESULTS):
+    for number, description, passed, detail in sorted(RESULTS):
         status = "PASS" if passed else "FAIL"
         line = f"[{status}] criterion {number:2d}: {description}"
         if detail:

@@ -40,7 +40,7 @@ from direx.xorgames import (
     trust_coefficient_check,
 )
 
-from conftest import record_criterion
+from criterion_report import record_criterion
 
 MASTER = parse_master_seed("acce9ce" * 9)
 

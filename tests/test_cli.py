@@ -471,6 +471,11 @@ class TestReconCommand:
         (("--error-fraction", "2"), "--error-fraction"),
         (("--error-fraction", "-0.5"), "--error-fraction"),
         (("--trials", "0"), "--trials"),
+        (("--regime", "list", "--N", "20", "--eps-exp", "nan"), "--eps-exp"),
+        (("--regime", "list", "--N", "20", "--eps-exp", "-2000"), "--eps-exp"),
+        (("--regime", "list", "--N", "20", "--eps-exp", "-0.5"), "--eps-exp"),
+        (("--regime", "list", "--N", "20", "--eps-exp", "2000"), "--eps-exp"),
+        (("--regime", "list", "--N", "20", "--eps-exp", "1050"), "--eps-exp"),
     ])
     def test_bad_input_names_the_flag(self, capsys, argv, named):
         assert run_cli("recon", "--trials", "3", *argv) == EXIT_USAGE

@@ -10,7 +10,6 @@ from direx import postprocess
 from direx.devices import ghz_honest_device
 from direx.errors import InfeasibleError
 from direx.postprocess import (
-    ChainedBitSource,
     CrossFeedStage,
     ErrorLedger,
     ExtractorSpec,
@@ -278,20 +277,18 @@ class TestLedger:
         assert dyadic_upper(2.5, cap_at_one=True) == Fraction(1)
 
 
-class TestChainedBitSource:
+class TestQueuedStream:
     def test_queue_then_topup(self):
-        src = ChainedBitSource([1, 0, 1], substream(MASTER, "chain"))
+        src = substream(MASTER, "chain", queued=[1, 0, 1])
         first = src.take(3)
         assert first == 0b101
-        src.take(5)
-        assert src.from_queue == 3
-        assert src.topped_up == 5
+        assert src.take(5) == substream(MASTER, "chain").take(5)
         assert src.consumed == 8
 
     def test_topup_matches_fallback_stream(self):
-        src = ChainedBitSource([0, 1], substream(MASTER, "chain"))
-        bits = [src.take_bit() for _ in range(40)]
-        assert bits == [0, 1] + substream(MASTER, "chain").take_bits(38)
+        src = substream(MASTER, "chain", queued=np.array([0, 1], dtype=np.uint8))
+        bits = [src.take(1) for _ in range(40)]
+        assert bits == [0, 1] + substream(MASTER, "chain").take_bits(38).tolist()
 
 
 class TestCrossFeed:

@@ -19,6 +19,8 @@ KEEP = {
     "eval_pg": "the README's score polynomial; oracle for scoring_operator",
     "eval_zg": "the README's cosine form; oracle for optimal_score",
     "score_certificate": "certifies a claimed score, as analyze_game does",
+    "scoring_operator": "its tests pin the max-entry-modulus norm rule that "
+                        "the trust check relies on",
     # entropy
     "dmax": "the README's max-divergence; criterion 13 bounds D_2 by it",
     "pinching_channel": "criterion 13's data-processing channel",

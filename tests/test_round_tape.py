@@ -6,6 +6,7 @@ responder draws one uniform per round.  Both must agree exactly with the
 tape: same symbols, same bits consumed, same device outputs.
 """
 
+import hashlib
 from fractions import Fraction
 from math import gcd
 
@@ -21,7 +22,6 @@ from direx.devices import (
     ghz_honest_device,
 )
 from direx.errors import SeedExhaustedError
-from direx.postprocess import ChainedBitSource
 from direx.protocols import (
     CategoricalSampler,
     ProtocolConfig,
@@ -57,7 +57,7 @@ class ReferenceSampler:
         self._emitted_in_block = 0
 
     def _consume_bit(self):
-        bit = self._stream.take_bit()
+        bit = self._stream.take(1)
         self._lo *= 2
         self._hi *= 2
         mid = self._wlo + self._whi
@@ -217,11 +217,11 @@ class TestSamplerAgainstReference:
     def test_chained_source(self, queue, draws, label):
         runs = []
         for make in (ReferenceSampler, CategoricalSampler):
-            source = ChainedBitSource(queue, substream(MASTER, f"chain/{label}"))
+            source = substream(MASTER, f"chain/{label}", queued=queue)
             out, used, _ = _draw_all(
                 make, [Fraction(3, 4), Fraction(1, 4)], TABLES["uniform"],
                 draws, None, stream=source)
-            runs.append((out, used, source.from_queue, source.topped_up))
+            runs.append((out, used, source.consumed))
         assert runs[0] == runs[1]
 
     def test_skewed_and_zero_weights(self):
@@ -239,19 +239,21 @@ class TestSamplerAgainstReference:
 
 class TestStreamReads:
     @settings(max_examples=60, deadline=None)
-    @given(queue=st.one_of(st.none(), st.lists(st.integers(0, 1), max_size=300)),
-           reads=st.lists(st.tuples(st.integers(0, 300), st.integers(0, 300)),
+    @given(queue=st.lists(st.integers(0, 1), max_size=1500),
+           reads=st.lists(st.tuples(st.integers(0, 2000), st.integers(0, 2000)),
                           max_size=30),
            label=st.integers(0, 10**6))
     def test_peek_and_advance_match_take(self, queue, reads, label):
         """take(k), and peek(k) followed by advance(j) for j <= k, walk the
-        same bit sequence as one long read of a fresh stream."""
-        stream = substream(MASTER, f"reads/{label}")
-        expect = substream(MASTER, f"reads/{label}").take_bits(
-            sum(max(k, j) for k, j in reads) + 1)
-        if queue is not None:
-            expect = queue + expect
-            stream = ChainedBitSource(queue, stream)
+        queued bits and then SHA-256(master || label || counter) for counter
+        = 0, 1, 2, ...; reads span several 256-bit hash blocks and cross the
+        end of the queue."""
+        stream = substream(MASTER, f"reads/{label}", queued=queue)
+        prefix = MASTER + f"reads/{label}".encode()
+        blocks = sum(max(k, j) for k, j in reads) // 256 + 1
+        expect = queue + [int(b) for b in "".join(
+            f"{byte:08b}" for c in range(blocks)
+            for byte in hashlib.sha256(prefix + c.to_bytes(8, "big")).digest())]
         at = 0
         for k, j in reads:
             bits = expect[at:at + k]
@@ -265,9 +267,6 @@ class TestStreamReads:
                 stream.advance(j)
                 at += j
             assert stream.consumed == at
-        if queue is not None:
-            assert stream.from_queue == min(at, len(queue))
-            assert stream.topped_up == at - stream.from_queue
 
 
 def _reference_take_bits(stream, k):
@@ -294,13 +293,13 @@ class TestTakeBits:
             stream.take(offset)
             ref.take(offset)
             bits = stream.take_bits(k)
-            assert bits == _reference_take_bits(ref, k)
-            assert all(type(b) is int for b in bits)
+            assert bits.dtype == np.uint8 and bits.shape == (k,)
+            assert bits.tolist() == _reference_take_bits(ref, k)
             assert stream.consumed == ref.consumed == offset + k
             assert stream.take(9) == ref.take(9)
 
     @settings(max_examples=100, deadline=None)
-    @given(reads=_READS, ks=st.lists(st.integers(0, 700), min_size=1,
+    @given(reads=_READS, ks=st.lists(st.integers(0, 2000), min_size=1,
                                      max_size=4),
            label=st.integers(0, 10**6))
     def test_matches_per_bit_shift(self, reads, ks, label):
@@ -308,7 +307,7 @@ class TestTakeBits:
         _misalign(stream, reads)
         _misalign(ref, reads)
         for k in ks:
-            assert stream.take_bits(k) == _reference_take_bits(ref, k)
+            assert stream.take_bits(k).tolist() == _reference_take_bits(ref, k)
             assert stream.consumed == ref.consumed
 
     @settings(max_examples=60, deadline=None)
@@ -333,9 +332,10 @@ class TestTakeBits:
             assert got.value.bits_needed == before + k - limit
             assert stream.consumed == before
             rest = limit - before
-            assert stream.take_bits(rest) == _reference_take_bits(ref, rest)
+            assert (stream.take_bits(rest).tolist()
+                    == _reference_take_bits(ref, rest))
         else:
-            assert stream.take_bits(k) == _reference_take_bits(ref, k)
+            assert stream.take_bits(k).tolist() == _reference_take_bits(ref, k)
         assert stream.consumed == ref.consumed
 
 

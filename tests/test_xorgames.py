@@ -423,14 +423,12 @@ class TestTrustCoefficient:
 
     def test_dense_anticommuter_path(self):
         # conjugating by a unitary on the trailing qubits keeps validity but
-        # breaks the reverse-diagonal shape, exercising the eigenvalue path
+        # breaks the reverse-diagonal shape, on which the largest entry
+        # modulus is no longer the operator norm
         dense = dense_ghz_anticommuter()
         assert np.max(np.abs(dense.entries[np.fliplr(np.eye(8, dtype=bool))])) < 1.0
-        res = trust_coefficient_check(
-            GHZ, 0.0, dense, qG=1.0,
-            samples=SamplingSpec(grid_points=6, random_samples=100, multistarts=1),
-        )
-        assert res.passed  # zero coefficient reduces to the score bound
+        with pytest.raises(InvalidOperatorError, match="reverse-diagonal"):
+            trust_coefficient_check(GHZ, 0.0, dense, qG=1.0)
 
 
 def reference_entries(game, th):
@@ -451,18 +449,11 @@ def reference_trust_check(game, c, anticommuter, samples, qG):
     _validate_anticommuter(game.n, anticommuter)
     d = 2**game.n
     anti = anticommuter.entries
-    rev = bool(np.max(np.abs(anti[~np.fliplr(np.eye(d, dtype=bool))])) < 1e-14)
     anti_diag = np.array([anti[b, d - 1 - b] for b in range(d)])
 
     def norms(th):
-        if rev:
-            return np.max(np.abs(reference_entries(game, th) - c * anti_diag),
-                          axis=-1)
-        return np.array([
-            np.linalg.norm(np.linalg.eigvalsh(
-                scoring_operator(game, np.exp(1j * t)).entries - c * anti),
-                ord=np.inf)
-            for t in th])
+        return np.max(np.abs(reference_entries(game, th) - c * anti_diag),
+                      axis=-1)
 
     rng = np.random.default_rng(samples.seed)
     axes = np.linspace(0, np.pi, samples.grid_points)
@@ -495,7 +486,7 @@ def reference_trust_check(game, c, anticommuter, samples, qG):
             best_val, best_th = val, th
     violation = best_val - (qG - c)
     analytic = -1
-    if (game.entries == GHZ.entries and abs(c - 0.14) < 1e-12 and rev
+    if (game.entries == GHZ.entries and abs(c - 0.14) < 1e-12
             and np.allclose(anti_diag.real, [1, 1, -1, -1, -1, -1, 1, 1])):
         analytic = ghz_analytic_entry_checks(th_all, c)
     return TrustCheckResult(
@@ -538,17 +529,6 @@ class TestLockstepAscent:
         assert new.witness == ref.witness
         assert new.samples_used == ref.samples_used
         assert new.analytic_failures == ref.analytic_failures
-
-    @settings(max_examples=6, deadline=None, derandomize=True)
-    @given(st.floats(0.0, 1.0), st.integers(1, 5), st.integers(0, 60),
-           st.integers(0, 3), st.integers(0, 2**32 - 1))
-    def test_dense_anticommuter_matches_sequential_ascent(
-            self, c, grid, rand, starts, seed):
-        spec = SamplingSpec(grid_points=grid, random_samples=rand,
-                            multistarts=starts, seed=seed)
-        anti = dense_ghz_anticommuter()
-        assert (trust_coefficient_check(GHZ, c, anti, spec, qG=1.0)
-                == reference_trust_check(GHZ, c, anti, spec, 1.0))
 
     def test_ghz_paper_pattern_matches_sequential_ascent(self):
         spec = SamplingSpec(grid_points=24, random_samples=2000, multistarts=4)
