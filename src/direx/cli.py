@@ -64,6 +64,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_ABORT = 3
+TRUST_ENTRY_CAP = 1 << 24  # scoring entries direx trust may hold at once
 
 
 class RecordWriter:
@@ -296,6 +297,14 @@ def cmd_trust(args) -> int:
     if args.grid == 0 and args.samples == 0:
         raise ValueError("--grid 0 with --samples 0 leaves no sample points")
     game = load_game(args.game)
+    # every sampled angle tuple holds 2**n complex scoring entries
+    entries = (args.grid**game.n + args.samples) * 2**game.n
+    if entries > TRUST_ENTRY_CAP:
+        flag = "--samples" if args.samples >= args.grid**game.n else "--grid"
+        raise ValueError(
+            f"{flag} too large: --grid {args.grid} and --samples {args.samples} "
+            f"need {entries} scoring entries for a {game.n}-player game, "
+            f"more than {TRUST_ENTRY_CAP}")
     consts = _resolve_constants(args.game)
     # the GHZ game keeps its sign pattern, on which the closed-form entry
     # checks run; other games try the members trust_coefficient_search
@@ -332,14 +341,12 @@ def cmd_trust(args) -> int:
                              "multistarts": args.multistarts,
                              "check_seed": args.check_seed}})
     if not is_ghz:
-        entries = members[member].entries
-        size = len(entries)
+        anti = members[member]
         print(f"anticommuter: member {member} of {len(members)}")
         rec["anticommuter"] = {
             "member": member, "members": len(members),
-            "top_row_phases": [[z.real, z.imag] for z in
-                               (entries[b, size - 1 - b]
-                                for b in range(size // 2))]}
+            "top_row_phases": [[z.real, z.imag]
+                               for z in anti[:len(anti) // 2].tolist()]}
     writer.append(rec)
     writer.flush()
     return EXIT_OK if res.passed else EXIT_VIOLATION

@@ -2,9 +2,12 @@
 inequalities that drive the security analysis.
 
 States are either plain PSD operators or classical-quantum (CQ) states,
-stored block-diagonally: one subnormalized block per classical label.
-Support containment is enforced with an eigenvalue cutoff of 1e-10, and
-powers of the reference operator are taken on its support only.
+stored block-diagonally: one subnormalized block per classical label.  A
+``BlockOperator`` holds its blocks as one read-only ``(B, d, d)`` stack in
+label order; a ``CqState`` is a ``BlockOperator`` whose stack is checked
+as a state once, on the whole stack (Hermitian, PSD, total trace at most
+1).  Support containment is enforced with an eigenvalue cutoff of 1e-10,
+and powers of the reference operator are taken on its support only.
 
 Blockwise quantities work on block stacks: the blocks of a state, in label
 order, as one ``(B, d, d)`` array, and a single reference operator as one
@@ -26,44 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidOperatorError, SupportViolationError
-from .matrixcore import PsdOperator, as_matrix, pseudo_power
+from .matrixcore import as_matrix, check_psd, hermitian_entries, pseudo_power
 from .rates import uncertainty_exponent
 
 SUPPORT_CUTOFF = 1e-10
-
-
-@dataclass(frozen=True)
-class CqState:
-    """Block-diagonal classical-quantum subnormalized state."""
-
-    labels: tuple
-    blocks: tuple  # of PsdOperator, all the same dimension
-
-    def __post_init__(self):
-        if len(self.labels) != len(self.blocks):
-            raise ValueError("labels and blocks must align")
-        if not self.blocks:
-            raise ValueError("need at least one block")
-        dims = {b.dim for b in self.blocks}
-        if len(dims) != 1:
-            raise ValueError(f"blocks must share a dimension, got {dims}")
-        total = self.trace()
-        if not -1e-12 <= total <= 1.0 + 1e-9:
-            raise ValueError(f"total trace {total} outside [0, 1]")
-
-    @classmethod
-    def from_arrays(cls, labels, arrays) -> "CqState":
-        return cls(tuple(labels), tuple(PsdOperator.from_array(a) for a in arrays))
-
-    @property
-    def block_dim(self) -> int:
-        return self.blocks[0].dim
-
-    def trace(self) -> float:
-        return float(sum(b.trace() for b in self.blocks))
-
-    def block_arrays(self) -> list:
-        return [b.entries for b in self.blocks]
 
 
 @dataclass(frozen=True)
@@ -98,6 +67,26 @@ class BlockOperator:
         return _label_order_sum(np.trace(self.blocks, axis1=1, axis2=2).real)
 
 
+@dataclass(frozen=True)
+class CqState(BlockOperator):
+    """Block-diagonal classical-quantum subnormalized state.
+
+    The stack is validated as a whole: Hermitian within 1e-12 and then
+    symmetrised, dimension at most 64, PSD up to the scaled eigenvalue
+    floor of PsdOperator (one batched ``eigvalsh``), and total trace in
+    [0, 1].
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        blocks = hermitian_entries(self.blocks)
+        check_psd(blocks)
+        object.__setattr__(self, "blocks", blocks)
+        total = self.trace()
+        if not -1e-12 <= total <= 1.0 + 1e-9:
+            raise ValueError(f"total trace {total} outside [0, 1]")
+
+
 def _label_order_sum(values) -> float:
     """Add per-block values one at a time, in label order."""
     total = 0.0
@@ -110,23 +99,18 @@ def _block_stacks(rho, sigma):
     """rho and sigma as block stacks: (rho_stack, sigma_stack, Tr rho).
 
     rho_stack is (B, d, d) in label order; a plain operator is one block.
-    sigma may be a CqState/BlockOperator with matching labels, giving a
-    (B, d, d) stack, or a single operator (the identity-on-labels
+    sigma may be a BlockOperator (a CqState included) with matching labels,
+    giving a (B, d, d) stack, or a single operator (the identity-on-labels
     convention), kept as one (d, d) matrix that broadcasts across blocks.
     """
-    def stack(state):
-        if isinstance(state, BlockOperator):
-            return state.blocks
-        return np.stack(state.block_arrays())
-
-    if isinstance(rho, (CqState, BlockOperator)):
-        if isinstance(sigma, (CqState, BlockOperator)):
+    if isinstance(rho, BlockOperator):
+        if isinstance(sigma, BlockOperator):
             if sigma.labels != rho.labels:
                 raise ValueError("label mismatch between the two states")
-            sigma_stack = stack(sigma)
+            sigma_stack = sigma.blocks
         else:
             sigma_stack = as_matrix(sigma, np.complex128)
-        return stack(rho), sigma_stack, rho.trace()
+        return rho.blocks, sigma_stack, rho.trace()
     r = as_matrix(rho, np.complex128)
     return r[None], as_matrix(sigma, np.complex128), float(r.trace().real)
 
@@ -185,12 +169,10 @@ def dmax(rho, sigma) -> float:
 
 
 def trace_distance(rho, other) -> float:
-    """Trace norm of the difference; blockwise for CQ states."""
-    if isinstance(rho, CqState):
-        return float(sum(
-            np.abs(np.linalg.eigvalsh(a - b)).sum()
-            for a, b in zip(rho.block_arrays(), other.block_arrays())))
-    return float(np.abs(np.linalg.eigvalsh(as_matrix(rho) - as_matrix(other))).sum())
+    """Trace norm of the difference; blockwise for block operators, the
+    block norms added in label order."""
+    rs, os_, _ = _block_stacks(rho, other)
+    return _label_order_sum(np.abs(np.linalg.eigvalsh(rs - os_)).sum(axis=-1))
 
 
 def smooth_from_renyi(rho: CqState, sigma, alpha: float, epsilon: float):
@@ -216,7 +198,7 @@ def smooth_from_renyi(rho: CqState, sigma, alpha: float, epsilon: float):
          @ pseudo_power(st + delta, -0.5, cutoff=1e-14))
     # numerical floor: clip eigenvalues a hair below zero back up
     smoothed = pseudo_power(g @ rs @ g.conj().swapaxes(-1, -2), 1.0, cutoff=0.0)
-    return CqState.from_arrays(rho.labels, smoothed), float(bound)
+    return CqState(rho.labels, smoothed), float(bound)
 
 
 @dataclass(frozen=True)

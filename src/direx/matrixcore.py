@@ -19,15 +19,38 @@ HERMITIAN_ATOL = 1e-12
 PSD_EIG_FLOOR = -1e-10
 
 
-def _as_square_complex(entries) -> np.ndarray:
-    a = np.asarray(entries, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidOperatorError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] < 1 or a.shape[0] > DIM_CAP:
+def hermitian_entries(a: np.ndarray) -> np.ndarray:
+    """A complex square matrix, or a stack ``(..., d, d)`` of them, checked
+    and returned as validated Hermitian entries.
+
+    The dimension must lie in [1, 64] and every matrix must equal its
+    adjoint within HERMITIAN_ATOL; the result is the read-only
+    ``0.5 * (A + A^dag)``, element by element.
+    """
+    d = a.shape[-1]
+    if d < 1 or d > DIM_CAP:
         raise InvalidOperatorError(
-            f"dimension {a.shape[0]} outside supported range [1, {DIM_CAP}]"
-        )
-    return a
+            f"dimension {d} outside supported range [1, {DIM_CAP}]")
+    ah = a.conj().swapaxes(-1, -2)
+    if not np.allclose(a, ah, rtol=0.0, atol=HERMITIAN_ATOL):
+        worst = float(np.max(np.abs(a - ah)))
+        raise InvalidOperatorError(
+            f"matrix is not Hermitian (max |A - A^dag| = {worst:.3e})")
+    out = 0.5 * (a + ah)
+    out.setflags(write=False)
+    return out
+
+
+def check_psd(a: np.ndarray) -> None:
+    """Raise unless the Hermitian matrix ``a``, or each matrix of a stack,
+    is PSD up to the scaled eigenvalue floor of PsdOperator (one
+    ``eigvalsh`` call for the whole stack)."""
+    w = np.linalg.eigvalsh(a)
+    lo = w[..., 0]
+    bad = lo < PSD_EIG_FLOOR * np.maximum(np.maximum(1.0, -lo), w[..., -1])
+    if np.any(bad):
+        raise InvalidOperatorError(
+            f"matrix is not PSD (smallest eigenvalue {float(lo[bad][0]):.3e})")
 
 
 @dataclass(frozen=True)
@@ -37,15 +60,10 @@ class HermitianOperator:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        a = _as_square_complex(self.entries)
-        if not np.allclose(a, a.conj().T, rtol=0.0, atol=HERMITIAN_ATOL):
-            worst = float(np.max(np.abs(a - a.conj().T)))
-            raise InvalidOperatorError(
-                f"matrix is not Hermitian (max |A - A^dag| = {worst:.3e})"
-            )
-        a = 0.5 * (a + a.conj().T)
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
+        a = np.asarray(self.entries, dtype=np.complex128)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise InvalidOperatorError(f"expected a square matrix, got shape {a.shape}")
+        object.__setattr__(self, "entries", hermitian_entries(a))
 
     @property
     def dim(self) -> int:
@@ -68,12 +86,7 @@ class PsdOperator(HermitianOperator):
 
     def __post_init__(self):
         super().__post_init__()
-        w = np.linalg.eigvalsh(self.entries)
-        lo = float(w[0])
-        if lo < PSD_EIG_FLOOR * max(1.0, -lo, float(w[-1])):
-            raise InvalidOperatorError(
-                f"matrix is not PSD (smallest eigenvalue {lo:.3e})"
-            )
+        check_psd(self.entries)
 
     @classmethod
     def from_array(cls, entries) -> "PsdOperator":

@@ -403,10 +403,6 @@ class AffineHashFamily:
     def seed_bits(self) -> int:
         return (self.chunks + 1) * self.k
 
-    @property
-    def bias(self) -> float:
-        return 0.0
-
     def evaluate(self, seed: int, x_bits) -> int:
         gf = _gf_cache(self.k)
         x = _bits_to_int(x_bits)
@@ -442,6 +438,10 @@ def _bits_to_int(bits) -> int:
 def hash_bits_required(list_cap: int, eps: float) -> int:
     """Output length that pins the disambiguation failure under eps:
     ceil(log2(2 L / eps))."""
+    if not (0 < eps < np.inf and np.isfinite(2.0 * list_cap / eps)):
+        raise ValueError(
+            f"eps must be positive with 2 L / eps finite, got eps = {eps} "
+            f"for list cap L = {list_cap}")
     return int(np.ceil(np.log2(2.0 * list_cap / eps)))
 
 

@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import InvalidOperatorError
-from .matrixcore import HermitianOperator
+from .matrixcore import HERMITIAN_ATOL, HermitianOperator
 
 PROB_SUM_ATOL = 1e-12
 UNIT_ATOL = 1e-9
@@ -617,53 +617,41 @@ def reverse_diagonal_entries(game: XorGame, th: np.ndarray) -> np.ndarray:
     return out.reshape(th.shape[:-1] + (len(signs),))
 
 
-def generation_observable(n: int) -> np.ndarray:
-    """The first component's canonical input-0 observable on 2**n dimensions."""
-    x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return np.kron(x, np.eye(2 ** (n - 1)))
+def _mirrored(top: np.ndarray) -> np.ndarray:
+    """The reverse diagonal whose bottom half is the conjugate mirror of
+    ``top``: entry 2**n - 1 - b is conj(top[b])."""
+    return np.concatenate([top, top[::-1].conj()])
 
 
-def reverse_diagonal_anticommuter(n: int, top_entries) -> HermitianOperator:
-    """Reverse-diagonal unit-modulus operator from its top-half entries.
+def ghz_anticommuter() -> np.ndarray:
+    """The reverse-diagonal sign pattern (+,+,-,-,-,-,+,+) used for GHZ."""
+    return _mirrored(np.array([1, 1, -1, -1], dtype=np.complex128))
 
-    The bottom half is the conjugate mirror, so the matrix is Hermitian and
-    squares to the identity whenever the entries are unit modulus; validity
-    against the anticommutation requirement is checked by
-    trust_coefficient_check.
+
+def _validate_anticommuter(n: int, anti) -> np.ndarray:
+    """The anticommuter's reverse diagonal as a complex vector, after
+    checking it in closed form.
+
+    Entry b is the operator's entry at (b, 2**n - 1 - b).  Such an operator
+    squares to the identity when every entry has unit modulus, is Hermitian
+    when entry 2**n - 1 - b is the conjugate of entry b, and anticommutes
+    with the generation observable X (x) I when flipping the first bit
+    negates the entry.
     """
     d = 2**n
-    half = d // 2
-    vals = [complex(v) for v in top_entries]
-    if len(vals) != half:
-        raise ValueError(f"need {half} entries, got {len(vals)}")
-    m = np.zeros((d, d), dtype=np.complex128)
-    for b in range(half):
-        m[b, d - 1 - b] = vals[b]
-        m[d - 1 - b, b] = np.conj(vals[b])
-    return HermitianOperator(m)
-
-
-def ghz_anticommuter() -> HermitianOperator:
-    """The reverse-diagonal sign pattern (+,+,-,-,-,-,+,+) used for GHZ."""
-    return reverse_diagonal_anticommuter(3, [1, 1, -1, -1])
-
-
-def _validate_anticommuter(n: int, anti: HermitianOperator):
-    d = 2**n
-    a = anti.entries
-    if a.shape != (d, d):
+    a = np.asarray(anti, dtype=np.complex128)
+    if a.shape != (d,):
         raise InvalidOperatorError(
-            f"anticommuter has dimension {a.shape[0]}, expected {d}")
-    if np.max(np.abs(a[~np.fliplr(np.eye(d, dtype=bool))])) >= 1e-14:
-        raise InvalidOperatorError(
-            "anticommuter must be reverse-diagonal (the trust check takes "
-            "the norm as the largest entry modulus)")
-    if np.max(np.abs(a @ a - np.eye(d))) > 1e-9:
+            f"anticommuter must be the reverse diagonal of {d} entries, "
+            f"got shape {a.shape}")
+    if not np.max(np.abs(np.abs(a) - 1.0)) <= 1e-9:
         raise InvalidOperatorError("anticommuter fails: square is not the identity")
-    x1 = generation_observable(n)
-    if np.max(np.abs(a @ x1 + x1 @ a)) > 1e-9:
+    if not np.max(np.abs(a[::-1] - a.conj())) <= HERMITIAN_ATOL:
+        raise InvalidOperatorError("anticommuter fails: not Hermitian")
+    if not np.max(np.abs(a[np.arange(d) ^ (d // 2)] + a)) <= 1e-9:
         raise InvalidOperatorError(
             "anticommuter fails: does not anticommute with the generation observable")
+    return a
 
 
 @dataclass(frozen=True)
@@ -732,7 +720,7 @@ def _trust_samples(game: XorGame, samples: SamplingSpec):
     return th_all, entries, starts
 
 
-def trust_coefficient_check(game: XorGame, c: float, anticommuter: HermitianOperator,
+def trust_coefficient_check(game: XorGame, c: float, anticommuter: np.ndarray,
                             samples: SamplingSpec | None = None,
                             qG: float | None = None) -> TrustCheckResult:
     """Sampled certification that ||M - c N|| <= qG - c over canonical strategies.
@@ -740,9 +728,10 @@ def trust_coefficient_check(game: XorGame, c: float, anticommuter: HermitianOper
     The claim is tested on a dense grid of upper-half-circle angle tuples,
     a batch of random tuples, and local maximizations of the norm from the
     best sample and random starts.  The result is sampled, not proven.  The
-    anticommuter must be reverse-diagonal, like the scoring operator, so the
-    operator norm is the maximum entry modulus and the whole sweep is
-    vectorized.
+    anticommuter is given as its reverse diagonal (see
+    _validate_anticommuter); the scoring operator is reverse-diagonal too,
+    so the operator norm is the maximum entry modulus and the whole sweep
+    is vectorized.
 
     The local ascent runs every start in lockstep: each pass evaluates the
     2n axis neighbours of all active starts in one batch, moves each start
@@ -757,17 +746,14 @@ def trust_coefficient_check(game: XorGame, c: float, anticommuter: HermitianOper
     if not (np.isfinite(c) and c >= 0):
         raise ValueError(f"coefficient must be finite and nonnegative, got {c}")
     samples = samples or SamplingSpec()
-    _validate_anticommuter(game.n, anticommuter)
+    anti = _validate_anticommuter(game.n, anticommuter)
     if qG is None:
         qG, _ = optimal_score(game)
-    d = 2**game.n
-    anti = anticommuter.entries
-    anti_diag = np.array([anti[b, d - 1 - b] for b in range(d)])
 
     def norms(th, entries=None):
         if entries is None:
             entries = reverse_diagonal_entries(game, th)
-        return np.max(np.abs(entries - c * anti_diag), axis=-1)
+        return np.max(np.abs(entries - c * anti), axis=-1)
 
     th_all, entries, more_starts = _trust_samples(game, samples)
     vals = norms(th_all, entries)
@@ -804,7 +790,7 @@ def trust_coefficient_check(game: XorGame, c: float, anticommuter: HermitianOper
     violation = best_val - (qG - c)
     analytic = -1
     if (game.entries == ghz_game().entries and abs(c - 0.14) < 1e-12
-            and np.allclose(anti_diag.real, [1, 1, -1, -1, -1, -1, 1, 1])):
+            and np.allclose(anti.real, [1, 1, -1, -1, -1, -1, 1, 1])):
         analytic = ghz_analytic_entry_checks(th_all, c)
     return TrustCheckResult(
         passed=bool(violation <= 1e-9),
@@ -836,8 +822,8 @@ def _anticommuter_orbit_pairs(n: int):
 
 
 def anticommuter_family(n: int, phases=(1.0, -1.0)):
-    """All valid reverse-diagonal anticommuters with per-orbit entries drawn
-    from the given unit phases.
+    """All valid anticommuters, as reverse diagonals, with per-orbit entries
+    drawn from the given unit phases.
 
     The constraints leave one free unit phase per orbit pair; real phases
     (+-1 sign patterns) suffice when the game's corner direction is real,
@@ -853,17 +839,16 @@ def anticommuter_family(n: int, phases=(1.0, -1.0)):
             phi = options[k]
             top[b] = phi
             top[partner] = -np.conj(phi)
-        yield reverse_diagonal_anticommuter(n, top)
+        yield _mirrored(top)
 
 
 def trust_anticommuters(game: XorGame) -> list:
-    """The valid reverse-diagonal anticommuters a trust claim is checked
+    """The anticommuters (reverse diagonals) a trust claim is checked
     against, in a fixed order.
 
     These are the anticommuter_family members over the phases +-1, plus the
     corner phase of the score polynomial at its maximizer and its negative
-    when that phase is not real; members that fail the anticommutation
-    requirement are left out.
+    when that phase is not real.
     """
     _, maximizer = optimal_score(game)
     corner = _pg_batch(game, np.exp(1j * np.asarray(maximizer[1:]))[None, :])[0]
@@ -872,14 +857,7 @@ def trust_anticommuters(game: XorGame) -> list:
         phase = corner / abs(corner)
         if min(abs(phase - 1), abs(phase + 1)) > 1e-9:
             phases.extend([phase, -phase])
-    members = []
-    for anti in anticommuter_family(game.n, phases=phases):
-        try:
-            _validate_anticommuter(game.n, anti)
-        except InvalidOperatorError:
-            continue
-        members.append(anti)
-    return members
+    return list(anticommuter_family(game.n, phases=phases))
 
 
 def trust_coefficient_search(game: XorGame, samples: SamplingSpec | None = None,

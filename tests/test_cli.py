@@ -377,6 +377,9 @@ class TestUsage:
         (("rate", "--eta", "0.01", "--epsilon-exp", "-1"), "--epsilon-exp"),
         (("verify", "--instances", "0"), "--instances"),
         (("verify", "--suite", "multishot", "--instances", "-3"), "--instances"),
+        # more scoring entries than direx trust may hold
+        (("trust", "--c", "0.1", "--samples", "1000000000"), "--samples"),
+        (("trust", "--c", "0.1", "--grid", "5000"), "--grid"),
     ])
     @pytest.mark.filterwarnings("error")
     def test_bad_input_names_the_flag(self, monkeypatch, capsys, argv, named):

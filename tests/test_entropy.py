@@ -168,13 +168,13 @@ class TestEntropyLaws:
 class TestSmoothing:
     def _random_cq(self, rng, dim=4, labels=4):
         weights = rng.dirichlet(np.ones(labels))
-        return CqState.from_arrays(
+        return CqState(
             tuple(range(labels)),
             [w * rand_density(rng, dim) for w in weights])
 
     def test_identity_case_both_guarantees(self):
         rng = np.random.default_rng(8)
-        rho = CqState.from_arrays(("a",), [rand_density(rng, 4)])
+        rho = CqState(("a",), [rand_density(rng, 4)])
         for eps in (np.sqrt(2), 0.3):
             sm, bound = smooth_from_renyi(rho, rho.blocks[0], 1.5, eps)
             assert bound >= -1e-12
@@ -184,8 +184,7 @@ class TestSmoothing:
     def test_sqrt2_penalty_vanishes(self):
         rng = np.random.default_rng(9)
         rho = self._random_cq(rng)
-        sigma = CqState.from_arrays(rho.labels,
-                                    [np.eye(4) / 16 for _ in rho.labels])
+        sigma = CqState(rho.labels, [np.eye(4) / 16 for _ in rho.labels])
         base = renyi_divergence(rho, sigma, 1.5)
         _, bound = smooth_from_renyi(rho, sigma, 1.5, np.sqrt(2))
         assert bound == pytest.approx(base, abs=1e-12)
@@ -211,10 +210,10 @@ class TestSmoothing:
     def test_smoothed_state_stays_positive(self):
         rng = np.random.default_rng(11)
         rho = self._random_cq(rng)
-        sigma = CqState.from_arrays(rho.labels, [np.eye(4) / 16] * 4)
+        sigma = CqState(rho.labels, [np.eye(4) / 16] * 4)
         sm, _ = smooth_from_renyi(rho, sigma, 1.3, 0.2)
         for b in sm.blocks:
-            assert np.linalg.eigvalsh(b.entries)[0] >= -1e-12
+            assert np.linalg.eigvalsh(b)[0] >= -1e-12
 
 
 class TestMeasurementSplit:

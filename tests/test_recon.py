@@ -300,6 +300,20 @@ class TestHashFamilies:
         assert hash_bits_required(64, 2.0**-10) == 17
         assert hash_bits_required(32, 2.0**-10) == 16
 
+    @pytest.mark.parametrize("eps", [2.0**-1050, 0.0, -0.25, float("nan"),
+                                     float("inf")])
+    def test_hash_bits_reject_eps(self, eps):
+        # 2 L / eps overflows a float at 2^-1050; the ceiling must not
+        # reach int() as an infinity
+        with pytest.raises(ValueError, match="eps"):
+            hash_bits_required(64, eps)
+
+    def test_eir_run_rejects_tiny_eps(self):
+        lc = random_linear_code(20, 14, np.random.default_rng(12), list_cap=64)
+        x = np.zeros(20, np.uint8)
+        with pytest.raises(ValueError, match="eps"):
+            eir_run(x, x, lc, 0.1, 2.0**-1050, shared=substream(MASTER, "h3"))
+
 
 class TestEir:
     def test_equal_strings(self):
@@ -376,12 +390,12 @@ class TestEir:
                 assert not res.aborted and np.array_equal(res.estimate, x)
 
     def test_failure_budget_by_construction(self):
-        # L / 2^k + bias/2 <= eps for k = ceil(log2(2 L / eps))
+        # the affine family is exactly pairwise independent (no bias term),
+        # so L / 2^k <= eps for k = ceil(log2(2 L / eps))
         for cap in (8, 32, 64):
             for eps in (2.0**-6, 2.0**-10):
                 k = hash_bits_required(cap, eps)
-                fam = AffineHashFamily(n_bits=20, k=k)
-                assert cap / 2.0**k + fam.bias / 2 <= eps
+                assert cap / 2.0**k <= eps
 
     def test_promise_radius_beyond_code_guarantee_rejected(self):
         code = bch_15_5()  # unique radius 3

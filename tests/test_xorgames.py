@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from direx.errors import InvalidOperatorError
-from direx.matrixcore import HermitianOperator
 from direx.xorgames import (
     SamplingSpec,
     TrustCheckResult,
@@ -29,7 +28,6 @@ from direx.xorgames import (
     ghz_anticommuter,
     load_game,
     optimal_score,
-    reverse_diagonal_anticommuter,
     reverse_diagonal_entries,
     score_certificate,
     scoring_operator,
@@ -337,15 +335,6 @@ class TestAbsPgBound:
         assert vals.max() <= 2 * np.sqrt(2) + 1e-9
 
 
-def dense_ghz_anticommuter():
-    """A valid anticommuter that is not reverse-diagonal: the GHZ pattern
-    conjugated by a unitary on the trailing qubits."""
-    rng = np.random.default_rng(21)
-    w, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    u = np.kron(np.eye(2), w)
-    return HermitianOperator(u @ ghz_anticommuter().entries @ u.conj().T)
-
-
 class TestTrustCoefficient:
     def test_ghz_paper_pattern_passes(self):
         res = trust_coefficient_check(
@@ -389,13 +378,11 @@ class TestTrustCoefficient:
             SamplingSpec(**fields)
 
     def test_invalid_anticommuter_named_rejection(self):
-        bad = reverse_diagonal_anticommuter(3, [1, 1, 1, 1])
+        bad = np.ones(8, dtype=np.complex128)
         with pytest.raises(InvalidOperatorError, match="anticommute"):
             trust_coefficient_check(GHZ, 0.1, bad, qG=1.0)
 
     def test_family_members_valid_for_n2(self):
-        from direx.xorgames import _validate_anticommuter
-
         members = list(anticommuter_family(2))
         assert len(members) == 2
         for m in members:
@@ -422,13 +409,91 @@ class TestTrustCoefficient:
             trust_coefficient_search(all_plus_game(), classification="not-self-test")
 
     def test_dense_anticommuter_path(self):
-        # conjugating by a unitary on the trailing qubits keeps validity but
-        # breaks the reverse-diagonal shape, on which the largest entry
-        # modulus is no longer the operator norm
-        dense = dense_ghz_anticommuter()
-        assert np.max(np.abs(dense.entries[np.fliplr(np.eye(8, dtype=bool))])) < 1.0
-        with pytest.raises(InvalidOperatorError, match="reverse-diagonal"):
-            trust_coefficient_check(GHZ, 0.0, dense, qG=1.0)
+        # an anticommuter is its reverse diagonal; the matrix form of the
+        # GHZ pattern, or a 2-D array of any shape, is rejected
+        a = ghz_anticommuter()
+        dense = np.fliplr(np.diag(a))
+        for bad in (dense, dense[:4, :4], a[None, :], a[:4]):
+            with pytest.raises(InvalidOperatorError, match="reverse diagonal"):
+                trust_coefficient_check(GHZ, 0.0, bad, qG=1.0)
+
+
+FAMILY_PHASES = (1.0, -1.0, np.exp(0.3j), -np.exp(0.3j))
+
+
+class TestAnticommuterConstraints:
+    """The closed-form checks against the three conditions on the matrix:
+    square the identity, Hermitian, anticommuting with X (x) I."""
+
+    @staticmethod
+    def dense(a):
+        return np.fliplr(np.diag(a))
+
+    @staticmethod
+    def generation_x(d):
+        return np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(d // 2))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_family_members_validate(self, n):
+        d = 2**n
+        x1 = self.generation_x(d)
+        members = list(anticommuter_family(n, FAMILY_PHASES))
+        assert len(members) == 4 ** (d // 4)
+        for a in members:
+            assert np.array_equal(_validate_anticommuter(n, a), a)
+            m = self.dense(a)
+            assert np.array_equal(m, m.conj().T)
+            assert np.allclose(m @ m, np.eye(d), rtol=0.0, atol=1e-12)
+            assert np.max(np.abs(m @ x1 + x1 @ m)) == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_each_single_break_is_rejected(self, n):
+        d = 2**n
+        rng = np.random.default_rng(n)
+        for a in anticommuter_family(n, FAMILY_PHASES):
+            b = int(rng.integers(d))
+            flipped, scaled = a.copy(), a.copy()
+            flipped[b] = -a[b]
+            scaled[b] = 1.001 * a[b]
+            breaks = [flipped, scaled]
+            complex_entries = np.flatnonzero(np.abs(a.imag) > 0.1)
+            if complex_entries.size:
+                # one mirror entry left unconjugated
+                j = int(rng.choice(complex_entries))
+                unmirrored = a.copy()
+                unmirrored[d - 1 - j] = a[j]
+                breaks.append(unmirrored)
+            for bad in breaks:
+                with pytest.raises(InvalidOperatorError):
+                    _validate_anticommuter(n, bad)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_each_condition_is_checked(self, n):
+        # each break keeps the other two conditions, so deleting any one
+        # check lets its break through
+        a = next(m for m in anticommuter_family(n, FAMILY_PHASES)
+                 if np.any(np.abs(m.imag) > 0.1))
+        d = 2**n
+        x1 = self.generation_x(d)
+        ones = np.ones(d, dtype=np.complex128)
+        for bad, named in ((1.001 * a, "square"),
+                           (np.exp(0.2j) * a, "Hermitian"),
+                           (ones, "anticommute")):
+            m = self.dense(bad)
+            # unitary and Hermitian is the square being the identity
+            held = [np.allclose(m @ m.conj().T, np.eye(d)),
+                    np.allclose(m, m.conj().T),
+                    np.allclose(m @ x1, -x1 @ m)]
+            assert held.count(False) == 1
+            with pytest.raises(InvalidOperatorError, match=named):
+                _validate_anticommuter(n, bad)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, value):
+        a = ghz_anticommuter()
+        a[0] = value
+        with pytest.raises(InvalidOperatorError):
+            _validate_anticommuter(3, a)
 
 
 def reference_entries(game, th):
@@ -446,10 +511,7 @@ def reference_entries(game, th):
 def reference_trust_check(game, c, anticommuter, samples, qG):
     """trust_coefficient_check with the sequential ascent: each start climbs
     alone, one norm evaluation per step."""
-    _validate_anticommuter(game.n, anticommuter)
-    d = 2**game.n
-    anti = anticommuter.entries
-    anti_diag = np.array([anti[b, d - 1 - b] for b in range(d)])
+    anti_diag = _validate_anticommuter(game.n, anticommuter)
 
     def norms(th):
         return np.max(np.abs(reference_entries(game, th) - c * anti_diag),
