@@ -88,10 +88,6 @@ class PsdOperator(HermitianOperator):
         super().__post_init__()
         check_psd(self.entries)
 
-    @classmethod
-    def from_array(cls, entries) -> "PsdOperator":
-        return cls(entries)
-
 
 def as_matrix(a, dtype=None) -> np.ndarray:
     """The entries of an operator, or ``a`` as an array of ``dtype``.
@@ -112,7 +108,7 @@ def matrix_power(a: PsdOperator, p: float) -> PsdOperator:
     are clamped to zero first.
     """
     if not isinstance(a, PsdOperator):
-        a = PsdOperator.from_array(a)
+        a = PsdOperator(a)
     if not p > 0:
         raise ValueError(f"power must be positive, got {p}")
     out = pseudo_power(a.entries, p, cutoff=0.0)

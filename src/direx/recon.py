@@ -437,10 +437,10 @@ def _bits_to_int(bits) -> int:
 
 def hash_bits_required(list_cap: int, eps: float) -> int:
     """Output length that pins the disambiguation failure under eps:
-    ceil(log2(2 L / eps))."""
-    if not (0 < eps < np.inf and np.isfinite(2.0 * list_cap / eps)):
+    ceil(log2(2 L / eps)), which is positive only for eps < 2 L."""
+    if not (0 < eps < 2.0 * list_cap and np.isfinite(2.0 * list_cap / eps)):
         raise ValueError(
-            f"eps must be positive with 2 L / eps finite, got eps = {eps} "
+            f"eps must lie in (0, 2 L) with 2 L / eps finite, got eps = {eps} "
             f"for list cap L = {list_cap}")
     return int(np.ceil(np.log2(2.0 * list_cap / eps)))
 

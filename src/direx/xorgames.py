@@ -238,7 +238,7 @@ _GRID_DIVS_LOW = 50       # grid step pi/50 on tori of dimension <= 3 ...
 _GRID_DIVS_4 = 16         # ... and pi/16 in dimension 4 (~5.6e5 cells)
 _REFINE_STARTS = 8        # grid cells refined by Newton
 _MAX_CELLS = 1 << 20      # branch-and-bound gives up beyond this many cells
-_CHUNK = 1 << 16
+_CHUNK = 1 << 13          # cells per piece of a cell-bound evaluation
 _ENTRY_CHUNK = 1 << 12    # rows per piece of reverse_diagonal_entries; one
                           # piece for 272k rows would hold ~250 MB more
 
@@ -306,48 +306,76 @@ def _cell_bounds(coeff: np.ndarray, expo: np.ndarray, centres: np.ndarray,
     return absp, bound
 
 
-def _coarse_grid(game: XorGame):
-    """Cells of the coarse grid on the reduced torus, with their values.
+def _grid_centres(cells: np.ndarray, shape: tuple, step: float) -> np.ndarray:
+    """Centres of coarse-grid cells given by flat C-order index.
+
+    Each coordinate is its integer index times ``step``, the same product
+    ``np.arange(len) * step`` forms, so a centre has the same bits however
+    the grid is cut into pieces.
+    """
+    return np.stack(np.unravel_index(cells, shape), axis=-1) * step
+
+
+def _grid_pass(game: XorGame):
+    """One streamed pass over the coarse grid on the reduced torus.
 
     Conjugating every phase conjugates the polynomial, so the first angle
-    only needs the upper half circle.  Returns (expo, basis, centres, r,
-    absp, bound) as produced by _reduced_exponents and _cell_bounds.
+    only needs the upper half circle.  The cells are evaluated _CHUNK at a
+    time from their flat indices; only the bound of every cell and a running
+    top-_REFINE_STARTS of (-|p|, index) are kept.  Returns (expo, basis,
+    shape, step, bound, best): ``best`` holds the _REFINE_STARTS cells of
+    largest |p| at the centre, in the order a stable sort by -|p| over the
+    whole grid gives them.
     """
     coeff, inp = game._score_arrays
     expo, basis = _reduced_exponents(inp)
     dim = expo.shape[1]
     divs = _GRID_DIVS_LOW if dim <= 3 else _GRID_DIVS_4
     step = np.pi / divs
-    axes = [np.arange(divs + 1) * step] + [np.arange(2 * divs) * step] * (dim - 1)
-    centres = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-    r = step / 2
-    absp, bound = _cell_bounds(coeff, expo, centres, r)
-    return expo, basis, centres, r, absp, bound
+    shape = (divs + 1,) + (2 * divs,) * (dim - 1)
+    bound = np.empty(int(np.prod(shape)))
+    key, best = np.empty(0), np.empty(0, dtype=np.intp)
+    for s in range(0, len(bound), _CHUNK):
+        cells = np.arange(s, min(s + _CHUNK, len(bound)))
+        absp, bound[s: s + _CHUNK] = _cell_bounds(
+            coeff, expo, _grid_centres(cells, shape, step), step / 2)
+        # a cell enters only by beating the last kept key; kept cells precede
+        # this chunk's, so a stable sort breaks ties by index
+        worst = key[-1] if len(key) == _REFINE_STARTS else np.inf
+        enter = np.flatnonzero(-absp < worst)
+        key = np.concatenate([key, -absp[enter]])
+        best = np.concatenate([best, cells[enter]])
+        keep = np.argsort(key, kind="stable")[:_REFINE_STARTS]
+        key, best = key[keep], best[keep]
+    return expo, basis, shape, step, bound, best
 
 
-def _branch_and_bound(coeff, expo, centres, r, bound, value) -> float:
-    """Certified upper bound on max |p| over the cells, minus ``value``.
+def _branch_and_bound(coeff, expo, shape, step, bound, value) -> float:
+    """Certified upper bound on max |p| over the coarse grid, minus ``value``.
 
     Lipschitz branch-and-bound: cells whose bound is at most
     value + SCORE_CERT_TOL are dropped, the rest are split into 2**dim
-    children.  The result is the largest bound of any dropped cell, or of
+    children.  Only the open grid cells' centres are rebuilt from their
+    indices.  The result is the largest bound of any dropped cell, or of
     the cells still open once splitting them would exceed _MAX_CELLS.
     """
-    dim = centres.shape[1]
+    dim = len(shape)
     offsets = np.array(list(itertools.product((-0.5, 0.5), repeat=dim)))
     target = value + SCORE_CERT_TOL
-    top = -np.inf
-    while True:
-        open_ = bound > target
-        top = max(top, float(np.max(bound[~open_], initial=-np.inf)))
-        centres, bound = centres[open_], bound[open_]
-        if len(centres) == 0:
-            return top - value
+    open_ = bound > target
+    top = float(np.max(bound, where=~open_, initial=-np.inf))
+    centres = _grid_centres(np.flatnonzero(open_), shape, step)
+    bound, r = bound[open_], step / 2
+    while len(centres):
         if len(centres) << dim > _MAX_CELLS:
             return max(top, float(np.max(bound))) - value
         centres = (centres[:, None, :] + r * offsets).reshape(-1, dim)
         r /= 2
         _, bound = _cell_bounds(coeff, expo, centres, r)
+        open_ = bound > target
+        top = max(top, float(np.max(bound, where=~open_, initial=-np.inf)))
+        centres, bound = centres[open_], bound[open_]
+    return top - value
 
 
 def score_certificate(game: XorGame, value: float) -> float:
@@ -358,8 +386,8 @@ def score_certificate(game: XorGame, value: float) -> float:
     SCORE_CERT_TOL of the optimum gets a gap of at most SCORE_CERT_TOL; a
     value below the optimum gets a gap at least the shortfall.
     """
-    expo, _, centres, r, _, bound = _coarse_grid(game)
-    return _branch_and_bound(game._score_arrays[0], expo, centres, r, bound,
+    expo, _, shape, step, bound, _ = _grid_pass(game)
+    return _branch_and_bound(game._score_arrays[0], expo, shape, step, bound,
                              value)
 
 
@@ -412,28 +440,30 @@ _SCORE_MEMO: dict = {}
 def optimal_score(game: XorGame):
     """Optimal quantum score and a maximizing angle tuple.
 
-    Coarse grid over the phase torus, then Newton refinement of the cosine
-    form from the best few grid cells (the extra leading angle is seeded
-    with the phase of the polynomial at the cell centre).  The best refined
-    value is certified by branch-and-bound over the grid cells: its gap,
-    an upper bound on max |p_G| minus the value, is memoized with it and
-    reported by analyze_game.  Results are memoized per game.
+    One streamed pass over a coarse grid on the phase torus (_grid_pass),
+    then Newton refinement of the cosine form from the best few grid cells
+    (the extra leading angle is seeded with the phase of the polynomial at
+    the cell centre).  The best refined value is certified by
+    branch-and-bound over the grid cells: its gap, an upper bound on
+    max |p_G| minus the value, is memoized with it and reported by
+    analyze_game.  Results are memoized per game.
+
+    The pass holds one float64 bound per grid cell (4 MB for the 5.1e5
+    cells of a three-player GHZ game) and the working arrays of one _CHUNK
+    of cells; the centres of all cells are never held at once.
     """
     key = game.entries
     if key not in _SCORE_MEMO:
         coeff = game._score_arrays[0]
-        expo, basis, centres, r, absp, bound = _coarse_grid(game)
+        expo, basis, shape, step, bound, best = _grid_pass(game)
         val, th = -np.inf, None
-        # the best cells, in the order a stable sort by -|p| gives them
-        cut = np.partition(absp, -_REFINE_STARTS)[-_REFINE_STARTS]
-        best = np.flatnonzero(absp >= cut)
-        for cell in best[np.argsort(-absp[best], kind="stable")][:_REFINE_STARTS]:
-            ang = basis @ centres[cell]
+        for centre in _grid_centres(best, shape, step):
+            ang = basis @ centre
             p = _pg_batch(game, np.exp(1j * ang)[None, :])[0]
             cval, cth = refine_zg_max(game, np.concatenate([[-np.angle(p)], ang]))
             if cval > val:
                 val, th = cval, cth
-        gap = _branch_and_bound(coeff, expo, centres, r, bound, val)
+        gap = _branch_and_bound(coeff, expo, shape, step, bound, val)
         _SCORE_MEMO[key] = (float(val), th, gap)
     val, th, _ = _SCORE_MEMO[key]
     return val, th.copy()

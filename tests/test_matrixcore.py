@@ -40,10 +40,10 @@ class TestConstruction:
 
     def test_psd_rejects_negative_eigenvalue(self):
         with pytest.raises(InvalidOperatorError):
-            PsdOperator.from_array(np.diag([1.0, -1e-6]))
+            PsdOperator(np.diag([1.0, -1e-6]))
 
     def test_psd_tolerates_tiny_negative(self):
-        p = PsdOperator.from_array(np.diag([1.0, -5e-11]))
+        p = PsdOperator(np.diag([1.0, -5e-11]))
         assert p.dim == 2
 
     def test_entries_immutable(self):
@@ -55,27 +55,27 @@ class TestConstruction:
 class TestMatrixPower:
     def test_identity_any_power(self):
         for p in (0.5, 1.0, 3.7):
-            out = matrix_power(PsdOperator.from_array(np.eye(3)), p)
+            out = matrix_power(PsdOperator(np.eye(3)), p)
             assert np.allclose(out.entries, np.eye(3))
 
     def test_diagonal_square_root(self):
-        out = matrix_power(PsdOperator.from_array(np.diag([4.0, 1.0])), 0.5)
+        out = matrix_power(PsdOperator(np.diag([4.0, 1.0])), 0.5)
         assert np.allclose(out.entries, np.diag([2.0, 1.0]))
 
     def test_square_root_round_trip(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             a = random_psd(rng, 6)
-            root = matrix_power(PsdOperator.from_array(a), 0.5)
+            root = matrix_power(PsdOperator(a), 0.5)
             back = root.entries @ root.entries
             assert np.max(np.abs(back - a)) <= 1e-9 * max(np.abs(a).max(), 1.0)
 
     def test_rejects_nonpositive_power(self):
         with pytest.raises(ValueError):
-            matrix_power(PsdOperator.from_array(np.eye(2)), 0.0)
+            matrix_power(PsdOperator(np.eye(2)), 0.0)
 
     def test_zero_eigenvalue_maps_to_zero(self):
-        out = matrix_power(PsdOperator.from_array(np.diag([1.0, 0.0])), 0.3)
+        out = matrix_power(PsdOperator(np.diag([1.0, 0.0])), 0.3)
         assert np.allclose(out.entries, np.diag([1.0, 0.0]))
 
     def test_large_power_of_rotated_matrix(self):
@@ -86,7 +86,7 @@ class TestMatrixPower:
             z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             u, _ = np.linalg.qr(z)
             a = (u * np.array([30.0, 1.0])) @ u.conj().T
-            out = matrix_power(PsdOperator.from_array(a), 3)
+            out = matrix_power(PsdOperator(a), 3)
             expect = (u * np.array([27000.0, 1.0])) @ u.conj().T
             assert np.max(np.abs(out.entries - expect)) <= 1e-9
 
@@ -98,14 +98,14 @@ class TestMatrixPower:
             z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
             u, _ = np.linalg.qr(z)
             a = (u * np.array([1000.0, 1.0, 0.0])) @ u.conj().T
-            out = matrix_power(PsdOperator.from_array(a), 3)
+            out = matrix_power(PsdOperator(a), 3)
             expect = (u * np.array([1e9, 1.0, 0.0])) @ u.conj().T
             assert np.max(np.abs(out.entries - expect)) <= 1e-9 * 1e9
 
     def test_psd_floor_scales_with_norm(self):
-        assert PsdOperator.from_array(np.diag([1e9, -5e-8])).dim == 2
+        assert PsdOperator(np.diag([1e9, -5e-8])).dim == 2
         with pytest.raises(InvalidOperatorError):
-            PsdOperator.from_array(np.diag([1e9, -1.0]))
+            PsdOperator(np.diag([1e9, -1.0]))
 
 
 def reference_psd_sqrt(m):
@@ -160,7 +160,7 @@ class TestSpectralKernel:
     @settings(max_examples=300, deadline=None)
     @given(m=hermitian_matrices(min_eig=0.0), p=st.floats(0.1, 3.0))
     def test_matrix_power(self, m, p):
-        a = PsdOperator.from_array(0.5 * (m + m.conj().T))
+        a = PsdOperator(0.5 * (m + m.conj().T))
         try:
             expect = reference_matrix_power(a, p)
         except InvalidOperatorError:
@@ -168,7 +168,7 @@ class TestSpectralKernel:
         assert np.array_equal(matrix_power(a, p).entries, expect.entries)
 
     def test_psd_operator_is_hermitian_operator(self):
-        p = PsdOperator.from_array(np.diag([2.0, 1.0]))
+        p = PsdOperator(np.diag([2.0, 1.0]))
         assert isinstance(p, HermitianOperator)
         assert p.dim == 2 and p.trace() == 3.0
         assert as_matrix(p) is p.entries
@@ -219,10 +219,10 @@ class TestLoewnerProperties:
             z = random_psd(rng, d)
             w = z + random_psd(rng, d)
             gamma = float(rng.uniform(0.0, 1.0))
-            zg = matrix_power(PsdOperator.from_array(z), gamma) if gamma > 0 else None
+            zg = matrix_power(PsdOperator(z), gamma) if gamma > 0 else None
             if gamma == 0.0:
                 continue
-            wg = matrix_power(PsdOperator.from_array(w), gamma)
+            wg = matrix_power(PsdOperator(w), gamma)
             diff = wg.entries - zg.entries
             assert np.linalg.eigvalsh(diff)[0] >= -1e-9
 
@@ -236,8 +236,8 @@ class TestLoewnerProperties:
             gamma = float(rng.uniform(0.0, 1.0))
             p = 1.0 + gamma
             lhs = (
-                matrix_power(PsdOperator.from_array(x), p).trace()
-                + matrix_power(PsdOperator.from_array(z), p).trace()
+                matrix_power(PsdOperator(x), p).trace()
+                + matrix_power(PsdOperator(z), p).trace()
             )
-            rhs = matrix_power(PsdOperator.from_array(w), p).trace()
+            rhs = matrix_power(PsdOperator(w), p).trace()
             assert lhs <= rhs + 1e-9

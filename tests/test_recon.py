@@ -308,6 +308,20 @@ class TestHashFamilies:
         with pytest.raises(ValueError, match="eps"):
             hash_bits_required(64, eps)
 
+    def test_hash_bits_need_eps_below_twice_the_cap(self):
+        # 2 L / eps <= 1 would ask for no hash bits, or a negative number
+        assert hash_bits_required(64, 127.0) == 1
+        assert hash_bits_required(64, np.nextafter(128.0, 0.0)) == 1
+        for eps in (128.0, 1000.0):
+            with pytest.raises(ValueError, match=f"eps = {eps}"):
+                hash_bits_required(64, eps)
+
+    def test_eir_run_rejects_eps_above_twice_the_cap(self):
+        lc = random_linear_code(20, 14, np.random.default_rng(12), list_cap=64)
+        x = np.zeros(20, np.uint8)
+        with pytest.raises(ValueError, match="eps"):
+            eir_run(x, x, lc, 0.1, 1000.0, shared=substream(MASTER, "h3"))
+
     def test_eir_run_rejects_tiny_eps(self):
         lc = random_linear_code(20, 14, np.random.default_rng(12), list_cap=64)
         x = np.zeros(20, np.uint8)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from direx import xorgames
 from direx.errors import InvalidOperatorError
 from direx.xorgames import (
     SamplingSpec,
@@ -35,8 +37,10 @@ from direx.xorgames import (
     trust_coefficient_search,
 )
 from direx.xorgames import (
+    _SCORE_MEMO,
     _cell_bounds,
     _conjugation_signs,
+    _grid_pass,
     _validate_anticommuter,
 )
 
@@ -222,6 +226,84 @@ class TestScoreCertificate:
         q, _ = optimal_score(game)
         assert q == pytest.approx(1.0, abs=1e-12)
         assert score_certificate(game, q) <= 1e-9
+
+
+# (repr(value), maximiser bytes, repr(certified gap)) of optimal_score, as
+# the materialised coarse grid gave them before the grid was streamed
+SCORE_PINS = {
+    "ghz": ("1.0", "7d5dd8acb161b1bc192d4454fb21f93f192d4454fb21f93f"
+            "192d4454fb21f93f", "9.422389535274078e-10"),
+    "ghz-110": ("1.0", "182d4454fb210940192d4454fb21f93f192d4454fb21f93f"
+                "d221337f7cd91240", "9.422389535274078e-10"),
+    "ghz-011": ("1.0", "182d4454fb2109c0192d4454fb21f93fd221337f7cd91240"
+                "d221337f7cd91240", "9.422389535274078e-10"),
+    "chsh": ("0.7071067811865476", "152d4454fb21e9bf152d4454fb21f93f"
+             "192d4454fb21f93f", "8.733385126191706e-10"),
+    "mermin4": ("1.0", "065c143326a6a13c182d4454fb21f93f182d4454fb21f93f"
+                "182d4454fb21f93f182d4454fb21f93f", "8.627301095742723e-10"),
+    "flat": ("1.0", "fdd175e6ec2ca7bc192d4454fb21094000000000000000000000"
+             "000000000000", "4.716194101916926e-10"),
+}
+
+
+def pinned_game(name):
+    return {
+        "ghz": ghz_game,
+        "ghz-110": lambda: ghz_game().relabel((1, 1, 0)),
+        "ghz-011": lambda: ghz_game().relabel((0, 1, 1)),
+        "chsh": chsh_game,
+        "mermin4": mermin4_game,
+        "flat": lambda: XorGame.from_support(
+            3, [("000", "0.5", 1), ("111", "0.5", -1)]),
+    }[name]()
+
+
+def materialised_grid(game):
+    """Every coarse-grid centre at once, the way a meshgrid lays them out."""
+    expo, basis = xorgames._reduced_exponents(game._score_arrays[1])
+    dim = expo.shape[1]
+    divs = xorgames._GRID_DIVS_LOW if dim <= 3 else xorgames._GRID_DIVS_4
+    step = np.pi / divs
+    axes = [np.arange(divs + 1) * step] + [np.arange(2 * divs) * step] * (dim - 1)
+    centres = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    return expo, centres.reshape(-1, dim), step / 2
+
+
+class TestStreamedGrid:
+    @pytest.mark.parametrize("name", sorted(SCORE_PINS))
+    def test_score_bits_pinned(self, name):
+        game = pinned_game(name)
+        _SCORE_MEMO.pop(game.entries, None)
+        q, th = optimal_score(game)
+        gap = _SCORE_MEMO[game.entries][2]
+        assert (repr(q), th.tobytes().hex(), repr(gap)) == SCORE_PINS[name]
+        assert score_certificate(game, q) == gap
+
+    @pytest.mark.parametrize("game", [GHZ, CHSH], ids=["ghz", "chsh"])
+    def test_stream_equals_one_call(self, game, monkeypatch):
+        expo, _, shape, step, bound, best = _grid_pass(game)
+        ref_expo, centres, r = materialised_grid(game)
+        assert np.array_equal(expo, ref_expo)
+        monkeypatch.setattr(xorgames, "_CHUNK", 2 * len(centres))
+        absp, ref_bound = _cell_bounds(game._score_arrays[0], expo, centres, r)
+        assert np.array_equal(bound, ref_bound)
+        # the best cells, in the order a stable sort by -|p| gives them
+        order = np.argsort(-absp, kind="stable")[:xorgames._REFINE_STARTS]
+        assert np.array_equal(best, order)
+        assert np.array_equal(xorgames._grid_centres(best, shape, step),
+                              centres[order])
+
+    def test_cold_score_memory(self):
+        game = ghz_game().relabel((1, 1, 0))
+        _SCORE_MEMO.pop(game.entries, None)
+        # the whole 510 000-cell grid held at once peaked at 36.5 MiB
+        tracemalloc.start()
+        try:
+            optimal_score(game)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
 
 
 class TestClassicalOptimum:
