@@ -291,7 +291,8 @@ def cmd_trust(args) -> int:
     if not (np.isfinite(args.c) and args.c >= 0):
         raise ValueError(f"--c must be finite and nonnegative, got {args.c}")
     for flag, value in (("--grid", args.grid), ("--samples", args.samples),
-                        ("--multistarts", args.multistarts)):
+                        ("--multistarts", args.multistarts),
+                        ("--check-seed", args.check_seed)):
         if value < 0:
             raise ValueError(f"{flag} must be nonnegative, got {value}")
     if args.grid == 0 and args.samples == 0:

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
 from .matrixcore import pseudo_power
-from .xorgames import XorGame
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -59,7 +59,7 @@ class HonestBehavior:
         object.__setattr__(self, "state", psi)
         object.__setattr__(self, "observables", tuple(obs))
 
-    def output_distribution(self, input_bits, transcript=None) -> np.ndarray:
+    def output_distribution(self, input_bits) -> np.ndarray:
         """Joint Born-rule distribution over the 2**n output strings."""
         return _honest_distribution(self, tuple(input_bits))
 
@@ -107,14 +107,20 @@ class NoisyHonestBehavior:
             raise ValueError("corruption probability must lie in [0, 1]")
         if self.mode not in ("uniform", "fixed"):
             raise ValueError(f"unknown noise mode {self.mode!r}")
-        if self.mode == "fixed" and len(self.fixed_outputs) != 2**self.base.n:
+        d = 2**self.base.n
+        if self.mode == "fixed" and len(self.fixed_outputs) != d:
             raise ValueError("fixed mode needs one output string per input string")
+        for out in self.fixed_outputs:
+            if not (isinstance(out, Integral) and not isinstance(out, bool)
+                    and 0 <= out < d):
+                raise ValueError(f"fixed_outputs entries must be integers in "
+                                 f"[0, {d}), not {out!r}")
 
     @property
     def n(self) -> int:
         return self.base.n
 
-    def output_distribution(self, input_bits, transcript=None) -> np.ndarray:
+    def output_distribution(self, input_bits) -> np.ndarray:
         honest = self.base.output_distribution(input_bits)
         if self.mode == "uniform":
             noise = np.full_like(honest, 1.0 / len(honest))
@@ -228,12 +234,6 @@ class AdversarialBehavior:
     n: int
     program: object
 
-    def output_distribution(self, input_bits, transcript=()) -> np.ndarray:
-        out = np.zeros(2**self.n)
-        bits = tuple(self.program(tuple(transcript or ()), tuple(input_bits)))
-        out[int("".join(map(str, bits)), 2)] = 1.0
-        return out
-
 
 class _TranscriptView(Sequence):
     """Read-only view of a growing transcript list; an adversary reads its
@@ -306,7 +306,7 @@ def respond(state: DeviceState, input_bits, rng: np.random.Generator):
         if len(out) != behavior.n or not set(out) <= {0, 1}:
             raise ValueError(f"adversary answered {out}, not {behavior.n} bits")
     else:
-        probs = behavior.output_distribution(input_bits, state.view)
+        probs = behavior.output_distribution(input_bits)
         idx = int(rng.choice(len(probs), p=probs))
         out = tuple((idx >> (behavior.n - 1 - j)) & 1 for j in range(behavior.n))
     state.transcript.append((input_bits, out))
@@ -374,69 +374,6 @@ def random_partially_trusted(rng: np.random.Generator, v: float, h: float,
 
 
 # ---------------------------------------------------------------------------
-# Noise metric
-
-
-def _conditional_tables(behavior, input_dist, transcript):
-    """Joint conditional distribution over (input, output) given a transcript."""
-    table = {}
-    for bits, p in input_dist:
-        if p <= 0:
-            continue
-        dist = behavior.output_distribution(bits, transcript)
-        for idx, py in enumerate(dist):
-            if py > 0:
-                out = tuple((idx >> (behavior.n - 1 - j)) & 1
-                            for j in range(behavior.n))
-                table[(tuple(bits), out)] = p * py
-    return table
-
-
-def deviation(candidate, ideal, input_dist, horizon: int = 2,
-              exhaustive: bool = True) -> float:
-    """Worst-case history-conditioned average L1 deviation between two
-    behaviors over a fixed per-round input distribution.
-
-    Enumerates all histories of the candidate process up to the horizon and
-    returns the maximum over histories of the average per-round L1 distance
-    between the two (input, output) conditionals.  Only behaviors with
-    computable conditional distributions are supported (honest, noisy
-    honest, adversarial).
-    """
-    if horizon > 3 and exhaustive:
-        raise ValueError("exhaustive enumeration supported for horizons <= 3")
-    rounds = horizon + 1
-
-    def l1(transcript):
-        ta = _conditional_tables(candidate, input_dist, transcript)
-        tb = _conditional_tables(ideal, input_dist, transcript)
-        keys = set(ta) | set(tb)
-        return sum(abs(ta.get(k, 0.0) - tb.get(k, 0.0)) for k in keys), ta
-
-    def walk(transcript, depth):
-        dist, table = l1(tuple(transcript))
-        if depth == rounds - 1:
-            return dist
-        best = 0.0
-        for (x, y), p in table.items():
-            if p <= 0:
-                continue
-            best = max(best, walk(transcript + [(x, y)], depth + 1))
-        return dist + best
-
-    return walk([], 0) / rounds
-
-
-def protocol_round_input_dist(game: XorGame, q: float):
-    """The per-round input distribution of the game protocol: the all-zero
-    generation input with weight 1-q plus the game's inputs with weight q."""
-    dist = {tuple([0] * game.n): 1.0 - q}
-    for bits, p, _ in game.entries:
-        dist[bits] = dist.get(bits, 0.0) + q * float(p)
-    return list(dist.items())
-
-
-# ---------------------------------------------------------------------------
 # Behavior specs (config-file loading)
 
 
@@ -488,11 +425,14 @@ def behavior_from_record(rec: dict):
             raise ValueError("the adversarial table must map inputs to outputs")
         table = {}
         for k, v in entries.items():
-            if "@" in k:
-                rnd, bits = k.split("@", 1)
-                key = (int(rnd), tuple(int(b) for b in bits.split(",")))
-            else:
-                key = (None, tuple(int(b) for b in k.split(",")))
+            rnd, bits = k.split("@", 1) if "@" in k else (None, k)
+            try:
+                key = (rnd if rnd is None else int(rnd),
+                       tuple(int(b) for b in bits.split(",")))
+            except ValueError:
+                raise ValueError(
+                    f"adversarial table key {k!r} must read 'i1,i2,...' or "
+                    f"'round@i1,i2,...' with integers") from None
             if not isinstance(v, list):
                 raise ValueError(f"adversarial table entry {k!r} must list output bits")
             table[key] = tuple(v)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidOperatorError, SupportViolationError
-from .matrixcore import as_matrix, check_psd, hermitian_entries, pseudo_power
+from .matrixcore import check_psd, hermitian_entries, pseudo_power
 from .rates import uncertainty_exponent
 
 SUPPORT_CUTOFF = 1e-10
@@ -73,7 +73,7 @@ class CqState(BlockOperator):
 
     The stack is validated as a whole: Hermitian within 1e-12 and then
     symmetrised, dimension at most 64, PSD up to the scaled eigenvalue
-    floor of PsdOperator (one batched ``eigvalsh``), and total trace in
+    floor of ``check_psd`` (one batched ``eigvalsh``), and total trace in
     [0, 1].
     """
 
@@ -109,10 +109,10 @@ def _block_stacks(rho, sigma):
                 raise ValueError("label mismatch between the two states")
             sigma_stack = sigma.blocks
         else:
-            sigma_stack = as_matrix(sigma, np.complex128)
+            sigma_stack = np.asarray(sigma, dtype=np.complex128)
         return rho.blocks, sigma_stack, rho.trace()
-    r = as_matrix(rho, np.complex128)
-    return r[None], as_matrix(sigma, np.complex128), float(r.trace().real)
+    r = np.asarray(rho, dtype=np.complex128)
+    return r[None], np.asarray(sigma, dtype=np.complex128), float(r.trace().real)
 
 
 def _check_support(rho_stack, sigma_stack, cutoff=SUPPORT_CUTOFF):

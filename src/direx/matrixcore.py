@@ -1,14 +1,12 @@
 """Dense complex linear algebra kernel for small operators (dimension <= 64).
 
 Everything here is a thin, validated layer over numpy's eigensolvers:
-Hermitian and PSD operators, fractional operator powers and Schatten
-norms.  Operators are immutable after construction and all functions are
-pure, so values can be shared freely across concurrent trials.
+the Hermitian and PSD checks, fractional operator powers and Schatten
+norms.  Validated entries are read-only and all functions are pure, so
+values can be shared freely across concurrent trials.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,10 +21,12 @@ def hermitian_entries(a: np.ndarray) -> np.ndarray:
     """A complex square matrix, or a stack ``(..., d, d)`` of them, checked
     and returned as validated Hermitian entries.
 
-    The dimension must lie in [1, 64] and every matrix must equal its
-    adjoint within HERMITIAN_ATOL; the result is the read-only
+    The matrices must be square of dimension in [1, 64] and equal their
+    adjoints within HERMITIAN_ATOL; the result is the read-only
     ``0.5 * (A + A^dag)``, element by element.
     """
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise InvalidOperatorError(f"expected square matrices, got shape {a.shape}")
     d = a.shape[-1]
     if d < 1 or d > DIM_CAP:
         raise InvalidOperatorError(
@@ -43,78 +43,21 @@ def hermitian_entries(a: np.ndarray) -> np.ndarray:
 
 def check_psd(a: np.ndarray) -> None:
     """Raise unless the Hermitian matrix ``a``, or each matrix of a stack,
-    is PSD up to the scaled eigenvalue floor of PsdOperator (one
-    ``eigvalsh`` call for the whole stack)."""
+    is PSD up to a scaled eigenvalue floor (one ``eigvalsh`` call for the
+    whole stack).
+
+    Eigenvalues in [-1e-10 * max(1, ||A||), 0) are numerical noise, which
+    ``pseudo_power(..., cutoff=0.0)`` clamps to zero; anything more negative
+    is rejected.  The floor scales with the spectral norm because an
+    eigensolver's rounding does: a zero eigenvalue next to an eigenvalue of
+    1e9 comes back as about -1e-7.
+    """
     w = np.linalg.eigvalsh(a)
     lo = w[..., 0]
     bad = lo < PSD_EIG_FLOOR * np.maximum(np.maximum(1.0, -lo), w[..., -1])
     if np.any(bad):
         raise InvalidOperatorError(
             f"matrix is not PSD (smallest eigenvalue {float(lo[bad][0]):.3e})")
-
-
-@dataclass(frozen=True)
-class HermitianOperator:
-    """A validated Hermitian matrix of dimension at most 64."""
-
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        a = np.asarray(self.entries, dtype=np.complex128)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InvalidOperatorError(f"expected a square matrix, got shape {a.shape}")
-        object.__setattr__(self, "entries", hermitian_entries(a))
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def trace(self) -> float:
-        return float(self.entries.trace().real)
-
-
-@dataclass(frozen=True)
-class PsdOperator(HermitianOperator):
-    """A positive semidefinite Hermitian operator.
-
-    Eigenvalues in [-1e-10 * max(1, ||A||), 0) are treated as numerical
-    noise and clamped to zero by :func:`matrix_power`; anything more
-    negative is rejected at construction.  The floor scales with the
-    spectral norm because an eigensolver's rounding does: a zero eigenvalue
-    next to an eigenvalue of 1e9 comes back as about -1e-7.
-    """
-
-    def __post_init__(self):
-        super().__post_init__()
-        check_psd(self.entries)
-
-
-def as_matrix(a, dtype=None) -> np.ndarray:
-    """The entries of an operator, or ``a`` as an array of ``dtype``.
-
-    Operator entries come back as stored (complex128); ``dtype=None`` keeps
-    a real array real, and with it numpy's real eigensolver path.
-    """
-    if isinstance(a, HermitianOperator):
-        return a.entries
-    return np.asarray(a, dtype=dtype)
-
-
-def matrix_power(a: PsdOperator, p: float) -> PsdOperator:
-    """Raise a PSD operator to a positive real power in its eigenbasis.
-
-    Zero eigenvalues map to zero for every ``p > 0`` (the convention
-    ``0**p = 0``); the small negative eigenvalues PsdOperator tolerates
-    are clamped to zero first.
-    """
-    if not isinstance(a, PsdOperator):
-        a = PsdOperator(a)
-    if not p > 0:
-        raise ValueError(f"power must be positive, got {p}")
-    out = pseudo_power(a.entries, p, cutoff=0.0)
-    # the rebuild is Hermitian only up to rounding, which can exceed the
-    # absolute tolerance HermitianOperator checks for large eigenvalues
-    return PsdOperator(0.5 * (out + out.conj().T))
 
 
 def pseudo_power(entries: np.ndarray, p: float, cutoff: float = 1e-10) -> np.ndarray:

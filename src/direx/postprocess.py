@@ -240,8 +240,13 @@ class CrossFeedResult:
     notes: tuple
 
 
+# the rate slack below the limit rate that cross_feed tunes its error
+# exponent for
+TUNE_DELTA = 0.1
+
+
 def cross_feed(game: XorGame, constants: GameConstants, device_a, device_b,
-               stages, master: bytes, tune_delta: float = 0.1) -> CrossFeedResult:
+               stages, master: bytes) -> CrossFeedResult:
     """Run the alternating two-device composition.
 
     Stage i runs the game protocol on device i mod 2 and extracts m_out
@@ -251,7 +256,7 @@ def cross_feed(game: XorGame, constants: GameConstants, device_a, device_b,
     completeness with the honest-abort bound; entries beyond their premise
     regime are capped at one and flagged vacuous.
     """
-    tuned = tune_parameters(constants, stages[0].eta, tune_delta)
+    tuned = tune_parameters(constants, stages[0].eta, TUNE_DELTA)
     ledger = ErrorLedger()
     results = []
     notes = [

@@ -44,7 +44,6 @@ class KdConfig:
     code: LinearCode
     kappa: float = 1.0
     epsilon_exp: float = 20.0
-    f_constant: float = 1.0  # robustness constant in f(theta) = C sqrt(theta); unproven
 
     def __post_init__(self):
         w = self.constants.wG

@@ -479,8 +479,7 @@ class TuneResult:
         return self.K * 2.0 ** (-self.b * q * N)
 
 
-def tune_parameters(game: GameConstants, eta: float, delta: float,
-                    Nrange=None) -> TuneResult:
+def tune_parameters(game: GameConstants, eta: float, delta: float) -> TuneResult:
     """Find test-probability and penalty scales certifying rate pi(eta/v) - delta.
 
     Searches the coarse grid {1e-k, 3e-k} for a corner (q0, kappa0) below

@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import InvalidOperatorError
-from .matrixcore import HERMITIAN_ATOL, HermitianOperator
+from .matrixcore import HERMITIAN_ATOL, hermitian_entries
 
 PROB_SUM_ATOL = 1e-12
 UNIT_ATOL = 1e-9
@@ -589,8 +589,9 @@ def classify_selftest(game: XorGame, seeds=(0, 1, 2)) -> str:
 # Scoring operators and the trust coefficient
 
 
-def scoring_operator(game: XorGame, zetas) -> HermitianOperator:
-    """Reverse-diagonal scoring operator of a canonical-form qubit strategy."""
+def scoring_operator(game: XorGame, zetas) -> np.ndarray:
+    """Reverse-diagonal scoring operator of a canonical-form qubit strategy,
+    as validated Hermitian entries."""
     z = np.asarray(zetas, dtype=np.complex128)
     if z.shape != (game.n,):
         raise ValueError(f"expected {game.n} phases, got shape {z.shape}")
@@ -602,7 +603,7 @@ def scoring_operator(game: XorGame, zetas) -> HermitianOperator:
         bits = [(b >> (game.n - 1 - j)) & 1 for j in range(game.n)]
         zz = np.where(np.array(bits) == 1, z.conj(), z)
         m[b, d - 1 - b] = _pg_batch(game, zz[None, :])[0]
-    return HermitianOperator(m)
+    return hermitian_entries(m)
 
 
 @lru_cache(maxsize=None)

@@ -89,7 +89,7 @@ def reference_block_trace(blocks):
 
 
 def reference_psd_block(a):
-    """One block through the per-block PsdOperator checks: square, dimension
+    """One block through separate per-block checks: square, dimension
     in [1, 64], Hermitian within 1e-12, then symmetrised, PSD up to the
     floor -1e-10 * max(1, -lo, hi) with its own eigvalsh."""
     a = np.asarray(a, dtype=np.complex128)

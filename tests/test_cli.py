@@ -285,6 +285,16 @@ class TestSimulate:
         ({"variant": "noisy_honest", "p": 0.1, "fixed_outputs": 5},
          "'fixed_outputs'"),
         ({"variant": "honest", "device": [1]}, "[1]"),
+        ({"variant": "noisy_honest", "p": 0.1, "mode": "fixed",
+          "fixed_outputs": [-1] + [0] * 7}, "fixed_outputs"),
+        ({"variant": "noisy_honest", "p": 0.1, "mode": "fixed",
+          "fixed_outputs": [8] + [0] * 7}, "fixed_outputs"),
+        ({"variant": "noisy_honest", "p": 0.1, "mode": "fixed",
+          "fixed_outputs": [0.5] + [0] * 7}, "fixed_outputs"),
+        ({"variant": "adversarial", "n": 3, "table": {"x@0,0,0": [1, 1, 0]}},
+         "'x@0,0,0'"),
+        ({"variant": "adversarial", "n": 3, "table": {"a,b": [1, 1, 0]}},
+         "'a,b'"),
     ])
     def test_bad_device_config_exits_with_message(self, tmp_path, capsys,
                                                   record, named):
@@ -380,6 +390,7 @@ class TestUsage:
         # more scoring entries than direx trust may hold
         (("trust", "--c", "0.1", "--samples", "1000000000"), "--samples"),
         (("trust", "--c", "0.1", "--grid", "5000"), "--grid"),
+        (("trust", "--c", "0.1", "--check-seed", "-1"), "--check-seed"),
     ])
     @pytest.mark.filterwarnings("error")
     def test_bad_input_names_the_flag(self, monkeypatch, capsys, argv, named):

@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -11,10 +12,8 @@ from direx.devices import (
     PAULI_Y,
     behavior_from_record,
     chsh_honest_device,
-    deviation,
     ghz_honest_device,
     partially_trusted_respond,
-    protocol_round_input_dist,
     random_partially_trusted,
     respond,
 )
@@ -258,34 +257,6 @@ class TestReplay:
         assert runs[0] == runs[1]
 
 
-class TestDeviation:
-    def test_identical_behaviors_zero(self):
-        dev = ghz_honest_device()
-        dist = protocol_round_input_dist(ghz_game(), 0.1)
-        assert deviation(dev, dev, dist, horizon=2) == pytest.approx(0.0)
-
-    def test_uniform_corruption_bounded_by_2p(self):
-        base = ghz_honest_device()
-        for p in (0.01, 0.05, 0.2):
-            noisy = NoisyHonestBehavior(base=base, p=p)
-            dist = protocol_round_input_dist(ghz_game(), 0.1)
-            dev = deviation(noisy, base, dist, horizon=2)
-            assert dev <= 2 * p + 1e-9
-            assert dev > 0
-
-    def test_constant_zero_adversary_positive(self):
-        base = ghz_honest_device()
-        adv = AdversarialBehavior(n=3, program=lambda tr, inp: (0, 0, 0))
-        dist = protocol_round_input_dist(ghz_game(), 0.1)
-        assert deviation(adv, base, dist, horizon=1) > 0.1
-
-    def test_exhaustive_horizon_cap(self):
-        base = ghz_honest_device()
-        with pytest.raises(ValueError):
-            deviation(base, base, protocol_round_input_dist(ghz_game(), 0.1),
-                      horizon=4)
-
-
 class TestBehaviorRecords:
     def test_honest_record(self):
         dev = behavior_from_record({"variant": "honest", "device": "ghz"})
@@ -299,15 +270,30 @@ class TestBehaviorRecords:
     def test_adversarial_record(self):
         dev = behavior_from_record(
             {"variant": "adversarial", "n": 2, "table": {"0,0": [1, 1]}})
-        assert dev.output_distribution((0, 0))[3] == 1.0
+        state = DeviceState(dev)
+        rng = numpy_rng(MASTER, "record")
+        assert respond(state, (0, 0), rng) == (1, 1)
+        assert respond(state, (0, 0), rng) == (1, 1)
+        assert respond(state, (1, 0), rng) == (0, 0)
 
     def test_adversarial_record_round_indexed(self):
         dev = behavior_from_record(
             {"variant": "adversarial", "n": 2,
              "table": {"0,0": [1, 1], "1@0,0": [0, 1]}})
-        assert dev.output_distribution((0, 0), transcript=())[3] == 1.0
-        one_round = (((0, 0), (1, 1)),)
-        assert dev.output_distribution((0, 0), transcript=one_round)[1] == 1.0
+        state = DeviceState(dev)
+        rng = numpy_rng(MASTER, "record")
+        assert [respond(state, (0, 0), rng) for _ in range(3)] == [
+            (1, 1), (0, 1), (1, 1)]
+
+    @pytest.mark.parametrize("bad", [-1, 8, 0.5, True])
+    def test_noisy_record_rejects_bad_fixed_output(self, bad):
+        fixed = [7] * 7 + [bad]
+        # the entries 7 pass; the error names the bad one
+        with pytest.raises(ValueError,
+                           match=rf"fixed_outputs .* not {re.escape(repr(bad))}$"):
+            behavior_from_record(
+                {"variant": "noisy_honest", "device": "ghz", "p": 0.1,
+                 "mode": "fixed", "fixed_outputs": fixed})
 
     def test_partially_trusted_record(self):
         dev = behavior_from_record(

@@ -5,10 +5,8 @@ from hypothesis import strategies as st
 
 from direx.errors import InvalidOperatorError
 from direx.matrixcore import (
-    HermitianOperator,
-    PsdOperator,
-    as_matrix,
-    matrix_power,
+    check_psd,
+    hermitian_entries,
     pseudo_power,
     schatten_norm,
 )
@@ -25,70 +23,76 @@ def random_psd(rng, d, trace=None):
 class TestConstruction:
     def test_rejects_non_hermitian(self):
         with pytest.raises(InvalidOperatorError):
-            HermitianOperator([[0, 1], [2, 0]])
+            hermitian_entries(np.array([[0, 1], [2, 0]], dtype=np.complex128))
 
     def test_rejects_non_square(self):
         with pytest.raises(InvalidOperatorError):
-            HermitianOperator(np.zeros((2, 3)))
+            hermitian_entries(np.zeros((2, 3)))
 
     def test_rejects_dimension_above_cap(self):
         with pytest.raises(InvalidOperatorError):
-            HermitianOperator(np.eye(65))
+            hermitian_entries(np.eye(65))
 
     def test_accepts_dimension_at_cap(self):
-        assert HermitianOperator(np.eye(64)).dim == 64
+        assert hermitian_entries(np.eye(64)).shape == (64, 64)
 
     def test_psd_rejects_negative_eigenvalue(self):
         with pytest.raises(InvalidOperatorError):
-            PsdOperator(np.diag([1.0, -1e-6]))
+            check_psd(np.diag([1.0, -1e-6]))
 
     def test_psd_tolerates_tiny_negative(self):
-        p = PsdOperator(np.diag([1.0, -5e-11]))
-        assert p.dim == 2
+        check_psd(np.diag([1.0, -5e-11]))
 
     def test_entries_immutable(self):
-        h = HermitianOperator(np.eye(2))
+        h = hermitian_entries(np.eye(2))
         with pytest.raises(ValueError):
-            h.entries[0, 0] = 5.0
+            h[0, 0] = 5.0
 
 
 class TestMatrixPower:
+    """pseudo_power with cutoff 0 as the PSD power: 0**p = 0 for p > 0, and
+    the small negative eigenvalues check_psd tolerates clamp to zero."""
+
     def test_identity_any_power(self):
         for p in (0.5, 1.0, 3.7):
-            out = matrix_power(PsdOperator(np.eye(3)), p)
-            assert np.allclose(out.entries, np.eye(3))
+            out = pseudo_power(np.eye(3), p, cutoff=0.0)
+            assert np.allclose(out, np.eye(3))
 
     def test_diagonal_square_root(self):
-        out = matrix_power(PsdOperator(np.diag([4.0, 1.0])), 0.5)
-        assert np.allclose(out.entries, np.diag([2.0, 1.0]))
+        out = pseudo_power(np.diag([4.0, 1.0]), 0.5, cutoff=0.0)
+        assert np.allclose(out, np.diag([2.0, 1.0]))
 
     def test_square_root_round_trip(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             a = random_psd(rng, 6)
-            root = matrix_power(PsdOperator(a), 0.5)
-            back = root.entries @ root.entries
+            root = pseudo_power(a, 0.5, cutoff=0.0)
+            back = root @ root
             assert np.max(np.abs(back - a)) <= 1e-9 * max(np.abs(a).max(), 1.0)
 
-    def test_rejects_nonpositive_power(self):
-        with pytest.raises(ValueError):
-            matrix_power(PsdOperator(np.eye(2)), 0.0)
+    def test_nonpositive_power_acts_on_the_support(self):
+        # p = 0 gives the support projector and p = -1 the pseudo-inverse
+        a = np.diag([4.0, 0.0, -5e-11])
+        assert np.array_equal(pseudo_power(a, 0.0, cutoff=0.0),
+                              np.diag([1.0, 0.0, 0.0]))
+        assert np.array_equal(pseudo_power(a, -1.0, cutoff=0.0),
+                              np.diag([0.25, 0.0, 0.0]))
 
     def test_zero_eigenvalue_maps_to_zero(self):
-        out = matrix_power(PsdOperator(np.diag([1.0, 0.0])), 0.3)
-        assert np.allclose(out.entries, np.diag([1.0, 0.0]))
+        out = pseudo_power(np.diag([1.0, 0.0]), 0.3, cutoff=0.0)
+        assert np.allclose(out, np.diag([1.0, 0.0]))
 
     def test_large_power_of_rotated_matrix(self):
         # rebuilding 30**3 in a rotated eigenbasis leaves an anti-Hermitian
-        # residue of ~1e-12, above HermitianOperator's absolute tolerance
+        # residue of ~1e-12; the entries still match the exact cube
         rng = np.random.default_rng(0)
         for _ in range(20):
             z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             u, _ = np.linalg.qr(z)
             a = (u * np.array([30.0, 1.0])) @ u.conj().T
-            out = matrix_power(PsdOperator(a), 3)
+            out = pseudo_power(a, 3, cutoff=0.0)
             expect = (u * np.array([27000.0, 1.0])) @ u.conj().T
-            assert np.max(np.abs(out.entries - expect)) <= 1e-9
+            assert np.max(np.abs(out - expect)) <= 1e-9
 
     def test_zero_eigenvalue_next_to_large_one(self):
         # the rebuilt cube's zero eigenvalue comes back near -1e-7, which an
@@ -98,14 +102,15 @@ class TestMatrixPower:
             z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
             u, _ = np.linalg.qr(z)
             a = (u * np.array([1000.0, 1.0, 0.0])) @ u.conj().T
-            out = matrix_power(PsdOperator(a), 3)
+            out = pseudo_power(a, 3, cutoff=0.0)
+            check_psd(out)
             expect = (u * np.array([1e9, 1.0, 0.0])) @ u.conj().T
-            assert np.max(np.abs(out.entries - expect)) <= 1e-9 * 1e9
+            assert np.max(np.abs(out - expect)) <= 1e-9 * 1e9
 
     def test_psd_floor_scales_with_norm(self):
-        assert PsdOperator(np.diag([1e9, -5e-8])).dim == 2
+        check_psd(np.diag([1e9, -5e-8]))
         with pytest.raises(InvalidOperatorError):
-            PsdOperator(np.diag([1e9, -1.0]))
+            check_psd(np.diag([1e9, -1.0]))
 
 
 def reference_psd_sqrt(m):
@@ -120,12 +125,13 @@ def reference_positive_part(m):
     return (u * np.where(w > 0, w, 0.0)) @ u.conj().T
 
 
-def reference_matrix_power(a, p):
-    """The eigenbasis power that wraps its rebuild without symmetrizing."""
-    w, u = np.linalg.eigh(a.entries)
+def reference_power(a, p):
+    """The eigenbasis power of a PSD matrix, small negative eigenvalues
+    clamped to zero."""
+    w, u = np.linalg.eigh(a)
     w = np.where(w < 0.0, 0.0, w)
     wp = np.where(w > 0.0, w**p, 0.0)
-    return PsdOperator((u * wp) @ u.conj().T)
+    return (u * wp) @ u.conj().T
 
 
 @st.composite
@@ -160,23 +166,10 @@ class TestSpectralKernel:
     @settings(max_examples=300, deadline=None)
     @given(m=hermitian_matrices(min_eig=0.0), p=st.floats(0.1, 3.0))
     def test_matrix_power(self, m, p):
-        a = PsdOperator(0.5 * (m + m.conj().T))
-        try:
-            expect = reference_matrix_power(a, p)
-        except InvalidOperatorError:
-            return
-        assert np.array_equal(matrix_power(a, p).entries, expect.entries)
-
-    def test_psd_operator_is_hermitian_operator(self):
-        p = PsdOperator(np.diag([2.0, 1.0]))
-        assert isinstance(p, HermitianOperator)
-        assert p.dim == 2 and p.trace() == 3.0
-        assert as_matrix(p) is p.entries
-        assert np.linalg.eigvalsh(p.entries)[0] == 1.0
-
-    def test_as_matrix_keeps_real_arrays_real(self):
-        assert as_matrix(np.eye(2)).dtype == np.float64
-        assert as_matrix(np.eye(2), np.complex128).dtype == np.complex128
+        a = hermitian_entries(0.5 * (m + m.conj().T))
+        check_psd(a)
+        assert np.array_equal(pseudo_power(a, p, cutoff=0.0),
+                              reference_power(a, p))
 
 
 class TestSchattenNorm:
@@ -219,11 +212,11 @@ class TestLoewnerProperties:
             z = random_psd(rng, d)
             w = z + random_psd(rng, d)
             gamma = float(rng.uniform(0.0, 1.0))
-            zg = matrix_power(PsdOperator(z), gamma) if gamma > 0 else None
             if gamma == 0.0:
                 continue
-            wg = matrix_power(PsdOperator(w), gamma)
-            diff = wg.entries - zg.entries
+            zg = pseudo_power(z, gamma, cutoff=0.0)
+            wg = pseudo_power(w, gamma, cutoff=0.0)
+            diff = wg - zg
             assert np.linalg.eigvalsh(diff)[0] >= -1e-9
 
     def test_trace_power_superadditive(self):
@@ -236,8 +229,8 @@ class TestLoewnerProperties:
             gamma = float(rng.uniform(0.0, 1.0))
             p = 1.0 + gamma
             lhs = (
-                matrix_power(PsdOperator(x), p).trace()
-                + matrix_power(PsdOperator(z), p).trace()
+                pseudo_power(x, p, cutoff=0.0).trace().real
+                + pseudo_power(z, p, cutoff=0.0).trace().real
             )
-            rhs = matrix_power(PsdOperator(w), p).trace()
+            rhs = pseudo_power(w, p, cutoff=0.0).trace().real
             assert lhs <= rhs + 1e-9

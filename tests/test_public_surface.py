@@ -1,12 +1,16 @@
-"""Every public top-level function and class in ``src/direx`` must have a
-reader besides the tests: a reference outside its own definition in
-``src/direx``, in the benchmark's ``perfbench/*.py`` or in ``README.md``.
-A name kept for another reason sits on ``KEEP`` with that reason.
+"""Every public top-level function and class in ``src/direx`` must be alive:
+reachable from a root without passing through the tests.
+
+The roots are the benchmark's ``perfbench/*.py``, the names inside
+``README.md``'s backticked code spans, the package's top-level statements
+other than definitions and imports, and ``KEEP``.  A definition is alive
+when a root or an alive definition reads its name; the scan follows these
+reads to a fixpoint, so a helper that only a test-only name reads is dead
+too.  A name kept for another reason sits on ``KEEP`` with that reason.
 """
 
 import ast
 import re
-from collections import defaultdict
 from functools import lru_cache
 from pathlib import Path
 
@@ -26,12 +30,10 @@ KEEP = {
     "pinching_channel": "criterion 13's data-processing channel",
     "smooth_from_renyi": "the README's smoothing",
     "trace_distance": "oracle for the smoothing postconditions",
-    # matrixcore and rates
-    "matrix_power": "the validated PSD power the Loewner-property tests use",
+    # rates
     "feasible": "criterion 4's feasibility boundary",
     "one_round_rate": "the README's one-round rate",
-    # devices, protocols and postprocess
-    "protocol_round_input_dist": "the input distribution deviation reads",
+    # protocols and postprocess
     "biased_bit_sampler": "criterion 10 measures its seed use against h(q)",
     "expansion_schedule": "the README's expansion schedules",
     "stages_to_reach": "the README's expansion schedules",
@@ -42,6 +44,7 @@ KEEP = {
 }
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_IMPORTS = (ast.Import, ast.ImportFrom)
 
 
 def _identifiers(node):
@@ -59,39 +62,92 @@ def _identifiers(node):
             yield sub.value
 
 
-def _survey():
-    """Public top-level definitions as name -> (module path, statement
-    index), and references as name -> set of (path, index of the top-level
-    statement holding it)."""
-    defined = {}
-    refs = defaultdict(set)
-    for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for i, stmt in enumerate(tree.body):
-            if path.parent == SRC and isinstance(stmt, _DEFINITIONS) \
-                    and not stmt.name.startswith("_"):
-                defined[stmt.name] = (path, i)
-            for name in _identifiers(stmt):
-                refs[name].add((path, i))
-    return defined, refs
+def survey(package, roots):
+    """Reads of the package modules and the root modules, given as source
+    texts: (bodies, rooted).  bodies maps each top-level definition of the
+    package to the names its statement reads; rooted holds the names that
+    the package's other statements, imports excepted, and every statement
+    of the root modules read."""
+    bodies, rooted = {}, set()
+    for text in package:
+        for stmt in ast.parse(text).body:
+            if isinstance(stmt, _DEFINITIONS):
+                bodies.setdefault(stmt.name, set()).update(_identifiers(stmt))
+            elif not isinstance(stmt, _IMPORTS):
+                rooted.update(_identifiers(stmt))
+    for text in roots:
+        rooted.update(_identifiers(ast.parse(text)))
+    return bodies, rooted
+
+
+def readme_names(text):
+    """Identifiers inside the backticked code spans of a markdown text,
+    fenced blocks included."""
+    spans = re.findall(r"```.*?```|`[^`\n]+`", text, re.S)
+    return {name for span in spans for name in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+def unreached(bodies, rooted):
+    """Public definitions that no chain of reads reaches from rooted."""
+    alive, todo = set(), list(rooted)
+    while todo:
+        name = todo.pop()
+        if name not in alive:
+            alive.add(name)
+            todo.extend(bodies.get(name, ()))
+    return {name for name in bodies
+            if not name.startswith("_") and name not in alive}
 
 
 @lru_cache(maxsize=1)
-def _unreferenced() -> frozenset:
-    defined, refs = _survey()
-    readme = (ROOT / "README.md").read_text()
-    return frozenset(
-        name for name, home in defined.items()
-        if refs[name] <= {home} and not re.search(rf"\b{name}\b", readme))
+def _package_scan():
+    bodies, rooted = survey(
+        [p.read_text() for p in sorted(SRC.glob("*.py"))],
+        [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))])
+    return bodies, frozenset(rooted | readme_names((ROOT / "README.md").read_text()))
 
 
 def test_every_public_name_has_a_reader():
-    missing = sorted(_unreferenced() - set(KEEP))
+    bodies, rooted = _package_scan()
+    missing = sorted(unreached(bodies, rooted | set(KEEP)))
     assert not missing, (
         f"public names only tests reach: {missing}; delete them, or add "
         f"each to KEEP with its reason")
 
 
 def test_keep_list_names_only_unreferenced_names():
-    assert set(KEEP) <= _unreferenced()
+    bodies, rooted = _package_scan()
+    assert set(KEEP) <= unreached(bodies, rooted)
     assert all(reason.strip() for reason in KEEP.values())
+
+
+def test_scan_follows_reachability():
+    # test_only is named in README prose and imported by a second module;
+    # helper is read by test_only alone; kept and its helper _private are
+    # alive through TABLE
+    package = ["""
+def test_only():
+    return helper()
+
+def helper():
+    return 2
+
+def kept():
+    return _private()
+
+def _private():
+    return 1
+
+TABLE = {"k": kept}
+""", "from .first import test_only\n"]
+    readme = "The test_only metric; `kept` is the table's entry."
+    bodies, rooted = survey(package, [])
+    assert unreached(bodies, rooted | readme_names(readme)) == {
+        "test_only", "helper"}
+    # the rule this scan replaced: a read from any other statement, an
+    # import included, or the name anywhere in the README
+    plain = set(re.findall(r"\w+", readme))
+    for text in package:
+        for stmt in ast.parse(text).body:
+            plain.update(set(_identifiers(stmt)) - {getattr(stmt, "name", None)})
+    assert unreached(bodies, plain) == set()

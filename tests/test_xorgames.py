@@ -348,8 +348,7 @@ class TestClassification:
 
 class TestScoringOperator:
     def test_ghz_corner_entries(self):
-        op = scoring_operator(GHZ, [1j, 1j, 1j])
-        m = op.entries
+        m = scoring_operator(GHZ, [1j, 1j, 1j])
         # oracle: evaluate the polynomial on every conjugation pattern
         for b in range(8):
             bits = [(b >> k) & 1 for k in (2, 1, 0)]
@@ -361,17 +360,17 @@ class TestScoringOperator:
         assert np.max(np.abs(w)) == pytest.approx(1.0, abs=1e-10)
 
     def test_uniform_phases_constant_entries(self):
-        op = scoring_operator(CHSH, [1, 1])
-        vals = [op.entries[b, 3 - b] for b in range(4)]
+        m = scoring_operator(CHSH, [1, 1])
+        vals = [m[b, 3 - b] for b in range(4)]
         assert np.allclose(vals, eval_pg(CHSH, [1, 1]))
 
     def test_eigenvalues_are_plus_minus_entry_moduli(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
             th = rng.uniform(0, np.pi, size=3)
-            op = scoring_operator(GHZ, np.exp(1j * th))
-            mods = sorted(np.abs(op.entries[b, 7 - b]) for b in range(8))
-            eigs = np.linalg.eigvalsh(op.entries)
+            m = scoring_operator(GHZ, np.exp(1j * th))
+            mods = sorted(np.abs(m[b, 7 - b]) for b in range(8))
+            eigs = np.linalg.eigvalsh(m)
             paired = sorted(np.abs(eigs))
             assert np.allclose(sorted(mods), paired, atol=1e-10)
 
@@ -379,8 +378,8 @@ class TestScoringOperator:
         rng = np.random.default_rng(10)
         for _ in range(5):
             th = rng.uniform(0, np.pi, size=2)
-            op = scoring_operator(CHSH, np.exp(1j * th))
-            norm = np.max(np.abs(np.linalg.eigvalsh(op.entries)))
+            m = scoring_operator(CHSH, np.exp(1j * th))
+            norm = np.max(np.abs(np.linalg.eigvalsh(m)))
             sampled = max(
                 abs(eval_pg(CHSH, [np.exp(1j * s1 * th[0]), np.exp(1j * s2 * th[1])]))
                 for s1 in (1, -1)
