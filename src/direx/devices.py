@@ -420,6 +420,7 @@ def behavior_from_record(rec: dict):
     if variant == "adversarial":
         # keys are "i1,i2,..." (any round) or "round@i1,i2,..." (that round
         # of the transcript only); per-round entries take precedence
+        n = typed(int, "n")
         entries = need("table")
         if not isinstance(entries, dict):
             raise ValueError("the adversarial table must map inputs to outputs")
@@ -430,13 +431,19 @@ def behavior_from_record(rec: dict):
                 key = (rnd if rnd is None else int(rnd),
                        tuple(int(b) for b in bits.split(",")))
             except ValueError:
+                key = None
+            if (key is None or (rnd is not None and key[0] < 0)
+                    or len(key[1]) != n or not set(key[1]) <= {0, 1}):
                 raise ValueError(
                     f"adversarial table key {k!r} must read 'i1,i2,...' or "
-                    f"'round@i1,i2,...' with integers") from None
-            if not isinstance(v, list):
-                raise ValueError(f"adversarial table entry {k!r} must list output bits")
+                    f"'round@i1,i2,...' with {n} bits in {{0, 1}} and a round "
+                    ">= 0")
+            if not (isinstance(v, list) and len(v) == n and all(
+                    type(b) is int and b in (0, 1) for b in v)):
+                raise ValueError(
+                    f"adversarial table entry {k!r} is {v!r}, not {n} bits "
+                    "listed as integers 0 or 1")
             table[key] = tuple(v)
-        n = typed(int, "n")
         return AdversarialBehavior(n=n, program=ResponseTable(n, table))
     if variant == "partially_trusted":
         rng = np.random.default_rng(typed(int, "instance_seed", 0))

@@ -588,6 +588,8 @@ def classify_selftest(game: XorGame, seeds=(0, 1, 2)) -> str:
 # ---------------------------------------------------------------------------
 # Scoring operators and the trust coefficient
 
+_TRUST_ATOL = 1e-9  # a trust check passes when its best norm is at most qG - c + this
+
 
 def scoring_operator(game: XorGame, zetas) -> np.ndarray:
     """Reverse-diagonal scoring operator of a canonical-form qubit strategy,
@@ -751,51 +753,51 @@ def _trust_samples(game: XorGame, samples: SamplingSpec):
     return th_all, entries, starts
 
 
-def trust_coefficient_check(game: XorGame, c: float, anticommuter: np.ndarray,
-                            samples: SamplingSpec | None = None,
-                            qG: float | None = None) -> TrustCheckResult:
-    """Sampled certification that ||M - c N|| <= qG - c over canonical strategies.
+def _sampled_max(entries: np.ndarray, c: float, anti: np.ndarray) -> np.ndarray:
+    """Row-wise max over b of |entries[..., b] - c * anti[b]|: the norm of
+    each sampled scoring operator minus c times the anticommuter.
 
-    The claim is tested on a dense grid of upper-half-circle angle tuples,
-    a batch of random tuples, and local maximizations of the norm from the
-    best sample and random starts.  The result is sampled, not proven.  The
-    anticommuter is given as its reverse diagonal (see
-    _validate_anticommuter); the scoring operator is reverse-diagonal too,
-    so the operator norm is the maximum entry modulus and the whole sweep
-    is vectorized.
-
-    The local ascent runs every start in lockstep: each pass evaluates the
-    2n axis neighbours of all active starts in one batch, moves each start
-    to its best neighbour when that gains more than 1e-14 and halves its
-    step otherwise, and retires it once the step is below 1e-10; there are
-    at most 200 passes.  The best start wins in start order, by strict >.
-    Each start's own value is evaluated alone, as a one-row batch, and the
-    neighbour batches always have two or more rows, so by the batch rule of
-    reverse_diagonal_entries the result equals that of climbing from one
-    start at a time.
+    The maximum is taken one column at a time into one output array, so no
+    temporary of the whole difference is made.  Each entry's difference and
+    modulus are the same operations as over the whole array, and a maximum
+    rounds nothing, so the bits equal those of np.max over the last axis.
     """
-    if not (np.isfinite(c) and c >= 0):
-        raise ValueError(f"coefficient must be finite and nonnegative, got {c}")
-    samples = samples or SamplingSpec()
-    anti = _validate_anticommuter(game.n, anticommuter)
-    if qG is None:
-        qG, _ = optimal_score(game)
+    ca = c * anti
+    out = np.abs(entries[..., 0] - ca[0])
+    for b in range(1, len(ca)):
+        np.maximum(out, np.abs(entries[..., b] - ca[b]), out=out)
+    return out
 
-    def norms(th, entries=None):
-        if entries is None:
-            entries = reverse_diagonal_entries(game, th)
-        return np.max(np.abs(entries - c * anti), axis=-1)
 
-    th_all, entries, more_starts = _trust_samples(game, samples)
-    vals = norms(th_all, entries)
-    best = int(np.argmax(vals))
-    best_val, best_th = float(vals[best]), th_all[best]
+def _climb(game: XorGame, c: float, anti: np.ndarray, samples: SamplingSpec,
+           start: np.ndarray, stop: float | None = None):
+    """Local ascent of the norm in lockstep from start (the best sample)
+    and the random starts of _trust_samples.
 
-    # local ascent from every start in lockstep: each pass moves every
-    # active start to its best axis neighbour or halves its step
-    ths = np.vstack([best_th[None, :], more_starts])
+    Each pass evaluates the 2n axis neighbours of all active starts in one
+    batch, moves each start to its best neighbour when that gains more than
+    1e-14 and halves its step otherwise, and retires it once the step is
+    below 1e-10; there are at most 200 passes.  Each start's own value is
+    evaluated alone, as a one-row batch, and the neighbour batches always
+    have two or more rows, so by the batch rule of reverse_diagonal_entries
+    the values equal those of climbing from one start at a time.
+
+    Returns each start's final (value, position).  With stop given, returns
+    None as soon as a start value or an accepted move has
+    v - stop > _TRUST_ATOL; a neighbour that was not accepted is never
+    tested, since a full climb does not keep it.
+    """
+    def norms(th):
+        return _sampled_max(reverse_diagonal_entries(game, th), c, anti)
+
+    def breaks(v):
+        return stop is not None and bool(np.any(v - stop > _TRUST_ATOL))
+
+    ths = np.vstack([start[None, :], _trust_samples(game, samples)[2]])
     k = len(ths)
     val = np.array([norms(th[None, :])[0] for th in ths])
+    if breaks(val):
+        return None
     step = np.full(k, np.pi / max(samples.grid_points, 8))
     active = np.ones(k, dtype=bool)
     moves = np.vstack([np.eye(game.n), -np.eye(game.n)])
@@ -809,12 +811,43 @@ def trust_coefficient_check(game: XorGame, c: float, anticommuter: np.ndarray,
         j = np.argmax(tvals, axis=1)
         top = tvals[np.arange(len(live)), j]
         up = top > val[live] + 1e-14
+        if breaks(top[up]):
+            return None
         ths[live[up]] = trials[up, j[up]]
         val[live[up]] = top[up]
         stuck = live[~up]
         step[stuck] *= 0.5
         active[stuck[step[stuck] < 1e-10]] = False
-    for i in range(k):
+    return val, ths
+
+
+def trust_coefficient_check(game: XorGame, c: float, anticommuter: np.ndarray,
+                            samples: SamplingSpec | None = None,
+                            qG: float | None = None) -> TrustCheckResult:
+    """Sampled certification that ||M - c N|| <= qG - c over canonical strategies.
+
+    The claim is tested on a dense grid of upper-half-circle angle tuples,
+    a batch of random tuples, and local maximizations of the norm (_climb)
+    from the best sample and random starts; the best start wins in start
+    order, by strict >.  The result is sampled, not proven.  The
+    anticommuter is given as its reverse diagonal (see
+    _validate_anticommuter); the scoring operator is reverse-diagonal too,
+    so the operator norm is the maximum entry modulus and the whole sweep
+    is vectorized.
+    """
+    if not (np.isfinite(c) and c >= 0):
+        raise ValueError(f"coefficient must be finite and nonnegative, got {c}")
+    samples = samples or SamplingSpec()
+    anti = _validate_anticommuter(game.n, anticommuter)
+    if qG is None:
+        qG, _ = optimal_score(game)
+
+    th_all, entries, _ = _trust_samples(game, samples)
+    vals = _sampled_max(entries, c, anti)
+    best = int(np.argmax(vals))
+    best_val, best_th = float(vals[best]), th_all[best]
+    val, ths = _climb(game, c, anti, samples, best_th)
+    for i in range(len(ths)):
         if val[i] > best_val:
             best_val, best_th = float(val[i]), ths[i]
 
@@ -824,12 +857,33 @@ def trust_coefficient_check(game: XorGame, c: float, anticommuter: np.ndarray,
             and np.allclose(anti.real, [1, 1, -1, -1, -1, -1, 1, 1])):
         analytic = ghz_analytic_entry_checks(th_all, c)
     return TrustCheckResult(
-        passed=bool(violation <= 1e-9),
+        passed=bool(violation <= _TRUST_ATOL),
         max_violation=float(violation),
         witness=tuple(np.exp(1j * best_th)),
         samples_used=len(th_all),
         analytic_failures=analytic,
     )
+
+
+def _trust_passes(game: XorGame, c: float, anti: np.ndarray,
+                  samples: SamplingSpec, qG: float) -> bool:
+    """trust_coefficient_check(game, c, anti, samples, qG).passed, for a
+    validated anticommuter, stopped at the first value that breaks the
+    bound.
+
+    The check passes when its best value v has v - (qG - c) <= _TRUST_ATOL.
+    That value is the largest of the sampled norms, the starts' values and
+    the moves the ascent accepts, and x -> fl(x - k) is monotone, so the
+    first of these with v - (qG - c) > _TRUST_ATOL decides a failed check.
+    When none does, the check's best value is one of them and it passes.
+    """
+    th_all, entries, _ = _trust_samples(game, samples)
+    bound = qG - c
+    vals = _sampled_max(entries, c, anti)
+    best = int(np.argmax(vals))
+    if vals[best] - bound > _TRUST_ATOL:
+        return False
+    return _climb(game, c, anti, samples, th_all[best], stop=bound) is not None
 
 
 def _anticommuter_orbit_pairs(n: int):
@@ -899,6 +953,12 @@ def trust_coefficient_search(game: XorGame, samples: SamplingSpec | None = None,
     Bisects the largest coefficient passing trust_coefficient_check over the
     reverse-diagonal sign-pattern family, then subtracts the bisection
     resolution.  This is a sampled estimate, not a proof.
+
+    The bisection reads only each check's verdict, so it asks _trust_passes,
+    which stops at the first sampled norm, start value or accepted ascent
+    move v with v - (qG - c) > 1e-9.  The check's best value is the largest
+    of these and x -> fl(x - k) is monotone, so that one value already
+    fails the full check: every verdict, and the bound, keep their bits.
     """
     classification = classification or classify_selftest(game)
     if classification != "strong-self-test":
@@ -908,12 +968,13 @@ def trust_coefficient_search(game: XorGame, samples: SamplingSpec | None = None,
     qG, _ = optimal_score(game)
     best = 0.0
     for anti in trust_anticommuters(game):
+        anti = _validate_anticommuter(game.n, anti)
         lo, hi = 0.0, qG
-        if not trust_coefficient_check(game, 0.0, anti, samples, qG=qG).passed:
+        if not _trust_passes(game, 0.0, anti, samples, qG):
             continue
         for _ in range(int(np.ceil(np.log2(max(qG, 1e-12) / resolution))) + 1):
             mid = 0.5 * (lo + hi)
-            if trust_coefficient_check(game, mid, anti, samples, qG=qG).passed:
+            if _trust_passes(game, mid, anti, samples, qG):
                 lo = mid
             else:
                 hi = mid

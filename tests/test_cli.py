@@ -295,6 +295,20 @@ class TestSimulate:
          "'x@0,0,0'"),
         ({"variant": "adversarial", "n": 3, "table": {"a,b": [1, 1, 0]}},
          "'a,b'"),
+        ({"variant": "adversarial", "n": 3, "table": {"0,0,0": [0.5, 1, 0]}},
+         "'0,0,0'"),
+        ({"variant": "adversarial", "n": 3, "table": {"0,0,0": ["a", 1, 0]}},
+         "'0,0,0'"),
+        ({"variant": "adversarial", "n": 3, "table": {"0,0,0": [True, 1, 0]}},
+         "'0,0,0'"),
+        ({"variant": "adversarial", "n": 3, "table": {"0,0,0": [2, 1, 0]}},
+         "'0,0,0'"),
+        ({"variant": "adversarial", "n": 3, "table": {"0,0": [1, 1, 0]}},
+         "'0,0'"),
+        ({"variant": "adversarial", "n": 3, "table": {"0,0,2": [1, 1, 0]}},
+         "'0,0,2'"),
+        ({"variant": "adversarial", "n": 3, "table": {"-1@0,0,0": [1, 1, 0]}},
+         "'-1@0,0,0'"),
     ])
     def test_bad_device_config_exits_with_message(self, tmp_path, capsys,
                                                   record, named):

@@ -41,6 +41,8 @@ from direx.xorgames import (
     _cell_bounds,
     _conjugation_signs,
     _grid_pass,
+    _sampled_max,
+    _trust_passes,
     _validate_anticommuter,
 )
 
@@ -703,6 +705,72 @@ class TestLockstepAscent:
         assert len(th) == 15_824
         assert np.array_equal(reverse_diagonal_entries(GHZ, th),
                               reference_entries(GHZ, th))
+
+
+def placed_qgs(game, c, anti, spec, targets):
+    """Scores qG' at which the check at (c, anti, spec) has a violation
+    near each target, each with its two floating-point neighbours.
+
+    The check's best norm does not depend on qG, and with qG = c its
+    violation is that norm exactly."""
+    best = trust_coefficient_check(game, c, anti, spec, qG=c).max_violation
+    out = []
+    for t in targets:
+        q = c + (best - t)
+        out += [np.nextafter(q, -np.inf), q, np.nextafter(q, np.inf)]
+    return out
+
+
+class TestTrustVerdict:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(trust_cases())
+    def test_matches_check_around_boundary(self, case):
+        # violations placed at 1e-9 + {-2e-9, -1e-9, 0, 1e-9, 2e-9}, each
+        # with the scores one ulp either side, so the early exit is tested
+        # where it could disagree with the full check
+        game, anti, c, spec, qG = case
+        a = _validate_anticommuter(game.n, anti)
+        targets = [1e-9 + d for d in (-2e-9, -1e-9, 0.0, 1e-9, 2e-9)]
+        for q in [qG, *placed_qgs(game, c, anti, spec, targets)]:
+            assert (_trust_passes(game, c, a, spec, q)
+                    == trust_coefficient_check(game, c, anti, spec, qG=q).passed)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(trust_cases())
+    def test_matches_check_on_the_tolerance(self, case):
+        # a difference of two norms near 1 is a multiple of 2**-53 or so, so
+        # it never equals 1e-9 exactly; at the dyadic tolerance 2**-30 the
+        # score q puts the best norm exactly on the tolerance, where the
+        # check passes and any value above the best one would fail it
+        game, anti, _, spec, _ = case
+        a = _validate_anticommuter(game.n, anti)
+        best = trust_coefficient_check(game, 0.0, anti, spec, qG=0.0).max_violation
+        q = best - 2.0**-30
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(xorgames, "_TRUST_ATOL", 2.0**-30)
+            res = trust_coefficient_check(game, 0.0, anti, spec, qG=q)
+            assert res.passed and res.max_violation == 2.0**-30
+            assert _trust_passes(game, 0.0, a, spec, q)
+            q = np.nextafter(q, -np.inf)
+            assert not trust_coefficient_check(game, 0.0, anti, spec, qG=q).passed
+            assert not _trust_passes(game, 0.0, a, spec, q)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(trust_cases())
+    def test_sampled_max_matches_max_over_last_axis(self, case):
+        game, anti, c, spec, _ = case
+        entries = xorgames._trust_samples(game, spec)[1]
+        a = _validate_anticommuter(game.n, anti)
+        assert np.array_equal(_sampled_max(entries, c, a),
+                              np.max(np.abs(entries - c * a), axis=-1))
+
+    @pytest.mark.parametrize("game, bound", [
+        (GHZ, "0.1601328125"),
+        (GHZ.relabel((1, 1, 0)), "0.1601328125"),
+        (CHSH, "0.10223482791737193"),
+    ])
+    def test_searched_bounds_pinned(self, game, bound):
+        assert repr(trust_coefficient_search(game)) == bound
 
 
 class TestConstantsBundles:
