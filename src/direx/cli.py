@@ -68,7 +68,8 @@ TRUST_ENTRY_CAP = 1 << 24  # scoring entries direx trust may hold at once
 
 
 class RecordWriter:
-    """Serialized appender for run records; one JSON line per record."""
+    """Serialized appender for run records: one JSON line per record, or
+    CSV rows under a header."""
 
     def __init__(self, path: str | None, fmt: str = "json"):
         self.path = path
@@ -78,28 +79,30 @@ class RecordWriter:
     def append(self, record: dict):
         self.records.append(record)
 
+    def _write(self, f, header: bool):
+        if self.fmt == "json":
+            for rec in self.records:
+                f.write(json.dumps(rec, sort_keys=True) + "\n")
+        else:
+            keys = sorted({k for rec in self.records for k in rec})
+            w = csv.DictWriter(f, fieldnames=keys)
+            if header:
+                w.writeheader()
+            for rec in self.records:
+                w.writerow({k: _csv_cell(rec.get(k)) for k in keys})
+
     def flush(self):
         if not self.path:
             return
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-        if self.fmt == "json":
-            with open(self.path, "a") as f:
-                for rec in self.records:
-                    f.write(json.dumps(rec, sort_keys=True) + "\n")
-        else:
-            keys = sorted({k for rec in self.records for k in rec})
-            new = not os.path.exists(self.path)
-            with open(self.path, "a", newline="") as f:
-                w = csv.DictWriter(f, fieldnames=keys)
-                if new:
-                    w.writeheader()
-                for rec in self.records:
-                    w.writerow({k: _csv_cell(rec.get(k)) for k in keys})
+        new = not os.path.exists(self.path)
+        with open(self.path, "a", newline=None if self.fmt == "json" else "") as f:
+            self._write(f, new)
 
-    def render_json(self) -> str:
+    def render(self) -> str:
+        """The records in the writer's format, CSV with its header."""
         buf = io.StringIO()
-        for rec in self.records:
-            buf.write(json.dumps(rec, sort_keys=True) + "\n")
+        self._write(buf, True)
         return buf.getvalue()
 
 
@@ -217,7 +220,7 @@ def cmd_rate(args) -> int:
     writer.append(rec)
     writer.flush()
     if not args.output and not os.environ.get("DIREX_OUTPUT_DIR"):
-        print(writer.render_json(), end="")
+        print(writer.render(), end="")
     return EXIT_OK
 
 

@@ -25,13 +25,14 @@ from .matrixcore import pseudo_power
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
+INVOLUTION_TOL = 1e-9
 
 
-def _check_involution(m, name, tol=1e-9):
+def _check_involution(m, name):
     m = np.asarray(m, dtype=np.complex128)
-    if np.max(np.abs(m - m.conj().T)) > tol:
+    if np.max(np.abs(m - m.conj().T)) > INVOLUTION_TOL:
         raise ValueError(f"{name} must be Hermitian")
-    if np.max(np.abs(m @ m - np.eye(m.shape[0]))) > tol:
+    if np.max(np.abs(m @ m - np.eye(m.shape[0]))) > INVOLUTION_TOL:
         raise ValueError(f"{name} must square to the identity")
     return m
 
@@ -318,8 +319,6 @@ def partially_trusted_respond(state: DeviceState, input_bit: int,
     """Sample one output bit of the partially trusted device and collapse
     its joint state accordingly."""
     behavior: PartiallyTrustedBehavior = state.behavior
-    if behavior.v + behavior.h > 1 + 1e-12:
-        raise ValueError("mixture weights exceed 1")
     env = np.eye(behavior.state.size // behavior.device_dim)
     branches = behavior.kraus_for(input_bit)
     weights = np.array([w for w, _, _, _ in branches])

@@ -33,6 +33,7 @@ from .matrixcore import check_psd, hermitian_entries, pseudo_power
 from .rates import uncertainty_exponent
 
 SUPPORT_CUTOFF = 1e-10
+INEQUALITY_SLACK = 1e-9  # float tolerance of the two operator inequalities
 
 
 @dataclass(frozen=True)
@@ -115,10 +116,10 @@ def _block_stacks(rho, sigma):
     return r[None], np.asarray(sigma, dtype=np.complex128), float(r.trace().real)
 
 
-def _check_support(rho_stack, sigma_stack, cutoff=SUPPORT_CUTOFF):
+def _check_support(rho_stack, sigma_stack):
     """Raise unless every rho block is supported inside its sigma block."""
     w, u = np.linalg.eigh(0.5 * (sigma_stack + sigma_stack.conj().swapaxes(-1, -2)))
-    null = w <= cutoff
+    null = w <= SUPPORT_CUTOFF
     if not null.any():
         return
     # <u_i| rho |u_i> for every eigenvector u_i of every sigma block.
@@ -128,7 +129,7 @@ def _check_support(rho_stack, sigma_stack, cutoff=SUPPORT_CUTOFF):
     overlap = np.abs(np.einsum("...ij,...jk,...ki->...i", uh, rho_stack, u).real)
     worst = float(np.max(overlap, where=np.broadcast_to(null, overlap.shape),
                          initial=0.0))
-    if worst > cutoff:
+    if worst > SUPPORT_CUTOFF:
         raise SupportViolationError(
             f"support violation: null-eigenvector overlap {worst:.3e}", worst)
 
@@ -245,8 +246,7 @@ class UncertaintyCheck:
     holds: bool
 
 
-def uncertainty_check(inst: MeasurementInstance, epsilon: float,
-                      slack: float = 1e-9) -> UncertaintyCheck:
+def uncertainty_check(inst: MeasurementInstance, epsilon: float) -> UncertaintyCheck:
     """Verify the one-round uncertainty inequality on a measurement instance.
 
     delta is the relative weight of the 1-outcome under the (1+eps)-power
@@ -264,7 +264,7 @@ def uncertainty_check(inst: MeasurementInstance, epsilon: float,
     lhs = (plus + minus) / denom
     rhs = 2.0 ** (-epsilon * float(uncertainty_exponent(epsilon, min(max(delta, 0.0), 1.0))))
     return UncertaintyCheck(delta=float(delta), lhs_ratio=float(lhs), rhs=float(rhs),
-                            holds=bool(lhs <= rhs + slack))
+                            holds=bool(lhs <= rhs + INEQUALITY_SLACK))
 
 
 @dataclass(frozen=True)
@@ -274,7 +274,7 @@ class SchattenCheck:
     holds: bool
 
 
-def schatten_ineq_check(X, Y, p: float, slack: float = 1e-9) -> SchattenCheck:
+def schatten_ineq_check(X, Y, p: float) -> SchattenCheck:
     """Two-sided p-norm inequality for p >= 2: the power sum of the rotated
     pair (X+-Y)/sqrt(2) against the dual-exponent combination of the norms."""
     from .matrixcore import schatten_norm
@@ -294,7 +294,7 @@ def schatten_ineq_check(X, Y, p: float, slack: float = 1e-9) -> SchattenCheck:
     lhs = plus**p + minus**p
     rhs = 2.0 ** (1.0 - p / 2.0) * (nx**pprime + ny**pprime) ** (p / pprime)
     return SchattenCheck(lhs=float(lhs), rhs=float(rhs),
-                         holds=bool(lhs <= rhs + slack))
+                         holds=bool(lhs <= rhs + INEQUALITY_SLACK))
 
 
 def pinching_channel(dims) -> "callable":

@@ -23,20 +23,6 @@ class SupportViolationError(DirexError, ValueError):
         self.overlap = overlap
 
 
-class SeedExhaustedError(DirexError, RuntimeError):
-    """A seed bit stream ran dry.
-
-    Attributes
-    ----------
-    bits_needed : int
-        Estimate of how many more bits the caller would have required.
-    """
-
-    def __init__(self, msg, bits_needed=0):
-        super().__init__(msg)
-        self.bits_needed = bits_needed
-
-
 class DecodeFailureError(DirexError):
     """No error vector exists within the decoding radius."""
 

@@ -117,13 +117,10 @@ def toeplitz_extract(source, seed, m: int) -> np.ndarray:
     return out
 
 
-def dyadic_upper(log2_value: float, cap_at_one: bool = True) -> Fraction:
-    """Smallest power of two at or above 2**log2_value, as an exact Fraction."""
-    e = int(np.ceil(log2_value))
-    frac = Fraction(2) ** e
-    if cap_at_one and frac > 1:
-        return Fraction(1)
-    return frac
+def dyadic_upper(log2_value: float) -> Fraction:
+    """Smallest power of two at or above 2**log2_value, as an exact Fraction,
+    capped at one."""
+    return min(Fraction(2) ** int(np.ceil(log2_value)), Fraction(1))
 
 
 @dataclass(frozen=True)
@@ -243,6 +240,8 @@ class CrossFeedResult:
 # the rate slack below the limit rate that cross_feed tunes its error
 # exponent for
 TUNE_DELTA = 0.1
+_PLAN_STAGES = 16    # stages expansion_schedule plans at most
+_REACH_STAGES = 64   # stages stages_to_reach follows at most
 
 
 def cross_feed(game: XorGame, constants: GameConstants, device_a, device_b,
@@ -319,8 +318,7 @@ class SchedulePlan:
     theoretical_output: float  # log2 of the uncapped final length
 
 
-def expansion_schedule(k: int, omega: float, desk_cap: int,
-                       max_stages: int = 16) -> SchedulePlan:
+def expansion_schedule(k: int, omega: float, desk_cap: int) -> SchedulePlan:
     """Stage plan for iterated expansion from k seed bits.
 
     A stage with k_i seed bits targets 2**(k_i**(1-omega)) output bits at
@@ -336,7 +334,7 @@ def expansion_schedule(k: int, omega: float, desk_cap: int,
         raise ValueError("need at least 2 seed bits")
     stages = []
     log_ki = float(np.log2(k))
-    for _ in range(max_stages):
+    for _ in range(_PLAN_STAGES):
         # log2 of the uncapped output length: k_i**(1-omega)
         log_out = _pow2_safe((1.0 - omega) * log_ki)
         n_uncapped = 2.0**log_out if log_out < 63 else float("inf")
@@ -355,14 +353,13 @@ def expansion_schedule(k: int, omega: float, desk_cap: int,
     return SchedulePlan(stages=tuple(stages), theoretical_output=log_ki)
 
 
-def stages_to_reach(k: int, omega: float, target_log2: float,
-                    max_stages: int = 64) -> int:
+def stages_to_reach(k: int, omega: float, target_log2: float) -> int:
     """Number of uncapped stages before the output length passes a target
     length (given as its log2); pure tower arithmetic."""
     if not 0 < omega < 1:
         raise ValueError("exponent must lie in the open interval (0, 1)")
     log_ki = float(np.log2(k))
-    for i in range(1, max_stages + 1):
+    for i in range(1, _REACH_STAGES + 1):
         log_out = _pow2_safe((1.0 - omega) * log_ki)
         if log_out >= target_log2:
             return i

@@ -35,12 +35,13 @@ from .devices import (
     respond,
 )
 from .entropy import BlockOperator, renyi_divergence
-from .errors import SeedExhaustedError
 from .rates import worst_case_rate
 from .seeding import BitStream, numpy_rng, substream
 from .xorgames import XorGame, as_fraction
 
 SYMBOLS = ("H", "T", "P", "F")
+WILSON_Z = 1.96          # normal quantile of the two-sided 95% abort interval
+EXACT_RUN_SLACK = 1e-8   # float tolerance of exact_small_run's inequality
 
 
 # the binary decoder's float shadow (see CategoricalSampler)
@@ -104,8 +105,7 @@ class CategoricalSampler:
         slices' widths and Z <- Z·den + low·P per emission.  Commits happen
         before an integer step, after 96 emissions, or once eps exceeds
         2^-16; each rebuilds t and g.
-    (c) Every other table, and every table on a capped stream (``limit``,
-        so that exhaustion fails bit by bit), runs the integer loop.
+    (c) Every other table runs the integer loop.
     """
 
     def __init__(self, weights, stream: BitStream, block: int = 4096):
@@ -121,11 +121,10 @@ class CategoricalSampler:
         # bits drawn so far, shared with the decoding generator
         self._count = count = [0]
         block = max(block, 1)
-        capped = stream.limit is not None
-        if not capped and den == len(slices) and den & (den - 1) == 0:
+        if den == len(slices) and den & (den - 1) == 0:
             symbols = _uniform_symbols(count, stream, den.bit_length() - 1,
                                        [k for k, _, _ in slices])
-        elif not capped and len(slices) == 2:
+        elif len(slices) == 2:
             symbols = _binary_symbols(count, stream, den, slices, block)
         else:
             symbols = _exact_blocks(count, stream, den, slices, block)
@@ -138,12 +137,7 @@ class CategoricalSampler:
 
     def sample(self) -> int:
         """Emit the next symbol index, drawing bits only as needed."""
-        try:
-            return self._next()
-        except StopIteration:
-            # the decoding generator ended when its stream ran out
-            raise SeedExhaustedError("sampler's seed stream is exhausted",
-                                     bits_needed=1) from None
+        return self._next()
 
 
 def _exact_symbols(count, stream, den, slices, n, L=0, W=1, U=1):
@@ -277,7 +271,7 @@ def _binary_symbols(count, stream, den, slices, block):
                 yield sym0
 
 
-def biased_bit_sampler(q, stream: BitStream, N: int, block: int = 4096):
+def biased_bit_sampler(q, stream: BitStream, N: int):
     """Draw N exact biased bits (probability q of 1) from a uniform stream.
 
     Returns (bits, bits_consumed).  Consumption is within a few percent of
@@ -287,7 +281,7 @@ def biased_bit_sampler(q, stream: BitStream, N: int, block: int = 4096):
     qf = as_fraction(q)
     if not 0 < qf < 1:
         raise ValueError(f"bias must lie in (0, 1), got {q}")
-    sampler = CategoricalSampler([1 - qf, qf], stream, block=block)
+    sampler = CategoricalSampler([1 - qf, qf], stream)
     before = stream.consumed
     bits = [sampler.sample() for _ in range(N)]
     return bits, stream.consumed - before
@@ -586,7 +580,8 @@ class MonteCarloStats:
         }
 
 
-def wilson_interval(k: int, n: int, z: float = 1.96):
+def wilson_interval(k: int, n: int):
+    z = WILSON_Z
     if n == 0:
         return 0.0, 1.0
     p = k / n
@@ -681,7 +676,7 @@ class ExactRunResult:
 
 
 def exact_small_run(N: int, behavior: PartiallyTrustedBehavior, q: float,
-                    kappa: float, r: float, slack: float = 1e-8) -> ExactRunResult:
+                    kappa: float, r: float) -> ExactRunResult:
     """Exact density-operator execution of the single-part protocol for
     N <= 4 rounds, checking the accumulated divergence inequality.
 
@@ -755,7 +750,7 @@ def exact_small_run(N: int, behavior: PartiallyTrustedBehavior, q: float,
                            BlockOperator(labels, sigma_stack), 1.0 + gamma)
     rhs = -N * worst_case_rate(behavior.v, behavior.h, q, kappa, r)
     return ExactRunResult(
-        lhs=float(lhs), rhs=float(rhs), holds=bool(lhs <= rhs + slack),
+        lhs=float(lhs), rhs=float(rhs), holds=bool(lhs <= rhs + EXACT_RUN_SLACK),
         gamma=gamma, labels=labels, gamma_blocks=tuple(gamma_stack),
         sigma_blocks=tuple(sigma_stack), env_state=env_state,
     )

@@ -23,6 +23,8 @@ from .recon import syndrome as code_syndrome
 from .seeding import BitStream
 from .xorgames import GameConstants, XorGame
 
+THETA_GRID_STEP = 1e-4  # eta_bar's grid step in the localization parameter
+
 
 @dataclass(frozen=True)
 class KdConfig:
@@ -165,12 +167,12 @@ def run_rkd(config: KdConfig, behavior, seed_stream: BitStream,
                    certified_bits=float(certified), eir=eir, report=report)
 
 
-def key_rate_report(outcome: KdOutcome, report: RateReport | None = None) -> dict:
+def key_rate_report(outcome: KdOutcome) -> dict:
     """Certified extractable bits after subtracting reconciliation leakage,
     with the seed/randomness accounting alongside."""
     if not outcome.success:
         raise ValueError("key rate is only defined for successful runs")
-    report = report or outcome.report
+    report = outcome.report
     if report is None:
         raise ValueError("key rate needs a rate report, and a run whose "
                          "tolerance lies outside (0, v_G/2) has none")
@@ -190,8 +192,7 @@ def key_rate_report(outcome: KdOutcome, report: RateReport | None = None) -> dic
 # Agreement-rate machinery
 
 
-def eta_bar(lam_prime: float, constants: GameConstants, f=None,
-            grid_step: float = 1e-4) -> float:
+def eta_bar(lam_prime: float, constants: GameConstants, f=None) -> float:
     """Supremum over the localization parameter of the agreement margin:
     w * theta * ((w - (1/2 + lam')) / w - f(theta)).
 
@@ -206,8 +207,8 @@ def eta_bar(lam_prime: float, constants: GameConstants, f=None,
         f = lambda th: np.sqrt(th)  # noqa: E731
     # a log-spaced segment keeps suprema close to zero visible when the
     # margin is narrow
-    thetas = np.concatenate([np.geomspace(1e-16, grid_step, 200),
-                             np.arange(grid_step, 1.0, grid_step)])
+    thetas = np.concatenate([np.geomspace(1e-16, THETA_GRID_STEP, 200),
+                             np.arange(THETA_GRID_STEP, 1.0, THETA_GRID_STEP)])
     margin = (w - (0.5 + lam_prime)) / w
     vals = w * thetas * (margin - np.asarray(f(thetas)))
     return -refine_grid_min(lambda th: -w * th * (margin - np.asarray(f(th))),

@@ -304,7 +304,7 @@ def refine_grid_min(f, grid, vals) -> float:
     return float(golden_section_lanes(lambda t, _: f(t), [a], [b], [floor])[0])
 
 
-def worst_case_rate(v, h, q, kappa, r, grid_step: float = DELTA_GRID_STEP):
+def worst_case_rate(v, h, q, kappa, r):
     """Minimum of the one-round rate over the failure parameter, by a dense
     grid refined by golden-section search.
 
@@ -318,7 +318,7 @@ def worst_case_rate(v, h, q, kappa, r, grid_step: float = DELTA_GRID_STEP):
                                  for x in (v, h, q, kappa, r)))
     lanes = [_lane(*p) for p in zip(*(x.ravel().tolist() for x in args))]
     _check_gamma(np.array([lane[2] for lane in lanes]))
-    ts = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
+    ts = np.arange(0.0, 1.0 + DELTA_GRID_STEP / 2, DELTA_GRID_STEP)
     ts_terms = _delta_terms(ts)
     a, b, floor = zip(*(_grid_bracket(ts, _rate(*lane, ts, ts_terms))
                         for lane in lanes))

@@ -366,7 +366,7 @@ def interleaved(base: LinearCode, copies: int) -> LinearCode:
 
 
 def random_linear_code(length: int, checks: int, rng: np.random.Generator,
-                       list_cap: int, verify_distance: bool = False) -> LinearCode:
+                       list_cap: int) -> LinearCode:
     h = rng.integers(0, 2, size=(checks, length)).astype(np.uint8)
     # keep full row rank so the advertised leak length is honest
     for _ in range(100):
@@ -374,13 +374,9 @@ def random_linear_code(length: int, checks: int, rng: np.random.Generator,
         if len(pivots) == checks:
             break
         h = rng.integers(0, 2, size=(checks, length)).astype(np.uint8)
-    code = LinearCode(name=f"random-{length}x{checks}", check_matrix=h,
+    return LinearCode(name=f"random-{length}x{checks}", check_matrix=h,
                       min_distance=1, regime="list", list_cap=list_cap,
                       distance_provenance="not applicable (list regime)")
-    if verify_distance:
-        d = verify_min_distance(code)
-        object.__setattr__(code, "min_distance", d)
-    return code
 
 
 # ---------------------------------------------------------------------------

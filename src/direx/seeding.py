@@ -13,8 +13,6 @@ import hashlib
 
 import numpy as np
 
-from .errors import SeedExhaustedError
-
 
 def parse_master_seed(hex_seed: str) -> bytes:
     """Parse a hex master seed into exactly 32 bytes (left-padded)."""
@@ -26,7 +24,7 @@ def parse_master_seed(hex_seed: str) -> bytes:
 
 
 class BitStream:
-    """An endless (or capped) deterministic stream of uniform bits.
+    """An endless deterministic stream of uniform bits.
 
     Parameters
     ----------
@@ -34,17 +32,13 @@ class BitStream:
         32-byte master seed.
     label : str
         Stream label; distinct labels give independent streams.
-    limit : int or None
-        Optional cap on the number of bits that may be drawn.  Protocol
-        harnesses set this to model a finite seed supply.
     queued : sequence of 0/1
         Bits served, in order, before the label's own bits (a cross-feed
         stage's seed is the previous stage's output).  They count towards
-        ``consumed`` and ``limit`` like any other bit.
+        ``consumed`` like any other bit.
     """
 
-    def __init__(self, master: bytes, label: str, limit: int | None = None,
-                 queued=()):
+    def __init__(self, master: bytes, label: str, queued=()):
         self._prefix = master + label.encode("utf-8")
         self._counter = 0
         # the unread bits are the low _buffered bits of _buffer; the bits
@@ -54,7 +48,6 @@ class BitStream:
         self._buffer = (int.from_bytes(np.packbits(queued).tobytes(), "big")
                         >> (-queued.size % 8))
         self.consumed = 0
-        self.limit = limit
 
     def _refill(self, k: int):
         """Append the hash blocks a k-bit read still needs, in one shift."""
@@ -67,18 +60,10 @@ class BitStream:
                          << (256 * blocks)) | int.from_bytes(fresh, "big"))
         self._buffered += 256 * blocks
 
-    def _refuse(self, k: int):
-        if k < 0:
-            raise ValueError("cannot draw a negative number of bits")
-        raise SeedExhaustedError(
-            f"seed stream exhausted after {self.consumed} bits",
-            bits_needed=self.consumed + k - self.limit,
-        )
-
     def take(self, k: int) -> int:
         """Draw k bits and return them as an integer (big-endian)."""
-        if k < 0 or (self.limit is not None and self.consumed + k > self.limit):
-            self._refuse(k)
+        if k < 0:
+            raise ValueError("cannot draw a negative number of bits")
         if self._buffered < k:
             self._refill(k)
         self._buffered -= k
@@ -86,16 +71,16 @@ class BitStream:
         return (self._buffer >> self._buffered) & ((1 << k) - 1)
 
     def peek(self, k: int) -> int:
-        """The next k bits as an integer, without drawing them.  The cap
-        does not apply: peeked bits count only once advance draws them."""
+        """The next k bits as an integer, without drawing them: peeked
+        bits count only once advance draws them."""
         if self._buffered < k:
             self._refill(k)
         return (self._buffer >> (self._buffered - k)) & ((1 << k) - 1)
 
     def advance(self, k: int):
         """Draw k bits without returning them (after a peek of at least k)."""
-        if k < 0 or (self.limit is not None and self.consumed + k > self.limit):
-            self._refuse(k)
+        if k < 0:
+            raise ValueError("cannot draw a negative number of bits")
         if self._buffered < k:
             self._refill(k)
         self._buffered -= k
@@ -109,10 +94,10 @@ class BitStream:
 
 
 def substream(master: bytes, label: str, index: int | None = None,
-              limit: int | None = None, queued=()) -> BitStream:
+              queued=()) -> BitStream:
     """Derive a labeled (and optionally indexed) bit stream."""
     full = label if index is None else f"{label}/{index}"
-    return BitStream(master, full, limit=limit, queued=queued)
+    return BitStream(master, full, queued=queued)
 
 
 def numpy_rng(master: bytes, label: str, index: int | None = None) -> np.random.Generator:

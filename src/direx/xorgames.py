@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -30,6 +31,10 @@ from .matrixcore import HERMITIAN_ATOL, hermitian_entries
 PROB_SUM_ATOL = 1e-12
 UNIT_ATOL = 1e-9
 HESSIAN_EIG_THRESHOLD = 1e-6
+_SAME_MAX_TOL = 1e-5         # two maxima agree when every angle is this close
+_N_STARTS = 60               # multistart points per enumeration of maxima
+_MAX_TOL = 1e-7              # a refined value this close to qG is a maximum
+_SELFTEST_SEEDS = (0, 1, 2)  # classify_selftest enumerates once per seed
 CLASSIFICATIONS = ("not-self-test", "self-test", "strong-self-test", "inconclusive")
 
 
@@ -62,8 +67,8 @@ class XorGame:
             if bits in seen:
                 raise ValueError(f"duplicate input {bits}")
             seen.add(bits)
-            if p < 0:
-                raise ValueError("probabilities must be nonnegative")
+            if not 0 <= p <= 1:
+                raise ValueError("probabilities must lie in [0, 1]")
             if eta not in (-1, 1):
                 raise ValueError("signs must be +1 or -1")
             total += p
@@ -177,10 +182,30 @@ def game_to_record(game: XorGame) -> dict:
     }
 
 
+def _field(obj, name: str, where: str, read):
+    """read(obj[name]), or a ValueError naming the missing or bad field."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, not {obj!r}")
+    if name not in obj:
+        raise ValueError(f"{where} needs the field {name!r}")
+    try:
+        return read(obj[name])
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"{where}: bad value {obj[name]!r} in the field {name!r}") from None
+
+
 def game_from_record(rec: dict) -> XorGame:
-    return XorGame.from_support(
-        rec["n"], [(e["input"], e["p"], e["eta"]) for e in rec["support"]]
-    )
+    """The game a record of game_to_record's form describes.  A malformed
+    record raises ValueError naming the field."""
+    n = _field(rec, "n", "a game record", operator.index)
+    entries = []
+    for i, e in enumerate(_field(rec, "support", "a game record", tuple)):
+        where = f"game support entry {i}"
+        entries.append((_field(e, "input", where, lambda s: tuple(int(b) for b in s)),
+                        _field(e, "p", where, as_fraction),
+                        _field(e, "eta", where, int)))
+    return XorGame(n, tuple(entries))
 
 
 def load_game(path_or_name: str) -> XorGame:
@@ -237,6 +262,8 @@ _FP_SLACK = 1e-12         # floating-point error allowance on a cell bound
 _GRID_DIVS_LOW = 50       # grid step pi/50 on tori of dimension <= 3 ...
 _GRID_DIVS_4 = 16         # ... and pi/16 in dimension 4 (~5.6e5 cells)
 _REFINE_STARTS = 8        # grid cells refined by Newton
+_GRAD_TOL = 1e-9          # Newton refinement stops below this gradient norm
+_MAX_NEWTON = 200         # ... or after this many steps
 _MAX_CELLS = 1 << 20      # branch-and-bound gives up beyond this many cells
 _CHUNK = 1 << 13          # cells per piece of a cell-bound evaluation
 _ENTRY_CHUNK = 1 << 12    # rows per piece of reverse_diagonal_entries; one
@@ -400,20 +427,19 @@ def _zg_grad_hess(game: XorGame, theta: np.ndarray):
     return grad, hess
 
 
-def refine_zg_max(game: XorGame, theta0, grad_tol: float = 1e-9,
-                  max_iter: int = 200):
+def refine_zg_max(game: XorGame, theta0):
     """Local maximization of the cosine score from a starting point.
 
     Newton steps with backtracking, falling back to gradient ascent whenever
     the Newton direction is not an ascent direction.  Returns (value, angles)
-    with the gradient norm driven below ``grad_tol``.
+    with the gradient norm driven below ``_GRAD_TOL``.
     """
     th = np.asarray(theta0, dtype=float).copy()
     val = float(_zg_batch(game, th[None, :])[0])
-    for _ in range(max_iter):
+    for _ in range(_MAX_NEWTON):
         grad, hess = _zg_grad_hess(game, th)
         gn = float(np.linalg.norm(grad))
-        if gn <= grad_tol:
+        if gn <= _GRAD_TOL:
             break
         try:
             step = np.linalg.solve(hess, -grad)
@@ -496,20 +522,19 @@ def _canonical_max(theta: np.ndarray) -> np.ndarray:
     return t
 
 
-def _same_max(a: np.ndarray, b: np.ndarray, tol: float = 1e-5) -> bool:
+def _same_max(a: np.ndarray, b: np.ndarray) -> bool:
     d = np.abs(np.mod(a - b + np.pi, 2 * np.pi) - np.pi)
-    return bool(np.all(d < tol))
+    return bool(np.all(d < _SAME_MAX_TOL))
 
 
-def enumerate_maxima(game: XorGame, qG: float, seed: int = 0,
-                     n_starts: int = 60, tol: float = 1e-7):
+def enumerate_maxima(game: XorGame, qG: float, seed: int = 0):
     """All distinct global maxima of the cosine score found by multistart."""
     rng = np.random.default_rng(seed)
-    starts = rng.uniform(0, 2 * np.pi, size=(n_starts, game.n + 1))
+    starts = rng.uniform(0, 2 * np.pi, size=(_N_STARTS, game.n + 1))
     found = []
     for s in starts:
         val, th = refine_zg_max(game, s)
-        if val < qG - tol:
+        if val < qG - _MAX_TOL:
             continue
         th = _canonical_max(th)
         if not any(_same_max(th, f) for f in found):
@@ -539,7 +564,7 @@ class GameConstants:
             raise ValueError("trust coefficient bound out of range")
 
 
-def classify_selftest(game: XorGame, seeds=(0, 1, 2)) -> str:
+def classify_selftest(game: XorGame) -> str:
     """Classify a game as not-self-test / self-test / strong-self-test.
 
     Criteria, checked on the enumerated maxima of the cosine score:
@@ -551,7 +576,7 @@ def classify_selftest(game: XorGame, seeds=(0, 1, 2)) -> str:
     set of maxima yields "inconclusive".
     """
     qG, _ = optimal_score(game)
-    runs = [enumerate_maxima(game, qG, seed=s) for s in seeds]
+    runs = [enumerate_maxima(game, qG, seed=s) for s in _SELFTEST_SEEDS]
     counts = {len(r) for r in runs}
     if len(counts) != 1:
         return "inconclusive"
@@ -589,6 +614,7 @@ def classify_selftest(game: XorGame, seeds=(0, 1, 2)) -> str:
 # Scoring operators and the trust coefficient
 
 _TRUST_ATOL = 1e-9  # a trust check passes when its best norm is at most qG - c + this
+TRUST_RESOLUTION = 1e-3  # the search's bisection step, subtracted from its bound
 
 
 def scoring_operator(game: XorGame, zetas) -> np.ndarray:
@@ -946,7 +972,6 @@ def trust_anticommuters(game: XorGame) -> list:
 
 
 def trust_coefficient_search(game: XorGame, samples: SamplingSpec | None = None,
-                             resolution: float = 1e-3,
                              classification: str | None = None) -> float:
     """Sampled lower-confidence bound on the trust coefficient.
 
@@ -972,14 +997,14 @@ def trust_coefficient_search(game: XorGame, samples: SamplingSpec | None = None,
         lo, hi = 0.0, qG
         if not _trust_passes(game, 0.0, anti, samples, qG):
             continue
-        for _ in range(int(np.ceil(np.log2(max(qG, 1e-12) / resolution))) + 1):
+        for _ in range(int(np.ceil(np.log2(max(qG, 1e-12) / TRUST_RESOLUTION))) + 1):
             mid = 0.5 * (lo + hi)
             if _trust_passes(game, mid, anti, samples, qG):
                 lo = mid
             else:
                 hi = mid
         best = max(best, lo)
-    return max(best - resolution, 0.0)
+    return max(best - TRUST_RESOLUTION, 0.0)
 
 
 def analyze_game(game: XorGame, vg_lower: float | None = None,
@@ -1014,14 +1039,14 @@ def ghz_constants() -> GameConstants:
     )
 
 
-def chsh_constants(vg_lower: float = 0.10) -> GameConstants:
+def chsh_constants() -> GameConstants:
     """Constants for the CHSH game; trust bound from the sampled search."""
     s = float(np.sqrt(2) / 2)
     return GameConstants(
         qG=s, wG=(1 + s) / 2, fG=(1 - s) / 2,
         maximizer=(-np.pi / 4, np.pi / 2, np.pi / 2),
         classification="strong-self-test",
-        vG_lower=vg_lower,
+        vG_lower=0.10,
         provenance="sampled bisection search",
     )
 

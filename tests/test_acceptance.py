@@ -9,9 +9,17 @@ import pytest
 from fractions import Fraction
 
 from direx.devices import NoisyHonestBehavior, ghz_honest_device, random_partially_trusted
-from direx.entropy import measurement_split, pinching_channel, renyi_divergence, dmax, uncertainty_check
+from direx.entropy import (
+    INEQUALITY_SLACK,
+    dmax,
+    measurement_split,
+    pinching_channel,
+    renyi_divergence,
+    uncertainty_check,
+)
 from direx.postprocess import CrossFeedStage, cross_feed
 from direx.protocols import (
+    EXACT_RUN_SLACK,
     ProtocolConfig,
     biased_bit_sampler,
     completeness_error_bound,
@@ -114,6 +122,7 @@ class TestCriterion4:
 
 class TestCriterion5:
     def test_uncertainty_sweep(self):
+        assert INEQUALITY_SLACK == 1e-9  # the criterion's stated tolerance
         rng = numpy_rng(MASTER, "acc5")
         violations = 0
         for _ in range(1000):
@@ -123,7 +132,7 @@ class TestCriterion5:
             z /= np.linalg.norm(z)
             inst = measurement_split(z)
             for eps in (0.1, 0.5, 1.0):
-                if not uncertainty_check(inst, eps, slack=1e-9).holds:
+                if not uncertainty_check(inst, eps).holds:
                     violations += 1
         check(5, "uncertainty principle: 1000 instances x 3 exponents",
               violations == 0, f"{violations} violations")
@@ -131,6 +140,7 @@ class TestCriterion5:
 
 class TestCriterion6:
     def test_one_and_multi_shot_divergence(self):
+        assert EXACT_RUN_SLACK == 1e-8  # the criterion's stated tolerance
         rng = numpy_rng(MASTER, "acc6")
         fails = 0
         for i in range(100):
@@ -141,7 +151,7 @@ class TestCriterion6:
             kappa = float(rng.uniform(0.1, 2.0))
             r = float(rng.uniform(0.05, 1.0)) / (q * kappa)
             n = (i % 3) + 1
-            if not exact_small_run(n, beh, q, kappa, r, slack=1e-8).holds:
+            if not exact_small_run(n, beh, q, kappa, r).holds:
                 fails += 1
         check(6, "one-shot and multi-shot divergence: 100 exact runs",
               fails == 0, f"{fails} violations")

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -109,6 +110,29 @@ class TestRate:
         rec = read_records(out)[0]
         assert "game_qG_certified_gap" not in rec
         assert "game_vG_provenance" not in rec
+
+    @pytest.mark.parametrize("record, field", [
+        ({}, "'n'"),
+        ([1, 2], "a game record must be a JSON object"),
+        ({"n": 3, "support": [{"input": "000", "p": "1"}]}, "'eta'"),
+        ({"n": "3", "support": [{"input": "000", "p": "1", "eta": 1}]}, "'n'"),
+        # a probability past float range once overflowed the sum check
+        ({"n": 3, "support": [{"input": "000", "p": "1e400", "eta": 1}]},
+         "probabilities must lie in [0, 1]"),
+    ])
+    def test_malformed_game_file_names_the_field(self, tmp_path, capsys,
+                                                 record, field):
+        game = tmp_path / "game.json"
+        game.write_text(json.dumps(record))
+        assert run_cli("rate", "--game", str(game), "--eta", "0.01") == EXIT_USAGE
+        assert field in capsys.readouterr().err
+
+    def test_csv_echo_without_output_path(self, capsys, monkeypatch):
+        monkeypatch.delenv("DIREX_OUTPUT_DIR", raising=False)
+        assert run_cli("--format", "csv", "rate", "--eta", "0.01") == EXIT_OK
+        header, row = csv.reader(capsys.readouterr().out.splitlines()[-2:])
+        rec = dict(zip(header, row))
+        assert rec["command"] == "rate" and float(rec["eta"]) == 0.01
 
 
 class TestRecordsAndDeterminism:

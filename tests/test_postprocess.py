@@ -274,7 +274,7 @@ class TestLedger:
     def test_dyadic_upper(self):
         assert dyadic_upper(-3.2) == Fraction(1, 8)
         assert dyadic_upper(-3.0) == Fraction(1, 8)
-        assert dyadic_upper(2.5, cap_at_one=True) == Fraction(1)
+        assert dyadic_upper(2.5) == Fraction(1)
 
 
 class TestQueuedStream:

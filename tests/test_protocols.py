@@ -14,7 +14,6 @@ from direx.devices import (
     random_partially_trusted,
 )
 from direx.entropy import BlockOperator, renyi_divergence
-from direx.errors import SeedExhaustedError
 from direx.protocols import (
     CategoricalSampler,
     ProtocolConfig,
@@ -74,12 +73,6 @@ class TestBiasedSampler:
             bits, _ = biased_bit_sampler(0.05, s, 2000)
             runs.append(bits)
         assert runs[0] == runs[1]
-
-    def test_seed_exhaustion_reports_need(self):
-        s = substream(MASTER, "s5", limit=16)
-        with pytest.raises(SeedExhaustedError) as err:
-            biased_bit_sampler(Fraction(1, 2), s, 100)
-        assert err.value.bits_needed >= 1
 
     def test_categorical_multiway_exact(self):
         s = substream(MASTER, "s6")

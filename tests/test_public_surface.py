@@ -7,9 +7,16 @@ other than definitions and imports, and ``KEEP``.  A definition is alive
 when a root or an alive definition reads its name; the scan follows these
 reads to a fixpoint, so a helper that only a test-only name reads is dead
 too.  A name kept for another reason sits on ``KEEP`` with that reason.
+
+Every keyword parameter with a default, of a top-level function or of a
+top-level class's ``__init__``, must be passed by some call of that name
+in ``src/direx`` or ``perfbench/*.py``; a parameter only tests set is a
+constant in disguise.  A knob kept for another reason sits on
+``KEEP_KNOBS`` with that reason.
 """
 
 import ast
+import math
 import re
 from functools import lru_cache
 from pathlib import Path
@@ -41,6 +48,19 @@ KEEP = {
     "agreement_bound_check": "the README's agreement-rate machinery",
     "bad_event": "the README's agreement-rate machinery",
     "eta_bar": "the agreement margin of the agreement-rate machinery",
+}
+
+KEEP_KNOBS = {
+    "CategoricalSampler.block": "the decoder property tests need short "
+                                "blocks to reach the 4096-symbol reset",
+    "random_partially_trusted.device_half_dim": "the only source of dq = 4 "
+                                                "devices for the stack tests",
+    "analyze_game.vg_lower": "lets tests skip the trust search",
+    "analyze_game.provenance": "lets tests skip the trust search",
+    "trust_coefficient_search.samples": "gives tests a smaller sampling budget",
+    "eir_run.hash_family": "the short-seed hash family (ROADMAP) will set it",
+    "eta_bar.f": "part of the open decision on eta_bar (ROADMAP)",
+    "main.argv": "tests drive the CLI in-process",
 }
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -99,11 +119,62 @@ def unreached(bodies, rooted):
             if not name.startswith("_") and name not in alive}
 
 
+def knobs(package):
+    """The keyword parameters with a default of the package's top-level
+    functions and top-level classes' __init__, as a map from "name.param"
+    to the parameter's position in a call (None when keyword-only)."""
+    found = {}
+    for text in package:
+        for stmt in ast.parse(text).body:
+            fn, skip = stmt, 0
+            if isinstance(stmt, ast.ClassDef):
+                fn = next((s for s in stmt.body if isinstance(s, ast.FunctionDef)
+                           and s.name == "__init__"), None)
+                skip = 1  # self
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            pos = args.posonlyargs + args.args
+            for i in range(len(pos) - len(args.defaults), len(pos)):
+                found[f"{stmt.name}.{pos[i].arg}"] = i - skip
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    found[f"{stmt.name}.{arg.arg}"] = None
+    return found
+
+
+def unset_knobs(package, callers):
+    """The package's knobs that no call in the caller texts passes, by
+    keyword or by position.  A starred argument fills every later position
+    and a double-starred one passes every keyword."""
+    keywords, filled = set(), {}
+    for text in callers:
+        for call in ast.walk(ast.parse(text)):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            keywords.update(f"{name}.{k.arg or '*'}" for k in call.keywords)
+            n = (math.inf if any(isinstance(a, ast.Starred) for a in call.args)
+                 else len(call.args))
+            filled[name] = max(filled.get(name, 0), n)
+    unset = set()
+    for knob, at in knobs(package).items():
+        name = knob.split(".")[0]
+        if (knob not in keywords and f"{name}.*" not in keywords
+                and not (at is not None and filled.get(name, 0) > at)):
+            unset.add(knob)
+    return unset
+
+
+@lru_cache(maxsize=1)
+def _sources():
+    return ([p.read_text() for p in sorted(SRC.glob("*.py"))],
+            [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))])
+
+
 @lru_cache(maxsize=1)
 def _package_scan():
-    bodies, rooted = survey(
-        [p.read_text() for p in sorted(SRC.glob("*.py"))],
-        [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))])
+    bodies, rooted = survey(*_sources())
     return bodies, frozenset(rooted | readme_names((ROOT / "README.md").read_text()))
 
 
@@ -151,3 +222,40 @@ TABLE = {"k": kept}
         for stmt in ast.parse(text).body:
             plain.update(set(_identifiers(stmt)) - {getattr(stmt, "name", None)})
     assert unreached(bodies, plain) == set()
+
+
+def test_every_knob_is_set_by_a_caller():
+    package, roots = _sources()
+    unset = unset_knobs(package, package + roots)
+    assert unset - set(KEEP_KNOBS) == set(), (
+        "keyword parameters no program caller sets; make each a constant, "
+        "or add it to KEEP_KNOBS with its reason")
+    assert set(KEEP_KNOBS) - unset == set(), "KEEP_KNOBS names a knob in use"
+    assert all(reason.strip() for reason in KEEP_KNOBS.values())
+
+
+def test_knob_scan_flags_an_unused_knob():
+    # solve's knobs are passed through a starred call and by keyword;
+    # Sampler(1, 2) fills block but not skew; plant's knob is unset until
+    # a second caller text passes it
+    package = ["""
+def solve(x, tol=1e-9, steps=10, *, verbose=False):
+    return x
+
+class Sampler:
+    def __init__(self, w, block=4096, skew=0):
+        pass
+
+def plant(x, knob=3):
+    return x
+
+def spread(*args):
+    return solve(*args)
+
+def run():
+    Sampler(1, 2)
+    plant(1)
+    return solve(1, verbose=True)
+"""]
+    assert unset_knobs(package, package) == {"Sampler.skew", "plant.knob"}
+    assert unset_knobs(package, package + ["plant(2, knob=4)"]) == {"Sampler.skew"}

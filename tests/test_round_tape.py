@@ -21,7 +21,6 @@ from direx.devices import (
     chsh_honest_device,
     ghz_honest_device,
 )
-from direx.errors import SeedExhaustedError
 from direx.protocols import (
     CategoricalSampler,
     ProtocolConfig,
@@ -194,23 +193,6 @@ class TestSamplerAgainstReference:
         assert runs[0] == runs[1]
         assert set(runs[1][0]) == {1, 2} and binary[0] == 1
 
-    @settings(max_examples=40, deadline=None)
-    @given(name=st.sampled_from(sorted(TABLES)), limit=st.integers(0, 400),
-           block=st.sampled_from([7, 4096]))
-    def test_capped_stream_fails_like_the_reference(self, name, limit, block):
-        seen = []
-        for make in (ReferenceSampler, CategoricalSampler):
-            stream = substream(MASTER, f"cap/{name}", limit=limit)
-            sampler = make(TABLES[name], stream, block=block)
-            out = []
-            with pytest.raises(SeedExhaustedError) as err:
-                while True:
-                    out.append(sampler.sample())
-            seen.append((out, stream.consumed, err.value.bits_needed))
-        assert seen[0] == seen[1]
-        with pytest.raises(SeedExhaustedError):
-            sampler.sample()  # a spent sampler stays spent
-
     @settings(max_examples=30, deadline=None)
     @given(queue=st.lists(st.integers(0, 1), max_size=600),
            draws=st.integers(0, 2000), label=st.integers(0, 10**6))
@@ -309,34 +291,6 @@ class TestTakeBits:
         for k in ks:
             assert stream.take_bits(k).tolist() == _reference_take_bits(ref, k)
             assert stream.consumed == ref.consumed
-
-    @settings(max_examples=60, deadline=None)
-    @given(reads=_READS, limit=st.integers(0, 300), k=st.integers(0, 400),
-           label=st.integers(0, 10**6))
-    def test_capped_stream(self, reads, limit, k, label):
-        """Over-reading raises with the same bits_needed as take, draws
-        nothing, and leaves the stream where it was."""
-        stream, ref = (substream(MASTER, f"cap/{label}") for _ in range(2))
-        ok = sum(n for _, n in reads) <= limit
-        if ok:
-            _misalign(stream, reads)
-            _misalign(ref, reads)
-        stream.limit = ref.limit = limit
-        before = stream.consumed
-        if before + k > limit:
-            with pytest.raises(SeedExhaustedError) as got:
-                stream.take_bits(k)
-            with pytest.raises(SeedExhaustedError) as want:
-                ref.take(k)
-            assert got.value.bits_needed == want.value.bits_needed
-            assert got.value.bits_needed == before + k - limit
-            assert stream.consumed == before
-            rest = limit - before
-            assert (stream.take_bits(rest).tolist()
-                    == _reference_take_bits(ref, rest))
-        else:
-            assert stream.take_bits(k).tolist() == _reference_take_bits(ref, k)
-        assert stream.consumed == ref.consumed
 
 
 def _scalar_responses(behavior, inputs, input_index, rng):
