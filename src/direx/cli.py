@@ -79,12 +79,15 @@ class RecordWriter:
     def append(self, record: dict):
         self.records.append(record)
 
+    def _columns(self) -> list:
+        return sorted({k for rec in self.records for k in rec})
+
     def _write(self, f, header: bool):
         if self.fmt == "json":
             for rec in self.records:
                 f.write(json.dumps(rec, sort_keys=True) + "\n")
         else:
-            keys = sorted({k for rec in self.records for k in rec})
+            keys = self._columns()
             w = csv.DictWriter(f, fieldnames=keys)
             if header:
                 w.writeheader()
@@ -92,10 +95,23 @@ class RecordWriter:
                 w.writerow({k: _csv_cell(rec.get(k)) for k in keys})
 
     def flush(self):
+        """Append the records to the file; CSV rows are appended only under
+        a header equal to their own columns, and otherwise nothing is
+        written."""
         if not self.path:
             return
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-        new = not os.path.exists(self.path)
+        new = not os.path.exists(self.path) or os.path.getsize(self.path) == 0
+        if self.fmt == "csv" and not new:
+            with open(self.path, newline="") as f:
+                header = next(csv.reader(f), [])
+            keys = self._columns()
+            if header != keys:
+                raise DirexError(
+                    f"--output {self.path}: the file's CSV columns differ from "
+                    f"this command's (only in the file: "
+                    f"{sorted(set(header) - set(keys))}; only in the new "
+                    f"records: {sorted(set(keys) - set(header))})")
         with open(self.path, "a", newline=None if self.fmt == "json" else "") as f:
             self._write(f, new)
 

@@ -1,13 +1,11 @@
-"""Renyi divergences, max-divergence, smoothing, and the operator
-inequalities that drive the security analysis.
+"""Renyi divergences, max-divergence, and the operator inequalities that
+drive the security analysis.
 
 States are either plain PSD operators or classical-quantum (CQ) states,
 stored block-diagonally: one subnormalized block per classical label.  A
 ``BlockOperator`` holds its blocks as one read-only ``(B, d, d)`` stack in
-label order; a ``CqState`` is a ``BlockOperator`` whose stack is checked
-as a state once, on the whole stack (Hermitian, PSD, total trace at most
-1).  Support containment is enforced with an eigenvalue cutoff of 1e-10,
-and powers of the reference operator are taken on its support only.
+label order.  Support containment is enforced with an eigenvalue cutoff of
+1e-10, and powers of the reference operator are taken on its support only.
 
 Blockwise quantities work on block stacks: the blocks of a state, in label
 order, as one ``(B, d, d)`` array, and a single reference operator as one
@@ -29,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidOperatorError, SupportViolationError
-from .matrixcore import check_psd, hermitian_entries, pseudo_power
+from .matrixcore import pseudo_power
 from .rates import uncertainty_exponent
 
 SUPPORT_CUTOFF = 1e-10
@@ -38,11 +36,10 @@ INEQUALITY_SLACK = 1e-9  # float tolerance of the two operator inequalities
 
 @dataclass(frozen=True)
 class BlockOperator:
-    """A labeled block-diagonal PSD operator without the state-trace cap.
-
-    Used for reference operators whose total weight exceeds 1 (for example
-    failure-weighted bounding operators).  The blocks are held as one
-    read-only complex ``(B, d, d)`` stack in label order.
+    """A labeled block-diagonal PSD operator: a CQ state, or a reference
+    operator whose total weight may exceed 1 (for example a failure-weighted
+    bounding operator).  The blocks are held as one read-only complex
+    ``(B, d, d)`` stack in label order; only their shapes are checked.
     """
 
     labels: tuple
@@ -68,26 +65,6 @@ class BlockOperator:
         return _label_order_sum(np.trace(self.blocks, axis1=1, axis2=2).real)
 
 
-@dataclass(frozen=True)
-class CqState(BlockOperator):
-    """Block-diagonal classical-quantum subnormalized state.
-
-    The stack is validated as a whole: Hermitian within 1e-12 and then
-    symmetrised, dimension at most 64, PSD up to the scaled eigenvalue
-    floor of ``check_psd`` (one batched ``eigvalsh``), and total trace in
-    [0, 1].
-    """
-
-    def __post_init__(self):
-        super().__post_init__()
-        blocks = hermitian_entries(self.blocks)
-        check_psd(blocks)
-        object.__setattr__(self, "blocks", blocks)
-        total = self.trace()
-        if not -1e-12 <= total <= 1.0 + 1e-9:
-            raise ValueError(f"total trace {total} outside [0, 1]")
-
-
 def _label_order_sum(values) -> float:
     """Add per-block values one at a time, in label order."""
     total = 0.0
@@ -100,9 +77,9 @@ def _block_stacks(rho, sigma):
     """rho and sigma as block stacks: (rho_stack, sigma_stack, Tr rho).
 
     rho_stack is (B, d, d) in label order; a plain operator is one block.
-    sigma may be a BlockOperator (a CqState included) with matching labels,
-    giving a (B, d, d) stack, or a single operator (the identity-on-labels
-    convention), kept as one (d, d) matrix that broadcasts across blocks.
+    sigma may be a BlockOperator with matching labels, giving a (B, d, d)
+    stack, or a single operator (the identity-on-labels convention), kept
+    as one (d, d) matrix that broadcasts across blocks.
     """
     if isinstance(rho, BlockOperator):
         if isinstance(sigma, BlockOperator):
@@ -167,39 +144,6 @@ def dmax(rho, sigma) -> float:
     if worst <= 0:
         return -np.inf
     return float(np.log2(worst))
-
-
-def trace_distance(rho, other) -> float:
-    """Trace norm of the difference; blockwise for block operators, the
-    block norms added in label order."""
-    rs, os_, _ = _block_stacks(rho, other)
-    return _label_order_sum(np.abs(np.linalg.eigvalsh(rs - os_)).sum(axis=-1))
-
-
-def smooth_from_renyi(rho: CqState, sigma, alpha: float, epsilon: float):
-    """Smooth a CQ state down below a scaled reference operator.
-
-    Returns (rho_smoothed, bound) where bound = D_alpha(rho||sigma) +
-    (2 log(1/eps) + 1)/(alpha - 1); the smoothed state satisfies
-    rho' <= 2**bound * sigma, stays classical-quantum, and is within eps
-    trace distance of rho.  Construction: with Delta the positive part of
-    (rho - 2**bound sigma), conjugate rho by
-    sigma~^(1/2) (sigma~ + Delta)^(-1/2) blockwise.
-    """
-    if not 1 < alpha <= 2:
-        raise ValueError(f"order must lie in (1, 2], got {alpha}")
-    if not 0 < epsilon <= np.sqrt(2.0) + 1e-12:
-        raise ValueError(f"smoothing parameter must lie in (0, sqrt(2)], got {epsilon}")
-    base = renyi_divergence(rho, sigma, alpha)
-    bound = base + (2.0 * np.log2(1.0 / epsilon) + 1.0) / (alpha - 1.0)
-    rs, ss, _ = _block_stacks(rho, sigma)
-    st = 2.0**bound * ss
-    delta = pseudo_power(rs - st, 1.0, cutoff=0.0)
-    g = (pseudo_power(st, 0.5, cutoff=0.0)
-         @ pseudo_power(st + delta, -0.5, cutoff=1e-14))
-    # numerical floor: clip eigenvalues a hair below zero back up
-    smoothed = pseudo_power(g @ rs @ g.conj().swapaxes(-1, -2), 1.0, cutoff=0.0)
-    return CqState(rho.labels, smoothed), float(bound)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,8 @@
-"""Dense complex linear algebra kernel for small operators (dimension <= 64).
+"""Dense complex linear algebra kernels for small operators.
 
-Everything here is a thin, validated layer over numpy's eigensolvers:
-the Hermitian and PSD checks, fractional operator powers and Schatten
-norms.  Validated entries are read-only and all functions are pure, so
-values can be shared freely across concurrent trials.
+Two thin layers over numpy's solvers: fractional operator powers (the one
+eigenbasis rebuild of the package) and Schatten norms.  Both functions are
+pure, so values can be shared freely across concurrent trials.
 """
 
 from __future__ import annotations
@@ -12,52 +11,7 @@ import numpy as np
 
 from .errors import InvalidOperatorError
 
-DIM_CAP = 64
-HERMITIAN_ATOL = 1e-12
-PSD_EIG_FLOOR = -1e-10
-
-
-def hermitian_entries(a: np.ndarray) -> np.ndarray:
-    """A complex square matrix, or a stack ``(..., d, d)`` of them, checked
-    and returned as validated Hermitian entries.
-
-    The matrices must be square of dimension in [1, 64] and equal their
-    adjoints within HERMITIAN_ATOL; the result is the read-only
-    ``0.5 * (A + A^dag)``, element by element.
-    """
-    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
-        raise InvalidOperatorError(f"expected square matrices, got shape {a.shape}")
-    d = a.shape[-1]
-    if d < 1 or d > DIM_CAP:
-        raise InvalidOperatorError(
-            f"dimension {d} outside supported range [1, {DIM_CAP}]")
-    ah = a.conj().swapaxes(-1, -2)
-    if not np.allclose(a, ah, rtol=0.0, atol=HERMITIAN_ATOL):
-        worst = float(np.max(np.abs(a - ah)))
-        raise InvalidOperatorError(
-            f"matrix is not Hermitian (max |A - A^dag| = {worst:.3e})")
-    out = 0.5 * (a + ah)
-    out.setflags(write=False)
-    return out
-
-
-def check_psd(a: np.ndarray) -> None:
-    """Raise unless the Hermitian matrix ``a``, or each matrix of a stack,
-    is PSD up to a scaled eigenvalue floor (one ``eigvalsh`` call for the
-    whole stack).
-
-    Eigenvalues in [-1e-10 * max(1, ||A||), 0) are numerical noise, which
-    ``pseudo_power(..., cutoff=0.0)`` clamps to zero; anything more negative
-    is rejected.  The floor scales with the spectral norm because an
-    eigensolver's rounding does: a zero eigenvalue next to an eigenvalue of
-    1e9 comes back as about -1e-7.
-    """
-    w = np.linalg.eigvalsh(a)
-    lo = w[..., 0]
-    bad = lo < PSD_EIG_FLOOR * np.maximum(np.maximum(1.0, -lo), w[..., -1])
-    if np.any(bad):
-        raise InvalidOperatorError(
-            f"matrix is not PSD (smallest eigenvalue {float(lo[bad][0]):.3e})")
+HERMITIAN_ATOL = 1e-12  # the Hermitian tolerance of operator checks
 
 
 def pseudo_power(entries: np.ndarray, p: float, cutoff: float = 1e-10) -> np.ndarray:

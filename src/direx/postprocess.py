@@ -217,7 +217,6 @@ class StageResult:
     seed_bits_used: int
     seed_from_previous: int
     seed_topped_up: int
-    extractor_seed_bits: int
 
 
 class CrossFeedAbort(DirexError, RuntimeError):
@@ -234,14 +233,11 @@ class CrossFeedResult:
     final_bits: np.ndarray
     ledger: ErrorLedger
     stages: tuple
-    notes: tuple
 
 
 # the rate slack below the limit rate that cross_feed tunes its error
 # exponent for
 TUNE_DELTA = 0.1
-_PLAN_STAGES = 16    # stages expansion_schedule plans at most
-_REACH_STAGES = 64   # stages stages_to_reach follows at most
 
 
 def cross_feed(game: XorGame, constants: GameConstants, device_a, device_b,
@@ -254,16 +250,16 @@ def cross_feed(game: XorGame, constants: GameConstants, device_a, device_b,
     price each stage's soundness with the tuned error exponent and its
     completeness with the honest-abort bound; entries beyond their premise
     regime are capped at one and flagged vacuous.
+
+    Two assumptions are flagged, not reproved: the extractor is Toeplitz
+    2-universal hashing, whose quantum-proofness is taken from leftover
+    hashing against quantum side information; and composition soundness
+    relies on output-to-input uniformity switching between devices (no
+    device-adversary interaction).
     """
     tuned = tune_parameters(constants, stages[0].eta, TUNE_DELTA)
     ledger = ErrorLedger()
     results = []
-    notes = [
-        "extractor substitution: Toeplitz 2-universal hashing; quantum-proofness "
-        "taken from leftover hashing against quantum side information",
-        "composition soundness relies on output-to-input uniformity switching "
-        "between devices (no device-adversary interaction); flagged, not reproved",
-    ]
     prev_bits: np.ndarray = np.zeros(0, dtype=np.uint8)
     devices = (device_a, device_b)
     for i, stage in enumerate(stages):
@@ -303,71 +299,10 @@ def cross_feed(game: XorGame, constants: GameConstants, device_a, device_b,
             seed_bits_used=used,
             seed_from_previous=from_previous,
             seed_topped_up=used - from_previous,
-            extractor_seed_bits=spec.seed_len,
         ))
         prev_bits = out_bits
     if not ledger.check_wiring():
         raise RuntimeError("wiring invariant violated")
     return CrossFeedResult(final_bits=prev_bits, ledger=ledger,
-                           stages=tuple(results), notes=tuple(notes))
+                           stages=tuple(results))
 
-
-@dataclass(frozen=True)
-class SchedulePlan:
-    stages: tuple  # of dicts with seed_bits, N_uncapped (int or float inf), N, q
-    theoretical_output: float  # log2 of the uncapped final length
-
-
-def expansion_schedule(k: int, omega: float, desk_cap: int) -> SchedulePlan:
-    """Stage plan for iterated expansion from k seed bits.
-
-    A stage with k_i seed bits targets 2**(k_i**(1-omega)) output bits at
-    test probability k_i**omega / 2**(k_i**(1-omega)); execution sizes are
-    capped per stage at desk_cap, and the uncapped targets are reported
-    alongside.  Seed lengths are tracked in log2 so the tower can be
-    followed past float range; planning stops when the uncapped output
-    stops growing.
-    """
-    if not 0 < omega < 1:
-        raise ValueError("exponent must lie in the open interval (0, 1)")
-    if k < 2:
-        raise ValueError("need at least 2 seed bits")
-    stages = []
-    log_ki = float(np.log2(k))
-    for _ in range(_PLAN_STAGES):
-        # log2 of the uncapped output length: k_i**(1-omega)
-        log_out = _pow2_safe((1.0 - omega) * log_ki)
-        n_uncapped = 2.0**log_out if log_out < 63 else float("inf")
-        n_capped = int(min(n_uncapped, desk_cap))
-        log_q = omega * log_ki - log_out  # log2 of k_i**omega / 2**log_out
-        q = 2.0**log_q if log_q > -300 else 0.0
-        stages.append({
-            "seed_bits_log2": log_ki,
-            "N_uncapped": n_uncapped,
-            "N": n_capped,
-            "q": q,
-        })
-        if log_out <= log_ki + 1e-12:
-            break
-        log_ki = log_out
-    return SchedulePlan(stages=tuple(stages), theoretical_output=log_ki)
-
-
-def stages_to_reach(k: int, omega: float, target_log2: float) -> int:
-    """Number of uncapped stages before the output length passes a target
-    length (given as its log2); pure tower arithmetic."""
-    if not 0 < omega < 1:
-        raise ValueError("exponent must lie in the open interval (0, 1)")
-    log_ki = float(np.log2(k))
-    for i in range(1, _REACH_STAGES + 1):
-        log_out = _pow2_safe((1.0 - omega) * log_ki)
-        if log_out >= target_log2:
-            return i
-        if log_out <= log_ki + 1e-12:
-            raise InfeasibleError("schedule stalls before reaching the target")
-        log_ki = log_out
-    raise InfeasibleError("target not reached within the stage budget")
-
-
-def _pow2_safe(x: float) -> float:
-    return 2.0**x if x < 1023 else float("inf")

@@ -167,7 +167,6 @@ class LinearCode:
     regime: str = "unique"
     list_cap: int = 0
     interleave: int = 1
-    distance_provenance: str = "by construction"
 
     def __post_init__(self):
         h = np.asarray(self.check_matrix, dtype=np.uint8) % 2
@@ -344,8 +343,7 @@ def bch_15_5() -> LinearCode:
         for j in range(11):
             gen[row, row + j] = (g >> j) & 1
     h = gf2_null_space(gen)
-    code = LinearCode(name="bch-15-5", check_matrix=h, min_distance=7,
-                      distance_provenance="verified exhaustively")
+    code = LinearCode(name="bch-15-5", check_matrix=h, min_distance=7)
     if verify_min_distance(code) != 7:
         raise RuntimeError("distance check failed for the length-15 code")
     return code
@@ -361,8 +359,7 @@ def interleaved(base: LinearCode, copies: int) -> LinearCode:
         h[b * c:(b + 1) * c, b * n:(b + 1) * n] = base.check_matrix
     return LinearCode(name=f"{base.name}-x{copies}", check_matrix=h,
                       min_distance=base.min_distance, regime=base.regime,
-                      list_cap=base.list_cap, interleave=copies,
-                      distance_provenance=base.distance_provenance)
+                      list_cap=base.list_cap, interleave=copies)
 
 
 def random_linear_code(length: int, checks: int, rng: np.random.Generator,
@@ -375,8 +372,7 @@ def random_linear_code(length: int, checks: int, rng: np.random.Generator,
             break
         h = rng.integers(0, 2, size=(checks, length)).astype(np.uint8)
     return LinearCode(name=f"random-{length}x{checks}", check_matrix=h,
-                      min_distance=1, regime="list", list_cap=list_cap,
-                      distance_provenance="not applicable (list regime)")
+                      min_distance=1, regime="list", list_cap=list_cap)
 
 
 # ---------------------------------------------------------------------------

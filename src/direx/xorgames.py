@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import InvalidOperatorError
-from .matrixcore import HERMITIAN_ATOL, hermitian_entries
+from .matrixcore import HERMITIAN_ATOL
 
 PROB_SUM_ATOL = 1e-12
 UNIT_ATOL = 1e-9
@@ -618,8 +618,9 @@ TRUST_RESOLUTION = 1e-3  # the search's bisection step, subtracted from its boun
 
 
 def scoring_operator(game: XorGame, zetas) -> np.ndarray:
-    """Reverse-diagonal scoring operator of a canonical-form qubit strategy,
-    as validated Hermitian entries."""
+    """Reverse-diagonal scoring operator of a canonical-form qubit strategy:
+    entry (b, 2**n - 1 - b) is the score polynomial with the phases of the
+    players set in b conjugated, so the matrix is Hermitian."""
     z = np.asarray(zetas, dtype=np.complex128)
     if z.shape != (game.n,):
         raise ValueError(f"expected {game.n} phases, got shape {z.shape}")
@@ -631,7 +632,7 @@ def scoring_operator(game: XorGame, zetas) -> np.ndarray:
         bits = [(b >> (game.n - 1 - j)) & 1 for j in range(game.n)]
         zz = np.where(np.array(bits) == 1, z.conj(), z)
         m[b, d - 1 - b] = _pg_batch(game, zz[None, :])[0]
-    return hermitian_entries(m)
+    return m
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,10 @@
 """Block stacks against the block-by-block code they replaced.
 
-The exact layer (pseudo_power, the divergences, the inequality checks,
-exact_small_run and the validation of CQ states) works on (B, d, d)
-stacks.  Each reference below is the per-block code that the stacked code
-replaced, kept as a test-only copy; the stacked code must equal it by ==
-and np.array_equal, not approximately.
+The exact layer (pseudo_power, the divergences, the inequality checks and
+exact_small_run) works on (B, d, d) stacks.  Each reference below is the
+per-block code that the stacked code replaced, kept as a test-only copy;
+the stacked code must equal it by == and np.array_equal, not
+approximately.
 """
 
 from itertools import product
@@ -18,16 +18,13 @@ from direx.devices import random_partially_trusted
 from direx.entropy import (
     SUPPORT_CUTOFF,
     BlockOperator,
-    CqState,
     dmax,
     measurement_split,
     renyi_divergence,
     schatten_ineq_check,
-    smooth_from_renyi,
-    trace_distance,
     uncertainty_check,
 )
-from direx.errors import InvalidOperatorError, SupportViolationError
+from direx.errors import SupportViolationError
 from direx.matrixcore import pseudo_power
 from direx.protocols import conditional_environment_states, exact_small_run
 from direx.rates import uncertainty_exponent, worst_case_rate
@@ -86,73 +83,6 @@ def reference_dmax(pairs):
 
 def reference_block_trace(blocks):
     return float(sum(np.asarray(b).trace().real for b in blocks))
-
-
-def reference_psd_block(a):
-    """One block through separate per-block checks: square, dimension
-    in [1, 64], Hermitian within 1e-12, then symmetrised, PSD up to the
-    floor -1e-10 * max(1, -lo, hi) with its own eigvalsh."""
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidOperatorError(f"expected a square matrix, got shape {a.shape}")
-    if not 1 <= a.shape[0] <= 64:
-        raise InvalidOperatorError(f"dimension {a.shape[0]} outside [1, 64]")
-    if not np.allclose(a, a.conj().T, rtol=0.0, atol=1e-12):
-        raise InvalidOperatorError("matrix is not Hermitian")
-    a = 0.5 * (a + a.conj().T)
-    w = np.linalg.eigvalsh(a)
-    lo = float(w[0])
-    if lo < -1e-10 * max(1.0, -lo, float(w[-1])):
-        raise InvalidOperatorError(f"matrix is not PSD (smallest eigenvalue {lo:.3e})")
-    return a
-
-
-class ReferenceCqState:
-    """The CQ state as a tuple of separately validated blocks, with the
-    state checks made after every block is built."""
-
-    def __init__(self, labels, arrays):
-        self.labels = tuple(labels)
-        self.blocks = tuple(reference_psd_block(a) for a in arrays)
-        if len(self.labels) != len(self.blocks):
-            raise ValueError("labels and blocks must align")
-        if not self.blocks:
-            raise ValueError("need at least one block")
-        if len({b.shape for b in self.blocks}) != 1:
-            raise ValueError("blocks must share a dimension")
-        total = self.trace()
-        if not -1e-12 <= total <= 1.0 + 1e-9:
-            raise ValueError(f"total trace {total} outside [0, 1]")
-
-    def trace(self):
-        return float(sum(float(b.trace().real) for b in self.blocks))
-
-
-def reference_trace_distance(a, b):
-    return float(sum(np.abs(np.linalg.eigvalsh(x - y)).sum()
-                     for x, y in zip(a.blocks, b.blocks)))
-
-
-def reference_smooth(rho, sigma_blocks, alpha, epsilon):
-    pairs = list(zip(rho.blocks, sigma_blocks))
-    base = reference_renyi(pairs, rho.trace(), alpha)
-    bound = base + (2.0 * np.log2(1.0 / epsilon) + 1.0) / (alpha - 1.0)
-    smoothed = []
-    for rb, sb in pairs:
-        st_ = 2.0**bound * sb
-        delta = reference_pseudo_power(rb - st_, 1.0, 0.0)
-        g = (reference_pseudo_power(st_, 0.5, 0.0)
-             @ reference_pseudo_power(st_ + delta, -0.5, 1e-14))
-        smoothed.append(reference_pseudo_power(g @ rb @ g.conj().T, 1.0, 0.0))
-    return ReferenceCqState(rho.labels, smoothed), float(bound)
-
-
-def outcome(fn):
-    """("ok", value), or the error's type for a call that raises."""
-    try:
-        return "ok", fn()
-    except ValueError as err:
-        return type(err), None
 
 
 def reference_trace_out(rho, dq, de):
@@ -272,9 +202,10 @@ def random_psd(rng, d, rank):
 
 @st.composite
 def block_pairs(draw, violate=False):
-    """(rho blocks, sigma) with rho a CqState or BlockOperator of 1-70
-    blocks of dimension 1-16 (eight or more: numpy's pairwise sums would
-    change order), and sigma a labeled stack or one broadcast operator.
+    """(rho, sigma, sigma blocks) with rho a BlockOperator of 1-70 blocks
+    of dimension 1-16 (eight or more: numpy's pairwise sums would
+    change order), and sigma either a labeled BlockOperator or one plain
+    (d, d) operator that broadcasts: the two branches of _block_stacks.
     A rank-deficient sigma gives the support check null vectors; rho then
     lives inside its support unless violate is set.  Half the draws have
     d <= 4: einsum picks its summation order by shape, and d = 2 with one
@@ -298,8 +229,7 @@ def block_pairs(draw, violate=False):
     total = sum(np.trace(b).real for b in blocks)
     blocks = [b * (draw(st.floats(0.2, 1.0)) / total) for b in blocks]
     labels = tuple(range(count))
-    rho = (CqState(labels, blocks) if draw(st.booleans())
-           else BlockOperator(labels, blocks))
+    rho = BlockOperator(labels, blocks)
     base = support @ random_psd(rng, rank, rank) @ support.conj().T
     if draw(st.booleans()):
         scales = [draw(st.floats(0.05, 5.0)) for _ in labels]
@@ -316,42 +246,6 @@ def block_pairs(draw, violate=False):
         sigma = (BlockOperator(labels, sigma_blocks) if isinstance(sigma, BlockOperator)
                  else sigma_blocks[0])
     return rho, sigma, sigma_blocks
-
-
-@st.composite
-def cq_inputs(draw):
-    """(labels, blocks) for a CQ state: valid states and near misses of
-    each check.  A Hermitian break of 5e-13 is inside the 1e-12 tolerance
-    and one of 2e-12 is not; a PSD break lowers one block by 5e-11 (above
-    the floor of -1e-10 for blocks of norm at most 1), 2e-10 or 1e-3; a
-    large break scales one block by 1e9 and lowers it by 5e-8 (above the
-    floor scaled by the norm) or 0.5, leaving a trace past the cap; the
-    total trace lands at or just beyond the cap 1 + 1e-9; a dimension of
-    65 is one past the cap.  Up to 70 blocks: np.sum over eight or more
-    would add the traces pairwise."""
-    d = draw(st.one_of(st.integers(1, 4), st.integers(1, 12), st.just(65)))
-    count = draw(st.integers(1, 70))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    blocks = [random_psd(rng, d, int(rng.integers(1, d + 1)))
-              for _ in range(count)]
-    target = draw(st.one_of(st.floats(0.05, 1.0),
-                            st.sampled_from((1.0, 1.0 + 5e-10, 1.0 + 2e-9))))
-    total = sum(np.trace(b).real for b in blocks)
-    blocks = [b * (target / total) for b in blocks]
-    k = draw(st.integers(0, count - 1))
-    kind = draw(st.sampled_from(("none", "hermitian", "psd", "large")))
-    if kind == "hermitian":
-        size = draw(st.sampled_from((5e-13, 2e-12)))
-        if d == 1:
-            blocks[k] = blocks[k] + 0.5j * size
-        else:
-            blocks[k] = blocks[k].copy()
-            blocks[k][0, 1] += size
-    elif kind == "psd":
-        blocks[k] = blocks[k] - draw(st.sampled_from((5e-11, 2e-10, 1e-3))) * np.eye(d)
-    elif kind == "large":
-        blocks[k] = 1e9 * blocks[k] - draw(st.sampled_from((5e-8, 0.5))) * np.eye(d)
-    return tuple(range(count)), blocks
 
 
 @st.composite
@@ -482,69 +376,6 @@ class TestInequalityStacks:
         expect = reference_environment_states(beh)
         assert list(got) == list(expect)
         assert all(np.array_equal(got[k], expect[k]) for k in expect)
-
-
-class TestCqStateAgainstPerBlockRoute:
-    @settings(max_examples=200, deadline=None)
-    @given(case=cq_inputs(), alpha=st.floats(1.01, 2.0),
-           epsilon=st.floats(0.05, 1.4), full_rank_sigma=st.booleans(),
-           seed=st.integers(0, 2**32 - 1))
-    def test_same_states_and_same_values(self, case, alpha, epsilon,
-                                         full_rank_sigma, seed):
-        labels, blocks = case
-        got = outcome(lambda: CqState(labels, blocks))
-        ref = outcome(lambda: ReferenceCqState(labels, blocks))
-        assert got[0] == ref[0]
-        if got[0] != "ok":
-            return
-        rho, expect = got[1], ref[1]
-        assert np.array_equal(rho.blocks, np.stack(expect.blocks))
-        assert rho.trace() == expect.trace()
-        rng = np.random.default_rng(seed)
-        d = rho.blocks.shape[1]
-        base = random_psd(rng, d, d if full_rank_sigma else max(d - 1, 1))
-        if rng.random() < 0.5:
-            sigma_blocks = [rng.uniform(0.05, 5.0) * base for _ in labels]
-            sigma = BlockOperator(labels, sigma_blocks)
-        else:
-            sigma, sigma_blocks = base, [base] * len(labels)
-        pairs = list(zip(expect.blocks, sigma_blocks))
-        assert (outcome(lambda: renyi_divergence(rho, sigma, alpha))
-                == outcome(lambda: reference_renyi(pairs, expect.trace(), alpha)))
-        assert (outcome(lambda: dmax(rho, sigma))
-                == outcome(lambda: reference_dmax(pairs)))
-        got = outcome(lambda: smooth_from_renyi(rho, sigma, alpha, epsilon))
-        ref = outcome(lambda: reference_smooth(expect, sigma_blocks, alpha, epsilon))
-        assert got[0] == ref[0]
-        if got[0] != "ok":
-            return
-        (smoothed, bound), (ref_smoothed, ref_bound) = got[1], ref[1]
-        assert type(smoothed) is CqState and smoothed.labels == labels
-        assert bound == ref_bound
-        assert np.array_equal(smoothed.blocks, np.stack(ref_smoothed.blocks))
-        assert (trace_distance(rho, smoothed)
-                == reference_trace_distance(expect, ref_smoothed))
-
-    @pytest.mark.parametrize("labels, blocks", [
-        (("x", "y"), [np.eye(2) / 4]),                 # labels do not align
-        ((), []),                                      # no block
-        (("x", "y"), [np.eye(2) / 4, np.eye(3) / 9]),  # ragged
-        (("x",), [np.ones((2, 3)) / 8]),               # not square
-        (("x",), [np.zeros((0, 0))]),                  # dimension 0
-    ])
-    def test_shape_errors_rejected_by_both(self, labels, blocks):
-        with pytest.raises(ValueError):
-            ReferenceCqState(labels, blocks)
-        with pytest.raises(ValueError):
-            CqState(labels, blocks)
-
-    def test_stack_is_read_only_and_symmetrised(self):
-        a = np.array([[0.25, 0.1 + 1e-13], [0.1, 0.25]])
-        rho = CqState(["x"], [a])
-        assert rho.labels == ("x",)
-        assert not rho.blocks.flags.writeable
-        assert np.array_equal(rho.blocks[0], rho.blocks[0].conj().T)
-        assert isinstance(rho, BlockOperator)
 
 
 class TestBlockOperatorValidation:

@@ -172,6 +172,26 @@ class TestRecordsAndDeterminism:
         assert text[0].startswith("checked") or "checked" in text[0]
         assert len(text) == 2
 
+    def test_csv_append_under_other_columns_refused(self, tmp_path, capsys):
+        p = tmp_path / "mix.csv"
+        assert run_cli("--format", "csv", "--output", str(p), "verify",
+                       "--suite", "schatten", "--instances", "3") == EXIT_OK
+        before = p.read_bytes()
+        capsys.readouterr()
+        assert run_cli("--format", "csv", "--output", str(p), "recon",
+                       "--trials", "3") == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--output" in err and "'checked'" in err and "'code'" in err
+        assert p.read_bytes() == before
+
+    def test_csv_append_same_command(self, tmp_path):
+        p = tmp_path / "twice.csv"
+        for _ in range(2):
+            assert run_cli("--format", "csv", "--output", str(p), "verify",
+                           "--suite", "schatten", "--instances", "3") == EXIT_OK
+        rows = list(csv.reader(p.read_text().splitlines()))
+        assert len(rows) == 3 and {len(r) for r in rows} == {len(rows[0])}
+
     def test_every_record_carries_config_snapshot(self, tmp_path):
         p = tmp_path / "r.jsonl"
         run_cli("--output", str(p), "simulate", "--game", "ghz", "--N", "200",

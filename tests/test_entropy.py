@@ -5,14 +5,11 @@ from hypothesis import strategies as st
 
 from direx.entropy import (
     BlockOperator,
-    CqState,
     dmax,
     measurement_split,
     pinching_channel,
     renyi_divergence,
     schatten_ineq_check,
-    smooth_from_renyi,
-    trace_distance,
     uncertainty_check,
 )
 from direx.errors import SupportViolationError
@@ -163,57 +160,6 @@ class TestEntropyLaws:
     def test_collision_divergence_below_dmax(self, pair):
         rho, sigma, _ = pair
         assert renyi_divergence(rho, sigma, 2.0) <= dmax(rho, sigma) + 1e-9
-
-
-class TestSmoothing:
-    def _random_cq(self, rng, dim=4, labels=4):
-        weights = rng.dirichlet(np.ones(labels))
-        return CqState(
-            tuple(range(labels)),
-            [w * rand_density(rng, dim) for w in weights])
-
-    def test_identity_case_both_guarantees(self):
-        rng = np.random.default_rng(8)
-        rho = CqState(("a",), [rand_density(rng, 4)])
-        for eps in (np.sqrt(2), 0.3):
-            sm, bound = smooth_from_renyi(rho, rho.blocks[0], 1.5, eps)
-            assert bound >= -1e-12
-            assert trace_distance(rho, sm) <= eps + 1e-9
-            assert dmax(sm, rho.blocks[0]) <= bound + 1e-8
-
-    def test_sqrt2_penalty_vanishes(self):
-        rng = np.random.default_rng(9)
-        rho = self._random_cq(rng)
-        sigma = CqState(rho.labels, [np.eye(4) / 16 for _ in rho.labels])
-        base = renyi_divergence(rho, sigma, 1.5)
-        _, bound = smooth_from_renyi(rho, sigma, 1.5, np.sqrt(2))
-        assert bound == pytest.approx(base, abs=1e-12)
-
-    def test_postconditions_random_sweep(self):
-        rng = np.random.default_rng(10)
-        for _ in range(1000):
-            dim = int(rng.integers(2, 9))
-            labels = int(rng.integers(1, 5))
-            rho = self._random_cq(rng, dim=dim, labels=labels)
-            sw = rng.dirichlet(np.ones(labels))
-            sigma = BlockOperator(
-                rho.labels,
-                tuple(w * rand_density(rng, dim) + 1e-6 * np.eye(dim)
-                      for w in sw))
-            alpha = float(rng.uniform(1.1, 2.0))
-            eps = float(rng.uniform(0.05, np.sqrt(2)))
-            sm, bound = smooth_from_renyi(rho, sigma, alpha, eps)
-            assert trace_distance(rho, sm) <= eps + 1e-9
-            assert dmax(sm, sigma) <= bound + 1e-7
-            assert sm.labels == rho.labels  # classical-quantum preserved
-
-    def test_smoothed_state_stays_positive(self):
-        rng = np.random.default_rng(11)
-        rho = self._random_cq(rng)
-        sigma = CqState(rho.labels, [np.eye(4) / 16] * 4)
-        sm, _ = smooth_from_renyi(rho, sigma, 1.3, 0.2)
-        for b in sm.blocks:
-            assert np.linalg.eigvalsh(b)[0] >= -1e-12
 
 
 class TestMeasurementSplit:

@@ -16,8 +16,6 @@ from direx.postprocess import (
     LedgerEntry,
     cross_feed,
     dyadic_upper,
-    expansion_schedule,
-    stages_to_reach,
     toeplitz_extract,
 )
 from direx.seeding import parse_master_seed, substream
@@ -375,32 +373,3 @@ class TestCrossFeed:
                        MASTER)
         assert np.array_equal(a.final_bits, b.final_bits)
 
-
-class TestSchedule:
-    def test_first_stage_matches_formula(self):
-        plan = expansion_schedule(16, 0.5, 10**5)
-        st = plan.stages[0]
-        assert st["N_uncapped"] == 16.0  # 2**(16**0.5)
-        assert st["N"] == min(16, 10**5)
-        assert st["q"] == pytest.approx(16**0.5 / 2 ** (16**0.5))
-
-    def test_omega_domain_open(self):
-        with pytest.raises(ValueError):
-            expansion_schedule(16, 1.0, 100)
-        with pytest.raises(ValueError):
-            expansion_schedule(16, 0.0, 100)
-
-    def test_desk_cap_applies(self):
-        plan = expansion_schedule(64, 0.25, 1000)
-        assert all(st["N"] <= 1000 for st in plan.stages)
-
-    def test_tower_growth_log_star(self):
-        # from 16 seed bits at exponent 1/4 the tower passes 2^65536 in
-        # three uncapped stages: 4 -> 8 -> 64 -> 2^48 (log2 seed lengths)
-        assert stages_to_reach(16, 0.25, 65536.0) == 3
-        # a shallower exponent from 64 bits takes four stages
-        assert stages_to_reach(64, 0.5, 65536.0) == 4
-
-    def test_stalling_schedule_detected(self):
-        with pytest.raises(InfeasibleError):
-            stages_to_reach(16, 0.5, 65536.0)

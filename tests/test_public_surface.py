@@ -13,6 +13,10 @@ top-level class's ``__init__``, must be passed by some call of that name
 in ``src/direx`` or ``perfbench/*.py``; a parameter only tests set is a
 constant in disguise.  A knob kept for another reason sits on
 ``KEEP_KNOBS`` with that reason.
+
+Every identifier in a README code span that has an inner underscore or is
+CamelCase must be spelled in ``src/direx`` or ``perfbench/*.py`` (defined,
+read, or inside a string), or be the stem of a file in ``tests/``.
 """
 
 import ast
@@ -27,27 +31,26 @@ SRC = ROOT / "src" / "direx"
 KEEP = {
     # xorgames
     "classical_optimum": "criterion 1 compares the quantum score with it",
-    "eval_pg": "the README's score polynomial; oracle for scoring_operator",
-    "eval_zg": "the README's cosine form; oracle for optimal_score",
+    "eval_pg": "oracle for scoring_operator's entries, and the score "
+               "polynomial whose modulus bounds eval_zg",
+    "eval_zg": "oracle for optimal_score: the maximiser must attain the score",
     "score_certificate": "certifies a claimed score, as analyze_game does",
     "scoring_operator": "its tests pin the max-entry-modulus norm rule that "
                         "the trust check relies on",
     # entropy
-    "dmax": "the README's max-divergence; criterion 13 bounds D_2 by it",
+    "dmax": "criterion 13 bounds D_2 by it",
     "pinching_channel": "criterion 13's data-processing channel",
-    "smooth_from_renyi": "the README's smoothing",
-    "trace_distance": "oracle for the smoothing postconditions",
     # rates
     "feasible": "criterion 4's feasibility boundary",
-    "one_round_rate": "the README's one-round rate",
-    # protocols and postprocess
+    "one_round_rate": "oracle for worst_case_rate, its minimum over t "
+                      "(tests/test_rates.py)",
+    # protocols
     "biased_bit_sampler": "criterion 10 measures its seed use against h(q)",
-    "expansion_schedule": "the README's expansion schedules",
-    "stages_to_reach": "the README's expansion schedules",
-    # qkd
-    "agreement_bound_check": "the README's agreement-rate machinery",
-    "bad_event": "the README's agreement-rate machinery",
-    "eta_bar": "the agreement margin of the agreement-rate machinery",
+    # qkd: the agreement group, which KdConfig.lam_prime feeds; wiring it
+    # into direx qkd is an open ROADMAP decision
+    "agreement_bound_check": "the agreement-rate check on counted bad events",
+    "bad_event": "the event agreement_bound_check counts",
+    "eta_bar": "the agreement margin agreement_bound_check takes",
 }
 
 KEEP_KNOBS = {
@@ -176,6 +179,37 @@ def _sources():
 def _package_scan():
     bodies, rooted = survey(*_sources())
     return bodies, frozenset(rooted | readme_names((ROOT / "README.md").read_text()))
+
+
+def _spelled(tree):
+    """Names a module defines, reads, or spells anywhere inside a string."""
+    for sub in ast.walk(tree):
+        if isinstance(sub, _DEFINITIONS):
+            yield sub.name
+        elif isinstance(sub, ast.arg):
+            yield sub.arg
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield from re.findall(r"[A-Za-z_]\w*", sub.value)
+    yield from _identifiers(tree)
+
+
+def _code_like(name):
+    """An inner underscore or CamelCase: a spelling prose does not use."""
+    return ("_" in name.strip("_")
+            or re.fullmatch(r"[A-Z][a-z0-9]+[A-Z]\w*", name) is not None)
+
+
+def test_readme_names_exist():
+    # a README code span must not name what the code no longer has, such
+    # as a deleted function in the layout table
+    package, roots = _sources()
+    known = {name for text in package + roots for name in _spelled(ast.parse(text))}
+    known |= {p.stem for p in (ROOT / "tests").glob("*.py")}
+    named = {name for name in readme_names((ROOT / "README.md").read_text())
+             if _code_like(name)}
+    assert not named - known, (
+        f"README code spans name what src/direx and perfbench/*.py never "
+        f"spell: {sorted(named - known)}")
 
 
 def test_every_public_name_has_a_reader():

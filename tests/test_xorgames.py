@@ -393,6 +393,13 @@ class TestScoringOperator:
         with pytest.raises(ValueError):
             scoring_operator(CHSH, [np.exp(-0.5j), 1])
 
+    def test_hermitian_on_random_phases(self):
+        rng = np.random.default_rng(14)
+        for game in (GHZ, CHSH):
+            for _ in range(50):
+                m = scoring_operator(game, np.exp(1j * rng.uniform(0, np.pi, game.n)))
+                assert np.max(np.abs(m - m.conj().T)) <= 1e-12
+
 
 class TestAbsPgBound:
     def test_pg_bounded_by_optimal_score(self):
