@@ -23,6 +23,7 @@ eight or more blocks would add them pairwise, in another order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -111,11 +112,15 @@ def _check_support(rho_stack, sigma_stack):
             f"support violation: null-eigenvector overlap {worst:.3e}", worst)
 
 
+def _clipped_spectra(m: np.ndarray) -> np.ndarray:
+    """The eigenvalues of M_+ for each matrix of a stack (..., d, d)."""
+    w = np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))
+    return np.where(w > 0.0, w, 0.0)
+
+
 def _psd_trace_powers(m: np.ndarray, p: float) -> np.ndarray:
     """Tr(M_+^p) for each matrix of a stack (..., d, d), as an array."""
-    w = np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))
-    w = np.where(w > 0.0, w, 0.0)
-    return np.sum(w**p, axis=-1)
+    return np.sum(_clipped_spectra(m)**p, axis=-1)
 
 
 def renyi_divergence(rho, sigma, alpha: float) -> float:
@@ -162,6 +167,13 @@ class MeasurementInstance:
     rho_plus: np.ndarray
     rho_minus: np.ndarray
 
+    @cached_property
+    def spectra(self) -> np.ndarray:
+        """The clipped spectra of (rho, rho1, rho_plus, rho_minus), one row
+        each: every exponent of :func:`uncertainty_check` reads these."""
+        return _clipped_spectra(np.stack((self.rho, self.rho1, self.rho_plus,
+                                          self.rho_minus)))
+
 
 def measurement_split(Z) -> MeasurementInstance:
     """Split a correlation matrix into its four conditional operators."""
@@ -199,9 +211,8 @@ def uncertainty_check(inst: MeasurementInstance, epsilon: float) -> UncertaintyC
     """
     if not 0 < epsilon <= 1:
         raise ValueError(f"exponent must lie in (0, 1], got {epsilon}")
-    denom, one, plus, minus = _psd_trace_powers(
-        np.stack((inst.rho, inst.rho1, inst.rho_plus, inst.rho_minus)),
-        1.0 + epsilon).tolist()
+    denom, one, plus, minus = np.sum(inst.spectra**(1.0 + epsilon),
+                                     axis=-1).tolist()
     if denom <= 0:
         raise ValueError("state must have positive trace")
     delta = one / denom

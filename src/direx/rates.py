@@ -9,18 +9,27 @@ The searches run in lanes.  A lane is one (v, h, q, kappa, r) parameter
 set; :func:`worst_case_rate` and :func:`rate_T_E` take arrays of lanes, and
 :func:`maximize_bound` and :func:`tune_parameters` evaluate their whole
 (q, kappa) grid in one call.  The public functions validate once and then
-call the unvalidated kernels (:func:`_lane`, :func:`_rate`).  Each lane's
-grid is filled on its own contiguous array, and :func:`golden_section_lanes`
-then refines every lane's grid minimum in lockstep.
+call the unvalidated kernels (:func:`_lane`, :func:`_gamma_factor`,
+:func:`_lane_rate`).
+
+The one-round rate splits into a factor E_gamma(t) = expm1(-gamma pi_gamma(t)
+ln 2), which depends on gamma = r q kappa alone, and a per-lane remainder.
+:func:`worst_case_rate` fills the dense grid of E_gamma once per distinct
+gamma (equal floats only) and each lane's rate from it, so lanes that share
+a gamma, as the mirrored (q, kappa) products of the tuning grid and the
+lanes at the cap r = 1/(q kappa) often do, share one grid.  The refinement
+of each lane's grid minimum then runs in :func:`golden_section_lanes`: a
+one-lane call walks the recursion a few steps per kernel call, and two or
+more lanes advance together one step per kernel call.
 
 Every lane equals the one-lane search bit for bit.  Elementwise
 arithmetic is correctly rounded whatever the array's length or strides, and
 numpy's log, log1p and expm1 give the same value for a point whether it
 comes alone or inside an array.  ``np.power`` on an array can round
 differently from scalar ``**``, so each lane's powers are taken on scalars.
-The golden-section bracket arithmetic runs on Python floats, which round as
-float64 does.  The tests check the lanes against the sequential search by
-``==``.
+The golden-section bracket arithmetic runs on Python floats or float64
+arrays, which round alike.  The tests check the lanes against the
+sequential search by ``==``.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ SQRT2 = float(np.sqrt(2.0))
 
 DELTA_GRID_STEP = 1e-4
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-# golden-section steps per kernel call: 2**4 - 1 = 15 points a lane
+# golden-section steps per kernel call of a one-lane walk: 2**4 - 1 = 15 points
 _GOLDEN_DEPTH = 4
 
 
@@ -160,15 +169,27 @@ def _lane(v, h, q, kappa, r) -> tuple:
             v ** (1.0 + gamma))
 
 
+def _gamma_factor(am1, scale, gamma, t_terms):
+    """E_gamma(t) = expm1(-gamma pi_gamma(t) ln 2), the factor of the
+    one-round rate that depends on gamma and t alone, from the first three
+    factors of :func:`_lane` and ``_delta_terms(t)``."""
+    return np.expm1(-gamma * _exponent(am1, scale, t_terms) * LN2)
+
+
+def _lane_rate(gamma, pass_weight, test_weight, honest0, honest1, t, e_gamma):
+    """The one-round rate at t from the last five factors of :func:`_lane`
+    and E_gamma(t), without validation.  The factors are scalars or arrays
+    matching t."""
+    bracket_m1 = pass_weight * e_gamma + test_weight * (honest0 + honest1 * t)
+    return -(np.log1p(bracket_m1) / LN2) / gamma
+
+
 def _rate(am1, scale, gamma, pass_weight, test_weight, honest0, honest1, t,
           t_terms):
     """The one-round rate at t from the factors of :func:`_lane` and
-    ``_delta_terms(t)``, without validation.  The factors are scalars or
-    arrays matching t."""
-    pi_val = _exponent(am1, scale, t_terms)
-    bracket_m1 = pass_weight * np.expm1(-gamma * pi_val * LN2) \
-        + test_weight * (honest0 + honest1 * t)
-    return -(np.log1p(bracket_m1) / LN2) / gamma
+    ``_delta_terms(t)``, without validation."""
+    return _lane_rate(gamma, pass_weight, test_weight, honest0, honest1, t,
+                      _gamma_factor(am1, scale, gamma, t_terms))
 
 
 def one_round_rate(v, h, q, kappa, r, t):
@@ -192,7 +213,7 @@ def _golden_points(a, b, c, d, left: bool, depth: int) -> list:
     The first step's branch is known; each later step may go either way.
     Level j contributes 2**(j-1) points, node n of a level having children
     2n (left) and 2n+1 (right), so the result has 2**depth - 1 points.  The
-    bracket arithmetic is that of :func:`golden_section_lanes`, so each
+    bracket arithmetic is that of :func:`_golden_walk`, so each
     point equals the one the step computes."""
     g = float(_GOLDEN)
     if left:
@@ -216,8 +237,47 @@ def _golden_points(a, b, c, d, left: bool, depth: int) -> list:
     return points
 
 
+def _golden_walk(f, a: float, b: float, floor: float) -> float:
+    """The golden-section recursion on one bracket, _GOLDEN_DEPTH steps per
+    call of f: the points those steps can reach depend only on the bracket
+    (see :func:`_golden_points`), so they are evaluated together and each
+    step then looks its value up."""
+    g, depth = float(_GOLDEN), _GOLDEN_DEPTH
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = f(np.array([c, d]), np.zeros(2, dtype=int)).tolist()
+    lane = np.zeros(2 ** depth - 1, dtype=int)
+    steps = 0
+    # a bracket below 1 closes to 1e-12 within 58 golden steps
+    while not (steps == 80 or b - a < 1e-12):
+        vals = f(np.array(_golden_points(a, b, c, d, fc < fd, depth)),
+                 lane).tolist()
+        node = 0
+        for j in range(depth):
+            if steps == 80 or b - a < 1e-12:
+                break
+            if j:
+                node = 2 * node + (0 if fc < fd else 1)
+            val = vals[2 ** j - 1 + node]
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c, fc = b - g * (b - a), val
+            else:
+                a, c, fc = c, d, fd
+                d, fd = a + g * (b - a), val
+            steps += 1
+    return min(floor, fc, fd)
+
+
+def _settle(out, idx, fc, fd) -> None:
+    """out[idx] = min(out[idx], fc, fd) lane by lane, a later value winning
+    only when strictly smaller, as Python's min does."""
+    best = out[idx]
+    best = np.where(fc < best, fc, best)
+    out[idx] = np.where(fd < best, fd, best)
+
+
 def golden_section_lanes(f, a, b, floor) -> np.ndarray:
-    """Golden-section minimization of many brackets [a, b] in lockstep.
+    """Golden-section minimization of many brackets [a, b].
 
     Each lane follows the one-bracket recursion exactly: c = b - g(b - a)
     and d = a + g(b - a) with g the inverse golden ratio, a step to the
@@ -228,58 +288,40 @@ def golden_section_lanes(f, a, b, floor) -> np.ndarray:
     on the others.
 
     f(points, lane) returns the values at a flat array of points, lane[k]
-    naming the lane of points[k].  Each call covers the next _GOLDEN_DEPTH
-    steps of every running lane: the points those steps can reach depend
-    only on the bracket (see :func:`_golden_points`), so they are evaluated
-    together and each step then looks its value up.  The bracket
-    arithmetic runs on Python floats, which round as float64 arrays do.
+    naming the lane of points[k].  One lane is walked _GOLDEN_DEPTH steps
+    per call of f (:func:`_golden_walk`).  Two or more lanes run in numpy
+    lockstep: each call of f takes one point from every lane still running,
+    and the bracket arithmetic runs on float64 arrays.  The two differ only
+    in cost.  Lockstep pays numpy's per-call overhead once per step for all
+    lanes: about five times the walk's cost on one lane, and about a
+    quarter of the cost of walking 144 lanes four steps per call.
     """
-    g, depth = float(_GOLDEN), _GOLDEN_DEPTH
     floor = np.asarray(floor, dtype=float)
-    n = len(floor)
-    ab = np.column_stack((a, b)).tolist()
-    cd = [[b - g * (b - a), a + g * (b - a)] for a, b in ab]
-    fcd = f(np.ravel(cd), np.repeat(np.arange(n), 2)).tolist()
-    # per lane: a, b, c, d, f(c), f(d), steps taken
-    lanes = [[a, b, c, d, fc, fd, 0]
-             for (a, b), (c, d), (fc, fd) in zip(ab, cd, zip(fcd[::2], fcd[1::2]))]
+    if len(floor) == 1:
+        return np.array([_golden_walk(f, float(a[0]), float(b[0]),
+                                      float(floor[0]))])
+    g = float(_GOLDEN)
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    live = np.arange(len(floor))
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = np.split(f(np.concatenate((c, d)), np.tile(live, 2)), 2)
     out = floor.copy()
-    live = range(n)
-    per_lane = 2 ** depth - 1
-    while True:
-        running, live = live, []
-        for i in running:
-            a, b, c, d, fc, fd, steps = lanes[i]
-            # a bracket below 1 closes to 1e-12 within 58 golden steps
-            if steps == 80 or b - a < 1e-12:
-                out[i] = min(out[i], fc, fd)
-            else:
-                live.append(i)
-        if not live:
-            return out
-        points = []
-        for i in live:
-            a, b, c, d, fc, fd, _ = lanes[i]
-            points += _golden_points(a, b, c, d, fc < fd, depth)
-        vals = f(np.array(points), np.repeat(live, per_lane)).tolist()
-        for k, i in enumerate(live):
-            lane = lanes[i]
-            a, b, c, d, fc, fd, steps = lane
-            node = 0
-            for j in range(depth):
-                if steps == 80 or b - a < 1e-12:
-                    break
-                if j:
-                    node = 2 * node + (0 if fc < fd else 1)
-                val = vals[k * per_lane + 2 ** j - 1 + node]
-                if fc < fd:
-                    b, d, fd = d, c, fc
-                    c, fc = b - g * (b - a), val
-                else:
-                    a, c, fc = c, d, fd
-                    d, fd = a + g * (b - a), val
-                steps += 1
-            lane[:] = a, b, c, d, fc, fd, steps
+    for _ in range(80):
+        done = b - a < 1e-12
+        if done.any():
+            _settle(out, live[done], fc[done], fd[done])
+            run = ~done
+            live, a, b, c, d, fc, fd = (x[run] for x in (live, a, b, c, d, fc, fd))
+            if not len(live):
+                return out
+        left = fc < fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        point = np.where(left, b - g * (b - a), a + g * (b - a))
+        val = f(point, live)
+        c, d = np.where(left, point, d), np.where(left, c, point)
+        fc, fd = np.where(left, val, fd), np.where(left, fc, val)
+    _settle(out, live, fc, fd)
+    return out
 
 
 def _grid_bracket(grid, vals) -> tuple:
@@ -301,7 +343,22 @@ def refine_grid_min(f, grid, vals) -> float:
     step as long as f gives a point the same value alone or in an array.
     """
     a, b, floor = _grid_bracket(grid, vals)
-    return float(golden_section_lanes(lambda t, _: f(t), [a], [b], [floor])[0])
+    return _golden_walk(lambda t, _: f(t), float(a), float(b), float(floor))
+
+
+def _check_rate_args(**args) -> None:
+    """Reject an empty lane set, a non-finite value, a q outside (0, 1) and
+    a kappa <= 0, naming the argument."""
+    for name, x in args.items():
+        if x.size == 0:
+            raise ValueError(f"{name} is empty: need at least one lane")
+    for name, x in args.items():
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"{name} must be finite")
+    if not np.all((0 < args["q"]) & (args["q"] < 1)):
+        raise ValueError("q (test probability) must lie in (0, 1)")
+    if not np.all(args["kappa"] > 0):
+        raise ValueError("kappa (failure penalty) must be positive")
 
 
 def worst_case_rate(v, h, q, kappa, r):
@@ -309,19 +366,30 @@ def worst_case_rate(v, h, q, kappa, r):
     grid refined by golden-section search.
 
     Vectorized: the arguments broadcast to lanes, and the result has their
-    shape (a float for scalar arguments).  Each lane's grid is filled on
-    its own contiguous array, then :func:`golden_section_lanes` refines all
-    lanes at once; every lane equals its one-lane search bit for bit (see
-    the module docstring).
+    shape (a float for scalar arguments).  The grid of E_gamma is filled
+    once per distinct gamma = r q kappa; lanes are visited one gamma group
+    at a time, so only that group's grid is alive, and each lane takes its
+    own grid minimum and bracket from its own rate grid.
+    :func:`golden_section_lanes` then refines every lane at once; each lane
+    equals its one-lane search bit for bit (see the module docstring).
     """
-    args = np.broadcast_arrays(*(np.asarray(x, dtype=float)
-                                 for x in (v, h, q, kappa, r)))
+    named = {name: np.asarray(x, dtype=float)
+             for name, x in zip(("v", "h", "q", "kappa", "r"), (v, h, q, kappa, r))}
+    _check_rate_args(**named)
+    args = np.broadcast_arrays(*named.values())
     lanes = [_lane(*p) for p in zip(*(x.ravel().tolist() for x in args))]
     _check_gamma(np.array([lane[2] for lane in lanes]))
     ts = np.arange(0.0, 1.0 + DELTA_GRID_STEP / 2, DELTA_GRID_STEP)
     ts_terms = _delta_terms(ts)
-    a, b, floor = zip(*(_grid_bracket(ts, _rate(*lane, ts, ts_terms))
-                        for lane in lanes))
+    groups = {}
+    for i, lane in enumerate(lanes):
+        groups.setdefault(lane[2], []).append(i)
+    a, b, floor = (np.empty(len(lanes)) for _ in range(3))
+    for members in groups.values():
+        e_gamma = _gamma_factor(*lanes[members[0]][:3], ts_terms)
+        for i in members:
+            a[i], b[i], floor[i] = _grid_bracket(
+                ts, _lane_rate(*lanes[i][2:], ts, e_gamma))
     factors = [np.array(x) for x in zip(*lanes)]
     out = golden_section_lanes(
         lambda t, lane: _rate(*(x[lane] for x in factors), t, _delta_terms(t)),
@@ -352,9 +420,7 @@ def rate_T_E(v: float, h: float, eta: float, q, kappa):
         raise ValueError("error tolerance must lie in (0, v/2)")
     q = np.asarray(q, dtype=float)
     kappa = np.asarray(kappa, dtype=float)
-    if not (np.all((0 < q) & (q < 1)) and np.all(kappa > 0)):
-        raise ValueError("test probability must lie in (0, 1) and the "
-                         "failure penalty must be positive")
+    _check_rate_args(q=q, kappa=kappa)
     r = optimal_multiplier(v, eta, q, kappa)
     delta = worst_case_rate(v, h, q, kappa, r)
     t_val = -(h / 2.0 + eta) / r + delta
@@ -448,6 +514,9 @@ def maximize_bound(game: GameConstants, N: int, eta: float, epsilon: float,
     """
     q_grid = q_grid if q_grid is not None else np.geomspace(1e-4, 0.5, 18)
     kappa_grid = kappa_grid if kappa_grid is not None else np.geomspace(1e-3, 30.0, 18)
+    for name, grid in (("q_grid", q_grid), ("kappa_grid", kappa_grid)):
+        if len(grid) == 0:
+            raise ValueError(f"{name} is empty")
     pairs = [(float(q), float(kappa)) for q in q_grid for kappa in kappa_grid]
     v, h = _rate_inputs(game, eta)
     qs, kappas = (np.array(x) for x in zip(*pairs))

@@ -266,7 +266,7 @@ _GRAD_TOL = 1e-9          # Newton refinement stops below this gradient norm
 _MAX_NEWTON = 200         # ... or after this many steps
 _MAX_CELLS = 1 << 20      # branch-and-bound gives up beyond this many cells
 _CHUNK = 1 << 13          # cells per piece of a cell-bound evaluation
-_ENTRY_CHUNK = 1 << 12    # rows per piece of reverse_diagonal_entries; one
+_ENTRY_CHUNK = 1 << 9     # rows per piece of reverse_diagonal_entries; one
                           # piece for 272k rows would hold ~250 MB more
 
 

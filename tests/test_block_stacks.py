@@ -357,6 +357,23 @@ class TestInequalityStacks:
         got = uncertainty_check(inst, eps)
         assert (got.delta, got.lhs_ratio, got.rhs) == reference_uncertainty(inst, eps)
 
+    def test_uncertainty_spectra_taken_once(self, monkeypatch):
+        # the verify suites check one instance at three exponents; the
+        # spectra do not depend on the exponent, so one eigvalsh serves all
+        rng = np.random.default_rng(8)
+        z = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+        inst = measurement_split(z / np.linalg.norm(z))
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda m: calls.append(m.shape) or eigvalsh(m))
+        got = [uncertainty_check(inst, eps) for eps in (0.1, 0.5, 1.0)]
+        assert calls == [(4, 4, 4)]
+        monkeypatch.undo()
+        for eps, check in zip((0.1, 0.5, 1.0), got):
+            assert (check.delta, check.lhs_ratio, check.rhs) == \
+                reference_uncertainty(inst, eps)
+
     @settings(max_examples=150, deadline=None)
     @given(m=st.integers(1, 9), n=st.integers(1, 9),
            seed=st.integers(0, 2**32 - 1),

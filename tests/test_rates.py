@@ -344,8 +344,11 @@ def reference_one_round_rate(v, h, q, kappa, r, t):
 
 def reference_refine(f, grid, vals):
     i = int(np.argmin(vals))
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, len(grid) - 1)]
+    return reference_golden(f, grid[max(i - 1, 0)],
+                            grid[min(i + 1, len(grid) - 1)], vals[i])
+
+
+def reference_golden(f, a, b, floor):
     c = b - _REF_GOLDEN * (b - a)
     d = a + _REF_GOLDEN * (b - a)
     fc, fd = f(c), f(d)
@@ -360,7 +363,7 @@ def reference_refine(f, grid, vals):
             a, c, fc = c, d, fd
             d = a + _REF_GOLDEN * (b - a)
             fd = f(d)
-    return float(min(vals[i], fc, fd))
+    return float(min(floor, fc, fd))
 
 
 def reference_worst_case_rate(v, h, q, kappa, r, grid_step=1e-4):
@@ -399,6 +402,9 @@ def rate_lanes(draw):
 # r at its cap where r q kappa rounds to 1 + 2**-52: both searches reject it
 _CAP_Q, _CAP_KAPPA = 0.8452237508974123, 33.66656829455317
 _ABOVE_CAP = (0.5, 0.1, _CAP_Q, _CAP_KAPPA, 1.0 / (_CAP_Q * _CAP_KAPPA))
+# two lanes at the cap, each with r q kappa == 1.0 exactly
+_CAP_LANES = [(0.5, 0.1, 0.3, 3.0, 1.0 / (0.3 * 3.0)),
+              (0.7, 0.0, 0.9, 1.5, 1.0 / (0.9 * 1.5))]
 
 
 def _reference_or_error(fn, *args):
@@ -471,27 +477,86 @@ class TestLockstepSearch:
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(lanes=st.lists(st.tuples(st.floats(0.0, 0.9), st.floats(1e-13, 0.1),
-                                    st.floats(-1.0, 2.0)),
-                          min_size=1, max_size=8),
+                                    st.floats(-1.0, 2.0),
+                                    st.sampled_from([np.inf, 0.25, 2.0])),
+                          min_size=2, max_size=8),
            depth=st.integers(1, 6))
     def test_lanes_independent_of_depth_and_neighbours(self, lanes, depth):
+        # two or more lanes run in lockstep; each lane must equal the
+        # sequential search and the one-lane walk at any walk depth.
+        # Quantized values tie often, so the strict branch is exercised
         from direx import rates
 
-        a, width, centre = (np.array(x) for x in zip(*lanes))
+        a, width, centre, floor = (np.array(x) for x in zip(*lanes))
         b = a + width
 
         def f(t, lane):
             return np.floor(40.0 * (t - centre[lane]) ** 2 * 64) / 64
 
-        floor = np.full(len(lanes), np.inf)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rates, "_GOLDEN_DEPTH", depth)
-            got = golden_section_lanes(f, a, b, floor).tolist()
+        got = golden_section_lanes(f, a, b, floor).tolist()
         for k in range(len(lanes)):
-            alone = golden_section_lanes(
-                lambda t, _: f(t, np.full(np.shape(t), k)),
-                a[k:k + 1], b[k:k + 1], floor[k:k + 1])
+            def lane_k(t, _=None, k=k):
+                return f(t, np.full(np.shape(t), k))
+
+            assert got[k] == reference_golden(lambda t: float(lane_k(t)),
+                                              a[k], b[k], floor[k])
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(rates, "_GOLDEN_DEPTH", depth)
+                alone = golden_section_lanes(lane_k, a[k:k + 1], b[k:k + 1],
+                                             floor[k:k + 1])
             assert got[k] == alone[0]
+
+    @pytest.mark.parametrize("n", [1, 2, 25, 144])
+    def test_lane_sets_equal_sequential_search(self, n):
+        # the cap lanes, then the lanes tune_parameters sends for GHZ at
+        # eta = 0.01: their mirrored (q, kappa) products repeat gammas
+        # exactly or within an ulp
+        q = np.repeat(TUNE_GRID, len(TUNE_GRID))
+        kappa = np.tile(TUNE_GRID, len(TUNE_GRID))
+        r = optimal_multiplier(0.14, 0.01, q, kappa)
+        lanes = _CAP_LANES + [(0.14, 0.0, *x) for x in
+                              zip(q.tolist(), kappa.tolist(), r.tolist())]
+        lanes = lanes[:n]
+        gammas = [r * q * kappa for _, _, q, kappa, r in lanes]
+        assert n == 1 or len(set(gammas)) < n
+        expect = [reference_worst_case_rate(*lane) for lane in lanes]
+        got = worst_case_rate(*(np.array(x) for x in zip(*lanes)))
+        assert got.tolist() == expect
+
+
+class TestLaneDomain:
+    """Empty, non-finite and out-of-range lanes are rejected by name."""
+
+    LANE = dict(v=0.14, h=0.0, q=0.1, kappa=0.1, r=1.0)
+
+    @pytest.mark.parametrize("name", ["v", "h", "q", "kappa", "r"])
+    def test_empty_lane_set(self, name):
+        with pytest.raises(ValueError, match=f"^{name} is empty"):
+            worst_case_rate(**{**self.LANE, name: []})
+
+    def test_empty_grids(self):
+        with pytest.raises(ValueError, match="^q is empty"):
+            rate_T_E(0.14, 0.0, 0.01, [], 0.5)
+        with pytest.raises(ValueError, match="^kappa is empty"):
+            rate_T_E(0.14, 0.0, 0.01, 0.1, np.array([]))
+        for grid in ("q_grid", "kappa_grid"):
+            with pytest.raises(ValueError, match=f"^{grid} is empty"):
+                maximize_bound(ghz_constants(), 10**6, 0.01, 2.0**-20,
+                               **{grid: []})
+
+    @pytest.mark.parametrize("name,bad", [
+        ("v", np.nan), ("h", np.inf), ("q", np.nan), ("kappa", np.inf),
+        ("r", -np.inf), ("q", 1.5), ("q", 1.0), ("q", 0.0), ("q", -0.1),
+        ("kappa", 0.0), ("kappa", -2.0)])
+    def test_bad_lane(self, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            worst_case_rate(**{**self.LANE, name: bad})
+        # one bad lane among good ones rejects the call
+        with pytest.raises(ValueError, match=f"^{name} "):
+            worst_case_rate(**{**self.LANE, name: [self.LANE[name], bad]})
+        if name in ("q", "kappa"):
+            with pytest.raises(ValueError, match=f"^{name} "):
+                rate_T_E(0.14, 0.0, 0.01, **{"q": 0.1, "kappa": 0.1, name: bad})
 
 
 def _digest(values) -> str:

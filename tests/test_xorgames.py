@@ -703,6 +703,23 @@ class TestLockstepAscent:
             assert np.array_equal(reverse_diagonal_entries(game, row[None, :]),
                                   reference_entries(game, row[None, :]))
 
+    @pytest.mark.parametrize("game", [GHZ, GHZ.relabel((1, 1, 0)), CHSH])
+    def test_entries_independent_of_piece_size(self, game, monkeypatch):
+        # batches of 2 * _ENTRY_CHUNK rows or more go in pieces; by the
+        # batch rule every piece size gives each row the same bits
+        axes = np.linspace(0, np.pi, 24)
+        grid = np.stack(np.meshgrid(*[axes] * game.n, indexing="ij"),
+                        axis=-1).reshape(-1, game.n)
+        th = np.vstack([grid, np.random.default_rng(1).uniform(
+            0, np.pi, size=(2000, game.n))])
+        got = []
+        for chunk in (1 << 6, 1 << 12):
+            monkeypatch.setattr(xorgames, "_ENTRY_CHUNK", chunk)
+            got.append(reverse_diagonal_entries(game, th))
+        monkeypatch.undo()
+        assert np.array_equal(got[0], got[1])
+        assert np.array_equal(reverse_diagonal_entries(game, th), got[0])
+
     def test_sample_grid_matches_loop(self):
         axes = np.linspace(0, np.pi, 24)
         grid = np.stack(np.meshgrid(*[axes] * 3, indexing="ij"),
