@@ -469,12 +469,16 @@ def _check_recon_args(args):
             raise ValueError(
                 f"--N must be a positive multiple of 15 in the unique regime "
                 f"(the BCH block length), got {args.N}")
+        if args.lam is not None:
+            raise ValueError(
+                "--lam applies to the list regime only: the unique regime "
+                "uses its code's own parameter")
     else:
         if not 1 <= args.N <= EXHAUSTIVE_LENGTH_CAP:
             raise ValueError(
                 f"--N must lie in [1, {EXHAUSTIVE_LENGTH_CAP}] in the list "
                 f"regime (exhaustive list decoding), got {args.N}")
-        if not 0 < args.lam < 0.5:
+        if args.lam is not None and not 0 < args.lam < 0.5:
             raise ValueError(f"--lam must lie in (0, 1/2), got {args.lam}")
     if not 0 <= args.error_fraction <= 1:
         raise ValueError(
@@ -498,7 +502,7 @@ def cmd_recon(args) -> int:
         lam = code.supported_lambda()
     else:
         code = random_linear_code(args.N, max(args.N - 6, 1), rng, list_cap=64)
-        lam = args.lam
+        lam = 0.1 if args.lam is None else args.lam
     errors = int(args.error_fraction * args.N)
     shared = substream(master, "recon-hash")
     successes = 0
@@ -668,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("recon", help="information reconciliation trials")
     c.add_argument("--regime", choices=("unique", "list"), default="unique")
     c.add_argument("--N", type=int, default=15)
-    c.add_argument("--lam", type=float, default=0.1)
+    c.add_argument("--lam", type=float, default=None)
     c.add_argument("--error-fraction", type=float, default=0.15)
     c.add_argument("--eps-exp", type=float, default=10.0)
     c.add_argument("--trials", type=int, default=1000)

@@ -6,18 +6,20 @@ the failure allowance, and finally the accumulated min-entropy bound over N
 rounds with the smoothing penalty.  All logarithms are base 2.
 
 The searches run in lanes.  A lane is one (v, h, q, kappa, r) parameter
-set; :func:`worst_case_rate` and :func:`rate_T_E` take arrays of lanes, and
-:func:`maximize_bound` and :func:`tune_parameters` evaluate their whole
-(q, kappa) grid in one call.  The public functions validate once and then
-call the unvalidated kernels (:func:`_lane`, :func:`_gamma_factor`,
-:func:`_lane_rate`).
+set; :func:`worst_case_rate` and :func:`rate_T_E` take arrays of lanes.  The
+two grid searches evaluate exactly only the lanes that can decide their
+answer: :func:`tune_parameters` the first row of its corner table, and
+:func:`maximize_bound` the lanes whose upper bound, from the rate at a few
+probe points, can reach the best bound found.  The public functions
+validate once and then call the unvalidated kernels (:func:`_lane`,
+:func:`_gamma_factor`, :func:`_lane_rate`).
 
 The one-round rate splits into a factor E_gamma(t) = expm1(-gamma pi_gamma(t)
 ln 2), which depends on gamma = r q kappa alone, and a per-lane remainder.
 :func:`worst_case_rate` fills the dense grid of E_gamma once per distinct
 gamma (equal floats only) and each lane's rate from it, so lanes that share
-a gamma, as the mirrored (q, kappa) products of the tuning grid and the
-lanes at the cap r = 1/(q kappa) often do, share one grid.  The refinement
+a gamma share one grid.  The failure-parameter grid itself is built once
+per process, on first use (:func:`_failure_grid`).  The refinement
 of each lane's grid minimum then runs in :func:`golden_section_lanes`: a
 one-lane call walks the recursion a few steps per kernel call, and two or
 more lanes advance together one step per kernel call.
@@ -34,6 +36,7 @@ sequential search by ``==``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +51,12 @@ DELTA_GRID_STEP = 1e-4
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 # golden-section steps per kernel call of a one-lane walk: 2**4 - 1 = 15 points
 _GOLDEN_DEPTH = 4
+# maximize_bound probes every _PROBE_STRIDE-th grid point of each lane, and
+# refines lanes _PRUNE_BATCH at a time until the next lane's upper bound
+# falls below the best bound by more than _PRUNE_MARGIN of it
+_PROBE_STRIDE = 100
+_PRUNE_BATCH = 4
+_PRUNE_MARGIN = 1e-9
 
 
 def _exponent_coefficients(eps):
@@ -361,6 +370,30 @@ def _check_rate_args(**args) -> None:
         raise ValueError("kappa (failure penalty) must be positive")
 
 
+@functools.cache
+def _failure_grid() -> tuple:
+    """The dense failure-parameter grid and its ``_delta_terms``, built on
+    first use and shared by every later search (read-only)."""
+    ts = np.arange(0.0, 1.0 + DELTA_GRID_STEP / 2, DELTA_GRID_STEP)
+    terms = _delta_terms(ts)
+    for x in (ts, *terms):
+        x.setflags(write=False)
+    return ts, terms
+
+
+def _checked_lanes(v, h, q, kappa, r) -> tuple:
+    """The :func:`_lane` factors of every lane the arguments broadcast to,
+    and the lanes' shape, once the arguments and every lane's gamma are
+    checked."""
+    named = {name: np.asarray(x, dtype=float)
+             for name, x in zip(("v", "h", "q", "kappa", "r"), (v, h, q, kappa, r))}
+    _check_rate_args(**named)
+    args = np.broadcast_arrays(*named.values())
+    lanes = [_lane(*p) for p in zip(*(x.ravel().tolist() for x in args))]
+    _check_gamma(np.array([lane[2] for lane in lanes]))
+    return lanes, args[0].shape
+
+
 def worst_case_rate(v, h, q, kappa, r):
     """Minimum of the one-round rate over the failure parameter, by a dense
     grid refined by golden-section search.
@@ -373,14 +406,8 @@ def worst_case_rate(v, h, q, kappa, r):
     :func:`golden_section_lanes` then refines every lane at once; each lane
     equals its one-lane search bit for bit (see the module docstring).
     """
-    named = {name: np.asarray(x, dtype=float)
-             for name, x in zip(("v", "h", "q", "kappa", "r"), (v, h, q, kappa, r))}
-    _check_rate_args(**named)
-    args = np.broadcast_arrays(*named.values())
-    lanes = [_lane(*p) for p in zip(*(x.ravel().tolist() for x in args))]
-    _check_gamma(np.array([lane[2] for lane in lanes]))
-    ts = np.arange(0.0, 1.0 + DELTA_GRID_STEP / 2, DELTA_GRID_STEP)
-    ts_terms = _delta_terms(ts)
+    lanes, shape = _checked_lanes(v, h, q, kappa, r)
+    ts, ts_terms = _failure_grid()
     groups = {}
     for i, lane in enumerate(lanes):
         groups.setdefault(lane[2], []).append(i)
@@ -394,7 +421,20 @@ def worst_case_rate(v, h, q, kappa, r):
     out = golden_section_lanes(
         lambda t, lane: _rate(*(x[lane] for x in factors), t, _delta_terms(t)),
         a, b, floor)
-    return out.reshape(args[0].shape) if args[0].ndim else float(out[0])
+    return out.reshape(shape) if shape else float(out[0])
+
+
+def _probe_minimum(lanes) -> np.ndarray:
+    """Each lane's least one-round rate over every _PROBE_STRIDE-th point
+    of the failure grid, all lanes in one array call.
+
+    A probe point is a grid point, so its value is at least the lane's grid
+    minimum, which is at least its :func:`worst_case_rate`."""
+    ts, ts_terms = _failure_grid()
+    ts, ts_terms = ts[::_PROBE_STRIDE], [x[::_PROBE_STRIDE] for x in ts_terms]
+    factors = [np.array(x)[:, None] for x in zip(*lanes)]
+    e_gamma = _gamma_factor(*factors[:3], ts_terms)
+    return np.min(_lane_rate(*factors[2:], ts, e_gamma), axis=1)
 
 
 def optimal_multiplier(v: float, eta: float, q, kappa):
@@ -503,14 +543,48 @@ def certified_bound(game: GameConstants, N: int, q: float, eta: float,
     return _report(game, N, q, eta, kappa, epsilon, t_val, e_val)
 
 
+def _first_max_pruned(upper, exact) -> int:
+    """The index of the first strict maximum of the exact values, from
+    upper bounds on them and ``exact(indices)``, which returns the exact
+    values at an array of indices.
+
+    Lanes are taken in decreasing upper-bound order, _PRUNE_BATCH at a
+    time, until the next upper bound lies below best - _PRUNE_MARGIN *
+    max(|best|, 1), best being the largest exact value so far.  Every lane
+    left out is then strictly below best, so the first strict maximum in
+    index order among the lanes taken is the first strict maximum of all.
+    The margin keeps a lane whose upper bound a rounding put just below its
+    exact value, so a lane that ties is never left out.
+    """
+    upper = np.asarray(upper, dtype=float)
+    order = np.argsort(-upper, kind="stable")
+    values, best = {}, -np.inf
+    for start in range(0, len(order), _PRUNE_BATCH):
+        if upper[order[start]] < best - _PRUNE_MARGIN * max(abs(best), 1.0):
+            break
+        batch = order[start:start + _PRUNE_BATCH]
+        vals = exact(batch)
+        values.update(zip(batch.tolist(), vals))
+        best = max(best, *vals)
+    first = min(values)
+    for i in sorted(values):
+        if values[i] > values[first]:
+            first = i
+    return first
+
+
 def maximize_bound(game: GameConstants, N: int, eta: float, epsilon: float,
                    q_grid=None, kappa_grid=None) -> RateReport:
     """Grid search for (q, kappa) maximizing the certified bound.
 
-    One :func:`rate_T_E` call evaluates every (q, kappa) pair, and the
-    report is built for the winner only: the first strict maximum with q
-    outer and kappa inner, as :func:`certified_bound` pair by pair would
-    find it.
+    The report is built for the first strict maximum with q outer and kappa
+    inner, as :func:`certified_bound` pair by pair would find it.  Every
+    lane is checked as :func:`rate_T_E` checks it, then bounded from above
+    by :func:`_probe_minimum`: t_val and the bound are monotone in the rate
+    minimum, so a probe value in its place bounds the lane's bound.  Only
+    the lanes whose upper bound can reach the best bound are refined
+    exactly (:func:`_first_max_pruned`), by :func:`rate_T_E` calls that
+    give each lane the bits one call over the whole grid gives it.
     """
     q_grid = q_grid if q_grid is not None else np.geomspace(1e-4, 0.5, 18)
     kappa_grid = kappa_grid if kappa_grid is not None else np.geomspace(1e-3, 30.0, 18)
@@ -520,15 +594,22 @@ def maximize_bound(game: GameConstants, N: int, eta: float, epsilon: float,
     pairs = [(float(q), float(kappa)) for q in q_grid for kappa in kappa_grid]
     v, h = _rate_inputs(game, eta)
     qs, kappas = (np.array(x) for x in zip(*pairs))
-    t_vals, e_vals = rate_T_E(v, h, eta, qs, kappas)
-    bounds = (float(N) * t_vals - _penalty(qs, kappas, epsilon, e_vals)).tolist()
-    best = 0
-    for i, bound in enumerate(bounds):
-        if bound > bounds[best]:
-            best = i
+    _check_rate_args(q=qs, kappa=kappas)
+    r = optimal_multiplier(v, eta, qs, kappas)
+    lanes, _ = _checked_lanes(v, h, qs, kappas, r)
+    upper = float(N) * (-(h / 2.0 + eta) / r + _probe_minimum(lanes)) \
+        - _penalty(qs, kappas, epsilon, 2.0 / r)
+    exact = {}
+
+    def bounds(idx):
+        t_vals, e_vals = rate_T_E(v, h, eta, qs[idx], kappas[idx])
+        exact.update(zip(idx.tolist(), zip(t_vals.tolist(), e_vals.tolist())))
+        return (float(N) * t_vals
+                - _penalty(qs[idx], kappas[idx], epsilon, e_vals)).tolist()
+
+    best = _first_max_pruned(upper, bounds)
     q, kappa = pairs[best]
-    return _report(game, N, q, eta, kappa, epsilon, float(t_vals[best]),
-                   float(e_vals[best]))
+    return _report(game, N, q, eta, kappa, epsilon, *exact[best])
 
 
 TUNE_GRID = tuple(sorted(
@@ -555,7 +636,18 @@ def tune_parameters(game: GameConstants, eta: float, delta: float) -> TuneResult
     which every grid point keeps the per-round rate within delta/2 of the
     limit; the error exponent is then b = delta*kappa0/(2M) with M the
     penalty-coefficient cap over that corner region, and the prefactor is
-    sqrt(2) from the smoothing construction.
+    sqrt(2) from the smoothing construction.  The corners are scanned q
+    outer and kappa inner, the best replaced only by a strictly larger b.
+
+    Only the first row, q0 = TUNE_GRID[0], is evaluated.  The region of
+    corner (i, j) contains the region of corner (0, j), so M(i, j) >=
+    M(0, j), and for delta >= 0 fl(delta kappa_j / (2M)) does not grow with
+    M, so b(i, j) <= b(0, j).  If (i, j) is feasible so is (0, j), which
+    the scan reaches first; so no corner past row 0 replaces the best, the
+    result lies in row 0, and the search is infeasible exactly when row 0
+    is.  A delta < 0 asks every region, and so corner (0, 0), for a rate
+    above both the limit and half of it, which the tests find on no corner
+    of either game: both scans are then infeasible.
     """
     v, h = game.vG_lower, 2.0 * game.fG
     target = limit_exponent(eta / v)
@@ -563,22 +655,16 @@ def tune_parameters(game: GameConstants, eta: float, delta: float) -> TuneResult
         raise InfeasibleError(
             f"limit rate {target:.4f} does not exceed the slack {delta}")
     grid = TUNE_GRID
-    n = len(grid)
-    # row i is q = grid[i], column j is kappa = grid[j]
-    t_table, e_table = (x.reshape(n, n) for x in rate_T_E(
-        v, h, eta, np.repeat(grid, n), np.tile(grid, n)))
+    t_row, e_row = rate_T_E(v, h, eta, np.full(len(grid), grid[0]), grid)
     best = None
-    for i in range(n):
-        for j in range(n):
-            region_t = t_table[: i + 1, : j + 1]
-            if np.min(region_t) < target - delta / 2:
-                continue
-            m_cap = float(np.max(e_table[: i + 1, : j + 1]))
-            b = delta * grid[j] / (2.0 * m_cap)
-            cand = TuneResult(q0=grid[i], kappa0=grid[j], b=b, K=SQRT2,
+    for j, kappa in enumerate(grid):
+        if np.min(t_row[: j + 1]) < target - delta / 2:
+            continue
+        m_cap = float(np.max(e_row[: j + 1]))
+        b = delta * kappa / (2.0 * m_cap)
+        if best is None or b > best.b:
+            best = TuneResult(q0=grid[0], kappa0=kappa, b=b, K=SQRT2,
                               rate=target - delta, E_cap=m_cap)
-            if best is None or cand.b > best.b:
-                best = cand
     if best is None:
         raise InfeasibleError("no grid corner achieves the requested rate slack")
     return best

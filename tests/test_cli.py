@@ -548,6 +548,7 @@ class TestReconCommand:
         (("--regime", "list", "--N", "20", "--eps-exp", "-0.5"), "--eps-exp"),
         (("--regime", "list", "--N", "20", "--eps-exp", "2000"), "--eps-exp"),
         (("--regime", "list", "--N", "20", "--eps-exp", "1050"), "--eps-exp"),
+        (("--regime", "unique", "--lam", "0.1"), "--lam"),
     ])
     def test_bad_input_names_the_flag(self, capsys, argv, named):
         assert run_cli("recon", "--trials", "3", *argv) == EXIT_USAGE

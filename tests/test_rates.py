@@ -11,6 +11,7 @@ from direx.rates import (
     RateParams,
     RateReport,
     TUNE_GRID,
+    TuneResult,
     binary_entropy,
     certified_bound,
     feasible,
@@ -604,3 +605,232 @@ class TestPinnedSearches:
             certified_bound(ghz, 10**6, 0.1, 0.01, float(k), 2.0**-20).bound
             for k in kappas)
         assert pinned.bound <= full.bound
+
+
+# ---------------------------------------------------------------------------
+# The whole-grid searches that the pruned ones replaced, kept as references:
+# tune_parameters over all 144 corners of its table, maximize_bound over
+# every (q, kappa) lane.
+
+def reference_tune_parameters(game, eta, delta):
+    v, h = game.vG_lower, 2.0 * game.fG
+    target = limit_exponent(eta / v)
+    if not target - delta > 0:
+        raise InfeasibleError(
+            f"limit rate {target:.4f} does not exceed the slack {delta}")
+    grid = TUNE_GRID
+    n = len(grid)
+    t_table, e_table = (x.reshape(n, n) for x in rate_T_E(
+        v, h, eta, np.repeat(grid, n), np.tile(grid, n)))
+    best = None
+    for i in range(n):
+        for j in range(n):
+            if np.min(t_table[: i + 1, : j + 1]) < target - delta / 2:
+                continue
+            m_cap = float(np.max(e_table[: i + 1, : j + 1]))
+            b = delta * grid[j] / (2.0 * m_cap)
+            cand = TuneResult(q0=grid[i], kappa0=grid[j], b=b, K=np.sqrt(2.0),
+                              rate=target - delta, E_cap=m_cap)
+            if best is None or cand.b > best.b:
+                best = cand
+    if best is None:
+        raise InfeasibleError("no grid corner achieves the requested rate slack")
+    return best
+
+
+def reference_maximize_bound(game, N, eta, epsilon, q_grid, kappa_grid):
+    pairs = [(float(q), float(kappa)) for q in q_grid for kappa in kappa_grid]
+    qs, kappas = (np.array(x) for x in zip(*pairs))
+    t_vals, e_vals = rate_T_E(game.vG_lower, 2.0 * game.fG, eta, qs, kappas)
+    penalty = (np.log2(np.sqrt(2.0) / epsilon) / (qs * kappas)) * e_vals
+    bounds = (float(N) * t_vals - penalty).tolist()
+    best = 0
+    for i, bound in enumerate(bounds):
+        if bound > bounds[best]:
+            best = i
+    return certified_bound(game, N, pairs[best][0], eta, pairs[best][1],
+                           epsilon)
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, InfeasibleError) as exc:
+        return type(exc), str(exc)
+
+
+_GAMES = {"ghz": ghz_constants(), "chsh": chsh_constants()}
+_DEFAULT_Q = np.geomspace(1e-4, 0.5, 18)
+_DEFAULT_KAPPA = np.geomspace(1e-3, 30.0, 18)
+
+
+@st.composite
+def search_grids(draw):
+    """A q grid and a kappa grid: random, with a repeated value (tied
+    lanes), or with one axis pinned as `direx rate --q`/`--kappa` pins it."""
+    qs = draw(st.lists(st.floats(1e-6, 0.99), min_size=1, max_size=5))
+    kappas = draw(st.lists(st.floats(1e-4, 30.0), min_size=1, max_size=5))
+    shape = draw(st.sampled_from(["random", "repeat", "pin-q", "pin-kappa"]))
+    if shape == "repeat":
+        qs = qs + qs[:1]
+        kappas = kappas[-1:] + kappas
+    elif shape == "pin-q":
+        qs, kappas = qs[:1], _DEFAULT_KAPPA
+    elif shape == "pin-kappa":
+        qs, kappas = _DEFAULT_Q, kappas[:1]
+    return qs, kappas
+
+
+class TestPrunedSearches:
+    """The row-0 tune scan and the pruned grid search equal the whole-grid
+    references by == and to_record()."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(game=st.sampled_from(sorted(_GAMES)), eta_frac=st.floats(0.001, 0.999),
+           delta=st.one_of(st.floats(1e-4, 1.0), st.sampled_from([0.002, 0.1]),
+                            st.floats(-1.0, 0.0)))
+    @example(game="ghz", eta_frac=0.01 / 0.07, delta=0.1)
+    @example(game="ghz", eta_frac=0.0159 / 0.07, delta=0.002)
+    def test_tune_parameters_equals_corner_scan(self, game, eta_frac, delta):
+        consts = _GAMES[game]
+        eta = eta_frac * consts.vG_lower / 2
+        got = _outcome(tune_parameters, consts, eta, delta)
+        assert got == _outcome(reference_tune_parameters, consts, eta, delta)
+        if isinstance(got, TuneResult):
+            assert got.q0 == TUNE_GRID[0]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(game=st.sampled_from(sorted(_GAMES)), eta_frac=st.floats(0.001, 0.999),
+           N=st.one_of(st.integers(0, 10**9), st.sampled_from([10**4, 10**6])),
+           eps_exp=st.one_of(st.floats(-0.5, 60.0), st.just(-0.5)),
+           grids=search_grids())
+    @example(game="ghz", eta_frac=0.01 / 0.07, N=10**6, eps_exp=20.0,
+             grids=([0.1, 0.1, 0.2], [0.5, 1.0, 0.5]))
+    @example(game="chsh", eta_frac=0.5, N=0, eps_exp=-0.5,
+             grids=([0.1, 0.3, 0.1], [3.0, 1.0, 3.0]))
+    def test_maximize_bound_equals_all_lanes(self, game, eta_frac, N, eps_exp,
+                                             grids):
+        consts = _GAMES[game]
+        eta = eta_frac * consts.vG_lower / 2
+        epsilon = 2.0 ** -eps_exp
+        q_grid, kappa_grid = grids
+        got = _outcome(maximize_bound, consts, N, eta, epsilon, q_grid,
+                       kappa_grid)
+        expect = _outcome(reference_maximize_bound, consts, N, eta, epsilon,
+                          q_grid, kappa_grid)
+        assert got == expect
+        if isinstance(got, RateReport):
+            assert got.to_record() == expect.to_record()
+
+    @pytest.mark.parametrize("game", sorted(_GAMES))
+    def test_default_grids_refine_few_lanes(self, game, monkeypatch):
+        from direx import rates
+
+        refined = []
+
+        def counting(v, h, eta, q, kappa):
+            refined.append(np.size(q))
+            return rate_T_E(v, h, eta, q, kappa)
+        monkeypatch.setattr(rates, "rate_T_E", counting)
+        for eta in (0.01, 0.005, 0.002, 0.001):
+            expect = reference_maximize_bound(_GAMES[game], 10**6, eta,
+                                              2.0**-20, _DEFAULT_Q,
+                                              _DEFAULT_KAPPA)
+            refined.clear()
+            assert maximize_bound(_GAMES[game], 10**6, eta, 2.0**-20) == expect
+            assert sum(refined) <= 32
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(lanes=st.lists(rate_lanes(), min_size=1, max_size=8))
+    def test_probe_bounds_the_worst_case_rate(self, lanes):
+        from direx import rates
+
+        cols = [np.array(x) for x in zip(*lanes)]
+        try:
+            exact = worst_case_rate(*cols)
+        except ValueError:
+            return
+        checked, _ = rates._checked_lanes(*cols)
+        probe = rates._probe_minimum(checked)
+        ts = np.arange(0.0, 1.0 + 0.5e-4, 1e-4)[::rates._PROBE_STRIDE]
+        for k, lane in enumerate(lanes):
+            # the probe is the lane's rate at grid points, bit for bit
+            assert probe[k] == np.min(one_round_rate(*lane, ts))
+        assert np.all(probe >= exact)
+
+
+class TestFirstMaxPruned:
+    """The pruning rule on made-up bounds: a lane is left out only when its
+    upper bound lies below the best exact value by more than the margin."""
+
+    @staticmethod
+    def run(upper, exact):
+        from direx import rates
+
+        taken = []
+
+        def evaluate(idx):
+            taken.extend(idx.tolist())
+            return [exact[i] for i in idx.tolist()]
+        return rates._first_max_pruned(np.array(upper), evaluate), sorted(taken)
+
+    def test_lane_whose_upper_bound_equals_the_best_is_kept(self):
+        # lanes 1-8 look best but are not; lane 0 ties with them exactly and
+        # its upper bound is exact, so it must be refined and win on index
+        upper = [1.0] + [2.0] * 8
+        best, taken = self.run(upper, [1.0] * 9)
+        assert best == 0
+        assert taken == list(range(9))
+
+    def test_margin_keeps_an_upper_bound_rounded_below_a_tie(self):
+        upper = [1.0 - 1e-12] + [2.0] * 8
+        assert self.run(upper, [1.0] * 9)[0] == 0
+        # at exactly the margin the lane is still refined
+        from direx import rates
+
+        edge = 1.0 - rates._PRUNE_MARGIN * 1.0
+        assert self.run([edge] + [2.0] * 8, [1.0] * 9)[0] == 0
+
+    def test_margin_scales_with_the_best_bound(self):
+        # |best| = 1e6: an upper bound 1e-4 below it is within the margin
+        upper = [1e6 - 1e-4] + [2e6] * 8
+        assert self.run(upper, [1e6] * 9)[0] == 0
+
+    def test_lanes_below_the_margin_are_left_out(self):
+        upper = [0.5, 3.0, 0.9, 2.5, 0.1, 2.0, 0.2, 1.5, 0.3]
+        exact = [0.4, 1.0, 0.8, 2.0, 0.0, 1.9, 0.1, 1.4, 0.2]
+        best, taken = self.run(upper, exact)
+        assert best == 3
+        # the first batch (lanes 1, 3, 5, 7) reaches 2.0; the next upper
+        # bound, 0.9, cannot
+        assert taken == [1, 3, 5, 7]
+
+    def test_first_strict_maximum_in_index_order(self):
+        upper = [5.0, 4.0, 6.0, 3.0, 7.0]
+        exact = [2.0, 3.0, 3.0, 1.0, 2.5]
+        assert self.run(upper, exact)[0] == 1
+
+
+class TestFailureGrid:
+    def test_built_on_first_use_and_shared(self):
+        import os
+        import subprocess
+        import sys
+
+        from direx import rates
+
+        # importing the package builds no grid
+        code = ("import direx.rates as r, direx.protocols, direx.postprocess;"
+                "print(r._failure_grid.cache_info().currsize)")
+        src = os.path.dirname(os.path.dirname(rates.__file__))
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.strip() == "0"
+
+        ts, terms = rates._failure_grid()
+        assert rates._failure_grid()[0] is ts
+        assert not ts.flags.writeable
+        assert all(not x.flags.writeable for x in terms)
+        assert np.array_equal(ts, np.arange(0.0, 1.0 + 0.5e-4, 1e-4))
