@@ -10,19 +10,16 @@ set; :func:`worst_case_rate` and :func:`rate_T_E` take arrays of lanes.  The
 two grid searches evaluate exactly only the lanes that can decide their
 answer: :func:`tune_parameters` the first row of its corner table, and
 :func:`maximize_bound` the lanes whose upper bound, from the rate at a few
-probe points, can reach the best bound found.  The public functions
-validate once and then call the unvalidated kernels (:func:`_lane`,
-:func:`_gamma_factor`, :func:`_lane_rate`).
+probe points, can reach the best bound found.  The public functions check
+their lanes once, in :func:`_checked_lanes`, and then call the unvalidated
+kernels :func:`_lane` and :func:`_rate`.
 
-The one-round rate splits into a factor E_gamma(t) = expm1(-gamma pi_gamma(t)
-ln 2), which depends on gamma = r q kappa alone, and a per-lane remainder.
-:func:`worst_case_rate` fills the dense grid of E_gamma once per distinct
-gamma (equal floats only) and each lane's rate from it, so lanes that share
-a gamma share one grid.  The failure-parameter grid itself is built once
-per process, on first use (:func:`_failure_grid`).  The refinement
-of each lane's grid minimum then runs in :func:`golden_section_lanes`: a
-one-lane call walks the recursion a few steps per kernel call, and two or
-more lanes advance together one step per kernel call.
+:func:`worst_case_rate` fills each lane's rate over the dense
+failure-parameter grid, which is built once per process, on first use
+(:func:`_failure_grid`).  The refinement of each lane's grid minimum then
+runs in :func:`golden_section_lanes`: a one-lane call walks the recursion
+a few steps per kernel call, and two or more lanes advance together one
+step per kernel call.
 
 Every lane equals the one-lane search bit for bit.  Elementwise
 arithmetic is correctly rounded whatever the array's length or strides, and
@@ -48,6 +45,9 @@ LN2 = float(np.log(2.0))
 SQRT2 = float(np.sqrt(2.0))
 
 DELTA_GRID_STEP = 1e-4
+# the least normal float: a smaller gamma = r q kappa loses bits, and the
+# rate turns nan before gamma reaches 1e-309
+_TINY = float(np.finfo(float).tiny)
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 # golden-section steps per kernel call of a one-lane walk: 2**4 - 1 = 15 points
 _GOLDEN_DEPTH = 4
@@ -155,16 +155,6 @@ class RateParams:
         if not 0 < self.epsilon <= SQRT2 + 1e-12:
             raise ValueError("smoothing parameter must lie in (0, sqrt(2)]")
 
-    @property
-    def gamma(self) -> float:
-        return self.r * self.q * self.kappa
-
-
-def _check_gamma(gamma):
-    gamma = np.asarray(gamma)
-    if not np.all((0 < gamma) & (gamma <= 1)):
-        raise ValueError("r q kappa must lie in (0, 1]")
-
 
 def _lane(v, h, q, kappa, r) -> tuple:
     """The factors of the one-round rate that depend on one (v, h, q, kappa,
@@ -178,27 +168,14 @@ def _lane(v, h, q, kappa, r) -> tuple:
             v ** (1.0 + gamma))
 
 
-def _gamma_factor(am1, scale, gamma, t_terms):
-    """E_gamma(t) = expm1(-gamma pi_gamma(t) ln 2), the factor of the
-    one-round rate that depends on gamma and t alone, from the first three
-    factors of :func:`_lane` and ``_delta_terms(t)``."""
-    return np.expm1(-gamma * _exponent(am1, scale, t_terms) * LN2)
-
-
-def _lane_rate(gamma, pass_weight, test_weight, honest0, honest1, t, e_gamma):
-    """The one-round rate at t from the last five factors of :func:`_lane`
-    and E_gamma(t), without validation.  The factors are scalars or arrays
-    matching t."""
-    bracket_m1 = pass_weight * e_gamma + test_weight * (honest0 + honest1 * t)
-    return -(np.log1p(bracket_m1) / LN2) / gamma
-
-
 def _rate(am1, scale, gamma, pass_weight, test_weight, honest0, honest1, t,
           t_terms):
     """The one-round rate at t from the factors of :func:`_lane` and
-    ``_delta_terms(t)``, without validation."""
-    return _lane_rate(gamma, pass_weight, test_weight, honest0, honest1, t,
-                      _gamma_factor(am1, scale, gamma, t_terms))
+    ``_delta_terms(t)``, without validation.  The factors are scalars or
+    arrays that broadcast against t."""
+    e_gamma = np.expm1(-gamma * _exponent(am1, scale, t_terms) * LN2)
+    bracket_m1 = pass_weight * e_gamma + test_weight * (honest0 + honest1 * t)
+    return -(np.log1p(bracket_m1) / LN2) / gamma
 
 
 def one_round_rate(v, h, q, kappa, r, t):
@@ -210,9 +187,10 @@ def one_round_rate(v, h, q, kappa, r, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0) or np.any(t > 1):
         raise ValueError("failure parameter must lie in [0, 1]")
-    lane = _lane(v, h, q, kappa, r)
-    _check_gamma(lane[2])
-    out = _rate(*lane, t, _delta_terms(t))
+    lanes, shape = _checked_lanes(v, h, q, kappa, r)
+    if shape:
+        raise ValueError("v, h, q, kappa and r must be scalars: one lane")
+    out = _rate(*lanes[0], t, _delta_terms(t))
     return out if out.ndim else float(out)
 
 
@@ -383,14 +361,20 @@ def _failure_grid() -> tuple:
 
 def _checked_lanes(v, h, q, kappa, r) -> tuple:
     """The :func:`_lane` factors of every lane the arguments broadcast to,
-    and the lanes' shape, once the arguments and every lane's gamma are
-    checked."""
+    and the lanes' shape, once every argument is checked by name and every
+    lane's gamma = r q kappa is a normal float at most 1."""
     named = {name: np.asarray(x, dtype=float)
              for name, x in zip(("v", "h", "q", "kappa", "r"), (v, h, q, kappa, r))}
     _check_rate_args(**named)
+    for name in ("v", "h"):
+        if np.any(named[name] < 0):
+            raise ValueError(f"{name} must be nonnegative")
     args = np.broadcast_arrays(*named.values())
+    gamma = args[4] * args[2] * args[3]
+    if not np.all((_TINY <= gamma) & (gamma <= 1)):
+        raise ValueError(f"r q kappa must lie in [{_TINY}, 1], the normal "
+                         f"floats up to 1")
     lanes = [_lane(*p) for p in zip(*(x.ravel().tolist() for x in args))]
-    _check_gamma(np.array([lane[2] for lane in lanes]))
     return lanes, args[0].shape
 
 
@@ -399,24 +383,15 @@ def worst_case_rate(v, h, q, kappa, r):
     grid refined by golden-section search.
 
     Vectorized: the arguments broadcast to lanes, and the result has their
-    shape (a float for scalar arguments).  The grid of E_gamma is filled
-    once per distinct gamma = r q kappa; lanes are visited one gamma group
-    at a time, so only that group's grid is alive, and each lane takes its
-    own grid minimum and bracket from its own rate grid.
-    :func:`golden_section_lanes` then refines every lane at once; each lane
-    equals its one-lane search bit for bit (see the module docstring).
+    shape (a float for scalar arguments).  Each lane fills its own rate
+    grid, one lane at a time, and takes its grid minimum and bracket from
+    it; :func:`golden_section_lanes` then refines every lane at once.  Each
+    lane equals its one-lane search bit for bit (see the module docstring).
     """
     lanes, shape = _checked_lanes(v, h, q, kappa, r)
     ts, ts_terms = _failure_grid()
-    groups = {}
-    for i, lane in enumerate(lanes):
-        groups.setdefault(lane[2], []).append(i)
-    a, b, floor = (np.empty(len(lanes)) for _ in range(3))
-    for members in groups.values():
-        e_gamma = _gamma_factor(*lanes[members[0]][:3], ts_terms)
-        for i in members:
-            a[i], b[i], floor[i] = _grid_bracket(
-                ts, _lane_rate(*lanes[i][2:], ts, e_gamma))
+    a, b, floor = np.array([_grid_bracket(ts, _rate(*lane, ts, ts_terms))
+                            for lane in lanes]).T
     factors = [np.array(x) for x in zip(*lanes)]
     out = golden_section_lanes(
         lambda t, lane: _rate(*(x[lane] for x in factors), t, _delta_terms(t)),
@@ -433,15 +408,17 @@ def _probe_minimum(lanes) -> np.ndarray:
     ts, ts_terms = _failure_grid()
     ts, ts_terms = ts[::_PROBE_STRIDE], [x[::_PROBE_STRIDE] for x in ts_terms]
     factors = [np.array(x)[:, None] for x in zip(*lanes)]
-    e_gamma = _gamma_factor(*factors[:3], ts_terms)
-    return np.min(_lane_rate(*factors[2:], ts, e_gamma), axis=1)
+    return np.min(_rate(*factors, ts, ts_terms), axis=1)
 
 
 def optimal_multiplier(v: float, eta: float, q, kappa):
     """The balancing multiplier: min of v over the negated limit slope and
     the domain cap 1/(q kappa).  Vectorized over q and kappa."""
     slope = limit_exponent_slope(eta / v)
-    balance, cap = v / (-slope), 1.0 / (q * kappa)
+    # a q kappa that underflows gets an infinite cap; the lane check then
+    # rejects its r q kappa by name
+    with np.errstate(divide="ignore", over="ignore"):
+        balance, cap = v / (-slope), 1.0 / (q * kappa)
     if np.ndim(cap):
         # min(balance, cap) lane by lane: cap only when strictly smaller
         return np.where(cap < balance, cap, balance)

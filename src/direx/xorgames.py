@@ -35,7 +35,6 @@ _SAME_MAX_TOL = 1e-5         # two maxima agree when every angle is this close
 _N_STARTS = 60               # multistart points per enumeration of maxima
 _MAX_TOL = 1e-7              # a refined value this close to qG is a maximum
 _SELFTEST_SEEDS = (0, 1, 2)  # classify_selftest enumerates once per seed
-CLASSIFICATIONS = ("not-self-test", "self-test", "strong-self-test", "inconclusive")
 
 
 def as_fraction(x) -> Fraction:

@@ -45,6 +45,16 @@ class TestRate:
         assert run_cli("rate", "--game", "ghz", "--eta", "0.02") == EXIT_USAGE
         assert "0.0154" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ("--kappa", "1e-320"), ("--q", "1e-200", "--kappa", "1e-200"),
+        ("--q", "0.1", "--kappa", "1e-320")])
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_gamma_names_r_q_kappa(self, capsys, flags):
+        # each flag set puts r q kappa below the least normal float
+        assert run_cli("rate", "--eta", "0.01", *flags) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "r q kappa" in err and "Traceback" not in err
+
     def test_sqrt2_epsilon_bound_is_linear_term(self, capsys):
         assert run_cli("rate", "--game", "ghz", "--eta", "0.01",
                        "--epsilon-exp", "-0.5", "--q", "0.1", "--kappa", "1.0",

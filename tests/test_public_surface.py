@@ -1,5 +1,6 @@
-"""Every public top-level function and class in ``src/direx`` must be alive:
-reachable from a root without passing through the tests.
+"""Every public top-level function, class and constant in ``src/direx`` must
+be alive: reachable from a root without passing through the tests.  A
+constant is a top-level assignment to plain names.
 
 The roots are the benchmark's ``perfbench/*.py``, the names inside
 ``README.md``'s backticked code spans, the package's top-level statements
@@ -85,18 +86,31 @@ def _identifiers(node):
             yield sub.value
 
 
+def _defined(stmt):
+    """The names a top-level statement defines: a function's or class's
+    name, or the targets of an assignment to plain names."""
+    if isinstance(stmt, _DEFINITIONS):
+        return [stmt.name]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    if targets and all(isinstance(t, ast.Name) for t in targets):
+        return [t.id for t in targets]
+    return []
+
+
 def survey(package, roots):
     """Reads of the package modules and the root modules, given as source
     texts: (bodies, rooted).  bodies maps each top-level definition of the
-    package to the names its statement reads; rooted holds the names that
-    the package's other statements, imports excepted, and every statement
-    of the root modules read."""
+    package, constants included, to the names its statement reads; rooted
+    holds the names that the package's other statements, imports excepted,
+    and every statement of the root modules read."""
     bodies, rooted = {}, set()
     for text in package:
         for stmt in ast.parse(text).body:
-            if isinstance(stmt, _DEFINITIONS):
-                bodies.setdefault(stmt.name, set()).update(_identifiers(stmt))
-            elif not isinstance(stmt, _IMPORTS):
+            names = _defined(stmt)
+            for name in names:
+                bodies.setdefault(name, set()).update(_identifiers(stmt))
+            if not names and not isinstance(stmt, _IMPORTS):
                 rooted.update(_identifiers(stmt))
     for text in roots:
         rooted.update(_identifiers(ast.parse(text)))
@@ -229,7 +243,7 @@ def test_keep_list_names_only_unreferenced_names():
 def test_scan_follows_reachability():
     # test_only is named in README prose and imported by a second module;
     # helper is read by test_only alone; kept and its helper _private are
-    # alive through TABLE
+    # alive through TABLE, which a top-level call reads
     package = ["""
 def test_only():
     return helper()
@@ -244,6 +258,7 @@ def _private():
     return 1
 
 TABLE = {"k": kept}
+register(TABLE)
 """, "from .first import test_only\n"]
     readme = "The test_only metric; `kept` is the table's entry."
     bodies, rooted = survey(package, [])
@@ -256,6 +271,24 @@ TABLE = {"k": kept}
         for stmt in ast.parse(text).body:
             plain.update(set(_identifiers(stmt)) - {getattr(stmt, "name", None)})
     assert unreached(bodies, plain) == set()
+
+
+def test_scan_flags_an_unread_constant():
+    # UNREAD and its value's helper are dead; LIMIT is alive through run,
+    # and _PRIVATE, unread too, is not public
+    package = ["""
+def helper():
+    return 3
+
+def run():
+    return LIMIT
+
+UNREAD = helper()
+LIMIT: float = 1e-9
+_PRIVATE = 2
+"""]
+    bodies, rooted = survey(package, ["run()"])
+    assert unreached(bodies, rooted) == {"UNREAD", "helper"}
 
 
 def test_every_knob_is_set_by_a_caller():

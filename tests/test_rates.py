@@ -548,7 +548,7 @@ class TestLaneDomain:
     @pytest.mark.parametrize("name,bad", [
         ("v", np.nan), ("h", np.inf), ("q", np.nan), ("kappa", np.inf),
         ("r", -np.inf), ("q", 1.5), ("q", 1.0), ("q", 0.0), ("q", -0.1),
-        ("kappa", 0.0), ("kappa", -2.0)])
+        ("kappa", 0.0), ("kappa", -2.0), ("v", -0.5), ("h", -0.5)])
     def test_bad_lane(self, name, bad):
         with pytest.raises(ValueError, match=f"^{name} "):
             worst_case_rate(**{**self.LANE, name: bad})
@@ -558,6 +558,20 @@ class TestLaneDomain:
         if name in ("q", "kappa"):
             with pytest.raises(ValueError, match=f"^{name} "):
                 rate_T_E(0.14, 0.0, 0.01, **{"q": 0.1, "kappa": 0.1, name: bad})
+        with pytest.raises(ValueError, match=f"^{name} "):
+            one_round_rate(**{**self.LANE, name: bad}, t=0.1)
+
+    @pytest.mark.parametrize("kappa", [1e-308, 5e-323])
+    def test_gamma_below_the_normal_floats(self, kappa):
+        # kappa is positive, but r q kappa = kappa / 10 is subnormal
+        lane = {**self.LANE, "q": 0.1, "kappa": kappa, "r": 1.0}
+        with pytest.raises(ValueError, match="^r q kappa "):
+            worst_case_rate(**lane)
+        with pytest.raises(ValueError, match="^r q kappa "):
+            one_round_rate(**lane, t=0.1)
+        # the least normal float itself is accepted
+        tiny = float(np.finfo(float).tiny)
+        assert np.isfinite(worst_case_rate(**{**lane, "q": 0.5, "kappa": 2 * tiny}))
 
 
 def _digest(values) -> str:
