@@ -55,6 +55,7 @@ _STEP_ERR = 2.0 ** -45         # error of t per emission per unit of den·g;
                                # >= (2 * _MAX_PENDING + 3) * 2^-53
 _GROW = 1 + 2.0 ** -40         # covers the rounding of g's rescaling
 _COMMIT_ERR = 2.0 ** -16       # commit once the error of t exceeds this
+_FLOAT_MAX = float(np.finfo(float).max)  # a larger den fails the shadow
 
 
 class CategoricalSampler:
@@ -104,7 +105,8 @@ class CategoricalSampler:
         where B holds the R bits read, P is the product of the emitted
         slices' widths and Z <- Z·den + low·P per emission.  Commits happen
         before an integer step, after 96 emissions, or once eps exceeds
-        2^-16; each rebuilds t and g.
+        2^-16; each rebuilds t and g.  den must not exceed the largest
+        float, or the table is rejected with a ValueError.
     (c) Every other table runs the integer loop.
     """
 
@@ -125,6 +127,11 @@ class CategoricalSampler:
             symbols = _uniform_symbols(count, stream, den.bit_length() - 1,
                                        [k for k, _, _ in slices])
         elif len(slices) == 2:
+            if den > _FLOAT_MAX:
+                raise ValueError(
+                    f"weights (about {[float(w) for w in fracs]}) have a common "
+                    f"denominator of {len(str(den))} digits, past the "
+                    f"largest float that the two-slice decoder works in")
             symbols = _binary_symbols(count, stream, den, slices, block)
         else:
             symbols = _exact_blocks(count, stream, den, slices, block)
@@ -378,11 +385,6 @@ class Transcript:
 
     def counts(self) -> dict:
         return dict(zip(SYMBOLS, np.bincount(self.codes, minlength=4).tolist()))
-
-    def check_symbol_consistency(self) -> bool:
-        h, t, p, f = np.bincount(self.codes, minlength=4).tolist()
-        games = int(np.count_nonzero(self.g))
-        return p + f == games and h + t == len(self.g) - games
 
 
 @dataclass(frozen=True)

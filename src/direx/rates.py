@@ -17,18 +17,17 @@ kernels :func:`_lane` and :func:`_rate`.
 :func:`worst_case_rate` fills each lane's rate over the dense
 failure-parameter grid, which is built once per process, on first use
 (:func:`_failure_grid`).  The refinement of each lane's grid minimum then
-runs in :func:`golden_section_lanes`: a one-lane call walks the recursion
-a few steps per kernel call, and two or more lanes advance together one
-step per kernel call.
+runs in :func:`golden_section_lanes`: each lane walks the recursion a few
+steps per round, and a round makes one kernel call over the points of
+every lane still running.
 
 Every lane equals the one-lane search bit for bit.  Elementwise
 arithmetic is correctly rounded whatever the array's length or strides, and
 numpy's log, log1p and expm1 give the same value for a point whether it
 comes alone or inside an array.  ``np.power`` on an array can round
 differently from scalar ``**``, so each lane's powers are taken on scalars.
-The golden-section bracket arithmetic runs on Python floats or float64
-arrays, which round alike.  The tests check the lanes against the
-sequential search by ``==``.
+The golden-section bracket arithmetic runs on Python floats, lane by lane.
+The tests check the lanes against the sequential search by ``==``.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ DELTA_GRID_STEP = 1e-4
 # rate turns nan before gamma reaches 1e-309
 _TINY = float(np.finfo(float).tiny)
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-# golden-section steps per kernel call of a one-lane walk: 2**4 - 1 = 15 points
+# golden-section steps per round of a walk: 2**4 - 1 = 15 points per lane
 _GOLDEN_DEPTH = 4
 # maximize_bound probes every _PROBE_STRIDE-th grid point of each lane, and
 # refines lanes _PRUNE_BATCH at a time until the next lane's upper bound
@@ -224,20 +223,22 @@ def _golden_points(a, b, c, d, left: bool, depth: int) -> list:
     return points
 
 
-def _golden_walk(f, a: float, b: float, floor: float) -> float:
-    """The golden-section recursion on one bracket, _GOLDEN_DEPTH steps per
-    call of f: the points those steps can reach depend only on the bracket
-    (see :func:`_golden_points`), so they are evaluated together and each
-    step then looks its value up."""
+def _golden_walk(a: float, b: float, floor: float):
+    """The golden-section recursion on one bracket, as a generator that
+    yields the points it needs next and is sent their values, and returns
+    min(floor, f(c), f(d)).
+
+    It asks first for f(c) and f(d), then for the points the next
+    _GOLDEN_DEPTH steps can reach: they depend only on the bracket (see
+    :func:`_golden_points`), so they are evaluated together and each step
+    then looks its value up."""
     g, depth = float(_GOLDEN), _GOLDEN_DEPTH
     c, d = b - g * (b - a), a + g * (b - a)
-    fc, fd = f(np.array([c, d]), np.zeros(2, dtype=int)).tolist()
-    lane = np.zeros(2 ** depth - 1, dtype=int)
+    fc, fd = yield [c, d]
     steps = 0
     # a bracket below 1 closes to 1e-12 within 58 golden steps
     while not (steps == 80 or b - a < 1e-12):
-        vals = f(np.array(_golden_points(a, b, c, d, fc < fd, depth)),
-                 lane).tolist()
+        vals = yield _golden_points(a, b, c, d, fc < fd, depth)
         node = 0
         for j in range(depth):
             if steps == 80 or b - a < 1e-12:
@@ -255,14 +256,6 @@ def _golden_walk(f, a: float, b: float, floor: float) -> float:
     return min(floor, fc, fd)
 
 
-def _settle(out, idx, fc, fd) -> None:
-    """out[idx] = min(out[idx], fc, fd) lane by lane, a later value winning
-    only when strictly smaller, as Python's min does."""
-    best = out[idx]
-    best = np.where(fc < best, fc, best)
-    out[idx] = np.where(fd < best, fd, best)
-
-
 def golden_section_lanes(f, a, b, floor) -> np.ndarray:
     """Golden-section minimization of many brackets [a, b].
 
@@ -275,39 +268,34 @@ def golden_section_lanes(f, a, b, floor) -> np.ndarray:
     on the others.
 
     f(points, lane) returns the values at a flat array of points, lane[k]
-    naming the lane of points[k].  One lane is walked _GOLDEN_DEPTH steps
-    per call of f (:func:`_golden_walk`).  Two or more lanes run in numpy
-    lockstep: each call of f takes one point from every lane still running,
-    and the bracket arithmetic runs on float64 arrays.  The two differ only
-    in cost.  Lockstep pays numpy's per-call overhead once per step for all
-    lanes: about five times the walk's cost on one lane, and about a
-    quarter of the cost of walking 144 lanes four steps per call.
+    naming the lane of points[k].  Every lane is a :func:`_golden_walk`,
+    _GOLDEN_DEPTH steps per round; each round makes one call of f on the
+    points of every walk still running and sends each walk its values.
+    One lane array serves every round until a walk ends or the walks ask
+    for a new number of points, so f may reuse what it derives from it.
     """
-    floor = np.asarray(floor, dtype=float)
-    if len(floor) == 1:
-        return np.array([_golden_walk(f, float(a[0]), float(b[0]),
-                                      float(floor[0]))])
-    g = float(_GOLDEN)
-    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    live = np.arange(len(floor))
-    c, d = b - g * (b - a), a + g * (b - a)
-    fc, fd = np.split(f(np.concatenate((c, d)), np.tile(live, 2)), 2)
-    out = floor.copy()
-    for _ in range(80):
-        done = b - a < 1e-12
-        if done.any():
-            _settle(out, live[done], fc[done], fd[done])
-            run = ~done
-            live, a, b, c, d, fc, fd = (x[run] for x in (live, a, b, c, d, fc, fd))
-            if not len(live):
-                return out
-        left = fc < fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        point = np.where(left, b - g * (b - a), a + g * (b - a))
-        val = f(point, live)
-        c, d = np.where(left, point, d), np.where(left, c, point)
-        fc, fd = np.where(left, val, fd), np.where(left, fc, val)
-    _settle(out, live, fc, fd)
+    walks = [_golden_walk(*x)
+             for x in zip(map(float, a), map(float, b), map(float, floor))]
+    out = np.empty(len(walks))
+    asks = {k: next(walk) for k, walk in enumerate(walks)}
+    sizes = lane = None
+    while asks:
+        points, counts = [], []
+        for pts in asks.values():
+            points += pts
+            counts.append(len(pts))
+        # walks only end, so the lane array changes only with the counts
+        if counts != sizes:
+            sizes, lane = counts, np.repeat(list(asks), counts)
+        vals = f(np.array(points), lane).tolist()
+        end = 0
+        for k, n in zip(list(asks), sizes):
+            start, end = end, end + n
+            try:
+                asks[k] = walks[k].send(vals[start:end])
+            except StopIteration as stop:
+                del asks[k]
+                out[k] = stop.value
     return out
 
 
@@ -322,15 +310,15 @@ def refine_grid_min(f, grid, vals) -> float:
 
     Golden-section search refines the grid minimum over its two neighbouring
     cells; no unimodality is assumed, the grid is taken to be fine enough
-    that the true minimum lies in those cells.  This is the one-lane case
-    of :func:`golden_section_lanes`: f must take an array of points, and it
-    is called with the up to 2**_GOLDEN_DEPTH - 1 points that the next
-    _GOLDEN_DEPTH steps can reach.
+    that the true minimum lies in those cells.  This is
+    :func:`golden_section_lanes` on one lane: f must take an array of
+    points, and it is called with the up to 2**_GOLDEN_DEPTH - 1 points
+    that the next _GOLDEN_DEPTH steps can reach.
     The result equals the sequential search that evaluates one point per
     step as long as f gives a point the same value alone or in an array.
     """
     a, b, floor = _grid_bracket(grid, vals)
-    return _golden_walk(lambda t, _: f(t), float(a), float(b), float(floor))
+    return float(golden_section_lanes(lambda t, _: f(t), [a], [b], [floor])[0])
 
 
 def _check_rate_args(**args) -> None:
@@ -393,9 +381,16 @@ def worst_case_rate(v, h, q, kappa, r):
     a, b, floor = np.array([_grid_bracket(ts, _rate(*lane, ts, ts_terms))
                             for lane in lanes]).T
     factors = [np.array(x) for x in zip(*lanes)]
-    out = golden_section_lanes(
-        lambda t, lane: _rate(*(x[lane] for x in factors), t, _delta_terms(t)),
-        a, b, floor)
+    gathered = [None, None]
+
+    def rate_at(t, lane):
+        # golden_section_lanes passes one lane array until it changes, so
+        # the factors are gathered once per lane array
+        if gathered[0] is not lane:
+            gathered[:] = lane, [x[lane] for x in factors]
+        return _rate(*gathered[1], t, _delta_terms(t))
+
+    out = golden_section_lanes(rate_at, a, b, floor)
     return out.reshape(shape) if shape else float(out[0])
 
 

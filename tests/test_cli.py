@@ -499,6 +499,20 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} ")
 
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--N", "100", "--q", "1e-320", "--eta", "0.01"),
+        ("simulate", "--N", "100", "--q", "2.2e-308", "--eta", "0.01"),
+        ("qkd", "--N", "1000", "--q", "1e-320")])
+    def test_test_probability_past_the_decoder(self, capsys, argv):
+        # the g-bit table's denominator must fit a float
+        assert run_cli(*argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: weights") and "Traceback" not in err
+
+    def test_tiny_test_probability_runs(self):
+        assert run_cli("simulate", "--N", "100", "--q", "1e-300",
+                       "--eta", "0.01") == EXIT_OK
+
     def test_unknown_command(self):
         assert run_cli("frobnicate") == EXIT_USAGE
 

@@ -128,7 +128,9 @@ class TestProtocolR:
         out = run_protocol_r(cfg, NoisyHonestBehavior(base=ghz_honest_device(),
                                                       p=0.2),
                              substream(MASTER, "r4"), numpy_rng(MASTER, "d4"))
-        assert out.transcript.check_symbol_consistency()
+        tr = out.transcript
+        # a symbol code is 2g + bit, so its game bit is g
+        assert np.array_equal(tr.codes >> 1, tr.g)
 
     def test_seed_accounting_split(self):
         cfg = ghz_config(4000, Fraction(1, 10), 0.01)

@@ -151,7 +151,8 @@ class TestEtaBar:
 
     def test_digest_pinned(self):
         # pinned before eta_bar's golden-section search moved into
-        # rates.golden_section_lanes; the values must not move
+        # rates.refine_grid_min, one lane of rates.golden_section_lanes;
+        # the values must not move
         vals = [eta_bar(0.3, GHZ, f=lambda th: 0.0 * np.asarray(th)),
                 eta_bar(0.3, GHZ, f=lambda th: np.sqrt(th)),
                 eta_bar(0.499999, GHZ), eta_bar(0.49999, GHZ),

@@ -308,7 +308,7 @@ class TestTuneParameters:
 
 
 # ---------------------------------------------------------------------------
-# The sequential one-lane search that the lockstep search replaced, kept
+# The sequential one-lane search that the lane search replaced, kept
 # verbatim as a reference: scalar golden-section steps, each evaluating the
 # validated one-round rate at one point.
 
@@ -416,7 +416,7 @@ def _reference_or_error(fn, *args):
 
 
 class TestLockstepSearch:
-    """Every lane of the lockstep search equals the sequential search by ==."""
+    """Every lane of the lane search equals the sequential search by ==."""
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(lanes=st.lists(rate_lanes(), min_size=1, max_size=6))
@@ -483,8 +483,8 @@ class TestLockstepSearch:
                           min_size=2, max_size=8),
            depth=st.integers(1, 6))
     def test_lanes_independent_of_depth_and_neighbours(self, lanes, depth):
-        # two or more lanes run in lockstep; each lane must equal the
-        # sequential search and the one-lane walk at any walk depth.
+        # the lanes share each call of f; each lane must equal the
+        # sequential search and its one-lane walk at any walk depth.
         # Quantized values tie often, so the strict branch is exercised
         from direx import rates
 
@@ -494,7 +494,9 @@ class TestLockstepSearch:
         def f(t, lane):
             return np.floor(40.0 * (t - centre[lane]) ** 2 * 64) / 64
 
-        got = golden_section_lanes(f, a, b, floor).tolist()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rates, "_GOLDEN_DEPTH", depth)
+            got = golden_section_lanes(f, a, b, floor).tolist()
         for k in range(len(lanes)):
             def lane_k(t, _=None, k=k):
                 return f(t, np.full(np.shape(t), k))
@@ -579,7 +581,7 @@ def _digest(values) -> str:
 
 
 class TestPinnedSearches:
-    """Digests of the searches' outputs, pinned before the lockstep search
+    """Digests of the searches' outputs, pinned before the lane search
     replaced the sequential one; they must not move."""
 
     def test_maximize_bound_digest(self):

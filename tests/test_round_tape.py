@@ -181,6 +181,16 @@ class TestSamplerAgainstReference:
             assert runs[0] == runs[1]
         assert commits[0] > 100 and exact[0] > 100
 
+    def test_denominator_past_the_floats(self):
+        # the binary path's float shadow needs den as a float: 10**308
+        # runs, and a larger den is refused by a message naming the weights
+        small = Fraction(1, 10**308)
+        sampler = CategoricalSampler([1 - small, small], substream(MASTER, "big"))
+        assert [sampler.sample() for _ in range(100)] == [0] * 100
+        for small in (Fraction(22, 10**309), Fraction(1, 10**320)):
+            with pytest.raises(ValueError, match=r"^weights \(about \[1\.0, "):
+                CategoricalSampler([1 - small, small], substream(MASTER, "big"))
+
     def test_zero_weights_on_the_binary_path(self, monkeypatch):
         binary = _count_calls(monkeypatch, "_binary_symbols")
         weights = [0, Fraction(3, 7), Fraction(4, 7)]
@@ -358,5 +368,9 @@ class TestSymbolBits:
             assert (symbols_to_bits(tr.codes).tolist()
                     == _per_character(tr.symbols)
                     == _per_character("".join(r[3] for r in tr.rounds)))
-            assert tr.check_symbol_consistency()
+            assert np.array_equal(tr.codes >> 1, tr.g)
             assert tr.failures == tr.counts()["F"] > 0
+        # the check fails once one code's game bit is flipped
+        tampered = tr.codes.copy()
+        tampered[7] ^= 2
+        assert not np.array_equal(tampered >> 1, tr.g)
