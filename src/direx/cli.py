@@ -1,9 +1,10 @@
 """Command-line surface: configuration, deterministic seeding, run records.
 
-Every command snapshots its configuration and master seed into one
-machine-readable record per trial (line-delimited JSON) plus an optional
-CSV summary; two invocations with identical configurations produce
-byte-identical records apart from the timestamp field.
+Every command hands its records to one writer, ``_write_records``, which
+stamps each with the tool version, command, master seed and timestamp and
+appends it as one line of JSON (or one CSV row) to the command's output;
+two invocations with identical configurations produce byte-identical
+records apart from the timestamp field.
 
 Exit codes: 0 success, 1 usage error, 2 verification violation, 3 protocol
 abort under --strict.
@@ -147,6 +148,16 @@ def _out_path(args, name: str):
     return None
 
 
+def _write_records(args, command: str, *records: dict) -> RecordWriter:
+    """The one record path: stamp base_record(args, command) on each record
+    (a record's own "command" field wins), append it and flush."""
+    writer = RecordWriter(_out_path(args, command), args.format)
+    for fields in records:
+        writer.append({**base_record(args, command), **fields})
+    writer.flush()
+    return writer
+
+
 def _resolve_constants(name_or_path: str):
     try:
         return named_constants(name_or_path)
@@ -229,31 +240,31 @@ def cmd_rate(args) -> int:
     width = max(len(r[0]) for r in rows)
     for k, val in rows:
         print(f"{k:<{width}}  {val}")
-    writer = RecordWriter(_out_path(args, "rate"), args.format)
-    rec = base_record(args, "rate")
-    rec.update(report.to_record())
-    rec.update(provenance)
-    writer.append(rec)
-    writer.flush()
-    if not args.output and not os.environ.get("DIREX_OUTPUT_DIR"):
+    writer = _write_records(args, "rate", {**report.to_record(), **provenance})
+    if not writer.path:
         print(writer.render(), end="")
     return EXIT_OK
 
 
-def _behavior_from_args(args):
-    """The device a command plays against.  Built-in devices exist only for
-    the named games; call this before the game analysis so a missing
-    device is reported before that work is done."""
+def _device_run(args):
+    """The master seed, game, device and game constants of simulate, qkd and
+    expand, checked in that order.  Built-in devices exist only for the
+    named games, so a missing device is reported before the game analysis
+    starts."""
+    master = parse_master_seed(args.seed)
+    game = load_game(args.game)
     if args.device_config:
         with open(args.device_config) as f:
-            return behavior_from_record(json.load(f))
-    if args.game not in HONEST_DEVICES:
+            behavior = behavior_from_record(json.load(f))
+    elif args.game not in HONEST_DEVICES:
         raise ValueError(
             f"no built-in {args.device} device plays game {args.game!r}; "
             f"describe one with --device-config")
-    variant = "honest" if args.device == "honest" else "noisy_honest"
-    return behavior_from_record({"variant": variant, "device": args.game,
-                                 "p": args.noise})
+    else:
+        variant = "honest" if args.device == "honest" else "noisy_honest"
+        behavior = behavior_from_record({"variant": variant,
+                                         "device": args.game, "p": args.noise})
+    return master, game, behavior, _resolve_constants(args.game)
 
 
 def cmd_simulate(args) -> int:
@@ -261,10 +272,7 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"--N must be nonnegative, got {args.N}")
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    master = parse_master_seed(args.seed)
-    game = load_game(args.game)
-    behavior = _behavior_from_args(args)
-    consts = _resolve_constants(args.game)
+    master, game, behavior, consts = _device_run(args)
     config = ProtocolConfig(mode="R", N=args.N, q=args.q, eta=args.eta,
                             game=game, w_G=consts.wG)
     bound = None
@@ -287,18 +295,11 @@ def cmd_simulate(args) -> int:
           f"wilson [{stats.wilson_low:.4f}, {stats.wilson_high:.4f}]")
     if bound is not None:
         print(f"completeness bound {bound:.4f}  exceeded: {stats.bound_exceeded}")
-    writer = RecordWriter(_out_path(args, "simulate"), args.format)
-    for r in stats.records:
-        rec = base_record(args, "simulate")
-        rec.update({"trial": r.trial, "success": r.success,
-                    "failures": r.failures, "games": r.games,
-                    "seed_bits": r.seed_bits, "N": args.N, "q": args.q,
-                    "eta": args.eta, "device": args.device})
-        writer.append(rec)
-    summary = base_record(args, "simulate-summary")
-    summary.update(stats.to_record())
-    writer.append(summary)
-    writer.flush()
+    _write_records(args, "simulate", *(
+        {"trial": r.trial, "success": r.success, "failures": r.failures,
+         "games": r.games, "seed_bits": r.seed_bits, "N": args.N, "q": args.q,
+         "eta": args.eta, "device": args.device} for r in stats.records),
+        {"command": "simulate-summary", **stats.to_record()})
     if stats.bound_exceeded:
         return EXIT_VIOLATION
     if args.strict and stats.aborts > 0:
@@ -349,17 +350,14 @@ def cmd_trust(args) -> int:
           f"max violation {res.max_violation:.3e}  samples {res.samples_used}")
     if res.analytic_failures >= 0:
         print(f"analytic entry checks: {res.analytic_failures} failures")
-    writer = RecordWriter(_out_path(args, "trust"), args.format)
-    rec = base_record(args, "trust")
-    rec.update({"game": args.game, "c": args.c, "passed": res.passed,
-                "max_violation": res.max_violation,
-                "samples": res.samples_used,
-                "witness": [[z.real, z.imag] for z in res.witness],
-                "analytic_failures": (res.analytic_failures
-                                      if res.analytic_failures >= 0 else None),
-                "sampling": {"grid": args.grid, "samples": args.samples,
-                             "multistarts": args.multistarts,
-                             "check_seed": args.check_seed}})
+    rec = {"game": args.game, "c": args.c, "passed": res.passed,
+           "max_violation": res.max_violation, "samples": res.samples_used,
+           "witness": [[z.real, z.imag] for z in res.witness],
+           "analytic_failures": (res.analytic_failures
+                                 if res.analytic_failures >= 0 else None),
+           "sampling": {"grid": args.grid, "samples": args.samples,
+                        "multistarts": args.multistarts,
+                        "check_seed": args.check_seed}}
     if not is_ghz:
         anti = members[member]
         print(f"anticommuter: member {member} of {len(members)}")
@@ -367,8 +365,7 @@ def cmd_trust(args) -> int:
             "member": member, "members": len(members),
             "top_row_phases": [[z.real, z.imag]
                                for z in anti[:len(anti) // 2].tolist()]}
-    writer.append(rec)
-    writer.flush()
+    _write_records(args, "trust", rec)
     return EXIT_OK if res.passed else EXIT_VIOLATION
 
 
@@ -376,10 +373,7 @@ def cmd_qkd(args) -> int:
     if args.N < 3:
         raise ValueError(
             f"--N must be at least 3 (the shortest Hamming code), got {args.N}")
-    master = parse_master_seed(args.seed)
-    game = load_game(args.game)
-    behavior = _behavior_from_args(args)
-    consts = _resolve_constants(args.game)
+    master, game, behavior, consts = _device_run(args)
     code = hamming_code(args.N)
     # lam is the code's own parameter, kept below w_G - 1/2 (a code that
     # cannot back the lower lam makes the run abort at reconciliation);
@@ -403,16 +397,13 @@ def cmd_qkd(args) -> int:
               f"leaked {outcome.leaked_bits} bits  {certified}")
     else:
         print(f"aborted at: {outcome.abort_reason}")
-    writer = RecordWriter(_out_path(args, "qkd"), args.format)
-    rec = base_record(args, "qkd")
-    rec.update({"game": args.game, "N": args.N, "q": args.q, "eta": args.eta,
-                "success": outcome.success, "keys_match": outcome.keys_match,
-                "leaked_bits": outcome.leaked_bits,
-                "certified_bits": outcome.certified_bits,
-                "disagreements": outcome.disagreements,
-                "seed_bits": outcome.seed_bits_used})
-    writer.append(rec)
-    writer.flush()
+    _write_records(args, "qkd", {
+        "game": args.game, "N": args.N, "q": args.q, "eta": args.eta,
+        "success": outcome.success, "keys_match": outcome.keys_match,
+        "leaked_bits": outcome.leaked_bits,
+        "certified_bits": outcome.certified_bits,
+        "disagreements": outcome.disagreements,
+        "seed_bits": outcome.seed_bits_used})
     if not outcome.success and args.strict:
         return EXIT_ABORT
     return EXIT_OK
@@ -428,10 +419,7 @@ def cmd_expand(args) -> int:
         if min(values) < 1:
             raise ValueError(
                 f"{flag} values must be at least 1, got {min(values)}")
-    master = parse_master_seed(args.seed)
-    game = load_game(args.game)
-    behavior = _behavior_from_args(args)
-    consts = _resolve_constants(args.game)
+    master, game, behavior, consts = _device_run(args)
     stages = [CrossFeedStage(N=n, q=args.q, eta=args.eta, kappa=args.kappa,
                              epsilon_exp=args.epsilon_exp, m_out=m)
               for n, m in zip(args.stage_rounds, args.stage_bits)]
@@ -446,18 +434,15 @@ def cmd_expand(args) -> int:
     if args.emit == "hex":
         packed = np.packbits(res.final_bits)
         print(packed.tobytes().hex())
-    writer = RecordWriter(_out_path(args, "expand"), args.format)
-    rec = base_record(args, "expand")
-    rec.update({"stages": len(res.stages), "final_bits": len(res.final_bits),
-                "ledger": led,
-                "stage_summaries": [
-                    {"stage": s.stage, "device": s.device_id,
-                     "out_bits": len(s.output_bits), "bound": s.report.bound,
-                     "seed_from_previous": s.seed_from_previous,
-                     "seed_topped_up": s.seed_topped_up}
-                    for s in res.stages]})
-    writer.append(rec)
-    writer.flush()
+    _write_records(args, "expand", {
+        "stages": len(res.stages), "final_bits": len(res.final_bits),
+        "ledger": led,
+        "stage_summaries": [
+            {"stage": s.stage, "device": s.device_id,
+             "out_bits": len(s.output_bits), "bound": s.report.bound,
+             "seed_from_previous": s.seed_from_previous,
+             "seed_topped_up": s.seed_topped_up}
+            for s in res.stages]})
     return EXIT_OK
 
 
@@ -516,13 +501,10 @@ def cmd_recon(args) -> int:
             successes += 1
     print(f"{successes}/{args.trials} recovered "
           f"(code {code.name}, leak {code.n_checks} bits/run)")
-    writer = RecordWriter(_out_path(args, "recon"), args.format)
-    rec = base_record(args, "recon")
-    rec.update({"regime": args.regime, "N": args.N, "trials": args.trials,
-                "errors": errors, "successes": successes,
-                "code": code.name, "leak_bits": int(code.n_checks)})
-    writer.append(rec)
-    writer.flush()
+    _write_records(args, "recon", {
+        "regime": args.regime, "N": args.N, "trials": args.trials,
+        "errors": errors, "successes": successes, "code": code.name,
+        "leak_bits": int(code.n_checks)})
     return EXIT_OK
 
 
@@ -531,8 +513,7 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--instances must be at least 1, got {args.instances}")
     master = parse_master_seed(args.seed)
     rng = numpy_rng(master, f"verify-{args.suite}")
-    violations = 0
-    checked = 0
+    verdicts = []  # one per check, in draw order
     if args.suite in ("uncertainty", "all"):
         for _ in range(args.instances):
             dw = int(rng.integers(1, 5))
@@ -540,18 +521,14 @@ def cmd_verify(args) -> int:
             z = rng.normal(size=(2 * dw, dv)) + 1j * rng.normal(size=(2 * dw, dv))
             z /= np.linalg.norm(z)
             inst = measurement_split(z)
-            for eps in (0.1, 0.5, 1.0):
-                checked += 1
-                if not uncertainty_check(inst, eps).holds:
-                    violations += 1
+            verdicts += [uncertainty_check(inst, eps).holds
+                         for eps in (0.1, 0.5, 1.0)]
     if args.suite in ("schatten", "all"):
         for _ in range(args.instances):
             a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            for p in (2.0, 2.5, 4.0):
-                checked += 1
-                if not schatten_ineq_check(a, b, p).holds:
-                    violations += 1
+            verdicts += [schatten_ineq_check(a, b, p).holds
+                         for p in (2.0, 2.5, 4.0)]
     if args.suite in ("multishot", "all"):
         for _ in range(args.instances):
             v = float(rng.uniform(0.1, 1.0))
@@ -561,9 +538,7 @@ def cmd_verify(args) -> int:
             kappa = float(rng.uniform(0.2, 2.0))
             r = float(rng.uniform(0.05, 1.0)) / (q * kappa)
             n_rounds = int(rng.integers(1, 4))
-            checked += 1
-            if not exact_small_run(n_rounds, beh, q, kappa, r).holds:
-                violations += 1
+            verdicts.append(exact_small_run(n_rounds, beh, q, kappa, r).holds)
     if args.suite in ("partial-trust", "all"):
         for _ in range(args.instances):
             v = float(rng.uniform(0.1, 1.0))
@@ -578,18 +553,14 @@ def cmd_verify(args) -> int:
                 cs["F"] - (h / 2) * rho - v * cs["1"],
                 (1 - h / 2) * rho - v * cs["0"] - cs["F"],
             )
-            for m in diffs:
-                checked += 1
-                lo = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
-                if lo < -1e-9:
-                    violations += 1
+            verdicts += [
+                not np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0] < -1e-9
+                for m in diffs]
+    checked, violations = len(verdicts), verdicts.count(False)
     print(f"suite {args.suite}: {checked} checks, {violations} violations")
-    writer = RecordWriter(_out_path(args, "verify"), args.format)
-    rec = base_record(args, "verify")
-    rec.update({"suite": args.suite, "instances": args.instances,
-                "checked": checked, "violations": violations})
-    writer.append(rec)
-    writer.flush()
+    _write_records(args, "verify", {
+        "suite": args.suite, "instances": args.instances, "checked": checked,
+        "violations": violations})
     return EXIT_OK if violations == 0 else EXIT_VIOLATION
 
 
@@ -597,6 +568,16 @@ def _add_epsilon_exp(parser, default: float):
     """The one --epsilon-exp option: smoothing parameter epsilon = 2**-x."""
     parser.add_argument("--epsilon-exp", type=float, default=default,
                         help="smoothing parameter epsilon = 2**-value")
+
+
+def _add_device_flags(parser):
+    """The one --game/--device/--device-config/--noise group, for the
+    commands that play a device (simulate, qkd, expand)."""
+    parser.add_argument("--game", default="ghz")
+    parser.add_argument("--device", default="honest",
+                        choices=("honest", "noisy"))
+    parser.add_argument("--device-config", default=None)
+    parser.add_argument("--noise", type=float, default=0.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -622,10 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(func=cmd_rate)
 
     s = sub.add_parser("simulate", help="Monte Carlo protocol runs")
-    s.add_argument("--game", default="ghz")
-    s.add_argument("--device", default="honest", choices=("honest", "noisy"))
-    s.add_argument("--device-config", default=None)
-    s.add_argument("--noise", type=float, default=0.0)
+    _add_device_flags(s)
     s.add_argument("--N", type=int, required=True)
     s.add_argument("--q", type=float, required=True)
     s.add_argument("--eta", type=float, required=True)
@@ -642,10 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=cmd_trust)
 
     k = sub.add_parser("qkd", help="key distribution run")
-    k.add_argument("--game", default="ghz")
-    k.add_argument("--device", default="honest", choices=("honest", "noisy"))
-    k.add_argument("--device-config", default=None)
-    k.add_argument("--noise", type=float, default=0.0)
+    _add_device_flags(k)
     k.add_argument("--N", type=int, required=True)
     k.add_argument("--q", type=float, required=True)
     k.add_argument("--eta", type=float, default=0.001)
@@ -654,10 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.set_defaults(func=cmd_qkd)
 
     e = sub.add_parser("expand", help="cross-feeding composition")
-    e.add_argument("--game", default="ghz")
-    e.add_argument("--device", default="honest", choices=("honest", "noisy"))
-    e.add_argument("--device-config", default=None)
-    e.add_argument("--noise", type=float, default=0.0)
+    _add_device_flags(e)
     e.add_argument("--stage-rounds", type=int, nargs="+",
                    default=[10000, 11000, 25000])
     e.add_argument("--stage-bits", type=int, nargs="+",

@@ -391,8 +391,8 @@ def behavior_from_record(rec: dict):
                 f"device variant {variant!r} needs the field {name!r}")
         return rec[name]
 
-    def typed(kind, name, default=None):
-        value = need(name) if default is None else rec.get(name, default)
+    def typed(kind, name):
+        value = need(name)
         try:
             return kind(value)
         except (TypeError, ValueError):
@@ -444,8 +444,4 @@ def behavior_from_record(rec: dict):
                     "listed as integers 0 or 1")
             table[key] = tuple(v)
         return AdversarialBehavior(n=n, program=ResponseTable(n, table))
-    if variant == "partially_trusted":
-        rng = np.random.default_rng(typed(int, "instance_seed", 0))
-        return random_partially_trusted(rng, typed(float, "v"), typed(float, "h"),
-                                        env_dim=typed(int, "env_dim", 2))
     raise ValueError(f"unknown behavior variant {variant!r}")

@@ -44,7 +44,7 @@ class ExtractorSpec:
         if self.output_len > self.claimed_min_entropy - 2 * self.ext_error_exp:
             raise InfeasibleError(
                 f"output length {self.output_len} exceeds the hashing budget "
-                f"{self.claimed_min_entropy - 2 * self.ext_error_exp:.1f}")
+                f"{self.claimed_min_entropy - 2 * self.ext_error_exp:.6g}")
 
     @property
     def seed_len(self) -> int:

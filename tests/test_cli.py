@@ -1,11 +1,16 @@
+import ast
 import csv
+import inspect
 import json
 import os
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from direx.cli import (
+    DEFAULT_SEED,
     EXIT_ABORT,
     EXIT_OK,
     EXIT_USAGE,
@@ -13,6 +18,7 @@ from direx.cli import (
     build_parser,
     main,
 )
+from direx.entropy import uncertainty_check
 
 
 def exit_in_worker(task):
@@ -147,14 +153,41 @@ class TestRate:
 
 class TestRecordsAndDeterminism:
     def test_records_identical_modulo_timestamp(self, tmp_path):
-        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        for p in (p1, p2):
-            assert run_cli("--output", str(p), "simulate", "--game", "ghz",
-                           "--N", "300", "--q", "0.1", "--eta", "0.05",
-                           "--trials", "3") == EXIT_OK
-        a = [strip_volatile(r) for r in read_records(p1)]
-        b = [strip_volatile(r) for r in read_records(p2)]
-        assert a == b
+        for argv in (
+                ("simulate", "--game", "ghz", "--N", "300", "--q", "0.1",
+                 "--eta", "0.05", "--trials", "3"),
+                ("rate", "--eta", "0.01", "--N", "10000"),
+                ("trust", "--c", "0.14", "--grid", "6", "--samples", "100",
+                 "--multistarts", "1"),
+                ("qkd", "--N", "1000", "--q", "0.1"),
+                ("expand", "--stage-rounds", "10000", "--stage-bits", "64"),
+                ("recon", "--trials", "20"),
+                ("verify", "--instances", "3")):
+            p1, p2 = (tmp_path / f"{argv[0]}-{i}.jsonl" for i in "ab")
+            for p in (p1, p2):
+                assert run_cli("--output", str(p), *argv) == EXIT_OK
+            a, b = read_records(p1), read_records(p2)
+            assert a and [strip_volatile(r) for r in a] == [
+                strip_volatile(r) for r in b]
+            for rec in a:
+                assert {"tool_version", "command", "seed",
+                        "timestamp"} <= set(rec)
+                assert rec["command"].startswith(argv[0])
+                assert rec["seed"] == DEFAULT_SEED
+
+    def test_one_writer_writes_every_record(self):
+        # every record goes through _write_records, so the base fields and
+        # any block added there reach every command
+        from direx import cli
+
+        tree = ast.parse(inspect.getsource(cli))
+        writers = {
+            fn.name for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            for call in ast.walk(fn)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id in ("RecordWriter", "base_record")}
+        assert writers == {"_write_records"}
 
     def test_seed_changes_records(self, tmp_path):
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -332,7 +365,8 @@ class TestSimulate:
         ({"variant": "adversarial", "n": 3, "table": {"0,0,0": 1}}, "0,0,0"),
         ({"variant": "adversarial", "n": 3, "table": {"0,0,0": [1, 1]}},
          "not 3 bits"),
-        ({"variant": "partially_trusted", "v": [1], "h": 0}, "'v'"),
+        ({"variant": "partially_trusted", "v": 0.6, "h": 0.2},
+         "'partially_trusted'"),
         ({"variant": "adversarial", "n": [3], "table": {"0,0,0": [1, 1, 0]}},
          "'n'"),
         ({"variant": "noisy_honest", "p": "x"}, "'p'"),
@@ -377,6 +411,32 @@ class TestSimulate:
 class TestVerify:
     def test_all_suites_clean(self):
         assert run_cli("verify", "--suite", "all", "--instances", "10") == EXIT_OK
+
+    @pytest.mark.parametrize("suite, per_instance", [
+        ("uncertainty", 3), ("schatten", 3), ("multishot", 1),
+        ("partial-trust", 4), ("all", 11)])
+    def test_checked_counts_every_check(self, tmp_path, suite, per_instance):
+        out = tmp_path / "v.jsonl"
+        assert run_cli("--output", str(out), "verify", "--suite", suite,
+                       "--instances", "4") == EXIT_OK
+        rec = read_records(out)[0]
+        assert rec["checked"] == 4 * per_instance and rec["violations"] == 0
+
+    def test_one_failed_check_is_one_violation(self, tmp_path, monkeypatch):
+        from direx import cli
+
+        calls = []
+
+        def fail_second(inst, eps):
+            calls.append(eps)
+            res = uncertainty_check(inst, eps)
+            return res if len(calls) != 2 else replace(res, holds=False)
+        monkeypatch.setattr(cli, "uncertainty_check", fail_second)
+        out = tmp_path / "v.jsonl"
+        assert run_cli("--output", str(out), "verify", "--suite", "all",
+                       "--instances", "2") == EXIT_VIOLATION
+        rec = read_records(out)[0]
+        assert (rec["checked"], rec["violations"]) == (22, 1)
 
     def test_trust_pass(self):
         assert run_cli("trust", "--game", "ghz", "--c", "0.14", "--grid", "12",
@@ -604,6 +664,13 @@ class TestExpandCommand:
         assert run_cli("expand", "--stage-rounds", "100",
                        "--stage-bits", "64") == EXIT_USAGE
         assert "exceeds the hashing budget" in capsys.readouterr().err
+
+    def test_huge_negative_budget_prints_in_exponent_form(self, capsys):
+        assert run_cli("expand", "--q", "1e-300") == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert re.search(r"exceeds the hashing budget -\d\.\d+e\+\d+$",
+                         err.strip())
+        assert len(err) < 200
 
     def test_stage_lists_must_align(self, monkeypatch, capsys):
         from direx import cli

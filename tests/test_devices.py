@@ -295,12 +295,6 @@ class TestBehaviorRecords:
                 {"variant": "noisy_honest", "device": "ghz", "p": 0.1,
                  "mode": "fixed", "fixed_outputs": fixed})
 
-    def test_partially_trusted_record(self):
-        dev = behavior_from_record(
-            {"variant": "partially_trusted", "v": 0.5, "h": 0.2,
-             "instance_seed": 3})
-        assert dev.v == 0.5 and dev.h == 0.2
-
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="nope"):
             behavior_from_record({"variant": "nope"})
