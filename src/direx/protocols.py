@@ -24,7 +24,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, product
-from math import lcm
+from math import lcm, log2
 
 import numpy as np
 
@@ -52,10 +52,12 @@ _POW2 = [float(1 << r) for r in range(_WORD + 1)]
 _MAX_PENDING = 96              # emissions between commits
 _FRESH_ERR = 2.0 ** -50        # error of t per unit of |t| + 1 when rebuilt
 _STEP_ERR = 2.0 ** -45         # error of t per emission per unit of den·g;
-                               # >= (2 * _MAX_PENDING + 3) * 2^-53
+                               # >= (2 * _MAX_PENDING + 4) * 2^-53
 _GROW = 1 + 2.0 ** -40         # covers the rounding of g's rescaling
 _COMMIT_ERR = 2.0 ** -16       # commit once the error of t exceeds this
 _FLOAT_MAX = float(np.finfo(float).max)  # a larger den fails the shadow
+_TRUNCATED_ERR = 57            # rebuild from a truncated state only while
+                               # D / (W - D) <= 2^-_TRUNCATED_ERR
 
 
 class CategoricalSampler:
@@ -98,8 +100,7 @@ class CategoricalSampler:
         decision is taken only when [t - eps, t + eps] avoids every dyadic
         point of level r.  An uncertain decision or r > 48 takes one step
         of the integer loop instead.
-        Pending steps, n emissions and R reads, commit to the integers in
-        closed form:
+        Pending steps, n emissions and R reads, commit in closed form:
             L <- L·den^n·2^R + W·den^n·B - U·2^R·Z
             W <- W·den^n,  U <- U·2^R·P
         where B holds the R bits read, P is the product of the emitted
@@ -107,6 +108,29 @@ class CategoricalSampler:
         before an integer step, after 96 emissions, or once eps exceeds
         2^-16; each rebuilds t and g.  den must not exceed the largest
         float, or the table is rejected with a ValueError.
+        While W has at most keep bits the commits apply to the exact
+        integers.  keep is block·h·1.25 + 256 bits, h the table's binary
+        entropy: a quarter more than the seed bits a block reads.  Past
+        keep bits a commit shifts its result right so that W keeps keep
+        bits, and an integer D bounds each component's distance from the
+        exact state at that scale.  A commit maps D <- D·den^n·2^(R+2):
+        each of L's three terms moves by at most D·den^n·2^R (B < 2^R,
+        Z < den^n, P <= den^n), W and U by no more.  A shift by k maps
+        D <- ceil(D/2^k) + 1.  The shadow is rebuilt from the truncated
+        state only while r = D/(W - D) <= 2^-57, where it keeps the budgets
+        above.  The numerator a·U - L·den moves by at most
+        D·(a + den) < 2·D·den and W by at most D, so the truncated state's
+        t lies within r·(2 + |t|) of the exact one; with the rounding that
+        is under 2^-52·(|t| + 1), inside the rebuild's eps.  The window
+        lies in the interval (W <= U), so g's relative error gains at most
+        2r + r^2 < 2^-55, and after n emissions it stays under
+        (2n + 2)·2^-53, which the den·2^-45 term still covers with the two
+        roundings of the step.  The exact state
+        is held as an anchor (the last exact state) and the steps committed
+        since.  A commit that would leave r above 2^-57, and an uncertain
+        decision before its integer step, replay those steps through the
+        closed form and go on from the exact state; D = 0 marks the state
+        as exact, and only a commit past keep bits truncates it again.
     (c) Every other table runs the integer loop.
     """
 
@@ -212,16 +236,56 @@ def _shadow(L, W, U, den, a):
     return t, g, ((t if t > 0 else -t) + 1) * _FRESH_ERR / g
 
 
+def _keep_bits(den, a, block):
+    """The bit length of W past which commits shift their result back
+    (see CategoricalSampler): block·h·1.25 + 256 for the table
+    [0, a), [a, den) of binary entropy h."""
+    p, log_den = a / den, log2(den)
+    h = p * (log_den - log2(a)) + (1 - p) * (log_den - log2(den - a))
+    return int(block * h * 1.25) + 256
+
+
+def _replay(held, den, a):
+    """The exact state: the anchor held[0] carried through the steps
+    held[1:] committed since."""
+    L, W, U = held[0]
+    for step in held[1:]:
+        L, W, U = _commit(L, W, U, den, a, *step)
+    return L, W, U
+
+
+def _truncate(L, W, U, D, held, step, den, a, keep):
+    """Carry the distance bound D of (L, W, U), just committed by step,
+    shift the state back to keep bits of W, and return it with the new D
+    (0 once the state is exact again); held is the anchor and the steps
+    committed since, and an exact state becomes the anchor."""
+    if D:
+        n, R = step[0], step[1]
+        D = (D * den ** n) << (R + 2)
+        held.append(step)
+    else:
+        held[:] = [(L, W, U)]
+    k = W.bit_length() - keep
+    if k > 0:
+        L, W, U, D = L >> k, W >> k, U >> k, 1 - (-D >> k)
+    if (D << _TRUNCATED_ERR) + D > W:
+        return (*_replay(held, den, a), 0)
+    return L, W, U, D
+
+
 def _binary_symbols(count, stream, den, slices, block):
     (sym0, _, a), (sym1, _, _) = slices
     b = den - a
+    keep = _keep_bits(den, a, block)
     scale0, scale1 = a / den, b / den
     # an emission maps the error bound e (in units of g) to e·grow + add
     grow0, grow1 = den / a * _GROW, den / b * _GROW
     add = den * _STEP_ERR
     peek, advance = stream.peek, stream.advance
+    held = []
     while True:
         L, W, U = 0, 1, 1
+        D = 0  # distance bound of the truncated state; 0 while exact
         t, g, e = _shadow(L, W, U, den, a)
         n = R = B = 0
         ones = []
@@ -230,8 +294,12 @@ def _binary_symbols(count, stream, den, slices, block):
             eps = e * g
             if eps > _COMMIT_ERR or n >= _MAX_PENDING:
                 L, W, U = _commit(L, W, U, den, a, n, R, B, ones)
+                if D or W.bit_length() > keep:
+                    L, W, U, D = _truncate(L, W, U, D, held, (n, R, B, ones),
+                                           den, a, keep)
                 n = R = B = 0
-                ones.clear()
+                ones = []  # held may keep the last list
+                one = ones.append
                 t, g, e = _shadow(L, W, U, den, a)
                 eps = e * g
             lo = t - eps
@@ -249,7 +317,10 @@ def _binary_symbols(count, stream, den, slices, block):
                 scale = _POW2[r]
                 if (r > _MAX_READ or not edge < lo * scale
                         or not (t + eps) * scale < edge + 1):
-                    # uncertain: commit, take the exact step, rebuild
+                    # uncertain: commit exactly, take the exact step, rebuild
+                    if D:
+                        L, W, U = _replay(held, den, a)
+                        D = 0
                     L, W, U = yield from _exact_symbols(
                         count, stream, den, slices, 1,
                         *_commit(L, W, U, den, a, n, R, B, ones))

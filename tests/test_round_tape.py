@@ -181,6 +181,71 @@ class TestSamplerAgainstReference:
             assert runs[0] == runs[1]
         assert commits[0] > 100 and exact[0] > 100
 
+    @settings(max_examples=15, deadline=None)
+    @given(first=binary_tables, second=st.one_of(binary_tables, distributions),
+           draws=st.integers(1, 9000), keep=st.integers(64, 256),
+           label=st.integers(0, 10**6))
+    def test_truncated_state(self, first, second, draws, keep, label):
+        # a keep this short truncates from the first commits on and runs
+        # the error budget out every few commits
+        ref = _draw_all(lambda w, s: ReferenceSampler(w, s, 4096), first,
+                        second, draws, f"keep/{label}")[:2]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(protocols, "_keep_bits", lambda den, a, block: keep)
+            new = _draw_all(lambda w, s: CategoricalSampler(w, s, 4096),
+                            first, second, draws, f"keep/{label}")[:2]
+        assert new == ref
+
+    def test_truncation_reanchor_and_replay_all_run(self, monkeypatch):
+        # with keep at 64 bits the state is truncated from the first
+        # commits on, and on these streams a decision is uncertain while it
+        # is: the replay before that exact step is one outside _truncate
+        monkeypatch.setattr(protocols, "_keep_bits", lambda den, a, block: 64)
+        counts = {"truncated": 0, "reanchored": 0, "replayed": 0}
+        inside = [False]
+        truncate, replay = protocols._truncate, protocols._replay
+
+        def counted_truncate(*args):
+            inside[0] = True
+            try:
+                state = truncate(*args)
+            finally:
+                inside[0] = False
+            counts["truncated" if state[3] else "reanchored"] += 1
+            return state
+
+        def counted_replay(*args):
+            counts["replayed"] += not inside[0]
+            return replay(*args)
+        monkeypatch.setattr(protocols, "_truncate", counted_truncate)
+        monkeypatch.setattr(protocols, "_replay", counted_replay)
+        weights = [Fraction(1, 4), Fraction(3, 4)]
+        for label in (4, 98, 162, 247):
+            runs = []
+            for make in (ReferenceSampler, CategoricalSampler):
+                stream = substream(MASTER, f"paths/{label}")
+                sampler = make(weights, stream)
+                runs.append(([sampler.sample() for _ in range(1500)],
+                             stream.consumed))
+            assert runs[0] == runs[1]
+        assert all(counts.values()), counts
+
+    def test_keep_for_every_accepted_table(self):
+        # keep comes from the table's binary entropy: equal slices, and
+        # denominators up to the largest float, where a/den or 1 - a/den
+        # is below every normal float, still give a bit count
+        top = int(protocols._FLOAT_MAX)
+        assert protocols._keep_bits(2, 1, 4096) == 4096 * 5 // 4 + 256
+        assert protocols._keep_bits(top, 1, 4096) == 256
+        for den, a in ((2 * 10**300, 10**300), (top, 2), (top, top // 3),
+                       (top, top // 2), (top, top - 1), (top - 1, top // 2)):
+            for block in (1, 37, 4096):
+                keep = protocols._keep_bits(den, a, block)
+                assert 256 <= keep <= block * 5 // 4 + 256
+        small = Fraction(1, top)
+        sampler = CategoricalSampler([1 - small, small], substream(MASTER, "top"))
+        assert [sampler.sample() for _ in range(300)] == [0] * 300
+
     def test_denominator_past_the_floats(self):
         # the binary path's float shadow needs den as a float: 10**308
         # runs, and a larger den is refused by a message naming the weights
