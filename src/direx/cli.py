@@ -30,7 +30,7 @@ from .devices import (
     random_partially_trusted,
 )
 from .entropy import measurement_split, schatten_ineq_check, uncertainty_check
-from .errors import DirexError, InfeasibleError
+from .errors import DirexError, InfeasibleError, check_domain
 from .postprocess import CrossFeedAbort, CrossFeedStage, cross_feed
 from .protocols import (
     ProtocolConfig,
@@ -66,6 +66,17 @@ EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_ABORT = 3
 TRUST_ENTRY_CAP = 1 << 24  # scoring entries direx trust may hold at once
+# the errors.DOMAINS quantity of every numeric flag: one domain per flag,
+# shared by every command that takes it
+FLAG_DOMAINS = {
+    "workers": "count", "eta": "eta", "q": "q", "kappa": "kappa",
+    "noise": "probability", "epsilon_exp": "epsilon_exp", "N": "nonnegative",
+    "trials": "count", "instances": "count", "c": "nonnegative",
+    "grid": "nonnegative", "samples": "nonnegative",
+    "multistarts": "nonnegative", "check_seed": "nonnegative",
+    "stage_rounds": "count", "stage_bits": "count", "lam": "eta",
+    "error_fraction": "probability", "eps_exp": "eps_exp",
+}
 
 
 class RecordWriter:
@@ -167,34 +178,7 @@ def _resolve_constants(name_or_path: str):
         return analyze_game(load_game(name_or_path))
 
 
-def _check_protocol_flags(args):
-    """Name the flag for protocol parameters no game can accept, before any
-    game analysis starts.  rate, simulate, qkd and expand share these flags
-    with one meaning each; a flag a subcommand lacks or leaves unset is
-    skipped.  The trust bound v is at most 1, so the tolerance must lie
-    below 1/2."""
-    eta = getattr(args, "eta", None)
-    if eta is not None and not 0 < eta < 0.5:
-        raise ValueError(f"--eta must lie in (0, 1/2), got {eta}")
-    q = getattr(args, "q", None)
-    if q is not None and not 0 < q < 1:
-        raise ValueError(f"--q must lie in (0, 1), got {q}")
-    kappa = getattr(args, "kappa", None)
-    if kappa is not None and not 0 < kappa < np.inf:
-        raise ValueError(f"--kappa must be positive and finite, got {kappa}")
-    noise = getattr(args, "noise", None)
-    if noise is not None and not 0 <= noise <= 1:
-        raise ValueError(f"--noise must lie in [0, 1], got {noise}")
-    x = getattr(args, "epsilon_exp", None)
-    if x is not None and not (x >= -0.5 and 2.0**-x > 0):
-        raise ValueError(
-            f"--epsilon-exp must be at least -0.5 (epsilon at most sqrt 2) "
-            f"and leave epsilon = 2**-value above zero, got {x}")
-
-
 def cmd_rate(args) -> int:
-    if args.N < 0:
-        raise ValueError(f"--N must be nonnegative, got {args.N}")
     consts = _resolve_constants(args.game)
     epsilon = 2.0**-args.epsilon_exp
     cutoff = 0.11 * consts.vG_lower
@@ -247,11 +231,9 @@ def cmd_rate(args) -> int:
 
 
 def _device_run(args):
-    """The master seed, game, device and game constants of simulate, qkd and
-    expand, checked in that order.  Built-in devices exist only for the
-    named games, so a missing device is reported before the game analysis
-    starts."""
-    master = parse_master_seed(args.seed)
+    """The game, device and game constants of simulate, qkd and expand,
+    checked in that order.  Built-in devices exist only for the named games,
+    so a missing device is reported before the game analysis starts."""
     game = load_game(args.game)
     if args.device_config:
         with open(args.device_config) as f:
@@ -264,15 +246,11 @@ def _device_run(args):
         variant = "honest" if args.device == "honest" else "noisy_honest"
         behavior = behavior_from_record({"variant": variant,
                                          "device": args.game, "p": args.noise})
-    return master, game, behavior, _resolve_constants(args.game)
+    return game, behavior, _resolve_constants(args.game)
 
 
 def cmd_simulate(args) -> int:
-    if args.N < 0:
-        raise ValueError(f"--N must be nonnegative, got {args.N}")
-    if args.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    master, game, behavior, consts = _device_run(args)
+    game, behavior, consts = _device_run(args)
     config = ProtocolConfig(mode="R", N=args.N, q=args.q, eta=args.eta,
                             game=game, w_G=consts.wG)
     bound = None
@@ -284,7 +262,7 @@ def cmd_simulate(args) -> int:
             bound = completeness_error_bound(args.eta, eta_prime, args.q,
                                              args.N)
     try:
-        stats = monte_carlo(config, behavior, args.trials, master,
+        stats = monte_carlo(config, behavior, args.trials, args.master,
                             completeness_bound=bound, workers=args.workers)
     except BrokenProcessPool as e:
         raise DirexError(
@@ -308,15 +286,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_trust(args) -> int:
-    if not (np.isfinite(args.c) and args.c >= 0):
-        raise ValueError(f"--c must be finite and nonnegative, got {args.c}")
-    for flag, value in (("--grid", args.grid), ("--samples", args.samples),
-                        ("--multistarts", args.multistarts),
-                        ("--check-seed", args.check_seed)):
-        if value < 0:
-            raise ValueError(f"{flag} must be nonnegative, got {value}")
-    if args.grid == 0 and args.samples == 0:
-        raise ValueError("--grid 0 with --samples 0 leaves no sample points")
+    check_domain("no sample points: --grid + --samples",
+                 args.grid + args.samples, "count")
     game = load_game(args.game)
     # every sampled angle tuple holds 2**n complex scoring entries
     entries = (args.grid**game.n + args.samples) * 2**game.n
@@ -373,7 +344,7 @@ def cmd_qkd(args) -> int:
     if args.N < 3:
         raise ValueError(
             f"--N must be at least 3 (the shortest Hamming code), got {args.N}")
-    master, game, behavior, consts = _device_run(args)
+    game, behavior, consts = _device_run(args)
     code = hamming_code(args.N)
     # lam is the code's own parameter, kept below w_G - 1/2 (a code that
     # cannot back the lower lam makes the run abort at reconciliation);
@@ -384,9 +355,9 @@ def cmd_qkd(args) -> int:
                    eta=args.eta, lam=lam,
                    lam_prime=min(lam + 1e-5, (lam + cap) / 2), code=code,
                    kappa=args.kappa, epsilon_exp=args.epsilon_exp)
-    outcome = run_rkd(cfg, behavior, substream(master, "kd-seed", 0),
-                      numpy_rng(master, "kd-device", 0),
-                      shared_randomness=substream(master, "kd-shared", 0))
+    outcome = run_rkd(cfg, behavior, substream(args.master, "kd-seed", 0),
+                      numpy_rng(args.master, "kd-device", 0),
+                      shared_randomness=substream(args.master, "kd-shared", 0))
     if outcome.success:
         if outcome.report is None:
             certified = "no certified bound (eta outside (0, v_G/2))"
@@ -414,17 +385,12 @@ def cmd_expand(args) -> int:
         raise ValueError(
             f"--stage-rounds and --stage-bits must give one value per stage "
             f"(got {len(args.stage_rounds)} and {len(args.stage_bits)})")
-    for flag, values in (("--stage-rounds", args.stage_rounds),
-                         ("--stage-bits", args.stage_bits)):
-        if min(values) < 1:
-            raise ValueError(
-                f"{flag} values must be at least 1, got {min(values)}")
-    master, game, behavior, consts = _device_run(args)
+    game, behavior, consts = _device_run(args)
     stages = [CrossFeedStage(N=n, q=args.q, eta=args.eta, kappa=args.kappa,
                              epsilon_exp=args.epsilon_exp, m_out=m)
               for n, m in zip(args.stage_rounds, args.stage_bits)]
     try:
-        res = cross_feed(game, consts, behavior, behavior, stages, master)
+        res = cross_feed(game, consts, behavior, behavior, stages, args.master)
     except CrossFeedAbort as e:
         print(f"aborted at stage {e.stage}: {e.failures} failures")
         return EXIT_ABORT if args.strict else EXIT_OK
@@ -447,8 +413,8 @@ def cmd_expand(args) -> int:
 
 
 def _check_recon_args(args):
-    """Reject the inputs the reconciliation codes cannot take, naming the
-    flag."""
+    """Reject the --N and --lam that the regime's code cannot take, naming
+    the flag."""
     if args.regime == "unique":
         if args.N < 15 or args.N % 15:
             raise ValueError(
@@ -463,24 +429,11 @@ def _check_recon_args(args):
             raise ValueError(
                 f"--N must lie in [1, {EXHAUSTIVE_LENGTH_CAP}] in the list "
                 f"regime (exhaustive list decoding), got {args.N}")
-        if args.lam is not None and not 0 < args.lam < 0.5:
-            raise ValueError(f"--lam must lie in (0, 1/2), got {args.lam}")
-    if not 0 <= args.error_fraction <= 1:
-        raise ValueError(
-            f"--error-fraction must lie in [0, 1], got {args.error_fraction}")
-    if args.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    # the hash length ceil(log2(2L/eps)) overflows a float above ~1017
-    if not 0 <= args.eps_exp <= 1000:
-        raise ValueError(
-            f"--eps-exp must lie in [0, 1000] (failure budget 2**-value), "
-            f"got {args.eps_exp}")
 
 
 def cmd_recon(args) -> int:
     _check_recon_args(args)
-    master = parse_master_seed(args.seed)
-    rng = numpy_rng(master, "recon-instance")
+    rng = numpy_rng(args.master, "recon-instance")
     if args.regime == "unique":
         base = bch_15_5()
         code = base if args.N == 15 else interleaved(base, args.N // 15)
@@ -489,7 +442,7 @@ def cmd_recon(args) -> int:
         code = random_linear_code(args.N, max(args.N - 6, 1), rng, list_cap=64)
         lam = 0.1 if args.lam is None else args.lam
     errors = int(args.error_fraction * args.N)
-    shared = substream(master, "recon-hash")
+    shared = substream(args.master, "recon-hash")
     successes = 0
     for t in range(args.trials):
         x = rng.integers(0, 2, args.N).astype(np.uint8)
@@ -509,10 +462,7 @@ def cmd_recon(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.instances < 1:
-        raise ValueError(f"--instances must be at least 1, got {args.instances}")
-    master = parse_master_seed(args.seed)
-    rng = numpy_rng(master, f"verify-{args.suite}")
+    rng = numpy_rng(args.master, f"verify-{args.suite}")
     verdicts = []  # one per check, in draw order
     if args.suite in ("uncertainty", "all"):
         for _ in range(args.instances):
@@ -667,9 +617,18 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        if args.workers < 1:
-            raise ValueError(f"--workers must be at least 1, got {args.workers}")
-        _check_protocol_flags(args)
+        # --seed and every numeric flag the command sets are checked here,
+        # naming the flag, before any command starts its game analysis
+        try:
+            args.master = parse_master_seed(args.seed)
+        except ValueError:
+            raise ValueError(f"--seed must be a hex number of at most 64 "
+                             f"digits, got {args.seed!r}") from None
+        for dest, quantity in FLAG_DOMAINS.items():
+            value = getattr(args, dest, None)
+            if value is not None:
+                check_domain("--" + dest.replace("_", "-"), np.asarray(value)
+                             if isinstance(value, list) else value, quantity)
         return args.func(args)
     except (DirexError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -20,6 +20,7 @@ from numbers import Integral
 
 import numpy as np
 
+from .errors import check_domain
 from .matrixcore import pseudo_power
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -104,8 +105,7 @@ class NoisyHonestBehavior:
     fixed_outputs: tuple = ()
 
     def __post_init__(self):
-        if not 0 <= self.p <= 1:
-            raise ValueError("corruption probability must lie in [0, 1]")
+        check_domain("p", self.p, "probability")
         if self.mode not in ("uniform", "fixed"):
             raise ValueError(f"unknown noise mode {self.mode!r}")
         d = 2**self.base.n

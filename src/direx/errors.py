@@ -1,4 +1,44 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one table of input
+domains that every range check reads."""
+
+import numpy as np
+
+_FLOAT_MAX = float(np.finfo(float).max)
+
+# quantity -> (predicate, text).  Every predicate fails nan, +-inf and an
+# integer past the largest float, and works elementwise on numpy arrays,
+# so the rate lanes check whole arrays.
+DOMAINS = {
+    "q": (lambda x: (0 < x) & (x < 1), "must lie in (0, 1)"),
+    # the trust bound v is at most 1, so a tolerance must lie below 1/2
+    "eta": (lambda x: (0 < x) & (x < 0.5), "must lie in (0, 1/2)"),
+    "kappa": (lambda x: (0 < x) & (x <= _FLOAT_MAX),
+              "must be positive and finite"),
+    "nonnegative": (lambda x: (0 <= x) & (x <= _FLOAT_MAX),
+                    "must be finite and nonnegative"),
+    "count": (lambda x: (1 <= x) & (x <= _FLOAT_MAX),
+              "must be finite and at least 1"),
+    "probability": (lambda x: (0 <= x) & (x <= 1), "must lie in [0, 1]"),
+    # 2**-x is a positive float exactly below x = 1075
+    "epsilon_exp": (lambda x: (-0.5 <= x) & (x < 1075),
+                    "must lie in [-0.5, 1075) (epsilon = 2**-value in "
+                    "(0, sqrt 2])"),
+    # the hash length ceil(log2(2L/eps)) overflows a float above ~1017
+    "eps_exp": (lambda x: (0 <= x) & (x <= 1000),
+                "must lie in [0, 1000] (failure budget 2**-value)"),
+}
+
+
+def check_domain(name: str, value, quantity: str) -> None:
+    """Raise ``ValueError(f"{name} {text}, got {value}")`` unless value (a
+    scalar or an array, every element) lies in the domain of quantity; an
+    array's message quotes its first element outside."""
+    test, text = DOMAINS[quantity]
+    inside = test(value)
+    if not np.all(inside):
+        if np.ndim(inside):
+            value = np.asarray(value)[~inside][0]
+        raise ValueError(f"{name} {text}, got {value}")
 
 
 class DirexError(Exception):

@@ -35,6 +35,7 @@ from .devices import (
     respond,
 )
 from .entropy import BlockOperator, renyi_divergence
+from .errors import check_domain
 from .rates import worst_case_rate
 from .seeding import BitStream, numpy_rng, substream
 from .xorgames import XorGame, as_fraction
@@ -357,8 +358,7 @@ def biased_bit_sampler(q, stream: BitStream, N: int):
     bit per output bit.
     """
     qf = as_fraction(q)
-    if not 0 < qf < 1:
-        raise ValueError(f"bias must lie in (0, 1), got {q}")
+    check_domain("q", qf, "q")
     sampler = CategoricalSampler([1 - qf, qf], stream)
     before = stream.consumed
     bits = [sampler.sample() for _ in range(N)]
@@ -386,16 +386,13 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.mode not in ("R", "A", "Aprime"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.N < 0:
-            raise ValueError("round count must be nonnegative")
+        check_domain("N", self.N, "nonnegative")
         object.__setattr__(self, "q", as_fraction(self.q))
-        if not 0 < self.q < 1:
-            raise ValueError("test probability must lie in (0, 1)")
+        check_domain("q", self.q, "q")
         if self.mode == "R":
             if self.game is None or self.w_G is None:
                 raise ValueError("mode R needs a game and its winning probability")
-            if not 0 < self.eta < 0.5:
-                raise ValueError("error tolerance must lie in (0, 1/2)")
+            check_domain("eta", self.eta, "eta")
         else:
             if self.mode == "A" and not (self.v == 1.0 and self.h == 0.0):
                 raise ValueError("mode A fixes v = 1, h = 0")
@@ -690,8 +687,7 @@ def monte_carlo(config: ProtocolConfig, behavior, trials: int, master: bytes,
     completeness bound is supplied, the empirical abort rate is flagged if
     it exceeds the bound by more than three binomial standard errors.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    check_domain("trials", trials, "count")
     indices = range(trials)
     # the fork-based pool starts all its processes up front, so never ask
     # for more than there are trials or CPUs

@@ -15,6 +15,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
+from .errors import check_domain
 from .protocols import (Transcript, _play_rounds, _symbol_string, exceeds_bound,
                         make_responder)
 from .rates import RateReport, certified_bound, refine_grid_min
@@ -48,13 +49,13 @@ class KdConfig:
     epsilon_exp: float = 20.0
 
     def __post_init__(self):
+        check_domain("q", self.q, "q")
+        check_domain("eta", self.eta, "eta")
         w = self.constants.wG
         if not 0 < self.lam < w - 0.5:
             raise ValueError(f"key parameter must lie in (0, {w - 0.5})")
         if not self.lam < self.lam_prime < w - 0.5:
             raise ValueError("secondary parameter must lie in (lam, w - 1/2)")
-        if not 0 < self.eta < 0.5:
-            raise ValueError("error tolerance must lie in (0, 1/2)")
         if self.code.length != self.N:
             raise ValueError("reconciliation code length must equal the round count")
 

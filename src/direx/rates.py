@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError
+from .errors import InfeasibleError, check_domain
 from .xorgames import GameConstants
 
 LN2 = float(np.log(2.0))
@@ -143,14 +143,11 @@ class RateParams:
             raise ValueError("coin-flip coefficient must lie in [0, 1 - v]")
         if not 0 < self.eta < self.v / 2:
             raise ValueError("error tolerance must lie in (0, v/2)")
-        if not 0 < self.q < 1:
-            raise ValueError("test probability must lie in (0, 1)")
-        if not self.kappa > 0:
-            raise ValueError("failure penalty must be positive")
+        check_domain("q", self.q, "q")
+        check_domain("kappa", self.kappa, "kappa")
         if not 0 < self.r <= 1 / (self.q * self.kappa) + 1e-12:
             raise ValueError("multiplier must lie in (0, 1/(q kappa)]")
-        if self.N < 0:
-            raise ValueError("round count must be nonnegative")
+        check_domain("N", self.N, "nonnegative")
         if not 0 < self.epsilon <= SQRT2 + 1e-12:
             raise ValueError("smoothing parameter must lie in (0, sqrt(2)]")
 
@@ -322,18 +319,16 @@ def refine_grid_min(f, grid, vals) -> float:
 
 
 def _check_rate_args(**args) -> None:
-    """Reject an empty lane set, a non-finite value, a q outside (0, 1) and
-    a kappa <= 0, naming the argument."""
+    """Reject an empty lane set, a non-finite value and a q or kappa outside
+    its domain (errors.DOMAINS), naming the argument."""
     for name, x in args.items():
         if x.size == 0:
             raise ValueError(f"{name} is empty: need at least one lane")
     for name, x in args.items():
         if not np.all(np.isfinite(x)):
             raise ValueError(f"{name} must be finite")
-    if not np.all((0 < args["q"]) & (args["q"] < 1)):
-        raise ValueError("q (test probability) must lie in (0, 1)")
-    if not np.all(args["kappa"] > 0):
-        raise ValueError("kappa (failure penalty) must be positive")
+    check_domain("q", args["q"], "q")
+    check_domain("kappa", args["kappa"], "kappa")
 
 
 @functools.cache

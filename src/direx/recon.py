@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DecodeFailureError, ListOverflowError
+from .errors import DecodeFailureError, ListOverflowError, check_domain
 from .seeding import BitStream
 
 EXHAUSTIVE_LENGTH_CAP = 24
@@ -469,8 +469,7 @@ def eir_run(x_bits, y_bits, code: LinearCode, lam: float, epsilon: float,
     y = np.asarray(y_bits, dtype=np.uint8) % 2
     if x.shape != y.shape or x.shape != (code.length,):
         raise ValueError("inputs must both match the code length")
-    if not 0 < lam < 0.5:
-        raise ValueError("disagreement parameter must lie in (0, 1/2)")
+    check_domain("lam", lam, "eta")
     radius = code.promise_radius(lam)
     actual = int(np.sum(x ^ y))
     sx = syndrome(code, x)

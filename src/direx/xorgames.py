@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import InvalidOperatorError
+from .errors import InvalidOperatorError, check_domain
 from .matrixcore import HERMITIAN_ATOL
 
 PROB_SUM_ATOL = 1e-12
@@ -724,11 +724,9 @@ class SamplingSpec:
 
     def __post_init__(self):
         for name in ("grid_points", "random_samples", "multistarts"):
-            if getattr(self, name) < 0:
-                raise ValueError(
-                    f"{name} must be nonnegative, got {getattr(self, name)}")
-        if self.grid_points == 0 and self.random_samples == 0:
-            raise ValueError("no sample points: grid_points and random_samples are 0")
+            check_domain(name, getattr(self, name), "nonnegative")
+        check_domain("no sample points: grid_points + random_samples",
+                     self.grid_points + self.random_samples, "count")
 
 
 @dataclass(frozen=True)
@@ -861,8 +859,7 @@ def trust_coefficient_check(game: XorGame, c: float, anticommuter: np.ndarray,
     so the operator norm is the maximum entry modulus and the whole sweep
     is vectorized.
     """
-    if not (np.isfinite(c) and c >= 0):
-        raise ValueError(f"coefficient must be finite and nonnegative, got {c}")
+    check_domain("c", c, "nonnegative")
     samples = samples or SamplingSpec()
     anti = _validate_anticommuter(game.n, anticommuter)
     if qG is None:

@@ -1,13 +1,18 @@
 import ast
+import contextlib
 import csv
 import inspect
+import io
 import json
 import os
 import re
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from direx.cli import (
     DEFAULT_SEED,
@@ -19,6 +24,7 @@ from direx.cli import (
     main,
 )
 from direx.entropy import uncertainty_check
+from direx.errors import DOMAINS, check_domain
 
 
 def exit_in_worker(task):
@@ -559,6 +565,24 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} ")
 
+    @pytest.mark.parametrize("seed", ["zz", "1" * 65])
+    @pytest.mark.parametrize("argv", [
+        ("rate", "--eta", "0.01"),
+        ("simulate", "--N", "100", "--q", "0.1", "--eta", "0.05"),
+        ("trust", "--c", "0.14"),
+        ("qkd", "--N", "15", "--q", "0.1"),
+        ("expand",), ("recon",), ("verify",)])
+    def test_bad_seed_names_the_flag(self, monkeypatch, capsys, seed, argv):
+        # not hex, and one digit past 256 bits
+        from direx import cli
+
+        def no_analysis(name):
+            raise AssertionError("game analysis started")
+        monkeypatch.setattr(cli, "_resolve_constants", no_analysis)
+        assert run_cli("--seed", seed, *argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seed ") and repr(seed) in err
+
     @pytest.mark.parametrize("argv", [
         ("simulate", "--N", "100", "--q", "1e-320", "--eta", "0.01"),
         ("simulate", "--N", "100", "--q", "2.2e-308", "--eta", "0.01"),
@@ -581,6 +605,104 @@ class TestUsage:
 
     def test_parser_builds(self):
         assert build_parser() is not None
+
+
+def _stated_interval(text):
+    """(low, low closed, high, high closed) as a DOMAINS text states it."""
+    m = re.match(r"must lie in ([\[(])([^,]+), ([^)\]]+)([)\]])", text)
+    if m:
+        return (float(Fraction(m[2])), m[1] == "[", float(Fraction(m[3])),
+                m[4] == "]")
+    return {"must be positive and finite": (0.0, False, np.inf, False),
+            "must be finite and nonnegative": (0.0, True, np.inf, False),
+            "must be finite and at least 1": (1.0, True, np.inf, False)}[text]
+
+
+class TestDomainTable:
+    @pytest.mark.parametrize("quantity", sorted(DOMAINS))
+    def test_entry_matches_its_text(self, quantity):
+        inside, text = DOMAINS[quantity]
+        lo, lo_closed, hi, hi_closed = _stated_interval(text)
+        for x in (np.nan, np.inf, -np.inf, 10**400, -10**400):
+            assert not inside(x)
+        for end, closed, into in ((lo, lo_closed, np.inf),
+                                  (hi, hi_closed, -np.inf)):
+            if np.isfinite(end):
+                assert inside(end) == closed
+                assert inside(np.nextafter(end, into))
+                assert not inside(np.nextafter(end, -into))
+        assert inside(1e308) == (hi == np.inf)
+        # elementwise on arrays
+        mid = lo + 1 if hi == np.inf else (lo + hi) / 2
+        assert inside(np.array([mid, np.nan, mid])).tolist() == [True, False,
+                                                                 True]
+
+    def test_message_names_the_caller_and_the_first_value_outside(self):
+        with pytest.raises(ValueError,
+                           match=r"^--q must lie in \(0, 1\), got 1\.5$"):
+            check_domain("--q", np.array([0.5, 1.5, 2.0]), "q")
+        with pytest.raises(ValueError, match=r"^trials must be finite and at "
+                                             r"least 1, got 0$"):
+            check_domain("trials", 0, "count")
+        check_domain("q", Fraction(1, 3), "q")
+
+
+# command -> fixed flags, and every numeric flag's valid value (its type is
+# the flag's type) and its DOMAINS quantity; --workers is global
+CONTRACT = {
+    "rate": ((), {"--eta": (0.01, "eta"), "--N": (1000, "nonnegative"),
+                  "--q": (0.1, "q"), "--kappa": (1.0, "kappa"),
+                  "--epsilon-exp": (20.0, "epsilon_exp")}),
+    "simulate": (("--device", "noisy"), {
+        "--N": (200, "nonnegative"), "--q": (0.25, "q"), "--eta": (0.05, "eta"),
+        "--trials": (2, "count"), "--noise": (0.01, "probability")}),
+    "trust": ((), {"--c": (0.14, "nonnegative"), "--grid": (4, "nonnegative"),
+                   "--samples": (50, "nonnegative"),
+                   "--multistarts": (1, "nonnegative"),
+                   "--check-seed": (0, "nonnegative")}),
+    "qkd": ((), {"--N": (15, "nonnegative"), "--q": (0.2, "q"),
+                 "--eta": (0.001, "eta"), "--kappa": (2.64, "kappa"),
+                 "--epsilon-exp": (2.0, "epsilon_exp"),
+                 "--noise": (0.0, "probability")}),
+    "expand": ((), {"--stage-rounds": (10000, "count"),
+                    "--stage-bits": (64, "count"), "--q": (0.5, "q"),
+                    "--eta": (0.002, "eta"), "--kappa": (2.6, "kappa"),
+                    "--epsilon-exp": (20.0, "epsilon_exp"),
+                    "--noise": (0.0, "probability")}),
+    "recon": (("--regime", "list"), {
+        "--N": (12, "nonnegative"), "--lam": (0.1, "eta"),
+        "--error-fraction": (0.1, "probability"),
+        "--eps-exp": (10.0, "eps_exp"), "--trials": (2, "count")}),
+    "verify": ((), {"--instances": (1, "count")}),
+}
+# 10**400 is an integer past the largest float
+EDGE_VALUES = ["nan", "inf", "-inf", "0", "-1", "-0.5", "-1e308", "5e-324",
+               "1e308", "1" + "0" * 400]
+
+
+class TestExitContract:
+    @settings(max_examples=300, deadline=None)
+    @given(case=st.sampled_from([(command, flag)
+                                 for command, (_, flags) in CONTRACT.items()
+                                 for flag in ("--workers", *flags)]),
+           value=st.sampled_from(EDGE_VALUES))
+    def test_edge_value_keeps_the_exit_contract(self, case, value):
+        command, flag = case
+        fixed, flags = CONTRACT[command]
+        given_values = {"--workers": (1, "count"), **flags}
+        argv = [part for f, (x, _) in given_values.items()
+                for part in (f, value if f == flag else str(x))]
+        argv[2:2] = [command, *fixed]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, EXIT_ABORT)
+        valid, quantity = given_values[flag]
+        parses = not isinstance(valid, int) or re.fullmatch(r"-?\d+", value)
+        if not (parses and DOMAINS[quantity][0](float(value))):
+            assert code == EXIT_USAGE
+            assert re.search(re.escape(flag) + r"(?![\w-])", err.getvalue())
 
 
 class TestQkdCommand:

@@ -242,6 +242,13 @@ class TestConfigValidation:
             KdConfig(game=GAME, constants=GHZ, N=100, q=0.05, eta=0.001,
                      lam=0.4, lam_prime=0.45, code=hamming_code(50))
 
+    @pytest.mark.parametrize("q", [0.0, 1.0, 1.5])
+    def test_test_probability_domain(self, q):
+        # q = 0 plays no game round and q = 1 no generation round
+        with pytest.raises(ValueError,
+                           match=rf"^q must lie in \(0, 1\), got {q}$"):
+            kd_config(15, q)
+
     def test_eir_epsilon_convention(self):
         cfg = kd_config(1000, 0.05)
         assert cfg.eir_epsilon == pytest.approx(np.exp(-0.05 * 1000))
