@@ -19,6 +19,8 @@ DOMAINS = {
     "count": (lambda x: (1 <= x) & (x <= _FLOAT_MAX),
               "must be finite and at least 1"),
     "probability": (lambda x: (0 <= x) & (x <= 1), "must lie in [0, 1]"),
+    # the order parameter of rates.uncertainty_exponent
+    "eps": (lambda x: (0 < x) & (x <= 1), "must lie in (0, 1]"),
     # 2**-x is a positive float exactly below x = 1075
     "epsilon_exp": (lambda x: (-0.5 <= x) & (x < 1075),
                     "must lie in [-0.5, 1075) (epsilon = 2**-value in "

@@ -92,10 +92,8 @@ def uncertainty_exponent(eps, delta):
     """
     eps = np.asarray(eps, dtype=float)
     delta = np.asarray(delta, dtype=float)
-    if np.any(eps <= 0) or np.any(eps > 1):
-        raise ValueError("first argument must lie in (0, 1]")
-    if np.any(delta < 0) or np.any(delta > 1):
-        raise ValueError("second argument must lie in [0, 1]")
+    check_domain("eps", eps, "eps")
+    check_domain("delta", delta, "probability")
     out = _exponent(*_exponent_coefficients(eps), _delta_terms(delta))
     return out if out.ndim else float(out)
 
@@ -103,8 +101,7 @@ def uncertainty_exponent(eps, delta):
 def binary_entropy(y):
     """Shannon entropy of (y, 1-y) in bits, with h(0) = h(1) = 0."""
     y = np.asarray(y, dtype=float)
-    if np.any(y < 0) or np.any(y > 1):
-        raise ValueError("argument must lie in [0, 1]")
+    check_domain("y", y, "probability")
     ylo = np.clip(y, 1e-300, 1.0)
     yhi = np.clip(1.0 - y, 1e-300, 1.0)
     out = -(y * np.log2(ylo) + (1.0 - y) * np.log2(yhi))
@@ -181,8 +178,7 @@ def one_round_rate(v, h, q, kappa, r, t):
     precision.  Vectorized over t.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0) or np.any(t > 1):
-        raise ValueError("failure parameter must lie in [0, 1]")
+    check_domain("t", t, "probability")
     lanes, shape = _checked_lanes(v, h, q, kappa, r)
     if shape:
         raise ValueError("v, h, q, kappa and r must be scalars: one lane")

@@ -117,6 +117,16 @@ class XorGame:
         inp.flags.writeable = False
         return coeff, inp
 
+    @cached_property
+    def _angle_vectors(self):
+        """Row i is (1, input i): the weights of the n + 1 angles in the
+        i-th cosine of the cosine form.  Built once per game for Newton's
+        gradient and Hessian, and read-only like _score_arrays."""
+        inp = self._score_arrays[1]
+        vecs = np.hstack([np.ones((len(inp), 1)), inp])
+        vecs.flags.writeable = False
+        return vecs
+
     def sign_of(self, bits) -> int:
         for b, _, eta in self.entries:
             if b == tuple(bits):
@@ -418,8 +428,7 @@ def score_certificate(game: XorGame, value: float) -> float:
 
 
 def _zg_grad_hess(game: XorGame, theta: np.ndarray):
-    coeff, inp = game._score_arrays
-    vecs = np.hstack([np.ones((len(coeff), 1)), inp])  # (m, n+1)
+    coeff, vecs = game._score_arrays[0], game._angle_vectors
     a = vecs @ theta
     grad = -(coeff * np.sin(a)) @ vecs
     hess = -(vecs.T * (coeff * np.cos(a))) @ vecs
@@ -614,6 +623,7 @@ def classify_selftest(game: XorGame) -> str:
 
 _TRUST_ATOL = 1e-9  # a trust check passes when its best norm is at most qG - c + this
 TRUST_RESOLUTION = 1e-3  # the search's bisection step, subtracted from its bound
+_THRESHOLD_CHUNK = 1 << 11  # rows per piece of _trust_thresholds
 
 
 def scoring_operator(game: XorGame, zetas) -> np.ndarray:
@@ -793,10 +803,34 @@ def _sampled_max(entries: np.ndarray, c: float, anti: np.ndarray) -> np.ndarray:
     return out
 
 
-def _climb(game: XorGame, c: float, anti: np.ndarray, samples: SamplingSpec,
-           start: np.ndarray, stop: float | None = None):
-    """Local ascent of the norm in lockstep from start (the best sample)
-    and the random starts of _trust_samples.
+def _trust_thresholds(entries: np.ndarray, anti: np.ndarray,
+                      qG: float) -> np.ndarray:
+    """Row-wise min over b of c*_b, the largest coefficient at which entry b
+    passes the trust check, with Q = qG + _TRUST_ATOL (derived in
+    trust_coefficient_search).
+
+    With x + iy = e_b conj(a_b), |e_b|^2 = x^2 + y^2, so
+    c*_b = (Q^2 - |e_b|^2) / (2 (Q - x)) = (Q + x) / 2 - y^2 / (2 (Q - x)),
+    the form computed here, which takes no difference of close squares.
+    Q - x <= 0 only when |e_b| >= Q, which fails at every c; c*_b is then
+    -inf.  The rows go _THRESHOLD_CHUNK at a time.
+    """
+    big_q = qG + _TRUST_ATOL
+    rows = entries.reshape(-1, entries.shape[-1])
+    out = np.empty(len(rows))
+    for s in range(0, len(rows), _THRESHOLD_CHUNK):
+        w = rows[s: s + _THRESHOLD_CHUNK] * anti.conj()
+        den = 2 * (big_q - w.real)
+        tail = np.divide(w.imag * w.imag, den, out=np.full(w.shape, np.inf),
+                         where=den > 0)
+        out[s: s + _THRESHOLD_CHUNK] = np.min(0.5 * (big_q + w.real) - tail,
+                                              axis=1)
+    return out.reshape(entries.shape[:-1])
+
+
+def _climb(game: XorGame, samples: SamplingSpec, start: np.ndarray, value):
+    """Local ascent of value(reverse_diagonal_entries(game, th)), one float
+    per row, in lockstep from start and the random starts of _trust_samples.
 
     Each pass evaluates the 2n axis neighbours of all active starts in one
     batch, moves each start to its best neighbour when that gains more than
@@ -806,22 +840,14 @@ def _climb(game: XorGame, c: float, anti: np.ndarray, samples: SamplingSpec,
     have two or more rows, so by the batch rule of reverse_diagonal_entries
     the values equal those of climbing from one start at a time.
 
-    Returns each start's final (value, position).  With stop given, returns
-    None as soon as a start value or an accepted move has
-    v - stop > _TRUST_ATOL; a neighbour that was not accepted is never
-    tested, since a full climb does not keep it.
+    Returns each start's final (value, position).
     """
-    def norms(th):
-        return _sampled_max(reverse_diagonal_entries(game, th), c, anti)
-
-    def breaks(v):
-        return stop is not None and bool(np.any(v - stop > _TRUST_ATOL))
+    def values(th):
+        return value(reverse_diagonal_entries(game, th))
 
     ths = np.vstack([start[None, :], _trust_samples(game, samples)[2]])
     k = len(ths)
-    val = np.array([norms(th[None, :])[0] for th in ths])
-    if breaks(val):
-        return None
+    val = np.array([values(th[None, :])[0] for th in ths])
     step = np.full(k, np.pi / max(samples.grid_points, 8))
     active = np.ones(k, dtype=bool)
     moves = np.vstack([np.eye(game.n), -np.eye(game.n)])
@@ -831,12 +857,10 @@ def _climb(game: XorGame, c: float, anti: np.ndarray, samples: SamplingSpec,
             break
         trials = np.clip(ths[live, None, :] + step[live, None, None] * moves,
                          0.0, np.pi)
-        tvals = norms(trials.reshape(-1, game.n)).reshape(len(live), len(moves))
+        tvals = values(trials.reshape(-1, game.n)).reshape(len(live), len(moves))
         j = np.argmax(tvals, axis=1)
         top = tvals[np.arange(len(live)), j]
         up = top > val[live] + 1e-14
-        if breaks(top[up]):
-            return None
         ths[live[up]] = trials[up, j[up]]
         val[live[up]] = top[up]
         stuck = live[~up]
@@ -869,7 +893,8 @@ def trust_coefficient_check(game: XorGame, c: float, anticommuter: np.ndarray,
     vals = _sampled_max(entries, c, anti)
     best = int(np.argmax(vals))
     best_val, best_th = float(vals[best]), th_all[best]
-    val, ths = _climb(game, c, anti, samples, best_th)
+    val, ths = _climb(game, samples, best_th,
+                      lambda e: _sampled_max(e, c, anti))
     for i in range(len(ths)):
         if val[i] > best_val:
             best_val, best_th = float(val[i]), ths[i]
@@ -886,27 +911,6 @@ def trust_coefficient_check(game: XorGame, c: float, anticommuter: np.ndarray,
         samples_used=len(th_all),
         analytic_failures=analytic,
     )
-
-
-def _trust_passes(game: XorGame, c: float, anti: np.ndarray,
-                  samples: SamplingSpec, qG: float) -> bool:
-    """trust_coefficient_check(game, c, anti, samples, qG).passed, for a
-    validated anticommuter, stopped at the first value that breaks the
-    bound.
-
-    The check passes when its best value v has v - (qG - c) <= _TRUST_ATOL.
-    That value is the largest of the sampled norms, the starts' values and
-    the moves the ascent accepts, and x -> fl(x - k) is monotone, so the
-    first of these with v - (qG - c) > _TRUST_ATOL decides a failed check.
-    When none does, the check's best value is one of them and it passes.
-    """
-    th_all, entries, _ = _trust_samples(game, samples)
-    bound = qG - c
-    vals = _sampled_max(entries, c, anti)
-    best = int(np.argmax(vals))
-    if vals[best] - bound > _TRUST_ATOL:
-        return False
-    return _climb(game, c, anti, samples, th_all[best], stop=bound) is not None
 
 
 def _anticommuter_orbit_pairs(n: int):
@@ -972,15 +976,26 @@ def trust_coefficient_search(game: XorGame, samples: SamplingSpec | None = None,
                              classification: str | None = None) -> float:
     """Sampled lower-confidence bound on the trust coefficient.
 
-    Bisects the largest coefficient passing trust_coefficient_check over the
-    reverse-diagonal sign-pattern family, then subtracts the bisection
-    resolution.  This is a sampled estimate, not a proof.
+    The largest coefficient passing trust_coefficient_check over
+    trust_anticommuters, found to TRUST_RESOLUTION and lowered by it.  This
+    is a sampled estimate, not a proof.
 
-    The bisection reads only each check's verdict, so it asks _trust_passes,
-    which stops at the first sampled norm, start value or accepted ascent
-    move v with v - (qG - c) > 1e-9.  The check's best value is the largest
-    of these and x -> fl(x - k) is monotone, so that one value already
-    fails the full check: every verdict, and the bound, keep their bits.
+    The check passes at c when every entry it samples has
+    |e_b - c a_b| - (qG - c) <= _TRUST_ATOL, i.e. |e_b - c a_b| <= Q - c
+    with Q = qG + _TRUST_ATOL.  As |a_b| = 1, the left side plus c never
+    decreases in c, so the entry passes exactly for c <= c*_b, and squaring
+    cancels the c^2 terms:
+    c*_b = (Q^2 - |e_b|^2) / (2 (Q - Re(e_b conj(a_b)))).
+    So the sampled rows pass exactly for c at most their least c*
+    (_trust_thresholds, one chunked pass).  One lockstep descent of
+    c*(theta), _climb on -c*, from that row and the check's random starts
+    lowers it to C.  The bound is the lo of a bisection of [0, qG], 12 or so
+    halvings, on the verdict "mid <= C": where the check's own ascent finds
+    nothing below C, a bisection on the check's verdicts takes the same
+    halvings and stops at the same midpoint.  C < 0 leaves lo at 0, as a
+    failed check at c = 0 leaves the anticommuter out.  The descent only
+    lowers C, so it is skipped when the least sampled c* cannot beat the
+    best bound so far.
     """
     classification = classification or classify_selftest(game)
     if classification != "strong-self-test":
@@ -988,19 +1003,29 @@ def trust_coefficient_search(game: XorGame, samples: SamplingSpec | None = None,
             f"trust-coefficient search requires a strong self-test, got {classification}")
     samples = samples or SamplingSpec(grid_points=24, random_samples=2000, multistarts=4)
     qG, _ = optimal_score(game)
-    best = 0.0
-    for anti in trust_anticommuters(game):
-        anti = _validate_anticommuter(game.n, anti)
+    th_all, entries, _ = _trust_samples(game, samples)
+    halvings = int(np.ceil(np.log2(max(qG, 1e-12) / TRUST_RESOLUTION))) + 1
+
+    def replay(cut):
         lo, hi = 0.0, qG
-        if not _trust_passes(game, 0.0, anti, samples, qG):
-            continue
-        for _ in range(int(np.ceil(np.log2(max(qG, 1e-12) / TRUST_RESOLUTION))) + 1):
+        for _ in range(halvings):
             mid = 0.5 * (lo + hi)
-            if _trust_passes(game, mid, anti, samples, qG):
+            if mid <= cut:
                 lo = mid
             else:
                 hi = mid
-        best = max(best, lo)
+        return lo
+
+    best = 0.0
+    for anti in trust_anticommuters(game):
+        anti = _validate_anticommuter(game.n, anti)
+        cstar = _trust_thresholds(entries, anti, qG)
+        low = int(np.argmin(cstar))
+        if replay(cstar[low]) <= best:
+            continue
+        val, _ = _climb(game, samples, th_all[low],
+                        lambda e: -_trust_thresholds(e, anti, qG))
+        best = max(best, replay(min(cstar[low], -val.max())))
     return max(best - TRUST_RESOLUTION, 0.0)
 
 

@@ -576,6 +576,44 @@ class TestLaneDomain:
         assert np.isfinite(worst_case_rate(**{**lane, "q": 0.5, "kappa": 2 * tiny}))
 
 
+class TestUnitIntervalArguments:
+    """The [0, 1] arguments of the exponent helpers, and the (0, 1] order
+    of uncertainty_exponent, reject nan, infinities and values outside by
+    name; an array with one such element is rejected whole."""
+
+    IN_UNIT = {
+        "binary_entropy": ("y", binary_entropy),
+        "limit_exponent": ("y", limit_exponent),
+        "uncertainty_exponent": ("delta",
+                                 lambda d: uncertainty_exponent(0.5, d)),
+        "one_round_rate": ("t",
+                           lambda t: one_round_rate(0.14, 0.0, 0.1, 0.1, 1.0, t)),
+    }
+    BAD = [np.nan, np.inf, -np.inf, -0.1, 1.1, np.array([0.2, np.nan, 0.4])]
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    @pytest.mark.parametrize("fn", sorted(IN_UNIT))
+    def test_outside_rejected(self, fn, bad):
+        name, call = self.IN_UNIT[fn]
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 1\], got "):
+            call(bad)
+
+    @pytest.mark.parametrize("fn", sorted(IN_UNIT))
+    def test_ends_accepted(self, fn):
+        call = self.IN_UNIT[fn][1]
+        assert np.all(np.isfinite(call(np.array([0.0, 1.0]))))
+        assert np.isfinite(call(0.0)) and np.isfinite(call(1.0))
+
+    @pytest.mark.parametrize("bad", [*BAD, 0.0], ids=repr)
+    def test_order_outside_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"^eps must lie in \(0, 1\], got "):
+            uncertainty_exponent(bad, 0.3)
+
+    def test_order_ends(self):
+        assert uncertainty_exponent(1.0, 0.3) == pytest.approx(pi_oracle(1.0, 0.3))
+        assert np.isfinite(uncertainty_exponent(1e-300, 0.3))
+
+
 def _digest(values) -> str:
     return hashlib.sha256("\n".join(map(repr, values)).encode()).hexdigest()
 

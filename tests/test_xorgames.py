@@ -33,6 +33,7 @@ from direx.xorgames import (
     reverse_diagonal_entries,
     score_certificate,
     scoring_operator,
+    trust_anticommuters,
     trust_coefficient_check,
     trust_coefficient_search,
 )
@@ -42,7 +43,7 @@ from direx.xorgames import (
     _conjugation_signs,
     _grid_pass,
     _sampled_max,
-    _trust_passes,
+    _trust_thresholds,
     _validate_anticommuter,
 )
 
@@ -731,34 +732,7 @@ class TestLockstepAscent:
                               reference_entries(GHZ, th))
 
 
-def placed_qgs(game, c, anti, spec, targets):
-    """Scores qG' at which the check at (c, anti, spec) has a violation
-    near each target, each with its two floating-point neighbours.
-
-    The check's best norm does not depend on qG, and with qG = c its
-    violation is that norm exactly."""
-    best = trust_coefficient_check(game, c, anti, spec, qG=c).max_violation
-    out = []
-    for t in targets:
-        q = c + (best - t)
-        out += [np.nextafter(q, -np.inf), q, np.nextafter(q, np.inf)]
-    return out
-
-
 class TestTrustVerdict:
-    @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(trust_cases())
-    def test_matches_check_around_boundary(self, case):
-        # violations placed at 1e-9 + {-2e-9, -1e-9, 0, 1e-9, 2e-9}, each
-        # with the scores one ulp either side, so the early exit is tested
-        # where it could disagree with the full check
-        game, anti, c, spec, qG = case
-        a = _validate_anticommuter(game.n, anti)
-        targets = [1e-9 + d for d in (-2e-9, -1e-9, 0.0, 1e-9, 2e-9)]
-        for q in [qG, *placed_qgs(game, c, anti, spec, targets)]:
-            assert (_trust_passes(game, c, a, spec, q)
-                    == trust_coefficient_check(game, c, anti, spec, qG=q).passed)
-
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(trust_cases())
     def test_matches_check_on_the_tolerance(self, case):
@@ -767,17 +741,14 @@ class TestTrustVerdict:
         # score q puts the best norm exactly on the tolerance, where the
         # check passes and any value above the best one would fail it
         game, anti, _, spec, _ = case
-        a = _validate_anticommuter(game.n, anti)
         best = trust_coefficient_check(game, 0.0, anti, spec, qG=0.0).max_violation
         q = best - 2.0**-30
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(xorgames, "_TRUST_ATOL", 2.0**-30)
             res = trust_coefficient_check(game, 0.0, anti, spec, qG=q)
             assert res.passed and res.max_violation == 2.0**-30
-            assert _trust_passes(game, 0.0, a, spec, q)
             q = np.nextafter(q, -np.inf)
             assert not trust_coefficient_check(game, 0.0, anti, spec, qG=q).passed
-            assert not _trust_passes(game, 0.0, a, spec, q)
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(trust_cases())
@@ -795,6 +766,103 @@ class TestTrustVerdict:
     ])
     def test_searched_bounds_pinned(self, game, bound):
         assert repr(trust_coefficient_search(game)) == bound
+
+
+def raw_least_threshold(entries, a, q):
+    """min over rows and b of (q^2 - |e_b|^2) / (2 (q - Re(e_b conj(a_b)))),
+    -inf where the denominator is not positive."""
+    num = q * q - np.abs(entries) ** 2
+    den = 2 * (q - (entries * a.conj()).real)
+    return np.min(np.divide(num, den, out=np.full(num.shape, -np.inf),
+                            where=den > 0))
+
+
+# Random (game, spec) cases drawn as trust_cases draws them, with the bound
+# of the bisection search over trust_coefficient_check verdicts that the
+# closed-form search replaced
+REPLAY_GAMES = {"ghz": GHZ, "chsh": CHSH, "ghz110": GHZ.relabel((1, 1, 0)),
+                "chsh10": CHSH.relabel((1, 0)), "mermin4": mermin4_game()}
+BISECTION_BOUNDS = [
+    ("ghz", 14, 106, 2, 4212368947, "0.1601328125"),
+    ("ghz", 12, 162, 3, 3999524507, "0.1601328125"),
+    ("ghz", 16, 372, 0, 3882547377, "0.1601328125"),
+    ("ghz", 7, 146, 8, 4051939627, "0.1601328125"),
+    ("chsh", 9, 323, 1, 1689610694, "0.10223482791737193"),
+    ("mermin4", 1, 454, 1, 1295997686, "0.1581796875"),
+    ("chsh", 8, 228, 6, 2823162525, "0.10223482791737193"),
+    ("chsh", 11, 395, 8, 1936342601, "0.10223482791737193"),
+    ("chsh10", 13, 478, 8, 4138827435, "0.0"),
+    ("ghz", 16, 172, 0, 3308745043, "0.1601328125"),
+    ("chsh", 13, 81, 1, 3215627947, "0.10223482791737193"),
+    ("mermin4", 2, 486, 1, 59345739, "0.19577734375"),
+    ("mermin4", 4, 83, 3, 2679705090, "0.1581796875"),
+    ("mermin4", 3, 20, 8, 3672333833, "0.1581796875"),
+    ("chsh10", 5, 322, 0, 267787058, "0.0"),
+    ("ghz110", 1, 147, 0, 2403031289, "0.1777109375"),
+    ("chsh10", 1, 455, 8, 3271475287, "0.0"),
+    ("ghz110", 19, 324, 4, 1337570232, "0.1601328125"),
+    ("mermin4", 7, 36, 7, 4104045930, "0.1581796875"),
+    ("mermin4", 3, 311, 0, 762598747, "0.16550390625"),
+    ("ghz110", 3, 302, 0, 726428700, "0.16550390625"),
+    ("chsh10", 2, 460, 5, 87288270, "0.0"),
+    ("ghz110", 9, 106, 8, 3067726041, "0.1601328125"),
+    ("chsh10", 7, 47, 5, 2331537888, "0.0"),
+    ("ghz110", 20, 78, 3, 3339800415, "0.1601328125"),
+    ("chsh10", 19, 146, 1, 1953729757, "0.0"),
+    ("ghz110", 2, 49, 5, 700505613, "0.1601328125"),
+    ("chsh10", 11, 206, 2, 580179472, "0.0"),
+    ("ghz", 13, 434, 6, 2234283413, "0.1601328125"),
+    ("ghz110", 16, 303, 1, 3107845267, "0.1601328125"),
+    ("ghz", 5, 18, 5, 2678342763, "0.1601328125"),
+    ("ghz110", 17, 285, 8, 2225973219, "0.1601328125"),
+]
+
+
+class TestClosedFormSearch:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(trust_cases())
+    def test_sampled_verdict_is_the_closed_form(self, case):
+        # the c between the least c* at q_G and at q_G + 1e-9 passes the
+        # check but would fail a closed form without the 1e-9 tolerance
+        game, anti, c, spec, qG = case
+        a = _validate_anticommuter(game.n, anti)
+        entries = xorgames._trust_samples(game, spec)[1]
+        least = float(np.min(_trust_thresholds(entries, a, qG)))
+        band = 0.5 * (raw_least_threshold(entries, a, qG)
+                      + raw_least_threshold(entries, a, qG + 1e-9))
+        near = [least + d for d in (-1e-4, -1e-9, -2e-12, 2e-12, 1e-9, 1e-4)]
+        for x in [c, 0.0, band, *near]:
+            if not np.isfinite(x) or x < 0 or abs(x - least) < 1e-12:
+                continue
+            verdict = _sampled_max(entries, x, a).max() - (qG - x) <= 1e-9
+            assert verdict == (x <= least)
+
+    @pytest.mark.parametrize("game, spec, bound", [
+        (GHZ.relabel((0, 1, 1)), None, "0.1601328125"),
+        (CHSH.relabel((1, 0)), None, "0.0"),
+        (mermin4_game(), SamplingSpec(10, 500, 4), "0.1581796875"),
+    ])
+    def test_more_searched_bounds_pinned(self, game, spec, bound):
+        assert repr(trust_coefficient_search(
+            game, spec, classification="strong-self-test")) == bound
+
+    @pytest.mark.parametrize("name, grid, rand, starts, seed, bound",
+                             BISECTION_BOUNDS)
+    def test_never_above_the_bisection(self, name, grid, rand, starts, seed,
+                                       bound):
+        # where the bound is lower, the bisection's claim fails a denser
+        # check against every anticommuter the search tries
+        game = REPLAY_GAMES[name]
+        spec = SamplingSpec(grid, rand, starts, seed)
+        old = float(bound)
+        new = trust_coefficient_search(game, spec,
+                                       classification="strong-self-test")
+        assert new <= old
+        if new < old:
+            dense = SamplingSpec(24 if game.n <= 3 else 10, 2000, 8)
+            assert not any(trust_coefficient_check(
+                game, old + xorgames.TRUST_RESOLUTION, anti, dense).passed
+                for anti in trust_anticommuters(game))
 
 
 class TestConstantsBundles:
