@@ -4,6 +4,7 @@ domains that every range check reads."""
 import numpy as np
 
 _FLOAT_MAX = float(np.finfo(float).max)
+_TINY = float(np.finfo(float).tiny)  # the least normal float
 
 # quantity -> (predicate, text).  Every predicate fails nan, +-inf and an
 # integer past the largest float, and works elementwise on numpy arrays,
@@ -19,8 +20,11 @@ DOMAINS = {
     "count": (lambda x: (1 <= x) & (x <= _FLOAT_MAX),
               "must be finite and at least 1"),
     "probability": (lambda x: (0 <= x) & (x <= 1), "must lie in [0, 1]"),
-    # the order parameter of rates.uncertainty_exponent
-    "eps": (lambda x: (0 < x) & (x <= 1), "must lie in (0, 1]"),
+    # the order parameter of rates.uncertainty_exponent, and the rate
+    # lanes' gamma = r q kappa: (1 + 2 eps) / eps overflows for a subnormal
+    # eps, and a subnormal gamma loses bits and turns the rate nan
+    "eps": (lambda x: (_TINY <= x) & (x <= 1),
+            f"must lie in [{_TINY!r}, 1], the normal floats up to 1"),
     # 2**-x is a positive float exactly below x = 1075
     "epsilon_exp": (lambda x: (-0.5 <= x) & (x < 1075),
                     "must lie in [-0.5, 1075) (epsilon = 2**-value in "

@@ -44,9 +44,6 @@ LN2 = float(np.log(2.0))
 SQRT2 = float(np.sqrt(2.0))
 
 DELTA_GRID_STEP = 1e-4
-# the least normal float: a smaller gamma = r q kappa loses bits, and the
-# rate turns nan before gamma reaches 1e-309
-_TINY = float(np.finfo(float).tiny)
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 # golden-section steps per round of a walk: 2**4 - 1 = 15 points per lane
 _GOLDEN_DEPTH = 4
@@ -349,10 +346,8 @@ def _checked_lanes(v, h, q, kappa, r) -> tuple:
         if np.any(named[name] < 0):
             raise ValueError(f"{name} must be nonnegative")
     args = np.broadcast_arrays(*named.values())
-    gamma = args[4] * args[2] * args[3]
-    if not np.all((_TINY <= gamma) & (gamma <= 1)):
-        raise ValueError(f"r q kappa must lie in [{_TINY}, 1], the normal "
-                         f"floats up to 1")
+    # gamma is the order of the uncertainty exponent, so it shares its domain
+    check_domain("r q kappa", args[4] * args[2] * args[3], "eps")
     lanes = [_lane(*p) for p in zip(*(x.ravel().tolist() for x in args))]
     return lanes, args[0].shape
 

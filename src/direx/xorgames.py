@@ -32,9 +32,11 @@ PROB_SUM_ATOL = 1e-12
 UNIT_ATOL = 1e-9
 HESSIAN_EIG_THRESHOLD = 1e-6
 _SAME_MAX_TOL = 1e-5         # two maxima agree when every angle is this close
-_N_STARTS = 60               # multistart points per enumeration of maxima
+_N_STARTS = 60               # multistart points per seed
 _MAX_TOL = 1e-7              # a refined value this close to qG is a maximum
-_SELFTEST_SEEDS = (0, 1, 2)  # classify_selftest enumerates once per seed
+# classify_selftest draws _N_STARTS starts from each seed, refines all of
+# them in one Newton walk, and compares the seeds' sets of maxima
+_SELFTEST_SEEDS = (0, 1, 2)
 
 
 def as_fraction(x) -> Fraction:
@@ -427,45 +429,79 @@ def score_certificate(game: XorGame, value: float) -> float:
                              value)
 
 
-def _zg_grad_hess(game: XorGame, theta: np.ndarray):
+def _zg_grad_hess(game: XorGame, th: np.ndarray):
+    """Gradient (L, n + 1) and Hessian (L, n + 1, n + 1) of the cosine form
+    at L angle tuples, each lane's by one-row products."""
     coeff, vecs = game._score_arrays[0], game._angle_vectors
-    a = vecs @ theta
-    grad = -(coeff * np.sin(a)) @ vecs
-    hess = -(vecs.T * (coeff * np.cos(a))) @ vecs
+    a = (vecs @ th[:, :, None])[..., 0]
+    grad = (-(coeff * np.sin(a))[:, None, :] @ vecs)[:, 0]
+    hess = -(vecs.T * (coeff * np.cos(a))[:, None, :]) @ vecs
     return grad, hess
 
 
-def refine_zg_max(game: XorGame, theta0):
-    """Local maximization of the cosine score from a starting point.
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (L, k) arrays, one dot per lane."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
-    Newton steps with backtracking, falling back to gradient ascent whenever
-    the Newton direction is not an ascent direction.  Returns (value, angles)
-    with the gradient norm driven below ``_GRAD_TOL``.
+
+def _newton_lanes(game: XorGame, starts):
+    """Local maxima of the cosine score from L starts, walked in lockstep.
+
+    Each lane takes Newton steps with backtracking, and steps along its
+    gradient whenever the Newton direction is not an ascent direction or
+    its Hessian is singular.  A lane stops once its gradient norm is at
+    most ``_GRAD_TOL``, when 60 halvings of its step find no value within
+    1e-15 of its current one, or after ``_MAX_NEWTON`` steps.  Every
+    product is a stack of one-row products and a batched solve that raises
+    is redone lane by lane, so each lane's value and angles equal, bit for
+    bit, those of the same walk from its start alone.  Returns (values,
+    angles) of shapes (L,) and (L, n + 1).
     """
-    th = np.asarray(theta0, dtype=float).copy()
-    val = float(_zg_batch(game, th[None, :])[0])
+    th = np.array(starts, dtype=float)
+    val = _zg_batch(game, th[:, None, :])[:, 0]
+    live = np.arange(len(th))
     for _ in range(_MAX_NEWTON):
-        grad, hess = _zg_grad_hess(game, th)
-        gn = float(np.linalg.norm(grad))
-        if gn <= _GRAD_TOL:
+        grad, hess = _zg_grad_hess(game, th[live])
+        moving = ~(np.sqrt(_dots(grad, grad)) <= _GRAD_TOL)
+        live, grad, hess = live[moving], grad[moving], hess[moving]
+        if not len(live):
             break
         try:
-            step = np.linalg.solve(hess, -grad)
+            step = np.linalg.solve(hess, -grad[:, :, None])[..., 0]
         except np.linalg.LinAlgError:
-            step = grad
-        if float(step @ grad) <= 0:
-            step = grad
-        t = 1.0
+            step = np.empty_like(grad)
+            for i, (h, g) in enumerate(zip(hess, grad)):
+                try:
+                    step[i] = np.linalg.solve(h, -g)
+                except np.linalg.LinAlgError:
+                    step[i] = g
+        downhill = _dots(step, grad) <= 0
+        step[downhill] = grad[downhill]
+        # masked line search: lanes still halving are `lane`, into `live`
+        t = np.ones(len(live))
+        lane = np.arange(len(live))
         for _ in range(60):
-            cand = th + t * step
-            cval = float(_zg_batch(game, cand[None, :])[0])
-            if cval >= val - 1e-15:
-                th, val = cand, cval
+            cand = th[live[lane]] + t[lane, None] * step[lane]
+            cval = _zg_batch(game, cand[:, None, :])[:, 0]
+            ok = cval >= val[live[lane]] - 1e-15
+            th[live[lane[ok]]], val[live[lane[ok]]] = cand[ok], cval[ok]
+            lane = lane[~ok]
+            t[lane] *= 0.5
+            if not len(lane):
                 break
-            t *= 0.5
-        else:
-            break
+        live = np.delete(live, lane)
     return val, th
+
+
+def _grid_starts(game: XorGame, basis, shape, step, best) -> np.ndarray:
+    """Newton starts at the centres of the grid cells ``best``: the cell's
+    angles on the torus, led by minus the phase of the polynomial there."""
+    starts = []
+    for centre in _grid_centres(best, shape, step):
+        ang = basis @ centre
+        p = _pg_batch(game, np.exp(1j * ang)[None, :])[0]
+        starts.append(np.concatenate([[-np.angle(p)], ang]))
+    return np.array(starts)
 
 
 _SCORE_MEMO: dict = {}
@@ -475,11 +511,11 @@ def optimal_score(game: XorGame):
     """Optimal quantum score and a maximizing angle tuple.
 
     One streamed pass over a coarse grid on the phase torus (_grid_pass),
-    then Newton refinement of the cosine form from the best few grid cells
-    (the extra leading angle is seeded with the phase of the polynomial at
-    the cell centre).  The best refined value is certified by
-    branch-and-bound over the grid cells: its gap, an upper bound on
-    max |p_G| minus the value, is memoized with it and reported by
+    then one lockstep Newton walk (_newton_lanes) of the cosine form from
+    the best few grid cells (the extra leading angle is seeded with the
+    phase of the polynomial at the cell centre).  The best refined value
+    is certified by branch-and-bound over the grid cells: its gap, an upper
+    bound on max |p_G| minus the value, is memoized with it and reported by
     analyze_game.  Results are memoized per game.
 
     The pass holds one float64 bound per grid cell (4 MB for the 5.1e5
@@ -490,15 +526,12 @@ def optimal_score(game: XorGame):
     if key not in _SCORE_MEMO:
         coeff = game._score_arrays[0]
         expo, basis, shape, step, bound, best = _grid_pass(game)
-        val, th = -np.inf, None
-        for centre in _grid_centres(best, shape, step):
-            ang = basis @ centre
-            p = _pg_batch(game, np.exp(1j * ang)[None, :])[0]
-            cval, cth = refine_zg_max(game, np.concatenate([[-np.angle(p)], ang]))
-            if cval > val:
-                val, th = cval, cth
+        vals, ths = _newton_lanes(game, _grid_starts(game, basis, shape, step,
+                                                     best))
+        i = int(np.argmax(vals))
+        val = float(vals[i])
         gap = _branch_and_bound(coeff, expo, shape, step, bound, val)
-        _SCORE_MEMO[key] = (float(val), th, gap)
+        _SCORE_MEMO[key] = (val, ths[i], gap)
     val, th, _ = _SCORE_MEMO[key]
     return val, th.copy()
 
@@ -535,13 +568,11 @@ def _same_max(a: np.ndarray, b: np.ndarray) -> bool:
     return bool(np.all(d < _SAME_MAX_TOL))
 
 
-def enumerate_maxima(game: XorGame, qG: float, seed: int = 0):
-    """All distinct global maxima of the cosine score found by multistart."""
-    rng = np.random.default_rng(seed)
-    starts = rng.uniform(0, 2 * np.pi, size=(_N_STARTS, game.n + 1))
+def _distinct_maxima(vals: np.ndarray, ths: np.ndarray, qG: float) -> list:
+    """The refined angle tuples whose value is within _MAX_TOL of qG, in
+    canonical form, each maximum once, in the order they are met."""
     found = []
-    for s in starts:
-        val, th = refine_zg_max(game, s)
+    for val, th in zip(vals, ths):
         if val < qG - _MAX_TOL:
             continue
         th = _canonical_max(th)
@@ -580,11 +611,18 @@ def classify_selftest(game: XorGame) -> str:
     (B) all maxima agree modulo 2*pi up to a global sign; and the
     strong variant additionally requires every maximum to have a
     nonsingular Hessian (smallest absolute eigenvalue >= 1e-6).
-    Enumeration is repeated over multistart seeds; disagreement on the
-    set of maxima yields "inconclusive".
+    Each seed of _SELFTEST_SEEDS draws _N_STARTS uniform starts on the
+    torus; one lockstep Newton walk (_newton_lanes) refines the starts of
+    every seed, and each seed keeps its own distinct maxima.  Disagreement
+    between the seeds' sets of maxima yields "inconclusive".
     """
     qG, _ = optimal_score(game)
-    runs = [enumerate_maxima(game, qG, seed=s) for s in _SELFTEST_SEEDS]
+    starts = [np.random.default_rng(s).uniform(0, 2 * np.pi,
+                                               size=(_N_STARTS, game.n + 1))
+              for s in _SELFTEST_SEEDS]
+    vals, ths = _newton_lanes(game, np.concatenate(starts))
+    runs = [_distinct_maxima(v, t, qG) for v, t in
+            zip(np.split(vals, len(starts)), np.split(ths, len(starts)))]
     counts = {len(r) for r in runs}
     if len(counts) != 1:
         return "inconclusive"
@@ -611,10 +649,9 @@ def classify_selftest(game: XorGame) -> str:
             break
     if not (cond_a and cond_b):
         return "not-self-test"
-    for m in maxima:
-        _, hess = _zg_grad_hess(game, m)
-        if float(np.min(np.abs(np.linalg.eigvalsh(hess)))) < HESSIAN_EIG_THRESHOLD:
-            return "inconclusive"
+    _, hess = _zg_grad_hess(game, np.array(maxima))
+    if np.any(np.abs(np.linalg.eigvalsh(hess)) < HESSIAN_EIG_THRESHOLD):
+        return "inconclusive"
     return "strong-self-test"
 
 

@@ -606,12 +606,24 @@ class TestUnitIntervalArguments:
 
     @pytest.mark.parametrize("bad", [*BAD, 0.0], ids=repr)
     def test_order_outside_rejected(self, bad):
-        with pytest.raises(ValueError, match=r"^eps must lie in \(0, 1\], got "):
+        with pytest.raises(ValueError, match=r"^eps must lie in "
+                                             r"\[2\.2250738585072014e-308, 1\], "
+                                             r"the normal floats up to 1, got "):
             uncertainty_exponent(bad, 0.3)
 
     def test_order_ends(self):
         assert uncertainty_exponent(1.0, 0.3) == pytest.approx(pi_oracle(1.0, 0.3))
         assert np.isfinite(uncertainty_exponent(1e-300, 0.3))
+
+    def test_subnormal_order_rejected(self):
+        # (1 + 2 eps) / eps overflows here, and the exponent read -inf
+        with pytest.raises(ValueError, match=r"^eps .*, got 5e-324$"):
+            uncertainty_exponent(5e-324, 0.3)
+        tiny = float(np.finfo(float).tiny)
+        with pytest.raises(ValueError, match=r"^eps "):
+            uncertainty_exponent(np.array([0.5, np.nextafter(tiny, 0.0)]), 0.3)
+        for eps in (tiny, 1.0):
+            assert np.isfinite(uncertainty_exponent(eps, 0.3))
 
 
 def _digest(values) -> str:

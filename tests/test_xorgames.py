@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import tracemalloc
@@ -42,9 +43,12 @@ from direx.xorgames import (
     _cell_bounds,
     _conjugation_signs,
     _grid_pass,
+    _grid_starts,
+    _newton_lanes,
     _sampled_max,
     _trust_thresholds,
     _validate_anticommuter,
+    _zg_batch,
 )
 
 GHZ = ghz_game()
@@ -256,9 +260,14 @@ def pinned_game(name):
         "ghz-011": lambda: ghz_game().relabel((0, 1, 1)),
         "chsh": chsh_game,
         "mermin4": mermin4_game,
-        "flat": lambda: XorGame.from_support(
-            3, [("000", "0.5", 1), ("111", "0.5", -1)]),
+        "flat": flat_game,
+        "chsh-10": lambda: chsh_game().relabel((1, 0)),
     }[name]()
+
+
+def flat_game():
+    """|p_G| depends only on the sum of the three angles."""
+    return XorGame.from_support(3, [("000", "0.5", 1), ("111", "0.5", -1)])
 
 
 def materialised_grid(game):
@@ -346,6 +355,99 @@ class TestClassification:
 
     def test_all_plus_not_self_test(self):
         assert classify_selftest(all_plus_game()) == "not-self-test"
+
+    # computed by the one-start-at-a-time refinement that the lanes replaced
+    @pytest.mark.parametrize("name, verdict", [
+        ("ghz-110", "strong-self-test"), ("ghz-011", "strong-self-test"),
+        ("chsh-10", "strong-self-test"), ("mermin4", "strong-self-test"),
+        ("flat", "inconclusive")])
+    def test_classification_pinned(self, name, verdict):
+        assert classify_selftest(pinned_game(name)) == verdict
+
+
+def reference_grad_hess(game, theta):
+    coeff, vecs = game._score_arrays[0], game._angle_vectors
+    a = vecs @ theta
+    grad = -(coeff * np.sin(a)) @ vecs
+    hess = -(vecs.T * (coeff * np.cos(a))) @ vecs
+    return grad, hess
+
+
+def reference_refine_zg_max(game, theta0):
+    """The one-start Newton refinement that _newton_lanes replaced."""
+    th = np.asarray(theta0, dtype=float).copy()
+    val = float(_zg_batch(game, th[None, :])[0])
+    for _ in range(xorgames._MAX_NEWTON):
+        grad, hess = reference_grad_hess(game, th)
+        gn = float(np.linalg.norm(grad))
+        if gn <= xorgames._GRAD_TOL:
+            break
+        try:
+            step = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            step = grad
+        if float(step @ grad) <= 0:
+            step = grad
+        t = 1.0
+        for _ in range(60):
+            cand = th + t * step
+            cval = float(_zg_batch(game, cand[None, :])[0])
+            if cval >= val - 1e-15:
+                th, val = cand, cval
+                break
+            t *= 0.5
+        else:
+            break
+    return val, th
+
+
+def assert_lanes_match_reference(game, starts, vals, ths):
+    assert vals.shape == (len(starts),) and ths.shape == starts.shape
+    for val, th, start in zip(vals, ths, starts):
+        ref_val, ref_th = reference_refine_zg_max(game, start)
+        assert val.tobytes() == np.float64(ref_val).tobytes()
+        assert th.tobytes() == ref_th.tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def grid_starts(game):
+    """The Newton starts optimal_score builds from the grid, once per game."""
+    expo, basis, shape, step, bound, best = _grid_pass(game)
+    return _grid_starts(game, basis, shape, step, best)
+
+
+class TestNewtonLanes:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.one_of(small_games(), st.sampled_from(
+               [mermin4_game(), flat_game()])),
+           st.integers(1, 64), st.integers(0, 2**32 - 1))
+    def test_lanes_equal_one_start_refinement(self, game, count, seed):
+        rng = np.random.default_rng(seed)
+        starts = rng.uniform(0, 2 * np.pi, size=(count, game.n + 1))
+        starts = np.vstack([starts, grid_starts(game)])
+        assert_lanes_match_reference(game, starts, *_newton_lanes(game, starts))
+
+    def test_singular_lanes_fall_back_alone(self, monkeypatch):
+        # the flat game's Hessian is singular along two directions, so most
+        # batched solves raise; only the lanes whose own solve raises may
+        # step along their gradient
+        raised = {"batch": 0, "lane": 0}
+        solve = np.linalg.solve
+
+        def counting_solve(a, b):
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                raised["batch" if a.ndim == 3 else "lane"] += 1
+                raise
+
+        game = flat_game()
+        starts = np.random.default_rng(7).uniform(0, 2 * np.pi, size=(60, 4))
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        vals, ths = _newton_lanes(game, starts)
+        monkeypatch.undo()
+        assert raised["batch"] > 0 and raised["lane"] > 0
+        assert_lanes_match_reference(game, starts, vals, ths)
 
 
 
