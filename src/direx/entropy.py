@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidOperatorError, SupportViolationError
+from .errors import InvalidOperatorError, SupportViolationError, check_domain
 from .matrixcore import pseudo_power
 from .rates import uncertainty_exponent
 
@@ -209,8 +209,7 @@ def uncertainty_check(inst: MeasurementInstance, epsilon: float) -> UncertaintyC
     trace; the diagonal-basis powers must fall below 2**(-eps * Pi(eps, delta))
     relative to the full state's power trace.
     """
-    if not 0 < epsilon <= 1:
-        raise ValueError(f"exponent must lie in (0, 1], got {epsilon}")
+    check_domain("epsilon", epsilon, "eps")
     denom, one, plus, minus = np.sum(inst.spectra**(1.0 + epsilon),
                                      axis=-1).tolist()
     if denom <= 0:

@@ -41,7 +41,8 @@ def check_domain(name: str, value, quantity: str) -> None:
     array's message quotes its first element outside."""
     test, text = DOMAINS[quantity]
     inside = test(value)
-    if not np.all(inside):
+    # a Python scalar gives a bool; np.all on it alone costs ~3 us a check
+    if not (inside if isinstance(inside, bool) else np.all(inside)):
         if np.ndim(inside):
             value = np.asarray(value)[~inside][0]
         raise ValueError(f"{name} {text}, got {value}")

@@ -277,6 +277,7 @@ _GRAD_TOL = 1e-9          # Newton refinement stops below this gradient norm
 _MAX_NEWTON = 200         # ... or after this many steps
 _MAX_CELLS = 1 << 20      # branch-and-bound gives up beyond this many cells
 _CHUNK = 1 << 13          # cells per piece of a cell-bound evaluation
+_BLOCK = 2                # grid cells per axis of a block bounded at once
 _ENTRY_CHUNK = 1 << 9     # rows per piece of reverse_diagonal_entries; one
                           # piece for 272k rows would hold ~250 MB more
 
@@ -354,66 +355,148 @@ def _grid_centres(cells: np.ndarray, shape: tuple, step: float) -> np.ndarray:
     return np.stack(np.unravel_index(cells, shape), axis=-1) * step
 
 
-def _grid_pass(game: XorGame):
-    """One streamed pass over the coarse grid on the reduced torus.
+class _BlockGrid:
+    """The coarse grid on the reduced torus, bounded block by block.
 
     Conjugating every phase conjugates the polynomial, so the first angle
-    only needs the upper half circle.  The cells are evaluated _CHUNK at a
-    time from their flat indices; only the bound of every cell and a running
-    top-_REFINE_STARTS of (-|p|, index) are kept.  Returns (expo, basis,
-    shape, step, bound, best): ``best`` holds the _REFINE_STARTS cells of
-    largest |p| at the centre, in the order a stable sort by -|p| over the
-    whole grid gives them.
+    only needs the upper half circle: cell centres sit at integer multiples
+    of ``step`` on ``shape``, each cell of half-width r = step / 2.  Blocks
+    of _BLOCK cells per axis are bounded first: one _cell_bounds call at
+    half-width _BLOCK * r about each block's middle, whose cube holds the
+    block's cells (a block at the end of an axis holds fewer), the centres
+    built _CHUNK blocks at a time from flat block indices.  Blocks then
+    expand into their own cells in descending block-bound order, stable by
+    block index.  A cell's centre comes from _grid_centres, so its |p| and
+    bound have the bits a pass over the whole grid gives them.  ``pieces``
+    holds the (cells, |p|, bound) of each expanded piece.
+
+    Both stops compare a block bound B with a cell figure.  _cell_bounds
+    adds _FP_SLACK (1e-12) to a Taylor bound whose rounding is a few 1e-16
+    on a game whose |c|_1 is 1, so B exceeds the computed |p| at every
+    cell centre in the block, and the bounds of later blocks are no larger.
+
+    - best (stop 1): expansion stops once the next block's B is strictly
+      below the eighth-best centre |p| found.  No unexpanded cell then
+      reaches it, not even in a tie, so the expanded cells' stable sort by
+      -|p| and index is the whole grid's.
+    - certify (stop 2): at a cell centre c, lin <= |p| S and
+      S = sum_k |a_k| <= A = sum_i |c_i| |e_i|_1, so a cell's bound is at
+      most |p(c)| + r A + r^2 curvature + _FP_SLACK, and |p(c)| +
+      _FP_SLACK <= B.  The lifted bound B + r A + r^2 curvature + _FP_SLACK
+      therefore covers every cell bound in the block, the last _FP_SLACK
+      absorbing the rounding of both computed bounds.  Expansion goes on
+      while the next block's lifted bound exceeds ``top``, the largest
+      dropped cell bound found (at most value + SCORE_CERT_TOL).  After it
+      every unexpanded cell is dropped and cannot raise ``top``, so the
+      expanded cells hold every open cell and the whole grid's ``top``.
+      A value far below the optimum drops few cells and expands more
+      blocks, up to the whole grid.
     """
-    coeff, inp = game._score_arrays
-    expo, basis = _reduced_exponents(inp)
-    dim = expo.shape[1]
-    divs = _GRID_DIVS_LOW if dim <= 3 else _GRID_DIVS_4
-    step = np.pi / divs
-    shape = (divs + 1,) + (2 * divs,) * (dim - 1)
-    bound = np.empty(int(np.prod(shape)))
-    key, best = np.empty(0), np.empty(0, dtype=np.intp)
-    for s in range(0, len(bound), _CHUNK):
-        cells = np.arange(s, min(s + _CHUNK, len(bound)))
-        absp, bound[s: s + _CHUNK] = _cell_bounds(
-            coeff, expo, _grid_centres(cells, shape, step), step / 2)
-        # a cell enters only by beating the last kept key; kept cells precede
-        # this chunk's, so a stable sort breaks ties by index
-        worst = key[-1] if len(key) == _REFINE_STARTS else np.inf
-        enter = np.flatnonzero(-absp < worst)
-        key = np.concatenate([key, -absp[enter]])
-        best = np.concatenate([best, cells[enter]])
-        keep = np.argsort(key, kind="stable")[:_REFINE_STARTS]
-        key, best = key[keep], best[keep]
-    return expo, basis, shape, step, bound, best
 
+    def __init__(self, game: XorGame):
+        self.coeff, inp = game._score_arrays
+        self.expo, self.basis = _reduced_exponents(inp)
+        self.dim = self.expo.shape[1]
+        divs = _GRID_DIVS_LOW if self.dim <= 3 else _GRID_DIVS_4
+        self.step = np.pi / divs
+        self.shape = (divs + 1,) + (2 * divs,) * (self.dim - 1)
+        self.block_shape = tuple(-(-s // _BLOCK) for s in self.shape)
+        bound = np.empty(int(np.prod(self.block_shape)))
+        for s in range(0, len(bound), _CHUNK):
+            blocks = np.arange(s, min(s + _CHUNK, len(bound)))
+            centres = (_grid_centres(blocks, self.block_shape, _BLOCK * self.step)
+                       + (_BLOCK - 1) / 2 * self.step)
+            bound[s: s + _CHUNK] = _cell_bounds(
+                self.coeff, self.expo, centres, _BLOCK * self.step / 2)[1]
+        self.order = np.argsort(-bound, kind="stable")
+        self.block_bound = bound[self.order]
+        self.done, self.pieces = 0, []
+        weights = np.abs(self.coeff)
+        norms = np.sum(np.abs(self.expo), axis=1)
+        r = self.step / 2
+        self.lift = (r * (weights @ norms) + r * r * 0.5 * (weights @ norms ** 2)
+                     + _FP_SLACK)
 
-def _branch_and_bound(coeff, expo, shape, step, bound, value) -> float:
-    """Certified upper bound on max |p| over the coarse grid, minus ``value``.
+    def _cells_of(self, blocks: np.ndarray) -> np.ndarray:
+        """Flat indices of the grid cells in ``blocks``, block by block."""
+        corner = np.stack(np.unravel_index(blocks, self.block_shape), axis=-1)
+        offsets = np.array(list(itertools.product(range(_BLOCK),
+                                                  repeat=self.dim)))
+        cells = (_BLOCK * corner[:, None, :] + offsets).reshape(-1, self.dim)
+        cells = cells[np.all(cells < self.shape, axis=1)]
+        return np.ravel_multi_index(tuple(cells.T), self.shape)
 
-    Lipschitz branch-and-bound: cells whose bound is at most
-    value + SCORE_CERT_TOL are dropped, the rest are split into 2**dim
-    children.  Only the open grid cells' centres are rebuilt from their
-    indices.  The result is the largest bound of any dropped cell, or of
-    the cells still open once splitting them would exceed _MAX_CELLS.
-    """
-    dim = len(shape)
-    offsets = np.array(list(itertools.product((-0.5, 0.5), repeat=dim)))
-    target = value + SCORE_CERT_TOL
-    open_ = bound > target
-    top = float(np.max(bound, where=~open_, initial=-np.inf))
-    centres = _grid_centres(np.flatnonzero(open_), shape, step)
-    bound, r = bound[open_], step / 2
-    while len(centres):
-        if len(centres) << dim > _MAX_CELLS:
-            return max(top, float(np.max(bound))) - value
-        centres = (centres[:, None, :] + r * offsets).reshape(-1, dim)
-        r /= 2
-        _, bound = _cell_bounds(coeff, expo, centres, r)
+    def _walk(self, more):
+        """Yield the pieces expanded so far, then expand blocks in order, up
+        to _CHUNK cells a piece, while ``more`` holds for the next block's
+        bound, yielding each new piece.  ``more`` is asked again after each
+        piece; it takes an array of bounds and must only turn false as the
+        walk goes on."""
+        per = max(1, _CHUNK // _BLOCK ** self.dim)
+        for i in itertools.count():
+            if i == len(self.pieces):
+                nxt = self.block_bound[self.done: self.done + per]
+                k = int(np.argmin(np.append(more(nxt), False)))  # first false
+                if not k:
+                    return
+                cells = self._cells_of(self.order[self.done: self.done + k])
+                self.done += k
+                self.pieces.append((cells, *_cell_bounds(
+                    self.coeff, self.expo,
+                    _grid_centres(cells, self.shape, self.step),
+                    self.step / 2)))
+            yield self.pieces[i]
+
+    def best(self) -> np.ndarray:
+        """The _REFINE_STARTS cells of largest |p| at the centre, in the
+        order a stable sort by -|p| over the whole grid gives them."""
+        key, best = np.empty(0), np.empty(0, dtype=np.intp)
+
+        def kth():
+            return -key[-1] if len(key) == _REFINE_STARTS else -np.inf
+
+        for cells, absp, _ in self._walk(lambda b: b >= kth()):
+            enter = absp >= kth()
+            key = np.concatenate([key, -absp[enter]])
+            best = np.concatenate([best, cells[enter]])
+            keep = np.lexsort((best, key))[:_REFINE_STARTS]
+            key, best = key[keep], best[keep]
+        return best
+
+    def certify(self, value: float) -> float:
+        """Certified upper bound on max |p| over the grid, minus ``value``.
+
+        Lipschitz branch-and-bound: cells whose bound is at most
+        value + SCORE_CERT_TOL are dropped, the rest are split into
+        2**dim children, the open grid cells in flat-index order.  The
+        result is the largest bound of any dropped cell, or of the cells
+        still open once splitting them would exceed _MAX_CELLS.
+        """
+        target = value + SCORE_CERT_TOL
+        top = -np.inf
+        for _, _, bound in self._walk(lambda b: b + self.lift > top):
+            top = max(top, float(np.max(bound, where=bound <= target,
+                                        initial=-np.inf)))
+        cells, _, bound = (np.concatenate(part) for part in zip(*self.pieces))
+        # the open cells in flat-index order, as a pass over the whole grid
+        # lists them
+        order = np.argsort(cells)
+        cells, bound = cells[order], bound[order]
         open_ = bound > target
-        top = max(top, float(np.max(bound, where=~open_, initial=-np.inf)))
-        centres, bound = centres[open_], bound[open_]
-    return top - value
+        centres = _grid_centres(cells[open_], self.shape, self.step)
+        bound, r = bound[open_], self.step / 2
+        offsets = np.array(list(itertools.product((-0.5, 0.5),
+                                                  repeat=self.dim)))
+        while len(centres):
+            if len(centres) << self.dim > _MAX_CELLS:
+                return max(top, float(np.max(bound))) - value
+            centres = (centres[:, None, :] + r * offsets).reshape(-1, self.dim)
+            r /= 2
+            _, bound = _cell_bounds(self.coeff, self.expo, centres, r)
+            open_ = bound > target
+            top = max(top, float(np.max(bound, where=~open_, initial=-np.inf)))
+            centres, bound = centres[open_], bound[open_]
+        return top - value
 
 
 def score_certificate(game: XorGame, value: float) -> float:
@@ -424,9 +507,7 @@ def score_certificate(game: XorGame, value: float) -> float:
     SCORE_CERT_TOL of the optimum gets a gap of at most SCORE_CERT_TOL; a
     value below the optimum gets a gap at least the shortfall.
     """
-    expo, _, shape, step, bound, _ = _grid_pass(game)
-    return _branch_and_bound(game._score_arrays[0], expo, shape, step, bound,
-                             value)
+    return _BlockGrid(game).certify(value)
 
 
 def _zg_grad_hess(game: XorGame, th: np.ndarray):
@@ -510,28 +591,29 @@ _SCORE_MEMO: dict = {}
 def optimal_score(game: XorGame):
     """Optimal quantum score and a maximizing angle tuple.
 
-    One streamed pass over a coarse grid on the phase torus (_grid_pass),
-    then one lockstep Newton walk (_newton_lanes) of the cosine form from
-    the best few grid cells (the extra leading angle is seeded with the
-    phase of the polynomial at the cell centre).  The best refined value
-    is certified by branch-and-bound over the grid cells: its gap, an upper
-    bound on max |p_G| minus the value, is memoized with it and reported by
-    analyze_game.  Results are memoized per game.
+    A block-pruned pass over a coarse grid on the phase torus
+    (_BlockGrid) gives the best few grid cells, then one lockstep Newton
+    walk (_newton_lanes) of the cosine form refines them (the extra leading
+    angle is seeded with the phase of the polynomial at the cell centre).
+    The best refined value is certified by branch-and-bound over the grid
+    cells: its gap, an upper bound on max |p_G| minus the value, is
+    memoized with it and reported by analyze_game.  Results are memoized
+    per game.
 
-    The pass holds one float64 bound per grid cell (4 MB for the 5.1e5
-    cells of a three-player GHZ game) and the working arrays of one _CHUNK
-    of cells; the centres of all cells are never held at once.
+    The pass bounds blocks of _BLOCK cells per axis (65 000 blocks for the
+    5.1e5 cells of a three-player GHZ game) and evaluates only the cells of
+    the blocks whose bound can reach the eighth-best cell or the
+    certificate (8 480 cells on GHZ), up to _CHUNK cells at a time; the
+    centres of all cells are never held at once.
     """
     key = game.entries
     if key not in _SCORE_MEMO:
-        coeff = game._score_arrays[0]
-        expo, basis, shape, step, bound, best = _grid_pass(game)
-        vals, ths = _newton_lanes(game, _grid_starts(game, basis, shape, step,
-                                                     best))
+        grid = _BlockGrid(game)
+        vals, ths = _newton_lanes(game, _grid_starts(
+            game, grid.basis, grid.shape, grid.step, grid.best()))
         i = int(np.argmax(vals))
         val = float(vals[i])
-        gap = _branch_and_bound(coeff, expo, shape, step, bound, val)
-        _SCORE_MEMO[key] = (val, ths[i], gap)
+        _SCORE_MEMO[key] = (val, ths[i], grid.certify(val))
     val, th, _ = _SCORE_MEMO[key]
     return val, th.copy()
 

@@ -217,6 +217,13 @@ class TestUncertainty:
             # equality case: lhs equals the bound exactly
             assert chk.lhs_ratio == pytest.approx(chk.rhs, abs=1e-9)
 
+    @pytest.mark.parametrize("eps", [5e-324, float("nan"), 0.0, 1.5])
+    def test_epsilon_checked_before_the_spectra(self, eps):
+        inst = measurement_split(np.eye(2))
+        with pytest.raises(ValueError, match=r"^epsilon must lie in \["):
+            uncertainty_check(inst, eps)
+        assert "spectra" not in vars(inst)
+
     def test_monte_carlo_sweep(self):
         rng = np.random.default_rng(15)
         for _ in range(1000):

@@ -40,9 +40,9 @@ from direx.xorgames import (
 )
 from direx.xorgames import (
     _SCORE_MEMO,
+    _BlockGrid,
     _cell_bounds,
     _conjugation_signs,
-    _grid_pass,
     _grid_starts,
     _newton_lanes,
     _sampled_max,
@@ -281,6 +281,31 @@ def materialised_grid(game):
     return expo, centres.reshape(-1, dim), step / 2
 
 
+def reference_certificate(game, value):
+    """The certificate as a branch-and-bound over every coarse-grid cell:
+    the bound of each cell of the materialised grid, then the open cells
+    split until each is dropped or _MAX_CELLS is reached."""
+    coeff = game._score_arrays[0]
+    expo, centres, r = materialised_grid(game)
+    dim = centres.shape[1]
+    _, bound = _cell_bounds(coeff, expo, centres, r)
+    offsets = np.array(list(itertools.product((-0.5, 0.5), repeat=dim)))
+    target = value + xorgames.SCORE_CERT_TOL
+    open_ = bound > target
+    top = float(np.max(bound, where=~open_, initial=-np.inf))
+    centres, bound = centres[open_], bound[open_]
+    while len(centres):
+        if len(centres) << dim > xorgames._MAX_CELLS:
+            return max(top, float(np.max(bound))) - value
+        centres = (centres[:, None, :] + r * offsets).reshape(-1, dim)
+        r /= 2
+        _, bound = _cell_bounds(coeff, expo, centres, r)
+        open_ = bound > target
+        top = max(top, float(np.max(bound, where=~open_, initial=-np.inf)))
+        centres, bound = centres[open_], bound[open_]
+    return top - value
+
+
 class TestStreamedGrid:
     @pytest.mark.parametrize("name", sorted(SCORE_PINS))
     def test_score_bits_pinned(self, name):
@@ -291,19 +316,84 @@ class TestStreamedGrid:
         assert (repr(q), th.tobytes().hex(), repr(gap)) == SCORE_PINS[name]
         assert score_certificate(game, q) == gap
 
-    @pytest.mark.parametrize("game", [GHZ, CHSH], ids=["ghz", "chsh"])
-    def test_stream_equals_one_call(self, game, monkeypatch):
-        expo, _, shape, step, bound, best = _grid_pass(game)
+    @pytest.mark.parametrize("name", ["ghz", "chsh", "mermin4", "flat"])
+    def test_stream_equals_one_call(self, name, monkeypatch):
+        game = pinned_game(name)
+        q, _ = optimal_score(game)
+        grid = _BlockGrid(game)
+        best = grid.best()
+        starts_done = grid.done
+        grid.certify(q)
+        cells, absp, bound = (np.concatenate(p) for p in zip(*grid.pieces))
         ref_expo, centres, r = materialised_grid(game)
-        assert np.array_equal(expo, ref_expo)
+        assert np.array_equal(grid.expo, ref_expo)
         monkeypatch.setattr(xorgames, "_CHUNK", 2 * len(centres))
-        absp, ref_bound = _cell_bounds(game._score_arrays[0], expo, centres, r)
-        assert np.array_equal(bound, ref_bound)
+        ref_absp, ref_bound = _cell_bounds(game._score_arrays[0], grid.expo,
+                                           centres, r)
         # the best cells, in the order a stable sort by -|p| gives them
-        order = np.argsort(-absp, kind="stable")[:xorgames._REFINE_STARTS]
+        order = np.argsort(-ref_absp, kind="stable")[:xorgames._REFINE_STARTS]
         assert np.array_equal(best, order)
-        assert np.array_equal(xorgames._grid_centres(best, shape, step),
-                              centres[order])
+        assert np.array_equal(xorgames._grid_centres(best, grid.shape,
+                                                     grid.step), centres[order])
+        # each cell expanded once, with the one-call grid's bits
+        assert len(np.unique(cells)) == len(cells)
+        assert np.array_equal(absp, ref_absp[cells])
+        assert np.array_equal(bound, ref_bound[cells])
+        # no unexpanded cell is open, raises top or reaches the best eight
+        target = q + xorgames.SCORE_CERT_TOL
+        top = np.max(bound, where=bound <= target, initial=-np.inf)
+        assert top == np.max(ref_bound, where=ref_bound <= target,
+                             initial=-np.inf)
+        rest = np.ones(len(centres), dtype=bool)
+        rest[cells] = False
+        assert np.all(ref_bound[rest] <= top)
+        assert np.all(ref_absp[rest] < ref_absp[best[-1]])
+        # each walk stopped at a block its rule lets it stop at
+        blocks = np.append(grid.block_bound, -np.inf)
+        assert blocks[starts_done] < ref_absp[best[-1]]
+        assert blocks[grid.done] + grid.lift <= top
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(small_games(), st.integers(0, 2**32 - 1))
+    def test_block_bound_covers_its_cells(self, game, seed):
+        grid = _BlockGrid(game)
+        rng = np.random.default_rng(seed)
+        # the 20 highest block bounds, which the walks read first, and 40
+        # more at random
+        pick = np.unique(np.concatenate([
+            np.arange(min(20, len(grid.order))),
+            rng.integers(0, len(grid.order), size=40)]))
+        r = grid.step / 2
+        corners = np.array(list(itertools.product((-r, r), repeat=grid.dim)))
+        for block, bound in zip(grid.order[pick], grid.block_bound[pick]):
+            centres = xorgames._grid_centres(grid._cells_of(np.array([block])),
+                                             grid.shape, grid.step)
+            inside = np.concatenate(
+                [np.broadcast_to(corners, (len(centres),) + corners.shape),
+                 rng.uniform(-r, r, size=(len(centres), 50, grid.dim))], axis=1)
+            points = (centres[:, None, :] + inside) @ grid.basis.T
+            assert abs_pg_oracle(game, points).max() <= bound
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(small_games(), st.sampled_from((0.0, 1e-9, 1e-6, 1e-3, 0.05)))
+    def test_certificate_equals_full_grid(self, game, below):
+        q, _ = optimal_score(game)
+        # a value below the optimum splits open cells until _MAX_CELLS;
+        # a smaller cap gives up sooner on both sides
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(xorgames, "_MAX_CELLS", 1 << 16)
+            assert (score_certificate(game, q - below)
+                    == reference_certificate(game, q - below))
+
+    @pytest.mark.parametrize("cells", [1 << 8, 1 << 10])
+    def test_give_up_equals_full_grid(self, cells, monkeypatch):
+        # GHZ has 117 grid cells whose bound reaches qG: splitting them
+        # passes 2**8 cells at once, and 2**10 at the next level
+        q, _ = optimal_score(GHZ)
+        monkeypatch.setattr(xorgames, "_MAX_CELLS", cells)
+        gap = score_certificate(GHZ, q)
+        assert gap > xorgames.SCORE_CERT_TOL  # the pass gave up
+        assert gap == reference_certificate(GHZ, q)
 
     def test_cold_score_memory(self):
         game = ghz_game().relabel((1, 1, 0))
@@ -412,8 +502,8 @@ def assert_lanes_match_reference(game, starts, vals, ths):
 @functools.lru_cache(maxsize=None)
 def grid_starts(game):
     """The Newton starts optimal_score builds from the grid, once per game."""
-    expo, basis, shape, step, bound, best = _grid_pass(game)
-    return _grid_starts(game, basis, shape, step, best)
+    grid = _BlockGrid(game)
+    return _grid_starts(game, grid.basis, grid.shape, grid.step, grid.best())
 
 
 class TestNewtonLanes:
