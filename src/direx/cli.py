@@ -141,10 +141,12 @@ def _csv_cell(v):
 
 
 def base_record(args, command: str) -> dict:
+    # the master seed as parsed, in its 64-digit hex form, so every
+    # spelling of one seed (1, 01, 0x01) gives one record
     return {
         "tool_version": __version__,
         "command": command,
-        "seed": args.seed,
+        "seed": args.master.hex(),
         "timestamp": time.time(),
     }
 

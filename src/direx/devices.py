@@ -183,23 +183,25 @@ class PartiallyTrustedBehavior:
         """(weight, K_out0, K_out1, kind) branches on the device factor.
 
         The coin branch carries identity-proportional Kraus operators
-        (each outcome keeps the state and takes half the weight).
+        (each outcome keeps the state and takes half the weight).  The
+        dishonest branch's two square roots come from one stacked
+        ``pseudo_power`` call, each with the bits of a lone call.
         """
-        d = self.device_dim
+        eye = np.eye(self.device_dim)
         t0, t1 = self.trusted_pair
         if input_bit == 0:
-            return [(1.0, 0.5 * (np.eye(d) + t0), 0.5 * (np.eye(d) - t0), "trusted")]
+            return [(1.0, 0.5 * (eye + t0), 0.5 * (eye - t0), "trusted")]
         branches = []
         if self.v > 0:
-            branches.append(
-                (self.v, 0.5 * (np.eye(d) + t1), 0.5 * (np.eye(d) - t1), "trusted"))
+            branches.append((self.v, 0.5 * (eye + t1), 0.5 * (eye - t1), "trusted"))
         w = 1.0 - self.v - self.h
         if w > 1e-15:
-            sp = pseudo_power(0.5 * (np.eye(d) + self.dishonest), 0.5, cutoff=0.0)
-            sm = pseudo_power(0.5 * (np.eye(d) - self.dishonest), 0.5, cutoff=0.0)
+            sp, sm = pseudo_power(np.stack((0.5 * (eye + self.dishonest),
+                                            0.5 * (eye - self.dishonest))),
+                                  0.5, cutoff=0.0)
             branches.append((w, sp, sm, "dishonest"))
         if self.h > 0:
-            s = np.sqrt(0.5) * np.eye(d)
+            s = np.sqrt(0.5) * eye
             branches.append((self.h, s, s, "coin"))
         return branches
 

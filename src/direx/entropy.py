@@ -11,24 +11,27 @@ Blockwise quantities work on block stacks: the blocks of a state, in label
 order, as one ``(B, d, d)`` array, and a single reference operator as one
 ``(d, d)`` matrix that broadcasts across the blocks.  Each operator family
 costs one batched ``eigh``/``eigvalsh``/``svd`` and one batched matmul
-chain.  The results equal those of a block-by-block loop bit for bit:
-stacked LAPACK and BLAS calls run once per matrix, so each block gets the
-bits a lone call gives; powers are taken element by element; each block's
-eigenvalue powers are summed along the block's own row, as a lone call
-sums them; and the block totals are then added one at a time in label
-order with Python floats (``_label_order_sum``), since ``np.sum`` over
-eight or more blocks would add them pairwise, in another order.
+chain; a divergence's support check and its power of sigma share one
+``eigh`` of the sigma stack.  The results equal those of a block-by-block
+loop bit for bit: stacked LAPACK and BLAS calls run once per matrix, so
+each block gets the bits a lone call gives; powers are taken element by
+element; each block's eigenvalue powers are summed along the block's own
+row, as a lone call sums them; and the block totals are then added one at
+a time in label order with Python floats (``_label_order_sum``), since
+``np.sum`` over eight or more blocks would add them pairwise, in another
+order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import InvalidOperatorError, SupportViolationError, check_domain
-from .matrixcore import pseudo_power
+from .matrixcore import hermitian_eigh, pseudo_power, singular_value_norms
 from .rates import uncertainty_exponent
 
 SUPPORT_CUTOFF = 1e-10
@@ -94,9 +97,9 @@ def _block_stacks(rho, sigma):
     return r[None], np.asarray(sigma, dtype=np.complex128), float(r.trace().real)
 
 
-def _check_support(rho_stack, sigma_stack):
-    """Raise unless every rho block is supported inside its sigma block."""
-    w, u = np.linalg.eigh(0.5 * (sigma_stack + sigma_stack.conj().swapaxes(-1, -2)))
+def _check_support(rho_stack, w, u):
+    """Raise unless every rho block is supported inside its sigma block,
+    from the ``hermitian_eigh`` (w, u) of the sigma stack."""
     null = w <= SUPPORT_CUTOFF
     if not null.any():
         return
@@ -134,8 +137,10 @@ def renyi_divergence(rho, sigma, alpha: float) -> float:
     rs, ss, tr = _block_stacks(rho, sigma)
     if tr <= 0:
         raise ValueError("state must have positive trace")
-    _check_support(rs, ss)
-    spow = pseudo_power(ss, (1.0 - alpha) / (2.0 * alpha), cutoff=SUPPORT_CUTOFF)
+    eig = hermitian_eigh(ss)
+    _check_support(rs, *eig)
+    spow = pseudo_power(ss, (1.0 - alpha) / (2.0 * alpha),
+                        cutoff=SUPPORT_CUTOFF, eig=eig)
     total = _label_order_sum(_psd_trace_powers(spow @ rs @ spow, alpha))
     return float((np.log2(total) - np.log2(tr)) / (alpha - 1.0))
 
@@ -143,8 +148,9 @@ def renyi_divergence(rho, sigma, alpha: float) -> float:
 def dmax(rho, sigma) -> float:
     """Max-divergence: log of the smallest c with rho <= c * sigma."""
     rs, ss, _ = _block_stacks(rho, sigma)
-    _check_support(rs, ss)
-    sinv = pseudo_power(ss, -0.5, cutoff=SUPPORT_CUTOFF)
+    eig = hermitian_eigh(ss)
+    _check_support(rs, *eig)
+    sinv = pseudo_power(ss, -0.5, cutoff=SUPPORT_CUTOFF, eig=eig)
     worst = max(0.0, float(np.linalg.eigvalsh(sinv @ rs @ sinv)[:, -1].max()))
     if worst <= 0:
         return -np.inf
@@ -230,25 +236,46 @@ class SchattenCheck:
 
 def schatten_ineq_check(X, Y, p: float) -> SchattenCheck:
     """Two-sided p-norm inequality for p >= 2: the power sum of the rotated
-    pair (X+-Y)/sqrt(2) against the dual-exponent combination of the norms."""
-    from .matrixcore import schatten_norm
+    pair (X+-Y)/sqrt(2) against the dual-exponent combination of the norms.
 
+    p must be finite; a p whose power sums overflow is rejected rather
+    than judged from an infinite or nan side.  The singular values do not
+    depend on p, so the checks of one pair at several p share one ``svd``
+    (:func:`_pair_singular_values`)."""
     X = np.asarray(X, dtype=np.complex128)
     Y = np.asarray(Y, dtype=np.complex128)
     if X.shape != Y.shape:
         raise ValueError(f"shape mismatch: {X.shape} vs {Y.shape}")
-    if not p >= 2:
-        raise ValueError(f"requires p >= 2, got {p}")
+    check_domain("p", p, "schatten_p")
     if X.ndim != 2:
         raise InvalidOperatorError(f"expected a matrix, got shape {X.shape}")
     pprime = 1.0 / (1.0 - 1.0 / p)
-    plus, minus, nx, ny = schatten_norm(
-        np.stack(((X + Y) / np.sqrt(2.0), (X - Y) / np.sqrt(2.0), X, Y)),
-        p).tolist()
-    lhs = plus**p + minus**p
-    rhs = 2.0 ** (1.0 - p / 2.0) * (nx**pprime + ny**pprime) ** (p / pprime)
+    with np.errstate(over="ignore"):  # an overflow is rejected below
+        plus, minus, nx, ny = singular_value_norms(
+            _pair_singular_values(X.shape, X.tobytes(), Y.tobytes()), p).tolist()
+    try:
+        lhs = plus**p + minus**p
+        rhs = 2.0 ** (1.0 - p / 2.0) * (nx**pprime + ny**pprime) ** (p / pprime)
+    except OverflowError:  # a float ** past the largest float
+        lhs = rhs = math.inf
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise ValueError(f"p overflows the power sums of this pair, got {p}")
     return SchattenCheck(lhs=float(lhs), rhs=float(rhs),
                          holds=bool(lhs <= rhs + INEQUALITY_SLACK))
+
+
+@lru_cache(maxsize=1)
+def _pair_singular_values(shape, x_bytes, y_bytes) -> np.ndarray:
+    """The singular values of (X+Y)/sqrt(2), (X-Y)/sqrt(2), X and Y, one
+    row each (read-only), from one stacked ``svd``.  The memo holds the
+    last pair, keyed on its shape and bytes, so a pair changed in place
+    is taken again."""
+    X, Y = (np.frombuffer(b, dtype=np.complex128).reshape(shape)
+            for b in (x_bytes, y_bytes))
+    s = np.linalg.svd(np.stack(((X + Y) / np.sqrt(2.0), (X - Y) / np.sqrt(2.0),
+                                X, Y)), compute_uv=False)
+    s.setflags(write=False)
+    return s
 
 
 def pinching_channel(dims) -> "callable":

@@ -20,6 +20,10 @@ DOMAINS = {
     "count": (lambda x: (1 <= x) & (x <= _FLOAT_MAX),
               "must be finite and at least 1"),
     "probability": (lambda x: (0 <= x) & (x <= 1), "must lie in [0, 1]"),
+    # the exponent of the two-sided Schatten inequality; p = inf gave a
+    # nan right-hand side, 2**(1 - p/2) * inf
+    "schatten_p": (lambda x: (2 <= x) & (x <= _FLOAT_MAX),
+                   "must be finite and at least 2"),
     # the order parameter of rates.uncertainty_exponent, and the rate
     # lanes' gamma = r q kappa: (1 + 2 eps) / eps overflows for a subnormal
     # eps, and a subnormal gamma loses bits and turns the rate nan

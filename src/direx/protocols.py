@@ -20,6 +20,7 @@ randomness comes from a distinct labeled stream.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -758,11 +759,13 @@ def exact_small_run(N: int, behavior: PartiallyTrustedBehavior, q: float,
     The branch tree grows as one (4^n, D, D) stack: a round maps branch
     hist to the four children hist*4 + 2g + o, so stack order is the sorted
     order of the (g, o) label strings.  Every Kraus product of a round is
-    one broadcast matmul chain over the stack, and one einsum traces out
-    the device.  The results equal a branch-by-branch loop bit for bit
-    (see the entropy module): children and reference weights are combined
-    in the loop's order, and the environment state is accumulated block by
-    block in label order.
+    one broadcast matmul chain over the stack, both outcomes of an input
+    are weighted and added in one broadcast, and one einsum traces out
+    the device.  The labels and each label's (games, fails) counts come
+    from a table built once per N (:func:`_label_table`).  The results
+    equal a branch-by-branch loop bit for bit (see the entropy module):
+    children and reference weights are combined in the loop's order, and
+    the environment state is accumulated block by block in label order.
     """
     if not 1 <= N <= 4:
         raise ValueError("exact execution supports 1 to 4 rounds")
@@ -793,14 +796,14 @@ def exact_small_run(N: int, behavior: PartiallyTrustedBehavior, q: float,
         prods = ops @ stack @ ops_h
         children = np.empty((len(stack), 4, dim, dim), dtype=np.complex128)
         for g in (0, 1):
-            for o in (0, 1):
-                out = np.zeros_like(stack)
-                for w, k in branches[g]:
-                    out += w * prods[k + o]
-                children[:, 2 * g + o] = g_weight[g] * out
+            # prods[k + o] is outcome o of branch k: both outcomes at once
+            out = np.zeros((2, *stack.shape), dtype=np.complex128)
+            for w, k in branches[g]:
+                out += w * prods[k:k + 2]
+            children[:, 2 * g:2 * g + 2] = (g_weight[g] * out).swapaxes(0, 1)
         stack = children.reshape(-1, dim, dim)
 
-    labels = tuple(product(((0, 0), (0, 1), (1, 0), (1, 1)), repeat=N))
+    labels, counts, count_of = _label_table(N)
     gamma_stack = _trace_out_device(stack, dq, de)
     env_state = np.zeros((de, de), dtype=np.complex128)
     for block in gamma_stack:
@@ -808,12 +811,9 @@ def exact_small_run(N: int, behavior: PartiallyTrustedBehavior, q: float,
     # a label's reference weight depends on its game and failure counts
     # only; each is one scalar expression, since numpy's array power can
     # round differently
-    counts = [(sum(g for g, _ in lab), sum(g * o for g, o in lab))
-              for lab in labels]
-    weight = {(games, fails): ((1.0 - q) ** (N - games) * q**games
-                               * 2.0 ** (fails / (q * r)))
-              for games, fails in set(counts)}
-    sigma_stack = np.array([weight[c] for c in counts])[:, None, None] * env_state
+    weight = np.array([(1.0 - q) ** (N - games) * q**games
+                       * 2.0 ** (fails / (q * r)) for games, fails in counts])
+    sigma_stack = weight[count_of][:, None, None] * env_state
 
     lhs = renyi_divergence(BlockOperator(labels, gamma_stack),
                            BlockOperator(labels, sigma_stack), 1.0 + gamma)
@@ -823,6 +823,20 @@ def exact_small_run(N: int, behavior: PartiallyTrustedBehavior, q: float,
         gamma=gamma, labels=labels, gamma_blocks=tuple(gamma_stack),
         sigma_blocks=tuple(sigma_stack), env_state=env_state,
     )
+
+
+@functools.cache
+def _label_table(N: int) -> tuple:
+    """The 4^N (g, o) label strings of an N-round run in stack order, the
+    distinct (games, fails) counts among them, and each label's index into
+    those counts (read-only)."""
+    labels = tuple(product(((0, 0), (0, 1), (1, 0), (1, 1)), repeat=N))
+    per_label = [(sum(g for g, _ in lab), sum(g * o for g, o in lab))
+                 for lab in labels]
+    counts = sorted(set(per_label))
+    count_of = np.array([counts.index(c) for c in per_label])
+    count_of.setflags(write=False)
+    return labels, tuple(counts), count_of
 
 
 def _lift(ops, de: int) -> np.ndarray:

@@ -33,6 +33,7 @@ The tests check the lanes against the sequential search by ``==``.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,21 +64,30 @@ def _exponent_coefficients(eps):
 
 def _delta_terms(delta) -> tuple:
     """The parts of the exponent that depend on delta alone, so a grid
-    shared by many eps computes them once."""
+    shared by many eps computes them once.
+
+    Where d = min(delta, 1 - delta) is 0, log d is taken at 1, so that
+    d * expm1(am1 log d) reads 0 * expm1(-0.0) = -0.0, the term's limit (its
+    sign is lost in the sum that follows)."""
     d = np.minimum(delta, 1.0 - delta)
-    positive = d > 0
-    return (d, positive, np.log(np.where(positive, d, 1.0)), np.log1p(-d),
-            1.0 - d)
+    return d, np.log(np.where(d > 0, d, 1.0)), np.log1p(-d), 1.0 - d
+
+
+def _interior_terms(t) -> tuple:
+    """:func:`_delta_terms` at points strictly inside (0, 1), such as
+    golden-section points: there d > 0, and log d needs no guard."""
+    d = np.minimum(t, 1.0 - t)
+    return d, np.log(d), np.log1p(-d), 1.0 - d
 
 
 def _exponent(am1, scale, delta_terms):
     """The exponent from its eps factors and its delta terms, without
     validation."""
-    d, positive, logd, log1p_neg_d, one_minus_d = delta_terms
+    d, logd, log1p_neg_d, one_minus_d = delta_terms
     # (1-d)^a - 1 + d^a, written as ((1-d)^a - (1-d)) + (d^a - d) so the
     # leading-order terms never cancel
     sum_m1 = one_minus_d * np.expm1(am1 * log1p_neg_d) \
-        + np.where(positive, d * np.expm1(am1 * logd), 0.0)
+        + d * np.expm1(am1 * logd)
     return 1.0 - scale * (np.log1p(sum_m1) / LN2)
 
 
@@ -313,12 +323,14 @@ def refine_grid_min(f, grid, vals) -> float:
 
 def _check_rate_args(**args) -> None:
     """Reject an empty lane set, a non-finite value and a q or kappa outside
-    its domain (errors.DOMAINS), naming the argument."""
+    its domain (errors.DOMAINS), naming the argument.  Each argument is an
+    array, or a Python float for one lane."""
     for name, x in args.items():
-        if x.size == 0:
+        if not isinstance(x, float) and x.size == 0:
             raise ValueError(f"{name} is empty: need at least one lane")
     for name, x in args.items():
-        if not np.all(np.isfinite(x)):
+        if not (math.isfinite(x) if isinstance(x, float)
+                else np.all(np.isfinite(x))):
             raise ValueError(f"{name} must be finite")
     check_domain("q", args["q"], "q")
     check_domain("kappa", args["kappa"], "kappa")
@@ -338,16 +350,22 @@ def _failure_grid() -> tuple:
 def _checked_lanes(v, h, q, kappa, r) -> tuple:
     """The :func:`_lane` factors of every lane the arguments broadcast to,
     and the lanes' shape, once every argument is checked by name and every
-    lane's gamma = r q kappa is a normal float at most 1."""
-    named = {name: np.asarray(x, dtype=float)
+    lane's gamma = r q kappa is a normal float at most 1.
+
+    Five Python numbers are one lane, checked as floats without building
+    arrays; the checks and their messages are those of the array case."""
+    scalar = all(isinstance(x, (int, float)) for x in (v, h, q, kappa, r))
+    named = {name: float(x) if scalar else np.asarray(x, dtype=float)
              for name, x in zip(("v", "h", "q", "kappa", "r"), (v, h, q, kappa, r))}
     _check_rate_args(**named)
     for name in ("v", "h"):
-        if np.any(named[name] < 0):
+        if (named[name] < 0) if scalar else np.any(named[name] < 0):
             raise ValueError(f"{name} must be nonnegative")
-    args = np.broadcast_arrays(*named.values())
+    args = tuple(named.values()) if scalar else np.broadcast_arrays(*named.values())
     # gamma is the order of the uncertainty exponent, so it shares its domain
     check_domain("r q kappa", args[4] * args[2] * args[3], "eps")
+    if scalar:
+        return [_lane(*args)], ()
     lanes = [_lane(*p) for p in zip(*(x.ravel().tolist() for x in args))]
     return lanes, args[0].shape
 
@@ -371,10 +389,11 @@ def worst_case_rate(v, h, q, kappa, r):
 
     def rate_at(t, lane):
         # golden_section_lanes passes one lane array until it changes, so
-        # the factors are gathered once per lane array
+        # the factors are gathered once per lane array; a golden-section
+        # point lies strictly inside its grid bracket, so inside (0, 1)
         if gathered[0] is not lane:
             gathered[:] = lane, [x[lane] for x in factors]
-        return _rate(*gathered[1], t, _delta_terms(t))
+        return _rate(*gathered[1], t, _interior_terms(t))
 
     out = golden_section_lanes(rate_at, a, b, floor)
     return out.reshape(shape) if shape else float(out[0])

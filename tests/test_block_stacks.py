@@ -346,6 +346,36 @@ class TestExactRunStack:
         assert res.labels == tuple(product(((0, 0), (0, 1), (1, 0), (1, 1)), repeat=3))
 
 
+class TestExactRunParts:
+    """What the branch-loop reference cannot see: it calls kraus_for and
+    the eigensolver itself."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=devices_and_parameters())
+    def test_kraus_roots_equal_lone_calls(self, case):
+        beh = case[0]
+        d = beh.device_dim
+        dishonest = [b for b in beh.kraus_for(1) if b[3] == "dishonest"]
+        assert len(dishonest) == (1 if 1.0 - beh.v - beh.h > 1e-15 else 0)
+        for _, sp, sm, _ in dishonest:
+            assert np.array_equal(sp, pseudo_power(
+                0.5 * (np.eye(d) + beh.dishonest), 0.5, cutoff=0.0))
+            assert np.array_equal(sm, pseudo_power(
+                0.5 * (np.eye(d) - beh.dishonest), 0.5, cutoff=0.0))
+
+    @pytest.mark.parametrize("env", [1, 2, 4])
+    def test_one_eigh_of_the_sigma_stack(self, monkeypatch, env):
+        # the support check and the power of sigma share one decomposition
+        rng = np.random.default_rng(12)
+        beh = random_partially_trusted(rng, 0.5, 0.2, env_dim=env)
+        shapes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a, *args: shapes.append(a.shape) or eigh(a, *args))
+        exact_small_run(3, beh, 0.3, 1.0, 1.0)
+        assert [s for s in shapes if s[0] == 4**3] == [(4**3, env, env)]
+
+
 class TestInequalityStacks:
     @settings(max_examples=150, deadline=None)
     @given(dw=st.integers(1, 4), dv=st.integers(1, 9),
@@ -373,6 +403,31 @@ class TestInequalityStacks:
         for eps, check in zip((0.1, 0.5, 1.0), got):
             assert (check.delta, check.lhs_ratio, check.rhs) == \
                 reference_uncertainty(inst, eps)
+
+    def test_schatten_spectra_taken_once(self, monkeypatch):
+        # the verify suites check one pair at three exponents; one svd of
+        # the pair's four matrices serves all, and a pair changed in place
+        # is taken again
+        from direx import entropy
+
+        entropy._pair_singular_values.cache_clear()
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+        Y = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+        before = X.copy()
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, **kw: calls.append(a.shape) or svd(a, **kw))
+        got = [schatten_ineq_check(X, Y, p) for p in (2.0, 2.5, 4.0)]
+        assert calls == [(4, 3, 5)]
+        X[1, 2] += 0.5
+        changed = schatten_ineq_check(X, Y, 2.5)
+        assert calls == [(4, 3, 5)] * 2
+        monkeypatch.undo()
+        for p, check in zip((2.0, 2.5, 4.0), got):
+            assert (check.lhs, check.rhs) == reference_schatten(before, Y, p)
+        assert (changed.lhs, changed.rhs) == reference_schatten(X, Y, 2.5)
 
     @settings(max_examples=150, deadline=None)
     @given(m=st.integers(1, 9), n=st.integers(1, 9),

@@ -207,6 +207,17 @@ class TestRecordsAndDeterminism:
         b = [strip_volatile(r) for r in read_records(p2)]
         assert a != b
 
+    def test_one_seed_one_record_whatever_its_spelling(self, tmp_path):
+        # records carry the parsed master seed, not the flag as typed
+        records = []
+        for i, seed in enumerate(("1", "01", "0x01")):
+            p = tmp_path / f"s{i}.jsonl"
+            assert run_cli("--output", str(p), "--seed", seed, "verify",
+                           "--suite", "schatten", "--instances", "3") == EXIT_OK
+            records.append([strip_volatile(r) for r in read_records(p)])
+        assert records[0] and records[0] == records[1] == records[2]
+        assert {r["seed"] for r in records[0]} == {"00" * 31 + "01"}
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DIREX_OUTPUT_DIR", str(tmp_path))
         assert run_cli("verify", "--suite", "schatten",
@@ -615,7 +626,8 @@ def _stated_interval(text):
                 m[4] == "]")
     return {"must be positive and finite": (0.0, False, np.inf, False),
             "must be finite and nonnegative": (0.0, True, np.inf, False),
-            "must be finite and at least 1": (1.0, True, np.inf, False)}[text]
+            "must be finite and at least 1": (1.0, True, np.inf, False),
+            "must be finite and at least 2": (2.0, True, np.inf, False)}[text]
 
 
 class TestDomainTable:

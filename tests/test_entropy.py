@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -263,6 +265,22 @@ class TestSchattenInequality:
     def test_p_domain(self):
         with pytest.raises(ValueError):
             schatten_ineq_check(np.eye(2), np.eye(2), 1.5)
+
+    @pytest.mark.parametrize("p", [np.inf, np.nan, -np.inf, 10**400],
+                             ids=["inf", "nan", "-inf", "int-past-float"])
+    def test_non_finite_p_rejected_by_name(self, p):
+        # p = inf once gave holds=False from a nan right-hand side
+        with pytest.raises(ValueError, match=r"^p must be finite and at least 2"):
+            schatten_ineq_check(np.eye(2), 0.5 * np.eye(2), p)
+
+    @pytest.mark.parametrize("scale,p", [(3.0, 1e300), (3.0, 700.0),
+                                         (1e100, 4.0)])
+    def test_overflowing_power_sums_rejected(self, scale, p):
+        # no verdict from infinite or nan sides
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^p overflows the power sums"):
+                schatten_ineq_check(scale * np.eye(2), 0.5 * scale * np.eye(2), p)
 
 
 class TestBlockOperator:

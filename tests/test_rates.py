@@ -462,6 +462,25 @@ class TestLockstepSearch:
         assert list(zip(t_vals.tolist(), e_vals.tolist())) == expect
         assert rate_T_E(v, h, eta, qs[0], kappas[0]) == expect[0]
 
+    @pytest.mark.parametrize("end", [0, -1])
+    def test_golden_points_inside_the_unit_interval(self, end):
+        # worst_case_rate takes log d at golden points without a d > 0
+        # guard; the grid's end brackets come closest to d = 0
+        from direx import rates
+
+        ts, _ = rates._failure_grid()
+        a, b = (ts[0], ts[1]) if end == 0 else (ts[-2], ts[-1])
+        assert (a, b) == ((0.0, 1e-4) if end == 0 else (0.9999, 1.0))
+        seen = []
+        targets = np.array([a, b, 0.5 * (a + b), a - 1.0, b + 1.0])
+
+        def f(t, lane):
+            seen.extend(t.tolist())
+            return (t - targets[lane]) ** 2
+        n = len(targets)
+        golden_section_lanes(f, np.full(n, a), np.full(n, b), np.full(n, np.inf))
+        assert seen and all(0.0 < t < 1.0 for t in seen)
+
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(centre=st.floats(-0.2, 1.2), scale=st.floats(0.5, 50.0),
            quantum=st.sampled_from([0.0, 1e-3, 2.0**-6]),
