@@ -21,7 +21,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import check_domain
-from .matrixcore import pseudo_power
+from .matrixcore import pseudo_power, schatten_norm
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -31,9 +31,12 @@ INVOLUTION_TOL = 1e-9
 
 def _check_involution(m, name):
     m = np.asarray(m, dtype=np.complex128)
-    if np.max(np.abs(m - m.conj().T)) > INVOLUTION_TOL:
+    if abs(m - m.conj().T).max() > INVOLUTION_TOL:
         raise ValueError(f"{name} must be Hermitian")
-    if np.max(np.abs(m @ m - np.eye(m.shape[0]))) > INVOLUTION_TOL:
+    # m @ m - I, with 1 taken off the diagonal in place of building I
+    square = m @ m
+    square.reshape(-1)[::len(square) + 1] -= 1.0
+    if abs(square).max() > INVOLUTION_TOL:
         raise ValueError(f"{name} must square to the identity")
     return m
 
@@ -155,12 +158,12 @@ class PartiallyTrustedBehavior:
             raise ValueError("mixture weights must satisfy v, h >= 0 and v + h <= 1")
         t0 = _check_involution(self.trusted_pair[0], "trusted input-0 measurement")
         t1 = _check_involution(self.trusted_pair[1], "trusted input-1 measurement")
-        if np.max(np.abs(t0 @ t1 + t1 @ t0)) > 1e-9:
+        if abs(t0 @ t1 + t1 @ t0).max() > 1e-9:
             raise ValueError("trusted pair must anticommute")
         nop = np.asarray(self.dishonest, dtype=np.complex128)
-        if np.max(np.abs(nop - nop.conj().T)) > 1e-9:
+        if abs(nop - nop.conj().T).max() > 1e-9:
             raise ValueError("dishonest observable must be Hermitian")
-        if np.linalg.norm(nop, 2) > 1.0 + 1e-9:
+        if schatten_norm(nop, np.inf) > 1.0 + 1e-9:
             raise ValueError("dishonest observable must have norm at most 1")
         psi = np.asarray(self.state, dtype=np.complex128).ravel()
         if psi.shape != (t0.shape[0] * self.env_dim,):
@@ -196,7 +199,7 @@ class PartiallyTrustedBehavior:
             branches.append((self.v, 0.5 * (eye + t1), 0.5 * (eye - t1), "trusted"))
         w = 1.0 - self.v - self.h
         if w > 1e-15:
-            sp, sm = pseudo_power(np.stack((0.5 * (eye + self.dishonest),
+            sp, sm = pseudo_power(np.array((0.5 * (eye + self.dishonest),
                                             0.5 * (eye - self.dishonest))),
                                   0.5, cutoff=0.0)
             branches.append((w, sp, sm, "dishonest"))
@@ -367,7 +370,7 @@ def random_partially_trusted(rng: np.random.Generator, v: float, h: float,
     t1 = u @ base1 @ u.conj().T
     nop = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     nop = 0.5 * (nop + nop.conj().T)
-    nop = nop / (np.linalg.norm(nop, 2) * rng.uniform(1.0, 2.0))
+    nop = nop / (schatten_norm(nop, np.inf) * rng.uniform(1.0, 2.0))
     psi = rng.normal(size=d * env_dim) + 1j * rng.normal(size=d * env_dim)
     psi = psi / np.linalg.norm(psi)
     return PartiallyTrustedBehavior(v=v, h=h, trusted_pair=(t0, t1),

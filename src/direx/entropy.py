@@ -177,7 +177,7 @@ class MeasurementInstance:
     def spectra(self) -> np.ndarray:
         """The clipped spectra of (rho, rho1, rho_plus, rho_minus), one row
         each: every exponent of :func:`uncertainty_check` reads these."""
-        return _clipped_spectra(np.stack((self.rho, self.rho1, self.rho_plus,
+        return _clipped_spectra(np.array((self.rho, self.rho1, self.rho_plus,
                                           self.rho_minus)))
 
 
@@ -272,7 +272,7 @@ def _pair_singular_values(shape, x_bytes, y_bytes) -> np.ndarray:
     is taken again."""
     X, Y = (np.frombuffer(b, dtype=np.complex128).reshape(shape)
             for b in (x_bytes, y_bytes))
-    s = np.linalg.svd(np.stack(((X + Y) / np.sqrt(2.0), (X - Y) / np.sqrt(2.0),
+    s = np.linalg.svd(np.array(((X + Y) / np.sqrt(2.0), (X - Y) / np.sqrt(2.0),
                                 X, Y)), compute_uv=False)
     s.setflags(write=False)
     return s

@@ -48,7 +48,9 @@ def hermitian_eigh(entries: np.ndarray) -> tuple:
 def schatten_norm(a, p: float):
     """Schatten p-norm, ``(sum of singular values**p)**(1/p)``.
 
-    ``p`` must be at least 1; ``p = inf`` gives the operator norm.  A
+    ``p`` must be at least 1; ``p = inf`` gives the operator norm, the
+    first singular value of one ``svd``: ``np.linalg.norm(a, 2)`` bit for
+    bit on complex matrices, at about half its cost on a 2x2.  A
     matrix gives a float; a stack ``(k, m, n)`` gives the k norms as an
     array, each equal to the norm of its matrix alone (one ``svd`` call,
     each matrix's power sum along its own row, the root taken per norm as

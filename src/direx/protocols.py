@@ -37,7 +37,7 @@ from .devices import (
 )
 from .entropy import BlockOperator, renyi_divergence
 from .errors import check_domain
-from .rates import worst_case_rate
+from .rates import _checked_lanes, worst_case_rate
 from .seeding import BitStream, numpy_rng, substream
 from .xorgames import XorGame, as_fraction
 
@@ -765,7 +765,11 @@ def exact_small_run(N: int, behavior: PartiallyTrustedBehavior, q: float,
     from a table built once per N (:func:`_label_table`).  The results
     equal a branch-by-branch loop bit for bit (see the entropy module):
     children and reference weights are combined in the loop's order, and
-    the environment state is accumulated block by block in label order.
+    the environment state is accumulated block by block in label order (one
+    ``np.cumsum`` over the stack).
+
+    q, kappa, r and r q kappa are checked before any work, with the names
+    and messages of :func:`worst_case_rate`'s lane check.
     """
     if not 1 <= N <= 4:
         raise ValueError("exact execution supports 1 to 4 rounds")
@@ -773,9 +777,8 @@ def exact_small_run(N: int, behavior: PartiallyTrustedBehavior, q: float,
     de = behavior.env_dim
     if dq * de > 16:
         raise ValueError("joint dimension too large for exact execution")
+    _checked_lanes(behavior.v, behavior.h, q, kappa, r)
     gamma = r * q * kappa
-    if not 0 < gamma <= 1:
-        raise ValueError("need 0 < r q kappa <= 1")
     psi = behavior.state
     dim = dq * de
 
@@ -805,9 +808,7 @@ def exact_small_run(N: int, behavior: PartiallyTrustedBehavior, q: float,
 
     labels, counts, count_of = _label_table(N)
     gamma_stack = _trace_out_device(stack, dq, de)
-    env_state = np.zeros((de, de), dtype=np.complex128)
-    for block in gamma_stack:
-        env_state += block
+    env_state = np.cumsum(gamma_stack, axis=0)[-1]
     # a label's reference weight depends on its game and failure counts
     # only; each is one scalar expression, since numpy's array power can
     # round differently
@@ -842,7 +843,7 @@ def _label_table(N: int) -> tuple:
 def _lift(ops, de: int) -> np.ndarray:
     """Device operators K as one stack of K (x) I_env: the products
     np.kron forms, without a call per operator."""
-    ks = np.stack(ops).astype(np.complex128, copy=False)
+    ks = np.array(ops, dtype=np.complex128)
     m, dq = ks.shape[:2]
     return (ks[:, :, None, :, None] * np.eye(de)[:, None, :]).reshape(
         m, dq * de, dq * de)

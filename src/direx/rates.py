@@ -95,8 +95,16 @@ def uncertainty_exponent(eps, delta):
     """The two-argument exponent governing one round (symmetric in delta
     about 1/2): 1 - ((1+2e)/e) * log[(1-d)^(1/(1+2e)) + d^(1/(1+2e))].
 
-    Vectorized over both arguments.
+    Vectorized over both arguments: arrays broadcast, and two Python
+    numbers give a float.  Two numbers are checked and evaluated as
+    floats, by the same kernel with the same names and messages, without
+    building arrays; each result equals its element of the array call.
     """
+    if isinstance(eps, (int, float)) and isinstance(delta, (int, float)):
+        eps, delta = float(eps), float(delta)
+        check_domain("eps", eps, "eps")
+        check_domain("delta", delta, "probability")
+        return float(_exponent(*_exponent_coefficients(eps), _delta_terms(delta)))
     eps = np.asarray(eps, dtype=float)
     delta = np.asarray(delta, dtype=float)
     check_domain("eps", eps, "eps")

@@ -10,6 +10,8 @@ from direx.devices import (
     NoisyHonestBehavior,
     PAULI_X,
     PAULI_Y,
+    PAULI_Z,
+    PartiallyTrustedBehavior,
     behavior_from_record,
     chsh_honest_device,
     ghz_honest_device,
@@ -242,6 +244,74 @@ class TestPartiallyTrusted:
                 v=1.0, h=0.0, trusted_pair=(PAULI_X, PAULI_X),
                 dishonest=np.zeros((2, 2)),
                 state=np.array([1.0, 0.0]), env_dim=1)
+
+
+E01 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
+
+
+def _off_by(check, e):
+    """The fields of a valid partially trusted device with one check's
+    quantity put e away from where that check allows it."""
+    fields = dict(v=0.5, h=0.2, trusted_pair=(PAULI_X, PAULI_Y),
+                  dishonest=0.5 * PAULI_Z, state=np.array([1.0, 0.0]),
+                  env_dim=1)
+    if check == "weights":
+        fields["h"] = 0.5 + 1e-12 + e
+    elif check == "hermitian":
+        fields["trusted_pair"] = (PAULI_X + (1e-9 + e) * E01, PAULI_Y)
+    elif check == "squares to identity":
+        fields["trusted_pair"] = (PAULI_X, np.sqrt(1.0 + 1e-9 + e) * PAULI_Y)
+    elif check == "anticommutes":
+        # {X, cY + sX} = 2s I
+        s = (1e-9 + e) / 2
+        fields["trusted_pair"] = (PAULI_X, np.sqrt(1 - s * s) * PAULI_Y + s * PAULI_X)
+    elif check == "dishonest hermitian":
+        fields["dishonest"] = 0.5 * PAULI_Z + (1e-9 + e) * E01
+    elif check == "dishonest norm":
+        fields["dishonest"] = (1.0 + 1e-9 + e) * PAULI_Z
+    elif check == "state normalized":
+        fields["state"] = np.array([1.0 + 1e-9 + e, 0.0])
+    return fields
+
+
+class TestPartiallyTrustedChecks:
+    """Every check of the partially trusted device (and of
+    _check_involution, through its trusted pair) rejects a violation 1e-8
+    past its tolerance with its own message, and accepts a value 1e-10
+    inside it.  The weights' tolerance is 1e-12, so there the accepted
+    value is 1e-13 inside; the state dimension is a count."""
+
+    MESSAGES = {
+        "weights": "mixture weights must satisfy v, h >= 0 and v + h <= 1",
+        "hermitian": "trusted input-0 measurement must be Hermitian",
+        "squares to identity": "trusted input-1 measurement must square to the identity",
+        "anticommutes": "trusted pair must anticommute",
+        "dishonest hermitian": "dishonest observable must be Hermitian",
+        "dishonest norm": "dishonest observable must have norm at most 1",
+        "state normalized": "state must be normalized",
+    }
+
+    @pytest.mark.parametrize("check", list(MESSAGES))
+    def test_violation_rejected_by_name(self, check):
+        with pytest.raises(ValueError, match=f"^{re.escape(self.MESSAGES[check])}$"):
+            PartiallyTrustedBehavior(**_off_by(check, 1e-8))
+
+    @pytest.mark.parametrize("check", list(MESSAGES))
+    def test_inside_tolerance_accepted(self, check):
+        e = -1e-13 if check == "weights" else -1e-10
+        PartiallyTrustedBehavior(**_off_by(check, e))
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError, match="^mixture weights"):
+            PartiallyTrustedBehavior(**{**_off_by(None, 0.0), "v": -1e-8})
+
+    def test_state_dimension(self):
+        fields = _off_by(None, 0.0)
+        PartiallyTrustedBehavior(**{**fields, "state": np.array([0.6, 0, 0, 0.8]),
+                                    "env_dim": 2})
+        for state, env in ((np.array([1.0, 0.0]), 2), (np.array([0.6, 0, 0.8]), 1)):
+            with pytest.raises(ValueError, match="^state dimension must equal"):
+                PartiallyTrustedBehavior(**{**fields, "state": state, "env_dim": env})
 
 
 class TestReplay:

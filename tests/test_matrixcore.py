@@ -155,6 +155,21 @@ class TestSchattenNorm:
             vals = [schatten_norm(a, p) for p in ps] + [schatten_norm(a, np.inf)]
             assert all(x >= y - 1e-9 for x, y in zip(vals, vals[1:]))
 
+    @settings(max_examples=100, deadline=None)
+    @given(count=st.integers(1, 9), d=st.integers(2, 8),
+           seed=st.integers(0, 2**32 - 1), hermitian=st.booleans())
+    def test_operator_norm_equals_numpy_two_norm(self, count, d, seed, hermitian):
+        # p = inf is one svd and its largest value: np.linalg.norm(x, 2)
+        # bit for bit, alone or in a stack, on complex matrices
+        rng = np.random.default_rng(seed)
+        stack = rng.normal(size=(count, d, d)) + 1j * rng.normal(size=(count, d, d))
+        if hermitian:
+            stack = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
+        norms = schatten_norm(stack, np.inf)
+        assert np.array_equal(norms, np.linalg.norm(stack, 2, axis=(-2, -1)))
+        for x, norm in zip(stack, norms.tolist()):
+            assert schatten_norm(x, np.inf) == np.linalg.norm(x, 2) == norm
+
     def test_rejects_p_below_one(self):
         with pytest.raises(ValueError):
             schatten_norm(np.eye(2), 0.5)

@@ -333,6 +333,26 @@ class TestExactSmallRun:
         with pytest.raises(ValueError):
             exact_small_run(5, beh, 0.2, 1.0, 1.0)
 
+    # (q, kappa, r): q past 1 gave a negative g-weight and a support
+    # violation; a negative kappa and r passed the old gamma check and
+    # failed only in the rate
+    BAD_ARGUMENTS = [(1.5, 0.5, 1.0), (0.3, -1.0, -1.0), (0.0, 1.0, 1.0),
+                     (0.3, 0.0, 1.0), (0.3, 1.0, float("nan")),
+                     (0.3, float("inf"), 1.0), (0.3, 1.0, -1.0),
+                     (0.3, 1.0, 4.0), (0.3, 1e-300, 1e-10)]
+
+    @pytest.mark.parametrize("q, kappa, r", BAD_ARGUMENTS)
+    def test_arguments_checked_by_name_first(self, monkeypatch, q, kappa, r):
+        beh = random_partially_trusted(np.random.default_rng(9), 0.5, 0.2)
+        with pytest.raises(ValueError) as rate_err:
+            worst_case_rate(beh.v, beh.h, q, kappa, r)
+        # nothing is built before the check
+        monkeypatch.setattr(type(beh), "kraus_for", None)
+        with pytest.raises(ValueError) as err:
+            exact_small_run(2, beh, q, kappa, r)
+        assert type(err.value) is ValueError
+        assert str(err.value) == str(rate_err.value)
+
 
 class TestPartialTrustOperatorBounds:
     def test_four_inequalities_hold_exactly(self):

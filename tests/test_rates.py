@@ -82,6 +82,43 @@ class TestExponent:
             uncertainty_exponent(0.5, 1.5)
 
 
+class TestScalarExponent:
+    """Two Python numbers take uncertainty_exponent's scalar path: a float
+    equal by == to its element of an array call, and the array call's
+    messages outside the domain."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(eps=st.floats(float(np.finfo(float).tiny), 1.0),
+           delta=st.floats(0.0, 1.0), at=st.integers(0, 16))
+    @example(eps=1.0, delta=0.0, at=0)
+    @example(eps=float(np.finfo(float).tiny), delta=1.0, at=16)
+    @example(eps=0.5, delta=0.5, at=7)
+    def test_equals_the_array_element(self, eps, delta, at):
+        # the pair sits among other lanes, so the array call runs numpy's
+        # vector loops on it
+        deltas = np.linspace(0.0, 1.0, 17)
+        deltas[at] = delta
+        got = uncertainty_exponent(eps, delta)
+        assert type(got) is float
+        assert got == uncertainty_exponent(np.full(17, eps), deltas)[at]
+        assert got == uncertainty_exponent(np.asarray(eps), np.asarray(delta))
+
+    @pytest.mark.parametrize("eps, delta", [
+        (math.nan, 0.3), (0.0, 0.3), (5e-324, 0.3), (1.5, 0.3),
+        (0.5, -0.1), (0.5, 1.1), (0.5, math.nan), (0.0, math.nan)])
+    def test_outside_the_domain_rejected_as_arrays_are(self, eps, delta):
+        with pytest.raises(ValueError) as array_err:
+            uncertainty_exponent(np.array([eps]), np.array([delta]))
+        with pytest.raises(ValueError) as err:
+            uncertainty_exponent(eps, delta)
+        assert str(err.value) == str(array_err.value)
+
+    def test_integers_are_numbers(self):
+        assert uncertainty_exponent(1, 0) == uncertainty_exponent(1.0, 0.0) == 1.0
+        with pytest.raises(ValueError, match=r"^eps .*, got 0\.0$"):
+            uncertainty_exponent(0, 0.5)
+
+
 class TestLimitExponent:
     def test_endpoints(self):
         assert limit_exponent(0.0) == 1.0
