@@ -24,20 +24,15 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 
 from . import __version__
-from .devices import (
-    HONEST_DEVICES,
-    behavior_from_record,
-    random_partially_trusted,
-)
-from .entropy import measurement_split, schatten_ineq_check, uncertainty_check
+from .devices import HONEST_DEVICES, behavior_from_record
 from .errors import DirexError, InfeasibleError, check_domain
 from .postprocess import CrossFeedAbort, CrossFeedStage, cross_feed
 from .protocols import (
+    VERIFY_SUITES,
     ProtocolConfig,
     completeness_error_bound,
-    conditional_environment_states,
-    exact_small_run,
     monte_carlo,
+    verify_suite,
 )
 from .qkd import KdConfig, key_rate_report, run_rkd
 from .rates import certified_bound, limit_exponent, maximize_bound
@@ -465,49 +460,9 @@ def cmd_recon(args) -> int:
 
 def cmd_verify(args) -> int:
     rng = numpy_rng(args.master, f"verify-{args.suite}")
-    verdicts = []  # one per check, in draw order
-    if args.suite in ("uncertainty", "all"):
-        for _ in range(args.instances):
-            dw = int(rng.integers(1, 5))
-            dv = int(rng.integers(1, 9))
-            z = rng.normal(size=(2 * dw, dv)) + 1j * rng.normal(size=(2 * dw, dv))
-            z /= np.linalg.norm(z)
-            inst = measurement_split(z)
-            verdicts += [uncertainty_check(inst, eps).holds
-                         for eps in (0.1, 0.5, 1.0)]
-    if args.suite in ("schatten", "all"):
-        for _ in range(args.instances):
-            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            verdicts += [schatten_ineq_check(a, b, p).holds
-                         for p in (2.0, 2.5, 4.0)]
-    if args.suite in ("multishot", "all"):
-        for _ in range(args.instances):
-            v = float(rng.uniform(0.1, 1.0))
-            h = float(rng.uniform(0.0, 1.0 - v))
-            beh = random_partially_trusted(rng, v, h, env_dim=2)
-            q = float(rng.uniform(0.05, 0.5))
-            kappa = float(rng.uniform(0.2, 2.0))
-            r = float(rng.uniform(0.05, 1.0)) / (q * kappa)
-            n_rounds = int(rng.integers(1, 4))
-            verdicts.append(exact_small_run(n_rounds, beh, q, kappa, r).holds)
-    if args.suite in ("partial-trust", "all"):
-        for _ in range(args.instances):
-            v = float(rng.uniform(0.1, 1.0))
-            h = float(rng.uniform(0.0, 1.0 - v))
-            beh = random_partially_trusted(rng, v, h,
-                                           env_dim=int(rng.integers(1, 5)))
-            cs = conditional_environment_states(beh)
-            rho = cs["H"] + cs["T"]
-            diffs = (
-                cs["P"] - (h / 2) * rho - v * cs["0"],
-                (1 - h / 2) * rho - v * cs["1"] - cs["P"],
-                cs["F"] - (h / 2) * rho - v * cs["1"],
-                (1 - h / 2) * rho - v * cs["0"] - cs["F"],
-            )
-            verdicts += [
-                not np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0] < -1e-9
-                for m in diffs]
+    suites = VERIFY_SUITES if args.suite == "all" else (args.suite,)
+    verdicts = [c.holds for suite in suites
+                for c in verify_suite(suite, rng, args.instances)]
     checked, violations = len(verdicts), verdicts.count(False)
     print(f"suite {args.suite}: {checked} checks, {violations} violations")
     _write_records(args, "verify", {
@@ -604,8 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="inequality verification sweeps")
     v.add_argument("--suite",
-                   choices=("uncertainty", "schatten", "multishot",
-                            "partial-trust", "all"),
+                   choices=(*VERIFY_SUITES, "all"),
                    default="all")
     v.add_argument("--instances", type=int, default=200)
     v.set_defaults(func=cmd_verify)

@@ -35,7 +35,7 @@ from .matrixcore import hermitian_eigh, pseudo_power, singular_value_norms
 from .rates import uncertainty_exponent
 
 SUPPORT_CUTOFF = 1e-10
-INEQUALITY_SLACK = 1e-9  # float tolerance of the two operator inequalities
+INEQUALITY_SLACK = 1e-9  # float tolerance of the three operator inequalities
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
 from math import lcm, log2
@@ -33,15 +33,24 @@ from .devices import (
     AdversarialBehavior,
     DeviceState,
     PartiallyTrustedBehavior,
+    random_partially_trusted,
     respond,
 )
-from .entropy import BlockOperator, renyi_divergence
+from .entropy import (
+    INEQUALITY_SLACK,
+    BlockOperator,
+    measurement_split,
+    renyi_divergence,
+    schatten_ineq_check,
+    uncertainty_check,
+)
 from .errors import check_domain
 from .rates import _checked_lanes, worst_case_rate
 from .seeding import BitStream, numpy_rng, substream
 from .xorgames import XorGame, as_fraction
 
 SYMBOLS = ("H", "T", "P", "F")
+VERIFY_SUITES = ("uncertainty", "schatten", "multishot", "partial-trust")
 WILSON_Z = 1.96          # normal quantile of the two-sided 95% abort interval
 EXACT_RUN_SLACK = 1e-8   # float tolerance of exact_small_run's inequality
 
@@ -881,4 +890,63 @@ def conditional_environment_states(behavior: PartiallyTrustedBehavior) -> dict:
         p += w * states[4 + 2 * j]
         f += w * states[5 + 2 * j]
     out["P"], out["F"] = p, f
+    return out
+
+
+@dataclass(frozen=True)
+class PartialTrustCheck:
+    least_eigenvalue: float  # of the Hermitian part of the difference
+    holds: bool
+
+
+def partial_trust_checks(behavior: PartiallyTrustedBehavior) -> tuple:
+    """The four one-round operator bounds of a partially trusted device,
+    on its :func:`conditional_environment_states` with rho = H + T:
+    (h/2) rho + v "0" <= P <= (1 - h/2) rho - v "1", and the same for F
+    with "0" and "1" exchanged.  A bound holds when the least eigenvalue
+    of its gap's Hermitian part is at least -INEQUALITY_SLACK."""
+    v, h = behavior.v, behavior.h
+    cs = conditional_environment_states(behavior)
+    rho = cs["H"] + cs["T"]
+    diffs = (
+        cs["P"] - (h / 2) * rho - v * cs["0"],
+        (1 - h / 2) * rho - v * cs["1"] - cs["P"],
+        cs["F"] - (h / 2) * rho - v * cs["1"],
+        (1 - h / 2) * rho - v * cs["0"] - cs["F"],
+    )
+    least = [float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0]) for m in diffs]
+    return tuple(PartialTrustCheck(x, x >= -INEQUALITY_SLACK) for x in least)
+
+
+def verify_suite(suite: str, rng: np.random.Generator, instances: int) -> list:
+    """The checks of ``instances`` random instances of one of
+    VERIFY_SUITES, as ``direx verify`` draws them, in draw order: per
+    instance three :func:`uncertainty_check` or :func:`schatten_ineq_check`
+    results, one :func:`exact_small_run` (multishot) or four
+    :func:`partial_trust_checks`.  Each has a ``holds`` verdict."""
+    if suite not in VERIFY_SUITES:
+        raise ValueError(f"unknown verify suite {suite!r}")
+    out = []
+    for _ in range(instances):
+        if suite == "uncertainty":
+            dw, dv = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+            z = rng.normal(size=(2 * dw, dv)) + 1j * rng.normal(size=(2 * dw, dv))
+            inst = measurement_split(z / np.linalg.norm(z))
+            out += [uncertainty_check(inst, eps) for eps in (0.1, 0.5, 1.0)]
+        elif suite == "schatten":
+            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            out += [schatten_ineq_check(a, b, p) for p in (2.0, 2.5, 4.0)]
+        else:
+            v = float(rng.uniform(0.1, 1.0))
+            h = float(rng.uniform(0.0, 1.0 - v))
+            env_dim = 2 if suite == "multishot" else int(rng.integers(1, 5))
+            beh = random_partially_trusted(rng, v, h, env_dim=env_dim)
+            if suite == "partial-trust":
+                out += partial_trust_checks(beh)
+                continue
+            q = float(rng.uniform(0.05, 0.5))
+            kappa = float(rng.uniform(0.2, 2.0))
+            r = float(rng.uniform(0.05, 1.0)) / (q * kappa)
+            out.append(exact_small_run(int(rng.integers(1, 4)), beh, q, kappa, r))
     return out

@@ -10,6 +10,7 @@ distance, or random with exhaustively verified distance for lengths up to
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -145,6 +146,12 @@ class GF2m:
 
     def mul(self, a: int, b: int) -> int:
         return _poly_mod(_poly_mul_mod2(a, b), self.modulus)
+
+
+@functools.cache
+def _gf_field(m: int) -> GF2m:
+    """One GF(2^m) per m, shared by every hash evaluation."""
+    return GF2m(m)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +403,7 @@ class AffineHashFamily:
         return (self.chunks + 1) * self.k
 
     def evaluate(self, seed: int, x_bits) -> int:
-        gf = _gf_cache(self.k)
+        gf = _gf_field(self.k)
         x = _bits_to_int(x_bits)
         out = seed & ((1 << self.k) - 1)  # affine constant
         seed >>= self.k
@@ -407,17 +414,6 @@ class AffineHashFamily:
             seed >>= self.k
             out ^= gf.mul(a, chunk)
         return out
-
-
-_GF_FIELDS: dict = {}
-
-
-def _gf_cache(m: int) -> GF2m:
-    f = _GF_FIELDS.get(m)
-    if f is None:
-        f = GF2m(m)
-        _GF_FIELDS[m] = f
-    return f
 
 
 def _bits_to_int(bits) -> int:

@@ -12,10 +12,8 @@ from direx.devices import NoisyHonestBehavior, ghz_honest_device, random_partial
 from direx.entropy import (
     INEQUALITY_SLACK,
     dmax,
-    measurement_split,
     pinching_channel,
     renyi_divergence,
-    uncertainty_check,
 )
 from direx.postprocess import CrossFeedStage, cross_feed
 from direx.protocols import (
@@ -25,6 +23,7 @@ from direx.protocols import (
     completeness_error_bound,
     exact_small_run,
     monte_carlo,
+    verify_suite,
 )
 from direx.qkd import KdConfig, key_rate_report, run_rkd
 from direx.rates import feasible, limit_exponent, limit_exponent_slope, rate_T_E
@@ -123,17 +122,8 @@ class TestCriterion4:
 class TestCriterion5:
     def test_uncertainty_sweep(self):
         assert INEQUALITY_SLACK == 1e-9  # the criterion's stated tolerance
-        rng = numpy_rng(MASTER, "acc5")
-        violations = 0
-        for _ in range(1000):
-            dw = int(rng.integers(1, 5))
-            dv = int(rng.integers(1, 9))
-            z = rng.normal(size=(2 * dw, dv)) + 1j * rng.normal(size=(2 * dw, dv))
-            z /= np.linalg.norm(z)
-            inst = measurement_split(z)
-            for eps in (0.1, 0.5, 1.0):
-                if not uncertainty_check(inst, eps).holds:
-                    violations += 1
+        checks = verify_suite("uncertainty", numpy_rng(MASTER, "acc5"), 1000)
+        violations = sum(not c.holds for c in checks)
         check(5, "uncertainty principle: 1000 instances x 3 exponents",
               violations == 0, f"{violations} violations")
 

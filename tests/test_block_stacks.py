@@ -27,7 +27,11 @@ from direx.entropy import (
 )
 from direx.errors import SupportViolationError
 from direx.matrixcore import pseudo_power
-from direx.protocols import conditional_environment_states, exact_small_run
+from direx.protocols import (
+    conditional_environment_states,
+    exact_small_run,
+    verify_suite,
+)
 from direx.rates import uncertainty_exponent, worst_case_rate
 from direx.seeding import numpy_rng, parse_master_seed
 
@@ -454,54 +458,25 @@ class TestInequalityStacks:
 
 def sweep_values(suite, rng, count):
     """The values of `count` instances of one suite of ``direx verify``,
-    drawn as the command draws them: (delta, lhs, rhs) per uncertainty
-    check, (lhs, rhs) per Schatten check and multishot run, and the least
-    eigenvalue of each partial-trust difference."""
-    out = []
-    for _ in range(count):
-        if suite == "uncertainty":
-            dw, dv = int(rng.integers(1, 5)), int(rng.integers(1, 9))
-            z = rng.normal(size=(2 * dw, dv)) + 1j * rng.normal(size=(2 * dw, dv))
-            inst = measurement_split(z / np.linalg.norm(z))
-            for eps in (0.1, 0.5, 1.0):
-                c = uncertainty_check(inst, eps)
-                out.append((c.delta, c.lhs_ratio, c.rhs))
-        elif suite == "schatten":
-            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            for p in (2.0, 2.5, 4.0):
-                c = schatten_ineq_check(a, b, p)
-                out.append((c.lhs, c.rhs))
-        elif suite == "multishot":
-            v = float(rng.uniform(0.1, 1.0))
-            h = float(rng.uniform(0.0, 1.0 - v))
-            beh = random_partially_trusted(rng, v, h, env_dim=2)
-            q = float(rng.uniform(0.05, 0.5))
-            kappa = float(rng.uniform(0.2, 2.0))
-            r = float(rng.uniform(0.05, 1.0)) / (q * kappa)
-            res = exact_small_run(int(rng.integers(1, 4)), beh, q, kappa, r)
-            out.append((res.lhs, res.rhs))
-        else:
-            v = float(rng.uniform(0.1, 1.0))
-            h = float(rng.uniform(0.0, 1.0 - v))
-            beh = random_partially_trusted(rng, v, h,
-                                           env_dim=int(rng.integers(1, 5)))
-            cs = conditional_environment_states(beh)
-            rho = cs["H"] + cs["T"]
-            for m in (cs["P"] - (h / 2) * rho - v * cs["0"],
-                      (1 - h / 2) * rho - v * cs["1"] - cs["P"],
-                      cs["F"] - (h / 2) * rho - v * cs["1"],
-                      (1 - h / 2) * rho - v * cs["0"] - cs["F"]):
-                out.append(float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0]))
-    return out
+    from the command's own draws (protocols.verify_suite): (delta, lhs,
+    rhs) per uncertainty check, (lhs, rhs) per Schatten check and
+    multishot run, and the least eigenvalue of each partial-trust
+    difference."""
+    checks = verify_suite(suite, rng, count)
+    if suite == "uncertainty":
+        return [(c.delta, c.lhs_ratio, c.rhs) for c in checks]
+    if suite == "partial-trust":
+        return [c.least_eigenvalue for c in checks]
+    return [(c.lhs, c.rhs) for c in checks]
 
 
 class TestSweepDigests:
     """The four verify suites pinned by the sha256 of the repr of every
-    value: 50 instances each, one stream per suite.  The digests were
-    taken before the device checks, the spectral norms, the uncertainty
-    exponent and the environment sum were made cheaper, so any rounding
-    those changes let in shows here."""
+    value: 50 instances each, one stream per suite, drawn by the code that
+    ``direx verify`` runs.  The digests were taken before the device
+    checks, the spectral norms, the uncertainty exponent and the
+    environment sum were made cheaper, so any rounding those changes let
+    in shows here."""
 
     PINNED = {
         "uncertainty": "5c46faced2a26fe1e48b711d76320971617ad05dcbf154bca43460c133c93618",

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from direx import protocols
 from direx.cli import (
     DEFAULT_SEED,
     EXIT_ABORT,
@@ -440,15 +441,13 @@ class TestVerify:
         assert rec["checked"] == 4 * per_instance and rec["violations"] == 0
 
     def test_one_failed_check_is_one_violation(self, tmp_path, monkeypatch):
-        from direx import cli
-
         calls = []
 
         def fail_second(inst, eps):
             calls.append(eps)
             res = uncertainty_check(inst, eps)
             return res if len(calls) != 2 else replace(res, holds=False)
-        monkeypatch.setattr(cli, "uncertainty_check", fail_second)
+        monkeypatch.setattr(protocols, "uncertainty_check", fail_second)
         out = tmp_path / "v.jsonl"
         assert run_cli("--output", str(out), "verify", "--suite", "all",
                        "--instances", "2") == EXIT_VIOLATION

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from direx import protocols
+from direx.cli import EXIT_VIOLATION, main
 from direx.devices import (
     AdversarialBehavior,
     NoisyHonestBehavior,
@@ -22,6 +24,7 @@ from direx.protocols import (
     conditional_environment_states,
     exact_small_run,
     monte_carlo,
+    partial_trust_checks,
     run_protocol_a_prime,
     run_protocol_r,
     symbols_to_bits,
@@ -355,23 +358,32 @@ class TestExactSmallRun:
 
 
 class TestPartialTrustOperatorBounds:
-    def test_four_inequalities_hold_exactly(self):
+    @staticmethod
+    def violations():
+        """Failed partial_trust_checks over 60 random devices (240 checks)."""
         rng = np.random.default_rng(9)
+        failed = 0
         for _ in range(60):
             v = float(rng.uniform(0.05, 1.0))
             h = float(rng.uniform(0.0, 1.0 - v))
             beh = random_partially_trusted(rng, v, h,
                                            env_dim=int(rng.integers(1, 5)))
-            cs = conditional_environment_states(beh)
-            rho = cs["H"] + cs["T"]
-            diffs = (
-                cs["P"] - (h / 2) * rho - v * cs["0"],
-                (1 - h / 2) * rho - v * cs["1"] - cs["P"],
-                cs["F"] - (h / 2) * rho - v * cs["1"],
-                (1 - h / 2) * rho - v * cs["0"] - cs["F"],
-            )
-            for m in diffs:
-                assert np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0] >= -1e-9
+            failed += sum(not c.holds for c in partial_trust_checks(beh))
+        return failed
+
+    def test_four_inequalities_hold_exactly(self):
+        assert self.violations() == 0
+
+    def test_swapped_trusted_outcomes_violate(self, monkeypatch):
+        # a mutant that exchanges the trusted outcomes "0" and "1"
+        def swapped(behavior):
+            cs = conditional_environment_states(behavior)
+            cs["0"], cs["1"] = cs["1"], cs["0"]
+            return cs
+        monkeypatch.setattr(protocols, "conditional_environment_states", swapped)
+        assert self.violations() == 178  # of 240; the least misses by 6e-5
+        assert main(["verify", "--suite", "partial-trust",
+                     "--instances", "4"]) == EXIT_VIOLATION
 
 
 class TestAzumaTails:
