@@ -263,13 +263,13 @@ class DeviceState:
     partially trusted variant, the current joint state vector."""
 
     behavior: object
-    transcript: list = field(default_factory=list)
-    psi: np.ndarray | None = None
+    transcript: list = field(default_factory=list, init=False)
+    psi: np.ndarray | None = field(default=None, init=False)
     view: _TranscriptView = field(init=False, repr=False)
 
     def __post_init__(self):
         self.view = _TranscriptView(self.transcript)
-        if isinstance(self.behavior, PartiallyTrustedBehavior) and self.psi is None:
+        if isinstance(self.behavior, PartiallyTrustedBehavior):
             self.psi = self.behavior.state.copy()
 
 

@@ -142,14 +142,9 @@ class ErrorLedger:
     entry list that check_totals re-sums.
     """
 
-    entries: list = field(default_factory=list)
-    total_soundness: Fraction = field(init=False)
-    total_completeness: Fraction = field(init=False)
-
-    def __post_init__(self):
-        self.total_soundness = sum((e.soundness for e in self.entries), Fraction(0))
-        self.total_completeness = sum((e.completeness for e in self.entries),
-                                      Fraction(0))
+    entries: list = field(default_factory=list, init=False)
+    total_soundness: Fraction = field(default=Fraction(0), init=False)
+    total_completeness: Fraction = field(default=Fraction(0), init=False)
 
     def add(self, entry: LedgerEntry):
         self.entries.append(entry)

@@ -10,21 +10,18 @@ minus the reconciliation leakage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import check_domain
-from .protocols import (Transcript, _play_rounds, _symbol_string, exceeds_bound,
-                        make_responder)
-from .rates import RateReport, certified_bound, refine_grid_min
+from .protocols import Transcript, _play_rounds, _symbol_string, make_responder
+from .rates import RateReport, certified_bound
 from .recon import EirResult, LinearCode, eir_run
 from .recon import syndrome as code_syndrome
 from .seeding import BitStream
 from .xorgames import GameConstants, XorGame
-
-THETA_GRID_STEP = 1e-4  # eta_bar's grid step in the localization parameter
 
 
 @dataclass(frozen=True)
@@ -32,8 +29,9 @@ class KdConfig:
     """Arguments of the key distribution protocol.
 
     lam is the disagreement parameter promised to reconciliation (key error
-    fraction 1/2 - lam); lam_prime sits strictly between lam and w - 1/2
-    for the agreement tail bound.  The reconciliation failure budget is
+    fraction 1/2 - lam).  lam_prime must lie strictly between lam and
+    w - 1/2, and nothing else reads it: it is kept only because perfbench's
+    keydist workload passes it.  The reconciliation failure budget is
     exp(-qN) by convention.
     """
 
@@ -51,6 +49,8 @@ class KdConfig:
     def __post_init__(self):
         check_domain("q", self.q, "q")
         check_domain("eta", self.eta, "eta")
+        check_domain("kappa", self.kappa, "kappa")
+        check_domain("epsilon_exp", self.epsilon_exp, "epsilon_exp")
         w = self.constants.wG
         if not 0 < self.lam < w - 0.5:
             raise ValueError(f"key parameter must lie in (0, {w - 0.5})")
@@ -90,7 +90,7 @@ class KdOutcome:
     eir: EirResult | None
     report: RateReport | None
     transcript: Transcript
-    public_transcript: dict = field(default_factory=dict)
+    public_transcript: dict
 
     @property
     def keys_match(self) -> bool:
@@ -188,66 +188,3 @@ def key_rate_report(outcome: KdOutcome) -> dict:
         "measured_code_rate": outcome.eir.measured_rate if outcome.eir else None,
     }
 
-
-# ---------------------------------------------------------------------------
-# Agreement-rate machinery
-
-
-def eta_bar(lam_prime: float, constants: GameConstants, f=None) -> float:
-    """Supremum over the localization parameter of the agreement margin:
-    w * theta * ((w - (1/2 + lam')) / w - f(theta)).
-
-    f is the self-testing robustness profile (defaults to the square-root
-    profile with unit constant); the supremum is positive whenever
-    lam' < w - 1/2 because f vanishes at zero.
-    """
-    w = constants.wG
-    if not 0 < lam_prime < w - 0.5:
-        raise ValueError(f"parameter must lie in (0, {w - 0.5})")
-    if f is None:
-        f = lambda th: np.sqrt(th)  # noqa: E731
-    # a log-spaced segment keeps suprema close to zero visible when the
-    # margin is narrow
-    thetas = np.concatenate([np.geomspace(1e-16, THETA_GRID_STEP, 200),
-                             np.arange(THETA_GRID_STEP, 1.0, THETA_GRID_STEP)])
-    margin = (w - (0.5 + lam_prime)) / w
-    vals = w * thetas * (margin - np.asarray(f(thetas)))
-    return -refine_grid_min(lambda th: -w * th * (margin - np.asarray(f(th))),
-                            thetas, -vals)
-
-
-def agreement_failure_bound(eta: float, eta_bar_val: float, lam: float,
-                            lam_prime: float, q: float, N: int) -> float:
-    """Probability bound for (no abort) AND (win count below (1/2 + lam) N):
-    exp(-(eta_bar - eta)^2 q N / 3) + exp(-(lam' - lam)^2 N / 2)."""
-    if not eta < eta_bar_val:
-        raise ValueError("requires the tolerance below the agreement margin")
-    return float(np.exp(-((eta_bar_val - eta) ** 2) * q * N / 3.0)
-                 + np.exp(-((lam_prime - lam) ** 2) * N / 2.0))
-
-
-@dataclass(frozen=True)
-class AgreementCheck:
-    bad_events: int
-    trials: int
-    frequency: float
-    bound: float
-    exceeded: bool
-
-
-def agreement_bound_check(bad_events: int, trials: int, eta: float,
-                          eta_bar_val: float, lam: float, lam_prime: float,
-                          q: float, N: int) -> AgreementCheck:
-    """Compare an empirical bad-event frequency against the agreement tail
-    bound, flagging an excess beyond three binomial standard errors."""
-    bound = agreement_failure_bound(eta, eta_bar_val, lam, lam_prime, q, N)
-    return AgreementCheck(bad_events=bad_events, trials=trials,
-                          frequency=bad_events / trials, bound=bound,
-                          exceeded=exceeds_bound(bad_events, trials, bound))
-
-
-def bad_event(outcome: KdOutcome, lam: float, N: int) -> bool:
-    """The agreement bad event: the run did not abort at the failure
-    threshold yet the win count fell to (1/2 + lam) N or below."""
-    not_aborted = outcome.success or outcome.abort_reason == "reconciliation"
-    return not_aborted and outcome.wins <= (0.5 + lam) * N

@@ -313,22 +313,6 @@ def _grid_bracket(grid, vals) -> tuple:
     return grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)], vals[i]
 
 
-def refine_grid_min(f, grid, vals) -> float:
-    """Minimum of f from its values on a sorted grid.
-
-    Golden-section search refines the grid minimum over its two neighbouring
-    cells; no unimodality is assumed, the grid is taken to be fine enough
-    that the true minimum lies in those cells.  This is
-    :func:`golden_section_lanes` on one lane: f must take an array of
-    points, and it is called with the up to 2**_GOLDEN_DEPTH - 1 points
-    that the next _GOLDEN_DEPTH steps can reach.
-    The result equals the sequential search that evaluates one point per
-    step as long as f gives a point the same value alone or in an array.
-    """
-    a, b, floor = _grid_bracket(grid, vals)
-    return float(golden_section_lanes(lambda t, _: f(t), [a], [b], [floor])[0])
-
-
 def _check_rate_args(**args) -> None:
     """Reject an empty lane set, a non-finite value and a q or kappa outside
     its domain (errors.DOMAINS), naming the argument.  Each argument is an

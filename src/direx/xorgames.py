@@ -1148,24 +1148,21 @@ def trust_coefficient_search(game: XorGame, samples: SamplingSpec | None = None,
     return max(best - TRUST_RESOLUTION, 0.0)
 
 
-def analyze_game(game: XorGame, vg_lower: float | None = None,
-                 provenance: str = "") -> GameConstants:
-    """Compute the constants bundle; the trust bound may be supplied or searched.
+def analyze_game(game: XorGame) -> GameConstants:
+    """Compute the constants bundle.
 
-    The score comes with the certified gap of optimal_score; the searched
-    trust bound is sampled, not proven.
+    The score comes with the certified gap of optimal_score; the trust
+    bound is trust_coefficient_search's sampled closed form, not a proof.
     """
     qG, maximizer = optimal_score(game)
     certified_gap = _SCORE_MEMO[game.entries][2]
     classification = classify_selftest(game)
-    if vg_lower is None:
-        vg_lower = trust_coefficient_search(game, classification=classification)
-        provenance = provenance or "sampled bisection search"
+    vg_lower = trust_coefficient_search(game, classification=classification)
     wG = (1 + qG) / 2
     return GameConstants(
         qG=qG, wG=wG, fG=1 - wG, maximizer=tuple(maximizer),
         classification=classification, vG_lower=float(vg_lower),
-        provenance=provenance, certified_gap=certified_gap,
+        provenance="sampled closed form", certified_gap=certified_gap,
     )
 
 
@@ -1181,7 +1178,8 @@ def ghz_constants() -> GameConstants:
 
 
 def chsh_constants() -> GameConstants:
-    """Constants for the CHSH game; trust bound from the sampled search."""
+    """Constants for the CHSH game; the stored trust bound is the one a
+    sampled bisection search gave, and its provenance says so."""
     s = float(np.sqrt(2) / 2)
     return GameConstants(
         qG=s, wG=(1 + s) / 2, fG=(1 - s) / 2,

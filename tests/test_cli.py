@@ -102,7 +102,7 @@ class TestRate:
         assert "trust bound provenance" in text
         assert "optimal score certified gap" in text
         rec = read_records(out)[0]
-        assert rec["game_vG_provenance"] == "sampled bisection search"
+        assert rec["game_vG_provenance"] == "sampled closed form"
         assert 0 < rec["game_qG_certified_gap"] <= 1e-9
 
     @pytest.mark.parametrize("flag, value, searched", [

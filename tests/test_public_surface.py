@@ -10,10 +10,10 @@ reads to a fixpoint, so a helper that only a test-only name reads is dead
 too.  A name kept for another reason sits on ``KEEP`` with that reason.
 
 Every keyword parameter with a default, of a top-level function or of a
-top-level class's ``__init__``, must be passed by some call of that name
-in ``src/direx`` or ``perfbench/*.py``; a parameter only tests set is a
-constant in disguise.  A knob kept for another reason sits on
-``KEEP_KNOBS`` with that reason.
+top-level class's ``__init__`` (a dataclass's init fields when it has
+none), must be passed by some call of that name in ``src/direx`` or
+``perfbench/*.py``; a parameter only tests set is a constant in disguise.
+A knob kept for another reason sits on ``KEEP_KNOBS`` with that reason.
 
 Every identifier in a README code span that has an inner underscore or is
 CamelCase must be spelled in ``src/direx`` or ``perfbench/*.py`` (defined,
@@ -47,11 +47,6 @@ KEEP = {
                       "(tests/test_rates.py)",
     # protocols
     "biased_bit_sampler": "criterion 10 measures its seed use against h(q)",
-    # qkd: the agreement group, which KdConfig.lam_prime feeds; wiring it
-    # into direx qkd is an open ROADMAP decision
-    "agreement_bound_check": "the agreement-rate check on counted bad events",
-    "bad_event": "the event agreement_bound_check counts",
-    "eta_bar": "the agreement margin agreement_bound_check takes",
 }
 
 KEEP_KNOBS = {
@@ -59,12 +54,15 @@ KEEP_KNOBS = {
                                 "blocks to reach the 4096-symbol reset",
     "random_partially_trusted.device_half_dim": "the only source of dq = 4 "
                                                 "devices for the stack tests",
-    "analyze_game.vg_lower": "lets tests skip the trust search",
-    "analyze_game.provenance": "lets tests skip the trust search",
     "trust_coefficient_search.samples": "gives tests a smaller sampling budget",
     "eir_run.hash_family": "the short-seed hash family (ROADMAP) will set it",
-    "eta_bar.f": "part of the open decision on eta_bar (ROADMAP)",
     "main.argv": "tests drive the CLI in-process",
+    "ProtocolConfig.v": "the trust coefficient of protocol A', which only "
+                        "its tests run on partially trusted devices",
+    "ProtocolConfig.h": "the dishonest weight of protocol A', which only "
+                        "its tests run on partially trusted devices",
+    "CrossFeedStage.ext_error_exp": "the ledger tests vary the extractor "
+                                    "error that each stage's entry carries",
 }
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -136,10 +134,37 @@ def unreached(bodies, rooted):
             if not name.startswith("_") and name not in alive}
 
 
+def _dataclass_knobs(cls):
+    """The init fields with a default of a dataclass, as a map from field
+    name to its position in a call.  A field(...) value gives a default
+    through default= or default_factory=, and init=False takes the field
+    out of the call."""
+    found, pos = {}, 0
+    for stmt in cls.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+            continue
+        value, has_default = stmt.value, stmt.value is not None
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            kw = {k.arg: k.value for k in value.keywords}
+            if getattr(kw.get("init"), "value", True) is False:
+                continue
+            has_default = "default" in kw or "default_factory" in kw
+        if has_default:
+            found[stmt.target.id] = pos
+        pos += 1
+    return found
+
+
+def _is_dataclass(cls):
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+               == "dataclass" for d in cls.decorator_list)
+
+
 def knobs(package):
     """The keyword parameters with a default of the package's top-level
-    functions and top-level classes' __init__, as a map from "name.param"
-    to the parameter's position in a call (None when keyword-only)."""
+    functions and top-level classes' __init__, or a dataclass's fields, as
+    a map from "name.param" to the parameter's position in a call (None
+    when keyword-only)."""
     found = {}
     for text in package:
         for stmt in ast.parse(text).body:
@@ -148,6 +173,9 @@ def knobs(package):
                 fn = next((s for s in stmt.body if isinstance(s, ast.FunctionDef)
                            and s.name == "__init__"), None)
                 skip = 1  # self
+                if fn is None and _is_dataclass(stmt):
+                    found.update((f"{stmt.name}.{name}", at)
+                                 for name, at in _dataclass_knobs(stmt).items())
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             args = fn.args
@@ -326,3 +354,31 @@ def run():
 """]
     assert unset_knobs(package, package) == {"Sampler.skew", "plant.knob"}
     assert unset_knobs(package, package + ["plant(2, knob=4)"]) == {"Sampler.skew"}
+    # a dataclass's init fields are its __init__: field(init=False) takes
+    # no position, so Stage(1, 2, 3, "t") fills tag but not log, and
+    # Stage(1, 2, 3) neither; Plain's explicit __init__ is scanned instead
+    # of its fields
+    package = ["""
+@dataclass(frozen=True)
+class Stage:
+    N: int
+    need: int = field(repr=False)
+    rounds: int = 10
+    memo: list = field(default_factory=list, init=False)
+    tag: str = field(default="")
+    log: list = field(default_factory=list)
+
+@dataclass
+class Plain:
+    x: int = 0
+
+    def __init__(self, y=1):
+        pass
+
+def run():
+    Plain()
+    return Stage(1, 2, 3, "t")
+"""]
+    assert unset_knobs(package, package) == {"Stage.log", "Plain.y"}
+    assert unset_knobs(package, ["Stage(1, 2, 3)"]) == {
+        "Stage.tag", "Stage.log", "Plain.y"}

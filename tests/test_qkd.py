@@ -1,19 +1,8 @@
-import hashlib
-
 import numpy as np
 import pytest
 
 from direx.devices import AdversarialBehavior, NoisyHonestBehavior, ghz_honest_device
-from direx.qkd import (
-    AgreementCheck,
-    KdConfig,
-    agreement_bound_check,
-    agreement_failure_bound,
-    bad_event,
-    eta_bar,
-    key_rate_report,
-    run_rkd,
-)
+from direx.qkd import KdConfig, key_rate_report, run_rkd
 from direx.recon import bch_15_5, hamming_code, interleaved
 from direx.seeding import numpy_rng, parse_master_seed, substream
 from direx.xorgames import ghz_constants, ghz_game
@@ -129,75 +118,6 @@ class TestAdversarialAndNoisy:
         assert out.disagreements / gens <= 0.02
 
 
-class TestEtaBar:
-    def test_zero_profile_closed_form(self):
-        val = eta_bar(0.3, GHZ, f=lambda th: 0.0 * np.asarray(th))
-        assert val == pytest.approx(GHZ.wG - 0.8, abs=1e-3)
-
-    def test_sqrt_profile_positive(self):
-        val = eta_bar(0.3, GHZ, f=lambda th: np.sqrt(th))
-        assert val > 0
-        # grid oracle
-        th = np.linspace(1e-5, 1 - 1e-5, 200_001)
-        oracle = np.max(GHZ.wG * th * ((GHZ.wG - 0.8) / GHZ.wG - np.sqrt(th)))
-        assert val == pytest.approx(oracle, rel=1e-4)
-
-    def test_vanishes_at_margin(self):
-        assert eta_bar(0.499999, GHZ) < 1e-5
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            eta_bar(0.6, GHZ)
-
-    def test_digest_pinned(self):
-        # pinned before eta_bar's golden-section search moved into
-        # rates.refine_grid_min, one lane of rates.golden_section_lanes;
-        # the values must not move
-        vals = [eta_bar(0.3, GHZ, f=lambda th: 0.0 * np.asarray(th)),
-                eta_bar(0.3, GHZ, f=lambda th: np.sqrt(th)),
-                eta_bar(0.499999, GHZ), eta_bar(0.49999, GHZ),
-                eta_bar(0.1, GHZ)]
-        digest = hashlib.sha256("\n".join(map(repr, vals)).encode())
-        assert digest.hexdigest() == (
-            "59068a1cf008fa6cd95395bfb249328482cd0bed6e7ba4378f53be53ac115539")
-
-
-class TestAgreementBound:
-    def test_bound_formula(self):
-        got = agreement_failure_bound(0.001, 0.01, 0.45, 0.46, 0.05, 10_000)
-        expect = np.exp(-(0.009**2) * 0.05 * 10_000 / 3) \
-            + np.exp(-(0.01**2) * 10_000 / 2)
-        assert got == pytest.approx(expect)
-
-    def test_precondition(self):
-        with pytest.raises(ValueError):
-            agreement_failure_bound(0.02, 0.01, 0.45, 0.46, 0.05, 100)
-
-    def test_honest_device_no_bad_events(self):
-        cfg = kd_config(1000, 0.05)
-        outs = [run(cfg, ghz_honest_device(), "agree", trial=t)
-                for t in range(20)]
-        bad = sum(bad_event(o, cfg.lam, cfg.N) for o in outs)
-        assert bad == 0
-        chk = agreement_bound_check(bad, 20, 0.001, 0.01, cfg.lam,
-                                    cfg.lam_prime, 0.05, 1000)
-        assert isinstance(chk, AgreementCheck)
-        assert not chk.exceeded
-
-    def test_threshold_edge_device_within_bound(self):
-        # always-lose scripted device: aborts with certainty, so the bad
-        # event (no abort AND low wins) never fires
-        bad_dev = AdversarialBehavior(n=3, program=lambda tr, inp: (1, 0, 0))
-        cfg = kd_config(600, 0.2, eta=0.001)
-        outs = [run(cfg, bad_dev, "edge", trial=t) for t in range(30)]
-        bad = sum(bad_event(o, cfg.lam, cfg.N) for o in outs)
-        eb = eta_bar(cfg.lam_prime, GHZ)
-        chk = agreement_bound_check(bad, 30, min(0.0005, eb / 2), eb, cfg.lam,
-                                    cfg.lam_prime, 0.2, 600)
-        assert not chk.exceeded
-
-
-
 class TestAzumaTailsEmpirical:
     def test_generation_win_deficit_tail(self):
         # honest device: per-round generation win probability is 1; the
@@ -248,6 +168,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError,
                            match=rf"^q must lie in \(0, 1\), got {q}$"):
             kd_config(15, q)
+
+    @pytest.mark.parametrize("name, value", [
+        ("kappa", -1.0), ("kappa", 0.0), ("kappa", float("nan")),
+        ("kappa", float("inf")), ("epsilon_exp", -5.0),
+        ("epsilon_exp", float("nan")), ("epsilon_exp", 1075.0)])
+    def test_rate_arguments_checked_at_construction(self, name, value):
+        # these used to pass unchecked: a bad kappa or epsilon_exp played
+        # a whole session, or failed after it without naming the field
+        with pytest.raises(ValueError, match=rf"^{name} must .*, got {value}$"):
+            kd_config(15, 0.2, **{name: value})
 
     def test_eir_epsilon_convention(self):
         cfg = kd_config(1000, 0.05)

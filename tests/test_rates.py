@@ -22,7 +22,6 @@ from direx.rates import (
     one_round_rate,
     optimal_multiplier,
     rate_T_E,
-    refine_grid_min,
     tune_parameters,
     uncertainty_exponent,
     worst_case_rate,
@@ -517,20 +516,6 @@ class TestLockstepSearch:
         n = len(targets)
         golden_section_lanes(f, np.full(n, a), np.full(n, b), np.full(n, np.inf))
         assert seen and all(0.0 < t < 1.0 for t in seen)
-
-    @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(centre=st.floats(-0.2, 1.2), scale=st.floats(0.5, 50.0),
-           quantum=st.sampled_from([0.0, 1e-3, 2.0**-6]),
-           n=st.integers(2, 400))
-    def test_refine_matches_sequential_search(self, centre, scale, quantum, n):
-        # quantized values tie often, so the branch on ties is exercised;
-        # centres outside [0, 1] put the minimum at either end of the grid
-        def f(t):
-            val = scale * (np.asarray(t) - centre) ** 2
-            return np.floor(val / quantum) * quantum if quantum else val
-        grid = np.linspace(0.0, 1.0, n)
-        assert refine_grid_min(f, grid, f(grid)) == \
-            reference_refine(lambda t: float(f(t)), grid, f(grid))
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(lanes=st.lists(st.tuples(st.floats(0.0, 0.9), st.floats(1e-13, 0.1),

@@ -1069,15 +1069,23 @@ class TestConstantsBundles:
         assert c.qG == pytest.approx(np.sqrt(2) / 2)
         assert 0 < c.vG_lower <= c.qG
 
-    def test_analyze_game_chsh(self):
-        consts = analyze_game(CHSH, vg_lower=0.10, provenance="frozen")
+    @staticmethod
+    def _skip_trust_search(monkeypatch):
+        monkeypatch.setattr(xorgames, "trust_coefficient_search",
+                            lambda game, classification: 0.10)
+
+    def test_analyze_game_chsh(self, monkeypatch):
+        self._skip_trust_search(monkeypatch)
+        consts = analyze_game(CHSH)
         assert consts.classification == "strong-self-test"
         assert 0 < consts.certified_gap <= 1e-9
         assert consts.wG == pytest.approx((1 + np.sqrt(2) / 2) / 2)
+        assert (consts.vG_lower, consts.provenance) == (0.10, "sampled closed form")
 
-    def test_analyze_game_certifies_score(self):
+    def test_analyze_game_certifies_score(self, monkeypatch):
+        self._skip_trust_search(monkeypatch)
         relabeled = game_from_record(game_to_record(GHZ.relabel((1, 1, 0))))
         for game in (relabeled, mermin4_game()):
-            consts = analyze_game(game, vg_lower=0.10, provenance="frozen")
+            consts = analyze_game(game)
             assert consts.qG == pytest.approx(1.0, abs=1e-9)
             assert 0 < consts.certified_gap <= 1e-9
