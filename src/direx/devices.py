@@ -41,8 +41,21 @@ def _check_involution(m, name):
     return m
 
 
+class _Memoised:
+    """Base of the behaviors whose distributions _memoised keeps on the
+    instance.  The memo stays out of pickles, which is how
+    protocols.monte_carlo hands a behavior to its workers: an unpickled
+    behavior computes its own read-only entries rather than holding
+    writable copies."""
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_dist_cache", None)
+        return state
+
+
 @dataclass(frozen=True)
-class HonestBehavior:
+class HonestBehavior(_Memoised):
     """Shared pure state plus one +-1 observable per component and input."""
 
     n: int
@@ -66,18 +79,26 @@ class HonestBehavior:
 
     def output_distribution(self, input_bits) -> np.ndarray:
         """Joint Born-rule distribution over the 2**n output strings."""
-        return _honest_distribution(self, tuple(input_bits))
+        return _memoised(self, tuple(input_bits), _honest_distribution)
 
 
-def _honest_distribution(behavior: HonestBehavior, input_bits) -> np.ndarray:
-    # memoized on the instance so the cache lifetime matches the behavior
+def _memoised(behavior, input_bits, compute) -> np.ndarray:
+    """compute(behavior, input_bits), once per behavior instance and input:
+    the cache lives on the instance, so its lifetime matches the behavior,
+    and every entry is read-only, since every caller shares it."""
     cache = getattr(behavior, "_dist_cache", None)
     if cache is None:
         cache = {}
         object.__setattr__(behavior, "_dist_cache", cache)
-    cached = cache.get(input_bits)
-    if cached is not None:
-        return cached
+    probs = cache.get(input_bits)
+    if probs is None:
+        probs = compute(behavior, input_bits)
+        probs.flags.writeable = False
+        cache[input_bits] = probs
+    return probs
+
+
+def _honest_distribution(behavior: HonestBehavior, input_bits) -> np.ndarray:
     n = behavior.n
     psi = behavior.state
     probs = np.empty(2**n)
@@ -88,13 +109,11 @@ def _honest_distribution(behavior: HonestBehavior, input_bits) -> np.ndarray:
             sign = 1.0 if (out >> (n - 1 - j)) & 1 == 0 else -1.0
             proj = np.kron(proj, 0.5 * (np.eye(2) + sign * m))
         probs[out] = max((psi.conj() @ proj @ psi).real, 0.0)
-    probs = probs / probs.sum()
-    cache[input_bits] = probs
-    return probs
+    return probs / probs.sum()
 
 
 @dataclass(frozen=True)
-class NoisyHonestBehavior:
+class NoisyHonestBehavior(_Memoised):
     """Honest play corrupted per round with probability p.
 
     mode "uniform" replaces the output string by fresh uniform bits; mode
@@ -125,14 +144,20 @@ class NoisyHonestBehavior:
         return self.base.n
 
     def output_distribution(self, input_bits) -> np.ndarray:
-        honest = self.base.output_distribution(input_bits)
-        if self.mode == "uniform":
-            noise = np.full_like(honest, 1.0 / len(honest))
-        else:
-            idx = int("".join(map(str, input_bits)), 2)
-            noise = np.zeros_like(honest)
-            noise[self.fixed_outputs[idx]] = 1.0
-        return (1.0 - self.p) * honest + self.p * noise
+        """The honest distribution mixed with the noise's, memoised like
+        the honest one."""
+        return _memoised(self, tuple(input_bits), _noisy_distribution)
+
+
+def _noisy_distribution(behavior: NoisyHonestBehavior, input_bits) -> np.ndarray:
+    honest = behavior.base.output_distribution(input_bits)
+    if behavior.mode == "uniform":
+        noise = np.full_like(honest, 1.0 / len(honest))
+    else:
+        idx = int("".join(map(str, input_bits)), 2)
+        noise = np.zeros_like(honest)
+        noise[behavior.fixed_outputs[idx]] = 1.0
+    return (1.0 - behavior.p) * honest + behavior.p * noise
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,8 @@ _COMMIT_ERR = 2.0 ** -16       # commit once the error of t exceeds this
 _FLOAT_MAX = float(np.finfo(float).max)  # a larger den fails the shadow
 _TRUNCATED_ERR = 57            # rebuild from a truncated state only while
                                # D / (W - D) <= 2^-_TRUNCATED_ERR
+_LAW_CACHE_SIZE = 32           # decoder tables kept per process
+_POWER_TABLE_BITS = 32         # longer bases compute their powers on use
 
 
 class CategoricalSampler:
@@ -143,31 +145,28 @@ class CategoricalSampler:
         closed form and go on from the exact state; D = 0 marks the state
         as exact, and only a commit past keep bits truncates it again.
     (c) Every other table runs the integer loop.
+
+    The table depends on the weights alone: den, the positive slices and,
+    for two slices, the powers a^k and den^k for k <= 96 that commits
+    multiply by.  So ``_law`` keeps the last 32 tables in one process-wide
+    LRU cache keyed by the exact weights (floats through their decimal
+    form: 0.05 and 1/20 share one table).  Powers of a base longer than 32
+    bits are computed on lookup rather than held.  Weights that raise are
+    not cached and raise again on every call.  keep, the stream and the
+    decoding state belong to each sampler, so no symbol or bit count
+    depends on what the cache holds.
     """
 
     def __init__(self, weights, stream: BitStream, block: int = 4096):
-        fracs = [as_fraction(w) for w in weights]
-        if any(w < 0 for w in fracs) or sum(fracs) != 1:
-            raise ValueError("weights must be nonnegative rationals summing to 1")
-        den = lcm(*(w.denominator for w in fracs))
-        cum = [0, *accumulate(int(w * den) for w in fracs)]
-        # the positive-weight slices as (symbol, low end, high end) in
-        # units of 1/den
-        slices = [(k, cum[k], cum[k + 1]) for k in range(len(fracs))
-                  if cum[k] < cum[k + 1]]
+        den, slices, powers = _law(tuple(as_fraction(w) for w in weights))
         # bits drawn so far, shared with the decoding generator
         self._count = count = [0]
         block = max(block, 1)
         if den == len(slices) and den & (den - 1) == 0:
             symbols = _uniform_symbols(count, stream, den.bit_length() - 1,
                                        [k for k, _, _ in slices])
-        elif len(slices) == 2:
-            if den > _FLOAT_MAX:
-                raise ValueError(
-                    f"weights (about {[float(w) for w in fracs]}) have a common "
-                    f"denominator of {len(str(den))} digits, past the "
-                    f"largest float that the two-slice decoder works in")
-            symbols = _binary_symbols(count, stream, den, slices, block)
+        elif powers:
+            symbols = _binary_symbols(count, stream, den, slices, powers, block)
         else:
             symbols = _exact_blocks(count, stream, den, slices, block)
         self._next = symbols.__next__
@@ -180,6 +179,49 @@ class CategoricalSampler:
     def sample(self) -> int:
         """Emit the next symbol index, drawing bits only as needed."""
         return self._next()
+
+
+@functools.lru_cache(maxsize=_LAW_CACHE_SIZE)
+def _law(fracs):
+    """The decoder table of the exact weights fracs: (den, slices, powers).
+    slices lists the positive-weight slices as (symbol, low end, high end)
+    in units of 1/den; powers is the pair of tables a^k and den^k for
+    k <= _MAX_PENDING on a two-slice table [0, a), [a, den), and None on
+    any other table."""
+    if any(w < 0 for w in fracs) or sum(fracs) != 1:
+        raise ValueError("weights must be nonnegative rationals summing to 1")
+    den = lcm(*(w.denominator for w in fracs))
+    cum = [0, *accumulate(int(w * den) for w in fracs)]
+    slices = tuple((k, cum[k], cum[k + 1]) for k in range(len(fracs))
+                   if cum[k] < cum[k + 1])
+    if len(slices) != 2:
+        return den, slices, None
+    if den > _FLOAT_MAX:
+        raise ValueError(
+            f"weights (about {[float(w) for w in fracs]}) have a common "
+            f"denominator of {len(str(den))} digits, past the "
+            f"largest float that the two-slice decoder works in")
+    return den, slices, (_powers(slices[0][2]), _powers(den))
+
+
+class _PowerOf:
+    """x^k on indexing, for a base too long to tabulate."""
+
+    __slots__ = ("x",)
+
+    def __init__(self, x):
+        self.x = x
+
+    def __getitem__(self, k):
+        return self.x ** k
+
+
+def _powers(x):
+    """x^k for k <= _MAX_PENDING: a list while x has at most
+    _POWER_TABLE_BITS bits, else computed on each lookup."""
+    if x.bit_length() > _POWER_TABLE_BITS:
+        return _PowerOf(x)
+    return [x ** k for k in range(_MAX_PENDING + 1)]
 
 
 def _exact_symbols(count, stream, den, slices, n, L=0, W=1, U=1):
@@ -219,22 +261,25 @@ def _uniform_symbols(count, stream, k, symbols):
         yield symbols[v]
 
 
-def _commit(L, W, U, den, a, n, R, B, ones):
+def _commit(L, W, U, powers, n, R, B, ones):
     """The integer state after n pending emissions and R pending reads of
-    bits B; ones lists the (1-based) emissions of slice [a, den)."""
+    bits B; ones lists the (1-based) emissions of slice [a, den), and
+    powers holds the tables of a^k and den^k."""
     if not n:
         return L, W, U
+    apow, dpow = powers
+    a, b = apow[1], dpow[1] - apow[1]
     # P: product of the emitted widths; Z <- Z·den + low·P per emission,
     # with the runs of slice-0 emissions (low 0, width a) taken as powers
     Z, P, last = 0, 1, 0
     for j in ones:
-        P *= a ** (j - 1 - last)
-        Z = Z * den ** (j - last) + a * P
-        P *= den - a
+        P *= apow[j - 1 - last]
+        Z = Z * dpow[j - last] + a * P
+        P *= b
         last = j
-    P *= a ** (n - last)
-    Z *= den ** (n - last)
-    dn = den ** n
+    P *= apow[n - last]
+    Z *= dpow[n - last]
+    dn = dpow[n]
     return (L * dn << R) + W * dn * B - (U * Z << R), W * dn, U * P << R
 
 
@@ -256,23 +301,24 @@ def _keep_bits(den, a, block):
     return int(block * h * 1.25) + 256
 
 
-def _replay(held, den, a):
+def _replay(held, powers):
     """The exact state: the anchor held[0] carried through the steps
     held[1:] committed since."""
     L, W, U = held[0]
     for step in held[1:]:
-        L, W, U = _commit(L, W, U, den, a, *step)
+        L, W, U = _commit(L, W, U, powers, *step)
     return L, W, U
 
 
-def _truncate(L, W, U, D, held, step, den, a, keep):
+def _truncate(L, W, U, D, held, step, powers, keep):
     """Carry the distance bound D of (L, W, U), just committed by step,
     shift the state back to keep bits of W, and return it with the new D
     (0 once the state is exact again); held is the anchor and the steps
-    committed since, and an exact state becomes the anchor."""
+    committed since, and an exact state becomes the anchor.  powers holds
+    the tables of a^k and den^k."""
     if D:
         n, R = step[0], step[1]
-        D = (D * den ** n) << (R + 2)
+        D = (D * powers[1][n]) << (R + 2)
         held.append(step)
     else:
         held[:] = [(L, W, U)]
@@ -280,11 +326,11 @@ def _truncate(L, W, U, D, held, step, den, a, keep):
     if k > 0:
         L, W, U, D = L >> k, W >> k, U >> k, 1 - (-D >> k)
     if (D << _TRUNCATED_ERR) + D > W:
-        return (*_replay(held, den, a), 0)
+        return (*_replay(held, powers), 0)
     return L, W, U, D
 
 
-def _binary_symbols(count, stream, den, slices, block):
+def _binary_symbols(count, stream, den, slices, powers, block):
     (sym0, _, a), (sym1, _, _) = slices
     b = den - a
     keep = _keep_bits(den, a, block)
@@ -293,6 +339,8 @@ def _binary_symbols(count, stream, den, slices, block):
     grow0, grow1 = den / a * _GROW, den / b * _GROW
     add = den * _STEP_ERR
     peek, advance = stream.peek, stream.advance
+    commit_err, max_pending, max_read = _COMMIT_ERR, _MAX_PENDING, _MAX_READ
+    word_bits, two_word, pow2 = _WORD, _TWO_WORD, _POW2
     held = []
     while True:
         L, W, U = 0, 1, 1
@@ -303,11 +351,11 @@ def _binary_symbols(count, stream, den, slices, block):
         one = ones.append
         for _ in range(block):
             eps = e * g
-            if eps > _COMMIT_ERR or n >= _MAX_PENDING:
-                L, W, U = _commit(L, W, U, den, a, n, R, B, ones)
+            if eps > commit_err or n >= max_pending:
+                L, W, U = _commit(L, W, U, powers, n, R, B, ones)
                 if D or W.bit_length() > keep:
                     L, W, U, D = _truncate(L, W, U, D, held, (n, R, B, ones),
-                                           den, a, keep)
+                                           powers, keep)
                 n = R = B = 0
                 ones = []  # held may keep the last list
                 one = ones.append
@@ -321,20 +369,20 @@ def _binary_symbols(count, stream, den, slices, block):
             else:
                 # r = (common prefix of the next seed bits and t) + 1, or
                 # more than _MAX_READ when that prefix is too long to use
-                word = peek(_WORD)
-                r = _WORD + 1 - ((word ^ int(t * _TWO_WORD)) | 1).bit_length()
-                bits = word >> (_WORD - r)
+                word = peek(word_bits)
+                r = word_bits + 1 - ((word ^ int(t * two_word)) | 1).bit_length()
+                bits = word >> (word_bits - r)
                 edge = bits ^ 1  # t's own first r bits
-                scale = _POW2[r]
-                if (r > _MAX_READ or not edge < lo * scale
+                scale = pow2[r]
+                if (r > max_read or not edge < lo * scale
                         or not (t + eps) * scale < edge + 1):
                     # uncertain: commit exactly, take the exact step, rebuild
                     if D:
-                        L, W, U = _replay(held, den, a)
+                        L, W, U = _replay(held, powers)
                         D = 0
                     L, W, U = yield from _exact_symbols(
                         count, stream, den, slices, 1,
-                        *_commit(L, W, U, den, a, n, R, B, ones))
+                        *_commit(L, W, U, powers, n, R, B, ones))
                     n = R = B = 0
                     ones.clear()
                     t, g, e = _shadow(L, W, U, den, a)
@@ -487,17 +535,26 @@ def symbols_to_bits(symbols) -> np.ndarray:
 
 def _at_once(behavior):
     """Answers a run of a history-independent behavior in one pass: one
-    uniform draw per round, located in the cumulative output distribution
-    of the round's input with the float arithmetic of a per-round draw."""
+    uniform draw u per round, located in the cumulative output distribution
+    of the round's input with the float arithmetic of a per-round draw.
+
+    One table cum holds every input's cumulative distribution, built per
+    call from the behavior's distributions (honest and noisy behaviors
+    memoise one read-only array per instance and input, so no run can
+    change a later one).  A round's output is the number of columns
+    j < outputs - 1 with cum[input, j] <= x, x = u·cum[input, -1].  Each
+    row is nondecreasing, so that count is exactly
+    min(searchsorted(row, x, "right"), outputs - 1); leaving out the last
+    column is the cap."""
     def answer(inputs, input_index, rng):
-        u = rng.random(len(input_index))
+        x = rng.random(len(input_index))
+        # one contiguous row per output column, to gather the rounds from
+        cum = np.cumsum([behavior.output_distribution(bits) for bits in inputs],
+                        axis=1).T.copy()
+        x *= cum[-1][input_index]  # in place: one rounds-long array fewer
         out = np.zeros(len(input_index), dtype=np.int64)
-        for k, bits in enumerate(inputs):
-            rounds = input_index == k
-            cum = np.cumsum(behavior.output_distribution(bits))
-            out[rounds] = np.minimum(
-                np.searchsorted(cum, u[rounds] * cum[-1], side="right"),
-                len(cum) - 1)
+        for column in cum[:-1]:
+            out += column[input_index] <= x
         return out
     return answer
 

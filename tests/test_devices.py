@@ -1,3 +1,4 @@
+import pickle
 import re
 import time
 
@@ -125,6 +126,59 @@ class TestNoisyHonest:
     def test_p_domain(self):
         with pytest.raises(ValueError):
             NoisyHonestBehavior(base=ghz_honest_device(), p=1.5)
+
+
+MEMOISED = {
+    "honest": ghz_honest_device,
+    "uniform": lambda: NoisyHonestBehavior(base=ghz_honest_device(), p=0.3),
+    "fixed": lambda: NoisyHonestBehavior(
+        base=ghz_honest_device(), p=0.5, mode="fixed",
+        fixed_outputs=(7, 6, 5, 4, 3, 2, 1, 0)),
+}
+
+
+def _mixed(behavior, input_bits):
+    """The noisy distribution from its definition, on a fresh honest one."""
+    honest = ghz_honest_device().output_distribution(input_bits)
+    noise = np.full(8, 1 / 8)
+    if behavior.mode == "fixed":
+        noise = np.zeros(8)
+        noise[behavior.fixed_outputs[int("".join(map(str, input_bits)), 2)]] = 1.0
+    return (1.0 - behavior.p) * honest + behavior.p * noise
+
+
+class TestMemoisedDistributions:
+    # every caller of one behavior shares its cached arrays, so a write
+    # must raise instead of changing every later run of that behavior
+    @pytest.mark.parametrize("name", sorted(MEMOISED))
+    def test_entries_read_only_and_equal_to_a_fresh_computation(self, name):
+        dev = MEMOISED[name]()
+        for bits in ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1)):
+            d = dev.output_distribution(bits)
+            assert dev.output_distribution(list(bits)) is d
+            before = d.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                d[0] = 0.5
+            with pytest.raises(ValueError, match="read-only"):
+                d *= 2
+            assert np.array_equal(dev.output_distribution(bits), before)
+            fresh = MEMOISED[name]().output_distribution(bits)
+            assert d.tobytes() == fresh.tobytes()
+            if name != "honest":
+                assert d.tobytes() == _mixed(dev, bits).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(MEMOISED))
+    def test_pickled_behaviors_rebuild_a_read_only_memo(self, name):
+        # monte_carlo's workers receive the behavior pickled; unpickled
+        # arrays are writable, so the memo must not travel with it
+        dev = MEMOISED[name]()
+        d = dev.output_distribution((0, 1, 1))
+        copy = pickle.loads(pickle.dumps(dev))
+        assert "_dist_cache" not in vars(copy)
+        e = copy.output_distribution((0, 1, 1))
+        assert e.tobytes() == d.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            e[0] = 0.5
 
 
 class TestAdversarial:

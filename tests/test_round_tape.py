@@ -7,6 +7,7 @@ tape: same symbols, same bits consumed, same device outputs.
 """
 
 import hashlib
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -294,6 +295,104 @@ class TestSamplerAgainstReference:
             assert runs[0] == runs[1]
 
 
+class TestLawCache:
+    def test_float_and_fraction_weights_share_one_table(self):
+        protocols._law.cache_clear()
+        runs = []
+        for weights in ([0.95, 0.05], [Fraction(19, 20), Fraction(1, 20)]):
+            sampler = CategoricalSampler(weights, substream(MASTER, "law"))
+            runs.append([sampler.sample() for _ in range(500)])
+        info = protocols._law.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert runs[0] == runs[1]
+
+    def test_errors_raise_on_every_call(self):
+        # exceptions are not cached: the same message every time, and
+        # nothing is kept
+        protocols._law.cache_clear()
+        huge = Fraction(1, 10**320)
+        for weights, message in (
+                ([Fraction(1, 2)], "^weights must be nonnegative"),
+                ([Fraction(3, 2), Fraction(-1, 2)], "^weights must be nonnegative"),
+                ([], "^weights must be nonnegative"),
+                ([1 - huge, huge], r"^weights \(about \[1\.0, 1e-320\]\) have a "
+                                   r"common denominator of 321 digits")):
+            for _ in range(3):
+                with pytest.raises(ValueError, match=message):
+                    CategoricalSampler(weights, substream(MASTER, "bad"))
+        assert protocols._law.cache_info().currsize == 0
+
+    def test_bounded(self):
+        protocols._law.cache_clear()
+        size = protocols._LAW_CACHE_SIZE
+        assert protocols._law.cache_info().maxsize == size
+        for k in range(3 * size):
+            CategoricalSampler([Fraction(1, k + 3), Fraction(k + 2, k + 3)],
+                               substream(MASTER, "many"))
+        assert protocols._law.cache_info().currsize == size
+
+    def test_power_tables_only_for_short_bases(self):
+        # a table holds 97 powers of a base of at most 32 bits; a longer
+        # base, up to the largest float, computes each power on lookup
+        top = protocols._MAX_PENDING
+        for den, tabulated in ((20, True), (2**32 - 1, True), (2**32 + 1, False),
+                               (10**308, False)):
+            _, slices, (apow, dpow) = protocols._law(
+                (Fraction(den - 1, den), Fraction(1, den)))
+            a = slices[0][2]
+            assert isinstance(dpow, list) is tabulated
+            assert isinstance(apow, list) is tabulated
+            for k in (0, 1, 2, top // 2, top):
+                assert (apow[k], dpow[k]) == (a**k, den**k)
+            if tabulated:
+                assert len(dpow) == top + 1
+                assert dpow[-1].bit_length() <= top * protocols._POWER_TABLE_BITS
+
+
+def _commit_by_powers(L, W, U, den, a, n, R, B, ones):
+    """The closed-form commit with every power taken by **."""
+    if not n:
+        return L, W, U
+    Z, P, last = 0, 1, 0
+    for j in ones:
+        P *= a ** (j - 1 - last)
+        Z = Z * den ** (j - last) + a * P
+        P *= den - a
+        last = j
+    P *= a ** (n - last)
+    Z *= den ** (n - last)
+    dn = den ** n
+    return (L * dn << R) + W * dn * B - (U * Z << R), W * dn, U * P << R
+
+
+class TestCommitTables:
+    @settings(max_examples=200, deadline=None)
+    @given(den=st.one_of(st.integers(2, 10**6), st.integers(2**32, 2**400)),
+           n=st.one_of(st.sampled_from([0, 1, protocols._MAX_PENDING]),
+                       st.integers(0, protocols._MAX_PENDING)),
+           data=st.data())
+    def test_equals_the_power_form(self, den, n, data):
+        a = data.draw(st.integers(1, den - 1))
+        ones = sorted(data.draw(st.sets(st.integers(1, n), max_size=n))) if n else []
+        R = data.draw(st.integers(0, 400))
+        B = data.draw(st.integers(0, 2**R - 1))
+        W = data.draw(st.integers(1, 2**300))
+        U = data.draw(st.integers(W, 2**310))
+        L = data.draw(st.integers(0, U - W))
+        powers = (protocols._powers(a), protocols._powers(den))
+        assert (protocols._commit(L, W, U, powers, n, R, B, ones)
+                == _commit_by_powers(L, W, U, den, a, n, R, B, ones))
+
+    def test_longest_commits(self):
+        n = protocols._MAX_PENDING
+        _, _, powers = protocols._law((Fraction(3, 4), Fraction(1, 4)))
+        for ones in ([], list(range(1, n + 1)), [1, n], [n]):
+            for L, W, U, R, B in ((0, 1, 1, 0, 0), (5, 7, 19, 130, 2**129 + 3)):
+                assert (protocols._commit(L, W, U, powers, n, R, B, ones)
+                        == _commit_by_powers(L, W, U, 4, 3, n, R, B, ones))
+        assert protocols._commit(5, 7, 19, powers, 0, 0, 0, []) == (5, 7, 19)
+
+
 class TestStreamReads:
     @settings(max_examples=60, deadline=None)
     @given(queue=st.lists(st.integers(0, 1), max_size=1500),
@@ -404,6 +503,55 @@ class TestBatchResponder:
         scalar = _scalar_responses(behavior, inputs, input_index.tolist(),
                                    numpy_rng(MASTER, "resp", label))
         assert batch.tolist() == scalar
+
+    def test_plateaus_and_draws_on_the_table(self):
+        # dyadic rows, so every cumulative value and every x = u·top below
+        # is exact; rows ending in zero-probability outputs plateau at
+        # their top.  The draws land on cumulative values, just below the
+        # top, and at 1.0 (outside numpy's [0, 1)), where only the cap
+        # keeps the answer among the outputs
+        behavior = _TableDevice(n=2, rows={
+            (0, 0): (0.25, 0.5, 0.25, 0.0),
+            (0, 1): (0.375, 0.125, 0.0, 0.0),   # top 0.5
+            (1, 0): (0.0, 0.5, 0.0, 0.5),
+            (1, 1): (1.0, 0.0, 0.0, 0.0),
+        })
+        inputs = tuple(behavior.rows)
+        draws = (0.0, 0.25, 0.5, 0.75, 1 - 2.0**-53, 1.0)
+        input_index = np.repeat(np.arange(len(inputs)), len(draws))
+        u = np.tile(draws, len(inputs))
+        batch = make_responder(behavior)(inputs, input_index, _Draws(u))
+        scalar = _scalar_responses(behavior, inputs, input_index.tolist(),
+                                   _Draws(u))
+        assert batch.tolist() == scalar == [0, 1, 1, 2, 2, 3,
+                                            0, 0, 0, 1, 1, 3,
+                                            1, 1, 3, 3, 3, 3,
+                                            0, 0, 0, 0, 0, 3]
+
+
+@dataclass(frozen=True)
+class _TableDevice:
+    """A history-independent device given by its output distributions."""
+
+    n: int
+    rows: dict
+
+    def output_distribution(self, input_bits):
+        return np.array(self.rows[tuple(input_bits)])
+
+
+class _Draws:
+    """Stands in for a numpy generator: random() hands out the given
+    uniforms in order, one at a time or as an array."""
+
+    def __init__(self, values):
+        self._values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self._values.pop(0)
+        out, self._values = self._values[:size], self._values[size:]
+        return np.array(out)
 
 
 OLD_ENCODING = {"H": (0, 0), "T": (0, 1), "P": (1, 0), "F": (1, 1)}
