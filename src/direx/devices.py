@@ -6,15 +6,15 @@ partially trusted single-part device whose input-1 measurement is a mixture
 of a trusted anticommuting measurement, an arbitrary one, and a fair coin,
 and scripted adversaries with classical transcript memory.
 
-Honest devices re-prepare their shared state every round (constant quantum
-memory); only the partially trusted device carries quantum state across
-rounds, and only adversaries carry classical memory.  Behaviors are
-immutable and shareable; a DeviceState is owned by a single protocol run.
+Honest and noisy devices re-prepare their shared state every round and
+answer from their per-input output distributions; adversaries carry
+classical memory, which protocols.make_responder keeps per run.  The
+partially trusted device is executed exactly, as density operators, by
+protocols.exact_small_run.  Behaviors are immutable and shareable.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -266,38 +266,6 @@ class AdversarialBehavior:
     program: object
 
 
-class _TranscriptView(Sequence):
-    """Read-only view of a growing transcript list; an adversary reads its
-    memory through it without a per-round copy."""
-
-    __slots__ = ("_items",)
-
-    def __init__(self, items: list):
-        self._items = items
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __getitem__(self, i):
-        return tuple(self._items[i]) if isinstance(i, slice) else self._items[i]
-
-
-@dataclass
-class DeviceState:
-    """Per-run mutable device context: transcript memory and, for the
-    partially trusted variant, the current joint state vector."""
-
-    behavior: object
-    transcript: list = field(default_factory=list, init=False)
-    psi: np.ndarray | None = field(default=None, init=False)
-    view: _TranscriptView = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.view = _TranscriptView(self.transcript)
-        if isinstance(self.behavior, PartiallyTrustedBehavior):
-            self.psi = self.behavior.state.copy()
-
-
 def ghz_honest_device() -> HonestBehavior:
     """Three components sharing (|000> + |111>)/sqrt(2), measuring the x
     observable on input 0 and the y observable on input 1; wins the GHZ
@@ -320,53 +288,6 @@ def chsh_honest_device() -> HonestBehavior:
 
 # honest devices by the name of the game they play optimally
 HONEST_DEVICES = {"ghz": ghz_honest_device, "chsh": chsh_honest_device}
-
-
-def respond(state: DeviceState, input_bits, rng: np.random.Generator):
-    """One round of the device: outputs sampled from the Born rule (or the
-    adversary's script), transcript extended, quantum state updated for the
-    stateful variant."""
-    behavior = state.behavior
-    input_bits = tuple(int(b) for b in input_bits)
-    if len(input_bits) != behavior.n:
-        raise ValueError(f"expected {behavior.n} input bits, got {len(input_bits)}")
-    if isinstance(behavior, PartiallyTrustedBehavior):
-        out = (partially_trusted_respond(state, input_bits[0], rng),)
-    elif isinstance(behavior, AdversarialBehavior):
-        out = tuple(int(b) for b in behavior.program(state.view, input_bits))
-        if len(out) != behavior.n or not set(out) <= {0, 1}:
-            raise ValueError(f"adversary answered {out}, not {behavior.n} bits")
-    else:
-        probs = behavior.output_distribution(input_bits)
-        idx = int(rng.choice(len(probs), p=probs))
-        out = tuple((idx >> (behavior.n - 1 - j)) & 1 for j in range(behavior.n))
-    state.transcript.append((input_bits, out))
-    return out
-
-
-def partially_trusted_respond(state: DeviceState, input_bit: int,
-                              rng: np.random.Generator) -> int:
-    """Sample one output bit of the partially trusted device and collapse
-    its joint state accordingly."""
-    behavior: PartiallyTrustedBehavior = state.behavior
-    env = np.eye(behavior.state.size // behavior.device_dim)
-    branches = behavior.kraus_for(input_bit)
-    weights = np.array([w for w, _, _, _ in branches])
-    pick = int(rng.choice(len(branches), p=weights / weights.sum()))
-    _, k0, k1, kind = branches[pick]
-    if kind == "coin":
-        # state untouched, output an unbiased bit
-        return int(rng.integers(0, 2))
-    psi = state.psi
-    amp0 = np.kron(k0, env) @ psi
-    amp1 = np.kron(k1, env) @ psi
-    p0 = float(np.vdot(amp0, amp0).real)
-    p1 = float(np.vdot(amp1, amp1).real)
-    total = p0 + p1
-    out = 0 if rng.random() * total < p0 else 1
-    post = amp0 if out == 0 else amp1
-    state.psi = post / np.linalg.norm(post)
-    return out
 
 
 def random_partially_trusted(rng: np.random.Generator, v: float, h: float,

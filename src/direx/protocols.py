@@ -6,11 +6,12 @@ F) and a generation round (the all-zero input is fed and the first
 component's output is recorded as H or T).  The run aborts when game
 failures exceed the configured threshold.
 
-One round engine plays every protocol.  Protocol R passes its game's input
-table; the single-part protocol A' passes a one-input table (input 1 with
-certainty, won on output 0), so the g bit itself is the device input; key
-distribution (qkd.run_rkd) plays the game table and derives both parties'
-bits from the recorded rounds.
+One round engine plays protocol R and key distribution (qkd.run_rkd),
+which plays the game table too and derives both parties' bits from the
+recorded rounds.  The device answers a run in one call: history-independent
+behaviors in one pass over per-round uniform draws, adversaries through
+their scripts round by round.  The single-part protocol A' on a partially
+trusted device is executed exactly, for a few rounds, by exact_small_run.
 
 Seed bits are consumed through an exact arithmetic decoder, so a biased bit
 costs close to its Shannon entropy; g-bits and game-input bits are drawn
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
@@ -31,10 +33,8 @@ import numpy as np
 
 from .devices import (
     AdversarialBehavior,
-    DeviceState,
     PartiallyTrustedBehavior,
     random_partially_trusted,
-    respond,
 )
 from .entropy import (
     INEQUALITY_SLACK,
@@ -425,47 +425,28 @@ def biased_bit_sampler(q, stream: BitStream, N: int):
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Arguments of the round protocols.
-
-    mode "R" plays a nonlocal game; modes "A" and "Aprime" drive a
-    single-part (partially) trusted device with the raw g bit.  Mode "A"
-    is the special case v = 1, h = 0 of "Aprime".
-    """
+    """Arguments of protocol R: N rounds of game probability q against a
+    game won with probability w_G, aborting past the error tolerance eta.
+    mode is "R", the only protocol the round engine runs."""
 
     mode: str
     N: int
     q: Fraction
     eta: float
-    game: XorGame | None = None
-    w_G: float | None = None
-    v: float = 1.0
-    h: float = 0.0
+    game: XorGame
+    w_G: float
 
     def __post_init__(self):
-        if self.mode not in ("R", "A", "Aprime"):
+        if self.mode != "R":
             raise ValueError(f"unknown mode {self.mode!r}")
         check_domain("N", self.N, "nonnegative")
         object.__setattr__(self, "q", as_fraction(self.q))
         check_domain("q", self.q, "q")
-        if self.mode == "R":
-            if self.game is None or self.w_G is None:
-                raise ValueError("mode R needs a game and its winning probability")
-            check_domain("eta", self.eta, "eta")
-        else:
-            if self.mode == "A" and not (self.v == 1.0 and self.h == 0.0):
-                raise ValueError("mode A fixes v = 1, h = 0")
-            # v = 0 (pure coin-flip mixture) is accepted as a degenerate
-            # case with the game-protocol tolerance domain
-            cap = self.v / 2 if self.v > 0 else 0.5
-            if not 0 < self.eta < cap:
-                raise ValueError(f"error tolerance must lie in (0, {cap})")
+        check_domain("eta", self.eta, "eta")
 
     @property
     def abort_threshold(self) -> float:
-        q = float(self.q)
-        if self.mode == "R":
-            return (1.0 - self.w_G + self.eta) * q * self.N
-        return (self.h / 2.0 + self.eta) * q * self.N
+        return (1.0 - self.w_G + self.eta) * float(self.q) * self.N
 
 
 def _symbol_string(codes) -> str:
@@ -559,26 +540,52 @@ def _at_once(behavior):
     return answer
 
 
-def _per_round(state: DeviceState):
-    """Answers a run of a stateful device round by round, in round order,
-    through devices.respond."""
+class _TranscriptView(Sequence):
+    """Read-only view of a growing transcript list; an adversary reads its
+    memory through it without a per-round copy."""
+
+    __slots__ = ("_items",)
+
+    def __init__(self, items: list):
+        self._items = items
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, i):
+        return tuple(self._items[i]) if isinstance(i, slice) else self._items[i]
+
+
+def _scripted(behavior: AdversarialBehavior):
+    """Answers an adversary's rounds in round order.  Each round calls its
+    program with one view of the run's memory, the (input bits, output
+    bits) pairs of the rounds before, and the round's input bits; an answer
+    that is not n bits in {0, 1} raises ValueError.  The memory lives as
+    long as the responder, and no answer draws from rng."""
+    n, program = behavior.n, behavior.program
+    memory = []
+    view = _TranscriptView(memory)
+
     def answer(inputs, input_index, rng):
-        return np.array([int("".join(map(str, respond(state, inputs[k], rng))), 2)
-                         for k in input_index.tolist()], dtype=np.int64)
+        inputs = [tuple(int(b) for b in bits) for bits in inputs]
+        out = np.empty(len(input_index), dtype=np.int64)
+        for i, k in enumerate(input_index.tolist()):
+            bits = inputs[k]
+            reply = tuple(int(b) for b in program(view, bits))
+            if len(reply) != n or not set(reply) <= {0, 1}:
+                raise ValueError(f"adversary answered {reply}, not {n} bits")
+            memory.append((bits, reply))
+            out[i] = int("".join(map(str, reply)), 2)
+        return out
     return answer
 
 
 def make_responder(behavior):
     """The device's answers to a run: responder(inputs, input_index, rng)
     returns every round's packed outputs in one call."""
-    if isinstance(behavior, (PartiallyTrustedBehavior, AdversarialBehavior)):
-        return _per_round(DeviceState(behavior))
+    if isinstance(behavior, AdversarialBehavior):
+        return _scripted(behavior)
     return _at_once(behavior)
-
-
-# the single-part protocol as a one-input game: input 1 with certainty, won
-# on output 0 (sign +1)
-_SINGLE_PART_TABLE = (((1,), Fraction(1), 1),)
 
 
 def _play_rounds(N: int, q, table, responder, seed_stream: BitStream,
@@ -641,8 +648,6 @@ def run_protocol_r(config: ProtocolConfig, behavior, seed_stream: BitStream,
     output 0, T on 1); game rounds sample the game's input distribution and
     score P or F.  Aborts when failures exceed (1 - w + eta) q N.
     """
-    if config.mode != "R":
-        raise ValueError("config is not for the game protocol")
     game = config.game
     if behavior.n != game.n:
         raise ValueError(
@@ -652,32 +657,12 @@ def run_protocol_r(config: ProtocolConfig, behavior, seed_stream: BitStream,
     return _outcome(config, tr)
 
 
-def run_protocol_a_prime(config: ProtocolConfig, behavior, seed_stream: BitStream,
-                         device_rng: np.random.Generator):
-    """Execute the single-part protocol: the g bit itself is the device input.
-
-    P/F are recorded on g = 1 (output 0 passes), H/T on g = 0; aborts when
-    failures exceed (h/2 + eta) q N.  The device answers through
-    devices.respond for every behavior, so its draws do not depend on the
-    variant's sampling shortcut.
-    """
-    if config.mode not in ("A", "Aprime"):
-        raise ValueError("config is not for the trusted-device protocol")
-    if behavior.n != 1:
-        raise ValueError("trusted-device protocol drives a single-part device")
-    tr = _play_rounds(config.N, config.q, _SINGLE_PART_TABLE,
-                      _per_round(DeviceState(behavior)), seed_stream, device_rng)
-    return _outcome(config, tr)
-
-
 def run_protocol(config: ProtocolConfig, behavior, seed_stream, device_rng,
                  record_rounds: bool = True):
-    """Run the protocol config.mode names.  record_rounds=False applies to
-    the game protocol; A' transcripts always keep their inputs and outputs."""
-    if config.mode == "R":
-        return run_protocol_r(config, behavior, seed_stream, device_rng,
-                              record_rounds)
-    return run_protocol_a_prime(config, behavior, seed_stream, device_rng)
+    """run_protocol_r, called once per monte_carlo trial under this name,
+    by which perfbench's Monte Carlo workload times its trials."""
+    return run_protocol_r(config, behavior, seed_stream, device_rng,
+                          record_rounds)
 
 
 # ---------------------------------------------------------------------------

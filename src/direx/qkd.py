@@ -114,8 +114,6 @@ def run_rkd(config: KdConfig, behavior, seed_stream: BitStream,
     game = config.game
     if behavior.n != game.n:
         raise ValueError(f"device has {behavior.n} components, game needs {game.n}")
-    if behavior.n < 2:
-        raise ValueError("key distribution needs at least two components")
     tr = _play_rounds(config.N, config.q, game.entries, make_responder(behavior),
                       seed_stream, device_rng)
     zero = tuple([0] * game.n)

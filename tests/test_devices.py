@@ -7,7 +7,6 @@ import pytest
 
 from direx.devices import (
     AdversarialBehavior,
-    DeviceState,
     NoisyHonestBehavior,
     PAULI_X,
     PAULI_Y,
@@ -16,19 +15,20 @@ from direx.devices import (
     behavior_from_record,
     chsh_honest_device,
     ghz_honest_device,
-    partially_trusted_respond,
     random_partially_trusted,
-    respond,
 )
+from direx.protocols import make_responder
 from direx.seeding import numpy_rng, parse_master_seed
 from direx.xorgames import chsh_game, ghz_game
 
 MASTER = parse_master_seed("42" * 32)
 
 
-def play_round(behavior, input_bits, rng):
-    state = DeviceState(behavior)
-    return respond(state, input_bits, rng)
+def play_rounds(behavior, inputs, input_index, rng):
+    """The device's packed outputs for the rounds input_index names, as
+    the round engine asks for them: one responder call."""
+    return make_responder(behavior)(tuple(inputs),
+                                    np.asarray(input_index, dtype=np.int64), rng)
 
 
 class TestHonestGhz:
@@ -37,11 +37,10 @@ class TestHonestGhz:
         game = ghz_game()
         rng = numpy_rng(MASTER, "ghz-win")
         inputs = [bits for bits, _, _ in game.entries]
-        parities = {bits: game.win_parity(bits) for bits in inputs}
-        for i in range(100_000):
-            bits = inputs[i % 4]
-            outs = play_round(dev, bits, rng)
-            assert (outs[0] ^ outs[1] ^ outs[2]) == parities[bits]
+        parities = np.array([game.win_parity(bits) for bits in inputs])
+        input_index = np.arange(100_000) % 4
+        outs = play_rounds(dev, inputs, input_index, rng)
+        assert np.array_equal(np.bitwise_count(outs) & 1, parities[input_index])
 
     def test_input_000_even_parity_always(self):
         dev = ghz_honest_device()
@@ -63,10 +62,8 @@ class TestHonestGhz:
         dev = ghz_honest_device()
         rng = numpy_rng(MASTER, "ghz-marginal")
         n = 100_000
-        counts = np.zeros(3)
-        for i in range(n):
-            outs = play_round(dev, (0, 0, 0) if i % 2 else (0, 1, 1), rng)
-            counts += outs
+        outs = play_rounds(dev, [(0, 1, 1), (0, 0, 0)], np.arange(n) % 2, rng)
+        counts = [np.count_nonzero((outs >> (2 - j)) & 1) for j in range(3)]
         # three-sigma binomial band around 1/2
         for c in counts:
             assert abs(c / n - 0.5) <= 3 * 0.5 / np.sqrt(n)
@@ -183,31 +180,36 @@ class TestMemoisedDistributions:
 
 class TestAdversarial:
     def test_echo_program_deterministic(self):
-        dev = AdversarialBehavior(n=3, program=lambda tr, inp: inp)
-        rng = numpy_rng(MASTER, "adv")
-        state = DeviceState(dev)
-        assert respond(state, (1, 0, 1), rng) == (1, 0, 1)
-        assert respond(state, (0, 1, 1), rng) == (0, 1, 1)
-        assert state.transcript == [((1, 0, 1), (1, 0, 1)), ((0, 1, 1), (0, 1, 1))]
+        seen = []
+        dev = AdversarialBehavior(
+            n=3, program=lambda tr, inp: (seen.append(list(tr)) or inp))
+        outs = play_rounds(dev, [(1, 0, 1), (0, 1, 1)], [0, 1],
+                           numpy_rng(MASTER, "adv"))
+        assert outs.tolist() == [0b101, 0b011]
+        assert seen == [[], [((1, 0, 1), (1, 0, 1))]]
 
     def test_transcript_dependent_program(self):
         dev = AdversarialBehavior(
             n=2, program=lambda tr, inp: (len(tr) % 2, 0))
-        rng = numpy_rng(MASTER, "adv2")
-        state = DeviceState(dev)
-        assert respond(state, (0, 0), rng) == (0, 0)
-        assert respond(state, (0, 0), rng) == (1, 0)
+        outs = play_rounds(dev, [(0, 0)], [0, 0], numpy_rng(MASTER, "adv2"))
+        assert outs.tolist() == [0b00, 0b10]
+
+    @pytest.mark.parametrize("answer", [(0, 1, 1), (0, 2)])
+    def test_answer_not_n_bits_rejected(self, answer):
+        dev = AdversarialBehavior(n=2, program=lambda tr, inp: answer)
+        with pytest.raises(ValueError,
+                           match=r"^adversary answered .*, not 2 bits$"):
+            play_rounds(dev, [(0, 0)], [0], numpy_rng(MASTER, "adv4"))
 
     def test_program_reads_a_view_of_its_transcript(self):
         seen = []
         dev = AdversarialBehavior(
             n=1, program=lambda tr, inp: (seen.append(tr) or (len(tr) % 2,)))
-        state = DeviceState(dev)
-        for _ in range(3):
-            respond(state, (0,), numpy_rng(MASTER, "adv3"))
+        play_rounds(dev, [(0,)], [0, 0, 0], numpy_rng(MASTER, "adv3"))
         view = seen[0]
         assert seen == [view] * 3  # one view, never a copy
-        assert list(view) == state.transcript and view[-1] == ((0,), (0,))
+        assert list(view) == [((0,), (0,)), ((0,), (1,)), ((0,), (0,))]
+        assert view[-1] == ((0,), (0,))
         assert view[:2] == (((0,), (0,)), ((0,), (1,)))
         with pytest.raises(AttributeError):
             view.append(((1,), (1,)))
@@ -239,46 +241,12 @@ class TestAdversarial:
 
 
 class TestPartiallyTrusted:
-    def test_fully_trusted_plus_state_deterministic_heads(self):
-        # input-0 observable x, state |+> eigenstate: output always 0
-        plus = np.array([1.0, 1.0]) / np.sqrt(2)
-        beh = random_partially_trusted(np.random.default_rng(0), 1.0, 0.0,
-                                       env_dim=1)
-        beh = beh.__class__(v=1.0, h=0.0,
-                            trusted_pair=(PAULI_X, PAULI_Y),
-                            dishonest=np.zeros((2, 2)), state=plus, env_dim=1)
-        rng = numpy_rng(MASTER, "pt-plus")
-        state = DeviceState(beh)
-        for _ in range(50):
-            assert partially_trusted_respond(state, 0, rng) == 0
-
-    def test_coin_branch_uniform(self):
-        plus = np.array([1.0, 1.0]) / np.sqrt(2)
-        beh = random_partially_trusted(np.random.default_rng(0), 1.0, 0.0).__class__(
-            v=0.0, h=1.0, trusted_pair=(PAULI_X, PAULI_Y),
-            dishonest=np.zeros((2, 2)), state=plus, env_dim=1)
-        rng = numpy_rng(MASTER, "pt-coin")
-        state = DeviceState(beh)
-        n = 20_000
-        ones = sum(partially_trusted_respond(state, 1, rng) for _ in range(n))
-        assert abs(ones / n - 0.5) <= 3 * 0.5 / np.sqrt(n)
-        # coin branch leaves the state untouched
-        assert np.allclose(state.psi, plus)
-
     def test_mixture_frequencies(self):
         rng_make = np.random.default_rng(1)
         v, h = 0.5, 0.3
         beh = random_partially_trusted(rng_make, v, h, env_dim=1)
         weights = [w for w, _, _, _ in beh.kraus_for(1)]
         assert weights == pytest.approx([v, 1 - v - h, h])
-        # empirical branch frequencies via the rng draw pattern
-        rng = numpy_rng(MASTER, "pt-mix")
-        n = 100_000
-        counts = np.zeros(3)
-        for _ in range(n):
-            counts[int(rng.choice(3, p=weights))] += 1
-        for c, w in zip(counts, weights):
-            assert abs(c / n - w) <= 3 * np.sqrt(w * (1 - w) / n)
 
     def test_trusted_pair_anticommutes(self):
         rng = np.random.default_rng(2)
@@ -375,9 +343,8 @@ class TestReplay:
         runs = []
         for _ in range(2):
             rng = numpy_rng(MASTER, "replay", 7)
-            outs = [play_round(dev, bits, rng)
-                    for bits, _, _ in game.entries for _ in range(100)]
-            runs.append(outs)
+            runs.append(play_rounds(dev, game.inputs, np.repeat(np.arange(4), 100),
+                                    rng).tolist())
         assert runs[0] == runs[1]
 
 
@@ -394,20 +361,16 @@ class TestBehaviorRecords:
     def test_adversarial_record(self):
         dev = behavior_from_record(
             {"variant": "adversarial", "n": 2, "table": {"0,0": [1, 1]}})
-        state = DeviceState(dev)
-        rng = numpy_rng(MASTER, "record")
-        assert respond(state, (0, 0), rng) == (1, 1)
-        assert respond(state, (0, 0), rng) == (1, 1)
-        assert respond(state, (1, 0), rng) == (0, 0)
+        outs = play_rounds(dev, [(0, 0), (1, 0)], [0, 0, 1],
+                           numpy_rng(MASTER, "record"))
+        assert outs.tolist() == [0b11, 0b11, 0b00]
 
     def test_adversarial_record_round_indexed(self):
         dev = behavior_from_record(
             {"variant": "adversarial", "n": 2,
              "table": {"0,0": [1, 1], "1@0,0": [0, 1]}})
-        state = DeviceState(dev)
-        rng = numpy_rng(MASTER, "record")
-        assert [respond(state, (0, 0), rng) for _ in range(3)] == [
-            (1, 1), (0, 1), (1, 1)]
+        outs = play_rounds(dev, [(0, 0)], [0, 0, 0], numpy_rng(MASTER, "record"))
+        assert outs.tolist() == [0b11, 0b01, 0b11]
 
     @pytest.mark.parametrize("bad", [-1, 8, 0.5, True])
     def test_noisy_record_rejects_bad_fixed_output(self, bad):

@@ -25,7 +25,6 @@ from direx.protocols import (
     exact_small_run,
     monte_carlo,
     partial_trust_checks,
-    run_protocol_a_prime,
     run_protocol_r,
     symbols_to_bits,
     wilson_interval,
@@ -159,76 +158,15 @@ class TestProtocolR:
             run_protocol_r(cfg, chsh_honest_device(),
                            substream(MASTER, "r7"), numpy_rng(MASTER, "d7"))
 
-
-class TestProtocolAPrime:
-    def _trusted_plus_device(self):
-        plus = np.array([1.0, 1.0]) / np.sqrt(2)
-        return PartiallyTrustedBehavior(
-            v=1.0, h=0.0, trusted_pair=(PAULI_X, PAULI_Y),
-            dishonest=np.zeros((2, 2)), state=plus, env_dim=1)
-
-    def test_trusted_plus_state_generation_deterministic(self):
-        # deterministic per state: every generation round before the first
-        # game round reads H, and a generation round always repeats the
-        # previous generation outcome unless a game round intervened
-        cfg = ProtocolConfig(mode="Aprime", N=2000, q=Fraction(1, 10),
-                             eta=0.2, v=1.0, h=0.0)
-        out = run_protocol_a_prime(cfg, self._trusted_plus_device(),
-                                   substream(MASTER, "a1"),
-                                   numpy_rng(MASTER, "ad1"))
-        rounds = out.transcript.rounds
-        for r in rounds:
-            if r[0] == 1:
-                break
-            assert r[3] == "H"
-        prev = None
-        for r in rounds:
-            if r[0] == 0:
-                if prev is not None:
-                    assert r[3] == prev
-                prev = r[3]
-            else:
-                prev = None
-
-    def test_trusted_failures_binomial(self):
-        # game rounds measure the anticommuting partner on |+>: fair coin
-        cfg = ProtocolConfig(mode="Aprime", N=4000, q=Fraction(1, 4),
-                             eta=0.45, v=1.0, h=0.0)
-        out = run_protocol_a_prime(cfg, self._trusted_plus_device(),
-                                   substream(MASTER, "a2"),
-                                   numpy_rng(MASTER, "ad2"))
-        games = sum(1 for r in out.transcript.rounds if r[0] == 1)
-        fails = out.transcript.failures
-        assert abs(fails - games / 2) <= 4 * np.sqrt(games * 0.25)
-
-    def test_mode_a_is_fixed_special_case(self):
-        with pytest.raises(ValueError):
-            ProtocolConfig(mode="A", N=10, q=0.1, eta=0.1, v=0.5, h=0.0)
-        cfg = ProtocolConfig(mode="A", N=10, q=0.1, eta=0.1)
-        assert cfg.v == 1.0 and cfg.h == 0.0
-
-    def test_coin_device_failure_frequency(self):
-        # pure coin-flip mixture: failures average half the game rounds and
-        # the run clears the (h/2 + eta) q N threshold with room to spare
-        plus = np.array([1.0, 1.0]) / np.sqrt(2)
-        coin = PartiallyTrustedBehavior(
-            v=0.0, h=1.0, trusted_pair=(PAULI_X, PAULI_Y),
-            dishonest=np.zeros((2, 2)), state=plus, env_dim=1)
-        cfg = ProtocolConfig(mode="Aprime", N=4000, q=Fraction(1, 4),
-                             eta=0.2, v=0.0, h=1.0)
-        out = run_protocol_a_prime(cfg, coin, substream(MASTER, "a3"),
-                                   numpy_rng(MASTER, "ad3"))
-        games = sum(1 for r in out.transcript.rounds if r[0] == 1)
-        assert abs(out.transcript.failures - games / 2) <= 4 * np.sqrt(games * 0.25)
-        assert out.success
-
-    def test_empty_protocol(self):
-        cfg = ProtocolConfig(mode="Aprime", N=0, q=Fraction(1, 10), eta=0.2,
-                             v=1.0, h=0.0)
-        out = run_protocol_a_prime(cfg, self._trusted_plus_device(),
-                                   substream(MASTER, "a4"),
-                                   numpy_rng(MASTER, "ad4"))
-        assert out.success and out.transcript.rounds == []
+    def test_partially_trusted_device_refused(self):
+        # a single-part device has no output distribution to answer from;
+        # the component count stops it before the responder is built
+        beh = random_partially_trusted(np.random.default_rng(3), 0.6, 0.2)
+        cfg = ghz_config(10, Fraction(1, 2), 0.01)
+        with pytest.raises(ValueError,
+                           match="^device has 1 components, game needs 3$"):
+            run_protocol_r(cfg, beh, substream(MASTER, "r8"),
+                           numpy_rng(MASTER, "d8"))
 
 
 class TestMonteCarlo:
@@ -426,33 +364,21 @@ def _outcome_digest(out) -> str:
 class TestRoundEngineDigests:
     """Transcripts, keys and ledgers pinned as sha256 digests.
 
-    The digests were taken from the separate round loops that protocol R,
-    protocol A' and key distribution had before they shared one engine;
-    same seeds must keep giving bit-identical results.
+    The digests were taken from the separate round loops that protocol R
+    and key distribution had before they shared one engine; same seeds
+    must keep giving bit-identical results, for noisy devices through the
+    one-pass responder and for adversaries through their scripts.
     """
 
     ADVERSARY = {"variant": "adversarial", "n": 3, "table": {
         "0,0,0": [1, 1, 0], "1,1,0": [0, 1, 1], "0,1,1": [1, 0, 0],
         "3@1,0,1": [1, 1, 1], "0@0,0,0": [0, 0, 1], "7@0,0,0": [1, 1, 1]}}
 
-    def _plus(self, v, h):
-        plus = np.array([1.0, 1.0]) / np.sqrt(2)
-        return PartiallyTrustedBehavior(
-            v=v, h=h, trusted_pair=(PAULI_X, PAULI_Y),
-            dishonest=np.zeros((2, 2)), state=plus, env_dim=1)
-
     def _r(self, behavior, label, record_rounds=True):
         cfg = ghz_config(1500, Fraction(1, 10), 0.2)
         return run_protocol_r(cfg, behavior, substream(MASTER, f"{label}-seed"),
                               numpy_rng(MASTER, f"{label}-dev"),
                               record_rounds=record_rounds)
-
-    def _a_prime(self, behavior, label, v, h):
-        cfg = ProtocolConfig(mode="Aprime", N=1500, q=Fraction(1, 4),
-                             eta=0.45 if v else 0.2, v=v, h=h)
-        return run_protocol_a_prime(cfg, behavior,
-                                    substream(MASTER, f"{label}-seed"),
-                                    numpy_rng(MASTER, f"{label}-dev"))
 
     def test_protocol_r_noisy_ghz(self):
         noisy = NoisyHonestBehavior(base=ghz_honest_device(), p=0.2)
@@ -467,22 +393,6 @@ class TestRoundEngineDigests:
         adv = behavior_from_record(self.ADVERSARY)
         assert _outcome_digest(self._r(adv, "eng-adv")) == (
             "259658389afec9efe7fa8e558386b9567efcfde1dd7adf310847d537dcca0002")
-
-    def test_protocol_a_prime_devices(self):
-        from direx.devices import PAULI_Z, HonestBehavior
-
-        one_part = HonestBehavior(n=1, state=np.array([np.cos(0.3), np.sin(0.3)]),
-                                  observables=((PAULI_Z, PAULI_X),))
-        digests = [
-            _outcome_digest(self._a_prime(self._plus(1.0, 0.0), "eng-a1", 1.0, 0.0)),
-            _outcome_digest(self._a_prime(self._plus(0.0, 1.0), "eng-a2", 0.0, 1.0)),
-            _outcome_digest(self._a_prime(one_part, "eng-a3", 1.0, 0.0)),
-        ]
-        assert digests == [
-            "76cff1604c15df74837f9d07a535bdc0bd865714076ecba0f61f70b7e96dd2c7",
-            "e7dae0b386d951e05a644cf4135f19c6f1454e6e2ffa3704826997e04c89eed1",
-            "43aef1d06ec18ab47d8c89b8749d1e457b4b66216162198dea82f539eeade6e1",
-        ]
 
     def test_key_distribution(self):
         from direx.qkd import KdConfig, run_rkd

@@ -57,10 +57,6 @@ KEEP_KNOBS = {
     "trust_coefficient_search.samples": "gives tests a smaller sampling budget",
     "eir_run.hash_family": "the short-seed hash family (ROADMAP) will set it",
     "main.argv": "tests drive the CLI in-process",
-    "ProtocolConfig.v": "the trust coefficient of protocol A', which only "
-                        "its tests run on partially trusted devices",
-    "ProtocolConfig.h": "the dishonest weight of protocol A', which only "
-                        "its tests run on partially trusted devices",
     "CrossFeedStage.ext_error_exp": "the ledger tests vary the extractor "
                                     "error that each stage's entry carries",
 }
@@ -382,3 +378,75 @@ def run():
     assert unset_knobs(package, package) == {"Stage.log", "Plain.y"}
     assert unset_knobs(package, ["Stage(1, 2, 3)"]) == {
         "Stage.tag", "Stage.log", "Plain.y"}
+
+
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _guarded(node, parents):
+    """Whether a condition around node calls hasattr: an if, a
+    conditional expression or a comprehension's filter."""
+    while node in parents:
+        node = parents[node]
+        tests = ([node.test] if isinstance(node, (ast.If, ast.IfExp))
+                 else [t for gen in node.generators for t in gen.ifs]
+                 if isinstance(node, _COMPREHENSIONS) else [])
+        if any(isinstance(sub, ast.Call) and getattr(sub.func, "id", None)
+               == "hasattr" for test in tests for sub in ast.walk(test)):
+            return True
+    return False
+
+
+def benchmark_hooks(text):
+    """The (module, attribute) pairs that the benchmark text hooks through
+    _after_calls(<module>, "<name>", ...) with a literal name and no
+    hasattr guard; the module is named as `from direx import` binds it."""
+    tree = ast.parse(text)
+    modules = {alias.asname or alias.name: alias.name
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "direx"
+               for alias in node.names}
+    parents = {child: node for node in ast.walk(tree)
+               for child in ast.iter_child_nodes(node)}
+    hooks = set()
+    for call in ast.walk(tree):
+        if (isinstance(call, ast.Call)
+                and getattr(call.func, "id", None) == "_after_calls"
+                and len(call.args) >= 2
+                and isinstance(call.args[0], ast.Name)
+                and call.args[0].id in modules
+                and isinstance(call.args[1], ast.Constant)
+                and isinstance(call.args[1].value, str)
+                and not _guarded(call, parents)):
+            hooks.add((modules[call.args[0].id], call.args[1].value))
+    return hooks
+
+
+def test_benchmark_hooks_name_existing_attributes():
+    # the benchmark wraps these by name when its workloads run, which no
+    # other test does; a deleted or renamed one would fail only there
+    import importlib
+
+    hooks = benchmark_hooks((ROOT / "perfbench" / "workloads.py").read_text())
+    assert hooks
+    missing = sorted((module, name) for module, name in hooks
+                     if not hasattr(importlib.import_module(f"direx.{module}"),
+                                    name))
+    assert not missing, f"perfbench/workloads.py hooks what direx lacks: {missing}"
+
+
+def test_hook_scan_skips_guarded_and_computed_names():
+    text = """
+from direx import protocols as p, xorgames
+
+def run():
+    _after_calls(p, "run_protocol", f)
+    if hasattr(xorgames, "_chunk"):
+        _after_calls(xorgames, "_chunk", f)
+    [_after_calls(xorgames, name, f) for name in NAMES if hasattr(xorgames, name)]
+    [_after_calls(xorgames, "listed", f) for _ in (0,) if hasattr(xorgames, "listed")]
+    _after_calls(other, "elsewhere", f)
+    return _after_calls(xorgames, "analyze", f) if ok else None
+"""
+    assert benchmark_hooks(text) == {("protocols", "run_protocol"),
+                                     ("xorgames", "analyze")}

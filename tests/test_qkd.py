@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from direx.devices import AdversarialBehavior, NoisyHonestBehavior, ghz_honest_device
+from direx.devices import (
+    AdversarialBehavior,
+    NoisyHonestBehavior,
+    ghz_honest_device,
+    random_partially_trusted,
+)
 from direx.qkd import KdConfig, key_rate_report, run_rkd
 from direx.recon import bch_15_5, hamming_code, interleaved
 from direx.seeding import numpy_rng, parse_master_seed, substream
@@ -156,6 +161,14 @@ class TestConfigValidation:
             kd_config(100, 0.05).__class__(
                 game=GAME, constants=GHZ, N=100, q=0.05, eta=0.001,
                 lam=0.6, lam_prime=0.7, code=hamming_code(100))
+
+    def test_partially_trusted_device_refused(self):
+        # a single-part device has no output distribution to answer from;
+        # the component count stops it before the responder is built
+        beh = random_partially_trusted(np.random.default_rng(3), 0.6, 0.2)
+        with pytest.raises(ValueError,
+                           match="^device has 1 components, game needs 3$"):
+            run(kd_config(64, 0.1), beh, "pt")
 
     def test_code_length_must_match(self):
         with pytest.raises(ValueError):
