@@ -34,7 +34,7 @@ from .protocols import (
     monte_carlo,
     verify_suite,
 )
-from .qkd import KdConfig, key_rate_report, run_rkd
+from .qkd import KdConfig, run_rkd
 from .rates import certified_bound, limit_exponent, maximize_bound
 from .recon import (
     EXHAUSTIVE_LENGTH_CAP,
@@ -51,6 +51,7 @@ from .xorgames import (
     ghz_game,
     load_game,
     named_constants,
+    optimal_score,
     trust_anticommuters,
     trust_coefficient_check,
 )
@@ -227,34 +228,45 @@ def cmd_rate(args) -> int:
     return EXIT_OK
 
 
+def _score(name_or_path: str, game) -> float:
+    """q_G: the stored constant of a named game, else optimal_score's
+    value, which is the q_G that analyze_game reports."""
+    try:
+        return named_constants(name_or_path).qG
+    except KeyError:
+        return optimal_score(game)[0]
+
+
 def _device_run(args):
-    """The game, device and game constants of simulate, qkd and expand,
-    checked in that order.  Built-in devices exist only for the named games,
-    so a missing device is reported before the game analysis starts."""
+    """The game and device of simulate, qkd and expand, and the name of the
+    device that plays: --device for a built-in device, the variant of a
+    --device-config record.  Built-in devices exist only for the named
+    games, so a missing device is reported before any game analysis."""
     game = load_game(args.game)
     if args.device_config:
         with open(args.device_config) as f:
-            behavior = behavior_from_record(json.load(f))
-    elif args.game not in HONEST_DEVICES:
+            record = json.load(f)
+        return game, behavior_from_record(record), record["variant"]
+    if args.game not in HONEST_DEVICES:
         raise ValueError(
             f"no built-in {args.device} device plays game {args.game!r}; "
             f"describe one with --device-config")
-    else:
-        variant = "honest" if args.device == "honest" else "noisy_honest"
-        behavior = behavior_from_record({"variant": variant,
-                                         "device": args.game, "p": args.noise})
-    return game, behavior, _resolve_constants(args.game)
+    variant = "honest" if args.device == "honest" else "noisy_honest"
+    behavior = behavior_from_record({"variant": variant, "device": args.game,
+                                     "p": args.noise})
+    return game, behavior, args.device
 
 
 def cmd_simulate(args) -> int:
-    game, behavior, consts = _device_run(args)
+    game, behavior, device = _device_run(args)
+    w_G = (1 + _score(args.game, game)) / 2
     config = ProtocolConfig(mode="R", N=args.N, q=args.q, eta=args.eta,
-                            game=game, w_G=consts.wG)
+                            game=game, w_G=w_G)
     bound = None
-    if args.device == "noisy":
+    if not args.device_config and args.device == "noisy":
         # uniform noise moves the win probability from w_G to
         # (1 - p) w_G + p / 2, a deviation of p (w_G - 1/2)
-        eta_prime = args.noise * (consts.wG - 0.5)
+        eta_prime = args.noise * (w_G - 0.5)
         if eta_prime < args.eta:
             bound = completeness_error_bound(args.eta, eta_prime, args.q,
                                              args.N)
@@ -273,7 +285,7 @@ def cmd_simulate(args) -> int:
     _write_records(args, "simulate", *(
         {"trial": r.trial, "success": r.success, "failures": r.failures,
          "games": r.games, "seed_bits": r.seed_bits, "N": args.N, "q": args.q,
-         "eta": args.eta, "device": args.device} for r in stats.records),
+         "eta": args.eta, "device": device} for r in stats.records),
         {"command": "simulate-summary", **stats.to_record()})
     if stats.bound_exceeded:
         return EXIT_VIOLATION
@@ -294,7 +306,7 @@ def cmd_trust(args) -> int:
             f"{flag} too large: --grid {args.grid} and --samples {args.samples} "
             f"need {entries} scoring entries for a {game.n}-player game, "
             f"more than {TRUST_ENTRY_CAP}")
-    consts = _resolve_constants(args.game)
+    qG = _score(args.game, game)
     # the GHZ game keeps its sign pattern, on which the closed-form entry
     # checks run; other games try the members trust_coefficient_search
     # tries, until one passes
@@ -307,7 +319,7 @@ def cmd_trust(args) -> int:
     results = []
     for anti in members:
         results.append(trust_coefficient_check(game, args.c, anti, spec,
-                                               qG=consts.qG))
+                                               qG=qG))
         if results[-1].passed:
             break
     member = min(range(len(results)),
@@ -341,7 +353,8 @@ def cmd_qkd(args) -> int:
     if args.N < 3:
         raise ValueError(
             f"--N must be at least 3 (the shortest Hamming code), got {args.N}")
-    game, behavior, consts = _device_run(args)
+    game, behavior, _ = _device_run(args)
+    consts = _resolve_constants(args.game)
     code = hamming_code(args.N)
     # lam is the code's own parameter, kept below w_G - 1/2 (a code that
     # cannot back the lower lam makes the run abort at reconciliation);
@@ -359,8 +372,7 @@ def cmd_qkd(args) -> int:
         if outcome.report is None:
             certified = "no certified bound (eta outside (0, v_G/2))"
         else:
-            bits = key_rate_report(outcome)["certified_bits"]
-            certified = f"certified {bits:.0f} bits"
+            certified = f"certified {outcome.certified_bits:.0f} bits"
         print(f"success; keys match: {outcome.keys_match}  "
               f"leaked {outcome.leaked_bits} bits  {certified}")
     else:
@@ -382,7 +394,8 @@ def cmd_expand(args) -> int:
         raise ValueError(
             f"--stage-rounds and --stage-bits must give one value per stage "
             f"(got {len(args.stage_rounds)} and {len(args.stage_bits)})")
-    game, behavior, consts = _device_run(args)
+    game, behavior, _ = _device_run(args)
+    consts = _resolve_constants(args.game)
     stages = [CrossFeedStage(N=n, q=args.q, eta=args.eta, kappa=args.kappa,
                              epsilon_exp=args.epsilon_exp, m_out=m)
               for n, m in zip(args.stage_rounds, args.stage_bits)]

@@ -291,29 +291,18 @@ HONEST_DEVICES = {"ghz": ghz_honest_device, "chsh": chsh_honest_device}
 
 
 def random_partially_trusted(rng: np.random.Generator, v: float, h: float,
-                             device_half_dim: int = 1,
                              env_dim: int = 2) -> PartiallyTrustedBehavior:
-    """A random partially trusted device with a purifying environment.
+    """A random qubit partially trusted device with a purifying environment.
 
     The trusted pair is a random unitary conjugation of (x, cos a * y +
-    sin a * z) tensored with a random reflection, so the pair perfectly
-    anticommutes by construction.
+    sin a * z), so the pair perfectly anticommutes by construction.
     """
-    d = 2 * device_half_dim
+    d = 2
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     u, _ = np.linalg.qr(a)
     angle = rng.uniform(0, 2 * np.pi)
-    if device_half_dim == 1:
-        base0, base1 = PAULI_X, np.cos(angle) * PAULI_Y + np.sin(angle) * PAULI_Z
-    else:
-        refl_basis = rng.normal(size=(device_half_dim, device_half_dim)) \
-            + 1j * rng.normal(size=(device_half_dim, device_half_dim))
-        q, _ = np.linalg.qr(refl_basis)
-        refl = (q * np.where(rng.random(device_half_dim) < 0.5, 1.0, -1.0)) @ q.conj().T
-        base0 = np.kron(PAULI_X, np.eye(device_half_dim))
-        base1 = np.kron(np.cos(angle) * PAULI_Y + np.sin(angle) * PAULI_Z, refl)
-    t0 = u @ base0 @ u.conj().T
-    t1 = u @ base1 @ u.conj().T
+    t0 = u @ PAULI_X @ u.conj().T
+    t1 = u @ (np.cos(angle) * PAULI_Y + np.sin(angle) * PAULI_Z) @ u.conj().T
     nop = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     nop = 0.5 * (nop + nop.conj().T)
     nop = nop / (schatten_norm(nop, np.inf) * rng.uniform(1.0, 2.0))

@@ -198,7 +198,6 @@ class CrossFeedStage:
     kappa: float
     epsilon_exp: float  # smoothing parameter = 2**(-epsilon_exp)
     m_out: int
-    ext_error_exp: float = 20.0
 
 
 @dataclass(frozen=True)
@@ -233,6 +232,8 @@ class CrossFeedResult:
 # the rate slack below the limit rate that cross_feed tunes its error
 # exponent for
 TUNE_DELTA = 0.1
+# log2(1/ext_error) of every stage's extractor
+EXT_ERROR_EXP = 20.0
 
 
 def cross_feed(game: XorGame, constants: GameConstants, device_a, device_b,
@@ -264,7 +265,7 @@ def cross_feed(game: XorGame, constants: GameConstants, device_a, device_b,
                                  stage.kappa, 2.0 ** (-stage.epsilon_exp))
         spec = ExtractorSpec(
             source_len=2 * stage.N, output_len=stage.m_out,
-            claimed_min_entropy=report.bound, ext_error_exp=stage.ext_error_exp)
+            claimed_min_entropy=report.bound, ext_error_exp=EXT_ERROR_EXP)
         seed_source = substream(master, "stage-topup", i, queued=prev_bits)
         config = ProtocolConfig(mode="R", N=stage.N, q=stage.q, eta=stage.eta,
                                 game=game, w_G=constants.wG)

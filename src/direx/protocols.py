@@ -49,7 +49,6 @@ from .rates import _checked_lanes, worst_case_rate
 from .seeding import BitStream, numpy_rng, substream
 from .xorgames import XorGame, as_fraction
 
-SYMBOLS = ("H", "T", "P", "F")
 VERIFY_SUITES = ("uncertainty", "schatten", "multishot", "partial-trust")
 WILSON_Z = 1.96          # normal quantile of the two-sided 95% abort interval
 EXACT_RUN_SLACK = 1e-8   # float tolerance of exact_small_run's inequality
@@ -69,6 +68,7 @@ _COMMIT_ERR = 2.0 ** -16       # commit once the error of t exceeds this
 _FLOAT_MAX = float(np.finfo(float).max)  # a larger den fails the shadow
 _TRUNCATED_ERR = 57            # rebuild from a truncated state only while
                                # D / (W - D) <= 2^-_TRUNCATED_ERR
+_BLOCK = 4096                  # symbols between decoder state resets
 _LAW_CACHE_SIZE = 32           # decoder tables kept per process
 _POWER_TABLE_BITS = 32         # longer bases compute their powers on use
 
@@ -82,7 +82,7 @@ class CategoricalSampler:
     the entropy rate (Han-Hoshi interval algorithm).  The state is kept
     relative to the interval's low end as three integers: the window's
     offset L and width W, and the interval's width U.  The state is reset
-    every ``block`` symbols to keep the integers bounded, wasting at most a
+    every _BLOCK symbols to keep the integers bounded, wasting at most a
     few bits per block.
 
     Three paths give the symbols and bit counts of the plain integer loop
@@ -157,18 +157,18 @@ class CategoricalSampler:
     depends on what the cache holds.
     """
 
-    def __init__(self, weights, stream: BitStream, block: int = 4096):
+    def __init__(self, weights, stream: BitStream):
         den, slices, powers = _law(tuple(as_fraction(w) for w in weights))
         # bits drawn so far, shared with the decoding generator
         self._count = count = [0]
-        block = max(block, 1)
         if den == len(slices) and den & (den - 1) == 0:
             symbols = _uniform_symbols(count, stream, den.bit_length() - 1,
                                        [k for k, _, _ in slices])
         elif powers:
-            symbols = _binary_symbols(count, stream, den, slices, powers, block)
+            symbols = _binary_symbols(count, stream, den, slices, powers,
+                                      _BLOCK)
         else:
-            symbols = _exact_blocks(count, stream, den, slices, block)
+            symbols = _exact_blocks(count, stream, den, slices, _BLOCK)
         self._next = symbols.__next__
 
     @property
@@ -490,19 +490,12 @@ class Transcript:
         ins = [self.inputs[k] for k in self.input_index.tolist()]
         return list(zip(g, ins, outs, self.symbols))
 
-    def counts(self) -> dict:
-        return dict(zip(SYMBOLS, np.bincount(self.codes, minlength=4).tolist()))
-
 
 @dataclass(frozen=True)
 class RunOutcome:
     success: bool
     transcript: Transcript
     threshold: float
-
-    @property
-    def aborted(self) -> bool:
-        return not self.success
 
 
 def symbols_to_bits(symbols) -> np.ndarray:
@@ -789,7 +782,6 @@ class ExactRunResult:
     lhs: float
     rhs: float
     holds: bool
-    gamma: float
     labels: tuple
     gamma_blocks: tuple
     sigma_blocks: tuple
@@ -872,7 +864,7 @@ def exact_small_run(N: int, behavior: PartiallyTrustedBehavior, q: float,
     rhs = -N * worst_case_rate(behavior.v, behavior.h, q, kappa, r)
     return ExactRunResult(
         lhs=float(lhs), rhs=float(rhs), holds=bool(lhs <= rhs + EXACT_RUN_SLACK),
-        gamma=gamma, labels=labels, gamma_blocks=tuple(gamma_stack),
+        labels=labels, gamma_blocks=tuple(gamma_stack),
         sigma_blocks=tuple(sigma_stack), env_state=env_state,
     )
 

@@ -175,11 +175,10 @@ def key_rate_report(outcome: KdOutcome) -> dict:
     if report is None:
         raise ValueError("key rate needs a rate report, and a run whose "
                          "tolerance lies outside (0, v_G/2) has none")
-    certified = max(report.bound - outcome.leaked_bits, 0.0)
     return {
         "expansion_bound": report.bound,
         "leaked_bits": outcome.leaked_bits,
-        "certified_bits": float(certified),
+        "certified_bits": outcome.certified_bits,
         "leakage_exceeds_bound": bool(report.bound <= outcome.leaked_bits),
         "seed_bits_used": outcome.seed_bits_used,
         "eir_randomness": outcome.eir.randomness_used if outcome.eir else 0,

@@ -590,12 +590,7 @@ class TuneResult:
     q0: float
     kappa0: float
     b: float
-    K: float
-    rate: float
     E_cap: float
-
-    def soundness_error(self, q: float, N: int) -> float:
-        return self.K * 2.0 ** (-self.b * q * N)
 
 
 def tune_parameters(game: GameConstants, eta: float, delta: float) -> TuneResult:
@@ -604,8 +599,9 @@ def tune_parameters(game: GameConstants, eta: float, delta: float) -> TuneResult
     Searches the coarse grid {1e-k, 3e-k} for a corner (q0, kappa0) below
     which every grid point keeps the per-round rate within delta/2 of the
     limit; the error exponent is then b = delta*kappa0/(2M) with M the
-    penalty-coefficient cap over that corner region, and the prefactor is
-    sqrt(2) from the smoothing construction.  The corners are scanned q
+    penalty-coefficient cap over that corner region, for a soundness error
+    of sqrt(2)·2^(-b·q·N), the sqrt(2) from the smoothing construction
+    (cross_feed's 2^(0.5 - b·q·N)).  The corners are scanned q
     outer and kappa inner, the best replaced only by a strictly larger b.
 
     Only the first row, q0 = TUNE_GRID[0], is evaluated.  The region of
@@ -632,8 +628,7 @@ def tune_parameters(game: GameConstants, eta: float, delta: float) -> TuneResult
         m_cap = float(np.max(e_row[: j + 1]))
         b = delta * kappa / (2.0 * m_cap)
         if best is None or b > best.b:
-            best = TuneResult(q0=grid[0], kappa0=kappa, b=b, K=SQRT2,
-                              rate=target - delta, E_cap=m_cap)
+            best = TuneResult(q0=grid[0], kappa0=kappa, b=b, E_cap=m_cap)
     if best is None:
         raise InfeasibleError("no grid corner achieves the requested rate slack")
     return best

@@ -451,7 +451,7 @@ class EirResult:
 
 
 def eir_run(x_bits, y_bits, code: LinearCode, lam: float, epsilon: float,
-            shared: BitStream | None = None, hash_family=None) -> EirResult:
+            shared: BitStream | None = None) -> EirResult:
     """One-way reconciliation: the holder of x sends its syndrome (plus a
     hash value in the list regime) and the y side outputs an estimate of x.
 
@@ -489,9 +489,8 @@ def eir_run(x_bits, y_bits, code: LinearCode, lam: float, epsilon: float,
                          measured_rate=code.rate)
     if shared is None:
         raise ValueError("list regime needs shared randomness")
-    if hash_family is None:
-        k = hash_bits_required(code.list_cap, epsilon)
-        hash_family = AffineHashFamily(n_bits=code.length, k=k)
+    hash_family = AffineHashFamily(
+        n_bits=code.length, k=hash_bits_required(code.list_cap, epsilon))
     try:
         cands = list_decode(code, s, radius)
     except ListOverflowError:

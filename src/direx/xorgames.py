@@ -28,7 +28,6 @@ import numpy as np
 from .errors import InvalidOperatorError, check_domain
 from .matrixcore import HERMITIAN_ATOL
 
-PROB_SUM_ATOL = 1e-12
 UNIT_ATOL = 1e-9
 HESSIAN_EIG_THRESHOLD = 1e-6
 _SAME_MAX_TOL = 1e-5         # two maxima agree when every angle is this close
@@ -72,9 +71,13 @@ class XorGame:
                 raise ValueError("probabilities must lie in [0, 1]")
             if eta not in (-1, 1):
                 raise ValueError("signs must be +1 or -1")
-            total += p
-        if abs(float(total) - 1.0) > PROB_SUM_ATOL:
-            raise ValueError(f"probabilities sum to {float(total)}, expected 1")
+            total += as_fraction(p)
+        # the protocol's input decoder draws from these exact weights, so
+        # they must sum to exactly 1
+        if total != 1:
+            raise ValueError(
+                f"probabilities sum to {total}, not exactly 1; write each p "
+                f"as an exact fraction such as \"1/3\"")
 
     @classmethod
     def from_support(cls, n, support) -> "XorGame":
@@ -224,7 +227,11 @@ def load_game(path_or_name: str) -> XorGame:
     if path_or_name.lower() in _BUILTINS:
         return named_game(path_or_name)
     with open(path_or_name) as f:
-        return game_from_record(json.load(f))
+        record = json.load(f)
+    try:
+        return game_from_record(record)
+    except ValueError as e:
+        raise ValueError(f"game file {path_or_name}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +748,7 @@ def classify_selftest(game: XorGame) -> str:
 # Scoring operators and the trust coefficient
 
 _TRUST_ATOL = 1e-9  # a trust check passes when its best norm is at most qG - c + this
-TRUST_RESOLUTION = 1e-3  # the search's bisection step, subtracted from its bound
+TRUST_RESOLUTION = 1e-3  # the search finds its bound to within this, then subtracts it
 _THRESHOLD_CHUNK = 1 << 11  # rows per piece of _trust_thresholds
 
 
@@ -856,6 +863,10 @@ class SamplingSpec:
             check_domain(name, getattr(self, name), "nonnegative")
         check_domain("no sample points: grid_points + random_samples",
                      self.grid_points + self.random_samples, "count")
+
+
+# trust_coefficient_search's sampling budget
+_SEARCH_SAMPLES = SamplingSpec(grid_points=24, random_samples=2000, multistarts=4)
 
 
 @dataclass(frozen=True)
@@ -1091,7 +1102,7 @@ def trust_anticommuters(game: XorGame) -> list:
     return list(anticommuter_family(game.n, phases=phases))
 
 
-def trust_coefficient_search(game: XorGame, samples: SamplingSpec | None = None,
+def trust_coefficient_search(game: XorGame,
                              classification: str | None = None) -> float:
     """Sampled lower-confidence bound on the trust coefficient.
 
@@ -1120,9 +1131,8 @@ def trust_coefficient_search(game: XorGame, samples: SamplingSpec | None = None,
     if classification != "strong-self-test":
         raise ValueError(
             f"trust-coefficient search requires a strong self-test, got {classification}")
-    samples = samples or SamplingSpec(grid_points=24, random_samples=2000, multistarts=4)
     qG, _ = optimal_score(game)
-    th_all, entries, _ = _trust_samples(game, samples)
+    th_all, entries, _ = _trust_samples(game, _SEARCH_SAMPLES)
     halvings = int(np.ceil(np.log2(max(qG, 1e-12) / TRUST_RESOLUTION))) + 1
 
     def replay(cut):
@@ -1142,7 +1152,7 @@ def trust_coefficient_search(game: XorGame, samples: SamplingSpec | None = None,
         low = int(np.argmin(cstar))
         if replay(cstar[low]) <= best:
             continue
-        val, _ = _climb(game, samples, th_all[low],
+        val, _ = _climb(game, _SEARCH_SAMPLES, th_all[low],
                         lambda e: -_trust_thresholds(e, anti, qG))
         best = max(best, replay(min(cstar[low], -val.max())))
     return max(best - TRUST_RESOLUTION, 0.0)

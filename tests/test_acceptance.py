@@ -28,7 +28,6 @@ from direx.protocols import (
 from direx.qkd import KdConfig, key_rate_report, run_rkd
 from direx.rates import feasible, limit_exponent, limit_exponent_slope, rate_T_E
 from direx.recon import (
-    AffineHashFamily,
     bch_15_5,
     eir_run,
     hamming_code,
@@ -204,7 +203,6 @@ class TestCriterion9:
         eps = 2.0**-10
         k = hash_bits_required(code.list_cap, eps)
         assert k == int(np.ceil(np.log2(2 * code.list_cap / eps)))
-        fam = AffineHashFamily(n_bits=20, k=k)
         shared = substream(MASTER, "acc9b-hash")
         failures = 0
         trials = 10_000
@@ -212,8 +210,7 @@ class TestCriterion9:
             x = rng.integers(0, 2, 20).astype(np.uint8)
             e = np.zeros(20, np.uint8)
             e[rng.choice(20, 8, replace=False)] = 1  # fraction 0.4
-            res = eir_run(x, x ^ e, code, 0.1, eps, shared=shared,
-                          hash_family=fam)
+            res = eir_run(x, x ^ e, code, 0.1, eps, shared=shared)
             if res.aborted or not np.array_equal(res.estimate, x):
                 failures += 1
         freq = failures / trials

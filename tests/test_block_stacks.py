@@ -15,7 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from direx.devices import random_partially_trusted
+from direx.devices import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    PartiallyTrustedBehavior,
+    random_partially_trusted,
+)
 from direx.entropy import (
     SUPPORT_CUTOFF,
     BlockOperator,
@@ -26,7 +32,7 @@ from direx.entropy import (
     uncertainty_check,
 )
 from direx.errors import SupportViolationError
-from direx.matrixcore import pseudo_power
+from direx.matrixcore import pseudo_power, schatten_norm
 from direx.protocols import (
     conditional_environment_states,
     exact_small_run,
@@ -254,6 +260,33 @@ def block_pairs(draw, violate=False):
     return rho, sigma, sigma_blocks
 
 
+def partially_trusted(rng, v, h, half, env_dim):
+    """A random partially trusted device on a 2·half-dimensional space:
+    random_partially_trusted's qubit device for half = 1.  For half = 2 the
+    pair (x, cos a·y + sin a·z) is tensored with the identity and a random
+    reflection, so it still anticommutes, and the dishonest part and the
+    state are drawn as random_partially_trusted draws them."""
+    if half == 1:
+        return random_partially_trusted(rng, v, h, env_dim=env_dim)
+    d = 2 * half
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    u, _ = np.linalg.qr(a)
+    angle = rng.uniform(0, 2 * np.pi)
+    basis, _ = np.linalg.qr(rng.normal(size=(half, half))
+                            + 1j * rng.normal(size=(half, half)))
+    refl = (basis * np.where(rng.random(half) < 0.5, 1.0, -1.0)) @ basis.conj().T
+    pair = (np.kron(PAULI_X, np.eye(half)),
+            np.kron(np.cos(angle) * PAULI_Y + np.sin(angle) * PAULI_Z, refl))
+    t0, t1 = (u @ b @ u.conj().T for b in pair)
+    nop = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    nop = 0.5 * (nop + nop.conj().T)
+    nop = nop / (schatten_norm(nop, np.inf) * rng.uniform(1.0, 2.0))
+    psi = rng.normal(size=d * env_dim) + 1j * rng.normal(size=d * env_dim)
+    psi = psi / np.linalg.norm(psi)
+    return PartiallyTrustedBehavior(v=v, h=h, trusted_pair=(t0, t1),
+                                    dishonest=nop, state=psi, env_dim=env_dim)
+
+
 @st.composite
 def devices_and_parameters(draw):
     half = draw(st.integers(1, 2))
@@ -261,7 +294,7 @@ def devices_and_parameters(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     v = draw(st.floats(0.0, 1.0))
     h = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0 - v)))
-    beh = random_partially_trusted(rng, v, h, device_half_dim=half, env_dim=env)
+    beh = partially_trusted(rng, v, h, half, env)
     q = draw(st.floats(0.05, 0.5))
     kappa = draw(st.floats(0.2, 2.0))
     r = draw(st.floats(0.05, 0.99)) / (q * kappa)

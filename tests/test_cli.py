@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import csv
+import hashlib
 import inspect
 import io
 import json
@@ -302,9 +303,10 @@ class TestSimulate:
         game = tmp_path / "game.json"
         game.write_text(json.dumps(game_to_record(ghz_game().relabel((1, 1, 0)))))
 
-        def no_analysis(name):
+        def no_analysis(*args):
             raise AssertionError("game analysis started")
         monkeypatch.setattr(cli, "_resolve_constants", no_analysis)
+        monkeypatch.setattr(cli, "_score", no_analysis)
         for argv in (("simulate", "--N", "100", "--q", "0.1", "--eta", "0.01"),
                      ("qkd", "--N", "100", "--q", "0.1"),
                      ("expand",)):
@@ -833,3 +835,168 @@ class TestExpandCommand:
                        "--stage-bits", *bits) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error:") and flag in err
+
+
+def _game_file(path, game=None):
+    """Write a game record to path (a relabelled GHZ game by default)."""
+    from direx.xorgames import game_to_record, ghz_game
+
+    path.write_text(json.dumps(game_to_record(
+        ghz_game().relabel((1, 1, 0)) if game is None else game)))
+    return path
+
+
+# a three-component table that answers from every input: it signals
+SIGNALLING = {"variant": "adversarial", "n": 3,
+              "table": {"0,0,0": [1, 1, 0], "0,1,1": [0, 1, 1],
+                        "2@1,0,1": [1, 1, 1], "1,1,0": [0, 0, 1]}}
+
+
+class TestGameFileAnalysis:
+    """simulate reads only w_G = (1 + q_G)/2 and trust only q_G, so a game
+    file costs them optimal_score and no trust search or classification."""
+
+    def test_simulate_and_trust_skip_the_trust_search(self, tmp_path,
+                                                      monkeypatch):
+        from direx import xorgames
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("trust analysis started")
+        monkeypatch.setattr(xorgames, "trust_coefficient_search", refuse)
+        monkeypatch.setattr(xorgames, "classify_selftest", refuse)
+        game = _game_file(tmp_path / "game.json")
+        cfg = tmp_path / "dev.json"
+        cfg.write_text(json.dumps(SIGNALLING))
+        assert run_cli("simulate", "--game", str(game), "--device-config",
+                       str(cfg), "--N", "200", "--q", "0.3", "--eta", "0.4",
+                       "--trials", "2") == EXIT_OK
+        assert run_cli("trust", "--game", str(game), "--c", "0.1", "--grid",
+                       "6", "--samples", "100", "--multistarts", "1") == EXIT_OK
+
+    def test_simulate_runs_a_game_that_is_no_self_test(self, tmp_path):
+        # every input scores +1, so a classical strategy wins: q_G = 1, and
+        # the trust search refuses the game
+        from direx.xorgames import XorGame, classify_selftest, optimal_score
+
+        flat = XorGame.from_support(2, [(bits, "1/4", 1)
+                                        for bits in ("00", "01", "10", "11")])
+        assert optimal_score(flat)[0] == pytest.approx(1.0)
+        assert classify_selftest(flat) != "strong-self-test"
+        game = _game_file(tmp_path / "flat.json", flat)
+        cfg = tmp_path / "dev.json"
+        cfg.write_text(json.dumps({"variant": "adversarial", "n": 2, "table": {
+            f"{a},{b}": [0, 0] for a in (0, 1) for b in (0, 1)}}))
+        out = tmp_path / "sim.jsonl"
+        assert run_cli("--output", str(out), "simulate", "--game", str(game),
+                       "--device-config", str(cfg), "--N", "300", "--q", "0.3",
+                       "--eta", "0.05", "--trials", "3") == EXIT_OK
+        records = read_records(out)
+        assert [r["failures"] for r in records[:-1]] == [0, 0, 0]
+        assert records[-1]["aborts"] == 0
+
+    def test_inexact_probabilities_refused_at_load(self, tmp_path, capsys):
+        # three decimal thirds sum to 0.9999999999999999, which the input
+        # decoder cannot draw from; the game file is refused by name
+        game = tmp_path / "thirds.json"
+        game.write_text(json.dumps({"n": 2, "support": [
+            {"input": bits, "p": "0.3333333333333333", "eta": 1}
+            for bits in ("00", "01", "10")]}))
+        for argv in (("rate", "--eta", "0.01"),
+                     ("trust", "--c", "0.1", "--grid", "4"),
+                     ("simulate", "--device-config", "none.json", "--N", "10",
+                      "--q", "0.5", "--eta", "0.1")):
+            assert run_cli(argv[0], "--game", str(game), *argv[1:]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert str(game) in err
+            assert "9999999999999999/10000000000000000" in err
+            assert '"1/3"' in err
+
+
+class TestSimulatedDeviceRecord:
+    def test_device_config_record_names_its_variant(self, tmp_path):
+        # --device noisy --noise 0 does not describe a --device-config
+        # device, so neither the records nor the bound may come from them
+        cfg = tmp_path / "dev.json"
+        cfg.write_text(json.dumps(SIGNALLING))
+        out = tmp_path / "sim.jsonl"
+        assert run_cli("--output", str(out), "simulate", "--device", "noisy",
+                       "--noise", "0", "--device-config", str(cfg), "--N",
+                       "2000", "--q", "0.25", "--eta", "0.05",
+                       "--trials", "2") == EXIT_OK
+        *trials, summary = read_records(out)
+        assert {r["device"] for r in trials} == {"adversarial"}
+        assert summary["completeness_bound"] is None
+        assert summary["bound_exceeded"] is False
+
+
+def _records_digest(records) -> str:
+    return hashlib.sha256(
+        json.dumps(records, sort_keys=True).encode()).hexdigest()
+
+
+class TestRecordDigests:
+    """Each command's records, timestamp removed, pinned as a sha256 digest
+    at small sizes on the built-in games and one game file (recorded by its
+    file name, since its directory varies).  Same seeds and flags must keep
+    giving byte-identical records.
+
+    The digests were taken before simulate learned to record the device
+    that played; only the --device-config simulate records ("device"
+    "adversarial" where they said "honest") differ from those."""
+
+    CASES = {
+        "rate": ("rate --eta 0.01 --N 10000",
+                 "5225c3e80ea4cf80b164bf5c4f72f4bb1e3934ba73f9dbc4bb22d6fba33437e8"),
+        "rate-chsh": ("rate --game chsh --eta 0.005 --N 100000 --q 0.01 --kappa 1",
+                      "5a30b6042a4235d0f86c75d0fe9e66ef21ddf7128a74951c07588af94877a946"),
+        "simulate": ("simulate --N 300 --q 0.1 --eta 0.05 --trials 3",
+                     "c361e0a4fba6829e018b85987baaa373644b05891b3c386430935c7c69aae89b"),
+        "simulate-noisy": ("simulate --game chsh --device noisy --noise 0.04 "
+                           "--N 2000 --q 0.25 --eta 0.05 --trials 2",
+                           "23c225f62c3576f0a8ee0e874adc6e0ff3f379d2b56a9718fe6d6c408ae62b8b"),
+        "simulate-config": ("simulate --device-config {device} --N 200 --q 0.3 "
+                            "--eta 0.4 --trials 4",
+                            "7e4c802c16339934636db5280e7bd7103005efb1e50a06ee0c2495c0e89f257e"),
+        "trust": ("trust --c 0.14 --grid 6 --samples 100 --multistarts 1",
+                  "a243a138cc95ffbedec0228a184cbcb02fc00e7abf0e1b674b9cfd2212d24e90"),
+        "trust-chsh": ("trust --game chsh --c 0.1 --grid 8 --samples 200 "
+                       "--multistarts 2",
+                       "3b6eeac072988dbccb03c34c397b1bbb6782c0a61c7d5fd75fe38dad19e4e635"),
+        "trust-file": ("trust --game {game} --c 0.1 --grid 6 --samples 100 "
+                       "--multistarts 1",
+                       "e66dd41d5115be51d8448e16d30ea41daa907ecb72580dcf61baf36b7e5776d3"),
+        "qkd": ("qkd --N 1000 --q 0.1",
+                "027a56180200b6968b493b387174da5ff321be3263cf50958876138976e6b409"),
+        "qkd-certified": ("qkd --N 10000 --q 0.05",
+                          "73e971a221e352d83b51f49b93375306679a8ff1a7e400a7fe92777f8b1f9742"),
+        "expand": ("expand --stage-rounds 10000 --stage-bits 64",
+                   "599ac80858ed43e351373e380338ee034b61296e4c72dcb6f457310820f27873"),
+        "recon": ("recon --trials 20",
+                  "0536eb5add88e202f085e5a80e8c663cbedeffec219d176a13ff12a1a35abda8"),
+        "recon-list": ("recon --regime list --N 12 --trials 5",
+                       "48746d1a2e8237ab464742a08eea5aad4b714f99b575b6c26813870c3657f8a5"),
+        "verify": ("verify --instances 3",
+                   "bfd58441618808d42fbc9b6bbc269ee0418691404cb18a9c6c04daa3b8e2d2ca"),
+    }
+
+    @staticmethod
+    def records(tmp_path, argv: str) -> list:
+        """The records of one run of argv, timestamps removed and the game
+        file given by its name."""
+        device = tmp_path / "device.json"
+        device.write_text(json.dumps(SIGNALLING))
+        game = _game_file(tmp_path / "game.json")
+        out = tmp_path / "records.jsonl"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli("--output", str(out), *argv.format(
+                device=device, game=game).split()) == EXIT_OK
+        records = [strip_volatile(r) for r in read_records(out)]
+        for rec in records:
+            if rec.get("game") == str(game):
+                rec["game"] = game.name
+        return records
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_records(self, tmp_path, name):
+        argv, digest = self.CASES[name]
+        assert _records_digest(self.records(tmp_path, argv)) == digest

@@ -251,8 +251,7 @@ class TestPartiallyTrusted:
     def test_trusted_pair_anticommutes(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            beh = random_partially_trusted(
-                rng, 0.6, 0.2, device_half_dim=int(rng.integers(1, 3)))
+            beh = random_partially_trusted(rng, 0.6, 0.2)
             t0, t1 = beh.trusted_pair
             assert np.max(np.abs(t0 @ t1 + t1 @ t0)) < 1e-9
             d = t0.shape[0]

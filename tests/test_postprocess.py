@@ -292,9 +292,9 @@ class TestQueuedStream:
 class TestCrossFeed:
     STAGES = [
         CrossFeedStage(N=10_000, q=0.5, eta=0.002, kappa=2.6, epsilon_exp=20,
-                       m_out=64, ext_error_exp=20),
+                       m_out=64),
         CrossFeedStage(N=11_000, q=0.5, eta=0.002, kappa=2.6, epsilon_exp=20,
-                       m_out=128, ext_error_exp=20),
+                       m_out=128),
     ]
 
     def test_two_stage_run(self):
@@ -325,17 +325,19 @@ class TestCrossFeed:
 
     @settings(max_examples=6, deadline=None)
     @given(stages=st.lists(st.tuples(st.sampled_from([10_000, 12_000]),
-                                     st.integers(10, 20), st.integers(1, 32),
-                                     st.integers(3, 10)),
+                                     st.integers(10, 20), st.integers(1, 32)),
                            min_size=1, max_size=2),
-           label=st.integers(0, 10**6))
-    def test_ledger_totals_are_entry_sums(self, stages, label):
+           ext_error_exp=st.integers(3, 10), label=st.integers(0, 10**6))
+    def test_ledger_totals_are_entry_sums(self, stages, ext_error_exp, label):
         dev = ghz_honest_device()
-        res = cross_feed(
-            ghz_game(), ghz_constants(), dev, dev,
-            [CrossFeedStage(N=n, q=0.5, eta=0.002, kappa=2.6, epsilon_exp=e,
-                            m_out=m, ext_error_exp=x) for n, e, m, x in stages],
-            parse_master_seed(f"{label:x}"))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(postprocess, "EXT_ERROR_EXP", ext_error_exp)
+            res = cross_feed(
+                ghz_game(), ghz_constants(), dev, dev,
+                [CrossFeedStage(N=n, q=0.5, eta=0.002, kappa=2.6, epsilon_exp=e,
+                                m_out=m) for n, e, m in stages],
+                parse_master_seed(f"{label:x}"))
+        assert {s.extractor.ext_error_exp for s in res.stages} == {ext_error_exp}
         led = res.ledger
         assert len(led.entries) == len(stages)
         assert led.total_soundness == sum(e.soundness for e in led.entries)

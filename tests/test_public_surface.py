@@ -35,7 +35,9 @@ KEEP = {
     "eval_pg": "oracle for scoring_operator's entries, and the score "
                "polynomial whose modulus bounds eval_zg",
     "eval_zg": "oracle for optimal_score: the maximiser must attain the score",
-    "score_certificate": "certifies a claimed score, as analyze_game does",
+    "score_certificate": "certifies any claimed value with the grid that "
+                         "optimal_score certifies its own with; tests probe "
+                         "values below the optimum through it",
     "scoring_operator": "its tests pin the max-entry-modulus norm rule that "
                         "the trust check relies on",
     # entropy
@@ -50,15 +52,7 @@ KEEP = {
 }
 
 KEEP_KNOBS = {
-    "CategoricalSampler.block": "the decoder property tests need short "
-                                "blocks to reach the 4096-symbol reset",
-    "random_partially_trusted.device_half_dim": "the only source of dq = 4 "
-                                                "devices for the stack tests",
-    "trust_coefficient_search.samples": "gives tests a smaller sampling budget",
-    "eir_run.hash_family": "the short-seed hash family (ROADMAP) will set it",
     "main.argv": "tests drive the CLI in-process",
-    "CrossFeedStage.ext_error_exp": "the ledger tests vary the extractor "
-                                    "error that each stage's entry carries",
 }
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

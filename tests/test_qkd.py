@@ -198,14 +198,16 @@ class TestConfigValidation:
 
 
 class TestKeyRateReport:
-    def test_zero_leakage_hypothetical_equals_bound(self):
+    def test_reports_the_stored_count(self):
+        # run_rkd computes max(bound - leaked, 0) once; the report reads
+        # that count rather than recomputing it
         import dataclasses
 
         cfg = kd_config(10_000, 0.05)
         out = run(cfg, ghz_honest_device(), "zeroleak")
-        hypothetical = dataclasses.replace(out, leaked_bits=0)
-        rep = key_rate_report(hypothetical)
-        assert rep["certified_bits"] == pytest.approx(out.report.bound)
+        assert out.certified_bits == max(out.report.bound - out.leaked_bits, 0.0)
+        edited = dataclasses.replace(out, certified_bits=123.0)
+        assert key_rate_report(edited)["certified_bits"] == 123.0
 
     def test_ledger_recount(self):
         cfg = kd_config(10_000, 0.05)

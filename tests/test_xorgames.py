@@ -55,6 +55,15 @@ GHZ = ghz_game()
 CHSH = chsh_game()
 
 
+def search_with(game, spec, **kw):
+    """trust_coefficient_search under the sampling budget spec, or its own
+    budget when spec is None."""
+    with pytest.MonkeyPatch.context() as patch:
+        if spec is not None:
+            patch.setattr(xorgames, "_SEARCH_SAMPLES", spec)
+        return trust_coefficient_search(game, **kw)
+
+
 def all_plus_game():
     return XorGame.from_support(
         2, [("00", "0.25", 1), ("01", "0.25", 1), ("10", "0.25", 1), ("11", "0.25", 1)]
@@ -65,6 +74,17 @@ class TestGameConstruction:
     def test_prob_sum_enforced(self):
         with pytest.raises(ValueError):
             XorGame.from_support(2, [("00", "0.5", 1), ("01", "0.25", 1)])
+
+    def test_inexact_sum_rejected(self):
+        # the input decoder draws from the exact weights, so a sum that
+        # misses 1 by a rounding error is refused, stating the sum
+        thirds = [(bits, "0.3333333333333333", 1) for bits in ("00", "01", "10")]
+        with pytest.raises(ValueError, match=r"sum to 9999999999999999/10{16}, "
+                                             r"not exactly 1.*\"1/3\""):
+            XorGame.from_support(2, thirds)
+        game = XorGame.from_support(2, [(bits, "1/3", 1)
+                                        for bits in ("00", "01", "10")])
+        assert sum(p for _, p, _ in game.entries) == 1
 
     def test_duplicate_input_rejected(self):
         with pytest.raises(ValueError):
@@ -672,19 +692,15 @@ class TestTrustCoefficient:
             _validate_anticommuter(2, m)
 
     def test_search_ghz_exceeds_014(self):
-        v = trust_coefficient_search(
-            GHZ,
-            samples=SamplingSpec(grid_points=12, random_samples=500, multistarts=2),
-            classification="strong-self-test",
-        )
+        v = search_with(
+            GHZ, SamplingSpec(grid_points=12, random_samples=500, multistarts=2),
+            classification="strong-self-test")
         assert v >= 0.14
 
     def test_search_chsh_positive(self):
-        v = trust_coefficient_search(
-            CHSH,
-            samples=SamplingSpec(grid_points=16, random_samples=1000, multistarts=2),
-            classification="strong-self-test",
-        )
+        v = search_with(
+            CHSH, SamplingSpec(grid_points=16, random_samples=1000, multistarts=2),
+            classification="strong-self-test")
         assert 0.05 <= v <= np.sqrt(2) / 2
 
     def test_search_requires_strong_self_test(self):
@@ -1035,8 +1051,24 @@ class TestClosedFormSearch:
         (mermin4_game(), SamplingSpec(10, 500, 4), "0.1581796875"),
     ])
     def test_more_searched_bounds_pinned(self, game, spec, bound):
-        assert repr(trust_coefficient_search(
+        assert repr(search_with(
             game, spec, classification="strong-self-test")) == bound
+
+    def test_search_samples_its_budget(self, monkeypatch):
+        # the budget is a module constant; every draw of the search, and of
+        # its descent, takes it
+        seen, draw = [], xorgames._trust_samples
+
+        def spy(game, samples):
+            seen.append(samples)
+            return draw(game, samples)
+        monkeypatch.setattr(xorgames, "_trust_samples", spy)
+        spec = SamplingSpec(6, 50, 2, seed=5)
+        search_with(GHZ, spec, classification="strong-self-test")
+        assert len(seen) >= 2 and all(s is spec for s in seen)
+        seen.clear()
+        search_with(GHZ, None, classification="strong-self-test")
+        assert seen and all(s is xorgames._SEARCH_SAMPLES for s in seen)
 
     @pytest.mark.parametrize("name, grid, rand, starts, seed, bound",
                              BISECTION_BOUNDS)
@@ -1047,8 +1079,7 @@ class TestClosedFormSearch:
         game = REPLAY_GAMES[name]
         spec = SamplingSpec(grid, rand, starts, seed)
         old = float(bound)
-        new = trust_coefficient_search(game, spec,
-                                       classification="strong-self-test")
+        new = search_with(game, spec, classification="strong-self-test")
         assert new <= old
         if new < old:
             dense = SamplingSpec(24 if game.n <= 3 else 10, 2000, 8)
