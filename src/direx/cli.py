@@ -46,6 +46,7 @@ from .recon import (
 )
 from .seeding import numpy_rng, parse_master_seed, substream
 from .xorgames import (
+    _BUILTINS,
     SamplingSpec,
     ghz_anticommuter,
     ghz_game,
@@ -490,10 +491,17 @@ def _add_epsilon_exp(parser, default: float):
                         help="smoothing parameter epsilon = 2**-value")
 
 
+def _game_name(text: str) -> str:
+    """--game as parsed: a built-in game's name in lower case, the way
+    load_game reads it, so GHZ and ghz give one run and one record; any
+    other text names a game file and is kept as typed."""
+    return text.lower() if text.lower() in _BUILTINS else text
+
+
 def _add_device_flags(parser):
     """The one --game/--device/--device-config/--noise group, for the
     commands that play a device (simulate, qkd, expand)."""
-    parser.add_argument("--game", default="ghz")
+    parser.add_argument("--game", type=_game_name, default="ghz")
     parser.add_argument("--device", default="honest",
                         choices=("honest", "noisy"))
     parser.add_argument("--device-config", default=None)
@@ -514,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="cmd", required=True)
 
     r = sub.add_parser("rate", help="certified rate report")
-    r.add_argument("--game", default="ghz")
+    r.add_argument("--game", type=_game_name, default="ghz")
     r.add_argument("--eta", type=float, required=True)
     r.add_argument("--N", type=int, default=10**6)
     r.add_argument("--q", type=float, default=None)
@@ -531,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_simulate)
 
     t = sub.add_parser("trust", help="trust-coefficient certification")
-    t.add_argument("--game", default="ghz")
+    t.add_argument("--game", type=_game_name, default="ghz")
     t.add_argument("--c", type=float, required=True)
     t.add_argument("--grid", type=int, default=64)
     t.add_argument("--samples", type=int, default=10_000)

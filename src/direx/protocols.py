@@ -73,6 +73,23 @@ _LAW_CACHE_SIZE = 32           # decoder tables kept per process
 _POWER_TABLE_BITS = 32         # longer bases compute their powers on use
 
 
+def _draw(sampler) -> int:
+    """Emit the next symbol index, drawing bits only as needed."""
+    return sampler._next()
+
+
+class _Draw:
+    """CategoricalSampler.sample.  Read on a sampler, it is the decoding
+    generator's bound ``__next__``, so a call adds no Python frame per
+    symbol.  Read on the class, it is the plain function _draw, so
+    ``CategoricalSampler.sample(s)`` draws from s too, and a wrapper set on
+    the class in its place sees every draw at the cost of one function
+    call."""
+
+    def __get__(self, sampler, owner=None):
+        return _draw if sampler is None else sampler._next
+
+
 class CategoricalSampler:
     """Exact sampler over a rational distribution via arithmetic decoding.
 
@@ -176,9 +193,7 @@ class CategoricalSampler:
         """Bits this sampler has drawn from its stream so far."""
         return self._count[0]
 
-    def sample(self) -> int:
-        """Emit the next symbol index, drawing bits only as needed."""
-        return self._next()
+    sample = _Draw()
 
 
 @functools.lru_cache(maxsize=_LAW_CACHE_SIZE)
@@ -419,7 +434,8 @@ def biased_bit_sampler(q, stream: BitStream, N: int):
     check_domain("q", qf, "q")
     sampler = CategoricalSampler([1 - qf, qf], stream)
     before = stream.consumed
-    bits = [sampler.sample() for _ in range(N)]
+    draw = sampler.sample
+    bits = [draw() for _ in range(N)]
     return bits, stream.consumed - before
 
 

@@ -128,8 +128,9 @@ def run_rkd(config: KdConfig, behavior, seed_stream: BitStream,
     disagreements = int(np.count_nonzero(alice_bits != bob_bits))
     # everything the eavesdropper saw on the public channel, verbatim
     games = np.flatnonzero(tr.g)
+    labels = [format(o, f"0{game.n}b") for o in range(1 << game.n)]
     public = {"game_round_outputs": [
-        (i, format(o, f"0{game.n}b"))
+        (i, labels[o])
         for i, o in zip(games.tolist(), tr.outputs[games].tolist())]}
     outcome = partial(KdOutcome, disagreements=disagreements,
                       wins=config.N - tr.failures - disagreements,

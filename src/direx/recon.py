@@ -209,6 +209,14 @@ class LinearCode:
     def block_length(self) -> int:
         return self.length // self.interleave
 
+    @functools.cached_property
+    def packed_rows(self) -> np.ndarray:
+        """The check matrix with each row packed into bytes (np.packbits),
+        computed on first use and held by this code, read-only."""
+        rows = np.packbits(self.check_matrix, axis=1)
+        rows.setflags(write=False)
+        return rows
+
     def supported_lambda(self) -> float:
         """Largest disagreement parameter this code's radius backs:
         1/2 - radius/length."""
@@ -221,10 +229,13 @@ class LinearCode:
 
 
 def syndrome(code: LinearCode, word) -> np.ndarray:
+    """H·w mod 2 as uint8, reading each entry of w mod 2: a check's parity
+    is the popcount of its packed row ANDed with the packed word."""
     w = np.asarray(word, dtype=np.uint8)
     if w.shape != (code.length,):
         raise ValueError(f"word length {w.shape} does not match code length {code.length}")
-    return (code.check_matrix @ w) % 2
+    hits = code.packed_rows & np.packbits(w & 1)
+    return np.bitwise_count(np.bitwise_xor.reduce(hits, axis=1)) & 1
 
 
 def verify_min_distance(code: LinearCode) -> int:

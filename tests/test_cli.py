@@ -929,6 +929,26 @@ class TestSimulatedDeviceRecord:
         assert summary["bound_exceeded"] is False
 
 
+class TestBuiltinGameSpelling:
+    """A built-in game's name in any case plays the game's built-in device
+    and gives the records of its lower-case name."""
+
+    @pytest.mark.parametrize("argv", [
+        "simulate --game {} --N 300 --q 0.1 --eta 0.05 --trials 2",
+        "qkd --game {} --N 1000 --q 0.1",
+        "expand --game {} --stage-rounds 10000 --stage-bits 64",
+    ])
+    def test_upper_case_name_gives_the_same_records(self, tmp_path, argv):
+        runs = {}
+        for name in ("GHZ", "ghz"):
+            out = tmp_path / f"{name}.jsonl"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run_cli("--output", str(out),
+                               *argv.format(name).split()) == EXIT_OK
+            runs[name] = [strip_volatile(r) for r in read_records(out)]
+        assert runs["GHZ"] == runs["ghz"] != []
+
+
 def _records_digest(records) -> str:
     return hashlib.sha256(
         json.dumps(records, sort_keys=True).encode()).hexdigest()

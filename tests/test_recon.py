@@ -65,11 +65,19 @@ class TestSyndrome:
             (syndrome(code, x) + syndrome(code, y)) % 2, syndrome(code, x ^ y))
 
     def test_against_dense_multiply(self):
-        code = bch_15_5()
+        # lengths 15, 10^4, 105 and 1003 (not a multiple of 8); uint8 words
+        # with entries past 1 read each entry mod 2
         rng = np.random.default_rng(1)
-        w = rng.integers(0, 2, 15).astype(np.uint8)
-        brute = np.array([int(row @ w) % 2 for row in code.check_matrix])
-        assert np.array_equal(syndrome(code, w), brute)
+        for code in (bch_15_5(), hamming_code(10**4),
+                     interleaved(bch_15_5(), 7), hamming_code(1003)):
+            h = code.check_matrix
+            for high in (2, 256):
+                for _ in range(5):
+                    w = rng.integers(0, high, code.length).astype(np.uint8)
+                    s = syndrome(code, w)
+                    assert s.dtype == np.uint8
+                    assert np.array_equal(
+                        s, (h.astype(int) @ w.astype(int)) % 2), code.name
 
 
 class TestUniqueDecode:

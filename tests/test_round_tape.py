@@ -7,6 +7,7 @@ tape: same symbols, same bits consumed, same device outputs.
 """
 
 import hashlib
+import inspect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -300,6 +301,38 @@ class TestSamplerAgainstReference:
                 runs.append(([sampler.sample() for _ in range(3000)],
                              stream.consumed))
             assert runs[0] == runs[1]
+
+
+class TestSampleDescriptor:
+    """sample is the generator's own __next__ on a sampler, and a wrapper
+    set on the class still sees every draw of the round loop."""
+
+    def test_class_wrapper_sees_every_draw(self, monkeypatch):
+        calls = [0]
+        original = CategoricalSampler.sample
+
+        def counted(sampler):
+            calls[0] += 1
+            return original(sampler)
+        monkeypatch.setattr(CategoricalSampler, "sample", counted)
+        n = 2000
+        tr = protocols._play_rounds(
+            n, Fraction(1, 4), ghz_game().entries,
+            make_responder(ghz_honest_device()), substream(MASTER, "wrap"),
+            numpy_rng(MASTER, "wrap"))
+        games = int(np.count_nonzero(tr.g))
+        assert 0 < games < n
+        assert calls[0] == n + games
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_class_call_draws_as_the_instance(self, name):
+        weights = TABLES[name]
+        on_instance = CategoricalSampler(weights, substream(MASTER, "call"))
+        on_class = CategoricalSampler(weights, substream(MASTER, "call"))
+        assert inspect.isgenerator(on_instance.sample.__self__)
+        assert ([on_instance.sample() for _ in range(5000)]
+                == [CategoricalSampler.sample(on_class) for _ in range(5000)])
+        assert on_instance.consumed == on_class.consumed > 0
 
 
 class TestLawCache:
