@@ -55,9 +55,11 @@ EXACT_RUN_SLACK = 1e-8   # float tolerance of exact_small_run's inequality
 
 
 # the binary decoder's float shadow (see CategoricalSampler)
-_WORD = 64                     # seed bits peeked per decision
+_WORD = 30                     # seed bits in a read's word: the word,
+                               # t·2^30 and their XOR stay single-digit
+                               # ints
 _TWO_WORD = float(1 << _WORD)
-_MAX_READ = 48                 # longer reads take the exact step
+_WORD_MASK = (1 << _WORD) - 1
 _POW2 = [float(1 << r) for r in range(_WORD + 1)]
 _MAX_PENDING = 96              # emissions between commits
 _FRESH_ERR = 2.0 ** -50        # error of t per unit of |t| + 1 when rebuilt
@@ -115,11 +117,14 @@ class CategoricalSampler:
         position in the window, t = (a·U - L·den) / (W·den), and
         g = U / (W·den).  The loop emits slice 0 when t >= 1 and slice 1
         when t <= 0, reading nothing.  Otherwise it reads until the bits
-        leave t's binary expansion: r = (common prefix of the next seed
-        bits and t) + 1 bits, then emits the slice on the side of the last
-        bit.  A read of bits B maps t <- 2^r·t - B, g <- 2^r·g, exactly in
-        floats; emitting slice 0 maps g <- g·a/den, t <- t - (den - a)·g,
-        and slice 1 maps g <- g·(den - a)/den, t <- t + a·g.
+        leave t's binary expansion: r = (common prefix of t and the word,
+        the next 30 seed bits) + 1 bits, then emits the slice on the side
+        of the last bit.  The word comes straight off the stream's buffer,
+        and the r bits are drawn by moving the stream's cursor (see
+        BitStream).  A read of bits B maps t <- 2^r·t - B, g <- 2^r·g,
+        exactly in floats; emitting slice 0 maps g <- g·a/den,
+        t <- t - (den - a)·g, and slice 1 maps g <- g·(den - a)/den,
+        t <- t + a·g.
         eps bounds the float error of t and is kept as e = eps / g.  A
         rebuild from the integers is correctly rounded, so it starts at
         eps = 2^-50·(|t| + 1).  A read scales g and eps by 2^r and leaves e
@@ -128,8 +133,9 @@ class CategoricalSampler:
         so that term covers the rounding of t and of the step, whose g has
         a relative error of at most (2n + 1)·2^-53 after n emissions.  A
         decision is taken only when [t - eps, t + eps] avoids every dyadic
-        point of level r.  An uncertain decision or r > 48 takes one step
-        of the integer loop instead.
+        point of level r.  An uncertain decision, or a common prefix that
+        fills the word (r > 30), takes one step of the integer loop
+        instead.
         Pending steps, n emissions and R reads, commit in closed form:
             L <- L·den^n·2^R + W·den^n·B - U·2^R·Z
             W <- W·den^n,  U <- U·2^R·P
@@ -353,9 +359,8 @@ def _binary_symbols(count, stream, den, slices, powers, block):
     # an emission maps the error bound e (in units of g) to e·grow + add
     grow0, grow1 = den / a * _GROW, den / b * _GROW
     add = den * _STEP_ERR
-    peek, advance = stream.peek, stream.advance
-    commit_err, max_pending, max_read = _COMMIT_ERR, _MAX_PENDING, _MAX_READ
-    word_bits, two_word, pow2 = _WORD, _TWO_WORD, _POW2
+    commit_err, max_pending = _COMMIT_ERR, _MAX_PENDING
+    word_bits, word_mask, two_word, pow2 = _WORD, _WORD_MASK, _TWO_WORD, _POW2
     held = []
     while True:
         L, W, U = 0, 1, 1
@@ -378,39 +383,59 @@ def _binary_symbols(count, stream, den, slices, powers, block):
                 eps = e * g
             lo = t - eps
             if lo >= 1:
-                s = 0
-            elif t + eps <= 0:
-                s = 1
-            else:
-                # r = (common prefix of the next seed bits and t) + 1, or
-                # more than _MAX_READ when that prefix is too long to use
-                word = peek(word_bits)
-                r = word_bits + 1 - ((word ^ int(t * two_word)) | 1).bit_length()
+                # slice 0, reading nothing
+                n += 1
+                g *= scale0
+                t -= b * g
+                e = e * grow0 + add
+                yield sym0
+                continue
+            hi = t + eps
+            if hi <= 0:
+                # slice 1, reading nothing
+                n += 1
+                g *= scale1
+                t += a * g
+                e = e * grow1 + add
+                one(n)
+                yield sym1
+                continue
+            # the word: the next _WORD seed bits, off the stream's buffer;
+            # r = (common prefix of the word and t) + 1, past word_bits when
+            # that prefix fills the word
+            buffered = stream._buffered
+            if buffered < word_bits:
+                stream._refill(word_bits)
+                buffered = stream._buffered
+            word = (stream._buffer >> (buffered - word_bits)) & word_mask
+            r = word_bits + 1 - (word ^ int(t * two_word)).bit_length()
+            if r <= word_bits:
                 bits = word >> (word_bits - r)
                 edge = bits ^ 1  # t's own first r bits
                 scale = pow2[r]
-                if (r > max_read or not edge < lo * scale
-                        or not (t + eps) * scale < edge + 1):
-                    # uncertain: commit exactly, take the exact step, rebuild
-                    if D:
-                        L, W, U = _replay(held, powers)
-                        D = 0
-                    L, W, U = yield from _exact_symbols(
-                        count, stream, den, slices, 1,
-                        *_commit(L, W, U, powers, n, R, B, ones))
-                    n = R = B = 0
-                    ones.clear()
-                    t, g, e = _shadow(L, W, U, den, a)
-                    continue
-                advance(r)
-                count[0] += r
-                B = (B << r) | bits
-                R += r
-                t = t * scale - bits
-                g *= scale
-                s = bits & 1
+            if (r > word_bits or not edge < lo * scale
+                    or not hi * scale < edge + 1):
+                # uncertain: commit exactly, take the exact step, rebuild
+                if D:
+                    L, W, U = _replay(held, powers)
+                    D = 0
+                L, W, U = yield from _exact_symbols(
+                    count, stream, den, slices, 1,
+                    *_commit(L, W, U, powers, n, R, B, ones))
+                n = R = B = 0
+                ones.clear()
+                t, g, e = _shadow(L, W, U, den, a)
+                continue
+            # draw the r bits: move the stream's cursor past them
+            stream._buffered = buffered - r
+            stream.consumed += r
+            count[0] += r
+            B = (B << r) | bits
+            R += r
+            t = t * scale - bits
+            g *= scale
             n += 1
-            if s:
+            if bits & 1:
                 g *= scale1
                 t += a * g
                 e = e * grow1 + add

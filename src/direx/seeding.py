@@ -36,13 +36,19 @@ class BitStream:
         Bits served, in order, before the label's own bits (a cross-feed
         stage's seed is the previous stage's output).  They count towards
         ``consumed`` like any other bit.
+
+    The cursor rule, which ``take``, ``take_bits`` and the two-slice decoder
+    of ``protocols`` all keep: the unread bits are the low ``_buffered``
+    bits of ``_buffer``, and a draw of k bits lowers ``_buffered`` by k and
+    raises ``consumed`` by k.  ``_refill(k)`` appends hash blocks until at
+    least k bits are unread, and moves no bit past the cursor.
     """
 
     def __init__(self, master: bytes, label: str, queued=()):
         self._prefix = master + label.encode("utf-8")
         self._counter = 0
-        # the unread bits are the low _buffered bits of _buffer; the bits
-        # above them are already drawn and are masked off on refill
+        # the bits above the unread ones are already drawn and are masked
+        # off on refill
         queued = np.asarray(queued, dtype=np.uint8)
         self._buffered = queued.size
         self._buffer = (int.from_bytes(np.packbits(queued).tobytes(), "big")
@@ -69,22 +75,6 @@ class BitStream:
         self._buffered -= k
         self.consumed += k
         return (self._buffer >> self._buffered) & ((1 << k) - 1)
-
-    def peek(self, k: int) -> int:
-        """The next k bits as an integer, without drawing them: peeked
-        bits count only once advance draws them."""
-        if self._buffered < k:
-            self._refill(k)
-        return (self._buffer >> (self._buffered - k)) & ((1 << k) - 1)
-
-    def advance(self, k: int):
-        """Draw k bits without returning them (after a peek of at least k)."""
-        if k < 0:
-            raise ValueError("cannot draw a negative number of bits")
-        if self._buffered < k:
-            self._refill(k)
-        self._buffered -= k
-        self.consumed += k
 
     def take_bits(self, k: int) -> np.ndarray:
         """Draw k bits and return them as a uint8 array of 0/1 in draw order."""

@@ -1,4 +1,5 @@
 import hashlib
+from itertools import product
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from direx.devices import (
     PAULI_X,
     PAULI_Y,
     PartiallyTrustedBehavior,
+    ResponseTable,
     ghz_honest_device,
     random_partially_trusted,
 )
@@ -23,6 +25,7 @@ from direx.protocols import (
     completeness_error_bound,
     conditional_environment_states,
     exact_small_run,
+    make_responder,
     monte_carlo,
     partial_trust_checks,
     run_protocol_r,
@@ -31,7 +34,7 @@ from direx.protocols import (
 )
 from direx.rates import worst_case_rate
 from direx.seeding import numpy_rng, parse_master_seed, substream
-from direx.xorgames import ghz_game
+from direx.xorgames import classical_optimum, ghz_game
 
 MASTER = parse_master_seed("be" * 32)
 GAME = ghz_game()
@@ -207,6 +210,35 @@ class TestMonteCarlo:
         serial = monte_carlo(cfg, noisy, 8, MASTER, workers=1)
         parallel = monte_carlo(cfg, noisy, 8, MASTER, workers=2)
         assert serial.records == parallel.records
+
+
+class TestLocalStrategies:
+    def test_no_local_ghz_strategy_beats_the_classical_optimum(self):
+        # each component maps its own input bit to an output bit in one of
+        # 4 ways: 4^3 = 64 local deterministic strategies, each answering
+        # every game input (the all-zero generation input is one of them)
+        # through make_responder
+        inputs = tuple(bits for bits, _, _ in GAME.entries)
+        assert (0, 0, 0) in inputs
+        maps = list(product((0, 1), repeat=2))  # (output on 0, output on 1)
+        wins = []
+        for strategy in product(maps, repeat=3):
+            table = ResponseTable(n=3, entries={
+                (None, bits): tuple(f[x] for f, x in zip(strategy, bits))
+                for bits in inputs})
+            responder = make_responder(AdversarialBehavior(n=3, program=table))
+            outputs = responder(inputs, np.arange(len(inputs)), None)
+            assert [int(o) for o in outputs] == [
+                int("".join(map(str, table.entries[(None, bits)])), 2)
+                for bits in inputs]
+            # scored exactly: a game input is won when the output parity
+            # is (1 - sign) / 2
+            wins.append(sum((p for (_, p, sign), out
+                             in zip(GAME.entries, outputs.tolist())
+                             if out.bit_count() % 2 == (1 - sign) // 2),
+                            Fraction(0)))
+        assert len(wins) == 64
+        assert max(wins) == Fraction(3, 4) == classical_optimum(GAME)
 
 
 class TestSymbolEncoding:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from direx.errors import InfeasibleError
@@ -28,6 +28,8 @@ from direx.rates import (
     worst_case_rate,
 )
 from direx.xorgames import chsh_constants, ghz_constants
+
+import oracle
 
 
 def pi_oracle(eps, delta):
@@ -190,6 +192,52 @@ class TestOneRoundRate:
         p = RateParams(v=0.14, h=0.0, eta=0.01, q=0.01, kappa=0.1, r=1.0)
         assert one_round_rate(p.v, p.h, p.q, p.kappa, p.r, 0.1) == pytest.approx(
             one_round_rate(0.14, 0.0, 0.01, 0.1, 1.0, 0.1))
+
+
+# gamma (the exponent's eps) from 1e-12 to 1 on a log scale, and a delta
+# or failure parameter anywhere in [0, 1] or within 1e-15 to 0.1 of 0, 1/2
+# and 1
+_GAMMAS = st.floats(-12.0, 0.0).map(lambda x: 10.0 ** x)
+_NEAR = st.floats(-15.0, -1.0).map(lambda x: 10.0 ** x)
+_POINTS = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0]),
+                    _NEAR, _NEAR.map(lambda x: 0.5 - x),
+                    _NEAR.map(lambda x: 0.5 + x), _NEAR.map(lambda x: 1.0 - x))
+# relative bound on the kernels' float error; where a value passes through
+# 0 it is a difference of terms of order 1, so there the error is a few
+# ulps of 1 (5.7e-16 measured) and the floor covers it
+_ORACLE_REL, _ORACLE_FLOOR = 1e-12, 2e-15
+
+
+def _near_oracle(got, want) -> bool:
+    want = float(want)
+    return abs(got - want) <= _ORACLE_REL * abs(want) + _ORACLE_FLOOR
+
+
+class TestAgainstOracle:
+    """The rate kernels against 50-digit mpmath forms of their formulas
+    (tests/oracle.py).  The worst relative errors measured are 1.4e-13
+    for the exponent and 6.0e-13 for the rate; exp - 1 in place of expm1
+    reads 4.2e-7 at small gamma."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(gamma=_GAMMAS, delta=_POINTS)
+    @example(gamma=1e-12, delta=0.2)
+    @example(gamma=1.0, delta=0.5)
+    def test_uncertainty_exponent(self, gamma, delta):
+        assert _near_oracle(uncertainty_exponent(gamma, delta),
+                            oracle.uncertainty_exponent(gamma, delta))
+
+    @settings(max_examples=150, deadline=None)
+    @given(gamma=_GAMMAS, t=_POINTS, v=st.floats(0.05, 1.0),
+           h_share=st.floats(0.0, 1.0), q=st.floats(1e-3, 0.9),
+           kappa=st.floats(0.05, 3.0))
+    @example(gamma=1e-12, t=0.1, v=0.14, h_share=0.0, q=0.05, kappa=2.64)
+    def test_one_round_rate(self, gamma, t, v, h_share, q, kappa):
+        h = h_share * (1.0 - v)
+        r = gamma / (q * kappa)
+        assume(r * q * kappa <= 1.0)
+        assert _near_oracle(one_round_rate(v, h, q, kappa, r, t),
+                            oracle.one_round_rate(v, h, q, kappa, r, t))
 
 
 class TestWorstCaseRate:

@@ -190,6 +190,31 @@ class TestSamplerAgainstReference:
             assert runs[0] == runs[1]
         assert commits[0] > 100 and exact[0] > 100
 
+    @pytest.mark.parametrize("follow, exact_steps", [(40, 1), (30, 1), (29, 0)])
+    def test_read_at_the_word_edge(self, monkeypatch, follow, exact_steps):
+        # on [1/3, 2/3], t starts at 1/3 = 0.0101...(base 2); the queued
+        # bits follow that expansion for `follow` bits and then leave it.
+        # A common prefix that fills the 30-bit word takes the exact step;
+        # one bit shorter is the longest read the floats decide.
+        assert protocols._WORD == 30
+        exact = _count_calls(monkeypatch, "_exact_symbols")
+        weights = [Fraction(1, 3), Fraction(2, 3)]
+        expansion = [k % 2 for k in range(40)]
+        queue = expansion[:follow] + [1 - b for b in expansion[follow:]]
+        runs = []
+        for make in (ReferenceSampler, CategoricalSampler):
+            stream = substream(MASTER, "edge", queued=queue)
+            sampler = make(weights, stream)
+            symbols = [sampler.sample()]
+            if make is CategoricalSampler:
+                assert exact[0] == exact_steps
+            symbols += [sampler.sample() for _ in range(300)]
+            runs.append((symbols, stream.consumed))
+        assert runs[0] == runs[1]
+        if follow < len(queue):
+            # the first bit off the expansion puts the real on its side
+            assert runs[1][0][0] == queue[follow]
+
     @settings(max_examples=15, deadline=None)
     @given(first=binary_tables, second=st.one_of(binary_tables, distributions),
            draws=st.integers(1, 9000), keep=st.integers(64, 256),
@@ -433,36 +458,66 @@ class TestCommitTables:
         assert protocols._commit(5, 7, 19, powers, 0, 0, 0, []) == (5, 7, 19)
 
 
+class _HashStream:
+    """The bits a stream must serve, built apart from BitStream: the queued
+    bits, then SHA-256(master || label || counter) for counter = 0, 1, 2,
+    ..., served one list slice per take."""
+
+    def __init__(self, label, queued):
+        self._prefix = MASTER + label.encode()
+        self._bits = list(queued)
+        self._blocks = 0
+        self.consumed = 0
+
+    def take(self, k):
+        while len(self._bits) < self.consumed + k:
+            digest = hashlib.sha256(
+                self._prefix + self._blocks.to_bytes(8, "big")).digest()
+            self._bits += [int(b) for byte in digest for b in f"{byte:08b}"]
+            self._blocks += 1
+        bits = self._bits[self.consumed:self.consumed + k]
+        self.consumed += k
+        return int("".join(map(str, bits)), 2) if bits else 0
+
+
+_STREAM_OPS = st.lists(st.one_of(
+    st.tuples(st.just("sample"), st.integers(1, 60)),
+    st.tuples(st.sampled_from(["take", "take_bits"]), st.integers(0, 600))),
+    max_size=25)
+
+
 class TestStreamReads:
     @settings(max_examples=60, deadline=None)
-    @given(queue=st.lists(st.integers(0, 1), max_size=1500),
-           reads=st.lists(st.tuples(st.integers(0, 2000), st.integers(0, 2000)),
-                          max_size=30),
+    @given(queue=st.lists(st.integers(0, 1), max_size=700),
+           weights=binary_tables, ops=_STREAM_OPS,
            label=st.integers(0, 10**6))
-    def test_peek_and_advance_match_take(self, queue, reads, label):
-        """take(k), and peek(k) followed by advance(j) for j <= k, walk the
-        queued bits and then SHA-256(master || label || counter) for counter
-        = 0, 1, 2, ...; reads span several 256-bit hash blocks and cross the
-        end of the queue."""
+    def test_decoder_reads_interleave_with_take(self, queue, weights, ops,
+                                                label):
+        """A two-slice sampler, which reads its words off the stream's
+        buffer and draws by moving the cursor, and take and take_bits on
+        the same stream walk the queued bits and then the hash blocks:
+        the same symbols as ReferenceSampler on a stream built apart, the
+        same bits from every take, and the same consumed after every draw.
+        Reads cross the end of the queue and 256-bit refills."""
         stream = substream(MASTER, f"reads/{label}", queued=queue)
-        prefix = MASTER + f"reads/{label}".encode()
-        blocks = sum(max(k, j) for k, j in reads) // 256 + 1
-        expect = queue + [int(b) for b in "".join(
-            f"{byte:08b}" for c in range(blocks)
-            for byte in hashlib.sha256(prefix + c.to_bytes(8, "big")).digest())]
-        at = 0
-        for k, j in reads:
-            bits = expect[at:at + k]
-            want = int("".join(map(str, bits)), 2) if bits else 0
-            if j > k:
-                assert stream.take(k) == want
-                at += k
-            else:
-                assert stream.peek(k) == want
-                assert stream.consumed == at
-                stream.advance(j)
-                at += j
-            assert stream.consumed == at
+        sampler = CategoricalSampler(weights, stream)
+        expect = _HashStream(f"reads/{label}", queue)
+        reference = ReferenceSampler(weights, expect)
+        decoded = 0
+        for op, k in ops:
+            for _ in range(k if op == "sample" else 1):
+                before = stream.consumed
+                if op == "sample":
+                    assert sampler.sample() == reference.sample()
+                    decoded += stream.consumed - before
+                elif op == "take":
+                    assert stream.take(k) == expect.take(k)
+                else:
+                    want = expect.take(k)
+                    assert stream.take_bits(k).tolist() == [
+                        (want >> (k - 1 - i)) & 1 for i in range(k)]
+                assert stream.consumed == expect.consumed
+        assert sampler.consumed == decoded
 
 
 def _reference_take_bits(stream, k):
@@ -476,7 +531,7 @@ def _misalign(stream, reads):
         getattr(stream, op)(k)
 
 
-_READS = st.lists(st.tuples(st.sampled_from(["take", "advance"]),
+_READS = st.lists(st.tuples(st.sampled_from(["take", "take_bits"]),
                             st.integers(0, 40).map(lambda k: 2 * k + 1)),
                   max_size=6)
 
