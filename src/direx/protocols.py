@@ -108,11 +108,12 @@ class CategoricalSampler:
     (``_exact_symbols``); the table alone picks one:
 
     (a) Uniform 2^k tables (every positive slice one unit wide, den = 2^k)
-        return the positive slice that ``stream.take(k)`` names.  From a
-        state c·(0, 1, 1) the window spans more than one slice until k bits
-        are read; after exactly k bits it is one slice, and emitting it
-        gives a state c'·(0, 1, 1) again.  Block resets give (0, 1, 1), so
-        every symbol is one k-bit take.
+        draw the next k seed bits by moving the stream's cursor past them
+        (see BitStream), with no method call, and return the positive
+        slice they name.  From a state c·(0, 1, 1) the window spans more
+        than one slice until k bits are read; after exactly k bits it is
+        one slice, and emitting it gives a state c'·(0, 1, 1) again.  Block
+        resets give (0, 1, 1), so every symbol is one k-bit draw.
     (b) Two-slice tables [0, a) and [a, den) decide on floats: the cut's
         position in the window, t = (a·U - L·den) / (W·den), and
         g = U / (W·den).  The loop emits slice 0 when t >= 1 and slice 1
@@ -275,11 +276,17 @@ def _exact_blocks(count, stream, den, slices, block):
 
 
 def _uniform_symbols(count, stream, k, symbols):
-    take = stream.take
+    mask = (1 << k) - 1
     while True:
-        v = take(k)
+        # draw k bits: move the stream's cursor past them (see BitStream)
+        buffered = stream._buffered
+        if buffered < k:
+            stream._refill(k)
+            buffered = stream._buffered
+        buffered -= k
+        stream._buffered = buffered
         count[0] += k
-        yield symbols[v]
+        yield symbols[(stream._buffer >> buffered) & mask]
 
 
 def _commit(L, W, U, powers, n, R, B, ones):
@@ -428,7 +435,6 @@ def _binary_symbols(count, stream, den, slices, powers, block):
                 continue
             # draw the r bits: move the stream's cursor past them
             stream._buffered = buffered - r
-            stream.consumed += r
             count[0] += r
             B = (B << r) | bits
             R += r
@@ -645,6 +651,9 @@ def _play_rounds(N: int, q, table, responder, seed_stream: BitStream,
         if sample_g():
             games.append(i)
             picks.append(sample_input())
+    # one conversion each; the dtypes hold when no round is a game round
+    games = np.array(games, dtype=np.intp)
+    picks = np.array(picks, dtype=np.int64)
     inputs = [bits for bits, _, _ in table]
     zero = tuple([0] * len(inputs[0]))
     if zero not in inputs:

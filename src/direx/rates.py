@@ -187,7 +187,13 @@ def _rate(am1, scale, gamma, pass_weight, test_weight, honest0, honest1, t,
 
 
 def one_round_rate(v, h, q, kappa, r, t):
-    """Per-round divergence-decay exponent at known failure parameter t.
+    """Per-round divergence-decay exponent at known failure parameter t:
+
+        -log2((1-q)·2^(-γ·X(t))
+              + q·(1 - (1 - 2^-κ)·((h/2)^(1+γ) + v^(1+γ)·t))) / γ,
+
+    with γ = r·q·κ and X(t) = uncertainty_exponent(γ, t), the uncertainty
+    exponent at ε = γ and δ = t.
 
     Computed in expm1/log1p form so the tiny-gamma regime keeps full
     precision.  Vectorized over t.

@@ -37,11 +37,14 @@ class BitStream:
         stage's seed is the previous stage's output).  They count towards
         ``consumed`` like any other bit.
 
-    The cursor rule, which ``take``, ``take_bits`` and the two-slice decoder
-    of ``protocols`` all keep: the unread bits are the low ``_buffered``
-    bits of ``_buffer``, and a draw of k bits lowers ``_buffered`` by k and
-    raises ``consumed`` by k.  ``_refill(k)`` appends hash blocks until at
-    least k bits are unread, and moves no bit past the cursor.
+    The cursor rule, which ``take``, ``take_bits`` and both decoders of
+    ``protocols`` (uniform and two-slice) keep: the unread bits are the low
+    ``_buffered`` bits of ``_buffer``, and a draw of k bits lowers
+    ``_buffered`` by k, its one store.  ``_refill(k)`` appends hash blocks
+    until at least k bits are unread, adds them to ``_supplied`` (the bits
+    supplied: the queued ones and 256 per hash block), and moves no bit
+    past the cursor.  So ``consumed``, the bits drawn, is ``_supplied``
+    less ``_buffered``.
     """
 
     def __init__(self, master: bytes, label: str, queued=()):
@@ -50,10 +53,14 @@ class BitStream:
         # the bits above the unread ones are already drawn and are masked
         # off on refill
         queued = np.asarray(queued, dtype=np.uint8)
-        self._buffered = queued.size
+        self._buffered = self._supplied = queued.size
         self._buffer = (int.from_bytes(np.packbits(queued).tobytes(), "big")
                         >> (-queued.size % 8))
-        self.consumed = 0
+
+    @property
+    def consumed(self) -> int:
+        """Bits drawn from this stream so far."""
+        return self._supplied - self._buffered
 
     def _refill(self, k: int):
         """Append the hash blocks a k-bit read still needs, in one shift."""
@@ -65,6 +72,7 @@ class BitStream:
         self._buffer = (((self._buffer & ((1 << self._buffered) - 1))
                          << (256 * blocks)) | int.from_bytes(fresh, "big"))
         self._buffered += 256 * blocks
+        self._supplied += 256 * blocks
 
     def take(self, k: int) -> int:
         """Draw k bits and return them as an integer (big-endian)."""
@@ -73,7 +81,6 @@ class BitStream:
         if self._buffered < k:
             self._refill(k)
         self._buffered -= k
-        self.consumed += k
         return (self._buffer >> self._buffered) & ((1 << k) - 1)
 
     def take_bits(self, k: int) -> np.ndarray:

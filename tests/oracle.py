@@ -22,8 +22,8 @@ def uncertainty_exponent(eps, delta):
 
 
 def one_round_rate(v, h, q, kappa, r, t):
-    """The one-round rate of rates.one_round_rate at failure parameter t:
-    -log2(B) / gamma with gamma = r q kappa and
+    """The closed form in the docstring of rates.one_round_rate, at
+    failure parameter t: -log2(B) / gamma with gamma = r q kappa and
 
         B = (1-q) 2^(-gamma X) + q (1 - (1 - 2^-kappa) ((h/2)^(1+gamma)
             + v^(1+gamma) t)),

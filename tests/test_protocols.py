@@ -171,6 +171,21 @@ class TestProtocolR:
             run_protocol_r(cfg, beh, substream(MASTER, "r8"),
                            numpy_rng(MASTER, "d8"))
 
+    @pytest.mark.parametrize("N, q", [(0, Fraction(1, 2)),
+                                      (5, Fraction(1, 10**6))])
+    def test_columns_without_a_game_round(self, N, q):
+        """A run that draws no game round still gives N-long columns of
+        the tape's dtypes: its empty game and input columns index as
+        integers, not as float64 arrays."""
+        out = run_protocol_r(ghz_config(N, q, 0.01), ghz_honest_device(),
+                             substream(MASTER, "r9"), numpy_rng(MASTER, "d9"))
+        tr = out.transcript
+        assert not tr.g.any()
+        for column, dtype in ((tr.g, np.uint8), (tr.input_index, np.int64),
+                              (tr.codes, np.uint8)):
+            assert column.dtype == dtype and column.shape == (N,)
+        assert tr.input_bits_used == 0
+
 
 class TestMonteCarlo:
     def test_honest_zero_abort(self):

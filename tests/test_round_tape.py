@@ -14,7 +14,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from direx import protocols
@@ -486,30 +486,63 @@ _STREAM_OPS = st.lists(st.one_of(
     max_size=25)
 
 
+def _uniform_table(k, zero_at):
+    """The uniform table over 2^k slices, with a zero weight inserted at
+    zero_at when that is at most 2^k."""
+    weights = [Fraction(1, 2**k)] * 2**k
+    if zero_at <= 2**k:
+        weights.insert(zero_at, Fraction(0))
+    return weights
+
+
+# uniform 2^k tables, the cursor path of the uniform decoder
+uniform_tables = st.builds(_uniform_table, st.integers(1, 3),
+                           st.integers(0, 9))
+decoder_tables = st.one_of(binary_tables, uniform_tables)
+
+
 class TestStreamReads:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(queue=st.lists(st.integers(0, 1), max_size=700),
-           weights=binary_tables, ops=_STREAM_OPS,
+           first=decoder_tables, second=decoder_tables, ops=_STREAM_OPS,
            label=st.integers(0, 10**6))
-    def test_decoder_reads_interleave_with_take(self, queue, weights, ops,
-                                                label):
-        """A two-slice sampler, which reads its words off the stream's
-        buffer and draws by moving the cursor, and take and take_bits on
-        the same stream walk the queued bits and then the hash blocks:
-        the same symbols as ReferenceSampler on a stream built apart, the
-        same bits from every take, and the same consumed after every draw.
-        Reads cross the end of the queue and 256-bit refills."""
+    @example(queue=[1, 0, 1], first=[0, Fraction(1, 2), Fraction(1, 2)],
+             second=[Fraction(1, 4)] * 4,
+             ops=[("sample", 60), ("take", 5), ("sample", 60),
+                  ("take_bits", 300), ("sample", 60)], label=0)
+    def test_decoder_reads_interleave_with_take(self, queue, first, second,
+                                                ops, label):
+        """Two samplers, each reading its bits off the stream's buffer and
+        drawing by moving the cursor (a uniform or a two-slice table), and
+        take and take_bits on the same stream walk the queued bits and then
+        the hash blocks.  The second sampler draws after each nonzero
+        symbol of the first, as the round engine draws a game round's input
+        after its g bit.  Against ReferenceSamplers on a stream built apart:
+        the same symbols, the same bits from every take, the same consumed
+        on the stream after every draw, and on each sampler the bits it
+        drew.  Reads cross the end of the queue and 256-bit refills."""
         stream = substream(MASTER, f"reads/{label}", queued=queue)
-        sampler = CategoricalSampler(weights, stream)
+        samplers = [CategoricalSampler(first, stream),
+                    CategoricalSampler(second, stream)]
         expect = _HashStream(f"reads/{label}", queue)
-        reference = ReferenceSampler(weights, expect)
-        decoded = 0
+        references = [ReferenceSampler(first, expect),
+                      ReferenceSampler(second, expect)]
+        decoded = [0, 0]
+
+        def draw(j):
+            before = stream.consumed
+            symbol = samplers[j].sample()
+            assert symbol == references[j].sample()
+            decoded[j] += stream.consumed - before
+            assert stream.consumed == expect.consumed
+            assert samplers[j].consumed == decoded[j]
+            return symbol
+
         for op, k in ops:
             for _ in range(k if op == "sample" else 1):
-                before = stream.consumed
                 if op == "sample":
-                    assert sampler.sample() == reference.sample()
-                    decoded += stream.consumed - before
+                    if draw(0):
+                        draw(1)
                 elif op == "take":
                     assert stream.take(k) == expect.take(k)
                 else:
@@ -517,7 +550,7 @@ class TestStreamReads:
                     assert stream.take_bits(k).tolist() == [
                         (want >> (k - 1 - i)) & 1 for i in range(k)]
                 assert stream.consumed == expect.consumed
-        assert sampler.consumed == decoded
+        assert [s.consumed for s in samplers] == decoded
 
 
 def _reference_take_bits(stream, k):
