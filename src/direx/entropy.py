@@ -159,16 +159,13 @@ def dmax(rho, sigma) -> float:
 
 @dataclass(frozen=True)
 class MeasurementInstance:
-    """The four conditional operators of a qubit measurement on the far side
-    of an arbitrary correlation.
-
-    Built from a matrix mapping the input space into (environment x qubit);
-    the computational and diagonal splits both add back to the full state.
+    """The full state and three conditional operators of a qubit
+    measurement on the far side of an arbitrary correlation: the
+    1-outcome rho1 and the two diagonal outcomes, which add back to rho.
+    The 0-outcome is rho - rho1, and no check reads it.
     """
 
-    Z: np.ndarray
     rho: np.ndarray
-    rho0: np.ndarray
     rho1: np.ndarray
     rho_plus: np.ndarray
     rho_minus: np.ndarray
@@ -182,20 +179,19 @@ class MeasurementInstance:
 
 
 def measurement_split(Z) -> MeasurementInstance:
-    """Split a correlation matrix into its four conditional operators."""
+    """Split a correlation matrix, mapping the input space into
+    (environment x qubit), into the full state Z^H Z and the operators of
+    the qubit's 1-outcome and its two diagonal outcomes."""
     Z = np.asarray(Z, dtype=np.complex128)
     if Z.ndim != 2 or Z.shape[0] % 2 != 0:
         raise ValueError(
             f"matrix must map into (environment x qubit); got shape {Z.shape}")
     x = Z[0::2, :]
     y = Z[1::2, :]
-    rho = Z.conj().T @ Z
-    rho0 = x.conj().T @ x
-    rho1 = y.conj().T @ y
     plus = (x + y) / np.sqrt(2.0)
     minus = (x - y) / np.sqrt(2.0)
     return MeasurementInstance(
-        Z=Z, rho=rho, rho0=rho0, rho1=rho1,
+        rho=Z.conj().T @ Z, rho1=y.conj().T @ y,
         rho_plus=plus.conj().T @ plus, rho_minus=minus.conj().T @ minus,
     )
 
@@ -228,13 +224,16 @@ def uncertainty_check(inst: MeasurementInstance, epsilon: float) -> UncertaintyC
 
 
 @dataclass(frozen=True)
-class SchattenCheck:
+class InequalityCheck:
+    """One inequality lhs <= rhs, with its verdict: a Schatten check, or
+    an exact small run's divergence against its bound."""
+
     lhs: float
     rhs: float
     holds: bool
 
 
-def schatten_ineq_check(X, Y, p: float) -> SchattenCheck:
+def schatten_ineq_check(X, Y, p: float) -> InequalityCheck:
     """Two-sided p-norm inequality for p >= 2: the power sum of the rotated
     pair (X+-Y)/sqrt(2) against the dual-exponent combination of the norms.
 
@@ -260,8 +259,8 @@ def schatten_ineq_check(X, Y, p: float) -> SchattenCheck:
         lhs = rhs = math.inf
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         raise ValueError(f"p overflows the power sums of this pair, got {p}")
-    return SchattenCheck(lhs=float(lhs), rhs=float(rhs),
-                         holds=bool(lhs <= rhs + INEQUALITY_SLACK))
+    return InequalityCheck(lhs=float(lhs), rhs=float(rhs),
+                           holds=bool(lhs <= rhs + INEQUALITY_SLACK))
 
 
 @lru_cache(maxsize=1)

@@ -204,7 +204,6 @@ class CrossFeedStage:
 class StageResult:
     stage: int
     device_id: int
-    success: bool
     output_bits: np.ndarray
     report: RateReport
     extractor: ExtractorSpec
@@ -290,7 +289,7 @@ def cross_feed(game: XorGame, constants: GameConstants, device_a, device_b,
         used = seed_source.consumed
         from_previous = min(used, len(prev_bits))
         results.append(StageResult(
-            stage=i, device_id=device_id, success=True, output_bits=out_bits,
+            stage=i, device_id=device_id, output_bits=out_bits,
             report=report, extractor=spec,
             seed_bits_used=used,
             seed_from_previous=from_previous,

@@ -39,6 +39,7 @@ from .devices import (
 from .entropy import (
     INEQUALITY_SLACK,
     BlockOperator,
+    InequalityCheck,
     measurement_split,
     renyi_divergence,
     schatten_ineq_check,
@@ -757,7 +758,8 @@ def wilson_interval(k: int, n: int):
 
 
 def completeness_error_bound(eta: float, eta_prime: float, q: float, N: int) -> float:
-    """Abort-probability bound for a device within eta' of honest play."""
+    """Abort-probability bound for a device within eta' of honest play:
+    exp(-(eta - eta')^2 q N / 3)."""
     if eta_prime >= eta:
         raise ValueError("requires eta' < eta")
     return float(np.exp(-((eta - eta_prime) ** 2) * q * N / 3.0))
@@ -827,19 +829,8 @@ def _run_trial(args) -> TrialSummary:
 # Exact small-N execution
 
 
-@dataclass(frozen=True)
-class ExactRunResult:
-    lhs: float
-    rhs: float
-    holds: bool
-    labels: tuple
-    gamma_blocks: tuple
-    sigma_blocks: tuple
-    env_state: np.ndarray
-
-
 def exact_small_run(N: int, behavior: PartiallyTrustedBehavior, q: float,
-                    kappa: float, r: float) -> ExactRunResult:
+                    kappa: float, r: float) -> InequalityCheck:
     """Exact density-operator execution of the single-part protocol for
     N <= 4 rounds, checking the accumulated divergence inequality.
 
@@ -847,7 +838,9 @@ def exact_small_run(N: int, behavior: PartiallyTrustedBehavior, q: float,
     o-string) by branching every round through the device's Kraus
     decomposition, then compares its order-(1+gamma) divergence against the
     weighted reference operator (failures weighted by 2^(1/(q r)) per
-    round) with the bound -N times the worst-case one-round rate.
+    round) with the bound -N times the worst-case one-round rate.  The
+    result holds the divergence as lhs, the bound as rhs, and the verdict
+    lhs <= rhs + EXACT_RUN_SLACK.
 
     The branch tree grows as one (4^n, D, D) stack: a round maps branch
     hist to the four children hist*4 + 2g + o, so stack order is the sorted
@@ -912,11 +905,8 @@ def exact_small_run(N: int, behavior: PartiallyTrustedBehavior, q: float,
     lhs = renyi_divergence(BlockOperator(labels, gamma_stack),
                            BlockOperator(labels, sigma_stack), 1.0 + gamma)
     rhs = -N * worst_case_rate(behavior.v, behavior.h, q, kappa, r)
-    return ExactRunResult(
-        lhs=float(lhs), rhs=float(rhs), holds=bool(lhs <= rhs + EXACT_RUN_SLACK),
-        labels=labels, gamma_blocks=tuple(gamma_stack),
-        sigma_blocks=tuple(sigma_stack), env_state=env_state,
-    )
+    return InequalityCheck(lhs=float(lhs), rhs=float(rhs),
+                           holds=bool(lhs <= rhs + EXACT_RUN_SLACK))
 
 
 @functools.cache
@@ -1005,8 +995,9 @@ def partial_trust_checks(behavior: PartiallyTrustedBehavior) -> tuple:
 def verify_suite(suite: str, rng: np.random.Generator, instances: int) -> list:
     """The checks of ``instances`` random instances of one of
     VERIFY_SUITES, as ``direx verify`` draws them, in draw order: per
-    instance three :func:`uncertainty_check` or :func:`schatten_ineq_check`
-    results, one :func:`exact_small_run` (multishot) or four
+    instance three :func:`uncertainty_check` results, three
+    :func:`schatten_ineq_check` or one :func:`exact_small_run`
+    ``InequalityCheck`` (schatten, multishot), or the four
     :func:`partial_trust_checks`.  Each has a ``holds`` verdict."""
     if suite not in VERIFY_SUITES:
         raise ValueError(f"unknown verify suite {suite!r}")

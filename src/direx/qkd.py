@@ -31,8 +31,9 @@ class KdConfig:
     lam is the disagreement parameter promised to reconciliation (key error
     fraction 1/2 - lam).  lam_prime must lie strictly between lam and
     w - 1/2, and nothing else reads it: it is kept only because perfbench's
-    keydist workload passes it.  The reconciliation failure budget is
-    exp(-qN) by convention.
+    keydist workload passes it.  kappa and epsilon_exp set the rate
+    report's penalty scale and smoothing 2^-epsilon_exp.  The
+    reconciliation failure budget is exp(-qN) by convention.
     """
 
     game: XorGame
@@ -43,8 +44,8 @@ class KdConfig:
     lam: float
     lam_prime: float
     code: LinearCode
-    kappa: float = 1.0
-    epsilon_exp: float = 20.0
+    kappa: float
+    epsilon_exp: float
 
     def __post_init__(self):
         check_domain("q", self.q, "q")
@@ -85,7 +86,6 @@ class KdOutcome:
     leaked_bits: int
     certified_bits: float
     disagreements: int
-    wins: int
     seed_bits_used: int
     eir: EirResult | None
     report: RateReport | None
@@ -133,7 +133,6 @@ def run_rkd(config: KdConfig, behavior, seed_stream: BitStream,
         (i, labels[o])
         for i, o in zip(games.tolist(), tr.outputs[games].tolist())]}
     outcome = partial(KdOutcome, disagreements=disagreements,
-                      wins=config.N - tr.failures - disagreements,
                       seed_bits_used=tr.seed_bits_used, transcript=tr,
                       public_transcript=public)
     aborted = partial(outcome, success=False, alice_key="", bob_key="",

@@ -117,8 +117,10 @@ def binary_entropy(y):
     """Shannon entropy of (y, 1-y) in bits, with h(0) = h(1) = 0."""
     y = np.asarray(y, dtype=float)
     check_domain("y", y, "probability")
-    ylo = np.clip(y, 1e-300, 1.0)
-    yhi = np.clip(1.0 - y, 1e-300, 1.0)
+    # clipped at the least subnormal: y = 0 gives 0 * log2(5e-324) = 0, and
+    # no y > 0 is moved
+    ylo = np.clip(y, 5e-324, 1.0)
+    yhi = np.clip(1.0 - y, 5e-324, 1.0)
     out = -(y * np.log2(ylo) + (1.0 - y) * np.log2(yhi))
     return out if out.ndim else float(out)
 

@@ -454,9 +454,7 @@ class EirResult:
     aborted: bool
     leaked_bits: int
     randomness_used: int
-    correction_weight: int
     promise_violated: bool
-    list_size: int = 0
     measured_rate: float = 0.0
     hash_value: int = -1  # -1 outside the list regime
 
@@ -471,6 +469,10 @@ def eir_run(x_bits, y_bits, code: LinearCode, lam: float, epsilon: float,
     disambiguated by an almost-pairwise hash of ceil(log2(2L/eps)) bits.
     A promise violation (actual distance beyond the radius) is reported in
     the result, never silently accepted.
+
+    The result holds the estimate (y itself on an abort), the bits leaked
+    (syndrome, plus the hash value in the list regime), the shared bits
+    drawn and the code's rate; the correction applied is estimate ^ y.
     """
     x = np.asarray(x_bits, dtype=np.uint8) % 2
     y = np.asarray(y_bits, dtype=np.uint8) % 2
@@ -491,12 +493,10 @@ def eir_run(x_bits, y_bits, code: LinearCode, lam: float, epsilon: float,
             d = unique_decode(code, s)
         except DecodeFailureError:
             return EirResult(estimate=y.copy(), aborted=True, leaked_bits=leaked,
-                             randomness_used=0, correction_weight=0,
-                             promise_violated=actual > radius,
+                             randomness_used=0, promise_violated=actual > radius,
                              measured_rate=code.rate)
         return EirResult(estimate=(y + d) % 2, aborted=False, leaked_bits=leaked,
-                         randomness_used=0, correction_weight=int(d.sum()),
-                         promise_violated=actual > radius,
+                         randomness_used=0, promise_violated=actual > radius,
                          measured_rate=code.rate)
     if shared is None:
         raise ValueError("list regime needs shared randomness")
@@ -506,8 +506,7 @@ def eir_run(x_bits, y_bits, code: LinearCode, lam: float, epsilon: float,
         cands = list_decode(code, s, radius)
     except ListOverflowError:
         return EirResult(estimate=y.copy(), aborted=True, leaked_bits=leaked,
-                         randomness_used=0, correction_weight=0,
-                         promise_violated=actual > radius,
+                         randomness_used=0, promise_violated=actual > radius,
                          measured_rate=code.rate)
     before = shared.consumed
     seed = shared.take(hash_family.seed_bits)
@@ -517,12 +516,9 @@ def eir_run(x_bits, y_bits, code: LinearCode, lam: float, epsilon: float,
     matches = [d for d in cands if hash_family.evaluate(seed, (y + d) % 2) == hx]
     if len(matches) != 1:
         return EirResult(estimate=y.copy(), aborted=True, leaked_bits=leaked,
-                         randomness_used=used, correction_weight=0,
-                         promise_violated=actual > radius,
-                         list_size=len(cands), measured_rate=code.rate,
-                         hash_value=hx)
+                         randomness_used=used, promise_violated=actual > radius,
+                         measured_rate=code.rate, hash_value=hx)
     d = matches[0]
     return EirResult(estimate=(y + d) % 2, aborted=False, leaked_bits=leaked,
-                     randomness_used=used, correction_weight=int(d.sum()),
-                     promise_violated=actual > radius, list_size=len(cands),
+                     randomness_used=used, promise_violated=actual > radius,
                      measured_rate=code.rate, hash_value=hx)

@@ -1000,8 +1000,7 @@ def _climb(game: XorGame, samples: SamplingSpec, start: np.ndarray, value):
 
 
 def trust_coefficient_check(game: XorGame, c: float, anticommuter: np.ndarray,
-                            samples: SamplingSpec | None = None,
-                            qG: float | None = None) -> TrustCheckResult:
+                            samples: SamplingSpec, qG: float) -> TrustCheckResult:
     """Sampled certification that ||M - c N|| <= qG - c over canonical strategies.
 
     The claim is tested on a dense grid of upper-half-circle angle tuples,
@@ -1011,13 +1010,10 @@ def trust_coefficient_check(game: XorGame, c: float, anticommuter: np.ndarray,
     anticommuter is given as its reverse diagonal (see
     _validate_anticommuter); the scoring operator is reverse-diagonal too,
     so the operator norm is the maximum entry modulus and the whole sweep
-    is vectorized.
+    is vectorized.  qG is the game's optimal score.
     """
     check_domain("c", c, "nonnegative")
-    samples = samples or SamplingSpec()
     anti = _validate_anticommuter(game.n, anticommuter)
-    if qG is None:
-        qG, _ = optimal_score(game)
 
     th_all, entries, _ = _trust_samples(game, samples)
     vals = _sampled_max(entries, c, anti)
@@ -1102,8 +1098,7 @@ def trust_anticommuters(game: XorGame) -> list:
     return list(anticommuter_family(game.n, phases=phases))
 
 
-def trust_coefficient_search(game: XorGame,
-                             classification: str | None = None) -> float:
+def trust_coefficient_search(game: XorGame, classification: str) -> float:
     """Sampled lower-confidence bound on the trust coefficient.
 
     The largest coefficient passing trust_coefficient_check over
@@ -1125,9 +1120,9 @@ def trust_coefficient_search(game: XorGame,
     halvings and stops at the same midpoint.  C < 0 leaves lo at 0, as a
     failed check at c = 0 leaves the anticommuter out.  The descent only
     lowers C, so it is skipped when the least sampled c* cannot beat the
-    best bound so far.
+    best bound so far.  classification is the game's classify_selftest
+    verdict.
     """
-    classification = classification or classify_selftest(game)
     if classification != "strong-self-test":
         raise ValueError(
             f"trust-coefficient search requires a strong self-test, got {classification}")

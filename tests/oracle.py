@@ -1,4 +1,4 @@
-"""50-digit mpmath forms of the rate kernels' closed formulas.
+"""50-digit mpmath forms of the float kernels' closed formulas.
 
 Each function is written from the formula its kernel's docstring states,
 not from the kernel's float code, and evaluates it in 50-digit decimal
@@ -37,3 +37,28 @@ def one_round_rate(v, h, q, kappa, r, t):
         bracket = ((1 - q) * mpmath.power(2, -gamma * x)
                    + q * (1 - (1 - mpmath.power(2, -kappa)) * honest))
         return -mpmath.log(bracket, 2) / gamma
+
+
+def binary_entropy(y):
+    """-y log2 y - (1-y) log2(1-y), with h(0) = h(1) = 0, the formula of
+    rates.binary_entropy.  log1p keeps the (1-y) term where y lies below
+    the working precision."""
+    with mpmath.workdps(DIGITS):
+        y = mpmath.mpf(y)
+        if y in (0, 1):
+            return mpmath.mpf(0)
+        return -(y * mpmath.log(y, 2) + (1 - y) * mpmath.log1p(-y) / mpmath.log(2))
+
+
+def limit_exponent(y):
+    """1 - 2 h(y), the formula of rates.limit_exponent."""
+    with mpmath.workdps(DIGITS):
+        return 1 - 2 * binary_entropy(y)
+
+
+def completeness_error_bound(eta, eta_prime, q, N):
+    """exp(-(eta - eta')^2 q N / 3), the formula of
+    protocols.completeness_error_bound."""
+    with mpmath.workdps(DIGITS):
+        eta, eta_prime, q = map(mpmath.mpf, (eta, eta_prime, q))
+        return mpmath.exp(-(eta - eta_prime) ** 2 * q * N / 3)

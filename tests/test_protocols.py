@@ -1,5 +1,6 @@
 import hashlib
 from itertools import product
+from math import comb
 
 import numpy as np
 import pytest
@@ -101,7 +102,8 @@ class TestProtocolR:
                              substream(MASTER, "r1"), numpy_rng(MASTER, "d1"))
         assert out.success
         assert out.transcript.failures == 0
-        assert all(r[3] == "P" for r in out.transcript.rounds if r[0] == 1)
+        tr = out.transcript
+        assert np.all(tr.codes[tr.g == 1] == "HTPF".index("P"))
 
     def test_threshold_formula(self):
         cfg = ghz_config(10_000, Fraction(1, 20), 0.01)
@@ -142,7 +144,7 @@ class TestProtocolR:
         out = run_protocol_r(cfg, ghz_honest_device(),
                              substream(MASTER, "r5"), numpy_rng(MASTER, "d5"))
         tr = out.transcript
-        games = sum(1 for r in tr.rounds if r[0] == 1)
+        games = np.count_nonzero(tr.g)
         assert tr.input_bits_used == 2 * games  # uniform 4-way inputs cost 2 bits
         assert tr.seed_bits_used == tr.g_bits_used + tr.input_bits_used
 
@@ -227,33 +229,63 @@ class TestMonteCarlo:
         assert serial.records == parallel.records
 
 
+GHZ_INPUTS = tuple(bits for bits, _, _ in GAME.entries)
+
+
+def local_ghz_tables():
+    """The 4^3 = 64 local deterministic GHZ strategies as ResponseTables:
+    each component maps its own input bit to an output bit in one of 4
+    ways, on every game input (the all-zero generation input is one of
+    them)."""
+    maps = list(product((0, 1), repeat=2))  # (output on 0, output on 1)
+    return [ResponseTable(n=3, entries={
+                (None, bits): tuple(f[x] for f, x in zip(strategy, bits))
+                for bits in GHZ_INPUTS})
+            for strategy in product(maps, repeat=3)]
+
+
+def ghz_win_probability(table) -> Fraction:
+    """The exact winning probability of a table answered through
+    make_responder: a game input is won when the output parity is
+    (1 - sign) / 2."""
+    responder = make_responder(AdversarialBehavior(n=3, program=table))
+    outputs = responder(GHZ_INPUTS, np.arange(len(GHZ_INPUTS)), None)
+    return sum((p for (_, p, sign), out in zip(GAME.entries, outputs.tolist())
+                if out.bit_count() % 2 == (1 - sign) // 2), Fraction(0))
+
+
 class TestLocalStrategies:
     def test_no_local_ghz_strategy_beats_the_classical_optimum(self):
-        # each component maps its own input bit to an output bit in one of
-        # 4 ways: 4^3 = 64 local deterministic strategies, each answering
-        # every game input (the all-zero generation input is one of them)
-        # through make_responder
-        inputs = tuple(bits for bits, _, _ in GAME.entries)
-        assert (0, 0, 0) in inputs
-        maps = list(product((0, 1), repeat=2))  # (output on 0, output on 1)
-        wins = []
-        for strategy in product(maps, repeat=3):
-            table = ResponseTable(n=3, entries={
-                (None, bits): tuple(f[x] for f, x in zip(strategy, bits))
-                for bits in inputs})
+        assert (0, 0, 0) in GHZ_INPUTS
+        tables = local_ghz_tables()
+        for table in tables:
             responder = make_responder(AdversarialBehavior(n=3, program=table))
-            outputs = responder(inputs, np.arange(len(inputs)), None)
+            outputs = responder(GHZ_INPUTS, np.arange(len(GHZ_INPUTS)), None)
             assert [int(o) for o in outputs] == [
                 int("".join(map(str, table.entries[(None, bits)])), 2)
-                for bits in inputs]
-            # scored exactly: a game input is won when the output parity
-            # is (1 - sign) / 2
-            wins.append(sum((p for (_, p, sign), out
-                             in zip(GAME.entries, outputs.tolist())
-                             if out.bit_count() % 2 == (1 - sign) // 2),
-                            Fraction(0)))
+                for bits in GHZ_INPUTS]
+        wins = [ghz_win_probability(table) for table in tables]
         assert len(wins) == 64
         assert max(wins) == Fraction(3, 4) == classical_optimum(GAME)
+
+    def test_best_local_strategy_aborts_at_the_binomial_tail(self):
+        # soundness: each round of a local strategy that wins w of the game
+        # inputs fails independently with probability q (1 - w), so its
+        # abort rate is P[Bin(N, q (1 - w)) > threshold], w = 3/4 at best;
+        # the sizes put that tail in [0.2, 0.8], where it can be missed on
+        # either side (a device that signals wins more and aborts less)
+        best = max(local_ghz_tables(), key=ghz_win_probability)
+        w = classical_optimum(GAME)
+        assert ghz_win_probability(best) == w
+        n, q = 400, Fraction(1, 4)
+        cfg = ghz_config(n, q, 0.25)
+        p = q * (1 - w)
+        tail = float(sum(comb(n, k) * p**k * (1 - p)**(n - k)
+                         for k in range(n + 1) if k > cfg.abort_threshold))
+        assert 0.2 <= tail <= 0.8
+        stats = monte_carlo(cfg, AdversarialBehavior(n=3, program=best), 400,
+                            parse_master_seed("07" * 32))
+        assert stats.wilson_low <= tail <= stats.wilson_high
 
 
 class TestSymbolEncoding:
@@ -306,14 +338,6 @@ class TestExactSmallRun:
         res = exact_small_run(2, beh, 0.25, 1.0, 1.0)
         assert res.holds
         assert res.rhs - res.lhs >= 0  # measured slack
-
-    def test_environment_state_consistency(self):
-        rng = np.random.default_rng(7)
-        beh = random_partially_trusted(rng, 0.5, 0.2, env_dim=3)
-        res = exact_small_run(2, beh, 0.3, 0.5, 1.0)
-        total = np.sum(res.gamma_blocks, axis=0)
-        assert np.max(np.abs(total - res.env_state)) < 1e-10
-        assert res.env_state.trace().real == pytest.approx(1.0)
 
     def test_round_count_capped(self):
         rng = np.random.default_rng(8)
@@ -399,9 +423,24 @@ def _digest(*parts) -> str:
     return h.hexdigest()
 
 
+def _round_tuples(tr) -> list:
+    """The (g, input, outputs, symbol) tuples of a transcript's rounds, or
+    (g, None, None, symbol) when no inputs were recorded, rebuilt from its
+    columns."""
+    g = tr.g.tolist()
+    symbols = ["HTPF"[c] for c in tr.codes.tolist()]
+    if tr.outputs is None:
+        return [(gi, None, None, s) for gi, s in zip(g, symbols)]
+    n = len(tr.inputs[0])
+    outs = [tuple((o >> (n - 1 - j)) & 1 for j in range(n))
+            for o in tr.outputs.tolist()]
+    ins = [tr.inputs[k] for k in tr.input_index.tolist()]
+    return list(zip(g, ins, outs, symbols))
+
+
 def _transcript_digest(tr, *extra) -> str:
     return _digest(*extra, tr.failures, tr.g_bits_used, tr.input_bits_used,
-                   tr.rounds)
+                   _round_tuples(tr))
 
 
 def _outcome_digest(out) -> str:
@@ -456,8 +495,9 @@ class TestRoundEngineDigests:
                       shared_randomness=substream(MASTER, "kd-share", 1))
         # a successful run with one disagreement and one failed game round
         assert (out.success, out.disagreements, out.transcript.failures) == (True, 1, 1)
+        wins = cfg.N - out.transcript.failures - out.disagreements
         assert _digest(out.alice_key, out.bob_key, out.public_transcript,
-                       out.seed_bits_used, out.wins, out.disagreements,
+                       out.seed_bits_used, wins, out.disagreements,
                        out.leaked_bits) == (
             "981e0b45953aad070c3ef76ce0df0abbf80832b18110e27f23e56ccde4fa8e77")
         assert _transcript_digest(out.transcript) == (

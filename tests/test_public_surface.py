@@ -15,6 +15,12 @@ none), must be passed by some call of that name in ``src/direx`` or
 ``perfbench/*.py``; a parameter only tests set is a constant in disguise.
 A knob kept for another reason sits on ``KEEP_KNOBS`` with that reason.
 
+Every annotated field of a class in ``src/direx`` must be read as an
+attribute (``x.field``) in ``src/direx`` or ``perfbench/*.py``, or be named
+in a README code span; a field that only tests read is a result nothing
+uses.  A field kept for another reason sits on ``KEEP_FIELDS`` with that
+reason.
+
 Every identifier in a README code span that has an inner underscore or is
 CamelCase must be spelled in ``src/direx`` or ``perfbench/*.py`` (defined,
 read, or inside a string), or be the stem of a file in ``tests/``.
@@ -53,6 +59,26 @@ KEEP = {
 
 KEEP_KNOBS = {
     "main.argv": "tests drive the CLI in-process",
+}
+
+KEEP_FIELDS = {
+    "RunOutcome.threshold": "the abort margin, failures against this "
+                            "threshold, that run records are to show",
+    "PartialTrustCheck.least_eigenvalue": "the margin of each partial-trust "
+                                          "bound, for verify records to show; "
+                                          "the sweep digests pin it",
+    "UncertaintyCheck.delta": "the weight at which rhs takes the exponent; "
+                              "the sweep digests pin it",
+    "KdOutcome.public_transcript": "what the protocol publishes, which the "
+                                   "certified key count is to charge",
+    "EirResult.promise_violated": "eir_run's docstring promises to report a "
+                                  "promise violation",
+    "StageResult.extractor": "the extraction a stage ran, whose seed the "
+                             "cross-feed record is to count",
+    "TuneResult.kappa0": "traces b = delta kappa0 / (2 E_cap) until "
+                         "TuneResult keeps only what cross_feed reads",
+    "TuneResult.E_cap": "traces b = delta kappa0 / (2 E_cap) until "
+                        "TuneResult keeps only what cross_feed reads",
 }
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -199,6 +225,27 @@ def unset_knobs(package, callers):
                 and not (at is not None and filled.get(name, 0) > at)):
             unset.add(knob)
     return unset
+
+
+def class_fields(package):
+    """The annotated fields of every class in the package texts, as
+    "Class.field"."""
+    return {f"{cls.name}.{stmt.target.id}"
+            for text in package for cls in ast.walk(ast.parse(text))
+            if isinstance(cls, ast.ClassDef)
+            for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)}
+
+
+def unread_fields(package, readers, readme=""):
+    """The package's class fields whose name no reader text reads as an
+    attribute and no code span of the readme names.  A field is matched
+    by name alone, so a read of any class's field of that name counts."""
+    read = {node.attr for text in readers for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    read |= readme_names(readme)
+    return {name for name in class_fields(package)
+            if name.split(".")[1] not in read}
 
 
 @lru_cache(maxsize=1)
@@ -372,6 +419,45 @@ def run():
     assert unset_knobs(package, package) == {"Stage.log", "Plain.y"}
     assert unset_knobs(package, ["Stage(1, 2, 3)"]) == {
         "Stage.tag", "Stage.log", "Plain.y"}
+
+
+def test_every_field_has_a_reader():
+    package, roots = _sources()
+    unread = unread_fields(package, package + roots,
+                           (ROOT / "README.md").read_text())
+    assert unread - set(KEEP_FIELDS) == set(), (
+        f"class fields no program reads: {sorted(unread - set(KEEP_FIELDS))}; "
+        f"delete them, or add each to KEEP_FIELDS with its reason")
+    assert set(KEEP_FIELDS) - unread == set(), "KEEP_FIELDS names a field in use"
+    assert all(reason.strip() for reason in KEEP_FIELDS.values())
+
+
+def test_field_scan_flags_an_unread_field():
+    # value is read by the class's own method; kept is set through
+    # __setattr__ until a second text reads it; label is read only in the
+    # README's code span; spare is passed by keyword and assigned, and
+    # neither is a read
+    package = ["""
+@dataclass(frozen=True)
+class Result:
+    value: float
+    spare: int
+    kept: str
+    label: str = ""
+
+    def total(self):
+        return self.value
+
+def make():
+    r = Result(value=1.0, spare=2, kept="k")
+    object.__setattr__(r, "kept", "x")
+    r.spare = 3
+    return r
+"""]
+    assert unread_fields(package, package) == {
+        "Result.spare", "Result.kept", "Result.label"}
+    assert unread_fields(package, package + ["print(make().kept)"],
+                         "the `label` of a result") == {"Result.spare"}
 
 
 _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)

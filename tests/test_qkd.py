@@ -39,7 +39,9 @@ class TestHonestRun:
         assert out.disagreements == 0
         assert out.keys_match
         assert len(out.alice_key) == 3000
-        assert out.eir.correction_weight == 0
+        # no correction: the estimate is the second party's string, which
+        # equals the first party's bits
+        assert np.array_equal(out.eir.estimate, out.transcript.codes & 1)
 
     def test_leak_equals_eir_accounting(self):
         cfg = kd_config(3000, 0.05)
@@ -52,7 +54,7 @@ class TestHonestRun:
         cfg = kd_config(1000, 0.1)
         out = run(cfg, ghz_honest_device(), "public")
         pub = out.public_transcript
-        games = [i for i, r in enumerate(out.transcript.rounds) if r[0] == 1]
+        games = np.flatnonzero(out.transcript.g).tolist()
         assert [i for i, _ in pub["game_round_outputs"]] == games
         assert len(pub["syndrome"]) == cfg.code.n_checks
         # the recorded syndrome is exactly what the first party sent
@@ -65,11 +67,12 @@ class TestHonestRun:
         # win-completing bit by construction
         cfg = kd_config(1500, 0.05)
         out = run(cfg, ghz_honest_device(), "struct")
-        for (g, inp, outs, symbol) in out.transcript.rounds:
-            if g == 0:
-                a = outs[0]
-                b = outs[1] ^ outs[2]
-                assert (a ^ b) == 0  # honest device wins all gen rounds
+        tr = out.transcript
+        outs = tr.outputs[tr.g == 0]  # first component in the highest bit
+        assert len(outs)
+        a = outs >> 2 & 1
+        b = (outs >> 1 ^ outs) & 1
+        assert np.array_equal(a, b)  # honest device wins all gen rounds
 
     def test_certified_bits_positive_at_pinned_scale(self):
         cfg = kd_config(10_000, 0.05)
@@ -98,7 +101,7 @@ class TestAdversarialAndNoisy:
         assert out.abort_reason in ("failure threshold", "reconciliation")
         # the device loses every round: disagreement fraction is 1 on
         # generation rounds
-        gens = sum(1 for r in out.transcript.rounds if r[0] == 0)
+        gens = np.count_nonzero(out.transcript.g == 0)
         assert out.disagreements == gens
 
     def test_noisy_device_corrected_by_block_code(self):
@@ -119,7 +122,7 @@ class TestAdversarialAndNoisy:
         noisy = NoisyHonestBehavior(base=ghz_honest_device(), p=0.01)
         cfg = kd_config(4000, 0.05, eta=0.02)
         out = run(cfg, noisy, "frac")
-        gens = sum(1 for r in out.transcript.rounds if r[0] == 0)
+        gens = np.count_nonzero(out.transcript.g == 0)
         assert out.disagreements / gens <= 0.02
 
 
@@ -133,7 +136,7 @@ class TestAzumaTailsEmpirical:
         for eps in (0.05, 0.1):
             bound = np.exp(-eps**2 * 500 / 2)
             tail = sum(1 for o in outs
-                       if (500 - o.wins) - 0 >= eps * 500)
+                       if o.transcript.failures + o.disagreements >= eps * 500)
             freq = tail / 30
             sigma = np.sqrt(max(freq * (1 - freq), 1e-3) / 30)
             assert freq <= bound + 3 * sigma
@@ -160,7 +163,8 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             kd_config(100, 0.05).__class__(
                 game=GAME, constants=GHZ, N=100, q=0.05, eta=0.001,
-                lam=0.6, lam_prime=0.7, code=hamming_code(100))
+                lam=0.6, lam_prime=0.7, code=hamming_code(100),
+                kappa=1.0, epsilon_exp=20.0)
 
     def test_partially_trusted_device_refused(self):
         # a single-part device has no output distribution to answer from;
@@ -173,7 +177,8 @@ class TestConfigValidation:
     def test_code_length_must_match(self):
         with pytest.raises(ValueError):
             KdConfig(game=GAME, constants=GHZ, N=100, q=0.05, eta=0.001,
-                     lam=0.4, lam_prime=0.45, code=hamming_code(50))
+                     lam=0.4, lam_prime=0.45, code=hamming_code(50),
+                     kappa=1.0, epsilon_exp=20.0)
 
     @pytest.mark.parametrize("q", [0.0, 1.0, 1.5])
     def test_test_probability_domain(self, q):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from direx.errors import InfeasibleError
+from direx.protocols import completeness_error_bound
 from direx.rates import (
     RateParams,
     RateReport,
@@ -208,13 +210,18 @@ _POINTS = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0]),
 _ORACLE_REL, _ORACLE_FLOOR = 1e-12, 2e-15
 
 
+# y from the least normal float to 1 on a log scale, or any of _POINTS
+_YS = st.one_of(st.floats(math.log10(sys.float_info.min), 0.0).map(
+    lambda x: min(max(10.0 ** x, sys.float_info.min), 1.0)), _POINTS)
+
+
 def _near_oracle(got, want) -> bool:
     want = float(want)
     return abs(got - want) <= _ORACLE_REL * abs(want) + _ORACLE_FLOOR
 
 
 class TestAgainstOracle:
-    """The rate kernels against 50-digit mpmath forms of their formulas
+    """The float kernels against 50-digit mpmath forms of their formulas
     (tests/oracle.py).  The worst relative errors measured are 1.4e-13
     for the exponent and 6.0e-13 for the rate; exp - 1 in place of expm1
     reads 4.2e-7 at small gamma."""
@@ -238,6 +245,45 @@ class TestAgainstOracle:
         assume(r * q * kappa <= 1.0)
         assert _near_oracle(one_round_rate(v, h, q, kappa, r, t),
                             oracle.one_round_rate(v, h, q, kappa, r, t))
+
+    @settings(max_examples=150, deadline=None)
+    @given(y=_YS)
+    @example(y=sys.float_info.min)
+    @example(y=1e-13)
+    @example(y=5.5e-17)
+    def test_binary_entropy(self, y):
+        # 1e-12 relative, plus the rounding of 1 - y: the (1-y) term takes
+        # log2 of the float 1 - y, which is off by at most half an ulp of
+        # 1, so the term moves by at most 8e-17; where 1 - y rounds to 1
+        # the whole term, y log2 e < 2 y, is lost (2.6% of h at y = 5.5e-17)
+        want = float(oracle.binary_entropy(y))
+        assert abs(binary_entropy(y) - want) <= 1e-12 * want + min(2e-16, 2 * y)
+
+    @settings(max_examples=150, deadline=None)
+    @given(y=_YS)
+    @example(y=sys.float_info.min)
+    @example(y=0.11)
+    def test_limit_exponent(self, y):
+        # 1 - 2 h passes through 0 near y = 0.11, where the floor holds its
+        # few ulps of 1 (4.4e-16 measured)
+        assert _near_oracle(limit_exponent(y), oracle.limit_exponent(y))
+
+    @settings(max_examples=150, deadline=None)
+    @given(eta=st.floats(1e-4, 0.5), gap=_NEAR | st.floats(0.1, 1.0),
+           q=st.floats(-6.0, 0.0).map(lambda x: 10.0 ** x),
+           N=st.integers(0, 12).map(lambda k: 10**k) | st.integers(1, 10**12))
+    @example(eta=0.05, gap=1e-3, q=0.05, N=10**10)
+    def test_completeness_error_bound(self, eta, gap, q, N):
+        # 1e-12 relative wherever the bound is a normal float: the exponent
+        # x carries a few roundings, x * 4.4e-16 <= 3.2e-13 for x <= 708,
+        # and exp adds one more
+        eta_prime = eta * (1.0 - gap)
+        assume(eta_prime < eta)
+        want = oracle.completeness_error_bound(eta, eta_prime, q, N)
+        assume(want >= sys.float_info.min)
+        want = float(want)
+        assert abs(completeness_error_bound(eta, eta_prime, q, N) - want) \
+            <= 1e-12 * want
 
 
 class TestWorstCaseRate:

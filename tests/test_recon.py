@@ -344,7 +344,6 @@ class TestEir:
         res = eir_run(x, x.copy(), code, 0.3, 0.0)
         assert not res.aborted
         assert np.array_equal(res.estimate, x)
-        assert res.correction_weight == 0
         assert res.randomness_used == 0
         assert res.leaked_bits == 10
 

@@ -668,7 +668,8 @@ class TestTrustCoefficient:
     @pytest.mark.parametrize("c", [float("nan"), float("inf"), -0.1])
     def test_coefficient_must_be_finite_and_nonnegative(self, c):
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            trust_coefficient_check(GHZ, c, ghz_anticommuter(), qG=1.0)
+            trust_coefficient_check(GHZ, c, ghz_anticommuter(), SamplingSpec(),
+                                    qG=1.0)
 
     @pytest.mark.parametrize("fields, named", [
         ({"grid_points": -3}, "grid_points"),
@@ -683,7 +684,7 @@ class TestTrustCoefficient:
     def test_invalid_anticommuter_named_rejection(self):
         bad = np.ones(8, dtype=np.complex128)
         with pytest.raises(InvalidOperatorError, match="anticommute"):
-            trust_coefficient_check(GHZ, 0.1, bad, qG=1.0)
+            trust_coefficient_check(GHZ, 0.1, bad, SamplingSpec(), qG=1.0)
 
     def test_family_members_valid_for_n2(self):
         members = list(anticommuter_family(2))
@@ -714,7 +715,7 @@ class TestTrustCoefficient:
         dense = np.fliplr(np.diag(a))
         for bad in (dense, dense[:4, :4], a[None, :], a[:4]):
             with pytest.raises(InvalidOperatorError, match="reverse diagonal"):
-                trust_coefficient_check(GHZ, 0.0, bad, qG=1.0)
+                trust_coefficient_check(GHZ, 0.0, bad, SamplingSpec(), qG=1.0)
 
 
 FAMILY_PHASES = (1.0, -1.0, np.exp(0.3j), -np.exp(0.3j))
@@ -973,7 +974,8 @@ class TestTrustVerdict:
         (CHSH, "0.10223482791737193"),
     ])
     def test_searched_bounds_pinned(self, game, bound):
-        assert repr(trust_coefficient_search(game)) == bound
+        assert repr(trust_coefficient_search(
+            game, classification=classify_selftest(game))) == bound
 
 
 def raw_least_threshold(entries, a, q):
@@ -1083,8 +1085,9 @@ class TestClosedFormSearch:
         assert new <= old
         if new < old:
             dense = SamplingSpec(24 if game.n <= 3 else 10, 2000, 8)
+            qG = optimal_score(game)[0]
             assert not any(trust_coefficient_check(
-                game, old + xorgames.TRUST_RESOLUTION, anti, dense).passed
+                game, old + xorgames.TRUST_RESOLUTION, anti, dense, qG=qG).passed
                 for anti in trust_anticommuters(game))
 
 
